@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick fmt vet lint hetlint race docs ci
+.PHONY: build test bench bench-e2e-smoke bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick fmt vet lint hetlint race docs ci
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# bench-e2e-smoke mirrors the CI lane of the same name: bench/ is a
+# module of its own, so `go build ./... && go test ./...` at the root
+# never compiles it — this does, then runs all six workloads at smoke
+# size. A job whose output fails verification exits non-zero.
+bench-e2e-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -quick
 
 # bench-json mirrors the CI benchmark lane: every benchmark once,
 # parsed into the machine-readable perf artifact. The name is derived
@@ -106,4 +114,4 @@ hetlint:
 docs:
 	$(GO) run ./cmd/docscheck
 
-ci: fmt lint docs build race mem-smoke repro-quick bench bench-gate
+ci: fmt lint docs build race mem-smoke repro-quick bench bench-e2e-smoke bench-gate

@@ -231,14 +231,11 @@ func runRemote(nnAddr, jtAddr, tenant, wl string, blockSize int64, mb float64, s
 		return err
 	}
 	fmt.Printf("tenant=%s job=%d workload=%s submitted to %s\n", tenant, id, wl, jtAddr)
-	raw, err := tc.Wait(id, timeout)
+	st, err := tc.WaitStatus(id, timeout)
 	if err != nil {
 		return err
 	}
-	st, err := tc.Status(id)
-	if err != nil {
-		return err
-	}
+	raw := st.Result
 	fmt.Printf("  wall time       %v\n", time.Since(start))
 	fmt.Printf("  tasks           %d of %d completed\n", st.Completed, st.Total)
 	switch wl {
@@ -255,11 +252,7 @@ func runRemote(nnAddr, jtAddr, tenant, wl string, blockSize int64, mb float64, s
 		}
 		fmt.Printf("  distinct words  %d\n", len(counts))
 	case "sort", "enc":
-		var out []byte
-		if err := rpcnet.Unmarshal(raw, &out); err != nil {
-			return err
-		}
-		fmt.Printf("  output          %d bytes\n", len(out))
+		fmt.Printf("  output          %d bytes\n", len(raw))
 	}
 	return nil
 }

@@ -128,6 +128,66 @@ func TestCrossBackendConformanceWithCodec(t *testing.T) {
 			}
 		})
 	}
+	t.Run("net-result-paths", testNetResultPaths)
+}
+
+// testNetResultPaths pins the net backend's four byte-result paths —
+// reduced at the JobTracker or streamed from the trackers, into
+// Result.Bytes or a Sink — against the live reference, with and without
+// a wire codec. The tiny sorts have more reducers than records, so some
+// reduce partitions are empty on both the hash and the range route.
+func testNetResultPaths(t *testing.T) {
+	bigSort := kernels.GenerateSortRecords(2009, 1_000)
+	tinySort := kernels.GenerateSortRecords(12, 5)
+	enc := &Job{Kind: Encrypt, Input: corpus()[:20_000],
+		Key: []byte("conformance-key!"), IV: []byte("conformance-iv!!")}
+	for _, tc := range []struct {
+		name               string
+		job                *Job
+		tiny, ranged, sink bool
+	}{
+		{name: "sort-hash-inline", job: &Job{Kind: Sort, Input: bigSort}},
+		{name: "sort-range-streamed", job: &Job{Kind: Sort, Input: bigSort}, ranged: true},
+		{name: "sort-hash-inline-empty-partitions", job: &Job{Kind: Sort, Input: tinySort}, tiny: true},
+		{name: "sort-range-streamed-empty-partitions", job: &Job{Kind: Sort, Input: tinySort}, tiny: true, ranged: true},
+		{name: "encrypt-inline", job: enc},
+		{name: "encrypt-sink", job: enc, sink: true},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := conformanceConfig()
+			cfg.RangePartition = tc.ranged
+			if tc.tiny {
+				cfg.BlockSize, cfg.Reducers = 200, 8 // 5 records over 3 maps and 8 reduces
+			}
+			// Live takes the block size and ignores the net-only knobs.
+			want, ok := runOnConfig(t, "live", Config{Workers: cfg.Workers, BlockSize: cfg.BlockSize}, tc.job)
+			if !ok {
+				t.Fatalf("live does not support %s", tc.job.Kind)
+			}
+			for _, codec := range []string{"", "snap"} {
+				cfg.Codec = codec
+				job := *tc.job
+				var sunk bytes.Buffer
+				if tc.sink {
+					job.Sink = &sunk
+				}
+				got, ok := runOnConfig(t, "net", cfg, &job)
+				if !ok {
+					t.Fatalf("net does not support %s", job.Kind)
+				}
+				if tc.sink {
+					if got.OutputBytes != int64(sunk.Len()) {
+						t.Fatalf("codec %q: OutputBytes %d, sink holds %d", codec, got.OutputBytes, sunk.Len())
+					}
+					got.Bytes = sunk.Bytes()
+				}
+				if err := SameResult(job.Kind, want, got); err != nil {
+					t.Fatalf("codec %q: net differs from live: %v", codec, err)
+				}
+			}
+		})
+	}
 }
 
 func assertSameResult(t *testing.T, kind Kind, refName string, ref *Result, name string, res *Result) {

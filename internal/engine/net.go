@@ -142,21 +142,6 @@ func (r *netRunner) reducers() int {
 	return 1
 }
 
-// waitAndStatus blocks until job id completes under the configured
-// JobTimeout and fetches the scheduler's per-tracker completion counts
-// and device profile alongside the reduced result.
-func (r *netRunner) waitAndStatus(id int64) (raw []byte, st netmr.StatusReply, err error) {
-	raw, err = r.clus.Client.Wait(id, r.cfg.JobTimeout)
-	if err != nil {
-		return nil, st, err
-	}
-	st, err = r.clus.Client.Status(id)
-	if err != nil {
-		return nil, st, err
-	}
-	return raw, st, nil
-}
-
 // stageInput streams src (the job's dataset, possibly wrapped in a
 // sampling pass) into the distributed FS under the client's ingest
 // window.
@@ -262,6 +247,9 @@ type netJob struct {
 	job     *Job
 	id      int64
 	started time.Time
+	// streamed: the job was submitted with StreamOutput, so its result
+	// is pulled from the trackers instead of riding the Status reply.
+	streamed bool
 	// Fetch-locality counter snapshot at submission; wait() reports
 	// the delta as the job's read-locality split.
 	local0, rack0, remote0 int64
@@ -282,112 +270,74 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &netJob{r: r, job: job, id: id, started: time.Now(),
+	return &netJob{r: r, job: job, id: id, started: time.Now(), streamed: spec.StreamOutput,
 		local0: l0, rack0: rk0, remote0: rm0}, nil
 }
 
 // wait blocks until the job completes and decodes its result by kind.
+// There are two ways a result arrives. A streamed job (range-partitioned
+// Sort; Encrypt with a Sink) left its final-phase task outputs on the
+// trackers, and their concatenation in task order is the result:
+// WaitOutput pulls it one bounded chunk at a time into the Sink, or
+// into a buffer when the caller wants Result.Bytes — the JobTracker
+// never holds it. Every other job's reduced result rides the terminal
+// Status reply. Sort and Encrypt results are the raw bytes; Wordcount
+// and Pi are gob structs.
 func (nj *netJob) wait() (*Result, error) {
 	r, job := nj.r, nj.job
 	res := &Result{Backend: r.Backend()}
+	var (
+		raw  []byte // the result, unless a streamed job wrote it to job.Sink
+		sunk int64  // bytes a streamed job wrote to job.Sink
+		st   netmr.StatusReply
+		err  error
+	)
+	if nj.streamed {
+		var buf bytes.Buffer
+		sink := job.Sink
+		if sink == nil {
+			sink = &buf
+		}
+		sunk, st, err = r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, sink)
+		raw = buf.Bytes()
+	} else {
+		st, err = r.clus.Client.WaitStatus(nj.id, r.cfg.JobTimeout)
+		raw = st.Result
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.TaskCounts, res.Devices = st.Counts, st.Devices
 	switch job.Kind {
 	case Wordcount:
-		raw, st, err := r.waitAndStatus(nj.id)
-		if err != nil {
-			return nil, err
-		}
 		var counts map[string]int64
 		if err := rpcnet.Unmarshal(raw, &counts); err != nil {
 			return nil, err
 		}
 		res.Pairs = pairsFromCounts(counts)
-		res.TaskCounts, res.Devices = st.Counts, st.Devices
-	case Sort:
-		if r.cfg.RangePartition {
-			// Range-partitioned streamed path: reduce r's output
-			// strictly precedes reduce r+1's, so the concatenated
-			// stream IS the globally sorted file — no final merge
-			// anywhere, and the client holds one bounded chunk at a
-			// time.
-			var buf bytes.Buffer
-			sink := job.Sink
-			if sink == nil {
-				sink = &buf
-			}
-			n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, sink, netmr.DecodeRawBytes)
-			if err != nil {
-				return nil, err
-			}
-			st, err := r.clus.Client.Status(nj.id)
-			if err != nil {
-				return nil, err
-			}
-			if job.Sink != nil {
-				res.OutputBytes = n
-			} else {
-				res.Bytes = buf.Bytes()
-			}
-			res.TaskCounts, res.Devices = st.Counts, st.Devices
-			break
-		}
-		raw, st, err := r.waitAndStatus(nj.id)
-		if err != nil {
-			return nil, err
-		}
-		// The default shuffle hash-partitions records, so the globally
-		// sorted result only exists after the JobTracker's final merge
-		// — sort's Sink receives that merged result in one stream. Set
-		// Config.RangePartition for the streamed, merge-free path.
-		var merged []byte
-		if err := rpcnet.Unmarshal(raw, &merged); err != nil {
-			return nil, err
-		}
-		if job.Sink != nil {
-			n, err := job.Sink.Write(merged)
+	case Sort, Encrypt:
+		switch {
+		case job.Sink == nil:
+			res.Bytes = raw
+		case nj.streamed:
+			res.OutputBytes = sunk
+		default:
+			// A hash-partitioned sort is globally sorted only after the
+			// JobTracker's final merge, so its Sink receives that merged
+			// result in one write (Config.RangePartition is the
+			// streamed, merge-free path).
+			n, err := job.Sink.Write(raw)
 			if err != nil {
 				return nil, err
 			}
 			res.OutputBytes = int64(n)
-		} else {
-			res.Bytes = merged
 		}
-		res.TaskCounts, res.Devices = st.Counts, st.Devices
-	case Encrypt:
-		if job.Sink != nil {
-			// Fully streamed: ciphertext blocks park on the trackers
-			// (spilling past the watermark) and flow straight to the
-			// sink — the JobTracker and client never hold the output.
-			n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, job.Sink, netmr.DecodeRawBytes)
-			if err != nil {
-				return nil, err
-			}
-			st, err := r.clus.Client.Status(nj.id)
-			if err != nil {
-				return nil, err
-			}
-			res.OutputBytes = n
-			res.TaskCounts, res.Devices = st.Counts, st.Devices
-			break
-		}
-		raw, st, err := r.waitAndStatus(nj.id)
-		if err != nil {
-			return nil, err
-		}
-		if err := rpcnet.Unmarshal(raw, &res.Bytes); err != nil {
-			return nil, err
-		}
-		res.TaskCounts, res.Devices = st.Counts, st.Devices
 	case Pi:
-		raw, st, err := r.waitAndStatus(nj.id)
-		if err != nil {
-			return nil, err
-		}
 		var pi netmr.PiResult
 		if err := rpcnet.Unmarshal(raw, &pi); err != nil {
 			return nil, err
 		}
 		res.Pi, res.Inside, res.Total = pi.Pi, pi.Inside, pi.Total
-		res.TaskCounts, res.Devices = st.Counts, st.Devices
 	}
 	l1, rk1, rm1 := r.clus.FetchTotals()
 	res.LocalReads = l1 - nj.local0

@@ -6,17 +6,13 @@ import (
 	"encoding/binary"
 )
 
-// The hand-rolled SIMD XOR path lost to the standard library's AES-CTR
-// by ~7x on hosts with hardware AES support — BENCH_PR2 measured
-// 77 MB/s against 542 MB/s on the same machine — because the bottleneck
-// is keystream generation, not the XOR, and crypto/aes pipelines AES-NI
-// across counter blocks. That path is retired from the production tree;
-// a test-only reconstruction and a regression benchmark pinning this
-// routing decision live in ctr_retired_test.go. This file routes the
-// production encryption paths through the stdlib while keeping the
-// table-based CTRStream as the reference implementation (and the SPE
-// model's "device" kernel shape). Output is bit-identical across both:
-// CTR is fully determined by key, IV and offset.
+// This file routes the production encryption paths through the
+// standard library's AES-CTR (crypto/aes pipelines AES-NI across
+// counter blocks; the bottleneck is keystream generation, not the XOR)
+// while keeping the table-based CTRStream as the reference
+// implementation (and the SPE model's "device" kernel shape). Output is
+// bit-identical across both: CTR is fully determined by key, IV and
+// offset.
 
 // stdBlock rebuilds a crypto/aes block cipher from an expanded Cipher.
 // AES-128 key expansion keeps the raw key as the first four round-key

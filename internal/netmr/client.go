@@ -346,23 +346,21 @@ func (c *Client) ListJobs(tenant string) ([]JobInfo, error) {
 // stays the real bound against a hang.
 const waitCallTimeout = dataCallTimeout
 
-// Wait polls the job until completion or timeout, returning the
-// reduced result bytes. A job that failed terminally (a task exhausted
-// its attempt budget, or the final reduce errored) returns that error
-// as soon as the JobTracker reports it. Every Status RPC runs under a
-// per-call timeout clamped to the remaining deadline: a JobTracker
-// that hangs mid-call cannot block Wait beyond its deadline.
+// Wait is WaitStatus narrowed to the reduced result bytes.
 func (c *Client) Wait(jobID int64, timeout time.Duration) ([]byte, error) {
-	st, err := c.waitDone(jobID, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return st.Result, nil
+	st, err := c.WaitStatus(jobID, timeout)
+	return st.Result, err
 }
 
-// waitDone is the polling loop shared by Wait and WaitOutput: it
-// returns the job's terminal StatusReply.
-func (c *Client) waitDone(jobID int64, timeout time.Duration) (StatusReply, error) {
+// WaitStatus polls the job until completion or timeout, returning its
+// terminal StatusReply: the reduced result bytes plus the scheduler's
+// attempt and per-tracker counts. A job that failed terminally (a task
+// exhausted its attempt budget, or the final reduce errored) returns
+// that error as soon as the JobTracker reports it. Every Status RPC
+// runs under a per-call timeout clamped to the remaining deadline: a
+// JobTracker that hangs mid-call cannot block the wait beyond its
+// deadline.
+func (c *Client) WaitStatus(jobID int64, timeout time.Duration) (StatusReply, error) {
 	deadline := time.Now().Add(timeout)
 	jtc, err := c.wire.get(c.jtAddr)
 	if err != nil {
@@ -418,32 +416,23 @@ func (c *Client) waitDone(jobID int64, timeout time.Duration) (StatusReply, erro
 	}
 }
 
-// DecodeRawBytes decodes one gob-encoded []byte output piece — the
-// WaitOutput decode hook for byte-stream kernels (aes-ctr, sort).
-func DecodeRawBytes(p []byte) ([]byte, error) {
-	var b []byte
-	err := rpcnet.Unmarshal(p, &b)
-	return b, err
-}
-
-// outputChunkBytes is WaitOutput's fetch granularity for raw-stored
-// pieces: one chunk is resident at a time, so streaming a job's output
-// costs O(chunk) client memory no matter how large the result is.
+// outputChunkBytes is WaitOutput's fetch granularity: one chunk is
+// resident at a time, so streaming a job's output costs O(chunk)
+// client memory no matter how large the result is.
 const outputChunkBytes = 1 << 20
 
 // WaitOutput polls a StreamOutput job to completion, then streams its
-// stored result pieces — fetched in task order straight from the
-// worker trackers' shuffle stores — into w, and releases the job so
-// the stores can free the space. Pieces the trackers stored raw
-// (MapOutputRef.Raw) are pulled in bounded chunks, so the client's
-// peak memory is O(chunk) regardless of output size; legacy encoded
-// pieces are fetched whole and passed through decode when non-nil.
-// The JobTracker never touches the output bytes. Returns the bytes
-// written to w.
-func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer, decode func([]byte) ([]byte, error)) (int64, error) {
-	st, err := c.waitDone(jobID, timeout)
+// result — the stored final-phase task outputs, concatenated in task
+// order — into w, and releases the job so the stores can free the
+// space. Each piece is pulled in bounded chunks straight from the
+// worker tracker's shuffle store: the client's peak memory is O(chunk)
+// regardless of output size and the JobTracker never touches the
+// output bytes. Returns the bytes written to w and the job's terminal
+// status.
+func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (int64, StatusReply, error) {
+	st, err := c.WaitStatus(jobID, timeout)
 	if err != nil {
-		return 0, err
+		return 0, st, err
 	}
 	// Release whichever way the stream ends: a fetch or sink error
 	// cannot be retried through this call anyway, and without the
@@ -452,49 +441,28 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer, dec
 	// space, never correctness.
 	defer c.Release(jobID)
 	if len(st.Outputs) == 0 {
-		return 0, fmt.Errorf("netmr: job %d reported no streamed outputs (submit with StreamOutput for a data job)", jobID)
+		return 0, st, fmt.Errorf("netmr: job %d reported no streamed outputs (submit with StreamOutput for a data job)", jobID)
 	}
 	var total int64
 	for _, ref := range st.Outputs {
 		if ref.Addr == "" {
-			return total, fmt.Errorf("netmr: job %d output piece (%d,%d) has no location", jobID, ref.MapTask, ref.Part)
+			return total, st, fmt.Errorf("netmr: job %d output piece (%d,%d) has no location", jobID, ref.MapTask, ref.Part)
 		}
 		cc, err := c.wire.get(ref.Addr)
 		if err != nil {
-			return total, fmt.Errorf("netmr: job %d output store %s: %w", jobID, ref.Addr, err)
+			return total, st, fmt.Errorf("netmr: job %d output store %s: %w", jobID, ref.Addr, err)
 		}
-		if ref.Raw {
-			n, err := c.streamOutputPiece(cc, jobID, ref, w)
-			total += n
-			if err != nil {
-				return total, fmt.Errorf("netmr: job %d stream output (%d,%d) from %s: %w",
-					jobID, ref.MapTask, ref.Part, ref.Addr, err)
-			}
-			continue
-		}
-		var rep FetchPartitionReply
-		if err := cc.CallTimeout("FetchPartition", FetchPartitionArgs{
-			JobID: jobID, MapTask: ref.MapTask, Part: ref.Part,
-		}, &rep, dataCallTimeout); err != nil {
-			return total, fmt.Errorf("netmr: job %d fetch output (%d,%d) from %s: %w",
+		n, err := c.streamOutputPiece(cc, jobID, ref, w)
+		total += n
+		if err != nil {
+			return total, st, fmt.Errorf("netmr: job %d stream output (%d,%d) from %s: %w",
 				jobID, ref.MapTask, ref.Part, ref.Addr, err)
 		}
-		chunk := rep.Data
-		if decode != nil {
-			if chunk, err = decode(chunk); err != nil {
-				return total, err
-			}
-		}
-		n, err := w.Write(chunk)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
 	}
-	return total, nil
+	return total, st, nil
 }
 
-// streamOutputPiece pulls one raw-stored output piece in
+// streamOutputPiece pulls one stored output piece in
 // outputChunkBytes-sized ranges and writes each to w as it lands.
 func (c *Client) streamOutputPiece(cc *rpcnet.Client, jobID int64, ref MapOutputRef, w io.Writer) (int64, error) {
 	var total int64

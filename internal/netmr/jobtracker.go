@@ -1249,13 +1249,12 @@ func (jt *JobTracker) handleStatus(body []byte) (any, error) {
 	// pieces, in task order.
 	var outputs []MapOutputRef
 	if rec.streamOut && rec.done && rec.failed == "" {
-		raw := rec.kern.RawOutput != nil
 		outputs = make([]MapOutputRef, len(rec.outLoc))
 		for i, addr := range rec.outLoc {
 			if rec.shuffle {
-				outputs[i] = MapOutputRef{MapTask: -1, Part: i, Addr: addr, Raw: raw}
+				outputs[i] = MapOutputRef{MapTask: -1, Part: i, Addr: addr}
 			} else {
-				outputs[i] = MapOutputRef{MapTask: i, Part: -1, Addr: addr, Raw: raw}
+				outputs[i] = MapOutputRef{MapTask: i, Part: -1, Addr: addr}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package netmr
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -10,17 +11,28 @@ import (
 
 // MapKernel is a named, registered computation the TaskTrackers can
 // run. Map consumes one task's input (block data, or samples for
-// compute kernels) and returns a gob-encoded partial result; Reduce
-// folds the partials, ordered by task ID, into the job result.
+// compute kernels) and returns a partial result; Reduce folds the
+// partials, ordered by task ID, into the job result.
+//
+// One rule fixes the payload format of every task output: a byte-stream
+// kernel (sort, aes-ctr) emits the result bytes themselves — a sorted
+// record run, a ciphertext block — and a structured kernel (wordcount,
+// pi, grep) emits one gob-encoded struct. Whatever a task returns is
+// what is stored, fetched and handed to Merge/Reduce, byte for byte;
+// the result of a JobSpec.StreamOutput job is its final-phase task
+// outputs concatenated in task order.
 //
 // Kernels with large intermediate output additionally implement the
 // distributed shuffle pair: Partition runs map-side and splits the
-// task's output into R key-hashed partitions held in the tracker's
+// task's output into R key-routed partitions held in the tracker's
 // shuffle store; Merge runs as a reduce task and folds the per-mapper
 // pieces of one partition (ordered by map task ID) into that
 // partition's output, which must itself be a valid Reduce partial.
 // With both set and JobSpec.NumReducers > 0, map output bytes never
 // cross the JobTracker — only the R merged reduce outputs do.
+//
+// Merge and Reduce must treat their inputs as read-only: a piece served
+// from the reducing tracker's own store aliases resident store memory.
 type MapKernel struct {
 	// Map runs on the TaskTracker. data is nil for compute tasks.
 	Map func(task Task, data []byte) ([]byte, error)
@@ -44,13 +56,6 @@ type MapKernel struct {
 	// AccelPartition is Partition's accelerated variant under the same
 	// contract.
 	AccelPartition func(dev *AccelDevice, task Task, data []byte, parts int) ([][]byte, error)
-	// RawOutput, when set, unwraps a final-phase task's encoded output
-	// into the raw result bytes before it is parked in the shuffle
-	// store (StreamOutput tasks only). Stored raw, a streamed piece
-	// can be fetched in bounded chunks and written straight to the
-	// client's sink — the flat-heap output path; without the hook the
-	// client falls back to whole-piece fetch plus its decode step.
-	RawOutput func(encoded []byte) ([]byte, error)
 }
 
 // kernelRegistry holds the built-in kernels; RegisterKernel extends it
@@ -103,18 +108,6 @@ type PiResult struct {
 }
 
 func init() {
-	// unwrapRaw is the RawOutput hook for kernels whose task encoding
-	// is one gob byte slice: aes-ctr map outputs and sort reduce
-	// outputs unwrap to the raw result bytes before being parked, so
-	// the client can stream them chunk by chunk.
-	unwrapRaw := func(encoded []byte) ([]byte, error) {
-		var raw []byte
-		if err := rpcnet.Unmarshal(encoded, &raw); err != nil {
-			return nil, err
-		}
-		return raw, nil
-	}
-
 	// mergeWordCounts folds wordCountPartial payloads into one table.
 	mergeWordCounts := func(pieces [][]byte) (map[string]int64, error) {
 		total := make(map[string]int64)
@@ -206,7 +199,7 @@ func init() {
 			out := make([]byte, len(data))
 			offset := int64(task.TaskID) * args.BlockBytes
 			kernels.CTRStreamFast(c, args.IV, offset, out, data)
-			return rpcnet.Marshal(out)
+			return out, nil
 		},
 		// Accelerated variant: the same seekable CTR stream, 4 KB
 		// blocks double-buffered through the SPE local stores.
@@ -219,26 +212,13 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			out, err := dev.CTRStream(c, args.IV, int64(task.TaskID)*args.BlockBytes, data)
-			if err != nil {
-				return nil, err
-			}
-			return rpcnet.Marshal(out)
+			return dev.CTRStream(c, args.IV, int64(task.TaskID)*args.BlockBytes, data)
 		},
+		// Partials arrive in task order: concatenated they are the whole
+		// ciphertext.
 		Reduce: func(partials [][]byte) ([]byte, error) {
-			// Partials arrive in task order: concatenate into the
-			// whole ciphertext.
-			var whole []byte
-			for _, p := range partials {
-				var chunk []byte
-				if err := rpcnet.Unmarshal(p, &chunk); err != nil {
-					return nil, err
-				}
-				whole = append(whole, chunk...)
-			}
-			return rpcnet.Marshal(whole)
+			return bytes.Join(partials, nil), nil
 		},
-		RawOutput: unwrapRaw,
 	})
 
 	RegisterKernel("pi", MapKernel{
@@ -274,17 +254,6 @@ func init() {
 		},
 	})
 
-	// mergeSortRuns folds gob-encoded sorted runs into one sorted run.
-	mergeSortRuns := func(pieces [][]byte) ([]byte, error) {
-		runs := make([][]byte, len(pieces))
-		for i, p := range pieces {
-			if err := rpcnet.Unmarshal(p, &runs[i]); err != nil {
-				return nil, err
-			}
-		}
-		return kernels.MergeSortedRuns(runs)
-	}
-
 	RegisterKernel("sort", MapKernel{
 		// TeraSort shape: sort each block's 100-byte records where
 		// they live, merge the sorted runs at the JobTracker. The
@@ -295,15 +264,9 @@ func init() {
 			if err := kernels.SortRecords(run); err != nil {
 				return nil, err
 			}
-			return rpcnet.Marshal(run)
+			return run, nil
 		},
-		Reduce: func(partials [][]byte) ([]byte, error) {
-			merged, err := mergeSortRuns(partials)
-			if err != nil {
-				return nil, err
-			}
-			return rpcnet.Marshal(merged)
-		},
+		Reduce: kernels.MergeSortedRuns,
 		// Shuffle path: records route to partitions by key hash — or,
 		// when the task carries SplitKeys, by range
 		// (kernels.RangePartitioner). Either way equal keys meet in
@@ -324,33 +287,16 @@ func init() {
 				}
 				index = rp.Index
 			}
+			// An empty partition stays a nil slice: a zero-length run.
 			split := make([][]byte, parts)
-			for p := range split {
-				split[p] = []byte{} // empty partitions still ship a run
-			}
 			for off := 0; off < len(run); off += kernels.SortRecordBytes {
 				rec := run[off : off+kernels.SortRecordBytes]
 				p := index(rec[:kernels.SortKeyBytes])
 				split[p] = append(split[p], rec...)
 			}
-			out := make([][]byte, parts)
-			for p := range split {
-				payload, err := rpcnet.Marshal(split[p])
-				if err != nil {
-					return nil, err
-				}
-				out[p] = payload
-			}
-			return out, nil
+			return split, nil
 		},
-		Merge: func(pieces [][]byte) ([]byte, error) {
-			merged, err := mergeSortRuns(pieces)
-			if err != nil {
-				return nil, err
-			}
-			return rpcnet.Marshal(merged)
-		},
-		RawOutput: unwrapRaw,
+		Merge: kernels.MergeSortedRuns,
 	})
 
 	RegisterKernel("grep", MapKernel{

@@ -1,0 +1,154 @@
+package netmr
+
+import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"fmt"
+	"testing"
+	"time"
+
+	"hetmr/internal/kernels"
+	"hetmr/internal/rpcnet"
+)
+
+// These tests pin the payload format of the byte-stream kernels: a
+// task output is the result bytes themselves, with no envelope.
+
+func TestSortMapOutputIsTheSortedBlock(t *testing.T) {
+	kern, err := lookupKernel("sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := kernels.GenerateSortRecords(7, 50)
+	want := append([]byte(nil), block...)
+	if err := kernels.SortRecords(want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := kern.Map(Task{}, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(block) {
+		t.Fatalf("map output is %d bytes for a %d-byte block", len(got), len(block))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("map output is not the sorted block")
+	}
+}
+
+// TestSortPartitionPiecesAreRecordSlices range-partitions a block whose
+// keys all fall below the first split key, so every partition but the
+// first is empty, then carries the pieces the way a job does: into one
+// tracker's store, out through FetchPartition from another tracker,
+// into Merge.
+func TestSortPartitionPiecesAreRecordSlices(t *testing.T) {
+	kern, err := lookupKernel("sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := kernels.GenerateSortRecords(11, 40)
+	top := bytes.Repeat([]byte{0xff}, kernels.SortKeyBytes)
+	const parts = 3
+	pieces, err := kern.Partition(Task{SplitKeys: [][]byte{top, top}}, block, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pieces) != parts {
+		t.Fatalf("%d pieces for %d partitions", len(pieces), parts)
+	}
+	total := 0
+	for _, p := range pieces {
+		total += len(p)
+	}
+	if total != len(block) {
+		t.Fatalf("pieces hold %d bytes of a %d-byte block", total, len(block))
+	}
+	if len(pieces[1]) != 0 || len(pieces[2]) != 0 {
+		t.Fatalf("partitions above every key hold %d and %d bytes, want 0", len(pieces[1]), len(pieces[2]))
+	}
+
+	// Two trackers with no JobTracker behind them: nothing schedules
+	// work on them or garbage-collects their stores.
+	var tts [2]*TaskTracker
+	for i := range tts {
+		tt, err := StartTaskTracker(fmt.Sprintf("tt%d", i), "127.0.0.1:1", "", 1, time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tt.Kill()
+		tts[i] = tt
+	}
+	const jobID = 1
+	for p, piece := range pieces {
+		if err := tts[0].store.put(jobID, partKey{0, p}, piece); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted, err := kern.Map(Task{}, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range [][]byte{sorted, nil, nil} {
+		fetched, err := tts[1].fetchPartition(tts[0].ShuffleAddr(),
+			FetchPartitionArgs{JobID: jobID, MapTask: 0, Part: p})
+		if err != nil {
+			t.Fatalf("partition %d: %v", p, err)
+		}
+		merged, err := kern.Merge([][]byte{fetched, nil})
+		if err != nil {
+			t.Fatalf("partition %d: %v", p, err)
+		}
+		if !bytes.Equal(merged, want) {
+			t.Fatalf("partition %d merged to %d bytes, want %d", p, len(merged), len(want))
+		}
+	}
+}
+
+func TestAESMapOutputIsTheCiphertext(t *testing.T) {
+	kern, err := lookupKernel("aes-ctr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewCellDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, iv := []byte("raw-format-key!!"), []byte("raw-format-iv!!!")
+	const blockBytes = 10_000 // a multiple of the AES block: task offsets stay counter-aligned
+	args, err := rpcnet.Marshal(AESArgs{Key: key, IV: iv, BlockBytes: blockBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := streamCorpus(3 * blockBytes)
+	blk, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, len(file))
+	cipher.NewCTR(blk, iv).XORKeyStream(want, file)
+
+	var host, accel [][]byte
+	for id := 0; id < 3; id++ {
+		task := Task{TaskID: id, Args: args}
+		data := file[id*blockBytes : (id+1)*blockBytes]
+		h, err := kern.Map(task, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := kern.AccelMap(dev, task, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host, accel = append(host, h), append(accel, a)
+	}
+	for name, outs := range map[string][][]byte{"Map": host, "AccelMap": accel} {
+		whole, err := kern.Reduce(outs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(whole, want) {
+			t.Errorf("%s outputs do not concatenate to the stdlib CTR ciphertext", name)
+		}
+	}
+}

@@ -129,12 +129,8 @@ func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
 	if got := len(c.TTs); got != 2 {
 		t.Errorf("roster holds %d trackers after decommission, want 2", got)
 	}
-	result, err := c.Client.Wait(id, 15*time.Second)
+	cipherText, err := c.Client.Wait(id, 15*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var cipherText []byte
-	if err := rpcnet.Unmarshal(result, &cipherText); err != nil {
 		t.Fatal(err)
 	}
 	cip, _ := kernels.NewCipher(key)

@@ -120,14 +120,10 @@ func TestAESJobOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result, err := c.Client.SubmitAndWait(JobSpec{
+	cipherText, err := c.Client.SubmitAndWait(JobSpec{
 		Name: "enc", Kernel: "aes-ctr", Input: "/plain", Args: args,
 	}, 10*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var cipherText []byte
-	if err := rpcnet.Unmarshal(result, &cipherText); err != nil {
 		t.Fatal(err)
 	}
 	cip, _ := kernels.NewCipher(key)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hetmr/internal/kernels"
-	"hetmr/internal/rpcnet"
 )
 
 // splitKeysFor samples every key in data and cuts parts-1 quantile
@@ -42,14 +41,10 @@ func TestRangePartitionedSortStreamsInOrder(t *testing.T) {
 	}
 	// Hash-partitioned inline job: the reference output (merged by the
 	// JobTracker's final Reduce).
-	raw, err := c.Client.SubmitAndWait(JobSpec{
+	want, err := c.Client.SubmitAndWait(JobSpec{
 		Name: "sort-hash", Kernel: "sort", Input: "/records", NumReducers: 4,
 	}, 30*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	if err := rpcnet.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
 	id, err := c.Client.Submit(JobSpec{
@@ -60,7 +55,7 @@ func TestRangePartitionedSortStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	n, err := c.Client.WaitOutput(id, 30*time.Second, &got, nil)
+	n, _, err := c.Client.WaitOutput(id, 30*time.Second, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +109,10 @@ func TestFetchWindowBoundsOutstanding(t *testing.T) {
 	if err := c.Client.WriteFile("/records", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := c.Client.SubmitAndWait(JobSpec{
+	sorted, err := c.Client.SubmitAndWait(JobSpec{
 		Name: "sort-windowed", Kernel: "sort", Input: "/records", NumReducers: 4,
 	}, 30*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var sorted []byte
-	if err := rpcnet.Unmarshal(raw, &sorted); err != nil {
 		t.Fatal(err)
 	}
 	if len(sorted) != len(data) {

@@ -104,14 +104,10 @@ func TestDistributedShuffleSortMatchesCentralized(t *testing.T) {
 		if err := c.Client.WriteFile("/records", input, ""); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := c.Client.SubmitAndWait(JobSpec{
+		out, err := c.Client.SubmitAndWait(JobSpec{
 			Name: "sort", Kernel: "sort", Input: "/records", NumReducers: reducers,
 		}, 30*time.Second)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var out []byte
-		if err := rpcnet.Unmarshal(raw, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out

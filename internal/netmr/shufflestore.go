@@ -55,7 +55,7 @@ func (st *shuffleStore) put(jobID int64, k partKey, payload []byte) error {
 	// A re-issued attempt landing on the same tracker replaces its
 	// earlier payload: account the superseded size away instead of
 	// double-counting it against the tenant's budget.
-	replaced, _ := st.s.Size(key)
+	replaced, sizeErr := st.s.Size(key)
 	if err := st.s.Put(key, payload); err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func (st *shuffleStore) put(jobID int64, k partKey, payload []byte) error {
 		hold = &jobHold{}
 		st.byJob[jobID] = hold
 	}
-	if replaced > 0 {
+	if sizeErr == nil { // key already held (possibly zero-length)
 		hold.bytes -= replaced
 	} else {
 		hold.keys = append(hold.keys, k)

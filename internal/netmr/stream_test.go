@@ -68,14 +68,10 @@ func TestStreamOutputEncrypt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference: inline result.
-	raw, err := c.Client.SubmitAndWait(JobSpec{
+	want, err := c.Client.SubmitAndWait(JobSpec{
 		Name: "enc-inline", Kernel: "aes-ctr", Input: "/plain", Args: args,
 	}, 30*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	if err := rpcnet.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
 	inlineBytes := c.JT.DataPlaneBytes()
@@ -89,7 +85,7 @@ func TestStreamOutputEncrypt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	n, err := c.Client.WaitOutput(id, 30*time.Second, &got, DecodeRawBytes)
+	n, _, err := c.Client.WaitOutput(id, 30*time.Second, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +131,10 @@ func TestStreamOutputSortShufflePath(t *testing.T) {
 	if err := c.Client.WriteFile("/records", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := c.Client.SubmitAndWait(JobSpec{
+	want, err := c.Client.SubmitAndWait(JobSpec{
 		Name: "sort-inline", Kernel: "sort", Input: "/records", NumReducers: 3,
 	}, 30*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	if err := rpcnet.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
 	id, err := c.Client.Submit(JobSpec{
@@ -155,36 +147,17 @@ func TestStreamOutputSortShufflePath(t *testing.T) {
 	// The inline path's final Reduce merges the partition runs; the
 	// streamed path hands the client the partitions in order. The
 	// shuffle hash-routes keys, so byte equality only holds after
-	// re-merging the streamed pieces — fetched here directly from the
-	// stores (they are raw record runs now, no gob framing) before
-	// WaitOutput streams and releases them.
-	if _, err := c.Client.Wait(id, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Client.Status(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pieces [][]byte
-	for _, ref := range st.Outputs {
-		if !ref.Raw {
-			t.Fatalf("sort output piece (%d,%d) not marked raw", ref.MapTask, ref.Part)
-		}
-		cc, err := c.Client.wire.get(ref.Addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep FetchPartitionReply
-		if err := cc.CallTimeout("FetchPartition", FetchPartitionArgs{
-			JobID: id, MapTask: ref.MapTask, Part: ref.Part,
-		}, &rep, dataCallTimeout); err != nil {
-			t.Fatal(err)
-		}
-		pieces = append(pieces, rep.Data)
-	}
+	// re-merging the streamed pieces. The stream is the pieces and
+	// nothing else — no framing — so cutting it at every key drop
+	// recovers them: each reduce output is one sorted run, hence at
+	// most NumReducers runs.
 	var got bytes.Buffer
-	if _, err := c.Client.WaitOutput(id, 30*time.Second, &got, nil); err != nil {
+	if _, _, err := c.Client.WaitOutput(id, 30*time.Second, &got); err != nil {
 		t.Fatal(err)
+	}
+	pieces := sortedRuns(got.Bytes())
+	if len(pieces) > 3 {
+		t.Fatalf("streamed output holds %d sorted runs, want at most one per reducer (3)", len(pieces))
 	}
 	if got.Len() != len(want) {
 		t.Fatalf("streamed %d bytes, inline produced %d", got.Len(), len(want))
@@ -205,6 +178,22 @@ func TestStreamOutputSortShufflePath(t *testing.T) {
 	if !spilledAnywhere {
 		t.Fatal("SpillAll watermark but no tracker spilled shuffle payloads")
 	}
+}
+
+// sortedRuns cuts a concatenation of sorted record runs back into
+// sorted runs: a new run starts wherever a key is below its
+// predecessor.
+func sortedRuns(stream []byte) [][]byte {
+	var runs [][]byte
+	start := 0
+	for off := kernels.SortRecordBytes; off <= len(stream); off += kernels.SortRecordBytes {
+		if off == len(stream) || bytes.Compare(stream[off:off+kernels.SortKeyBytes],
+			stream[off-kernels.SortRecordBytes:off-kernels.SortRecordBytes+kernels.SortKeyBytes]) < 0 {
+			runs = append(runs, stream[start:off])
+			start = off
+		}
+	}
+	return runs
 }
 
 // sortableRecords builds n 100-byte records.
@@ -267,7 +256,7 @@ func TestWaitOutputRejectsInlineJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.WaitOutput(id, 30*time.Second, io.Discard, DecodeRawBytes); err == nil {
+	if _, _, err := c.Client.WaitOutput(id, 30*time.Second, io.Discard); err == nil {
 		t.Fatal("WaitOutput on an inline job succeeded")
 	}
 }

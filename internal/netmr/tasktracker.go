@@ -569,16 +569,7 @@ func (tt *TaskTracker) runTask(task Task) {
 	if task.StreamOutput {
 		// Streamed result path: the output parks here (spilling past
 		// the watermark) and only its location rides the heartbeat;
-		// the client fetches it straight from this store. Kernels with
-		// a RawOutput hook park the unwrapped result bytes, so the
-		// client can stream them in bounded chunks with no decode.
-		if kern.RawOutput != nil {
-			if out, err = kern.RawOutput(out); err != nil {
-				res.Err = err.Error()
-				tt.report(res)
-				return
-			}
-		}
+		// the client fetches it straight from this store.
 		if err := tt.store.put(task.JobID, streamedMapKey(task.TaskID), out); err != nil {
 			res.Err = err.Error()
 			tt.report(res)
@@ -725,15 +716,7 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res TaskResult) {
 	}
 	if task.StreamOutput {
 		// The merged partition stays here too; the client pulls it in
-		// partition order once the job finishes — raw when the kernel
-		// has a RawOutput hook, so the pull can be chunked.
-		if kern.RawOutput != nil {
-			if out, err = kern.RawOutput(out); err != nil {
-				res.Err = err.Error()
-				tt.report(res)
-				return
-			}
-		}
+		// partition order once the job finishes.
 		if err := tt.store.put(task.JobID, streamedReduceKey(task.TaskID), out); err != nil {
 			res.Err = err.Error()
 			tt.report(res)

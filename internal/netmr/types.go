@@ -332,8 +332,9 @@ type JobSpec struct {
 	// task (map task on the centralized path, reduce task on the
 	// shuffle path) parks its output in its tracker's shuffle store
 	// and reports only the location. StatusReply.Outputs lists the
-	// stored pieces in task order once the job is done; the client
-	// streams them straight to its sink and then Releases the job so
+	// stored pieces in task order once the job is done; the job's
+	// result is those pieces concatenated in that order, which the
+	// client streams straight to its sink before Releasing the job so
 	// trackers can free the space. The JobTracker never holds output
 	// bytes — the bounded-memory result path for outputs larger than
 	// any single process should buffer.
@@ -397,16 +398,12 @@ type Task struct {
 // partition (reduce inputs) or a streamed final output piece
 // (StatusReply.Outputs). MapTask/Part are the FetchPartition
 // coordinates; streamed outputs use the sentinel conventions of
-// streamedMapKey/streamedReduceKey.
+// streamedMapKey/streamedReduceKey. The stored bytes are exactly what
+// the task's kernel returned (see MapKernel).
 type MapOutputRef struct {
 	MapTask int
 	Part    int
 	Addr    string // serving TaskTracker's shuffle-store address
-	// Raw marks a streamed output piece stored as raw result bytes
-	// (the kernel's RawOutput hook unwrapped the task encoding before
-	// storing): the client may fetch it in bounded chunks and write
-	// them straight to the sink, no whole-piece decode step.
-	Raw bool
 }
 
 // TaskResult reports one completed or failed task attempt.

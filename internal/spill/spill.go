@@ -264,39 +264,38 @@ func (s *Store) GetRange(key string, off, max int64) ([]byte, int64, error) {
 			return sliceRange(data, off, max), e.size, nil
 		}
 	}
-	// Too big for the cache (or the watermark is 0): stream the frame,
-	// discard the prefix, read the window.
+	// Too big for the cache (or the watermark is 0): read the window
+	// straight from the frame.
 	f, err := os.Open(e.path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("spill: %w", err)
 	}
-	var r io.Reader = f
-	var cr io.ReadCloser
-	if s.codec != nil {
-		if cr, err = s.codec.NewReader(f); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("spill: open frame: %w", err)
-		}
-		r = cr
-	}
-	defer func() {
-		if cr != nil {
-			cr.Close()
-		}
-		f.Close()
-	}()
+	defer f.Close()
 	if off > e.size {
 		off = e.size
-	}
-	if _, err := io.CopyN(io.Discard, r, off); err != nil && err != io.EOF {
-		return nil, 0, fmt.Errorf("spill: seek frame: %w", err)
 	}
 	n := e.size - off
 	if max > 0 && max < n {
 		n = max
 	}
 	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
+	if s.codec == nil {
+		// An uncompressed frame is the payload: seek, don't stream.
+		if _, err := f.ReadAt(out, off); err != nil {
+			return nil, 0, fmt.Errorf("spill: read frame range: %w", err)
+		}
+		return out, e.size, nil
+	}
+	cr, err := s.codec.NewReader(f)
+	if err != nil {
+		return nil, 0, fmt.Errorf("spill: open frame: %w", err)
+	}
+	defer cr.Close()
+	// A codec frame has no random access: discard the prefix.
+	if _, err := io.CopyN(io.Discard, cr, off); err != nil && err != io.EOF {
+		return nil, 0, fmt.Errorf("spill: seek frame: %w", err)
+	}
+	if _, err := io.ReadFull(cr, out); err != nil {
 		return nil, 0, fmt.Errorf("spill: read frame range: %w", err)
 	}
 	return out, e.size, nil
@@ -348,9 +347,18 @@ func (s *Store) evictHotLocked(need int64) bool {
 
 // readmitSpilled reads a spilled frame whole and promotes it into the
 // hot cache if headroom can be made by evicting colder cache copies.
-// The frame stays on disk either way; the returned payload is valid
-// even when caching fails.
+// The headroom is made before the read is paid for: under a watermark
+// full of primary payloads nothing can be cached, and the caller's
+// streaming path serves the read without materializing the frame. The
+// frame stays on disk either way; a returned payload is valid even when
+// a racing Put took the headroom back.
 func (s *Store) readmitSpilled(key string, e entry) ([]byte, error) {
+	s.mu.Lock()
+	room := s.evictHotLocked(e.size)
+	s.mu.Unlock()
+	if !room {
+		return nil, fmt.Errorf("spill: no headroom to re-admit %q", key)
+	}
 	data, err := s.readFrame(e.path)
 	if err != nil {
 		return nil, err

@@ -256,17 +256,29 @@ func TestReadmissionLRU(t *testing.T) {
 
 func TestGetRange(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		limit int64
-		codec Codec
+		name     string
+		limit    int64
+		codec    Codec
+		resident int // bytes of an earlier payload occupying the watermark
 	}{
-		{"memory", NoSpill, nil},
-		{"spilled", 0, nil},
-		{"spilled-codec", 0, flateCodec{}},
+		{"memory", NoSpill, nil, 0},
+		{"spilled", 0, nil, 0},
+		{"spilled-codec", 0, flateCodec{}, 0},
+		// A positive watermark smaller than the payload: spilled and too
+		// big to re-admit, so every chunk is a direct frame read.
+		{"spilled-over-watermark", 10_000, nil, 0},
+		// The payload would fit the cache but a primary payload holds the
+		// watermark: no re-admission, no whole-frame read per chunk.
+		{"spilled-no-headroom", 60_000, nil, 50_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore(t.TempDir(), tc.limit, tc.codec)
 			defer s.Close()
+			if tc.resident > 0 {
+				if err := s.Put("resident", payload(tc.resident, 6)); err != nil {
+					t.Fatal(err)
+				}
+			}
 			data := payload(50_000, 5)
 			if err := s.Put("k", data); err != nil {
 				t.Fatal(err)
@@ -289,6 +301,9 @@ func TestGetRange(t *testing.T) {
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatal("chunked reads disagree with payload")
+			}
+			if tc.limit != NoSpill && s.MemBytes() != int64(tc.resident) {
+				t.Fatalf("%d bytes in memory after ranged reads of an un-cacheable frame, want %d", s.MemBytes(), tc.resident)
 			}
 			// Past-the-end reads return empty, not an error.
 			chunk, size, err := s.GetRange("k", 50_000, 1_000)
