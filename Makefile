@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-e2e-smoke bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick fmt vet lint hetlint race docs ci
+.PHONY: build test bench bench-e2e-smoke bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick fmt vet lint hetlint loc race docs ci
 
 build:
 	$(GO) build ./...
@@ -108,6 +108,12 @@ lint: vet hetlint
 # CI lint-custom lane and needs nothing beyond the Go toolchain.
 hetlint:
 	$(GO) run ./cmd/hetlint ./...
+
+# loc prints the non-test Go line count outside bench/ — the figure
+# ROADMAP item 4 asks every PR to record in CHANGES.md. The CI lint
+# lane prints it too.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # docs mirrors the CI docs lane: godoc coverage over the core
 # packages plus the ARCHITECTURE.md link check.

@@ -39,7 +39,6 @@ func main() {
 	accelFraction := flag.Float64("accel-fraction", 1.0, "fraction of nodes with accelerators")
 	speculative := flag.Bool("speculative", false, "enable speculative execution (sim, live and net)")
 	maxAttempts := flag.Int("max-attempts", 0, "per-task attempt cap, 0 = scheduler default (live and net)")
-	speedHints := flag.Bool("speed-hints", false, "seed the scheduler with perfmodel's Cell/PPE speed ratio for the accelerated fraction (live; on net this also sets the device profile)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline, 0 = engine default (net)")
 	timeline := flag.Bool("timeline", false, "print a task-attempt Gantt chart (sim)")
 	input := flag.String("input", "", "stream this file from disk through Job.Source instead of a synthetic dataset (data workloads)")
@@ -112,11 +111,6 @@ func main() {
 		Codec:          *codec,
 		Racks:          *racks,
 		RangePartition: *rangePartition,
-	}
-	if *speedHints {
-		// accel already follows the Config convention the shared
-		// resolver expects (0 -> NoAcceleration happened above).
-		cfg.SpeedHints = engine.HeterogeneousSpeedHints(*nodes, accel)
 	}
 	job, err := buildJob(*backend, *wl, cfg, *gbPerMapper, *mb, int64(*samples), *maps)
 	if err == nil {

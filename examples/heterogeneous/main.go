@@ -4,14 +4,13 @@
 // general purpose nodes".
 //
 // Part 1 runs a real encryption job through the engine on a live
-// cluster where only half the nodes have SPEs. The cluster's speed
-// hints come from the engine's HeterogeneousSpeedHints — perfmodel's
-// calibrated Cell/PPE ratio, not hard-coded numbers — the plain nodes'
+// cluster where only half the nodes have SPEs. The plain nodes'
 // slowness is enacted with the engine's fault-delay knob (one real CPU
-// backs every goroutine node), and the per-worker task counts printed
-// at the end make the scheduler's resulting imbalance visible. Blocks
-// on plain nodes transparently use the host kernel: the programming
-// model is unchanged.
+// backs every goroutine node); nothing tells the scheduler about it —
+// the faster nodes simply pull more often — and the per-worker task
+// counts printed at the end make the resulting imbalance visible.
+// Blocks on plain nodes transparently use the host kernel: the
+// programming model is unchanged.
 //
 // Part 2 sweeps the accelerated fraction on the simulated 32-node
 // testbed — same engine API, backend "sim" — and prints how the
@@ -57,10 +56,8 @@ func livePart() {
 	}
 	key := []byte("heterogeneous-ke")
 	iv := make([]byte, 16)
-	hints := engine.HeterogeneousSpeedHints(workers, accelFraction)
 	// Every live node's goroutines share one real CPU, so the plain
-	// nodes' slowness is emulated with the engine's fault-delay knob —
-	// the speed hints then tell the scheduler what the delays enact.
+	// nodes' slowness is emulated with the engine's fault-delay knob.
 	delays := make([]time.Duration, workers)
 	for i := int(accelFraction * workers); i < workers; i++ {
 		delays[i] = 10 * time.Millisecond
@@ -69,7 +66,6 @@ func livePart() {
 		Workers:       workers,
 		BlockSize:     128 << 10,
 		AccelFraction: accelFraction,
-		SpeedHints:    hints,
 		FaultDelays:   delays,
 		Speculative:   true,
 	}, &engine.Job{Kind: engine.Encrypt, Input: plain, Key: key, IV: iv})
@@ -85,8 +81,8 @@ func livePart() {
 	if !bytes.Equal(res.Bytes, want) {
 		log.Fatal("heterogeneous ciphertext mismatch")
 	}
-	fmt.Printf("live: %d/%d accelerated nodes (speed hint %.1fx from perfmodel), ciphertext correct\n",
-		int(accelFraction*workers), workers, hints[0])
+	fmt.Printf("live: %d/%d accelerated nodes, ciphertext correct\n",
+		int(accelFraction*workers), workers)
 	fmt.Println("per-worker task counts (dynamic scheduler, speculation on):")
 	var names []string
 	for name := range res.TaskCounts {

@@ -51,11 +51,10 @@ type LiveCluster struct {
 	// (the paper runs 2, one per Cell processor).
 	MappersPerNode int
 	// Sched configures the dynamic scheduler every job runs under
-	// (speculation, attempt caps). The zero value is plain work
-	// stealing.
+	// (speculation, attempt caps). The zero value is plain pull
+	// grants, node-local first.
 	Sched sched.Options
 
-	speeds    []float64
 	delays    []time.Duration
 	lastStats *sched.Stats
 
@@ -78,7 +77,6 @@ type liveConfig struct {
 	acceleratedN   int // -1: all
 	speBlock       int
 	sched          sched.Options
-	speeds         []float64
 	delays         []time.Duration
 	spillDir       string
 	spillMem       int64 // < 0: unbounded memory, no spilling
@@ -120,15 +118,6 @@ func WithScheduling(o sched.Options) LiveOption {
 	}
 }
 
-// WithSpeedHints declares per-node relative throughput (len must equal
-// the node count; all values positive). The scheduler seeds its
-// initial task distribution proportionally — mirroring perfmodel's
-// Power6/PPE/SPE ratios on a heterogeneous cluster — and work stealing
-// corrects any hint error at run time. Nil means equal speeds.
-func WithSpeedHints(speeds []float64) LiveOption {
-	return func(c *liveConfig) { c.speeds = speeds }
-}
-
 // WithTaskDelays injects a fixed artificial delay into every task a
 // node executes (len must equal the node count). It is the
 // straggler/fault-injection knob: conformance tests and benchmarks use
@@ -168,16 +157,6 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.speeds != nil {
-		if len(cfg.speeds) != n {
-			return nil, fmt.Errorf("core: %d speed hints for %d nodes", len(cfg.speeds), n)
-		}
-		for i, s := range cfg.speeds {
-			if s <= 0 {
-				return nil, fmt.Errorf("core: node %d has non-positive speed hint %g", i, s)
-			}
-		}
-	}
 	if cfg.delays != nil {
 		if len(cfg.delays) != n {
 			return nil, fmt.Errorf("core: %d task delays for %d nodes", len(cfg.delays), n)
@@ -201,7 +180,6 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 		FS:             nn,
 		MappersPerNode: cfg.mappersPerNode,
 		Sched:          cfg.sched,
-		speeds:         cfg.speeds,
 		delays:         cfg.delays,
 		spillDir:       cfg.spillDir,
 		spillMem:       cfg.spillMem,

@@ -20,11 +20,10 @@ import (
 // prototype of paper §III: level 1 distributes blocks over nodes with
 // locality preference and bounded mapper slots; level 2 is the
 // intra-node SPE distribution. Level 1 runs on the dynamic scheduler
-// (internal/sched): tasks start on the node storing their block, idle
-// nodes steal queued blocks from loaded peers (a stolen block is a
-// remote read, as in Hadoop's non-local tasks), and with speculation
-// enabled a straggling in-flight task is duplicated, first finish
-// winning.
+// (internal/sched): every node pulls the blocks it stores first and
+// then any pending block (a remote read, as in Hadoop's non-local
+// tasks), and with speculation enabled a straggling in-flight task is
+// duplicated, first finish winning.
 
 // KVJob is a key/value MapReduce job over a stored file (the classic
 // Hadoop programming model of §II-A).
@@ -92,15 +91,11 @@ func (c *LiveCluster) planBlocks(input string) ([]blockWork, error) {
 }
 
 // schedWorkers builds the scheduler's view of the cluster: one worker
-// per node, MappersPerNode slots each, speed hints when configured.
+// per node, MappersPerNode slots each.
 func (c *LiveCluster) schedWorkers() []sched.Worker {
 	workers := make([]sched.Worker, len(c.Nodes))
 	for i, n := range c.Nodes {
-		speed := 1.0
-		if c.speeds != nil {
-			speed = c.speeds[i]
-		}
-		workers[i] = sched.Worker{ID: n.Name, Speed: speed, Slots: c.MappersPerNode}
+		workers[i] = sched.Worker{ID: n.Name, Slots: c.MappersPerNode}
 	}
 	return workers
 }
@@ -115,7 +110,7 @@ func (c *LiveCluster) stall(node int) {
 // runBlocks executes fn over every input block on the dynamic
 // scheduler. Each block task is homed on the node storing the block;
 // fn receives the node actually executing the attempt (which differs
-// from the home under stealing and speculation) and must return a
+// from the home for remote grants and speculation) and must return a
 // result that depends only on the block — the scheduler commits the
 // first finished attempt of each task, calling onCommit (when set)
 // exactly once per block. Without a commit hook the per-task results
@@ -228,7 +223,7 @@ func (c *LiveCluster) RunStream(job *StreamJob) (int64, error) {
 	}
 	// The transformed block is the task result: whichever node's
 	// attempt wins (the accelerated and host paths are bit-identical,
-	// so stolen or speculated blocks transform the same). Committed
+	// so remotely granted or speculated blocks transform the same). Committed
 	// blocks land in a spill-bounded run store instead of a resident
 	// slice, so the job's peak memory is O(blockSize × mappers), not
 	// O(input).
@@ -401,7 +396,7 @@ func (c *LiveCluster) EstimatePi(samples int64, accelerated bool, seed uint64) (
 // SPEs), this executes exactly the given decomposition, and each
 // task's count depends only on its seed — not on the node drawing it —
 // which is what makes results bit-identical across engine backends and
-// under stealing, speculation and re-runs.
+// under remote grants, speculation and re-runs.
 func (c *LiveCluster) RunPiTasks(tasks []kernels.SampleSplit) (inside, total int64, err error) {
 	for i, t := range tasks {
 		if t.Samples <= 0 {

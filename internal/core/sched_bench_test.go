@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hetmr/internal/kernels"
 	"hetmr/internal/sched"
 )
 
@@ -16,7 +15,7 @@ import (
 // static variant reproduces the seed's scheduling — every block pinned
 // to the node storing it, bounded only by per-node mapper slots — so
 // the straggler's share of blocks bounds the makespan. The dynamic
-// variants run the same job through the work-stealing scheduler.
+// variants run the same job through the dynamic scheduler.
 
 const benchStragglerDelay = 2 * time.Millisecond
 
@@ -114,8 +113,8 @@ func BenchmarkLiveStragglerStatic(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveStragglerStealing lets idle nodes steal the straggler's
-// queued blocks.
+// BenchmarkLiveStragglerStealing lets idle nodes pull the blocks homed
+// on the straggler.
 func BenchmarkLiveStragglerStealing(b *testing.B) {
 	benchDynamic(b, false)
 }
@@ -131,25 +130,6 @@ func benchDynamic(b *testing.B, speculative bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.RunKV(benchJob()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLivePiSkewedSpeedHints runs the canonical Pi decomposition
-// with a declared 10x speed skew — the engine's speed-hint path.
-func BenchmarkLivePiSkewedSpeedHints(b *testing.B) {
-	c, err := NewLiveCluster(4,
-		WithTaskDelays([]time.Duration{benchStragglerDelay, 0, 0, 0}),
-		WithSpeedHints([]float64{0.1, 1, 1, 1}),
-		WithScheduling(sched.Options{Speculative: true}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	tasks := kernels.SplitSamples(400_000, 16, 2009)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.RunPiTasks(tasks); err != nil {
 			b.Fatal(err)
 		}
 	}

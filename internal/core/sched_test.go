@@ -59,8 +59,8 @@ func TestSpeculationRescuesStragglerDeterministically(t *testing.T) {
 	}
 
 	// Without speculation, the straggler's first in-flight task gates
-	// the job: work stealing drains its queue, but nothing rescues the
-	// task it is already sleeping on.
+	// the job: the other nodes pull the rest of its blocks, but nothing
+	// rescues the task it is already sleeping on.
 	slow := stragglerCluster(t, delay, false)
 	start := time.Now()
 	res, err := slow.RunKV(wordCountJob())

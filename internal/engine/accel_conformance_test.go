@@ -221,67 +221,21 @@ func TestResolveAccelFraction(t *testing.T) {
 	}
 }
 
-// TestSpeedHintsFollowConfigConvention pins HeterogeneousSpeedHints to
-// the shared resolver: the Config zero value means fully accelerated,
-// NoAcceleration means none — the historical reading of 0 as "no
-// accelerators" produced hints contradicting the cluster the same
-// Config built.
-func TestSpeedHintsFollowConfigConvention(t *testing.T) {
-	allAccel := HeterogeneousSpeedHints(4, 0)
-	for i, h := range allAccel {
-		if h <= 1 {
-			t.Errorf("default fraction: worker %d hint %g, want the accelerated ratio", i, h)
-		}
-	}
-	none := HeterogeneousSpeedHints(4, NoAcceleration)
-	for i, h := range none {
-		if h != 1 {
-			t.Errorf("NoAcceleration: worker %d hint %g, want 1", i, h)
-		}
-	}
-	if got := HeterogeneousSpeedHints(4, 2.5); got != nil {
-		t.Errorf("out-of-range fraction produced hints %v, want nil", got)
-	}
-}
-
-// TestNetDeviceKindsFromSpeedHints checks the device profile follows
-// AccelFraction, that perfmodel-derived hints for the same fraction
-// are accepted as consistent, and that contradictory hints fail loudly
-// instead of silently rebuilding different hardware than live would.
-func TestNetDeviceKindsFromSpeedHints(t *testing.T) {
+// TestNetDeviceKindsFollowAccelFraction checks the net backend's device
+// profile is the same first-AccelFraction-of-workers layout live
+// builds.
+func TestNetDeviceKindsFollowAccelFraction(t *testing.T) {
 	cfg, err := Config{Workers: 4, AccelFraction: 0.5}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFraction, err := netDeviceKinds(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SpeedHints = HeterogeneousSpeedHints(4, 0.5)
-	withHints, err := netDeviceKinds(cfg)
-	if err != nil {
-		t.Fatalf("consistent hints rejected: %v", err)
-	}
+	got := netDeviceKinds(cfg)
 	want := []string{netmr.DeviceCell, netmr.DeviceCell, netmr.DeviceHost, netmr.DeviceHost}
 	for i := range want {
-		if fromFraction[i] != want[i] || withHints[i] != want[i] {
-			t.Fatalf("device kinds: fraction %v, hints %v, want %v", fromFraction, withHints, want)
+		if got[i] != want[i] {
+			t.Fatalf("device kinds %v, want %v", got, want)
 		}
 	}
-	// A hint claiming accelerated-class throughput on a worker the
-	// fraction leaves host-only must be an error, not a silent pick.
-	if _, err := New("net", Config{Workers: 4, AccelFraction: 0.5,
-		SpeedHints: []float64{27.5, 1, 1, 27.5}}); err == nil {
-		t.Error("contradictory SpeedHints/AccelFraction accepted")
-	}
-	// The converse — a low hint on a device-equipped worker — models a
-	// straggling accelerated node and stays valid (the straggler
-	// conformance suite relies on it).
-	r, err := New("net", Config{Workers: 2, SpeedHints: []float64{0.1, 1}})
-	if err != nil {
-		t.Fatalf("straggler hints on accelerated workers rejected: %v", err)
-	}
-	r.Close()
 }
 
 // TestJobTimeoutConfig covers the timeout knob: negative is rejected

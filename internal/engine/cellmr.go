@@ -14,10 +14,10 @@ import (
 // framework (internal/cellmr): one chip, SPE workers, the PPE staging
 // copy the paper's Figure 2 charges the framework for. It is a
 // single-node backend — Workers is ignored, and the cluster-level
-// scheduling knobs (Speculative, MaxAttempts, SpeedHints, FaultDelays)
-// are accepted but inert: the framework's intra-chip block
-// distribution is already dynamic (SPEs pull 4 KB blocks), and there
-// is no second node to steal from or speculate on. Its fixed-size KV
+// scheduling knobs (Speculative, MaxAttempts, FaultDelays) are
+// accepted but inert: the framework's intra-chip block distribution is
+// already dynamic (SPEs pull 4 KB blocks), and there is no second node
+// to share work with or speculate on. Its fixed-size KV
 // records cannot express string-keyed or record-merge jobs, so only
 // Encrypt (the framework's RunStream mode) is supported.
 type cellmrRunner struct {
@@ -34,7 +34,6 @@ func init() {
 	//hetlint:configdrop-ok cellmr Config.Reducers RunStream has no reduce phase; only Encrypt is accepted
 	//hetlint:configdrop-ok cellmr Config.Speculative no second node to speculate on
 	//hetlint:configdrop-ok cellmr Config.MaxAttempts intra-chip blocks are retried by the framework, not re-scheduled
-	//hetlint:configdrop-ok cellmr Config.SpeedHints SPEs are homogeneous by construction
 	//hetlint:configdrop-ok cellmr Config.FaultDelays live-cluster fault injection; the chip model has no tracker to delay
 	//hetlint:configdrop-ok cellmr Config.JobTimeout synchronous single-node run; nothing remote to abandon
 	//hetlint:configdrop-ok cellmr Config.SpillMemBytes the PPE staging buffer is the framework's whole memory model

@@ -55,7 +55,6 @@ func init() {
 				Speculative: cfg.Speculative,
 				MaxAttempts: cfg.MaxAttempts,
 			}),
-			core.WithSpeedHints(cfg.SpeedHints),
 			core.WithTaskDelays(cfg.FaultDelays),
 			core.WithRacks(cfg.Racks),
 		}
@@ -94,11 +93,20 @@ func (r *liveRunner) stageInput(job *Job) (string, error) {
 	return name, nil
 }
 
+// unstage deletes the DFS files one job staged or wrote. Run defers it
+// in every arm, so a long-lived runner's DFS holds only the jobs in
+// flight.
+func (r *liveRunner) unstage(files ...string) {
+	for _, f := range files {
+		// ErrNotFound is the one failure: a job that failed before
+		// writing its output has none to delete.
+		_ = r.clus.FS.Delete(f)
+	}
+}
+
 // deliverOutput resolves a byte-output job's result: streamed from
-// the DFS into the job's Sink (the staged files are deleted so
-// repeated streaming runs do not accumulate state), or materialized
-// into res.Bytes as before.
-func (r *liveRunner) deliverOutput(job *Job, res *Result, input, output string) error {
+// the DFS into the job's Sink, or materialized into res.Bytes.
+func (r *liveRunner) deliverOutput(job *Job, res *Result, output string) error {
 	if job.Sink == nil {
 		var err error
 		res.Bytes, err = r.clus.FS.ReadFile(output)
@@ -113,10 +121,7 @@ func (r *liveRunner) deliverOutput(job *Job, res *Result, input, output string) 
 		return err
 	}
 	res.OutputBytes = n
-	if err := r.clus.FS.Delete(input); err != nil {
-		return err
-	}
-	return r.clus.FS.Delete(output)
+	return nil
 }
 
 // Run implements Runner.
@@ -132,6 +137,7 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer r.unstage(input)
 		sum := func(_ string, values []string) (string, error) {
 			total := int64(0)
 			for _, v := range values {
@@ -167,10 +173,11 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 			return nil, err
 		}
 		output := input + ".sorted"
+		defer r.unstage(input, output)
 		if err := r.clus.RunSort(input, output); err != nil {
 			return nil, err
 		}
-		if err := r.deliverOutput(job, res, input, output); err != nil {
+		if err := r.deliverOutput(job, res, output); err != nil {
 			return nil, err
 		}
 	case Encrypt:
@@ -178,11 +185,12 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		output := input + ".aes"
+		defer r.unstage(input, output)
 		cipher, err := kernels.NewCipher(job.Key)
 		if err != nil {
 			return nil, err
 		}
-		output := input + ".aes"
 		if _, err := r.clus.RunStream(&core.StreamJob{
 			Name:   job.title(),
 			Input:  input,
@@ -195,7 +203,7 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		if err := r.deliverOutput(job, res, input, output); err != nil {
+		if err := r.deliverOutput(job, res, output); err != nil {
 			return nil, err
 		}
 	case Pi:

@@ -37,15 +37,11 @@ func init() {
 		if cfg.Timeline {
 			return nil, fmt.Errorf("%w: Timeline is rendered from the simulated JobTracker's task log and only exists on the sim backend", ErrUnsupported)
 		}
-		kinds, err := netDeviceKinds(cfg)
-		if err != nil {
-			return nil, err
-		}
 		opts := []netmr.ClusterOption{
 			netmr.WithSpeculation(cfg.Speculative),
 			netmr.WithMaxAttempts(cfg.MaxAttempts),
 			netmr.WithTrackerDelays(cfg.FaultDelays),
-			netmr.WithDeviceKinds(kinds),
+			netmr.WithDeviceKinds(netDeviceKinds(cfg)),
 		}
 		if len(cfg.Quotas) > 0 {
 			quotas := make(map[string]netmr.Quota, len(cfg.Quotas))
@@ -89,15 +85,8 @@ func init() {
 // netDeviceKinds derives the cluster's per-tracker device profiles:
 // the first AccelFraction of workers carry a device, the same layout
 // the live and sim backends use, so one Config builds the same
-// hardware everywhere. SpeedHints never override the profile; they are
-// cross-checked against it — a hint above the host baseline on a
-// worker without a device claims accelerated-class throughput the
-// profile cannot provide and is an error, never a silently dropped
-// knob. (The converse is fine: a device-equipped worker may carry a
-// low hint — a straggling accelerated node — and
-// HeterogeneousSpeedHints with the matching fraction agrees with the
-// profile by construction.)
-func netDeviceKinds(cfg Config) ([]string, error) {
+// hardware everywhere.
+func netDeviceKinds(cfg Config) []string {
 	kinds := make([]string, cfg.Workers)
 	accelerated := cfg.acceleratedNodes(cfg.Workers)
 	for i := range kinds {
@@ -107,13 +96,7 @@ func netDeviceKinds(cfg Config) ([]string, error) {
 			kinds[i] = netmr.DeviceHost
 		}
 	}
-	for i, h := range cfg.SpeedHints {
-		if h > 1 && kinds[i] != netmr.DeviceCell {
-			return nil, fmt.Errorf("engine: speed hint %g for worker %d exceeds the host baseline but the %d/%d accelerated device profile gives it no device — on net, hints must agree with AccelFraction (use HeterogeneousSpeedHints with the same fraction)",
-				h, i, accelerated, cfg.Workers)
-		}
-	}
-	return kinds, nil
+	return kinds
 }
 
 // Backend implements Runner.
@@ -247,6 +230,9 @@ type netJob struct {
 	job     *Job
 	id      int64
 	started time.Time
+	// input is the job's staged dataset in the DFS ("" for Pi); wait
+	// deletes it.
+	input string
 	// streamed: the job was submitted with StreamOutput, so its result
 	// is pulled from the trackers instead of riding the Status reply.
 	streamed bool
@@ -268,10 +254,15 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 	l0, rk0, rm0 := r.clus.FetchTotals()
 	id, err := r.clus.Client.Submit(spec)
 	if err != nil {
+		if spec.Input != "" {
+			// Not admitted: nothing will ever read the staged dataset.
+			// The rejection is the error to report, not a failed cleanup.
+			_ = r.clus.Client.DeleteFile(spec.Input)
+		}
 		return nil, err
 	}
-	return &netJob{r: r, job: job, id: id, started: time.Now(), streamed: spec.StreamOutput,
-		local0: l0, rack0: rk0, remote0: rm0}, nil
+	return &netJob{r: r, job: job, id: id, started: time.Now(), input: spec.Input,
+		streamed: spec.StreamOutput, local0: l0, rack0: rk0, remote0: rm0}, nil
 }
 
 // wait blocks until the job completes and decodes its result by kind.
@@ -282,7 +273,10 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 // into a buffer when the caller wants Result.Bytes — the JobTracker
 // never holds it. Every other job's reduced result rides the terminal
 // Status reply. Sort and Encrypt results are the raw bytes; Wordcount
-// and Pi are gob structs.
+// and Pi are gob structs. Either way the job is over once the wait
+// returns — collected, failed or abandoned at its deadline — and its
+// staged input is deleted, so a long-lived runner's DataNodes hold only
+// the datasets of jobs in flight.
 func (nj *netJob) wait() (*Result, error) {
 	r, job := nj.r, nj.job
 	res := &Result{Backend: r.Backend()}
@@ -303,6 +297,11 @@ func (nj *netJob) wait() (*Result, error) {
 	} else {
 		st, err = r.clus.Client.WaitStatus(nj.id, r.cfg.JobTimeout)
 		raw = st.Result
+	}
+	if nj.input != "" {
+		if derr := r.clus.Client.DeleteFile(nj.input); err == nil {
+			err = derr
+		}
 	}
 	if err != nil {
 		return nil, err

@@ -64,24 +64,15 @@ type Config struct {
 	// Speculative enables speculative execution of straggler tasks on
 	// the live, net and simulated backends: when idle capacity appears
 	// and no pending work remains, the scheduler duplicates the
-	// slowest in-flight task and the first finished attempt wins. Job
-	// results are bit-identical with it on or off.
+	// longest-running in-flight task and the first finished attempt
+	// wins. Job results are bit-identical with it on or off.
 	Speculative bool
-	// MaxAttempts caps per-task attempts (first launch + failure
-	// re-runs + speculative duplicates) on the live and net backends.
-	// 0 selects the scheduler default.
+	// MaxAttempts is the per-task attempt cap of the live and net
+	// backends' task board (sched.Options.MaxAttempts): a task whose
+	// attempts report that many errors fails the job, and a task
+	// launched that many times is not duplicated speculatively. 0
+	// selects the scheduler default.
 	MaxAttempts int
-	// SpeedHints declares per-worker relative throughput (len must be
-	// 0 or Workers, values positive). The live backend's scheduler
-	// seeds its initial task distribution proportionally; work
-	// stealing corrects any hint error at run time. The net backend
-	// cross-checks them against its AccelFraction-derived device
-	// profile — a hint above the host baseline (1) on a worker the
-	// fraction leaves without a device is an error, never a silent
-	// pick (low hints on accelerated workers stay valid: a straggling
-	// accelerated node). Use HeterogeneousSpeedHints with the same
-	// fraction to mirror perfmodel's device ratios.
-	SpeedHints []float64
 	// FaultDelays injects a fixed artificial delay into every task a
 	// worker executes (len must be 0 or Workers), on the live and net
 	// backends — the straggler fault-injection knob the conformance
@@ -230,14 +221,6 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("engine: unknown codec %q (have %v)", c.Codec, spill.CodecNames())
 		}
 	}
-	if c.SpeedHints != nil && len(c.SpeedHints) != c.Workers {
-		return c, fmt.Errorf("engine: %d speed hints for %d workers", len(c.SpeedHints), c.Workers)
-	}
-	for i, s := range c.SpeedHints {
-		if s <= 0 {
-			return c, fmt.Errorf("engine: worker %d has non-positive speed hint %g", i, s)
-		}
-	}
 	if c.FaultDelays != nil && len(c.FaultDelays) != c.Workers {
 		return c, fmt.Errorf("engine: %d fault delays for %d workers", len(c.FaultDelays), c.Workers)
 	}
@@ -249,32 +232,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// HeterogeneousSpeedHints builds per-worker speed hints for a cluster
-// whose first accelerated-fraction of nodes offload to the Cell chip
-// while the rest run the PPE Java path — the relative rates are
-// perfmodel's calibrated Pi plateaus, so the scheduler's initial
-// distribution mirrors the paper's measured device heterogeneity.
-// accelFraction follows the Config.AccelFraction convention (0 means
-// the fully-accelerated default, NoAcceleration means none); an
-// out-of-range fraction, like a non-positive worker count, yields nil.
-func HeterogeneousSpeedHints(workers int, accelFraction float64) []float64 {
-	frac, err := ResolveAccelFraction(accelFraction)
-	if workers <= 0 || err != nil {
-		return nil
-	}
-	accelerated := acceleratedNodeCount(workers, frac)
-	ratio := perfmodel.PiCellSamplesPerSec / perfmodel.PiPPESamplesPerSec
-	hints := make([]float64, workers)
-	for i := range hints {
-		if i < accelerated {
-			hints[i] = ratio
-		} else {
-			hints[i] = 1
-		}
-	}
-	return hints
-}
-
 // NoAcceleration is the AccelFraction value for a cluster without any
 // accelerated nodes (the field's zero value means "default", i.e.
 // fully accelerated).
@@ -284,8 +241,7 @@ const NoAcceleration = -1
 // plain fraction in [0,1]: the zero value selects the paper's
 // fully-accelerated baseline, NoAcceleration selects an all-host
 // cluster, anything outside [0,1] is an error. Every consumer of the
-// knob — withDefaults, HeterogeneousSpeedHints, the backends — routes
-// through this one resolver, so 0 can never mean "default" in one
+// knob — withDefaults, the backends — routes through this one resolver, so 0 can never mean "default" in one
 // place and "none" in another.
 func ResolveAccelFraction(f float64) (float64, error) {
 	switch {
@@ -301,21 +257,15 @@ func ResolveAccelFraction(f float64) (float64, error) {
 	return f, nil
 }
 
-// acceleratedNodeCount rounds a resolved fraction to a node count,
-// never exceeding n.
-func acceleratedNodeCount(n int, frac float64) int {
-	a := int(frac*float64(n) + 0.5)
+// acceleratedNodes resolves the accelerated-node count for n workers:
+// the fraction rounded to a node count, never exceeding n. Callers run
+// after withDefaults, so AccelFraction is already a plain fraction.
+func (c Config) acceleratedNodes(n int) int {
+	a := int(c.AccelFraction*float64(n) + 0.5)
 	if a > n {
 		a = n
 	}
 	return a
-}
-
-// acceleratedNodes resolves the accelerated-node count for n workers.
-// Callers run after withDefaults, so AccelFraction is already a plain
-// fraction.
-func (c Config) acceleratedNodes(n int) int {
-	return acceleratedNodeCount(n, c.AccelFraction)
 }
 
 // spillMem translates the Config.SpillMemBytes convention (0: never

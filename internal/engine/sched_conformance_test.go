@@ -6,19 +6,18 @@ import (
 )
 
 // The dynamic scheduler must never change what a job computes, only
-// when it finishes: with speculation enabled, explicit speed hints and
-// one injected straggler an order of magnitude slower than its peers,
-// every kind's result stays bit-identical to the plain run on both
+// when it finishes: with speculation enabled and one injected
+// straggler an order of magnitude slower than its peers, every kind's
+// result stays bit-identical to the plain run on both
 // functional backends (live in-process, net over TCP).
 
 // stragglerConfig mirrors conformanceConfig with worker 0 degraded:
 // its 8ms per-task delay is 10x-plus the real per-block work at this
-// block size, and the speed hints declare the skew to the scheduler.
+// block size.
 func stragglerConfig() Config {
 	cfg := conformanceConfig()
 	cfg.Speculative = true
 	cfg.MaxAttempts = 4
-	cfg.SpeedHints = []float64{0.1, 1, 1}
 	cfg.FaultDelays = []time.Duration{8 * time.Millisecond, 0, 0}
 	return cfg
 }
@@ -46,7 +45,8 @@ func TestConformanceWithSpeculationAndStraggler(t *testing.T) {
 					assertSameResult(t, job.Kind, backend+"(plain)", ref, backend+"(straggler)", res)
 					// The scheduler's accounting must cover every task,
 					// and the straggler (worker 0) must not have run the
-					// whole job — healthy workers steal its queue.
+					// whole job — healthy workers pull the tasks it never
+					// asks for.
 					total := 0
 					for _, n := range res.TaskCounts {
 						total += n
@@ -97,9 +97,6 @@ func TestSpeculationOnOffBitIdentical(t *testing.T) {
 func TestConfigSchedulingValidation(t *testing.T) {
 	bad := []Config{
 		{MaxAttempts: -1},
-		{Workers: 2, SpeedHints: []float64{1}},
-		{Workers: 2, SpeedHints: []float64{1, 0}},
-		{Workers: 2, SpeedHints: []float64{1, -3}},
 		{Workers: 2, FaultDelays: []time.Duration{time.Second}},
 		{Workers: 2, FaultDelays: []time.Duration{0, -time.Second}},
 	}
@@ -108,27 +105,4 @@ func TestConfigSchedulingValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-}
-
-func TestHeterogeneousSpeedHints(t *testing.T) {
-	hints := HeterogeneousSpeedHints(4, 0.5)
-	if len(hints) != 4 {
-		t.Fatalf("got %d hints", len(hints))
-	}
-	if hints[0] <= hints[3] {
-		t.Errorf("accelerated node hint %g not above plain node hint %g", hints[0], hints[3])
-	}
-	if hints[0] != hints[1] || hints[2] != hints[3] || hints[2] != 1 {
-		t.Errorf("hints = %v, want [r r 1 1]", hints)
-	}
-	if HeterogeneousSpeedHints(0, 1) != nil {
-		t.Error("zero workers should yield nil hints")
-	}
-	// The hints are valid engine configuration.
-	cfg := Config{Workers: 4, SpeedHints: HeterogeneousSpeedHints(4, 0.5)}
-	r, err := New("live", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
 }

@@ -33,7 +33,6 @@ func init() {
 	// (perfmodel) stand in for what the knob would tune.
 	//hetlint:configdrop-ok sim Config.Reducers the model's reduce phase uses calibrated ReduceSlots; Reducers shapes real shuffle output on functional backends
 	//hetlint:configdrop-ok sim Config.MaxAttempts the simulated JobTracker re-runs lost tasks per its TrackerExpiry/speculation model
-	//hetlint:configdrop-ok sim Config.SpeedHints heterogeneity comes from the calibrated perfmodel, not per-node hints
 	//hetlint:configdrop-ok sim Config.FaultDelays fault injection on the model goes through KillNode-style hooks, not live-cluster task delays
 	//hetlint:configdrop-ok sim Config.JobTimeout simulated virtual time completes in wall-milliseconds; there is no remote wait to bound
 	//hetlint:configdrop-ok sim Config.SpillMemBytes the timing model has no real data plane to spill

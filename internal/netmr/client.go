@@ -189,7 +189,7 @@ func (c *Client) putBlock(nnc *rpcnet.Client, name string, blk BlockInfo, chunk 
 	// readers never chase the unwritten one.
 	var stored []string
 	var lastErr error
-	for _, addr := range blk.ReplicaAddrs() {
+	for _, addr := range blk.Replicas {
 		dnc, err := c.wire.get(addr)
 		if err != nil {
 			lastErr = err
@@ -206,7 +206,7 @@ func (c *Client) putBlock(nnc *rpcnet.Client, name string, blk BlockInfo, chunk 
 		return fmt.Errorf("netmr: block %d: no replica target reachable: %v",
 			blk.ID, lastErr)
 	}
-	if len(stored) < len(blk.ReplicaAddrs()) {
+	if len(stored) < len(blk.Replicas) {
 		err := nnc.Call("Confirm", ConfirmArgs{
 			File: name, BlockID: blk.ID, Replicas: stored,
 		}, nil)
@@ -229,7 +229,7 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 	}
 	var out []byte
 	for _, blk := range lookup.Blocks {
-		data, _, err := readBlockFrom(c.wire, blk, blk.ReplicaAddrs())
+		data, _, err := readBlockFrom(c.wire, blk, blk.Replicas)
 		if err != nil {
 			return nil, err
 		}
@@ -280,6 +280,16 @@ func (c *Client) ListFiles() ([]string, error) {
 		return nil, err
 	}
 	return list.Files, nil
+}
+
+// DeleteFile removes name from the namespace. Its block replicas are
+// freed as each DataNode next heartbeats the NameNode.
+func (c *Client) DeleteFile(name string) error {
+	nnc, err := c.wire.get(c.nnAddr)
+	if err != nil {
+		return err
+	}
+	return nnc.Call("Delete", DeleteArgs{File: name}, nil)
 }
 
 // Submit sends a job and returns its ID. An admission-control

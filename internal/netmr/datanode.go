@@ -101,14 +101,22 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 	return dn, nil
 }
 
-// beat sends one Register heartbeat.
+// beat sends one Register heartbeat and drops the blocks of deleted
+// files its reply names.
 func (dn *DataNode) beat() error {
 	nnc, err := rpcnet.Dial(dn.nnAddr)
 	if err != nil {
 		return err
 	}
 	defer nnc.Close()
-	return nnc.Call("Register", RegisterArgs{Addr: dn.srv.Addr(), Rack: dn.rack}, nil)
+	var reply RegisterReply
+	if err := nnc.Call("Register", RegisterArgs{Addr: dn.srv.Addr(), Rack: dn.rack}, &reply); err != nil {
+		return err
+	}
+	for _, id := range reply.Free {
+		dn.store.Delete(dnBlockKey(id))
+	}
+	return nil
 }
 
 // loop repeats the liveness beat until the node closes. A missed beat

@@ -80,7 +80,7 @@ func TestWriteFailoverAfterDataNodeDeath(t *testing.T) {
 	}
 	dead := c.DNs[2].Addr()
 	for _, blk := range lookup.Blocks {
-		for _, addr := range blk.ReplicaAddrs() {
+		for _, addr := range blk.Replicas {
 			if addr == dead {
 				t.Fatalf("block %d still lists the dead DataNode %s", blk.ID, dead)
 			}

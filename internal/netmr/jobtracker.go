@@ -134,7 +134,6 @@ type JobTracker struct {
 	tenants   map[string]*tenantState
 	fair      *sched.FairShare
 	trackers  map[string]*trackerState   // membership view, keyed by tracker ID
-	devices   map[string]string          // tracker ID -> device kind, from heartbeats
 	held      map[string]map[int64]int64 // tracker ID -> job -> resident store bytes
 	dataBytes int64                      // task output bytes carried by heartbeats
 
@@ -202,7 +201,6 @@ func StartJobTracker(addr, nameNodeAddr string) (*JobTracker, error) {
 		tenants:   make(map[string]*tenantState),
 		fair:      sched.NewFairShare(),
 		trackers:  make(map[string]*trackerState),
-		devices:   make(map[string]string),
 		held:      make(map[string]map[int64]int64),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -693,13 +691,10 @@ func (jt *JobTracker) handleHeartbeat(body []byte) (any, error) {
 	}
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	// Track the cluster's device profile (trackers started before the
-	// Device field default to host).
 	device := args.Device
 	if device == "" {
 		device = DeviceHost
 	}
-	jt.devices[args.TrackerID] = device
 	// Membership: the first heartbeat registers the tracker, every one
 	// refreshes its liveness — a tracker declared dead rejoins cleanly
 	// here (same ID, fresh lease history).
@@ -908,10 +903,10 @@ func (jt *JobTracker) grantFromJob(rec *jobRecord, device string, args Heartbeat
 		if args.LocalDataNode != "" || args.Rack != "" {
 			locality = func(i int) sched.Locality {
 				blk := rec.maps[i].Block
-				if blk.Addr == "" {
+				if len(blk.Replicas) == 0 {
 					return sched.LocalityRemote // compute task: indifferent
 				}
-				if args.LocalDataNode != "" && slices.Contains(blk.ReplicaAddrs(), args.LocalDataNode) {
+				if args.LocalDataNode != "" && slices.Contains(blk.Replicas, args.LocalDataNode) {
 					return sched.LocalityNode
 				}
 				if args.Rack != "" && len(blk.Racks) > 0 && blk.OnRack(args.Rack) {
@@ -1099,8 +1094,9 @@ func (jt *JobTracker) recordResult(rec *jobRecord, trackerID string, res TaskRes
 // serializing the tail), and redHome records, per partition, the
 // shuffle address holding the most of its bytes — the locality hint
 // grantFromJob serves reducers by, so the heaviest fetch stream is a
-// local store read. Maps that reported no sizes (a pre-upgrade tracker)
-// leave the board in index order. Callers hold jt.mu.
+// local store read. A size report of the wrong length (it arrives off
+// the wire) leaves the board in index order instead of being indexed.
+// Callers hold jt.mu.
 func (rec *jobRecord) planReduces() {
 	r := len(rec.reduces)
 	totals := make([]int64, r)
@@ -1110,7 +1106,7 @@ func (rec *jobRecord) planReduces() {
 	}
 	for m, parts := range rec.mapPartBytes {
 		if len(parts) != r {
-			return // incomplete size data: keep index order, no hints
+			return // malformed size report: keep index order, no hints
 		}
 		for p, n := range parts {
 			totals[p] += n
@@ -1239,11 +1235,9 @@ func (jt *JobTracker) handleStatus(body []byte) (any, error) {
 			counts[w] += n
 		}
 	}
-	// Copied under the lock: the reply is marshalled after the handler
-	// returns, and heartbeats keep writing the device map.
-	devices := make(map[string]string, len(jt.devices))
-	for id, kind := range jt.devices {
-		devices[id] = kind
+	devices := make(map[string]string, len(jt.trackers))
+	for id, t := range jt.trackers {
+		devices[id] = t.device
 	}
 	// A finished streamed-output job's result is its list of stored
 	// pieces, in task order.

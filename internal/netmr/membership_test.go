@@ -186,7 +186,7 @@ func TestDataNodeDecommissionReReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, blk := range lookup.Blocks {
-		addrs := blk.ReplicaAddrs()
+		addrs := blk.Replicas
 		if len(addrs) != 2 {
 			t.Errorf("block %d has %d replicas after decommission, want 2", blk.ID, len(addrs))
 		}

@@ -80,7 +80,10 @@ type NameNode struct {
 	files     map[string][]BlockInfo
 	nodes     map[string]*dnState
 	order     []string // registration order, for deterministic placement
-	repairing bool     // one repair pass at a time
+	// freed queues, per DataNode, the block replicas of deleted files
+	// it still stores; the node's next Register reply carries them.
+	freed     map[string][]int64
+	repairing bool // one repair pass at a time
 
 	stop chan struct{}
 	done chan struct{}
@@ -97,6 +100,7 @@ func StartNameNode(addr string) (*NameNode, error) {
 		srv:   srv,
 		files: make(map[string][]BlockInfo),
 		nodes: make(map[string]*dnState),
+		freed: make(map[string][]int64),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -187,10 +191,9 @@ func (nn *NameNode) pruneUnservedLocked() {
 }
 
 // pruneBlockLocked removes replicas matching gone from blk, keeping at
-// least one replica, and keeps Addr/Racks consistent. Callers hold
-// nn.mu.
+// least one replica, and keeps Racks parallel. Callers hold nn.mu.
 func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnState) bool) {
-	addrs := blk.ReplicaAddrs()
+	addrs := blk.Replicas
 	keptA := make([]string, 0, len(addrs))
 	keptR := make([]string, 0, len(addrs))
 	var dropped []*dnState
@@ -209,7 +212,7 @@ func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnState) bool) {
 	for _, d := range dropped {
 		d.load--
 	}
-	blk.Replicas, blk.Racks, blk.Addr = keptA, keptR, keptA[0]
+	blk.Replicas, blk.Racks = keptA, keptR
 }
 
 // rackOfLocked resolves addr's current rack, falling back to the
@@ -247,7 +250,9 @@ func (nn *NameNode) handleRegister(body []byte) (any, error) {
 	d.rack = rack
 	d.lastSeen = time.Now()
 	d.dead = false
-	return RegisterReply{Draining: d.draining}, nil
+	free := nn.freed[args.Addr]
+	delete(nn.freed, args.Addr)
+	return RegisterReply{Draining: d.draining, Free: free}, nil
 }
 
 // placeableNodes lists nodes new replicas may land on, in registration
@@ -327,8 +332,7 @@ func (nn *NameNode) handleAllocate(body []byte) (any, error) {
 		racks = append(racks, d.rack)
 		haveRacks[d.rack] = true
 	}
-	blk := BlockInfo{ID: nn.nextBlock, Size: args.Size, Addr: primary.addr,
-		Replicas: replicas, Racks: racks}
+	blk := BlockInfo{ID: nn.nextBlock, Size: args.Size, Replicas: replicas, Racks: racks}
 	nn.nextBlock++
 	for _, addr := range replicas {
 		nn.nodes[addr].load++
@@ -357,7 +361,7 @@ func (nn *NameNode) handleConfirm(body []byte) (any, error) {
 		if blocks[i].ID != args.BlockID {
 			continue
 		}
-		for _, addr := range blocks[i].ReplicaAddrs() {
+		for _, addr := range blocks[i].Replicas {
 			if !slices.Contains(args.Replicas, addr) {
 				if d := nn.nodes[addr]; d != nil {
 					d.load--
@@ -369,7 +373,6 @@ func (nn *NameNode) handleConfirm(body []byte) (any, error) {
 		for j, addr := range args.Replicas {
 			blocks[i].Racks[j] = nn.rackOfLocked(addr, "")
 		}
-		blocks[i].Addr = args.Replicas[0]
 		return ConfirmReply{}, nil
 	}
 	return nil, fmt.Errorf("netmr: confirm of unknown block %d in %q", args.BlockID, args.File)
@@ -431,10 +434,10 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 	for _, f := range files {
 		for _, blk := range nn.files[f] {
 			served := ""
-			have := append([]string(nil), blk.ReplicaAddrs()...)
+			have := append([]string(nil), blk.Replicas...)
 			haveRacks := make(map[string]bool)
 			healthy := 0
-			for i, addr := range blk.ReplicaAddrs() {
+			for i, addr := range blk.Replicas {
 				d := nn.nodes[addr]
 				if d == nil || d.dead {
 					continue
@@ -472,7 +475,8 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 // replicate executes one planned transfer — dial the source, have it
 // push the block — and commits the new replica to the block's metadata
 // on success. Runs without nn.mu held; the commit step re-validates
-// against concurrent deletes.
+// against concurrent deletes (the copy of a block deleted meanwhile is
+// queued to be freed again).
 func (nn *NameNode) replicate(op repairOp) bool {
 	src, err := rpcnet.Dial(op.src)
 	if err != nil {
@@ -490,14 +494,8 @@ func (nn *NameNode) replicate(op repairOp) bool {
 		if blocks[i].ID != op.id {
 			continue
 		}
-		if slices.Contains(blocks[i].ReplicaAddrs(), op.dst) {
+		if slices.Contains(blocks[i].Replicas, op.dst) {
 			return false // raced with another pass
-		}
-		// Normalize legacy single-addr records before appending.
-		blocks[i].Replicas = blocks[i].ReplicaAddrs()
-		for len(blocks[i].Racks) < len(blocks[i].Replicas) {
-			blocks[i].Racks = append(blocks[i].Racks,
-				nn.rackOfLocked(blocks[i].Replicas[len(blocks[i].Racks)], ""))
 		}
 		blocks[i].Replicas = append(blocks[i].Replicas, op.dst)
 		blocks[i].Racks = append(blocks[i].Racks, nn.rackOfLocked(op.dst, ""))
@@ -506,6 +504,7 @@ func (nn *NameNode) replicate(op repairOp) bool {
 		}
 		return true
 	}
+	nn.freed[op.dst] = append(nn.freed[op.dst], op.id)
 	return false
 }
 
@@ -552,6 +551,7 @@ func (nn *NameNode) DecommissionDataNode(addr string) error {
 		}
 	}
 	delete(nn.nodes, addr)
+	delete(nn.freed, addr)
 	nn.order = slices.DeleteFunc(nn.order, func(a string) bool { return a == addr })
 	return nil
 }
@@ -611,9 +611,10 @@ func (nn *NameNode) handleDelete(body []byte) (any, error) {
 		return nil, fmt.Errorf("netmr: file %q not found", args.File)
 	}
 	for _, blk := range nn.files[args.File] {
-		for _, addr := range blk.ReplicaAddrs() {
+		for _, addr := range blk.Replicas {
 			if d := nn.nodes[addr]; d != nil {
 				d.load--
+				nn.freed[addr] = append(nn.freed[addr], blk.ID)
 			}
 		}
 	}

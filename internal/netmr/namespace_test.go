@@ -21,25 +21,42 @@ func TestDFSDeleteAndList(t *testing.T) {
 	if len(files) != 3 || files[0] != "/a" || files[2] != "/c" {
 		t.Errorf("List = %v, want sorted [/a /b /c]", files)
 	}
-	// Delete through the raw RPC (the client has no sugar for it).
-	nnc, err := rpcnet.Dial(c.NN.Addr())
-	if err != nil {
-		t.Fatal(err)
+	stored := func() int {
+		n := 0
+		for _, dn := range c.DNs {
+			n += dn.BlockCount()
+		}
+		return n
 	}
-	defer nnc.Close()
-	if err := nnc.Call("Delete", DeleteArgs{File: "/b"}, nil); err != nil {
+	// 3 files x 2 blocks x 2 replicas.
+	if got := stored(); got != 12 {
+		t.Fatalf("datanodes store %d block replicas, want 12", got)
+	}
+	if err := c.Client.DeleteFile("/b"); err != nil {
 		t.Fatal(err)
 	}
 	files, _ = c.Client.ListFiles()
 	if len(files) != 2 {
 		t.Errorf("after delete: %v", files)
 	}
-	if err := nnc.Call("Delete", DeleteArgs{File: "/b"}, nil); err == nil {
+	if err := c.Client.DeleteFile("/b"); err == nil {
 		t.Error("double delete should fail")
 	}
 	// Deleted file is gone from lookups.
 	if _, err := c.Client.ReadFile("/b"); err == nil {
 		t.Error("read of deleted file should fail")
+	}
+	// The replicas themselves go with each DataNode's next heartbeat —
+	// and only the deleted file's.
+	deadline := time.Now().Add(5 * time.Second)
+	for stored() != 8 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := stored(); got != 8 {
+		t.Errorf("datanodes store %d block replicas after the delete, want 8", got)
+	}
+	if _, err := c.Client.ReadFile("/a"); err != nil {
+		t.Errorf("surviving file unreadable after a neighbour's delete: %v", err)
 	}
 }
 

@@ -528,7 +528,7 @@ func (tt *TaskTracker) runTask(task Task) {
 		return
 	}
 	var data []byte
-	if task.Block.Addr != "" {
+	if len(task.Block.Replicas) > 0 {
 		data, err = tt.fetchBlock(task.Block)
 		if err != nil {
 			res.Err = err.Error()
@@ -769,7 +769,7 @@ func (tt *TaskTracker) fetchPartition(addr string, args FetchPartitionArgs) ([]b
 // placement order — what keeps map tasks running through a DataNode
 // death while preferring the cheapest surviving copy.
 func (tt *TaskTracker) fetchBlock(blk BlockInfo) ([]byte, error) {
-	addrs := blk.ReplicaAddrs()
+	addrs := blk.Replicas
 	rackOf := make(map[string]string, len(addrs))
 	for i, addr := range addrs {
 		rackOf[addr] = blk.RackOfReplica(i)

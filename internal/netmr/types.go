@@ -27,14 +27,14 @@
 // lifetimes; TenantClient binds a Client to one tenant.
 package netmr
 
-// BlockInfo describes one stored block: its cluster-wide ID, size, the
-// primary DataNode serving it, and every replica holding it.
+// BlockInfo describes one stored block: its cluster-wide ID, size and
+// every replica holding it.
 type BlockInfo struct {
 	ID   int64
 	Size int64
-	Addr string // primary DataNode RPC address
-	// Replicas lists every DataNode holding the block, primary first.
-	// Readers fail over along this list when a DataNode is down.
+	// Replicas lists the RPC address of every DataNode holding the
+	// block, primary first. Readers fail over along this list when a
+	// DataNode is down.
 	Replicas []string
 	// Racks lists each replica's rack, parallel to Replicas, so
 	// schedulers and readers can grade locality (node, rack, remote)
@@ -67,18 +67,6 @@ func (b BlockInfo) OnRack(rack string) bool {
 	return false
 }
 
-// ReplicaAddrs returns every DataNode holding the block, primary
-// first, tolerating records written before replication existed.
-func (b BlockInfo) ReplicaAddrs() []string {
-	if len(b.Replicas) > 0 {
-		return b.Replicas
-	}
-	if b.Addr != "" {
-		return []string{b.Addr}
-	}
-	return nil
-}
-
 // --- NameNode RPC messages ---
 
 // RegisterArgs announces a DataNode. It doubles as the DataNode's
@@ -98,6 +86,9 @@ type RegisterArgs struct {
 // expect removal once its blocks are re-replicated.
 type RegisterReply struct {
 	Draining bool
+	// Free names blocks of deleted files this node stores a replica
+	// of: the node drops them from its block store.
+	Free []int64
 }
 
 // ReplicateArgs asks a DataNode to push one of its stored blocks to a
@@ -184,7 +175,9 @@ type ListReply struct {
 	Files []string
 }
 
-// DeleteArgs names a file to remove.
+// DeleteArgs names a file to remove: its metadata goes at once, its
+// block replicas as each DataNode's next heartbeat collects its
+// RegisterReply.Free list.
 type DeleteArgs struct {
 	File string
 }
@@ -366,7 +359,7 @@ type Task struct {
 	TaskID  int
 	Kernel  string
 	Args    []byte
-	Block   BlockInfo // data tasks; Addr=="" for compute tasks
+	Block   BlockInfo // data tasks; no Replicas for compute tasks
 	Samples int64     // compute tasks
 	Seed    uint64
 	// NumParts > 0 on a map task asks the tracker to hash-partition

@@ -6,25 +6,37 @@ import (
 	"time"
 )
 
-// Board is the pull-style face of the scheduler: a task state machine
-// for masters whose workers request work over heartbeats (the netmr
-// JobTracker). Workers hold a lease on every attempt; an attempt whose
-// lease expires is presumed dead (tracker failure) and its task
-// becomes assignable again. With speculation enabled, a worker whose
-// slots cannot be filled with pending tasks is handed a duplicate of
-// the longest-running in-flight task — first finished attempt wins,
-// exactly as in the in-process pool.
+// Board is the scheduler's task table, and the only attempt state
+// machine in the tree: workers pull from it — trackers over heartbeats
+// at the netmr JobTracker, slot goroutines in Run — and every launch,
+// live lease, reported failure, straggler pick and winner credit is
+// recorded here and nowhere else. Workers hold a lease on every
+// attempt; an attempt whose lease expires is presumed dead (tracker
+// failure) and its task becomes assignable again. With speculation
+// enabled, a worker whose slots cannot be filled with pending tasks is
+// handed a duplicate of the longest-running in-flight task — first
+// finished attempt wins.
 //
 // The board is deterministic: callers pass the current time into
 // Assign, so tests can drive it with a manual clock.
 type Board struct {
-	mu       sync.Mutex
-	lease    time.Duration
-	opts     Options
-	max      int
-	tasks    []boardTask
-	order    []int // pending-scan order (nil: index order)
-	ident    []int // cached identity scan, built lazily
+	mu    sync.Mutex
+	lease time.Duration
+	opts  Options
+	max   int
+	tasks []boardTask
+	order []int // pending-scan order (nil: index order)
+	ident []int // cached identity scan, built lazily
+	// low is the scan low-water mark: no task before position low of
+	// the scan order is pending, so a grant on a mostly-settled board
+	// does not walk the settled prefix again. Anything that can make an
+	// earlier task pending (expiry, Fail, Release, Reopen, SetOrder)
+	// resets it.
+	low int
+	// oldest is a lower bound on the start of every live attempt (zero:
+	// none launched since the last sweep); expire sweeps the tasks only
+	// once a lease counted from it could have run out.
+	oldest   time.Time
 	doneN    int
 	counts   map[string]int
 	attempts int
@@ -62,16 +74,24 @@ func NewBoard(n int, lease time.Duration, opts Options) (*Board, error) {
 	}, nil
 }
 
-// Locality grades how near a task's data sits to a worker, mirroring
-// the topology distance tiers (internal/topo): on the worker's own
-// node, on its rack, or across racks.
+// Locality grades a task for the worker asking: how near its data sits,
+// mirroring the topology distance tiers (internal/topo) — on the
+// worker's own node, on its rack, or across racks — or that this worker
+// may not have it at all.
 type Locality int
 
 // Locality levels, ordered so a higher value is nearer.
 const (
+	// LocalityExcluded keeps a pending task away from this worker: Assign
+	// never grants it, another worker's Assign will. It is a caller-side
+	// eligibility rule, not board state — Run returns it for the worker
+	// whose attempt of the task failed last (so a broken worker cannot
+	// pull its own failure back and burn the task's whole failure
+	// budget); the JobTracker's closures never return it.
+	LocalityExcluded Locality = iota - 1
 	// LocalityRemote is data on another rack (or locality-indifferent
 	// tasks).
-	LocalityRemote Locality = iota
+	LocalityRemote
 	// LocalityRack is data on the worker's rack but another node.
 	LocalityRack
 	// LocalityNode is data on the worker's own node.
@@ -80,8 +100,9 @@ const (
 
 // Assign grants worker up to max pending task attempts at time now:
 // expired leases are reclaimed first, then pending tasks in descending
-// locality order — node-local first, then rack-local, then any (nil
-// predicate: no locality, one flat pass). A task index repeats across
+// locality order — node-local first, then rack-local, then remote (nil
+// closure: every task is remote, one flat pass). A task the closure
+// grades LocalityExcluded stays pending. A task index repeats across
 // calls only after a lease expiry. Speculative duplicates are a
 // separate step (Speculate), so a master serving several boards can
 // exhaust every board's pending work before duplicating anyone's
@@ -90,32 +111,33 @@ func (b *Board) Assign(worker string, max int, now time.Time, locality func(task
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.expire(now)
-	var out []int
-	pending := func(i int) bool {
-		t := &b.tasks[i]
-		return !t.done && len(t.live) == 0
+	order := b.scanOrder()
+	for b.low < len(order) && !b.pending(order[b.low]) {
+		b.low++
 	}
-	if locality != nil {
-		for _, want := range []Locality{LocalityNode, LocalityRack} {
-			for _, i := range b.scanOrder() {
-				if len(out) >= max {
-					break
-				}
-				if pending(i) && locality(i) == want {
-					out = b.grant(i, worker, now, out)
-				}
+	tiers := []Locality{LocalityNode, LocalityRack, LocalityRemote}
+	if locality == nil {
+		tiers = tiers[2:]
+	}
+	var out []int
+	for _, want := range tiers {
+		for _, i := range order[b.low:] {
+			if len(out) >= max {
+				return out
+			}
+			if b.pending(i) && (locality == nil || locality(i) == want) {
+				out = b.grant(i, worker, now, out)
 			}
 		}
 	}
-	for _, i := range b.scanOrder() {
-		if len(out) >= max {
-			break
-		}
-		if pending(i) {
-			out = b.grant(i, worker, now, out)
-		}
-	}
 	return out
+}
+
+// pending reports whether task i is neither done nor in flight. Callers
+// hold b.mu.
+func (b *Board) pending(i int) bool {
+	t := &b.tasks[i]
+	return !t.done && len(t.live) == 0
 }
 
 // scanOrder returns the pending-scan order: the SetOrder permutation
@@ -144,7 +166,7 @@ func (b *Board) SetOrder(order []int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if order == nil {
-		b.order = nil
+		b.order, b.low = nil, 0
 		return
 	}
 	if len(order) != len(b.tasks) {
@@ -157,7 +179,7 @@ func (b *Board) SetOrder(order []int) {
 		}
 		seen[i] = true
 	}
-	b.order = append([]int(nil), order...)
+	b.order, b.low = append([]int(nil), order...), 0
 }
 
 // Speculate grants worker up to max speculative duplicates of the
@@ -188,17 +210,29 @@ func (b *Board) grant(i int, worker string, now time.Time, out []int) []int {
 	t.attempts++
 	b.attempts++
 	t.live = append(t.live, boardAttempt{worker: worker, started: now})
+	if b.oldest.IsZero() || now.Before(b.oldest) {
+		b.oldest = now
+	}
 	return append(out, i)
 }
 
 // expire drops attempts whose lease ran out. Callers hold b.mu.
 func (b *Board) expire(now time.Time) {
+	if b.oldest.IsZero() || now.Sub(b.oldest) < b.lease {
+		return
+	}
+	b.oldest = time.Time{}
 	for i := range b.tasks {
 		t := &b.tasks[i]
 		kept := t.live[:0]
 		for _, a := range t.live {
-			if now.Sub(a.started) < b.lease {
-				kept = append(kept, a)
+			if now.Sub(a.started) >= b.lease {
+				b.low = 0
+				continue
+			}
+			kept = append(kept, a)
+			if b.oldest.IsZero() || a.started.Before(b.oldest) {
+				b.oldest = a.started
 			}
 		}
 		t.live = kept
@@ -272,6 +306,7 @@ func (b *Board) Fail(task int, worker string) (dropped, exhausted bool) {
 		if a.worker == worker {
 			t.live = append(t.live[:i], t.live[i+1:]...)
 			t.failures++
+			b.low = 0
 			return true, t.failures >= b.max && len(t.live) == 0
 		}
 	}
@@ -297,6 +332,7 @@ func (b *Board) Release(task int, worker string) (dropped bool) {
 	for i, a := range t.live {
 		if a.worker == worker {
 			t.live = append(t.live[:i], t.live[i+1:]...)
+			b.low = 0
 			return true
 		}
 	}
@@ -325,6 +361,7 @@ func (b *Board) Reopen(task int) {
 	t.attempts = 0
 	t.failures = 0
 	t.live = nil
+	b.low = 0
 	b.doneN--
 	b.counts[t.winner]--
 	t.winner = ""

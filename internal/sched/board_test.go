@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -292,5 +293,180 @@ func TestBoardSetOrderWithLocality(t *testing.T) {
 	got := b.Assign("w", 2, time.Now(), loc)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("Assign = %v, want [1 3] (node-local first, then heaviest)", got)
+	}
+}
+
+func TestBoardExcludedTaskGoesToAnotherWorker(t *testing.T) {
+	b := boardAt(t, 2, time.Minute, Options{})
+	t0 := time.Unix(0, 0)
+	// Task 0 is excluded for worker a (and node-local to nobody): a is
+	// granted task 1 only, however many slots it offers.
+	notZero := func(i int) Locality {
+		if i == 0 {
+			return LocalityExcluded
+		}
+		return LocalityRemote
+	}
+	if got := b.Assign("a", 2, t0, notZero); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("worker a granted %v, want [1] (task 0 excluded)", got)
+	}
+	if got := b.Assign("a", 2, t0, notZero); len(got) != 0 {
+		t.Fatalf("worker a granted %v with only its excluded task pending", got)
+	}
+	// The task stayed pending: the next worker to ask gets it.
+	if got := b.Assign("b", 2, t0, nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("worker b granted %v, want the task a was refused [0]", got)
+	}
+}
+
+func TestBoardScanSkipsSettledTasks(t *testing.T) {
+	const n = 100
+	b := boardAt(t, n, time.Minute, Options{})
+	t0 := time.Unix(0, 0)
+	graded := 0
+	grade := func(int) Locality { graded++; return LocalityRemote }
+	for i := 0; i < n-1; i++ {
+		got := b.Assign("a", 1, t0, nil)
+		if len(got) != 1 || !b.Complete(got[0], "a") {
+			t.Fatalf("grant %d = %v", i, got)
+		}
+	}
+	// 99 of 100 settled: a graded Assign looks at the one pending task
+	// (once per locality tier), not at the settled prefix.
+	if got := b.Assign("a", 1, t0, grade); len(got) != 1 || got[0] != n-1 {
+		t.Fatalf("granted %v, want [%d]", got, n-1)
+	}
+	if graded > 3 {
+		t.Errorf("Assign graded %d tasks with one pending, want <= 3", graded)
+	}
+	// Whatever makes an earlier task pending again resets the scan.
+	b.Reopen(3)
+	if got := b.Assign("b", 1, t0, nil); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("granted %v after Reopen(3), want [3]", got)
+	}
+	if dropped, _ := b.Fail(3, "b"); !dropped {
+		t.Fatal("failure of the live attempt not recorded")
+	}
+	if got := b.Assign("a", 1, t0, nil); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("granted %v after Fail, want [3]", got)
+	}
+	if !b.Release(3, "a") {
+		t.Fatal("release of the live attempt not recorded")
+	}
+	b.Reopen(7)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = n - 1 - i
+	}
+	b.SetOrder(order)
+	if got := b.Assign("a", 2, t0, nil); len(got) != 2 || got[0] != 7 || got[1] != 3 {
+		t.Fatalf("granted %v after SetOrder(reversed), want [7 3]", got)
+	}
+	// And so does a lease running out.
+	if got := b.Assign("c", 1, t0.Add(2*time.Minute), nil); len(got) != 1 || got[0] != n-1 {
+		t.Fatalf("granted %v after every lease expired, want [%d] (first of the reversed order)", got, n-1)
+	}
+}
+
+// TestBoardRandomSchedulesKeepInvariants drives a 2-worker, 3-task
+// board through seeded random sequences of every transition under a
+// manual clock and checks, after each step, what no interleaving may
+// break. (Exhaustive enumeration of the same model is ROADMAP item 5.)
+func TestBoardRandomSchedulesKeepInvariants(t *testing.T) {
+	const (
+		tasks       = 3
+		lease       = 10 * time.Second
+		maxAttempts = 3
+	)
+	workers := []string{"a", "b"}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := boardAt(t, tasks, lease, Options{Speculative: true, MaxAttempts: maxAttempts})
+		now := time.Unix(0, 0)
+		// The model: which attempts the workers believe they hold, who
+		// holds each task's commit, launches since the task last
+		// (re)opened.
+		held := map[string]map[int]bool{"a": {}, "b": {}}
+		var winner [tasks]string
+		var launched [tasks]int
+		grant := func(w string, got []int, speculative bool) {
+			for _, i := range got {
+				if winner[i] != "" {
+					t.Fatalf("seed %d: done task %d granted to %s", seed, i, w)
+				}
+				launched[i]++
+				if speculative && launched[i] > maxAttempts {
+					t.Fatalf("seed %d: task %d speculated past MaxAttempts (%d launches)", seed, i, launched[i])
+				}
+				held[w][i] = true
+			}
+		}
+		for step := 0; step < 60; step++ {
+			w := workers[rng.Intn(len(workers))]
+			i := rng.Intn(tasks)
+			switch rng.Intn(7) {
+			case 0:
+				grant(w, b.Assign(w, 1+rng.Intn(2), now, nil), false)
+			case 1:
+				grant(w, b.Speculate(w, 1, now), true)
+			case 2:
+				if held[w][i] {
+					delete(held[w], i)
+					if won := b.Complete(i, w); won != (winner[i] == "") {
+						t.Fatalf("seed %d: Complete(%d, %s) = %v with winner %q", seed, i, w, won, winner[i])
+					} else if won {
+						winner[i] = w
+					}
+				}
+			case 3:
+				if held[w][i] {
+					delete(held[w], i)
+					b.Fail(i, w)
+				}
+			case 4:
+				if held[w][i] {
+					delete(held[w], i)
+					b.Release(i, w)
+				}
+			case 5:
+				if winner[i] != "" {
+					b.Reopen(i)
+					winner[i], launched[i] = "", 0
+				}
+			case 6:
+				now = now.Add(lease / 3)
+			}
+			counts, done := b.Counts(), 0
+			for _, win := range winner {
+				if win != "" {
+					done++
+				}
+			}
+			if counts["a"]+counts["b"] != done || b.Done() != (done == tasks) {
+				t.Fatalf("seed %d step %d: counts %v, Done %v, model has %d done", seed, step, counts, b.Done(), done)
+			}
+			for _, w := range workers {
+				want := 0
+				for _, win := range winner {
+					if win == w {
+						want++
+					}
+				}
+				if counts[w] != want {
+					t.Fatalf("seed %d step %d: counts[%s] = %d, model %d", seed, step, w, counts[w], want)
+				}
+			}
+		}
+		// No lost task: once every lease has run out, whatever is not
+		// done is grantable, and completing it finishes the board.
+		now = now.Add(2 * lease)
+		for _, i := range b.Assign("a", tasks, now, nil) {
+			if !b.Complete(i, "a") {
+				t.Fatalf("seed %d: drained task %d was already done", seed, i)
+			}
+		}
+		if !b.Done() {
+			t.Fatalf("seed %d: board not done after draining: a task was lost", seed)
+		}
 	}
 }

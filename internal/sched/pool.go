@@ -2,282 +2,195 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
 
-// Run executes tasks over the worker fleet with work stealing and,
-// when enabled, speculative re-execution and failure re-runs. It
+// Run executes tasks over an in-process worker fleet by driving one
+// Board: every worker slot is a goroutine that pulls an attempt
+// (Assign, then Speculate when nothing is pending), runs it and reports
+// the outcome (Complete or Fail), blocking while nothing is grantable.
+// Attempts, the failure budget, the straggler choice and the winner
+// credit are the board's; Run adds only what an in-process fleet needs
+// on top — the goroutines, the result slice and the commit hook. It
 // returns the per-task results (indexed like tasks) and the run's
 // per-worker stats.
 //
-// Placement: homed tasks are queued on their preferred worker first;
-// the rest are spread proportionally to worker speed hints. Any idle
-// worker steals queued work from the most loaded peer, so placement
-// (and hint error) only affects where work starts, never whether a
-// slow worker serializes the tail.
+// Placement: a worker is granted the tasks homed on it first
+// (LocalityNode), then any pending task, so a faster worker simply asks
+// more often and no worker idles while work is pending.
 //
 // Completion: the first finished attempt of a task wins; its result is
 // committed (and Options.OnCommit invoked) exactly once. Losing
 // duplicate attempts may still be executing when Run returns — they
 // are pure by the Exec contract and their results are discarded.
 //
-// Failure: an attempt that returns an error is parked for retry and
-// picked up by the next worker to go idle other than the one that
-// failed it, until the task's attempt cap (Options.MaxAttempts) is
-// exhausted, at which point Run aborts and returns the last error.
+// Failure: a task whose attempt returns an error is pending again at
+// once, for any worker but the one that just failed it
+// (LocalityExcluded; a one-worker fleet retries its own failures),
+// until Options.MaxAttempts of its attempts have failed, at which point
+// Run aborts and returns the last error. In-process attempts cannot die
+// silently, so leases never expire.
 func Run(workers []Worker, tasks []Task, exec Exec, opts Options) ([]any, *Stats, error) {
 	fleet, err := normalizeWorkers(workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &pool{
-		workers: fleet,
-		tasks:   tasks,
-		exec:    exec,
-		opts:    opts,
-		max:     opts.maxAttempts(),
-		q:       NewQueues(len(fleet)),
-		results: make([]any, len(tasks)),
-		done:    make([]bool, len(tasks)),
-		tries:   make([]int, len(tasks)),
-		live:    make(map[int][]liveAttempt),
-		stats:   make([]WorkerStats, len(fleet)),
+	d := &driver{
+		fleet:    fleet,
+		tasks:    tasks,
+		exec:     exec,
+		opts:     opts,
+		results:  make([]any, len(tasks)),
+		failedOn: make(map[int]int),
+		stats:    make([]WorkerStats, len(fleet)),
 	}
 	for i, w := range fleet {
-		p.stats[i].ID = w.ID
+		d.stats[i].ID = w.ID
 	}
-	p.cond = sync.NewCond(&p.mu)
-	p.distribute()
+	if len(tasks) == 0 {
+		return d.results, &Stats{Workers: d.stats}, nil
+	}
+	for _, t := range tasks {
+		d.homed = d.homed || (t.Home >= 0 && t.Home < len(fleet))
+	}
+	if d.board, err = NewBoard(len(tasks), time.Duration(math.MaxInt64), opts); err != nil {
+		return nil, nil, err
+	}
+	d.cond = sync.NewCond(&d.mu)
 	for w := range fleet {
 		for s := 0; s < fleet[w].Slots; s++ {
-			go p.slot(w)
+			go d.slot(w)
 		}
 	}
-	p.mu.Lock()
-	for p.doneCount < len(tasks) && !p.aborted {
-		p.cond.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.committed < len(tasks) && d.failErr == nil {
+		d.cond.Wait()
 	}
-	results, err := p.results, p.failErr
-	stats := p.snapshot()
-	p.mu.Unlock()
-	if err != nil {
-		return nil, stats, err
+	// Copied under the lock: losing duplicates still draining after Run
+	// returns keep counting into d.stats.
+	stats := &Stats{
+		Workers:  append([]WorkerStats(nil), d.stats...),
+		Tasks:    len(tasks),
+		Attempts: d.board.Attempts(),
 	}
-	return results, stats, nil
+	counts := d.board.Counts()
+	for i := range stats.Workers {
+		stats.Workers[i].Committed = counts[stats.Workers[i].ID]
+	}
+	if d.failErr != nil {
+		return nil, stats, d.failErr
+	}
+	return d.results, stats, nil
 }
 
-// liveAttempt is one in-flight execution.
-type liveAttempt struct {
-	worker int
-	start  time.Time
-}
-
-// retryTask is a failed task awaiting re-run on a worker other than
-// the one that just failed it (so a broken worker cannot steal its own
-// failure back and burn the task's whole attempt budget).
-type retryTask struct {
-	task     int
-	excluded int
-}
-
-type pool struct {
-	workers []Worker
-	tasks   []Task
-	exec    Exec
-	opts    Options
-	max     int
-	q       *Queues
+// driver is one Run: the fleet's slot goroutines around a Board.
+type driver struct {
+	fleet []Worker
+	tasks []Task
+	exec  Exec
+	opts  Options
+	board *Board
+	homed bool // some task names a home worker
+	// results[t] is written by the one attempt that wins Complete(t) and
+	// read by Run after it has seen that attempt's committed++.
+	results []any
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	results   []any
-	done      []bool
-	doneCount int
-	tries     []int // attempts launched per task
-	live      map[int][]liveAttempt
-	retry     []retryTask
-	failErr   error
-	aborted   bool
-	stats     []WorkerStats
-	attempts  int
+	committed int // tasks whose winning attempt has run OnCommit
+	// failedOn maps a task to the worker whose attempt of it failed last
+	// — the source of that worker's LocalityExcluded grade.
+	failedOn map[int]int
+	failErr  error
+	stats    []WorkerStats
 }
 
-// distribute seeds the queues: homed tasks go to their preferred
-// worker, the rest are spread proportionally to speed hints (each task
-// goes to the worker whose weighted load is lowest).
-func (p *pool) distribute() {
-	load := make([]float64, len(p.workers))
-	for i, t := range p.tasks {
-		if t.Home >= 0 && t.Home < len(p.workers) {
-			p.q.Push(t.Home, i)
-			load[t.Home] += 1 / p.workers[t.Home].Speed
-			continue
-		}
-		best := 0
-		for w := range p.workers {
-			if (load[w]+1)/p.workers[w].Speed < (load[best]+1)/p.workers[best].Speed {
-				best = w
-			}
-		}
-		p.q.Push(best, i)
-		load[best] += 1 / p.workers[best].Speed
-	}
-}
-
-// slot is one worker execution slot: pull a task (own queue, then
-// steal, then speculate), run it, commit or retry, repeat.
-func (p *pool) slot(w int) {
+// slot is one worker execution slot: pull an attempt, run it, report
+// the outcome, repeat.
+func (d *driver) slot(w int) {
 	for {
-		t, ok := p.next(w)
+		t, ok := d.next(w)
 		if !ok {
 			return
 		}
-		start := time.Now()
-		res, err := p.exec(w, t)
-		p.finish(w, t, res, err, time.Since(start))
+		res, err := d.exec(w, t)
+		if err != nil {
+			d.fail(w, t, err)
+			continue
+		}
+		if !d.board.Complete(t, d.fleet[w].ID) {
+			continue // a duplicate lost the race; its result is discarded
+		}
+		if !d.opts.DiscardResults {
+			d.results[t] = res
+		}
+		if d.opts.OnCommit != nil {
+			d.opts.OnCommit(t, res)
+		}
+		d.mu.Lock()
+		d.committed++
+		d.cond.Broadcast()
+		d.mu.Unlock()
 	}
 }
 
-// next blocks until worker w has an attempt to run or the pool is
-// finished/aborted.
-func (p *pool) next(w int) (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// next blocks until the board grants worker w an attempt, or the run is
+// finished or aborted.
+func (d *driver) next(w int) (int, bool) {
+	id := d.fleet[w].ID
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for {
-		if p.aborted || p.doneCount == len(p.tasks) {
+		if d.failErr != nil || d.board.Done() {
 			return 0, false
 		}
-		if t, ok := p.q.Pop(w); ok {
-			p.launch(w, t)
-			return t, true
+		now := time.Now()
+		if g := d.board.Assign(id, 1, now, d.grade(w)); len(g) == 1 {
+			d.stats[w].Attempts++
+			return g[0], true
 		}
-		if t, _, ok := p.q.Steal(w); ok {
-			p.stats[w].Stolen++
-			p.launch(w, t)
-			return t, true
+		if g := d.board.Speculate(id, 1, now); len(g) == 1 {
+			d.stats[w].Attempts++
+			d.stats[w].Speculated++
+			return g[0], true
 		}
-		if t, ok := p.takeRetry(w); ok {
-			p.launch(w, t)
-			return t, true
-		}
-		if p.opts.Speculative {
-			if t, ok := p.straggler(w); ok {
-				p.stats[w].Speculated++
-				p.launch(w, t)
-				return t, true
-			}
-		}
-		p.cond.Wait()
+		d.cond.Wait()
 	}
 }
 
-// launch records an attempt start. Callers hold p.mu.
-func (p *pool) launch(w, t int) {
-	p.tries[t]++
-	p.attempts++
-	p.stats[w].Attempts++
-	p.live[t] = append(p.live[t], liveAttempt{worker: w, start: time.Now()})
-}
-
-// takeRetry hands worker w the first failed task it is allowed to
-// re-run (single-worker fleets may retry their own failures, or
-// nothing would). Callers hold p.mu.
-func (p *pool) takeRetry(w int) (int, bool) {
-	for i, r := range p.retry {
-		if r.excluded == w && len(p.workers) > 1 {
-			continue
+// grade is worker w's view of the pending tasks for one Assign: its own
+// failures excluded, its homed tasks first. With no homed task and no
+// failure there is nothing to tell apart, and nil lets Assign grant the
+// first pending task without grading the rest. Callers hold d.mu.
+func (d *driver) grade(w int) func(t int) Locality {
+	if !d.homed && len(d.failedOn) == 0 {
+		return nil
+	}
+	return func(t int) Locality {
+		if f, ok := d.failedOn[t]; ok && f == w {
+			return LocalityExcluded
 		}
-		p.retry = append(p.retry[:i], p.retry[i+1:]...)
-		return r.task, true
-	}
-	return 0, false
-}
-
-// straggler picks the in-flight task that has been running longest and
-// is eligible for a speculative duplicate on worker w: not done, not
-// already duplicated, not running on w itself, attempt budget left.
-// Callers hold p.mu.
-func (p *pool) straggler(w int) (int, bool) {
-	best, ok := 0, false
-	var bestStart time.Time
-	for t, attempts := range p.live {
-		if p.done[t] || len(attempts) != 1 || attempts[0].worker == w || p.tries[t] >= p.max {
-			continue
+		if d.tasks[t].Home == w {
+			return LocalityNode
 		}
-		if !ok || attempts[0].start.Before(bestStart) ||
-			(attempts[0].start.Equal(bestStart) && t < best) {
-			best, bestStart, ok = t, attempts[0].start, true
-		}
-	}
-	return best, ok
-}
-
-// finish records an attempt's outcome: commit on first success,
-// re-queue or abort on failure.
-func (p *pool) finish(w, t int, res any, err error, busy time.Duration) {
-	p.mu.Lock()
-	p.stats[w].Busy += busy
-	p.dropLive(t, w)
-	if err != nil {
-		p.stats[w].Failed++
-		if !p.done[t] && len(p.live[t]) == 0 {
-			if p.tries[t] >= p.max {
-				if p.failErr == nil {
-					p.failErr = fmt.Errorf("sched: task %d failed after %d attempts: %w", t, p.tries[t], err)
-				}
-				p.aborted = true
-			} else {
-				p.retry = append(p.retry, retryTask{task: t, excluded: w})
-			}
-		}
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		return
-	}
-	if p.done[t] {
-		// A duplicate lost the race; its result is discarded.
-		p.mu.Unlock()
-		return
-	}
-	p.done[t] = true
-	if !p.opts.DiscardResults {
-		p.results[t] = res
-	}
-	p.stats[w].Committed++
-	p.mu.Unlock()
-	if p.opts.OnCommit != nil {
-		p.opts.OnCommit(t, res)
-	}
-	p.mu.Lock()
-	p.doneCount++
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// dropLive removes one in-flight record of worker w for task t.
-// Callers hold p.mu.
-func (p *pool) dropLive(t, w int) {
-	attempts := p.live[t]
-	for i, a := range attempts {
-		if a.worker == w {
-			p.live[t] = append(attempts[:i], attempts[i+1:]...)
-			break
-		}
-	}
-	if len(p.live[t]) == 0 {
-		delete(p.live, t)
+		return LocalityRemote
 	}
 }
 
-// snapshot copies the stats so callers can read them after Run returns
-// while losing duplicate attempts are still draining. Callers hold
-// p.mu.
-func (p *pool) snapshot() *Stats {
-	s := &Stats{
-		Workers:  append([]WorkerStats(nil), p.stats...),
-		Tasks:    len(p.tasks),
-		Attempts: p.attempts,
+// fail reports worker w's failed attempt of task t; the run aborts when
+// the board declares the task's failure budget spent.
+func (d *driver) fail(w, t int, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.stats[w].Failed++
+	if _, exhausted := d.board.Fail(t, d.fleet[w].ID); exhausted && d.failErr == nil {
+		d.failErr = fmt.Errorf("sched: task %d failed after %d attempts: %w", t, d.opts.maxAttempts(), err)
 	}
-	return s
+	if len(d.fleet) > 1 {
+		d.failedOn[t] = w
+	}
+	d.cond.Broadcast()
 }

@@ -1,21 +1,24 @@
 // Package sched is the heterogeneity-aware dynamic scheduler shared by
-// the functional runtimes: a work-stealing task pool for the
-// in-process live cluster (internal/core) and a lease-based task board
-// for the pull-style distributed JobTracker (internal/netmr). The
-// paper's central claim — that a cluster mixing devices of very
-// different speeds only pays off when the runtime load-balances across
-// them — needs three mechanisms beyond static task splits, and this
-// package provides all of them behind one option set:
+// the functional runtimes. It is Hadoop's shape: one task table that
+// workers pull from. Board is that table — the only attempt state
+// machine — and it has two drivers: the netmr JobTracker, whose
+// trackers pull over heartbeats, and Run, whose in-process worker slots
+// (internal/core's live cluster) pull in a loop. FairShare orders
+// tenants at a master serving many boards. The paper's central claim —
+// that a cluster mixing devices of very different speeds only pays off
+// when the runtime load-balances across them — rests on three board
+// mechanisms:
 //
-//   - work stealing: tasks start on their preferred (data-local)
-//     worker, but any idle worker takes over queued work from the most
-//     loaded peer, so a slow device never serializes the job tail;
-//   - speculative execution: when idle capacity appears and no queued
-//     work remains, the slowest in-flight task is duplicated and the
+//   - pull grants, node-local first: a worker is handed the tasks whose
+//     data it holds, then rack-local ones, then any pending task, so a
+//     faster device simply asks more often and a slow one never
+//     serializes the job tail;
+//   - speculative execution: when idle capacity appears and nothing is
+//     pending, the longest-running in-flight task is duplicated and the
 //     first finished attempt wins (Hadoop's straggler defence);
-//   - failure re-run: attempts that fail (an exec error in the pool, a
-//     silent lease expiry on the board) are re-issued on another
-//     worker, bounded by MaxAttempts in the pool.
+//   - failure re-run: a task whose attempt reports an error, or whose
+//     lease expires silently, is pending again for another worker;
+//     MaxAttempts reported failures fail it for good.
 //
 // Task results must be deterministic functions of the task alone — the
 // same bytes regardless of which worker runs an attempt — which is
@@ -23,66 +26,59 @@
 // bit-identical with speculation on or off.
 package sched
 
-import (
-	"fmt"
-	"time"
-
-	"hetmr/internal/metrics"
-)
+import "fmt"
 
 // DefaultMaxAttempts is the per-task attempt cap (first launch plus
 // failure re-runs plus speculative duplicates) when Options.MaxAttempts
 // is zero. It matches Hadoop's mapred.map.max.attempts default.
 const DefaultMaxAttempts = 4
 
-// Worker describes one execution site of a pool.
+// Worker describes one execution site of a Run.
 type Worker struct {
-	// ID labels the worker in stats (e.g. the live node name).
+	// ID names the worker at the board and in stats (e.g. the live node
+	// name); IDs must be distinct. "" means "worker000", "worker001", …
+	// by fleet index.
 	ID string
-	// Speed is the worker's relative throughput hint: a worker with
-	// Speed 2 is expected to finish tasks twice as fast as one with
-	// Speed 1. The initial distribution of un-homed tasks is
-	// proportional to it (stealing corrects any hint error at run
-	// time). 0 means 1.
-	Speed float64
 	// Slots is how many tasks the worker runs concurrently (the
 	// paper's map slots per node). 0 means 1.
 	Slots int
 }
 
-// Task describes one unit of work for a pool run.
+// Task describes one unit of work for a Run.
 type Task struct {
-	// Home is the preferred worker index (data locality): the task is
-	// queued there first, though idle workers may steal it. -1 (or any
+	// Home is the preferred worker index (data locality): that worker
+	// is granted the task ahead of un-homed ones, and any other worker
+	// takes it once it has no homed task of its own pending. -1 (or any
 	// out-of-range value) means no preference.
 	Home int
 }
 
 // Exec runs one attempt of task t on worker w and returns the task's
 // result. It must be a pure function of the task: attempts of the same
-// task may run concurrently on different workers and the pool commits
+// task may run concurrently on different workers and Run commits
 // whichever finishes first.
 type Exec func(w, t int) (any, error)
 
-// Options configures a pool run or a board.
+// Options configures a Board, and the Run driving one.
 type Options struct {
 	// Speculative enables duplicate execution of the slowest in-flight
 	// task when a worker goes idle; the first finished attempt wins.
 	Speculative bool
 	// MaxAttempts caps attempts per task (0: DefaultMaxAttempts). The
-	// pool aborts the run when a task fails this many times; the board
-	// uses it to bound speculative duplicates and to declare a task
-	// exhausted once MaxAttempts of its attempts have reported errors
-	// with none still running (lease re-issue after silent worker
-	// death never spends the failure budget, or jobs could wedge).
+	// board uses it to bound speculative duplicates and to declare a
+	// task exhausted once MaxAttempts of its attempts have reported
+	// errors with none still running (lease re-issue after silent
+	// worker death never spends the failure budget, or jobs could
+	// wedge); Run aborts on an exhausted task, the JobTracker fails the
+	// job.
 	MaxAttempts int
-	// OnCommit, when set, is called exactly once per task with the
-	// winning attempt's result, concurrently across tasks, before Run
-	// returns. Use it to fold results into shared structures (e.g. the
+	// OnCommit, when set, is called by Run exactly once per task with
+	// the winning attempt's result, concurrently across tasks, before
+	// Run returns. Use it to fold results into shared structures (e.g. the
 	// live runner's shuffle) without double-insertion under
 	// speculation.
 	OnCommit func(t int, result any)
-	// DiscardResults makes the pool drop each committed result after
+	// DiscardResults makes Run drop each committed result after
 	// OnCommit has consumed it, so Run's results slice never retains
 	// every task's payload — the bounded-memory contract for jobs
 	// whose commit hook persists the result itself (e.g. sorted runs
@@ -107,33 +103,21 @@ func (o Options) maxAttempts() int {
 	return DefaultMaxAttempts
 }
 
-// WorkerStats is one worker's view of a finished pool run.
+// WorkerStats is one worker's view of a finished Run.
 type WorkerStats struct {
 	ID string
-	// Committed counts tasks whose winning attempt ran here.
+	// Committed counts tasks whose winning attempt ran here (the
+	// board's winner credit).
 	Committed int
 	// Attempts counts every attempt launched here.
 	Attempts int
-	// Stolen counts attempts taken from another worker's queue.
-	Stolen int
 	// Speculated counts speculative duplicate attempts launched here.
 	Speculated int
 	// Failed counts attempts that returned an error.
 	Failed int
-	// Busy is the total wall time this worker spent executing.
-	Busy time.Duration
 }
 
-// Throughput is the worker's committed-tasks-per-second rate over its
-// busy time (0 when it never ran).
-func (w WorkerStats) Throughput() float64 {
-	if w.Busy <= 0 {
-		return 0
-	}
-	return float64(w.Committed) / w.Busy.Seconds()
-}
-
-// Stats summarizes one pool run.
+// Stats summarizes one Run.
 type Stats struct {
 	// Workers holds per-worker counters, indexed like the input fleet.
 	Workers []WorkerStats
@@ -153,38 +137,14 @@ func (s *Stats) Counts() map[string]int {
 	return out
 }
 
-// Figure renders the run as a metrics figure: one point per worker,
-// with committed tasks and launched attempts as separate series — the
-// same shape the experiment harness prints for the paper's figures.
-func (s *Stats) Figure(id, title string) *metrics.Figure {
-	fig := &metrics.Figure{
-		ID:     id,
-		Title:  title,
-		XLabel: "worker",
-		YLabel: "tasks",
-		Series: []metrics.Series{{Label: "committed"}, {Label: "attempts"}},
-	}
-	for i, w := range s.Workers {
-		x := float64(i)
-		fig.Series[0].Points = append(fig.Series[0].Points, metrics.Point{X: x, Y: float64(w.Committed)})
-		fig.Series[1].Points = append(fig.Series[1].Points, metrics.Point{X: x, Y: float64(w.Attempts)})
-	}
-	return fig
-}
-
 // normalizeWorkers validates a fleet and resolves zero fields.
 func normalizeWorkers(workers []Worker) ([]Worker, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("sched: need at least one worker")
 	}
 	out := make([]Worker, len(workers))
+	seen := make(map[string]bool, len(workers))
 	for i, w := range workers {
-		if w.Speed < 0 {
-			return nil, fmt.Errorf("sched: worker %d has negative speed %g", i, w.Speed)
-		}
-		if w.Speed == 0 {
-			w.Speed = 1
-		}
 		if w.Slots < 0 {
 			return nil, fmt.Errorf("sched: worker %d has negative slots %d", i, w.Slots)
 		}
@@ -194,6 +154,10 @@ func normalizeWorkers(workers []Worker) ([]Worker, error) {
 		if w.ID == "" {
 			w.ID = fmt.Sprintf("worker%03d", i)
 		}
+		if seen[w.ID] {
+			return nil, fmt.Errorf("sched: worker %d repeats ID %q; the board tells workers apart by ID", i, w.ID)
+		}
+		seen[w.ID] = true
 		out[i] = w
 	}
 	return out, nil

@@ -10,9 +10,9 @@ import (
 // 4-worker fleet whose first worker is 10x slower (the paper's
 // PPE-only node next to Cell blades) running 32 equal tasks. Static
 // assignment splits tasks evenly up front, so the slow worker's share
-// bounds the makespan; the work-stealing pool lets fast workers drain
-// the slow worker's queue, and speculation additionally rescues its
-// in-flight task.
+// bounds the makespan; under pull grants the fast workers take what
+// the slow one never asks for, and speculation additionally rescues
+// its in-flight task.
 
 const (
 	benchTasks    = 32
@@ -58,23 +58,8 @@ func BenchmarkSkewedWorkersSpeculative(b *testing.B) {
 	benchPool(b, Options{Speculative: true})
 }
 
-// BenchmarkSkewedWorkersSpeedHints is the full heterogeneity-aware
-// configuration: the fleet declares the 10x speed skew up front (the
-// engine's per-worker speed hints), so the slow worker is seeded with
-// a proportional share instead of an equal one, and stealing plus
-// speculation only have to correct the residue.
-func BenchmarkSkewedWorkersSpeedHints(b *testing.B) {
-	workers := fleet(4)
-	workers[0].Speed = 0.1
-	benchPoolWith(b, workers, Options{Speculative: true})
-}
-
 func benchPool(b *testing.B, opts Options) {
-	benchPoolWith(b, fleet(4), opts)
-}
-
-func benchPoolWith(b *testing.B, workers []Worker, opts Options) {
-	tasks := unhomed(benchTasks)
+	workers, tasks := fleet(4), unhomed(benchTasks)
 	exec := func(w, t int) (any, error) {
 		time.Sleep(benchCost(w))
 		return nil, nil
