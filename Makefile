@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-e2e-smoke bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick fmt vet lint hetlint loc race docs ci
+.PHONY: build test bench bench-e2e-smoke bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick figures-golden fmt vet lint hetlint loc race docs ci
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,13 @@ terasort-scale:
 
 repro-quick:
 	$(GO) run ./cmd/repro -quick
+
+# figures-golden rewrites the committed figure goldens
+# (internal/experiments/testdata/fig{4,5,7,8}.tsv) from the current
+# model — run it, and commit the diff, only when a PR means to move the
+# calibration; TestFiguresGolden fails on any other drift.
+figures-golden:
+	$(GO) test ./internal/experiments -run TestFiguresGolden -update
 
 fmt:
 	@out="$$(gofmt -l .)"; \

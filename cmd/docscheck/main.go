@@ -22,6 +22,8 @@ import (
 var corePackages = []string{
 	"internal/engine",
 	"internal/sched",
+	"internal/hadoop",
+	"internal/workload",
 	"internal/netmr",
 	"internal/spill",
 	"internal/flow",

@@ -38,7 +38,7 @@ func main() {
 	maps := flag.Int("maps", 0, "map task count (pi; default 2 per node)")
 	accelFraction := flag.Float64("accel-fraction", 1.0, "fraction of nodes with accelerators")
 	speculative := flag.Bool("speculative", false, "enable speculative execution (sim, live and net)")
-	maxAttempts := flag.Int("max-attempts", 0, "per-task attempt cap, 0 = scheduler default (live and net)")
+	maxAttempts := flag.Int("max-attempts", 0, "per-task attempt cap, 0 = scheduler default (sim, live and net)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline, 0 = engine default (net)")
 	timeline := flag.Bool("timeline", false, "print a task-attempt Gantt chart (sim)")
 	input := flag.String("input", "", "stream this file from disk through Job.Source instead of a synthetic dataset (data workloads)")

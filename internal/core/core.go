@@ -11,9 +11,8 @@
 //     model. It is what the examples and correctness tests use.
 //   - The simulated runner (internal/hadoop on internal/sim) replays
 //     the same architecture against the calibrated performance model
-//     at the paper's 66-blade scale; package core provides the bridge
-//     that turns stored HDFS files into hadoop splits with locality
-//     metadata.
+//     at the paper's 66-blade scale. Package core knows nothing of it;
+//     internal/workload builds its splits from the same DFS layouts.
 package core
 
 import (
@@ -22,9 +21,7 @@ import (
 	"time"
 
 	"hetmr/internal/cellbe"
-	"hetmr/internal/hadoop"
 	"hetmr/internal/hdfs"
-	"hetmr/internal/kernels"
 	"hetmr/internal/perfmodel"
 	"hetmr/internal/sched"
 	"hetmr/internal/spill"
@@ -250,117 +247,3 @@ func (c *LiveCluster) nodeByName(name string) (*LiveNode, bool) {
 
 // ErrNoInput is returned when a job's input file does not exist.
 var ErrNoInput = errors.New("core: job input file not found")
-
-// SplitsFromFile converts a stored file's block layout into hadoop
-// splits for the simulated runner: numSplits splits of consecutive
-// records of recordBytes each, with record hosts and per-split
-// preferred hosts taken from the DFS block locations — exactly the
-// paper's partitioning ("an split size of FileSize/NumMappers and a
-// record size of 64MB", Fig. 3).
-func SplitsFromFile(nn *hdfs.NameNode, name string, numSplits int, recordBytes int64) ([]hadoop.Split, error) {
-	if numSplits <= 0 {
-		return nil, fmt.Errorf("core: numSplits must be positive, got %d", numSplits)
-	}
-	if recordBytes <= 0 {
-		return nil, fmt.Errorf("core: recordBytes must be positive, got %d", recordBytes)
-	}
-	locs, err := nn.Locations(name)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoInput, err)
-	}
-	size, err := nn.FileSize(name)
-	if err != nil {
-		return nil, err
-	}
-	if size == 0 {
-		return nil, fmt.Errorf("core: input file %q is empty", name)
-	}
-	// hostAt returns the replica hosts of the block containing offset.
-	hostAt := func(off int64) []string {
-		for _, l := range locs {
-			if off >= l.Offset && off < l.Offset+l.Size {
-				return l.Hosts
-			}
-		}
-		return nil
-	}
-	splitBytes := (size + int64(numSplits) - 1) / int64(numSplits)
-	var splits []hadoop.Split
-	for i := 0; i < numSplits; i++ {
-		start := int64(i) * splitBytes
-		end := start + splitBytes
-		if end > size {
-			end = size
-		}
-		if start >= end {
-			break
-		}
-		var records []hadoop.Record
-		hostVotes := make(map[string]int)
-		for off := start; off < end; off += recordBytes {
-			n := recordBytes
-			if off+n > end {
-				n = end - off
-			}
-			hosts := hostAt(off)
-			records = append(records, hadoop.Record{Bytes: n, Hosts: hosts})
-			for _, h := range hosts {
-				hostVotes[h]++
-			}
-		}
-		splits = append(splits, hadoop.Split{
-			Index:          i,
-			Records:        records,
-			PreferredHosts: topHosts(hostVotes, 2),
-		})
-	}
-	// Re-index after possible truncation.
-	for i := range splits {
-		splits[i].Index = i
-	}
-	return splits, nil
-}
-
-// topHosts returns the up-to-k most frequent hosts, ties broken by
-// name for determinism.
-func topHosts(votes map[string]int, k int) []string {
-	type hv struct {
-		host string
-		n    int
-	}
-	var all []hv
-	for h, n := range votes {
-		all = append(all, hv{h, n})
-	}
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if all[j].n > all[i].n || (all[j].n == all[i].n && all[j].host < all[i].host) {
-				all[i], all[j] = all[j], all[i]
-			}
-		}
-	}
-	if len(all) > k {
-		all = all[:k]
-	}
-	var out []string
-	for _, e := range all {
-		out = append(out, e.host)
-	}
-	return out
-}
-
-// PiSplits builds the CPU-intensive job's splits: totalSamples spread
-// over numMaps map tasks (the Hadoop PiEstimator layout the paper
-// ported). The per-task sample counts come from the canonical
-// decomposition (kernels.SplitSamples) so simulated task sizing always
-// matches what the functional runners execute.
-func PiSplits(totalSamples int64, numMaps int) ([]hadoop.Split, error) {
-	if totalSamples <= 0 || numMaps <= 0 {
-		return nil, fmt.Errorf("core: need positive samples (%d) and maps (%d)", totalSamples, numMaps)
-	}
-	splits := make([]hadoop.Split, numMaps)
-	for i, task := range kernels.SplitSamples(totalSamples, numMaps, 0) {
-		splits[i] = hadoop.Split{Index: i, Samples: task.Samples}
-	}
-	return splits, nil
-}

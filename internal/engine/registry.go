@@ -67,11 +67,12 @@ type Config struct {
 	// longest-running in-flight task and the first finished attempt
 	// wins. Job results are bit-identical with it on or off.
 	Speculative bool
-	// MaxAttempts is the per-task attempt cap of the live and net
-	// backends' task board (sched.Options.MaxAttempts): a task whose
-	// attempts report that many errors fails the job, and a task
-	// launched that many times is not duplicated speculatively. 0
-	// selects the scheduler default.
+	// MaxAttempts is the per-task attempt cap of the live, net and
+	// simulated backends' task board (sched.Options.MaxAttempts): a
+	// task whose attempts report that many errors fails the job, and a
+	// task launched that many times is not duplicated speculatively
+	// (the only half that applies on sim, whose modelled attempts never
+	// report errors). 0 selects the scheduler default.
 	MaxAttempts int
 	// FaultDelays injects a fixed artificial delay into every task a
 	// worker executes (len must be 0 or Workers), on the live and net

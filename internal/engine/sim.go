@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hetmr/internal/cluster"
-	"hetmr/internal/core"
 	"hetmr/internal/experiments"
 	"hetmr/internal/hadoop"
 	"hetmr/internal/hdfs"
@@ -32,7 +31,6 @@ func init() {
 	// across every backend, and the model's own calibrated defaults
 	// (perfmodel) stand in for what the knob would tune.
 	//hetlint:configdrop-ok sim Config.Reducers the model's reduce phase uses calibrated ReduceSlots; Reducers shapes real shuffle output on functional backends
-	//hetlint:configdrop-ok sim Config.MaxAttempts the simulated JobTracker re-runs lost tasks per its TrackerExpiry/speculation model
 	//hetlint:configdrop-ok sim Config.FaultDelays fault injection on the model goes through KillNode-style hooks, not live-cluster task delays
 	//hetlint:configdrop-ok sim Config.JobTimeout simulated virtual time completes in wall-milliseconds; there is no remote wait to bound
 	//hetlint:configdrop-ok sim Config.SpillMemBytes the timing model has no real data plane to spill
@@ -187,7 +185,7 @@ func (r *simRunner) mapperFor(kind Kind) (func(*cluster.Node) hadoop.Mapper, err
 func (r *simRunner) buildSplits(job *Job, data []byte) func(nn *hdfs.NameNode, nodes []string) ([]hadoop.Split, error) {
 	return func(nn *hdfs.NameNode, nodes []string) ([]hadoop.Split, error) {
 		if job.Kind == Pi {
-			return core.PiSplits(job.Samples, normalizeTasks(job.Tasks, r.cfg.Workers))
+			return workload.PiSplits(job.Samples, normalizeTasks(job.Tasks, r.cfg.Workers))
 		}
 		if len(data) == 0 {
 			// Modelled-size dataset: the paper's Fig. 3 layout, one
@@ -207,7 +205,7 @@ func (r *simRunner) buildSplits(job *Job, data []byte) func(nn *hdfs.NameNode, n
 		if blocks := (int64(len(data)) + r.cfg.BlockSize - 1) / r.cfg.BlockSize; int64(numSplits) > blocks {
 			numSplits = int(blocks)
 		}
-		return core.SplitsFromFile(nn, name, numSplits, r.cfg.BlockSize)
+		return workload.SplitsFromFile(nn, name, numSplits, r.cfg.BlockSize)
 	}
 }
 
@@ -254,6 +252,7 @@ func (r *simRunner) Run(job *Job) (*Result, error) {
 	cfg := hadoop.DefaultConfig()
 	cfg.MapSlots = r.cfg.MappersPerNode
 	cfg.Speculative = r.cfg.Speculative
+	cfg.MaxAttempts = r.cfg.MaxAttempts
 	run, err := experiments.RunDistributed(r.cfg.Workers, cfg, r.buildSplits(job, data), mapperFor,
 		cluster.WithAcceleratedFraction(r.cfg.AccelFraction))
 	if err != nil {

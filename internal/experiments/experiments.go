@@ -12,7 +12,6 @@ import (
 	"hetmr/internal/cellbe"
 	"hetmr/internal/cellmr"
 	"hetmr/internal/cluster"
-	"hetmr/internal/core"
 	"hetmr/internal/hadoop"
 	"hetmr/internal/hdfs"
 	"hetmr/internal/metrics"
@@ -284,7 +283,7 @@ func Fig5FixedEncryption(nodeCounts []int) (metrics.Figure, error) {
 // piSplitBuilder builds the PiEstimator split layout: 2 maps per node.
 func piSplitBuilder(total int64, nWorkers int) func(*hdfs.NameNode, []string) ([]hadoop.Split, error) {
 	return func(*hdfs.NameNode, []string) ([]hadoop.Split, error) {
-		return core.PiSplits(total, nWorkers*perfmodel.MapSlotsPerNode)
+		return workload.PiSplits(total, nWorkers*perfmodel.MapSlotsPerNode)
 	}
 }
 

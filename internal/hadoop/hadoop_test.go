@@ -255,7 +255,6 @@ func TestTrackerFailureReexecution(t *testing.T) {
 func TestSpeculativeExecution(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Speculative = true
-	cfg.SpeculativeSlowdown = 1.5
 	// One straggler node: make node000's mapper 10x slower by keying
 	// compute time off the node name.
 	slow := FixedMapper{Label: "slow", PerSample: 10 * sim.Microsecond}

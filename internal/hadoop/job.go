@@ -8,6 +8,12 @@
 // node with a fixed number of map slots, a RecordReader that pulls
 // records from the (co-located or remote) DataNode, and per-task
 // launch costs.
+//
+// The package models timing, not scheduling: which task a heartbeat is
+// granted, which straggler is duplicated, who wins and what becomes
+// pending again when a tracker is lost are decided by two sched.Boards
+// per job (maps, reduces) — the task table the live and net runtimes
+// run — driven here with the virtual clock.
 package hadoop
 
 import (
@@ -15,6 +21,7 @@ import (
 
 	"hetmr/internal/cluster"
 	"hetmr/internal/perfmodel"
+	"hetmr/internal/sched"
 	"hetmr/internal/sim"
 )
 
@@ -178,26 +185,26 @@ type Config struct {
 	// heartbeats before declaring a TaskTracker lost and re-running
 	// its tasks.
 	TrackerExpiry sim.Time
-	// Speculative enables speculative execution of straggler tasks.
-	Speculative bool
-	// SpeculativeSlowdown is the multiple of the average completed
-	// task time after which a running task is considered a straggler.
-	SpeculativeSlowdown float64
+	// Options configures every job's map and reduce Board, exactly as it
+	// does on the live and net runtimes: Speculative duplicates the
+	// longest-running single-attempt task once no pending work is left,
+	// MaxAttempts caps a task's launches for that purpose. The Run-only
+	// hooks (OnCommit, DiscardResults) and Affinity have no meaning
+	// here.
+	sched.Options
 }
 
 // DefaultConfig returns the paper-calibrated configuration.
 func DefaultConfig() Config {
 	return Config{
-		HeartbeatInterval:   sim.Seconds(perfmodel.HeartbeatSeconds),
-		HeartbeatProcess:    sim.Seconds(perfmodel.HeartbeatProcessSeconds),
-		MapSlots:            perfmodel.MapSlotsPerNode,
-		ReduceSlots:         perfmodel.MapSlotsPerNode,
-		TaskLaunch:          sim.Seconds(perfmodel.TaskLaunchSeconds),
-		TaskHousekeeping:    sim.Seconds(perfmodel.TaskHousekeepingSeconds),
-		JobSetup:            sim.Seconds(perfmodel.JobSetupSeconds),
-		JobCleanup:          sim.Seconds(perfmodel.JobCleanupSeconds),
-		TrackerExpiry:       60 * sim.Second,
-		Speculative:         false,
-		SpeculativeSlowdown: 2.0,
+		HeartbeatInterval: sim.Seconds(perfmodel.HeartbeatSeconds),
+		HeartbeatProcess:  sim.Seconds(perfmodel.HeartbeatProcessSeconds),
+		MapSlots:          perfmodel.MapSlotsPerNode,
+		ReduceSlots:       perfmodel.MapSlotsPerNode,
+		TaskLaunch:        sim.Seconds(perfmodel.TaskLaunchSeconds),
+		TaskHousekeeping:  sim.Seconds(perfmodel.TaskHousekeepingSeconds),
+		JobSetup:          sim.Seconds(perfmodel.JobSetupSeconds),
+		JobCleanup:        sim.Seconds(perfmodel.JobCleanupSeconds),
+		TrackerExpiry:     60 * sim.Second,
 	}
 }

@@ -2,32 +2,30 @@ package hadoop
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"hetmr/internal/cluster"
 	"hetmr/internal/perfmodel"
+	"hetmr/internal/sched"
 	"hetmr/internal/sim"
 )
 
 // TaskAttempt is one attempt at running a task (re-executions after
-// tracker failure and speculative duplicates are separate attempts).
-// Map attempts carry a Split; reduce attempts carry ReduceIndex >= 0.
+// tracker failure and speculative duplicates are separate attempts) —
+// the launch order a heartbeat reply carries, at most one per heartbeat
+// as in Hadoop 0.19; a nil reply grants nothing. Map attempts carry a
+// Split; reduce attempts carry ReduceIndex >= 0.
 type TaskAttempt struct {
 	job         *jobState
 	Split       *Split
 	ReduceIndex int // -1 for map attempts
 	Attempt     int
 	Tracker     string
-	Started     sim.Time
 }
 
 // IsReduce reports whether this is a reduce-task attempt.
 func (a *TaskAttempt) IsReduce() bool { return a.ReduceIndex >= 0 }
-
-// Assignment is the JobTracker's heartbeat response: at most one new
-// task (0.19 assigned a single task per heartbeat).
-type Assignment struct {
-	Attempt *TaskAttempt
-}
 
 type taskReport struct {
 	attempt *TaskAttempt
@@ -48,76 +46,97 @@ type jtMsg struct {
 	freeSlots       int
 	freeReduceSlots int
 	completed       []taskReport
-	reply           *sim.Mailbox[Assignment]
+	reply           *sim.Mailbox[*TaskAttempt]
 	job             *jobState
 }
 
+// jobState is one submitted job at the JobTracker. Which tasks are
+// pending, in flight or done, who won each and how many attempts were
+// launched is held by the two Boards and nowhere else — the same tables,
+// driven the same way, as a netmr job's mapBoard and redBoard.
 type jobState struct {
-	job      *Job
-	handle   *JobHandle
-	result   *JobResult
-	pending  []int
-	running  map[int][]*TaskAttempt
-	done     map[int]bool
-	finished bool
+	job    *Job
+	handle *JobHandle
+	result *JobResult
 
-	// Reduce phase state: reduces launch once every map is done.
-	pendingReduces []int
-	runningReduces map[int][]*TaskAttempt
-	doneReduces    map[int]bool
-	doneReduceN    int
-	mapOutputBytes int64
-
-	doneTasks     int
-	totalTaskTime sim.Time
-	attempts      int
+	maps    *sched.Board
+	reduces *sched.Board // nil for a map-only job; grants once maps is Done
+	// Per-task launch counts: an attempt's number stays unique even when
+	// an earlier attempt died with its node and never reported.
+	mapLaunches, reduceLaunches []int
+	mapOutputBytes              int64 // shuffle volume the reducers share
 }
 
-// mapsDone reports whether the map phase has completed.
-func (js *jobState) mapsDone() bool { return js.doneTasks >= len(js.job.Splits) }
-
-type trackerInfo struct {
-	tt     *TaskTracker
-	lastHB sim.Time
-	dead   bool
+// mapAttempt numbers the attempt the map Board just granted tracker.
+func (js *jobState) mapAttempt(idx int, tracker string) *TaskAttempt {
+	js.mapLaunches[idx]++
+	return &TaskAttempt{job: js, Split: &js.job.Splits[idx], ReduceIndex: -1,
+		Attempt: js.mapLaunches[idx] - 1, Tracker: tracker}
 }
 
-// JobTracker is the master daemon: it queues jobs, partitions them
-// into tasks, assigns tasks on heartbeats with locality preference,
-// collects completions (serialized housekeeping), detects lost
-// trackers and re-queues their work.
+// reduceAttempt numbers the attempt the reduce Board just granted tracker.
+func (js *jobState) reduceAttempt(idx int, tracker string) *TaskAttempt {
+	js.reduceLaunches[idx]++
+	return &TaskAttempt{job: js, ReduceIndex: idx,
+		Attempt: js.reduceLaunches[idx] - 1, Tracker: tracker}
+}
+
+// locality grades the splits for tracker: node-local when it is one of
+// the split's preferred hosts ("it tries to minimize the number of
+// remote block accesses"), remote otherwise.
+func (js *jobState) locality(tracker string) func(int) sched.Locality {
+	return func(i int) sched.Locality {
+		for _, h := range js.job.Splits[i].PreferredHosts {
+			if h == tracker {
+				return sched.LocalityNode
+			}
+		}
+		return sched.LocalityRemote
+	}
+}
+
+// release drops every live attempt tracker holds, making those tasks
+// pending again in the Boards' scan order. Silent death does not spend
+// the failure budget (Release, not Fail).
+func (js *jobState) release(tracker string) {
+	for i := range js.job.Splits {
+		js.maps.Release(i, tracker)
+	}
+	for i := 0; i < js.job.Reduces; i++ {
+		js.reduces.Release(i, tracker)
+	}
+}
+
+// boardTime maps the virtual clock onto the time.Time the Boards take;
+// any fixed epoch but the zero Time, which reads as "no live attempt".
+func boardTime(t sim.Time) time.Time { return time.Unix(0, int64(t)) }
+
+// noLease is the Boards' attempt lease: never expiring, as in sched.Run.
+// The model detects loss per tracker (TrackerExpiry), not per attempt.
+const noLease = time.Duration(math.MaxInt64)
+
+// JobTracker is the master daemon: it queues jobs, answers heartbeats
+// by pulling one attempt from the active job's Boards (locality
+// preferred), reports completions to them (serialized housekeeping),
+// and detects lost trackers, releasing their attempts for re-execution.
+// It models the timing of that loop on the virtual clock; the grant
+// logic is sched.Board's, the one the live and net runtimes run.
 type JobTracker struct {
-	eng   *sim.Engine
 	clus  *cluster.Cluster
 	cfg   Config
 	inbox sim.Mailbox[jtMsg]
 
-	trackers map[string]*trackerInfo
-	queue    []*jobState
-	active   *jobState
-	stopped  bool
+	lastHB map[string]sim.Time // per tracker that ever heartbeated
+	dead   map[string]bool     // trackers declared lost; they get no more work
+	queue  []*jobState
+	active *jobState
 }
 
 // newJobTracker builds and starts the JobTracker process.
 func newJobTracker(eng *sim.Engine, clus *cluster.Cluster, cfg Config) *JobTracker {
-	jt := &JobTracker{
-		eng:      eng,
-		clus:     clus,
-		cfg:      cfg,
-		trackers: make(map[string]*trackerInfo),
-	}
+	jt := &JobTracker{clus: clus, cfg: cfg, lastHB: map[string]sim.Time{}, dead: map[string]bool{}}
 	eng.Spawn("jobtracker", jt.run)
 	return jt
-}
-
-// submit enqueues a job (called via the runtime).
-func (jt *JobTracker) submit(js *jobState) {
-	jt.inbox.Send(jtMsg{kind: msgSubmit, job: js})
-}
-
-// shutdown makes the JobTracker process exit after draining its inbox.
-func (jt *JobTracker) shutdown() {
-	jt.inbox.Send(jtMsg{kind: msgShutdown})
 }
 
 func (jt *JobTracker) run(p *sim.Proc) {
@@ -125,7 +144,6 @@ func (jt *JobTracker) run(p *sim.Proc) {
 		msg := jt.inbox.Recv(p)
 		switch msg.kind {
 		case msgShutdown:
-			jt.stopped = true
 			return
 		case msgSubmit:
 			jt.queue = append(jt.queue, msg.job)
@@ -152,12 +170,7 @@ func (jt *JobTracker) activateNext(p *sim.Proc) {
 }
 
 func (jt *JobTracker) handleHeartbeat(p *sim.Proc, msg jtMsg) {
-	info, ok := jt.trackers[msg.tracker.Node.Name]
-	if !ok {
-		info = &trackerInfo{tt: msg.tracker}
-		jt.trackers[msg.tracker.Node.Name] = info
-	}
-	info.lastHB = p.Now()
+	jt.lastHB[msg.tracker.Node.Name] = p.Now()
 
 	// The JobTracker is single-threaded: every heartbeat holds it for
 	// the RPC processing cost, and each reported completion adds the
@@ -171,48 +184,21 @@ func (jt *JobTracker) handleHeartbeat(p *sim.Proc, msg jtMsg) {
 	jt.checkExpiredTrackers(p)
 	jt.maybeFinishActive(p)
 
-	var assign Assignment
-	if jt.active != nil && !info.dead {
-		if msg.freeSlots > 0 {
-			assign.Attempt = jt.assignTask(p, msg.tracker)
-		}
-		if assign.Attempt == nil && msg.freeReduceSlots > 0 {
-			assign.Attempt = jt.assignReduce(p, msg.tracker)
-		}
+	var attempt *TaskAttempt
+	if jt.active != nil && !jt.dead[msg.tracker.Node.Name] {
+		attempt = jt.grant(p, msg)
 	}
-	msg.reply.Send(assign)
+	msg.reply.Send(attempt)
 }
 
-// recordCompletion applies one task completion report.
+// recordCompletion reports one finished attempt to its Board; the
+// first finisher of a task wins, a speculative or re-run duplicate
+// arriving later is wasted work.
 func (jt *JobTracker) recordCompletion(rep taskReport) {
+	js, stat := rep.attempt.job, rep.stat
 	if rep.attempt.IsReduce() {
-		jt.recordReduceCompletion(rep)
-		return
-	}
-	js := rep.attempt.job
-	idx := rep.attempt.Split.Index
-	// Drop this attempt from the running set.
-	live := js.running[idx][:0]
-	for _, a := range js.running[idx] {
-		if a != rep.attempt {
-			live = append(live, a)
-		}
-	}
-	if len(live) == 0 {
-		delete(js.running, idx)
-	} else {
-		js.running[idx] = live
-	}
-	stat := rep.stat
-	if js.done[idx] {
-		// A speculative or re-run duplicate finished after the split
-		// was already complete: wasted work.
-		stat.Won = false
-	} else {
-		js.done[idx] = true
-		stat.Won = true
-		js.doneTasks++
-		js.totalTaskTime += stat.End - stat.Start
+		stat.Won = js.reduces.Complete(rep.attempt.ReduceIndex, stat.Tracker)
+	} else if stat.Won = js.maps.Complete(rep.attempt.Split.Index, stat.Tracker); stat.Won {
 		js.mapOutputBytes += stat.Output
 	}
 	js.result.Tasks = append(js.result.Tasks, stat)
@@ -220,218 +206,67 @@ func (jt *JobTracker) recordCompletion(rep taskReport) {
 	js.result.RemoteReads += int64(stat.Remote)
 }
 
-// recordReduceCompletion applies a reduce-task completion report.
-func (jt *JobTracker) recordReduceCompletion(rep taskReport) {
-	js := rep.attempt.job
-	idx := rep.attempt.ReduceIndex
-	live := js.runningReduces[idx][:0]
-	for _, a := range js.runningReduces[idx] {
-		if a != rep.attempt {
-			live = append(live, a)
+// grant pulls at most one attempt from the active job for a heartbeat:
+// a pending map (data-local first), else a pending reduce once the map
+// phase is complete (Hadoop 0.19 had no slow-start shuffle overlap worth
+// modelling at the paper's job shapes), else, with speculation on, a
+// duplicate of either phase's longest-running single-attempt task.
+func (jt *JobTracker) grant(p *sim.Proc, msg jtMsg) *TaskAttempt {
+	js, name, now := jt.active, msg.tracker.Node.Name, boardTime(p.Now())
+	canMap := msg.freeSlots > 0
+	canReduce := msg.freeReduceSlots > 0 && js.reduces != nil && js.maps.Done()
+	if canMap {
+		if g := js.maps.Assign(name, 1, now, js.locality(name)); len(g) == 1 {
+			return js.mapAttempt(g[0], name)
 		}
 	}
-	if len(live) == 0 {
-		delete(js.runningReduces, idx)
-	} else {
-		js.runningReduces[idx] = live
-	}
-	stat := rep.stat
-	if js.doneReduces[idx] {
-		stat.Won = false
-	} else {
-		js.doneReduces[idx] = true
-		stat.Won = true
-		js.doneReduceN++
-	}
-	js.result.Tasks = append(js.result.Tasks, stat)
-}
-
-// assignReduce hands out a reduce task once the map phase is complete
-// (Hadoop 0.19 had no slow-start shuffle overlap worth modelling at
-// the paper's job shapes).
-func (jt *JobTracker) assignReduce(p *sim.Proc, tt *TaskTracker) *TaskAttempt {
-	js := jt.active
-	if !js.mapsDone() || len(js.pendingReduces) == 0 {
-		return nil
-	}
-	idx := js.pendingReduces[0]
-	js.pendingReduces = js.pendingReduces[1:]
-	attempt := &TaskAttempt{
-		job:         js,
-		ReduceIndex: idx,
-		Attempt:     len(js.runningReduces[idx]),
-		Tracker:     tt.Node.Name,
-		Started:     p.Now(),
-	}
-	js.runningReduces[idx] = append(js.runningReduces[idx], attempt)
-	js.attempts++
-	return attempt
-}
-
-// assignTask picks a pending split for the tracker, preferring
-// data-local splits ("it tries to minimize the number of remote block
-// accesses"), or schedules a speculative duplicate for a straggler.
-func (jt *JobTracker) assignTask(p *sim.Proc, tt *TaskTracker) *TaskAttempt {
-	js := jt.active
-	pick := -1
-	for qi, idx := range js.pending {
-		for _, h := range js.job.Splits[idx].PreferredHosts {
-			if h == tt.Node.Name {
-				pick = qi
-				break
-			}
-		}
-		if pick >= 0 {
-			break
+	if canReduce {
+		if g := js.reduces.Assign(name, 1, now, nil); len(g) == 1 {
+			return js.reduceAttempt(g[0], name)
 		}
 	}
-	if pick < 0 && len(js.pending) > 0 {
-		pick = 0
+	if canMap {
+		if g := js.maps.Speculate(name, 1, now); len(g) == 1 {
+			return js.mapAttempt(g[0], name)
+		}
 	}
-	if pick >= 0 {
-		idx := js.pending[pick]
-		js.pending = append(js.pending[:pick], js.pending[pick+1:]...)
-		return jt.launch(p, js, idx, tt)
-	}
-	if jt.cfg.Speculative {
-		return jt.maybeSpeculate(p, js, tt)
+	if canReduce {
+		if g := js.reduces.Speculate(name, 1, now); len(g) == 1 {
+			return js.reduceAttempt(g[0], name)
+		}
 	}
 	return nil
 }
 
-// maybeSpeculate duplicates the slowest straggler onto tt if it has
-// been running longer than the configured multiple of the average
-// completed-task time.
-func (jt *JobTracker) maybeSpeculate(p *sim.Proc, js *jobState, tt *TaskTracker) *TaskAttempt {
-	if js.doneTasks == 0 {
-		return nil
-	}
-	avg := js.totalTaskTime / sim.Time(js.doneTasks)
-	threshold := sim.Time(float64(avg) * jt.cfg.SpeculativeSlowdown)
-	var worst *TaskAttempt
-	for _, attempts := range js.running {
-		if len(attempts) != 1 {
-			continue // already duplicated
-		}
-		a := attempts[0]
-		if a.Tracker == tt.Node.Name {
-			continue // duplicate must run elsewhere
-		}
-		if p.Now()-a.Started <= threshold {
-			continue
-		}
-		if worst == nil || a.Started < worst.Started {
-			worst = a
-		}
-	}
-	if worst == nil {
-		return nil
-	}
-	return jt.launch(p, js, worst.Split.Index, tt)
-}
-
-// launch registers and returns a new attempt for split idx on tt.
-func (jt *JobTracker) launch(p *sim.Proc, js *jobState, idx int, tt *TaskTracker) *TaskAttempt {
-	attempt := &TaskAttempt{
-		job:         js,
-		Split:       &js.job.Splits[idx],
-		ReduceIndex: -1,
-		Attempt:     len(js.running[idx]) + attemptsSoFar(js, idx),
-		Tracker:     tt.Node.Name,
-		Started:     p.Now(),
-	}
-	js.running[idx] = append(js.running[idx], attempt)
-	js.attempts++
-	return attempt
-}
-
-// attemptsSoFar counts completed attempts of a split (for attempt
-// numbering only).
-func attemptsSoFar(js *jobState, idx int) int {
-	n := 0
-	for _, t := range js.result.Tasks {
-		if t.Split == idx {
-			n++
-		}
-	}
-	return n
-}
-
 // checkExpiredTrackers declares trackers lost after the expiry window
-// and re-queues their running tasks (the paper: "the JobTracker can
+// and releases their running attempts (the paper: "the JobTracker can
 // detect a node failure and reschedule the task to another
 // TaskTracker").
 func (jt *JobTracker) checkExpiredTrackers(p *sim.Proc) {
 	if jt.active == nil {
 		return
 	}
-	js := jt.active
-	for name, info := range jt.trackers {
-		if info.dead || p.Now()-info.lastHB <= jt.cfg.TrackerExpiry {
-			continue
-		}
-		info.dead = true
-		for idx, attempts := range js.running {
-			live := attempts[:0]
-			lost := false
-			for _, a := range attempts {
-				if a.Tracker == name {
-					lost = true
-				} else {
-					live = append(live, a)
-				}
-			}
-			if !lost {
-				continue
-			}
-			if len(live) == 0 {
-				delete(js.running, idx)
-				if !js.done[idx] {
-					js.pending = append(js.pending, idx)
-				}
-			} else {
-				js.running[idx] = live
-			}
-		}
-		for idx, attempts := range js.runningReduces {
-			live := attempts[:0]
-			lost := false
-			for _, a := range attempts {
-				if a.Tracker == name {
-					lost = true
-				} else {
-					live = append(live, a)
-				}
-			}
-			if !lost {
-				continue
-			}
-			if len(live) == 0 {
-				delete(js.runningReduces, idx)
-				if !js.doneReduces[idx] {
-					js.pendingReduces = append(js.pendingReduces, idx)
-				}
-			} else {
-				js.runningReduces[idx] = live
-			}
+	for name, last := range jt.lastHB {
+		if !jt.dead[name] && p.Now()-last > jt.cfg.TrackerExpiry {
+			jt.dead[name] = true
+			jt.active.release(name)
 		}
 	}
 }
 
-// maybeFinishActive completes the active job when every split is done,
+// maybeFinishActive completes the active job when every task is done,
 // then activates the next queued job.
 func (jt *JobTracker) maybeFinishActive(p *sim.Proc) {
 	js := jt.active
-	if js == nil || js.finished {
-		return
-	}
-	if !js.mapsDone() || js.doneReduceN < js.job.Reduces {
+	if js == nil || !js.maps.Done() || (js.reduces != nil && !js.reduces.Done()) {
 		return
 	}
 	p.Sleep(jt.cfg.JobCleanup)
-	js.finished = true
 	js.result.Finished = p.Now()
-	js.result.Attempts = js.attempts
+	js.result.Attempts = js.maps.Attempts()
+	if js.reduces != nil {
+		js.result.Attempts += js.reduces.Attempts()
+	}
 	js.result.EnergyJoules = jt.jobEnergy(js)
 	jt.active = nil
 	js.handle.done.Open()
@@ -480,34 +315,34 @@ func (r *Runtime) Submit(job *Job) (*JobHandle, error) {
 	}
 	js := &jobState{
 		job:            job,
-		running:        make(map[int][]*TaskAttempt),
-		done:           make(map[int]bool),
-		runningReduces: make(map[int][]*TaskAttempt),
-		doneReduces:    make(map[int]bool),
-		result: &JobResult{
-			Name:      job.Name,
-			Submitted: r.Eng.Now(),
-		},
+		mapLaunches:    make([]int, len(job.Splits)),
+		reduceLaunches: make([]int, job.Reduces),
+		result:         &JobResult{Name: job.Name, Submitted: r.Eng.Now()},
+	}
+	var err error
+	if js.maps, err = sched.NewBoard(len(job.Splits), noLease, r.Cfg.Options); err != nil {
+		return nil, err
+	}
+	if job.Reduces > 0 {
+		if js.reduces, err = sched.NewBoard(job.Reduces, noLease, r.Cfg.Options); err != nil {
+			return nil, err
+		}
 	}
 	for i := range job.Splits {
-		js.pending = append(js.pending, i)
 		js.result.InputBytes += job.Splits[i].InputBytes()
 	}
-	for i := 0; i < job.Reduces; i++ {
-		js.pendingReduces = append(js.pendingReduces, i)
-	}
 	js.handle = &JobHandle{Job: job, done: &sim.Gate{}, result: js.result}
-	r.JT.submit(js)
+	r.JT.inbox.Send(jtMsg{kind: msgSubmit, job: js})
 	return js.handle, nil
 }
 
-// Shutdown stops all daemons so the simulation can drain. Call after
-// every submitted job has completed.
+// Shutdown stops all daemons (the JobTracker after draining its inbox)
+// so the simulation can end. Call after every submitted job completed.
 func (r *Runtime) Shutdown() {
 	for _, tt := range r.TTs {
 		tt.Kill()
 	}
-	r.JT.shutdown()
+	r.JT.inbox.Send(jtMsg{kind: msgShutdown})
 }
 
 // KillNode simulates the failure of one worker: its TaskTracker stops

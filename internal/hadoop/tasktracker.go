@@ -21,7 +21,7 @@ type TaskTracker struct {
 	slots       *sim.Resource
 	reduceSlots *sim.Resource
 	completed   []taskReport
-	reply       sim.Mailbox[Assignment]
+	reply       sim.Mailbox[*TaskAttempt]
 	killed      bool
 
 	// assignedNotLaunched counts tasks handed to us whose slot is not
@@ -70,9 +70,7 @@ func (tt *TaskTracker) run(p *sim.Proc) {
 			completed:       reports,
 			reply:           &tt.reply,
 		})
-		assign := tt.reply.Recv(p)
-		if assign.Attempt != nil {
-			attempt := assign.Attempt
+		if attempt := tt.reply.Recv(p); attempt != nil {
 			if attempt.IsReduce() {
 				tt.assignedNotLaunchedReduce++
 				tt.eng.Spawn(fmt.Sprintf("reduce-%s-r%d-a%d", tt.Node.Name,

@@ -26,6 +26,9 @@ import (
 type DataNode struct {
 	srv   *rpcnet.Server
 	store *spill.Store
+	// wire caches the pooled connections this node calls out on: the
+	// NameNode for beats, peer DataNodes for Replicate pushes.
+	wire *connCache
 
 	nnAddr    string
 	rack      string
@@ -80,6 +83,7 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 		nnAddr:    nameNodeAddr,
 		heartbeat: 100 * time.Millisecond,
 		spillMem:  spill.NoSpill,
+		wire:      newConnCache(""),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -94,6 +98,7 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 	// StartDataNode returns, so the node must already be a member.
 	if err := dn.beat(); err != nil {
 		srv.Close()
+		dn.wire.close()
 		dn.store.Close()
 		return nil, err
 	}
@@ -104,11 +109,10 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 // beat sends one Register heartbeat and drops the blocks of deleted
 // files its reply names.
 func (dn *DataNode) beat() error {
-	nnc, err := rpcnet.Dial(dn.nnAddr)
+	nnc, err := dn.wire.get(dn.nnAddr)
 	if err != nil {
 		return err
 	}
-	defer nnc.Close()
 	var reply RegisterReply
 	if err := nnc.Call("Register", RegisterArgs{Addr: dn.srv.Addr(), Rack: dn.rack}, &reply); err != nil {
 		return err
@@ -153,6 +157,7 @@ func (dn *DataNode) Close() error {
 	dn.mu.Unlock()
 	<-dn.done
 	err := dn.srv.Close()
+	dn.wire.close()
 	if serr := dn.store.Close(); err == nil {
 		err = serr
 	}
@@ -203,11 +208,10 @@ func (dn *DataNode) handleReplicate(body []byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
-	peer, err := rpcnet.Dial(args.Target)
+	peer, err := dn.wire.get(args.Target)
 	if err != nil {
 		return nil, fmt.Errorf("netmr: replicate block %d: %w", args.ID, err)
 	}
-	defer peer.Close()
 	if err := peer.CallTimeout("Put", PutArgs{ID: args.ID, Data: data}, nil, dataCallTimeout); err != nil {
 		return nil, fmt.Errorf("netmr: replicate block %d to %s: %w", args.ID, args.Target, err)
 	}

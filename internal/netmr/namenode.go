@@ -82,7 +82,11 @@ type NameNode struct {
 	order     []string // registration order, for deterministic placement
 	// freed queues, per DataNode, the block replicas of deleted files
 	// it still stores; the node's next Register reply carries them.
-	freed     map[string][]int64
+	freed map[string][]int64
+	// retired holds decommissioned addresses: their Register beats are
+	// refused, or a retired node still running would rejoin on its next
+	// beat, empty, moments after its blocks were moved off it.
+	retired   map[string]bool
 	repairing bool // one repair pass at a time
 
 	stop chan struct{}
@@ -97,12 +101,13 @@ func StartNameNode(addr string) (*NameNode, error) {
 		return nil, err
 	}
 	nn := &NameNode{
-		srv:   srv,
-		files: make(map[string][]BlockInfo),
-		nodes: make(map[string]*dnState),
-		freed: make(map[string][]int64),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		srv:     srv,
+		files:   make(map[string][]BlockInfo),
+		nodes:   make(map[string]*dnState),
+		freed:   make(map[string][]int64),
+		retired: make(map[string]bool),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	srv.Handle("Register", nn.handleRegister)
 	srv.Handle("Allocate", nn.handleAllocate)
@@ -238,6 +243,9 @@ func (nn *NameNode) handleRegister(body []byte) (any, error) {
 	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
+	if nn.retired[args.Addr] {
+		return nil, fmt.Errorf("netmr: datanode %s was decommissioned", args.Addr)
+	}
 	d := nn.nodes[args.Addr]
 	if d == nil {
 		d = &dnState{addr: args.Addr, rack: rack}
@@ -552,6 +560,7 @@ func (nn *NameNode) DecommissionDataNode(addr string) error {
 	}
 	delete(nn.nodes, addr)
 	delete(nn.freed, addr)
+	nn.retired[addr] = true
 	nn.order = slices.DeleteFunc(nn.order, func(a string) bool { return a == addr })
 	return nil
 }

@@ -8,7 +8,8 @@ import (
 
 // Board is the scheduler's task table, and the only attempt state
 // machine in the tree: workers pull from it — trackers over heartbeats
-// at the netmr JobTracker, slot goroutines in Run — and every launch,
+// at the netmr JobTracker, slot goroutines in Run, simulated trackers
+// at internal/hadoop's JobTracker on virtual time — and every launch,
 // live lease, reported failure, straggler pick and winner credit is
 // recorded here and nowhere else. Workers hold a lease on every
 // attempt; an attempt whose lease expires is presumed dead (tracker
@@ -18,7 +19,8 @@ import (
 // finished attempt wins.
 //
 // The board is deterministic: callers pass the current time into
-// Assign, so tests can drive it with a manual clock.
+// Assign, so tests can drive it with a manual clock and the simulator
+// with its virtual one.
 type Board struct {
 	mu    sync.Mutex
 	lease time.Duration

@@ -1,9 +1,11 @@
 // Package sched is the heterogeneity-aware dynamic scheduler shared by
-// the functional runtimes. It is Hadoop's shape: one task table that
-// workers pull from. Board is that table — the only attempt state
-// machine — and it has two drivers: the netmr JobTracker, whose
-// trackers pull over heartbeats, and Run, whose in-process worker slots
-// (internal/core's live cluster) pull in a loop. FairShare orders
+// the functional runtimes and the simulator. It is Hadoop's shape: one
+// task table that workers pull from. Board is that table — the only
+// attempt state machine — and it has three drivers: the netmr
+// JobTracker, whose trackers pull over heartbeats; Run, whose
+// in-process worker slots (internal/core's live cluster) pull in a
+// loop; and internal/hadoop's simulated JobTracker, which answers
+// modelled heartbeats from it on the virtual clock. FairShare orders
 // tenants at a master serving many boards. The paper's central claim —
 // that a cluster mixing devices of very different speeds only pays off
 // when the runtime load-balances across them — rests on three board

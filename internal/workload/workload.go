@@ -1,15 +1,19 @@
-// Package workload generates the paper's evaluation datasets: the
-// encryption working sets laid out per the paper's data-distribution
-// model (Fig. 3 — split size FileSize/NumMappers, 64 MB records, data
-// ingested locally so the locality scheduler can keep reads on the
-// loopback path), and the Pi estimator's sample partitions.
+// Package workload builds the simulated runner's inputs — hadoop
+// splits over an hdfs.NameNode: the encryption working sets laid out
+// per the paper's data-distribution model (Fig. 3 — split size
+// FileSize/NumMappers, 64 MB records, data ingested locally so the
+// locality scheduler can keep reads on the loopback path), the same
+// partitioning of any stored file (SplitsFromFile), and the Pi
+// estimator's sample partitions.
 package workload
 
 import (
 	"fmt"
+	"sort"
 
 	"hetmr/internal/hadoop"
 	"hetmr/internal/hdfs"
+	"hetmr/internal/kernels"
 	"hetmr/internal/perfmodel"
 )
 
@@ -71,4 +75,109 @@ func TotalBytes(splits []hadoop.Split) int64 {
 		total += splits[i].InputBytes()
 	}
 	return total
+}
+
+// SplitsFromFile converts a stored file's block layout into hadoop
+// splits for the simulated runner: numSplits splits of consecutive
+// records of recordBytes each, with record hosts and per-split
+// preferred hosts taken from the DFS block locations — exactly the
+// paper's partitioning ("an split size of FileSize/NumMappers and a
+// record size of 64MB", Fig. 3).
+func SplitsFromFile(nn *hdfs.NameNode, name string, numSplits int, recordBytes int64) ([]hadoop.Split, error) {
+	if numSplits <= 0 {
+		return nil, fmt.Errorf("workload: numSplits must be positive, got %d", numSplits)
+	}
+	if recordBytes <= 0 {
+		return nil, fmt.Errorf("workload: recordBytes must be positive, got %d", recordBytes)
+	}
+	locs, err := nn.Locations(name)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err) // hdfs.ErrNotFound for a missing file
+	}
+	size, err := nn.FileSize(name)
+	if err != nil {
+		return nil, err
+	}
+	if size == 0 {
+		return nil, fmt.Errorf("workload: input file %q is empty", name)
+	}
+	// hostAt returns the replica hosts of the block containing offset.
+	hostAt := func(off int64) []string {
+		for _, l := range locs {
+			if off >= l.Offset && off < l.Offset+l.Size {
+				return l.Hosts
+			}
+		}
+		return nil
+	}
+	splitBytes := (size + int64(numSplits) - 1) / int64(numSplits)
+	var splits []hadoop.Split
+	for i := 0; i < numSplits; i++ {
+		start := int64(i) * splitBytes
+		end := start + splitBytes
+		if end > size {
+			end = size
+		}
+		if start >= end {
+			break
+		}
+		var records []hadoop.Record
+		hostVotes := make(map[string]int)
+		for off := start; off < end; off += recordBytes {
+			n := recordBytes
+			if off+n > end {
+				n = end - off
+			}
+			hosts := hostAt(off)
+			records = append(records, hadoop.Record{Bytes: n, Hosts: hosts})
+			for _, h := range hosts {
+				hostVotes[h]++
+			}
+		}
+		splits = append(splits, hadoop.Split{
+			Index:          i,
+			Records:        records,
+			PreferredHosts: topHosts(hostVotes, 2),
+		})
+	}
+	// Re-index after possible truncation.
+	for i := range splits {
+		splits[i].Index = i
+	}
+	return splits, nil
+}
+
+// topHosts returns the up-to-k most frequent hosts, ties broken by
+// name for determinism.
+func topHosts(votes map[string]int, k int) []string {
+	var hosts []string
+	for h := range votes {
+		hosts = append(hosts, h)
+	}
+	sort.Slice(hosts, func(i, j int) bool {
+		if votes[hosts[i]] != votes[hosts[j]] {
+			return votes[hosts[i]] > votes[hosts[j]]
+		}
+		return hosts[i] < hosts[j]
+	})
+	if len(hosts) > k {
+		hosts = hosts[:k]
+	}
+	return hosts
+}
+
+// PiSplits builds the CPU-intensive job's splits: totalSamples spread
+// over numMaps map tasks (the Hadoop PiEstimator layout the paper
+// ported). The per-task sample counts come from the canonical
+// decomposition (kernels.SplitSamples) so simulated task sizing always
+// matches what the functional runners execute.
+func PiSplits(totalSamples int64, numMaps int) ([]hadoop.Split, error) {
+	if totalSamples <= 0 || numMaps <= 0 {
+		return nil, fmt.Errorf("workload: need positive samples (%d) and maps (%d)", totalSamples, numMaps)
+	}
+	splits := make([]hadoop.Split, numMaps)
+	for i, task := range kernels.SplitSamples(totalSamples, numMaps, 0) {
+		splits[i] = hadoop.Split{Index: i, Samples: task.Samples}
+	}
+	return splits, nil
 }
