@@ -8,8 +8,9 @@ import (
 )
 
 // LockHeldCall reports blocking operations — rpcnet calls, network or
-// file I/O, time.Sleep, channel sends — performed while a sync.Mutex
-// or sync.RWMutex acquired in the same function is still held. This is
+// file I/O, time.Sleep, channel sends and receives, a select with no
+// default — performed while a sync.Mutex or sync.RWMutex acquired in
+// the same function is still held. This is
 // the PR-3 JobTracker bug class: one slow peer inside a critical
 // section stalls every other goroutine contending for the lock.
 //
@@ -26,7 +27,7 @@ import (
 // I/O under its mutex is its job, not a bug.
 var LockHeldCall = &Analyzer{
 	Name: "lockheldcall",
-	Doc:  "report blocking calls, I/O, sleeps and channel sends made while a mutex acquired in the same function is held",
+	Doc:  "report blocking calls, I/O, sleeps, channel sends and receives and default-less selects made while a mutex acquired in the same function is held",
 	Run:  runLockHeldCall,
 }
 
@@ -87,11 +88,7 @@ func (sc *lockScanner) stmt(s ast.Stmt, held heldLocks) {
 	case *ast.ExprStmt:
 		sc.expr(s.X, held)
 	case *ast.SendStmt:
-		if len(held) > 0 {
-			lock, pos := anyLock(held)
-			sc.pass.Reportf(s.Arrow, "channel send while %s is held (acquired at line %d); a full channel blocks every goroutine contending for the lock",
-				lock, sc.pass.Fset.Position(pos).Line)
-		}
+		sc.chanOp(s.Arrow, held, "channel send", "a full channel blocks every goroutine contending for the lock")
 		sc.expr(s.Chan, held)
 		sc.expr(s.Value, held)
 	case *ast.AssignStmt:
@@ -175,9 +172,14 @@ func (sc *lockScanner) stmt(s ast.Stmt, held heldLocks) {
 		sc.stmt(s.Assign, held)
 		sc.caseClauses(s.Body, held)
 	case *ast.SelectStmt:
-		// The comm clauses themselves are how select is used for
-		// non-blocking sends; flagging them would punish the fix.
-		// Bodies are still scanned.
+		// With a default the comm clauses are how select is used for
+		// non-blocking sends and receives; flagging them would punish the
+		// fix. Without one the select parks until a peer is ready — a
+		// long-poll's wait, say — and doing that under a lock is the bug.
+		// Bodies are scanned either way.
+		if !hasDefault(s) {
+			sc.chanOp(s.Select, held, "select without default", "it parks until a channel is ready — release the lock first")
+		}
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
 			body := held.clone()
@@ -220,9 +222,34 @@ func (sc *lockScanner) expr(e ast.Expr, held heldLocks) {
 			return false
 		case *ast.CallExpr:
 			sc.call(n, held)
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				sc.chanOp(n.OpPos, held, "channel receive", "an empty channel blocks every goroutine contending for the lock")
+			}
 		}
 		return true
 	})
+}
+
+// chanOp reports a channel operation that can park, if a lock is held.
+func (sc *lockScanner) chanOp(at token.Pos, held heldLocks, op, why string) {
+	if len(held) == 0 {
+		return
+	}
+	lock, pos := anyLock(held)
+	sc.pass.Reportf(at, "%s while %s is held (acquired at line %d); %s",
+		op, lock, sc.pass.Fset.Position(pos).Line, why)
+}
+
+// hasDefault reports whether the select has a default clause, i.e.
+// never blocks.
+func hasDefault(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if c.(*ast.CommClause).Comm == nil {
+			return true
+		}
+	}
+	return false
 }
 
 func (sc *lockScanner) call(call *ast.CallExpr, held heldLocks) {

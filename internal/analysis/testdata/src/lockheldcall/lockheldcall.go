@@ -57,6 +57,45 @@ func (s *S) nonBlockingSendClean() {
 	s.mu.Unlock()
 }
 
+func (s *S) receiveUnderLock() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return <-s.ch // want `channel receive while s\.mu is held`
+}
+
+func (s *S) nonBlockingReceiveClean() {
+	s.mu.Lock()
+	select {
+	case <-s.ch: // clean: with a default the receive cannot park
+	default:
+	}
+	s.mu.Unlock()
+}
+
+func (s *S) selectUnderLock(stop chan struct{}) {
+	s.mu.Lock()
+	select { // want `select without default while s\.mu is held`
+	case <-s.ch:
+	case <-stop:
+	}
+	s.mu.Unlock()
+}
+
+// parkedOutsideLockClean is the long-poll shape: drop the lock, park,
+// retake it.
+func (s *S) parkedOutsideLockClean(stop chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.c != nil {
+		s.mu.Unlock()
+		select {
+		case <-s.ch: // clean: the lock was released before parking
+		case <-stop:
+		}
+		s.mu.Lock()
+	}
+}
+
 func (s *S) unlockedBranchClean(cond bool) {
 	s.mu.Lock()
 	if cond {

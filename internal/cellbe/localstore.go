@@ -31,8 +31,13 @@ var (
 // allocator that returns 16-byte aligned buffers (the Cell requires
 // "every vector operation to operate with aligned data to 16-byte
 // memory boundaries").
+//
+// The backing bytes are allocated by the first Alloc, not by
+// NewLocalStore: a chip that never runs an offload (a node whose jobs
+// all take the host path) costs no scratchpad memory.
 type LocalStore struct {
-	buf  []byte
+	size int
+	buf  []byte // nil until the first Alloc
 	free []span // sorted by offset, coalesced
 }
 
@@ -52,13 +57,13 @@ func NewLocalStore(size int) *LocalStore {
 		panic(fmt.Sprintf("cellbe: local store size %d", size))
 	}
 	return &LocalStore{
-		buf:  make([]byte, size),
+		size: size,
 		free: []span{{0, size}},
 	}
 }
 
 // Size returns the total capacity.
-func (ls *LocalStore) Size() int { return len(ls.buf) }
+func (ls *LocalStore) Size() int { return ls.size }
 
 // FreeBytes returns the total unallocated bytes (possibly fragmented).
 func (ls *LocalStore) FreeBytes() int {
@@ -83,6 +88,9 @@ func (ls *LocalStore) Alloc(size int) (*LSBuffer, error) {
 	need := align16(size)
 	for i, s := range ls.free {
 		if s.size >= need {
+			if ls.buf == nil {
+				ls.buf = make([]byte, ls.size)
+			}
 			buf := &LSBuffer{ls: ls, off: s.off, size: need}
 			if s.size == need {
 				ls.free = append(ls.free[:i], ls.free[i+1:]...)

@@ -169,3 +169,29 @@ func TestLocalStoreWritesVisible(t *testing.T) {
 		}
 	}
 }
+
+func TestLocalStoreBackingIsLazy(t *testing.T) {
+	// An idle chip must cost no scratchpad memory: the 256 KB backing
+	// array appears with the first allocation, while the capacity the
+	// allocator and its callers see is there from the start.
+	ls := NewLocalStore(perfmodel.LocalStoreBytes)
+	if ls.buf != nil {
+		t.Fatal("NewLocalStore allocated the backing bytes eagerly")
+	}
+	if ls.Size() != perfmodel.LocalStoreBytes || ls.FreeBytes() != perfmodel.LocalStoreBytes {
+		t.Fatalf("idle store reports size %d, free %d", ls.Size(), ls.FreeBytes())
+	}
+	if _, err := ls.Alloc(perfmodel.LocalStoreBytes + 1); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("oversized Alloc: %v, want ErrNoSpace", err)
+	}
+	if ls.buf != nil {
+		t.Fatal("a failed Alloc allocated the backing bytes")
+	}
+	b, err := ls.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ls.buf) != perfmodel.LocalStoreBytes || len(b.Bytes()) != 64 {
+		t.Fatalf("after Alloc: backing %d bytes, buffer %d", len(ls.buf), len(b.Bytes()))
+	}
+}

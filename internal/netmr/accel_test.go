@@ -187,6 +187,12 @@ func TestStatusReportsDeviceProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
+	// The profile is built from heartbeats, and a job this small can end
+	// before a tracker's first one: wait for both to have registered.
+	waitFor(t, 5*time.Second, func() bool {
+		trackers, err := c.Client.ListTrackers()
+		return err == nil && len(trackers) == 2
+	}, "trackers never registered")
 	id, err := c.Client.Submit(JobSpec{
 		Name: "pi-profile", Kernel: "pi", Samples: 20_000, NumTasks: 4,
 	})

@@ -348,7 +348,7 @@ func (c *Client) ListJobs(tenant string) ([]JobInfo, error) {
 }
 
 // waitCallTimeout caps a single Status round-trip inside Wait, so a
-// hung JobTracker surfaces as polling failures instead of blocking the
+// hung JobTracker surfaces as call timeouts instead of blocking the
 // client past its deadline. It matches dataCallTimeout: a Status reply
 // carries the full job Result once done, which can be as large as a
 // sort's whole output — the cap must cover a real transfer, and the
@@ -362,29 +362,25 @@ func (c *Client) Wait(jobID int64, timeout time.Duration) ([]byte, error) {
 	return st.Result, err
 }
 
-// WaitStatus polls the job until completion or timeout, returning its
-// terminal StatusReply: the reduced result bytes plus the scheduler's
-// attempt and per-tracker counts. A job that failed terminally (a task
-// exhausted its attempt budget, or the final reduce errored) returns
-// that error as soon as the JobTracker reports it. Every Status RPC
-// runs under a per-call timeout clamped to the remaining deadline: a
-// JobTracker that hangs mid-call cannot block the wait beyond its
-// deadline.
+// WaitStatus blocks until the job completes or timeout passes,
+// returning its terminal StatusReply: the reduced result bytes plus the
+// scheduler's attempt and per-tracker counts. It is a loop of held
+// Status calls (StatusArgs.Hold): the JobTracker parks each one and
+// answers on the job's terminal transition, so the wait ends one
+// round-trip after the job does, with no client-side timer in between.
+// A job that failed terminally (a task exhausted its attempt budget,
+// the final reduce errored, or it was killed) returns that error on the
+// same edge. Every call runs under a per-call timeout clamped to the
+// remaining deadline, and asks to be held for at most half of it
+// (never more than maxStatusHold): a parked call always answers well
+// inside its own timeout, so a JobTracker that hangs mid-call is told
+// apart and cannot block the wait beyond its deadline.
 func (c *Client) WaitStatus(jobID int64, timeout time.Duration) (StatusReply, error) {
 	deadline := time.Now().Add(timeout)
 	jtc, err := c.wire.get(c.jtAddr)
 	if err != nil {
 		return StatusReply{}, err
 	}
-	// Poll with exponential backoff: short jobs still see a handful of
-	// quick polls, but a long-running job costs the JobTracker ~4
-	// Status calls per second instead of 50 — a multi-tenant service
-	// with many waiting clients would otherwise drown in polling.
-	const (
-		pollFloor = 5 * time.Millisecond
-		pollCeil  = 250 * time.Millisecond
-	)
-	poll := pollFloor
 	var last StatusReply
 	for {
 		remaining := time.Until(deadline)
@@ -392,22 +388,19 @@ func (c *Client) WaitStatus(jobID int64, timeout time.Duration) (StatusReply, er
 			return last, fmt.Errorf("netmr: job %d timed out (%d/%d tasks done)",
 				jobID, last.Completed, last.Total)
 		}
-		callTimeout := remaining
-		if callTimeout > waitCallTimeout {
-			callTimeout = waitCallTimeout
-		}
+		callTimeout := min(remaining, waitCallTimeout)
+		args := StatusArgs{JobID: jobID, Hold: min(callTimeout/2, maxStatusHold)}
 		var status StatusReply
-		if err := jtc.CallTimeout("Status", StatusArgs{JobID: jobID}, &status, callTimeout); err != nil {
+		if err := jtc.CallTimeout("Status", args, &status, callTimeout); err != nil {
 			if time.Now().After(deadline) {
 				return last, fmt.Errorf("netmr: job %d timed out (%d/%d tasks done): %v",
 					jobID, last.Completed, last.Total, err)
 			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				// The call hit its own deadline. Unlike protocol v1 the
-				// connection survives — the late reply is dropped by
-				// request ID — so just keep polling until the overall
-				// deadline decides.
+				// The call hit its own deadline. The connection survives —
+				// the late reply is dropped by request ID — so just ask
+				// again until the overall deadline decides.
 				continue
 			}
 			return last, err
@@ -419,10 +412,6 @@ func (c *Client) WaitStatus(jobID int64, timeout time.Duration) (StatusReply, er
 		if status.Done {
 			return status, nil
 		}
-		time.Sleep(poll)
-		if poll *= 2; poll > pollCeil {
-			poll = pollCeil
-		}
 	}
 }
 
@@ -431,7 +420,7 @@ func (c *Client) WaitStatus(jobID int64, timeout time.Duration) (StatusReply, er
 // client memory no matter how large the result is.
 const outputChunkBytes = 1 << 20
 
-// WaitOutput polls a StreamOutput job to completion, then streams its
+// WaitOutput waits (WaitStatus) for a StreamOutput job, then streams its
 // result — the stored final-phase task outputs, concatenated in task
 // order — into w, and releases the job so the stores can free the
 // space. Each piece is pulled in bounded chunks straight from the

@@ -143,44 +143,29 @@ func TestPoisonedTaskExhaustsAttemptsFast(t *testing.T) {
 }
 
 func TestStopDrainsCompletedResults(t *testing.T) {
-	// One tracker, long heartbeat: the task's result sits in the
-	// completed queue waiting for the next beat. A graceful Stop must
-	// deliver it in a final heartbeat instead of dropping it — with a
-	// single tracker, a dropped result could never be recomputed.
-	nn, err := StartNameNode("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nn.Close()
-	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jt.Close()
-	tt, err := StartTaskTracker("drainer", jt.Addr(), "", 2, 300*time.Millisecond)
+	// One tracker, one slow task in flight when the graceful Stop
+	// arrives. Stop must wait the task out and deliver its result in a
+	// final heartbeat instead of dropping it — the tracker is gone once
+	// Stop returns, so with a single tracker a dropped result could never
+	// be recomputed and the Wait below could not succeed.
+	nn, jt := startMasters(t)
+	tt, err := StartTaskTracker("drainer", jt.Addr(), "", 2, 20*time.Millisecond,
+		WithTaskDelay(300*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tt.Stop()
 	client, _ := NewClient(nn.Addr(), jt.Addr(), 1024)
+	defer client.Close()
 	id, err := client.Submit(JobSpec{Name: "pi-drain", Kernel: "pi", Samples: 1000, NumTasks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the result is computed but unreported, then stop.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, 5*time.Second, func() bool {
 		tt.mu.Lock()
-		queued := len(tt.completed)
-		tt.mu.Unlock()
-		if queued > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("task never completed locally")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		defer tt.mu.Unlock()
+		return tt.running > 0
+	}, "task never started")
 	tt.Stop()
 	if _, err := client.Wait(id, 2*time.Second); err != nil {
 		t.Fatalf("job did not finish from the drained final heartbeat: %v", err)

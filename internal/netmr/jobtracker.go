@@ -73,6 +73,10 @@ type jobRecord struct {
 	done       bool
 	failed     string
 	result     []byte
+	// terminal is closed by terminate — the one edge every finished,
+	// failed or killed job crosses — and is what a held Status call
+	// parks on.
+	terminal chan struct{}
 }
 
 // phaseOutputsReady reports whether the job's last phase has every
@@ -108,9 +112,20 @@ func (rec *jobRecord) reduceTask(p int) Task {
 // and heartbeats carry partition locations, not data. Only the final
 // reduce outputs (and centralized-path map outputs) cross it;
 // DataPlaneBytes meters exactly that traffic.
+//
+// Job records are retained, not kept forever: a job's task outputs are
+// dropped the moment it turns terminal (only its reduced result stays),
+// and once more than retainJobs terminal records exist the oldest are
+// forgotten — except a streamed job the client has not yet Released,
+// whose stored outputs the record still guards. Status, Kill and
+// Release on a forgotten ID answer "unknown job", exactly as for an ID
+// that was never issued.
 type JobTracker struct {
 	srv    *rpcnet.Server
 	nnAddr string
+	// wire caches the pooled NameNode connection expand looks blocks up
+	// on.
+	wire *connCache
 	// TaskLease is how long an assigned task may stay silent before it
 	// is handed to another tracker. Read at job submission; set it (and
 	// the scheduling knobs below) before submitting jobs.
@@ -131,6 +146,7 @@ type JobTracker struct {
 	mu        sync.Mutex
 	nextJob   int64
 	jobs      map[int64]*jobRecord
+	finished  []int64 // terminal job IDs still in jobs, oldest first
 	tenants   map[string]*tenantState
 	fair      *sched.FairShare
 	trackers  map[string]*trackerState   // membership view, keyed by tracker ID
@@ -196,6 +212,7 @@ func StartJobTracker(addr, nameNodeAddr string) (*JobTracker, error) {
 	jt := &JobTracker{
 		srv:       srv,
 		nnAddr:    nameNodeAddr,
+		wire:      newConnCache(""),
 		TaskLease: 10 * time.Second,
 		jobs:      make(map[int64]*jobRecord),
 		tenants:   make(map[string]*tenantState),
@@ -347,13 +364,22 @@ func (jt *JobTracker) tenantHeldBytes(name string) int64 {
 	return total
 }
 
-// terminate marks rec terminal and deregisters it from its tenant's
-// active (and admission-queue) lists; freed quota promotes queued
-// submissions, and an emptied tenant resets its fair-share deficit
-// (the DRR empty-queue rule). rec.failed / rec.result must already
-// reflect the outcome. Callers hold jt.mu.
+// retainJobs is how many terminal job records the JobTracker keeps for
+// late Status calls before forgetting the oldest.
+const retainJobs = 64
+
+// terminate marks rec terminal — waking every Status call parked on it
+// and dropping the task outputs only the final fold needed — and
+// deregisters it from its tenant's active (and admission-queue) lists;
+// freed quota promotes queued submissions, and an emptied tenant resets
+// its fair-share deficit (the DRR empty-queue rule). rec.failed /
+// rec.result must already reflect the outcome. Callers hold jt.mu.
 func (jt *JobTracker) terminate(rec *jobRecord) {
 	rec.done = true
+	rec.mapOut, rec.redOut = nil, nil
+	close(rec.terminal)
+	jt.finished = append(jt.finished, rec.id)
+	jt.retire()
 	ts := jt.tenants[rec.tenant]
 	if ts == nil {
 		return
@@ -363,6 +389,22 @@ func (jt *JobTracker) terminate(rec *jobRecord) {
 	jt.promote(rec.tenant)
 	if len(ts.jobs) == 0 {
 		jt.fair.Idle(rec.tenant)
+	}
+}
+
+// retire forgets the oldest terminal records beyond retainJobs. A
+// streamed job that succeeded and is not yet Released is skipped: the
+// heartbeat purge arm frees the outputs of any job it cannot find, and
+// the client has not read these. Callers hold jt.mu.
+func (jt *JobTracker) retire() {
+	for i := 0; i < len(jt.finished) && len(jt.finished) > retainJobs; {
+		rec := jt.jobs[jt.finished[i]]
+		if rec.streamOut && !rec.released && rec.failed == "" {
+			i++
+			continue
+		}
+		delete(jt.jobs, rec.id)
+		jt.finished = slices.Delete(jt.finished, i, i+1)
 	}
 }
 
@@ -405,7 +447,8 @@ func (jt *JobTracker) promoteAll() {
 // Addr returns the JobTracker's RPC address.
 func (jt *JobTracker) Addr() string { return jt.srv.Addr() }
 
-// Close stops the liveness sweep and the server.
+// Close stops the liveness sweep, answers every parked Status call and
+// stops the server.
 func (jt *JobTracker) Close() error {
 	jt.mu.Lock()
 	select {
@@ -415,7 +458,9 @@ func (jt *JobTracker) Close() error {
 	}
 	jt.mu.Unlock()
 	<-jt.done
-	return jt.srv.Close()
+	err := jt.srv.Close()
+	jt.wire.close()
+	return err
 }
 
 // handleDecommissionTracker starts a tracker's graceful retirement:
@@ -573,12 +618,13 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 	id := jt.nextJob
 	jt.nextJob++
 	rec := &jobRecord{
-		id:     id,
-		tenant: tenant,
-		spec:   args.Spec,
-		kern:   kern,
-		maps:   make([]Task, 0, len(tasks)),
-		mapOut: make([][]byte, len(tasks)),
+		id:       id,
+		tenant:   tenant,
+		spec:     args.Spec,
+		kern:     kern,
+		maps:     make([]Task, 0, len(tasks)),
+		mapOut:   make([][]byte, len(tasks)),
+		terminal: make(chan struct{}),
 	}
 	rec.mapBoard = mapBoard
 	rec.shuffle = args.Spec.NumReducers > 0 && args.Spec.Input != "" &&
@@ -639,11 +685,10 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 // jobs, NumTasks equal shares for compute jobs.
 func (jt *JobTracker) expand(spec JobSpec) ([]Task, error) {
 	if spec.Input != "" {
-		nnc, err := rpcnet.Dial(jt.nnAddr)
+		nnc, err := jt.wire.get(jt.nnAddr)
 		if err != nil {
 			return nil, err
 		}
-		defer nnc.Close()
 		var lookup LookupReply
 		if err := nnc.Call("Lookup", LookupArgs{File: spec.Input}, &lookup); err != nil {
 			return nil, err
@@ -1216,6 +1261,11 @@ func (jt *JobTracker) finalize(rec *jobRecord, outputs [][]byte) {
 	jt.terminate(rec)
 }
 
+// handleStatus answers with the job's snapshot — at once for a zero
+// StatusArgs.Hold, otherwise after parking (jt.mu released) until the
+// job's terminal edge, the capped hold expiring or Close, whichever
+// comes first. The record pointer outlives the park even if the job is
+// retired meanwhile, so a parked caller always gets its result.
 func (jt *JobTracker) handleStatus(body []byte) (any, error) {
 	var args StatusArgs
 	if err := rpcnet.Unmarshal(body, &args); err != nil {
@@ -1226,6 +1276,17 @@ func (jt *JobTracker) handleStatus(body []byte) (any, error) {
 	rec, ok := jt.jobs[args.JobID]
 	if !ok {
 		return nil, fmt.Errorf("netmr: unknown job %d", args.JobID)
+	}
+	if args.Hold > 0 && !rec.done {
+		jt.mu.Unlock()
+		hold := time.NewTimer(min(args.Hold, maxStatusHold))
+		select {
+		case <-rec.terminal:
+		case <-hold.C:
+		case <-jt.stop:
+		}
+		hold.Stop()
+		jt.mu.Lock()
 	}
 	attempts := rec.mapBoard.Attempts()
 	counts := rec.mapBoard.Counts()

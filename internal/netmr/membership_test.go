@@ -214,7 +214,12 @@ func TestDataNodeDecommissionReReplicates(t *testing.T) {
 // rejoins cleanly: the liveness sweep declares it dead, the rejoin
 // heartbeat flips it back to alive, and it completes work again.
 func TestDeadTrackerRejoinsCleanly(t *testing.T) {
-	c, err := StartCluster(2, 2, 1024, 30*time.Millisecond, WithDeadAfter(150*time.Millisecond))
+	// Every task outlasts a heartbeat tick (the injected delay): a
+	// tracker refills a slot the moment its task ends, so tasks shorter
+	// than a tick would all be eaten by whichever tracker beat first.
+	const tick, taskTime = 30 * time.Millisecond, 60 * time.Millisecond
+	c, err := StartCluster(2, 2, 1024, tick, WithDeadAfter(150*time.Millisecond),
+		WithTrackerDelays([]time.Duration{taskTime, taskTime}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +235,7 @@ func TestDeadTrackerRejoinsCleanly(t *testing.T) {
 		return trackerStateOf(c.JT, victim.ID) == NodeDead
 	}, "killed tracker never declared dead")
 
-	reborn, err := StartTaskTracker(victim.ID, c.JT.Addr(), localDN, 2, 30*time.Millisecond)
+	reborn, err := StartTaskTracker(victim.ID, c.JT.Addr(), localDN, 2, tick, WithTaskDelay(taskTime))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,16 @@ func streamedMapKey(task int) partKey { return partKey{mapTask: task, part: -1} 
 // output (map task -1 can never collide with a real map task).
 func streamedReduceKey(part int) partKey { return partKey{mapTask: -1, part: part} }
 
-// TaskTracker is the TCP worker daemon: it polls the JobTracker with
-// heartbeats, pulls block data from DataNodes over the network (the
-// paper's measured delivery hop), runs the kernel, and reports results
-// — or failures — on the next heartbeat.
+// TaskTracker is the TCP worker daemon: it pulls work from the
+// JobTracker with heartbeats, fetches block data from DataNodes over
+// the network (the paper's measured delivery hop), runs the kernel, and
+// reports results — or failures — back. Heartbeats have two causes. The
+// periodic tick is liveness plus idle pull: it keeps the membership
+// view fresh and asks for work while slots sit free. A task finishing
+// triggers an out-of-band beat at once: the result is queued and its
+// slot freed in one step, so that beat both delivers the completion and
+// advertises the slot, and its reply carries the next task (or the
+// reduces the last map just unlocked) without waiting out a tick.
 //
 // Each tracker is also a shuffle server: map tasks run under the
 // distributed shuffle leave their hash-partitioned output in the
@@ -88,6 +94,11 @@ type TaskTracker struct {
 	// FetchPartition chunk holds exactly its MaxBytes of credit.
 	fetchWindow int64
 	fetchWin    *flow.Window
+
+	// wake asks the loop for an out-of-band heartbeat; report pokes it
+	// after every task. Capacity 1 coalesces a burst of completions into
+	// one pending beat.
+	wake chan struct{}
 
 	mu          sync.Mutex
 	completed   []TaskResult
@@ -227,6 +238,7 @@ func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat tim
 		srv:           srv,
 		spillMem:      -1,
 		fetchWindow:   defaultFetchWindow,
+		wake:          make(chan struct{}, 1),
 		stop:          make(chan struct{}),
 		dead:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -371,6 +383,7 @@ func (tt *TaskTracker) loop() {
 			tt.drain(client)
 			return
 		case <-ticker.C:
+		case <-tt.wake:
 		}
 		if client == nil {
 			if client = tt.dialJobTracker(); client == nil {
@@ -404,7 +417,7 @@ func (tt *TaskTracker) loop() {
 		if err != nil {
 			// JobTracker gone or the call timed out (the connection
 			// may be desynced mid-frame): requeue the unsent reports
-			// and redial on the next tick.
+			// and redial on the next beat.
 			tt.mu.Lock()
 			tt.completed = append(reports, tt.completed...)
 			tt.mu.Unlock()
@@ -454,12 +467,13 @@ const drainTimeout = 5 * time.Second
 // so no new work comes back) — the graceful half of Stop. client may
 // be nil (the loop lost its connection); delivery redials once.
 func (tt *TaskTracker) drain(client *rpcnet.Client) {
-	deadline := time.Now().Add(drainTimeout)
-	for {
+	timeout := time.NewTimer(drainTimeout)
+	defer timeout.Stop()
+	for timedOut := false; ; {
 		tt.mu.Lock()
 		running := tt.running
 		reports := tt.completed
-		if running == 0 || time.Now().After(deadline) {
+		if running == 0 || timedOut {
 			tt.completed = nil
 			tt.mu.Unlock()
 			if len(reports) > 0 {
@@ -485,55 +499,63 @@ func (tt *TaskTracker) drain(client *rpcnet.Client) {
 		select {
 		case <-tt.dead:
 			return
-		case <-time.After(5 * time.Millisecond):
+		case <-tt.wake: // a task reported: re-check
+		case <-timeout.C:
+			timedOut = true
 		}
 	}
 }
 
-// report queues one task result (or failure) for the next heartbeat,
-// unless the node has died.
+// report ends one task attempt: it queues the result (or failure) and
+// frees the attempt's slot in one critical section, then wakes the loop
+// for an out-of-band heartbeat — which therefore advertises the freed
+// slot in the same beat that delivers the result. A dead node's result
+// is dropped.
 func (tt *TaskTracker) report(res TaskResult) {
-	select {
-	case <-tt.dead:
-		return // node died before reporting
-	default:
-	}
 	tt.mu.Lock()
-	tt.completed = append(tt.completed, res)
+	tt.running--
+	select {
+	case <-tt.dead: // node died before reporting
+	default:
+		tt.completed = append(tt.completed, res)
+	}
 	tt.mu.Unlock()
+	select {
+	case tt.wake <- struct{}{}:
+	default: // a beat is already pending
+	}
 }
 
-// runTask executes one task attempt: fetch its inputs (a DFS block for
-// map tasks, shuffle partitions for reduce tasks), run the kernel, and
-// queue the result — or the error, so the JobTracker re-issues the
-// task on the next heartbeat instead of waiting out the lease.
+// runTask executes one task attempt and reports its result — or its
+// error, so the JobTracker re-issues the task at once instead of
+// waiting out the lease.
 func (tt *TaskTracker) runTask(task Task) {
-	defer func() {
-		tt.mu.Lock()
-		tt.running--
-		tt.mu.Unlock()
-	}()
 	res := TaskResult{JobID: task.JobID, TaskID: task.TaskID, Reduce: task.Reduce}
+	if err := tt.execTask(task, &res); err != nil {
+		res.Err = err.Error()
+	}
+	tt.report(res)
+}
+
+// execTask does the attempt's work, filling res: fetch the inputs (a
+// DFS block for map tasks, shuffle partitions for reduce tasks), run
+// the kernel, and leave the output where its path wants it.
+func (tt *TaskTracker) execTask(task Task, res *TaskResult) error {
 	kern, err := lookupKernel(task.Kernel)
 	if err != nil {
-		res.Err = err.Error()
-		tt.report(res)
-		return
+		return err
 	}
 	if tt.delay > 0 {
 		time.Sleep(tt.delay) // injected straggler slowdown
 	}
 	if task.Reduce {
-		tt.runReduce(task, kern, res)
-		return
+		return tt.runReduce(task, kern, res)
 	}
 	var data []byte
 	if len(task.Block.Replicas) > 0 {
 		data, err = tt.fetchBlock(task.Block)
 		if err != nil {
-			res.Err = err.Error()
-			tt.report(res)
-			return
+			return err
 		}
 	}
 	if task.NumParts > 0 && kern.Partition != nil {
@@ -541,46 +563,36 @@ func (tt *TaskTracker) runTask(task Task) {
 		// FetchPartition; only their location crosses the heartbeat.
 		parts, err := tt.partitionTask(task, kern, data)
 		if err != nil {
-			res.Err = err.Error()
-			tt.report(res)
-			return
+			return err
 		}
 		res.PartBytes = make([]int64, len(parts))
 		for p, payload := range parts {
 			if err := tt.store.put(task.JobID, partKey{task.TaskID, p}, payload); err != nil {
-				res.Err = err.Error()
-				tt.report(res)
-				return
+				return err
 			}
 			// Per-partition sizes ride the heartbeat so the JobTracker
 			// can grant the heaviest reduce ranges first (LPT).
 			res.PartBytes[p] = int64(len(payload))
 		}
 		res.ShuffleAddr = tt.srv.Addr()
-		tt.report(res)
-		return
+		return nil
 	}
 	out, err := tt.mapTask(task, kern, data)
 	if err != nil {
-		res.Err = err.Error()
-		tt.report(res)
-		return
+		return err
 	}
 	if task.StreamOutput {
 		// Streamed result path: the output parks here (spilling past
 		// the watermark) and only its location rides the heartbeat;
 		// the client fetches it straight from this store.
 		if err := tt.store.put(task.JobID, streamedMapKey(task.TaskID), out); err != nil {
-			res.Err = err.Error()
-			tt.report(res)
-			return
+			return err
 		}
 		res.ShuffleAddr = tt.srv.Addr()
-		tt.report(res)
-		return
+		return nil
 	}
 	res.Output = out
-	tt.report(res)
+	return nil
 }
 
 // offloads reports whether the task's map work should try the
@@ -637,7 +649,7 @@ func (tt *TaskTracker) partitionTask(task Task, kern MapKernel, data []byte) ([]
 // connections.
 const fetchParallel = 4
 
-// runReduce executes one reduce task: pull partition task.TaskID from
+// runReduce does one reduce task's work: pull partition task.TaskID from
 // every mapper tracker's shuffle store (local reads short-circuit the
 // network) and merge the pieces with the kernel. Remote pieces arrive
 // over up to fetchParallel concurrent chunked fetch loops, every
@@ -645,7 +657,7 @@ const fetchParallel = 4
 // window — outstanding shuffle bytes are bounded by the window, not by
 // partition sizes. A fetch failure names the unreachable store so the
 // JobTracker can re-run the map tasks that died with it.
-func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res TaskResult) {
+func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res *TaskResult) error {
 	own := tt.srv.Addr()
 	pieces := make([][]byte, len(task.Inputs))
 	type remote struct {
@@ -657,11 +669,9 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res TaskResult) {
 		if ref.Addr == own {
 			data, ok := tt.store.get(task.JobID, partKey{ref.MapTask, task.TaskID})
 			if !ok {
-				res.Err = fmt.Sprintf("netmr: local partition %d of job %d map %d missing",
-					task.TaskID, task.JobID, ref.MapTask)
 				res.BadAddr = own
-				tt.report(res)
-				return
+				return fmt.Errorf("netmr: local partition %d of job %d map %d missing",
+					task.TaskID, task.JobID, ref.MapTask)
 			}
 			pieces[i] = data
 			continue
@@ -703,31 +713,24 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res TaskResult) {
 	}
 	wg.Wait()
 	if fetchErr != nil {
-		res.Err = fetchErr.Error()
 		res.BadAddr = badAddr
-		tt.report(res)
-		return
+		return fetchErr
 	}
 	out, err := kern.Merge(pieces)
 	if err != nil {
-		res.Err = err.Error()
-		tt.report(res)
-		return
+		return err
 	}
 	if task.StreamOutput {
 		// The merged partition stays here too; the client pulls it in
 		// partition order once the job finishes.
 		if err := tt.store.put(task.JobID, streamedReduceKey(task.TaskID), out); err != nil {
-			res.Err = err.Error()
-			tt.report(res)
-			return
+			return err
 		}
 		res.ShuffleAddr = own
-		tt.report(res)
-		return
+		return nil
 	}
 	res.Output = out
-	tt.report(res)
+	return nil
 }
 
 // fetchPartition pulls one whole partition from a peer shuffle store

@@ -27,6 +27,8 @@
 // lifetimes; TenantClient binds a Client to one tenant.
 package netmr
 
+import "time"
+
 // BlockInfo describes one stored block: its cluster-wide ID, size and
 // every replica holding it.
 type BlockInfo struct {
@@ -427,7 +429,8 @@ type TaskResult struct {
 	PartBytes []int64
 }
 
-// HeartbeatArgs is the TaskTracker's periodic report. The first
+// HeartbeatArgs is the TaskTracker's report, sent on every tick and at
+// once whenever one of its tasks finishes. The first
 // heartbeat registers the tracker with the JobTracker's membership
 // view (nothing is wired at boot); every later one refreshes its
 // liveness.
@@ -505,10 +508,24 @@ type ListTrackersReply struct {
 	Trackers []TrackerInfo
 }
 
-// StatusArgs polls a job.
+// StatusArgs asks for a job's state. With a zero Hold the reply is the
+// immediate snapshot. With a positive Hold the call is a long-poll: the
+// JobTracker parks it — without holding its lock — until the job turns
+// terminal (finished, failed or killed), the hold expires or the
+// JobTracker closes, and replies with the snapshot taken at that edge,
+// so a not-done reply to a held call means "still running after Hold".
+// The JobTracker caps Hold at maxStatusHold; callers keep it below
+// their own call timeout so a parked call never reads as a hung master.
 type StatusArgs struct {
 	JobID int64
+	Hold  time.Duration
 }
+
+// maxStatusHold caps how long the JobTracker parks one Status call. It
+// is short against waitCallTimeout (a parked call stays distinguishable
+// from a hung JobTracker) and bounds how long a parked call can occupy
+// one of its connection's handler slots.
+const maxStatusHold = time.Second
 
 // StatusReply reports completion; Result is the kernel's reduced
 // output once Done.

@@ -145,7 +145,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 // tags. Any read error kills the connection and fails all pending
 // calls.
 func (cc *clientConn) readLoop(proposed string) {
-	br := bufio.NewReaderSize(cc.nc, 64<<10)
+	br := bufio.NewReaderSize(cc.nc, connReadBuf)
 	accepted, err := readHello(br)
 	if err != nil {
 		cc.fail(fmt.Errorf("rpcnet: hello: %w", err))

@@ -50,6 +50,16 @@ const (
 	// so one jumbo frame doesn't pin megabytes forever.
 	maxPooledBuf = 4 << 20
 
+	// connReadBuf sizes each connection end's bufio.Reader. It only has
+	// to gather a frame's header, meta and a small body in one read: a
+	// large body goes from the socket straight into readFrame's pooled
+	// buffer (bufio bypasses its own buffer for reads at least its size).
+	// Every pooled connection holds two for life and a warm cluster keeps
+	// dozens of connections, so a 64 KB reader — which the Call*
+	// benchmarks cannot tell from this one — made the read buffers most
+	// of an idle cluster's live heap.
+	connReadBuf = 4 << 10
+
 	// preGrowCap caps the speculative Grow before a body read; the
 	// rest grows only as real bytes arrive, so a lying length prefix
 	// cannot force a huge allocation.

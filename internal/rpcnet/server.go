@@ -96,7 +96,7 @@ func (s *Server) acceptLoop() {
 // maxConnConcurrency). It returns on EOF or a broken peer, after the
 // in-flight handlers drain.
 func (s *Server) serveConn(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, connReadBuf)
 	proposed, err := readHello(br)
 	if err != nil {
 		return
