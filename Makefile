@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-e2e-smoke bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick figures-golden fmt vet lint hetlint loc race docs ci
+.PHONY: build test bench bench-e2e-smoke bench-compare fuzz-smoke mem-smoke terasort-scale repro-quick figures-golden fmt vet lint hetlint loc race docs ci
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,8 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench runs the few go-test micro-benchmarks bench/ has no probe for
+# once each: a does-it-still-run smoke, not a measurement.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -25,39 +27,26 @@ bench-e2e-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -quick
 
-# bench-json mirrors the CI benchmark lane: every benchmark once,
-# parsed into the machine-readable perf artifact. The name is derived
-# from HEAD like the CI lane derives it from the PR number — no stale
-# hardcoded artifact names. The intermediate file (not a pipe) keeps a
-# benchmark failure fatal.
-BENCH_ARTIFACT ?= BENCH_$(shell git rev-parse --short=12 HEAD 2>/dev/null || echo LOCAL)
-bench-json:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > bench.out
-	$(GO) run ./cmd/benchjson -o $(BENCH_ARTIFACT).json < bench.out
-	@rm -f bench.out
-	@echo "wrote $(BENCH_ARTIFACT).json"
-
-# bench-gate mirrors the CI regression gate: rerun the rpcnet wire
-# benchmarks plus the 100 MB range-partitioned terasort (MB/s and
-# peak_heap_MB) and fail on any >15% direction-aware regression
-# against the committed baseline.
-bench-gate:
-	$(GO) test -bench=. -benchtime=0.3s -count=5 -run='^$$' ./internal/rpcnet > gate.out
-	$(GO) test -bench='TerasortPeakMemory/net/100MB' -benchtime=1x -count=3 -run='^$$' -timeout 30m ./internal/engine >> gate.out
-	$(GO) run ./cmd/benchjson -o BENCH_GATE.json < gate.out
-	@rm -f gate.out
-	$(GO) run ./cmd/benchdiff -baseline BENCH_BASELINE.json -new BENCH_GATE.json -threshold 0.15
-	@rm -f BENCH_GATE.json
-
-# bench-baseline refreshes the committed gate baseline — run it (and
-# commit the result) when a PR legitimately moves the rpcnet or
-# terasort numbers.
-bench-baseline:
-	$(GO) test -bench=. -benchtime=0.3s -count=5 -run='^$$' ./internal/rpcnet > gate.out
-	$(GO) test -bench='TerasortPeakMemory/net/100MB' -benchtime=1x -count=3 -run='^$$' -timeout 30m ./internal/engine >> gate.out
-	$(GO) run ./cmd/benchjson -o BENCH_BASELINE.json < gate.out
-	@rm -f gate.out
-	@echo "wrote BENCH_BASELINE.json"
+# bench-compare is the performance gate: build BASE's tree and this one
+# from their own checkouts, run each one's own bench/run.sh five times
+# per workload (end-to-end pass only), and compare the two result files
+# at BENCHMARK.json's bounds. The exit status is -compare's: 1 only on
+# a "worse" row. No number is committed — one recorded on another
+# machine says nothing about this one — so both sides are measured here,
+# back to back. All of BASE's runs come before all of this tree's (about
+# 7 minutes a side), so a machine that changes pace between the two
+# blocks reads as a tight "worse" or "better" row: re-run a red gate on
+# a shared runner before believing it. Alternating the sides needs
+# -compare to take per-run result files, which waits for the PR that may
+# edit bench/.
+BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null || git rev-parse HEAD~1)
+CMP := $(CURDIR)/.bench_build/cmp
+bench-compare:
+	rm -rf $(CMP) && mkdir -p $(CMP)/src
+	git archive $(BASE) | tar -x -C $(CMP)/src
+	bash $(CMP)/src/bench/run.sh -runs 5 -trace 0 -out $(CMP)/base
+	bash bench/run.sh -runs 5 -trace 0 -out $(CMP)/head
+	bash bench/run.sh -compare $(CMP)/base/result.json $(CMP)/head/result.json
 
 # fuzz-smoke mirrors the CI fuzz lane: short coverage-led mutation
 # over the rpcnet wire decoders and the snap codec.
@@ -123,8 +112,9 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # docs mirrors the CI docs lane: godoc coverage over the core
-# packages plus the ARCHITECTURE.md link check.
+# packages plus the README.md / ARCHITECTURE.md reference check (file
+# links, make targets, Test/Benchmark names).
 docs:
 	$(GO) run ./cmd/docscheck
 
-ci: fmt lint docs build race mem-smoke repro-quick bench bench-e2e-smoke bench-gate
+ci: fmt lint docs build race mem-smoke repro-quick bench bench-e2e-smoke bench-compare

@@ -1,8 +1,9 @@
 // Command docscheck is the CI docs gate: it fails when an exported
 // identifier in the core packages lacks a doc comment, when a core
-// package lacks a package comment, or when ARCHITECTURE.md links to a
-// file that does not exist. It uses only the standard library so the
-// lint lane needs no external tools.
+// package lacks a package comment, or when README.md or ARCHITECTURE.md
+// refers to something that is not there — a linked file, a `make`
+// target, a Test or Benchmark function. It uses only the standard
+// library so the lint lane needs no external tools.
 //
 //	go run ./cmd/docscheck
 package main
@@ -48,7 +49,7 @@ func main() {
 		}
 		problems = append(problems, probs...)
 	}
-	probs, err := checkLinks(root, "ARCHITECTURE.md")
+	probs, err := checkDocs(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(2)
@@ -154,23 +155,119 @@ func exportedReceiver(recv *ast.FieldList) bool {
 	return ok && id.IsExported()
 }
 
-// linkPattern matches inline markdown links; the destination is
-// captured.
-var linkPattern = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+var (
+	// linkPattern matches inline markdown links; the destination is
+	// captured.
+	linkPattern = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	// makePattern captures the target of a make invocation that opens an
+	// inline code span or a line (a command block's); arguments may
+	// follow it.
+	makePattern = regexp.MustCompile("(?m)(?:^|`)make ([a-z][a-z0-9-]*)")
+	// funcRefPattern captures a code span naming a Test or Benchmark
+	// function; a trailing * makes the name a prefix.
+	funcRefPattern = regexp.MustCompile("`((?:Test|Benchmark)[A-Z0-9][A-Za-z0-9_]*)(\\*?)`")
+	// targetPattern captures a Makefile rule's target, funcDeclPattern a
+	// test file's Test or Benchmark function.
+	targetPattern   = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
+	funcDeclPattern = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w*)\(`)
+)
 
-// checkLinks verifies that every relative link destination in the
-// given markdown file points at an existing file or directory.
+// makeTargets lists the Makefile's rule targets.
+func makeTargets(root string) (map[string]bool, error) {
+	data, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil, err
+	}
+	targets := make(map[string]bool)
+	for _, m := range targetPattern.FindAllStringSubmatch(string(data), -1) {
+		targets[m[1]] = true
+	}
+	return targets, nil
+}
+
+// testFuncs lists every Test and Benchmark function declared in the
+// tree's test files, bench/ included; hidden directories (build
+// scratch) are skipped.
+func testFuncs(root string) ([]string, error) {
+	var funcs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcDeclPattern.FindAllStringSubmatch(string(data), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return nil
+	})
+	return funcs, err
+}
+
+// checkDocs runs checkDoc over the prose documents.
+func checkDocs(root string) ([]string, error) {
+	targets, err := makeTargets(root)
+	if err != nil {
+		return nil, err
+	}
+	funcs, err := testFuncs(root)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for _, name := range []string{"README.md", "ARCHITECTURE.md"} {
+		probs, err := checkDoc(root, name, targets, funcs)
+		if err != nil {
+			return nil, err
+		}
+		problems = append(problems, probs...)
+	}
+	return problems, nil
+}
+
+// checkDoc verifies one markdown file's references: every relative
+// link destination points at an existing file or directory, every
+// `make` target is a Makefile rule, and every backticked Test or
+// Benchmark name (or name* prefix) is a function in the tree.
 // External links (scheme-prefixed) and pure anchors are skipped;
 // anchors and :line suffixes on file links are stripped before the
 // existence check.
-func checkLinks(root, name string) ([]string, error) {
-	path := filepath.Join(root, name)
-	data, err := os.ReadFile(path)
+func checkDoc(root, name string, targets map[string]bool, funcs []string) ([]string, error) {
+	data, err := os.ReadFile(filepath.Join(root, name))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w (the docs lane requires it)", name, err)
 	}
+	text := string(data)
 	var problems []string
-	for _, m := range linkPattern.FindAllStringSubmatch(string(data), -1) {
+	for _, m := range makePattern.FindAllStringSubmatch(text, -1) {
+		if target := m[1]; !targets[target] {
+			problems = append(problems, fmt.Sprintf("%s: `make %s` is not a Makefile target", name, target))
+		}
+	}
+	for _, m := range funcRefPattern.FindAllStringSubmatch(text, -1) {
+		found := false
+		for _, f := range funcs {
+			if f == m[1] || m[2] == "*" && strings.HasPrefix(f, m[1]) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			problems = append(problems, fmt.Sprintf("%s: no function %s%s in the tree's test files", name, m[1], m[2]))
+		}
+	}
+	for _, m := range linkPattern.FindAllStringSubmatch(text, -1) {
 		dest := m[1]
 		if strings.Contains(dest, "://") || strings.HasPrefix(dest, "#") || strings.HasPrefix(dest, "mailto:") {
 			continue

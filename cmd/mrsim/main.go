@@ -60,34 +60,6 @@ func main() {
 	decommDN := flag.String("decommission-dn", "", "admin: re-replicate and retire the DataNode at this address on a running service (-nn)")
 	flag.Parse()
 
-	if *serveMode {
-		if err := serve(*nodes, *slots, *blockSize, *quotas, *spillMem, *spillCompress, *codec, *racks); err != nil {
-			fmt.Fprintln(os.Stderr, "mrsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *listNodes || *decommTracker != "" || *decommDN != "" {
-		err := runAdmin(*nn, *jt, *blockSize, *listNodes, *decommTracker, *decommDN)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mrsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *nn != "" || *jt != "" {
-		if *nn == "" || *jt == "" {
-			fmt.Fprintln(os.Stderr, "mrsim: remote submission needs both -nn and -jt")
-			os.Exit(1)
-		}
-		err := runRemote(*nn, *jt, *tenant, *wl, *blockSize, *mb, int64(*samples), *maps, *jobTimeout, *codec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mrsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	accel := *accelFraction
 	if accel == 0 {
 		accel = engine.NoAcceleration
@@ -112,11 +84,23 @@ func main() {
 		Racks:          *racks,
 		RangePartition: *rangePartition,
 	}
-	job, err := buildJob(*backend, *wl, cfg, *gbPerMapper, *mb, int64(*samples), *maps)
-	if err == nil {
-		err = wireStreams(job, *input, *output, func(job *engine.Job) error {
-			return run(*backend, cfg, job)
-		})
+	var err error
+	switch {
+	case *serveMode:
+		cfg.MappersPerNode, cfg.BlockSize = *slots, *blockSize
+		err = serve(cfg, *quotas)
+	case *listNodes || *decommTracker != "" || *decommDN != "":
+		err = runAdmin(*nn, *jt, *blockSize, *listNodes, *decommTracker, *decommDN)
+	case *nn != "" || *jt != "":
+		err = runRemote(*nn, *jt, *tenant, *wl, *blockSize, *mb, int64(*samples), *maps, *jobTimeout, *codec)
+	default:
+		var job *engine.Job
+		job, err = buildJob(*backend, *wl, cfg, *gbPerMapper, *mb, int64(*samples), *maps)
+		if err == nil {
+			err = wireStreams(job, *input, *output, func(job *engine.Job) error {
+				return run(*backend, cfg, job)
+			})
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mrsim:", err)
@@ -259,7 +243,7 @@ func run(backend string, cfg engine.Config, job *engine.Job) error {
 }
 
 // sortedKeys returns the map's keys in sorted order.
-func sortedKeys(m map[string]int) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

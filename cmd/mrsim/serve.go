@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -13,53 +12,32 @@ import (
 	"hetmr/internal/engine"
 	"hetmr/internal/netmr"
 	"hetmr/internal/rpcnet"
-	"hetmr/internal/spill"
 )
 
 // serve boots a long-running multi-tenant job service and blocks until
 // interrupted: the printed NameNode/JobTracker addresses are what
 // client invocations (-nn/-jt) dial to submit jobs against the shared
 // fleet.
-func serve(nodes, slots int, blockSize int64, quotaSpec string, spillMem int64, spillCompress bool, codecName string, racks int) error {
+func serve(cfg engine.Config, quotaSpec string) error {
+	// A zero would boot at the engine's default while the banner below —
+	// whose block size remote submitters must repeat — printed the zero.
+	if cfg.MappersPerNode <= 0 || cfg.BlockSize <= 0 {
+		return fmt.Errorf("-serve needs positive -slots and -block-size, got %d and %d", cfg.MappersPerNode, cfg.BlockSize)
+	}
 	quotas, err := parseQuotas(quotaSpec)
 	if err != nil {
 		return err
 	}
-	if codecName != "" {
-		if _, ok := spill.CodecByName(codecName); !ok {
-			return fmt.Errorf("unknown codec %q (have %v)", codecName, spill.CodecNames())
-		}
-	}
-	opts := []netmr.ClusterOption{netmr.WithQuotas(quotas)}
-	if spillMem != 0 {
-		mem := spillMem
-		if mem < 0 {
-			mem = 0 // spill everything
-		}
-		var codec spill.Codec
-		if spillCompress {
-			codec = spill.Flate()
-			if codecName != "" {
-				codec, _ = spill.CodecByName(codecName) // validated above
-			}
-		}
-		opts = append(opts, netmr.WithSpill("", mem, codec))
-	}
-	if codecName != "" {
-		opts = append(opts, netmr.WithWireCodec(codecName))
-	}
-	if racks >= 2 {
-		opts = append(opts, netmr.WithRacks(racks))
-	}
-	svc, err := netmr.StartService(nodes, slots, blockSize, 20*time.Millisecond, opts...)
+	cfg.Quotas = quotas
+	r, clus, err := startService(cfg)
 	if err != nil {
 		return err
 	}
-	defer svc.Close()
-	fmt.Printf("mrsim job service up: %d workers x %d slots, block size %d\n", nodes, slots, blockSize)
-	fmt.Printf("  namenode    %s\n", svc.NameNodeAddr())
-	fmt.Printf("  jobtracker  %s\n", svc.JobTrackerAddr())
-	for _, tenant := range sortedQuotaTenants(quotas) {
+	defer r.Close()
+	fmt.Printf("mrsim job service up: %d workers x %d slots, block size %d\n", len(clus.TTs), cfg.MappersPerNode, cfg.BlockSize)
+	fmt.Printf("  namenode    %s\n", clus.NN.Addr())
+	fmt.Printf("  jobtracker  %s\n", clus.JT.Addr())
+	for _, tenant := range sortedKeys(quotas) {
 		q := quotas[tenant]
 		fmt.Printf("  tenant %-12s weight=%g maxJobs=%d maxTrackers=%d spillBytes=%d\n",
 			tenant, q.Weight, q.MaxJobs, q.MaxTrackers, q.SpillBytes)
@@ -72,12 +50,25 @@ func serve(nodes, slots int, blockSize int64, quotaSpec string, spillMem int64, 
 	return nil
 }
 
+// startService boots the service's fleet as the engine's net backend,
+// so the one Config→cluster mapping (engine/net.go) decides what the
+// scheduling, accelerator, spill, codec and rack flags mean for -serve
+// exactly as it does for a one-shot -backend net run. Closing the
+// runner stops every daemon.
+func startService(cfg engine.Config) (engine.Runner, *netmr.Cluster, error) {
+	r, err := engine.New("net", cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, r.(interface{ Cluster() *netmr.Cluster }).Cluster(), nil
+}
+
 // parseQuotas reads the -quotas syntax: a comma-separated list of
 // tenant=weight[:maxJobs[:maxTrackers[:spillBytes[:maxQueued]]]]
 // entries, e.g. "alice=3,bob=1:2" (bob at weight 1, at most 2
 // concurrent jobs).
-func parseQuotas(spec string) (map[string]netmr.Quota, error) {
-	quotas := make(map[string]netmr.Quota)
+func parseQuotas(spec string) (map[string]engine.Quota, error) {
+	quotas := make(map[string]engine.Quota)
 	if spec == "" {
 		return quotas, nil
 	}
@@ -90,29 +81,17 @@ func parseQuotas(spec string) (map[string]netmr.Quota, error) {
 		if len(parts) > 5 {
 			return nil, fmt.Errorf("quota entry %q has %d fields, at most 5", entry, len(parts))
 		}
-		var q netmr.Quota
-		if w, err := strconv.ParseFloat(parts[0], 64); err != nil {
+		w, err := strconv.ParseFloat(parts[0], 64)
+		if err != nil {
 			return nil, fmt.Errorf("quota entry %q: weight: %v", entry, err)
-		} else {
-			q.Weight = w
 		}
-		ints := []*int{nil, &q.MaxJobs, &q.MaxTrackers, nil, &q.MaxQueued}
+		var n [5]int64 // by field position; [0], the weight's, stays unused
 		for i := 1; i < len(parts); i++ {
-			if i == 3 {
-				n, err := strconv.ParseInt(parts[3], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("quota entry %q: spillBytes: %v", entry, err)
-				}
-				q.SpillBytes = n
-				continue
-			}
-			n, err := strconv.Atoi(parts[i])
-			if err != nil {
+			if n[i], err = strconv.ParseInt(parts[i], 10, 64); err != nil {
 				return nil, fmt.Errorf("quota entry %q: field %d: %v", entry, i, err)
 			}
-			*ints[i] = n
 		}
-		quotas[name] = q
+		quotas[name] = engine.Quota{Weight: w, MaxJobs: int(n[1]), MaxTrackers: int(n[2]), SpillBytes: n[3], MaxQueued: int(n[4])}
 	}
 	return quotas, nil
 }
@@ -163,20 +142,13 @@ func runAdmin(nnAddr, jtAddr string, blockSize int64, list bool, decommTracker, 
 	return nil
 }
 
-// sortedQuotaTenants orders tenant names for stable output.
-func sortedQuotaTenants(quotas map[string]netmr.Quota) []string {
-	names := make([]string, 0, len(quotas))
-	for name := range quotas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // runRemote submits one workload to an already-running job service as
 // the given tenant, waits for it and prints the result — the client
 // half of -serve.
 func runRemote(nnAddr, jtAddr, tenant, wl string, blockSize int64, mb float64, samples int64, maps int, timeout time.Duration, codecName string) error {
+	if nnAddr == "" || jtAddr == "" {
+		return fmt.Errorf("remote submission needs both -nn and -jt")
+	}
 	var copts []netmr.ClientOption
 	if codecName != "" {
 		copts = append(copts, netmr.WithClientWireCodec(codecName))

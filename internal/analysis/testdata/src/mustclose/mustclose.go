@@ -1,5 +1,5 @@
 // Package mustclose is the fixture for the mustclose analyzer: Res
-// and Svc stand in for rpcnet.Client / netmr.Service, and each
+// and Svc stand in for rpcnet.Client / netmr.Cluster, and each
 // function is one positive (want) or negative (clean) case.
 package mustclose
 

@@ -1,9 +1,72 @@
 package engine
 
 import (
+	"io"
+	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// samplePeakHeap runs f while polling the Go heap, returning the
+// highest HeapAlloc observed (bytes). A GC before the run floors the
+// baseline so successive measurements do not inherit each other's
+// garbage.
+func samplePeakHeap(f func()) uint64 {
+	runtime.GC()
+	var peak atomic.Uint64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			for {
+				old := peak.Load()
+				if ms.HeapAlloc <= old || peak.CompareAndSwap(old, ms.HeapAlloc) {
+					break
+				}
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	f()
+	close(stop)
+	<-done
+	return peak.Load()
+}
+
+// streamEncryptOnce runs one fully-streamed encrypt job: synthetic
+// generator in, io.Discard out, every data-plane store bounded by the
+// spill watermark.
+func streamEncryptOnce(tb testing.TB, backend string, inputBytes int64, spillDir string) {
+	tb.Helper()
+	cfg := Config{
+		Workers:       4,
+		BlockSize:     64_000,
+		SpillMemBytes: 1 << 20,
+		SpillDir:      spillDir,
+	}
+	job := &Job{
+		Kind:       Encrypt,
+		InputBytes: inputBytes,
+		Key:        []byte("bench-stream-key"),
+		Sink:       io.Discard,
+	}
+	res, err := RunOnce(backend, cfg, job)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.OutputBytes != inputBytes {
+		tb.Fatalf("%s streamed %d bytes, want %d", backend, res.OutputBytes, inputBytes)
+	}
+}
 
 // TestBoundedMemoryStreaming is the bounded-memory smoke gate: a
 // synthetic dataset far above the spill watermark streams end to end

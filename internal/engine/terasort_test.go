@@ -17,8 +17,9 @@ import (
 // range-partitioned sort end to end — random records stream in through
 // the windowed ingest path, partitions stream back in key order through
 // WaitOutput, and a constant-space checker verifies global sortedness
-// without ever materializing the dataset. The benchmark alongside pins
-// the peak heap so "streams at any size" stays true.
+// without ever materializing the dataset. TestBoundedMemoryStreamingSort
+// and TestTerasortScaleFlatHeap pin the peak heap so "streams at any
+// size" stays true.
 
 // sortRecordSource streams pseudo-random terasort records without ever
 // holding more than one generation batch in memory. Each batch derives
@@ -245,40 +246,6 @@ func TestRangePartitionSortConformance(t *testing.T) {
 				t.Fatalf("range-partitioned net sort differs from live hash sort (%d vs %d bytes)",
 					len(res.Bytes), len(ref.Bytes))
 			}
-		})
-	}
-}
-
-// BenchmarkTerasortPeakMemory is the scale gate: a full
-// range-partitioned net sort at 100 MB and 1 GB, reporting throughput
-// and peak heap. The CI bench-gate diffs the 100 MB peak_heap_MB
-// against BENCH_BASELINE.json; the 1 GB case is the acceptance run —
-// its peak must stay flat relative to 100 MB because every layer
-// streams. GOGC is pinned low for the same reason as the smoke test:
-// the metric is the pipeline's live working set, which a regression to
-// materializing would blow through at any collector setting.
-func BenchmarkTerasortPeakMemory(b *testing.B) {
-	oldGC := debug.SetGCPercent(10)
-	defer debug.SetGCPercent(oldGC)
-	sizes := []struct {
-		label string
-		bytes int64
-	}{
-		{"100MB", 100_000_000},
-		{"1GB", 1_000_000_000},
-	}
-	for _, sz := range sizes {
-		sz := sz
-		b.Run("net/"+sz.label, func(b *testing.B) {
-			dir := b.TempDir()
-			b.SetBytes(sz.bytes)
-			var peak uint64
-			for i := 0; i < b.N; i++ {
-				peak = samplePeakHeap(func() {
-					terasortOnce(b, sz.bytes, dir)
-				})
-			}
-			b.ReportMetric(float64(peak)/(1<<20), "peak_heap_MB")
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"hetmr/internal/spill"
@@ -227,6 +228,45 @@ func TestCreateFromStreams(t *testing.T) {
 	if store.(spillBlockStore).s.Len() != 0 {
 		t.Fatal("Delete left payloads in the block store")
 	}
+
+	// Ingest costs O(n): the Writer cuts blocks with an offset cursor.
+	// The tail-reallocating Writer it replaced allocated O(n²) — 16× the
+	// bytes for 4× the input. A buffered lead byte keeps the second case
+	// off the straight-from-p shortcut, so every block crosses the
+	// Writer's buffer.
+	for _, lead := range []int{0, 1} {
+		small, large := writeAllocBytes(t, 1<<20, lead), writeAllocBytes(t, 4<<20, lead)
+		if ratio := float64(large) / float64(small); ratio >= 8 {
+			t.Errorf("lead %d: a 4 MB Write allocated %d bytes, %.1fx the %d of a 1 MB Write — want ~4x, ingest must stay linear",
+				lead, large, ratio, small)
+		}
+	}
+}
+
+// writeAllocBytes returns the heap bytes allocated by one Write of size
+// bytes (and the Close after it) at a 4 KB block size, with lead bytes
+// already sitting in the Writer's buffer.
+func writeAllocBytes(t *testing.T, size, lead int) uint64 {
+	t.Helper()
+	nn := streamCluster(t, 4096, 1, 1)
+	data := streamPayload(lead + size)
+	w, err := nn.Create("/f", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data[:lead]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := w.Write(data[lead:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestSyntheticStillErrs pins that metadata-only files keep refusing

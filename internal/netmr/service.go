@@ -2,70 +2,10 @@ package netmr
 
 import "time"
 
-// Service is the long-running multi-tenant job service: one in-process
-// cluster (NameNode, JobTracker, DataNode/TaskTracker fleet) that
-// accepts submissions from many tenants over its lifetime instead of
-// living for a single job. Tenants get isolated job state (per-job
-// boards, job-id-prefixed shuffle namespaces), weighted fair-share
-// scheduling across the shared tracker fleet, and quota-based
-// admission control; ClientFor hands out tenant-bound handles.
-//
-// Service wraps Cluster rather than replacing it: tests that want raw
-// daemon handles keep using StartCluster, while mrsim -serve and the
-// engine's job-service path speak Service.
-type Service struct {
-	cluster   *Cluster
-	blockSize int64
-}
-
-// StartService boots a multi-tenant job service with the given worker
-// count, slot count per tracker and DFS block size. Pass WithQuotas to
-// install tenant weights and limits up front; SetQuota adjusts them
-// live.
-func StartService(workers, slots int, blockSize int64, heartbeat time.Duration, opts ...ClusterOption) (*Service, error) {
-	cluster, err := StartCluster(workers, slots, blockSize, heartbeat, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Service{cluster: cluster, blockSize: blockSize}, nil
-}
-
-// NameNodeAddr returns the service's DFS master address — what an
-// external client dials for file I/O.
-func (s *Service) NameNodeAddr() string { return s.cluster.NN.Addr() }
-
-// JobTrackerAddr returns the service's job master address — what an
-// external client dials for submissions.
-func (s *Service) JobTrackerAddr() string { return s.cluster.JT.Addr() }
-
-// SetQuota installs (or replaces) tenant's quota and fair-share weight
-// on the running service.
-func (s *Service) SetQuota(tenant string, q Quota) { s.cluster.JT.SetQuota(tenant, q) }
-
-// TenantStats reports every tenant's scheduling and accounting state.
-func (s *Service) TenantStats() map[string]TenantStat { return s.cluster.JT.TenantStats() }
-
-// ClientFor returns a tenant-bound client for the service, writing
-// DFS files at the service's block size.
-func (s *Service) ClientFor(tenant string) (*TenantClient, error) {
-	return NewTenantClient(s.NameNodeAddr(), s.JobTrackerAddr(), s.blockSize, tenant)
-}
-
-// Cluster exposes the underlying daemons for tests and tooling that
-// need raw handles (tracker stores, the JobTracker itself).
-func (s *Service) Cluster() *Cluster { return s.cluster }
-
-// Close shuts the whole service down.
-func (s *Service) Close() { s.cluster.Shutdown() }
-
-// DefaultBlockSize is the DFS block size Service clients use when the
-// caller doesn't pick one.
-const DefaultBlockSize int64 = 4 << 20
-
 // TenantClient is a Client bound to one tenant: Submit stamps the
 // tenant into every spec, Kill and ListJobs scope to the tenant's
-// jobs. Build one with Service.ClientFor (in-process) or
-// NewTenantClient (dialing a remote service).
+// jobs — the per-tenant handle on the multi-tenant job service a
+// long-running JobTracker is.
 type TenantClient struct {
 	*Client
 	tenant string

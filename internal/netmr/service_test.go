@@ -28,28 +28,41 @@ func piSpec(name string, nTasks int, samplesPerTask int64) JobSpec {
 	}
 }
 
+// startService boots a cluster for a service-lifetime test and stops it
+// with the test.
+func startService(t *testing.T, workers int, blockSize int64, opts ...ClusterOption) *Cluster {
+	t.Helper()
+	clus, err := StartCluster(workers, 2, blockSize, 2*time.Millisecond, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(clus.Shutdown)
+	return clus
+}
+
+// tenantClient dials clus as tenant, the way a remote submitter would.
+func tenantClient(t *testing.T, clus *Cluster, tenant string) *TenantClient {
+	t.Helper()
+	tc, err := NewTenantClient(clus.NN.Addr(), clus.JT.Addr(), clus.blockSize, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tc.Close() })
+	return tc
+}
+
 // TestServiceFairShareAcrossTenants runs four concurrent jobs from two
 // tenants with a 3:1 weight ratio against one JobTracker and checks
 // (a) cumulative grants track the weights within 25% while both
 // tenants have work, and (b) every concurrent result is bit-identical
 // to the same job submitted sequentially afterwards.
 func TestServiceFairShareAcrossTenants(t *testing.T) {
-	svc, err := StartService(2, 2, 64_000, 2*time.Millisecond, WithQuotas(map[string]Quota{
+	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
 		"alice": {Weight: 1},
 		"bob":   {Weight: 3},
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	alice, err := svc.ClientFor("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bob, err := svc.ClientFor("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
+	alice := tenantClient(t, clus, "alice")
+	bob := tenantClient(t, clus, "bob")
 
 	// Two jobs per tenant, identical work shapes: 100 sub-millisecond
 	// tasks each, so grant counts are the workload in both cases.
@@ -77,7 +90,7 @@ func TestServiceFairShareAcrossTenants(t *testing.T) {
 	var aliceAtBobDone int64
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		stats := svc.TenantStats()
+		stats := clus.JT.TenantStats()
 		if stats["bob"].Granted >= bobTotal {
 			aliceAtBobDone = stats["alice"].Granted
 			break
@@ -126,17 +139,10 @@ func TestServiceFairShareAcrossTenants(t *testing.T) {
 // at its concurrent-job cap gets ErrQuotaExceeded across the RPC
 // boundary, and regains admission once a job finishes.
 func TestServiceQuotaMaxJobs(t *testing.T) {
-	svc, err := StartService(2, 2, 64_000, 2*time.Millisecond, WithQuotas(map[string]Quota{
+	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
 		"carol": {MaxJobs: 1},
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	carol, err := svc.ClientFor("carol")
-	if err != nil {
-		t.Fatal(err)
-	}
+	carol := tenantClient(t, clus, "carol")
 	id, err := carol.Submit(piSpec("carol-0", 50, 100_000))
 	if err != nil {
 		t.Fatal(err)
@@ -145,10 +151,7 @@ func TestServiceQuotaMaxJobs(t *testing.T) {
 		t.Fatalf("second submit at MaxJobs=1: error %v, want ErrQuotaExceeded", err)
 	}
 	// Other tenants are not throttled by carol's quota.
-	dave, err := svc.ClientFor("dave")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dave := tenantClient(t, clus, "dave")
 	if _, err := dave.SubmitAndWait(piSpec("dave-0", 2, 1000), 30*time.Second); err != nil {
 		t.Fatalf("unthrottled tenant rejected: %v", err)
 	}
@@ -165,17 +168,10 @@ func TestServiceQuotaMaxJobs(t *testing.T) {
 // promotes automatically when a running job finishes, and completes —
 // while submissions past the queue cap still get the typed rejection.
 func TestServiceQuotaMaxQueued(t *testing.T) {
-	svc, err := StartService(2, 2, 64_000, 2*time.Millisecond, WithQuotas(map[string]Quota{
+	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
 		"frank": {MaxJobs: 1, MaxQueued: 1},
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	frank, err := svc.ClientFor("frank")
-	if err != nil {
-		t.Fatal(err)
-	}
+	frank := tenantClient(t, clus, "frank")
 	running, err := frank.Submit(piSpec("frank-0", 50, 100_000))
 	if err != nil {
 		t.Fatal(err)
@@ -204,17 +200,10 @@ func TestServiceQuotaMaxQueued(t *testing.T) {
 // trackers is refused new work once past its SpillBytes budget, and
 // Kill releases the held state, restoring admission.
 func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
-	svc, err := StartService(2, 2, 1000, 2*time.Millisecond, WithQuotas(map[string]Quota{
+	clus := startService(t, 2, 1000, WithQuotas(map[string]Quota{
 		"erin": {SpillBytes: 1},
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	erin, err := svc.ClientFor("erin")
-	if err != nil {
-		t.Fatal(err)
-	}
+	erin := tenantClient(t, clus, "erin")
 	plain := bytes.Repeat([]byte("0123456789abcdef"), 1024) // 16 KB
 	if err := erin.WriteFile("/plain", plain, ""); err != nil {
 		t.Fatal(err)
@@ -240,7 +229,7 @@ func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			held := svc.TenantStats()["erin"].HeldBytes
+			held := clus.JT.TenantStats()["erin"].HeldBytes
 			if (held > 0) == want {
 				return
 			}
@@ -271,19 +260,9 @@ func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	corpus := shuffleCorpus(50_000, 97)
 	delays := []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}
-	svc, err := StartService(3, 2, 1000, 2*time.Millisecond, WithTrackerDelays(delays))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	frank, err := svc.ClientFor("frank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	grace, err := svc.ClientFor("grace")
-	if err != nil {
-		t.Fatal(err)
-	}
+	clus := startService(t, 3, 1000, WithTrackerDelays(delays))
+	frank := tenantClient(t, clus, "frank")
+	grace := tenantClient(t, clus, "grace")
 	if err := frank.WriteFile("/corpus", corpus, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +325,7 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	// in-flight attempts may re-store a partition once, then the next
 	// heartbeat purges it).
 	drained := func() bool {
-		for _, tt := range svc.Cluster().TTs {
+		for _, tt := range clus.TTs {
 			if tt.JobHeldBytes(victimID) > 0 {
 				return false
 			}
@@ -357,7 +336,7 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	for !drained() {
 		if time.Now().After(deadline) {
 			var report []string
-			for _, tt := range svc.Cluster().TTs {
+			for _, tt := range clus.TTs {
 				report = append(report, fmt.Sprintf("%d", tt.JobHeldBytes(victimID)))
 			}
 			t.Fatalf("killed job still holds store bytes per tracker: %v", report)
@@ -373,7 +352,7 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	if len(jobs) != 1 || !jobs[0].Done || jobs[0].Err == "" {
 		t.Errorf("frank's job listing = %+v, want one terminal killed job", jobs)
 	}
-	if stats := svc.TenantStats(); stats["frank"].ActiveJobs != 0 {
+	if stats := clus.JT.TenantStats(); stats["frank"].ActiveJobs != 0 {
 		t.Errorf("killed tenant still has %d active jobs", stats["frank"].ActiveJobs)
 	}
 	all, err := frank.Client.ListJobs("")

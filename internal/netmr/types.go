@@ -23,8 +23,8 @@
 // job/tracker caps, a held-spill-bytes budget) enforced at admission
 // with the typed ErrQuotaExceeded, and free heartbeat slots are
 // granted across tenants by weighted deficit round-robin
-// (internal/sched's FairShare). Service wraps a cluster for service
-// lifetimes; TenantClient binds a Client to one tenant.
+// (internal/sched's FairShare). TenantClient binds a Client to one
+// tenant.
 package netmr
 
 import "time"
