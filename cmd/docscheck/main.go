@@ -32,7 +32,6 @@ var corePackages = []string{
 	"internal/rpcnet",
 	"internal/analysis",
 	"internal/testutil",
-	"internal/topo",
 }
 
 func main() {

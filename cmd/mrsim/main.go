@@ -53,7 +53,7 @@ func main() {
 	nn := flag.String("nn", "", "NameNode address of a running job service (remote submission and admin)")
 	jt := flag.String("jt", "", "JobTracker address of a running job service (remote submission and admin)")
 	tenant := flag.String("tenant", "", "tenant to submit as against a running job service")
-	racks := flag.Int("racks", 0, "spread workers over this many racks (net, live and -serve); 0 or 1 = flat topology")
+	racks := flag.Int("racks", 0, "spread workers over this many racks (net and -serve; live and sim accept it and ignore it); 0 or 1 = flat topology")
 	rangePartition := flag.Bool("range-partition", false, "route net-backend sort through the sampled range partitioner: output streams back in key order with no client-side merge")
 	listNodes := flag.Bool("list-nodes", false, "admin: print a running service's tracker and datanode membership (-nn/-jt)")
 	decommTracker := flag.String("decommission-tracker", "", "admin: drain the named TaskTracker on a running service (-jt)")

@@ -8,17 +8,13 @@ import (
 )
 
 // SPE is one Synergistic Processing Element: an ID, a private local
-// store, an MFC, and the PPE<->SPE mailboxes. Kernels run on SPEs via
-// Chip.RunOnSPEs and may only touch main memory through the MFC.
+// store and an MFC. Kernels run on SPEs via Chip.RunOnSPEs and may only
+// touch main memory through the MFC.
 type SPE struct {
-	ID  int
-	LS  *LocalStore
-	MFC *MFC
-	// Inbound is the 4-entry PPE->SPU mailbox (PPE writes, kernel
-	// reads); Outbound is the 1-entry SPU->PPE mailbox.
-	Inbound  *Mailbox
-	Outbound *Mailbox
-	chipN    int // chip index, for diagnostics
+	ID    int
+	LS    *LocalStore
+	MFC   *MFC
+	chipN int // chip index, for diagnostics
 }
 
 // String identifies the SPE for diagnostics.
@@ -46,12 +42,10 @@ func NewChip(index int) *Chip {
 	c := &Chip{Index: index}
 	for i := 0; i < perfmodel.SPEsPerCell; i++ {
 		c.SPEs = append(c.SPEs, &SPE{
-			ID:       i,
-			LS:       NewLocalStore(perfmodel.LocalStoreBytes),
-			MFC:      &MFC{},
-			Inbound:  newMailbox(InboundMailboxDepth),
-			Outbound: newMailbox(OutboundMailboxDepth),
-			chipN:    index,
+			ID:    i,
+			LS:    NewLocalStore(perfmodel.LocalStoreBytes),
+			MFC:   &MFC{},
+			chipN: index,
 		})
 	}
 	return c

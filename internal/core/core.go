@@ -7,8 +7,10 @@
 // Two runners share the same job definitions:
 //
 //   - LiveCluster executes jobs for real: goroutine-backed nodes, real
-//     bytes in the in-memory HDFS, real kernels on the functional Cell
-//     model. It is what the examples and correctness tests use.
+//     bytes in the in-process block namespace (internal/hdfs, at the
+//     paper's replication 1: nodes never leave, so there is no failover
+//     or repair here), real kernels on the functional Cell model. It is
+//     what the examples and correctness tests use.
 //   - The simulated runner (internal/hadoop on internal/sim) replays
 //     the same architecture against the calibrated performance model
 //     at the paper's 66-blade scale. Package core knows nothing of it;
@@ -26,7 +28,6 @@ import (
 	"hetmr/internal/sched"
 	"hetmr/internal/spill"
 	"hetmr/internal/spurt"
-	"hetmr/internal/topo"
 )
 
 // LiveNode is one worker of the live (functional) cluster: a name the
@@ -69,7 +70,6 @@ type LiveOption func(*liveConfig)
 
 type liveConfig struct {
 	blockSize      int64
-	replication    int
 	mappersPerNode int
 	acceleratedN   int // -1: all
 	speBlock       int
@@ -78,15 +78,10 @@ type liveConfig struct {
 	spillDir       string
 	spillMem       int64 // < 0: unbounded memory, no spilling
 	spillCodec     spill.Codec
-	racks          int
 }
 
 // WithBlockSize sets the DFS block size (default 64 MB).
 func WithBlockSize(n int64) LiveOption { return func(c *liveConfig) { c.blockSize = n } }
-
-// WithReplication sets the DFS replication factor (default 1, as in
-// the paper).
-func WithReplication(r int) LiveOption { return func(c *liveConfig) { c.replication = r } }
 
 // WithMappersPerNode sets concurrent mappers per node (default 2).
 func WithMappersPerNode(m int) LiveOption { return func(c *liveConfig) { c.mappersPerNode = m } }
@@ -98,11 +93,6 @@ func WithAcceleratedNodes(n int) LiveOption { return func(c *liveConfig) { c.acc
 // WithSPEBlockBytes sets the accelerator block size (default 4 KB as
 // in the paper's distributed experiments).
 func WithSPEBlockBytes(b int) LiveOption { return func(c *liveConfig) { c.speBlock = b } }
-
-// WithRacks spreads the nodes round-robin over n named racks
-// (topo.RackName); the DFS then spreads block replicas across racks on
-// write and repair. n < 2 keeps the flat default topology.
-func WithRacks(n int) LiveOption { return func(c *liveConfig) { c.racks = n } }
 
 // WithScheduling configures the dynamic scheduler (speculative
 // execution, per-task attempt caps) for every job the cluster runs.
@@ -145,7 +135,6 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 	}
 	cfg := liveConfig{
 		blockSize:      perfmodel.HDFSBlockBytes,
-		replication:    perfmodel.ReplicationFactor,
 		mappersPerNode: perfmodel.MapSlotsPerNode,
 		acceleratedN:   -1,
 		speBlock:       perfmodel.SPEBlockBytes,
@@ -169,7 +158,7 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 		fsOpts = append(fsOpts, hdfs.WithBlockStore(
 			hdfs.NewSpillBlockStore(cfg.spillDir, cfg.spillMem, cfg.spillCodec)))
 	}
-	nn, err := hdfs.NewNameNode(cfg.blockSize, cfg.replication, fsOpts...)
+	nn, err := hdfs.NewNameNode(cfg.blockSize, perfmodel.ReplicationFactor, fsOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -188,11 +177,7 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("node%03d", i)
-		rack := topo.DefaultRack
-		if cfg.racks >= 2 {
-			rack = topo.RackName(i % cfg.racks)
-		}
-		if _, err := nn.RegisterDataNodeAt(name, rack); err != nil {
+		if _, err := nn.RegisterDataNode(name); err != nil {
 			return nil, err
 		}
 		node := &LiveNode{Name: name, Blade: cellbe.NewBlade()}

@@ -28,14 +28,13 @@ func TestNewLiveClusterValidation(t *testing.T) {
 func TestLiveClusterOptions(t *testing.T) {
 	c, err := NewLiveCluster(4,
 		WithBlockSize(1024),
-		WithReplication(2),
 		WithMappersPerNode(3),
 		WithAcceleratedNodes(2),
 		WithSPEBlockBytes(512))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.FS.BlockSize() != 1024 || c.FS.Replication() != 2 {
+	if c.FS.BlockSize() != 1024 {
 		t.Error("fs options not applied")
 	}
 	if c.MappersPerNode != 3 {

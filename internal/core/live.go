@@ -69,15 +69,11 @@ func (c *LiveCluster) planBlocks(input string) ([]blockWork, error) {
 	}
 	var work []blockWork
 	for i, loc := range locs {
-		if len(loc.Hosts) == 0 {
-			return nil, fmt.Errorf("core: input %q block %d has no live replica", input, i)
-		}
 		host := loc.Hosts[0]
 		node, ok := c.nodeByName(host)
 		if !ok {
 			// Replica on an unknown node (e.g. master): round-robin.
 			node = c.Nodes[i%len(c.Nodes)]
-			host = loc.Hosts[0]
 		}
 		work = append(work, blockWork{
 			index:  i,

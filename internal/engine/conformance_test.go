@@ -96,6 +96,59 @@ func TestCrossBackendConformance(t *testing.T) {
 			}
 		})
 	}
+	t.Run("racks", testRacksConformance)
+}
+
+// testRacksConformance pins Config.Racks where users set it. On net the
+// knob must reach the cluster (trackers on two racks, every map's block
+// fetch graded into exactly one locality tier) without changing the
+// result; live and sim accept it and ignore it — their DFS places every
+// block once and has no rack tier — so the same Config must run there
+// with the identical result too.
+func testRacksConformance(t *testing.T) {
+	job := &Job{Kind: Sort, Input: kernels.GenerateSortRecords(2009, 1_000)}
+	flat := conformanceConfig()
+	flat.Workers = 4
+	racked := flat
+	racked.Racks = 2
+	for _, backend := range []string{"live", "sim", "net"} {
+		backend := backend
+		t.Run(backend, func(t *testing.T) {
+			want, ok := runOnConfig(t, backend, flat, job)
+			if !ok {
+				t.Fatalf("%s does not support %s", backend, job.Kind)
+			}
+			r, err := New(backend, racked)
+			if err != nil {
+				t.Fatalf("New with Racks: %v", err)
+			}
+			defer r.Close()
+			got, err := r.Run(job)
+			if err != nil {
+				t.Fatalf("run with Racks: %v", err)
+			}
+			if err := SameResult(job.Kind, want, got); err != nil {
+				t.Fatalf("Racks changed the result: %v", err)
+			}
+			if backend != "net" {
+				return
+			}
+			racks := make(map[string]bool)
+			for _, tt := range r.(*netRunner).Cluster().TTs {
+				racks[tt.Rack()] = true
+			}
+			if len(racks) != racked.Racks {
+				t.Errorf("trackers sit on racks %v, want %d distinct", racks, racked.Racks)
+			}
+			// One map task per DFS block, each fetching its block once
+			// (no speculation, one job on the cluster).
+			maps := (int64(len(job.Input)) + racked.BlockSize - 1) / racked.BlockSize
+			if n := got.LocalReads + got.RackReads + got.RemoteReads; n != maps {
+				t.Errorf("block fetches local %d + rack %d + remote %d = %d, want one per map task (%d)",
+					got.LocalReads, got.RackReads, got.RemoteReads, n, maps)
+			}
+		})
+	}
 }
 
 // TestCrossBackendConformanceWithCodec re-runs the conformance

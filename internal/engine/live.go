@@ -36,6 +36,7 @@ func init() {
 	// synchronous in-process call with nothing to abandon.
 	//hetlint:configdrop-ok live Config.JobTimeout live runs synchronously in-process; the knob bounds the net backend's remote wait
 	//hetlint:configdrop-ok live Config.RangePartition the in-process sort already merges fully in key order; range routing reshapes the net shuffle plane only
+	//hetlint:configdrop-ok live Config.Racks the in-process DFS places every block once (the paper's replication 1) and has no rack tier to spread over; accepted and inert, as on sim
 
 	Register("live", func(cfg Config) (Runner, error) {
 		if cfg.Mapper == "empty" {
@@ -56,7 +57,6 @@ func init() {
 				MaxAttempts: cfg.MaxAttempts,
 			}),
 			core.WithTaskDelays(cfg.FaultDelays),
-			core.WithRacks(cfg.Racks),
 		}
 		if cfg.SpillMemBytes != 0 {
 			opts = append(opts, core.WithSpill(cfg.SpillDir, cfg.spillMem(), cfg.spillCodec()))

@@ -120,10 +120,12 @@ type Config struct {
 	// without enforcement.
 	Quotas map[string]Quota
 	// Racks spreads the workers round-robin over that many named racks
-	// on the functional cluster backends (net and live): block replicas
-	// then spread across racks on write and repair, and the net
+	// on the net backend (and the -serve daemon built from it): block
+	// replicas then spread across racks on write and repair, and the
 	// scheduler prefers rack-local over remote grants. 0 or 1 keeps the
 	// flat single-rack topology (the default); negative is an error.
+	// Live and sim accept the knob and ignore it: their DFS places each
+	// block once and has no rack tier.
 	Racks int
 	// RangePartition routes net-backend Sort jobs through the sampled
 	// range partitioner: a reservoir-sampling pass over ingest cuts

@@ -153,9 +153,6 @@ type JobHandle struct {
 	result *JobResult
 }
 
-// Done reports whether the job has finished.
-func (h *JobHandle) Done() bool { return h.done.IsOpen() }
-
 // Wait blocks p until the job completes and returns the result.
 func (h *JobHandle) Wait(p *sim.Proc) *JobResult {
 	h.done.Wait(p)

@@ -1,8 +1,10 @@
-// Package hdfs is a from-scratch implementation of the Hadoop
-// Distributed File System's architecture as the paper uses it
-// (§III-A): a master NameNode owning the namespace and block map, and
-// DataNodes storing fixed-size blocks, with configurable replication
-// and locality-aware block placement.
+// Package hdfs is the block namespace of the Hadoop Distributed File
+// System as the paper runs it (§III-A, replication 1, no DataNode ever
+// lost): a NameNode mapping file names to ordered fixed-size blocks,
+// each placed on R least-loaded DataNodes with the writer's node first,
+// and readers that prefer a replica on their own node. There is no
+// membership, liveness, repair or rack model here — the fault-tolerant
+// DFS is netmr's NameNode.
 //
 // Block payloads live in a pluggable BlockStore: the default keeps
 // everything in memory (live execution, examples, tests), while the
@@ -21,19 +23,15 @@ import (
 	"io"
 	"sort"
 	"sync"
-
-	"hetmr/internal/topo"
 )
 
 // Errors returned by the file system.
 var (
 	ErrNotFound      = errors.New("hdfs: file not found")
 	ErrExists        = errors.New("hdfs: file already exists")
-	ErrNoDataNodes   = errors.New("hdfs: no live datanodes")
+	ErrNoDataNodes   = errors.New("hdfs: no datanodes")
 	ErrSynthetic     = errors.New("hdfs: synthetic file has no readable data")
-	ErrBlockLost     = errors.New("hdfs: block has no live replica")
 	ErrUnknownNode   = errors.New("hdfs: unknown datanode")
-	ErrNodeDead      = errors.New("hdfs: datanode is dead")
 	ErrBadReplFactor = errors.New("hdfs: replication factor must be >= 1")
 )
 
@@ -45,20 +43,9 @@ type BlockID int64
 // BlockStore holds once.
 type DataNode struct {
 	Name   string
-	Rack   string            // topology assignment (topo.DefaultRack when flat)
 	blocks map[BlockID]int64 // replica sizes
 	used   int64
-	alive  bool
 }
-
-// UsedBytes returns the bytes stored on this datanode.
-func (d *DataNode) UsedBytes() int64 { return d.used }
-
-// BlockCount returns the number of replicas stored here.
-func (d *DataNode) BlockCount() int { return len(d.blocks) }
-
-// Alive reports whether the node is serving.
-func (d *DataNode) Alive() bool { return d.alive }
 
 type fileMeta struct {
 	name      string
@@ -141,114 +128,49 @@ func (nn *NameNode) Close() error {
 // BlockSize returns the configured block size.
 func (nn *NameNode) BlockSize() int64 { return nn.blockSize }
 
-// Replication returns the configured replication factor.
-func (nn *NameNode) Replication() int { return nn.replication }
-
-// RegisterDataNode adds a datanode to the cluster on the flat default
-// rack.
+// RegisterDataNode adds a datanode to the cluster.
 func (nn *NameNode) RegisterDataNode(name string) (*DataNode, error) {
-	return nn.RegisterDataNodeAt(name, topo.DefaultRack)
-}
-
-// RegisterDataNodeAt adds a datanode on the named rack ("" reads as
-// topo.DefaultRack). Placement and repair spread replicas across
-// racks, so losing one rack cannot take every copy of a block.
-func (nn *NameNode) RegisterDataNodeAt(name, rack string) (*DataNode, error) {
-	if rack == "" {
-		rack = topo.DefaultRack
-	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	if _, ok := nn.nodes[name]; ok {
 		return nil, fmt.Errorf("hdfs: datanode %q already registered", name)
 	}
-	d := &DataNode{Name: name, Rack: rack, blocks: make(map[BlockID]int64), alive: true}
+	d := &DataNode{Name: name, blocks: make(map[BlockID]int64)}
 	nn.nodes[name] = d
 	nn.nodeOrder = append(nn.nodeOrder, name)
 	return d, nil
 }
 
-// DataNodes returns the names of live datanodes in registration order.
-func (nn *NameNode) DataNodes() []string {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	var out []string
-	for _, n := range nn.nodeOrder {
-		if nn.nodes[n].alive {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// liveNodes returns live datanodes, least-loaded first (stable on
-// registration order for determinism).
-func (nn *NameNode) liveNodes() []*DataNode {
-	var out []*DataNode
-	for _, n := range nn.nodeOrder {
-		if d := nn.nodes[n]; d.alive {
-			out = append(out, d)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].used < out[j].used })
-	return out
-}
-
 // place chooses replica hosts for a new block: the preferred node
-// first (HDFS writes the first replica on the writer's node), then
-// rack-spread over the rest — each further replica prefers the
-// least-loaded node on a rack no earlier replica covers, falling back
-// to least-loaded anywhere once every rack is covered. On a flat
-// topology this degenerates to the historical least-loaded order.
+// first (HDFS writes the first replica on the writer's node), then the
+// least-loaded of the rest (stable on registration order, so placement
+// is deterministic) up to the replication factor. Callers hold nn.mu.
 func (nn *NameNode) place(preferred string) ([]*DataNode, error) {
-	live := nn.liveNodes()
-	if len(live) == 0 {
+	if len(nn.nodeOrder) == 0 {
 		return nil, ErrNoDataNodes
 	}
-	var chosen []*DataNode
+	byLoad := make([]*DataNode, len(nn.nodeOrder))
+	for i, n := range nn.nodeOrder {
+		byLoad[i] = nn.nodes[n]
+	}
+	sort.SliceStable(byLoad, func(i, j int) bool { return byLoad[i].used < byLoad[j].used })
+	var first *DataNode
 	if preferred != "" {
-		if d, ok := nn.nodes[preferred]; ok && d.alive {
+		first = nn.nodes[preferred]
+	}
+	var chosen []*DataNode
+	if first != nil {
+		chosen = append(chosen, first)
+	}
+	for _, d := range byLoad {
+		if len(chosen) >= nn.replication {
+			break
+		}
+		if d != first {
 			chosen = append(chosen, d)
 		}
 	}
-	chosen = nn.spreadOver(live, chosen, nn.replication)
 	return chosen, nil
-}
-
-// spreadOver extends chosen up to want replicas from candidates
-// (least-loaded first), preferring nodes on racks chosen doesn't cover
-// yet. Callers hold nn.mu.
-func (nn *NameNode) spreadOver(candidates, chosen []*DataNode, want int) []*DataNode {
-	covered := make(map[string]bool, len(chosen))
-	taken := make(map[*DataNode]bool, len(chosen))
-	for _, c := range chosen {
-		covered[c.Rack] = true
-		taken[c] = true
-	}
-	for len(chosen) < want {
-		var pick *DataNode
-		for _, d := range candidates {
-			if !taken[d] && !covered[d.Rack] {
-				pick = d
-				break
-			}
-		}
-		if pick == nil {
-			for _, d := range candidates {
-				if !taken[d] {
-					pick = d
-					break
-				}
-			}
-		}
-		if pick == nil {
-			break
-		}
-		chosen = append(chosen, pick)
-		covered[pick.Rack] = true
-		taken[pick] = true
-	}
-	return chosen
 }
 
 // addSyntheticBlock registers a metadata-only block (no payload, no
@@ -448,14 +370,6 @@ func (nn *NameNode) CreateFrom(name, preferredNode string, r io.Reader) (int64, 
 	return n, w.Close()
 }
 
-// Exists reports whether the file exists.
-func (nn *NameNode) Exists(name string) bool {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	_, ok := nn.files[name]
-	return ok
-}
-
 // FileSize returns the file's length in bytes.
 func (nn *NameNode) FileSize(name string) (int64, error) {
 	nn.mu.Lock()
@@ -506,7 +420,8 @@ func (nn *NameNode) List() []string {
 	return out
 }
 
-// Locations returns the file's block layout with live replica hosts.
+// Locations returns the file's block layout with each block's replica
+// hosts.
 func (nn *NameNode) Locations(name string) ([]BlockLocation, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -517,12 +432,7 @@ func (nn *NameNode) Locations(name string) ([]BlockLocation, error) {
 	var out []BlockLocation
 	var off int64
 	for _, id := range f.blocks {
-		var hosts []string
-		for _, h := range nn.locations[id] {
-			if d, ok := nn.nodes[h]; ok && d.alive {
-				hosts = append(hosts, h)
-			}
-		}
+		hosts := append([]string(nil), nn.locations[id]...)
 		out = append(out, BlockLocation{Block: id, Offset: off, Size: nn.blockSizes[id], Hosts: hosts})
 		off += nn.blockSizes[id]
 	}
@@ -539,10 +449,6 @@ func (nn *NameNode) ReadBlock(id BlockID, host string) ([]byte, error) {
 		nn.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, host)
 	}
-	if !d.alive {
-		nn.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNodeDead, host)
-	}
 	if _, ok := d.blocks[id]; !ok {
 		nn.mu.Unlock()
 		return nil, fmt.Errorf("hdfs: block %d not on %s", id, host)
@@ -556,14 +462,11 @@ func (nn *NameNode) ReadBlock(id BlockID, host string) ([]byte, error) {
 	return store.Get(id)
 }
 
-// Reader reads a file's real data sequentially, preferring replicas on
-// preferredNode (locality) when available. A replica that dies
-// mid-read fails over to the remaining replicas, refreshing the block
-// layout once (re-replication after a node death can mint new hosts)
-// before giving up.
+// Reader reads a file's real data sequentially, taking each block from
+// the replica on preferredNode (locality) when there is one and from
+// the block's primary otherwise.
 type Reader struct {
 	nn        *NameNode
-	name      string
 	locs      []BlockLocation
 	preferred string
 	blockIdx  int
@@ -587,50 +490,20 @@ func (nn *NameNode) Open(name, preferredNode string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{nn: nn, name: name, locs: locs, preferred: preferredNode}, nil
+	return &Reader{nn: nn, locs: locs, preferred: preferredNode}, nil
 }
 
-// fetchCurrent loads the reader's current block, failing over along
-// the replica list and refreshing stale locations once.
+// fetchCurrent loads the reader's current block.
 func (r *Reader) fetchCurrent() ([]byte, error) {
-	try := func(loc BlockLocation) ([]byte, error) {
-		hosts := loc.Hosts
-		if len(hosts) == 0 {
-			return nil, fmt.Errorf("%w: block %d", ErrBlockLost, loc.Block)
+	loc := r.locs[r.blockIdx]
+	host := loc.Hosts[0]
+	for _, h := range loc.Hosts {
+		if h == r.preferred {
+			host = h
+			break
 		}
-		ordered := make([]string, 0, len(hosts))
-		for _, h := range hosts {
-			if h == r.preferred {
-				ordered = append(ordered, h)
-			}
-		}
-		for _, h := range hosts {
-			if h != r.preferred {
-				ordered = append(ordered, h)
-			}
-		}
-		var lastErr error
-		for _, h := range ordered {
-			data, err := r.nn.ReadBlock(loc.Block, h)
-			if err == nil {
-				return data, nil
-			}
-			lastErr = err
-		}
-		return nil, lastErr
 	}
-	data, err := try(r.locs[r.blockIdx])
-	if err == nil {
-		return data, nil
-	}
-	// The cached layout may predate a node death; re-replication can
-	// have minted fresh replicas since.
-	locs, lerr := r.nn.Locations(r.name)
-	if lerr != nil || r.blockIdx >= len(locs) {
-		return nil, err
-	}
-	r.locs = locs
-	return try(locs[r.blockIdx])
+	return r.nn.ReadBlock(loc.Block, host)
 }
 
 // Read implements io.Reader.
@@ -668,139 +541,14 @@ func (nn *NameNode) ReadFile(name string) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
-// KillDataNode marks a node dead. Its replicas become unavailable; the
-// NameNode re-replicates blocks that still have a live copy elsewhere
-// (with replication 1, as in the paper, a dead node means lost blocks,
-// which Locations will report as host-less). Because replicas share
-// one stored payload, re-replication is a metadata move — no payload
-// copy.
-func (nn *NameNode) KillDataNode(name string) error {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	d, ok := nn.nodes[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
-	}
-	if !d.alive {
-		return fmt.Errorf("%w: %s", ErrNodeDead, name)
-	}
-	d.alive = false
-	// Re-replicate under-replicated blocks from surviving replicas,
-	// spreading the repairs back across racks.
-	for id, hosts := range nn.locations {
-		var liveHosts []*DataNode
-		for _, h := range hosts {
-			if n := nn.nodes[h]; n.alive {
-				liveHosts = append(liveHosts, n)
-			}
-		}
-		if len(liveHosts) == 0 || len(liveHosts) >= nn.replication {
-			continue
-		}
-		nn.repairBlock(id, liveHosts)
-	}
-	return nil
-}
-
-// repairBlock extends a degraded block's replica set back toward the
-// replication target, preferring uncovered racks, and rewrites its
-// location record. Replicas share one stored payload, so the repair is
-// a metadata move. Callers hold nn.mu.
-func (nn *NameNode) repairBlock(id BlockID, liveHosts []*DataNode) {
-	size := liveHosts[0].blocks[id]
-	var candidates []*DataNode
-	for _, cand := range nn.liveNodes() {
-		if _, has := cand.blocks[id]; !has {
-			candidates = append(candidates, cand)
-		}
-	}
-	grown := nn.spreadOver(candidates, liveHosts, nn.replication)
-	for _, h := range grown[len(liveHosts):] {
-		h.blocks[id] = size
-		h.used += size
-	}
-	names := make([]string, 0, len(grown))
-	for _, h := range grown {
-		names = append(names, h.Name)
-	}
-	nn.locations[id] = names
-}
-
-// DecommissionDataNode retires a node gracefully: every replica it
-// holds is first re-homed onto the remaining live nodes (rack-spread;
-// a metadata move, since replicas share one stored payload), then the
-// node leaves the cluster entirely. Unlike KillDataNode, no block
-// loses availability — with no other node to hold a copy the
-// decommission is refused.
-func (nn *NameNode) DecommissionDataNode(name string) error {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	d, ok := nn.nodes[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
-	}
-	if !d.alive {
-		return fmt.Errorf("%w: %s", ErrNodeDead, name)
-	}
-	// Out of placement while the drain runs.
-	d.alive = false
-	for id := range d.blocks {
-		var liveHosts []*DataNode
-		for _, h := range nn.locations[id] {
-			if n := nn.nodes[h]; n.alive {
-				liveHosts = append(liveHosts, n)
-			}
-		}
-		if len(liveHosts) == 0 {
-			// This node holds the only copy: it must land somewhere
-			// before the node may leave.
-			var candidates []*DataNode
-			for _, cand := range nn.liveNodes() {
-				if _, has := cand.blocks[id]; !has {
-					candidates = append(candidates, cand)
-				}
-			}
-			if len(candidates) == 0 {
-				d.alive = true
-				return fmt.Errorf("%w: decommission %s would lose block %d", ErrNoDataNodes, name, id)
-			}
-			t := candidates[0]
-			size := d.blocks[id]
-			t.blocks[id] = size
-			t.used += size
-			liveHosts = append(liveHosts, t)
-		}
-		if len(liveHosts) < nn.replication {
-			nn.repairBlock(id, liveHosts)
-		} else {
-			names := make([]string, 0, len(liveHosts))
-			for _, h := range liveHosts {
-				names = append(names, h.Name)
-			}
-			nn.locations[id] = names
-		}
-		d.used -= d.blocks[id]
-	}
-	delete(nn.nodes, name)
-	for i, n := range nn.nodeOrder {
-		if n == name {
-			nn.nodeOrder = append(nn.nodeOrder[:i], nn.nodeOrder[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-// TotalBytes returns the bytes stored across live datanodes (replicas
+// TotalBytes returns the bytes stored across datanodes (replicas
 // counted separately).
 func (nn *NameNode) TotalBytes() int64 {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	var total int64
 	for _, d := range nn.nodes {
-		if d.alive {
-			total += d.used
-		}
+		total += d.used
 	}
 	return total
 }

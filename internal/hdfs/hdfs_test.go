@@ -3,6 +3,7 @@ package hdfs
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -34,7 +35,7 @@ func TestNewNameNodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nn.BlockSize() != 64 || nn.Replication() != 2 {
+	if nn.BlockSize() != 64 {
 		t.Error("accessors wrong")
 	}
 }
@@ -141,6 +142,39 @@ func TestPlacementBalanced(t *testing.T) {
 			t.Errorf("node %s holds %d blocks, want 10", node, c)
 		}
 	}
+
+	// Replication 2: the exact host lists, recorded before the rack pass
+	// and liveness filters were removed from placement, so the flat
+	// least-loaded order (ties broken by registration order, the
+	// writer's node first) is pinned rather than assumed.
+	nn = newCluster(t, 10, 2, 4)
+	if err := nn.CreateSynthetic("/a", 60); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.WriteFile("/b", make([]byte, 35), "ac"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.CreateSynthetic("/c", 30); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][][]string{
+		"/a": {{"aa", "ab"}, {"ac", "ad"}, {"aa", "ab"}, {"ac", "ad"}, {"aa", "ab"}, {"ac", "ad"}},
+		"/b": {{"ac", "aa"}, {"ac", "ab"}, {"ac", "ad"}, {"ac", "aa"}},
+		"/c": {{"ab", "ad"}, {"aa", "ab"}, {"ad", "aa"}},
+	}
+	for name, hosts := range want {
+		locs, err := nn.Locations(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]string
+		for _, loc := range locs {
+			got = append(got, loc.Hosts)
+		}
+		if !reflect.DeepEqual(got, hosts) {
+			t.Errorf("%s placed on %v, want %v", name, got, hosts)
+		}
+	}
 }
 
 func TestSyntheticFiles(t *testing.T) {
@@ -181,9 +215,6 @@ func TestErrorsOnMissing(t *testing.T) {
 	if err := nn.Delete("/nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Delete: %v", err)
 	}
-	if nn.Exists("/nope") {
-		t.Error("Exists on missing file")
-	}
 }
 
 func TestNoDataNodes(t *testing.T) {
@@ -205,8 +236,8 @@ func TestDeleteFreesSpace(t *testing.T) {
 	if nn.TotalBytes() != 0 {
 		t.Errorf("TotalBytes after delete = %d", nn.TotalBytes())
 	}
-	if nn.Exists("/f") {
-		t.Error("file still exists after delete")
+	if _, err := nn.FileSize("/f"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("file still exists after delete: %v", err)
 	}
 }
 
@@ -219,70 +250,6 @@ func TestListSorted(t *testing.T) {
 	want := []string{"/a", "/b", "/c"}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Errorf("List = %v", got)
-	}
-}
-
-func TestKillDataNodeReplication1LosesBlocks(t *testing.T) {
-	nn := newCluster(t, 100, 1, 2)
-	nn.WriteFile("/f", make([]byte, 400), "aa")
-	if err := nn.KillDataNode("aa"); err != nil {
-		t.Fatal(err)
-	}
-	locs, _ := nn.Locations("/f")
-	lost := 0
-	for _, loc := range locs {
-		if len(loc.Hosts) == 0 {
-			lost++
-		}
-	}
-	if lost == 0 {
-		t.Error("replication 1 + dead primary node should lose blocks")
-	}
-	// Reader must surface the loss.
-	r, err := nn.Open("/f", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1024)
-	if _, err := r.Read(buf); !errors.Is(err, ErrBlockLost) {
-		t.Errorf("read of lost block: %v", err)
-	}
-}
-
-func TestKillDataNodeReplication2Survives(t *testing.T) {
-	nn := newCluster(t, 100, 2, 3)
-	data := make([]byte, 400)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	nn.WriteFile("/f", data, "aa")
-	if err := nn.KillDataNode("aa"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := nn.ReadFile("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("data corrupted after node death")
-	}
-	// Re-replication restored the factor on the survivors.
-	locs, _ := nn.Locations("/f")
-	for i, loc := range locs {
-		if len(loc.Hosts) != 2 {
-			t.Errorf("block %d has %d live replicas after re-replication, want 2", i, len(loc.Hosts))
-		}
-	}
-}
-
-func TestKillUnknownOrDeadNode(t *testing.T) {
-	nn := newCluster(t, 100, 1, 1)
-	if err := nn.KillDataNode("zz"); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown: %v", err)
-	}
-	nn.KillDataNode("aa")
-	if err := nn.KillDataNode("aa"); !errors.Is(err, ErrNodeDead) {
-		t.Errorf("double kill: %v", err)
 	}
 }
 
@@ -303,12 +270,15 @@ func TestReaderLocalityPreference(t *testing.T) {
 }
 
 func TestRegisterDuplicateDataNode(t *testing.T) {
-	nn := newCluster(t, 100, 1, 1)
+	nn := newCluster(t, 100, 2, 1)
 	if _, err := nn.RegisterDataNode("aa"); err == nil {
 		t.Error("duplicate registration should fail")
 	}
-	if got := nn.DataNodes(); len(got) != 1 || got[0] != "aa" {
-		t.Errorf("DataNodes = %v", got)
+	// The rejected duplicate left one node, not two: a replication-2
+	// block still finds a single host.
+	nn.CreateSynthetic("/f", 10)
+	if locs, _ := nn.Locations("/f"); len(locs) != 1 || len(locs[0].Hosts) != 1 {
+		t.Errorf("locations after duplicate registration = %+v", locs)
 	}
 }
 

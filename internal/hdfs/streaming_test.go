@@ -92,77 +92,6 @@ func TestReaderCopyMatchesReadFile(t *testing.T) {
 	}
 }
 
-// TestReaderFailoverMidRead kills a replica holder between reads: the
-// reader must fail over to surviving replicas (refreshing the layout
-// re-replication may have changed) without corrupting the stream.
-func TestReaderFailoverMidRead(t *testing.T) {
-	nn := streamCluster(t, 100, 2, 4)
-	want := streamPayload(2_000) // 20 blocks over 4 nodes
-	if err := nn.WriteFile("/f", want, ""); err != nil {
-		t.Fatal(err)
-	}
-	r, err := nn.Open("/f", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 0, len(want))
-	buf := make([]byte, 128)
-	killed := false
-	for {
-		n, err := r.Read(buf)
-		got = append(got, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("read after %d bytes: %v", len(got), err)
-		}
-		if !killed && len(got) >= len(want)/3 {
-			// Kill a node that still holds upcoming blocks.
-			locs, err := nn.Locations("/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			last := locs[len(locs)-1]
-			if len(last.Hosts) == 0 {
-				t.Fatal("last block has no hosts before the kill")
-			}
-			if err := nn.KillDataNode(last.Hosts[0]); err != nil {
-				t.Fatal(err)
-			}
-			killed = true
-		}
-	}
-	if !killed {
-		t.Fatal("test never killed a node")
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("mid-read failover corrupted the stream")
-	}
-}
-
-// TestReaderFailsWhenAllReplicasDie pins the terminal case: a block
-// whose every replica is gone surfaces an error, not silent
-// truncation.
-func TestReaderFailsWhenAllReplicasDie(t *testing.T) {
-	nn := streamCluster(t, 100, 1, 2)
-	if err := nn.WriteFile("/f", streamPayload(400), ""); err != nil {
-		t.Fatal(err)
-	}
-	r, err := nn.Open("/f", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, node := range nn.DataNodes() {
-		if err := nn.KillDataNode(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := io.ReadAll(r); err == nil {
-		t.Fatal("read over all-dead replicas succeeded")
-	}
-}
-
 // TestSpillBlockStoreBoundsMemory writes a file far above the store's
 // watermark and checks payloads spilled to disk, replicas shared one
 // payload, and the bytes read back identically.
@@ -188,17 +117,6 @@ func TestSpillBlockStoreBoundsMemory(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("spilled file did not read back identically")
-	}
-	// Failover still works when payloads live on disk.
-	if err := nn.KillDataNode(nn.DataNodes()[0]); err != nil {
-		t.Fatal(err)
-	}
-	got, err = nn.ReadFile("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("spilled file did not survive a node death")
 	}
 }
 

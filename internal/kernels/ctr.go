@@ -50,25 +50,3 @@ func counterBlock(out *[aesBlockSize]byte, iv []byte, n uint64) {
 	binary.BigEndian.PutUint64(out[:8], hi)
 	binary.BigEndian.PutUint64(out[8:], newLo)
 }
-
-// EncryptECB encrypts src (a multiple of 16 bytes) block-by-block into
-// dst. Kept for completeness and for per-block kernels that want
-// stateless 16-byte units.
-func EncryptECB(c *Cipher, dst, src []byte) {
-	if len(src)%aesBlockSize != 0 {
-		panic("kernels: ECB input must be a multiple of 16 bytes")
-	}
-	for i := 0; i < len(src); i += aesBlockSize {
-		c.EncryptBlock(dst[i:i+aesBlockSize], src[i:i+aesBlockSize])
-	}
-}
-
-// DecryptECB inverts EncryptECB.
-func DecryptECB(c *Cipher, dst, src []byte) {
-	if len(src)%aesBlockSize != 0 {
-		panic("kernels: ECB input must be a multiple of 16 bytes")
-	}
-	for i := 0; i < len(src); i += aesBlockSize {
-		c.DecryptBlock(dst[i:i+aesBlockSize], src[i:i+aesBlockSize])
-	}
-}

@@ -1,34 +1,14 @@
 package kernels
 
-import (
-	"crypto/aes"
-	"crypto/cipher"
-	"encoding/binary"
-)
+import "crypto/cipher"
 
 // This file routes the production encryption paths through the
 // standard library's AES-CTR (crypto/aes pipelines AES-NI across
 // counter blocks; the bottleneck is keystream generation, not the XOR)
-// while keeping the table-based CTRStream as the reference
-// implementation (and the SPE model's "device" kernel shape). Output is
-// bit-identical across both: CTR is fully determined by key, IV and
-// offset.
-
-// stdBlock rebuilds a crypto/aes block cipher from an expanded Cipher.
-// AES-128 key expansion keeps the raw key as the first four round-key
-// words, so no extra key retention is needed.
-func stdBlock(c *Cipher) cipher.Block {
-	var key [aesKeySize]byte
-	for i := 0; i < 4; i++ {
-		binary.BigEndian.PutUint32(key[4*i:], c.rk[i])
-	}
-	blk, err := aes.NewCipher(key[:])
-	if err != nil {
-		// The key is 16 bytes by construction; unreachable.
-		panic(err)
-	}
-	return blk
-}
+// while keeping the block-at-a-time CTRStream as the independent
+// reference for the seek and carry logic (and the SPE model's "device"
+// kernel shape). Output is bit-identical across both: CTR is fully
+// determined by key, IV and offset.
 
 // CTRStreamFast is CTRStream on the standard library's AES-CTR:
 // bit-identical output, hardware AES where the platform provides it.
@@ -47,7 +27,7 @@ func CTRStreamFast(c *Cipher, iv []byte, offset int64, dst, src []byte) {
 	if len(src) == 0 {
 		return
 	}
-	ctrStreamStd(stdBlock(c), iv, offset, dst, src)
+	ctrStreamStd(c.blk, iv, offset, dst, src)
 }
 
 // ctrStreamStd runs the seeked stdlib CTR transform over one range.
@@ -63,16 +43,15 @@ func ctrStreamStd(blk cipher.Block, iv []byte, offset int64, dst, src []byte) {
 }
 
 // CTRBlockFuncFast is the stdlib-CTR counterpart of CTRBlockFunc: the
-// block cipher is built once and shared — safe concurrently, its state
-// is the read-only key schedule; each call seeks its own CTR stream.
+// cipher is shared — safe concurrently, its state is the read-only key
+// schedule; each call seeks its own CTR stream.
 func CTRBlockFuncFast(c *Cipher, iv []byte) func(block []byte, offset int64) error {
-	blk := stdBlock(c)
 	ivCopy := append([]byte(nil), iv...)
 	return func(block []byte, offset int64) error {
 		if offset < 0 {
 			panic("kernels: negative CTR offset")
 		}
-		ctrStreamStd(blk, ivCopy, offset, block, block)
+		ctrStreamStd(c.blk, ivCopy, offset, block, block)
 		return nil
 	}
 }

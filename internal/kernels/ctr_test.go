@@ -117,27 +117,3 @@ func TestCTRPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestECBRoundTrip(t *testing.T) {
-	c := mustCipher(t)
-	src := make([]byte, 64)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	enc := make([]byte, 64)
-	EncryptECB(c, enc, src)
-	if bytes.Equal(enc, src) {
-		t.Fatal("ECB was identity")
-	}
-	dec := make([]byte, 64)
-	DecryptECB(c, dec, enc)
-	if !bytes.Equal(dec, src) {
-		t.Fatal("ECB roundtrip failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-multiple length should panic")
-		}
-	}()
-	EncryptECB(c, make([]byte, 10), make([]byte, 10))
-}

@@ -71,10 +71,6 @@ func NewCellDevice() (*AccelDevice, error) {
 // Kind reports the device kind for heartbeats and status.
 func (d *AccelDevice) Kind() string { return DeviceCell }
 
-// Chip exposes the underlying chip for DMA accounting in tests and
-// benchmarks.
-func (d *AccelDevice) Chip() *cellbe.Chip { return d.chip }
-
 // CountInside offloads one Pi map task: the task's sample range is
 // carved into one contiguous share per SPE and each SPE seeks into the
 // exact splitmix64 stream (kernels.CountInsideFrom), so the summed

@@ -13,7 +13,6 @@ import (
 	"hetmr/internal/flow"
 	"hetmr/internal/rpcnet"
 	"hetmr/internal/spill"
-	"hetmr/internal/topo"
 )
 
 // Client is the user-facing handle to a running netmr cluster: DFS
@@ -675,7 +674,7 @@ func WithQuotas(quotas map[string]Quota) ClusterOption {
 }
 
 // WithRacks spreads the workers round-robin over n named racks
-// (topo.RackName); block replicas then spread across racks on write
+// (RackName); block replicas then spread across racks on write
 // and repair, and the scheduler adds a rack-local grant pass between
 // node-local and remote. n < 2 keeps the historical flat topology.
 func WithRacks(n int) ClusterOption {
@@ -783,7 +782,7 @@ func (c *Cluster) workerRack(i int) string {
 	if c.cfg.racks < 2 {
 		return ""
 	}
-	return topo.RackName(i % c.cfg.racks)
+	return RackName(i % c.cfg.racks)
 }
 
 // startWorker boots worker i's DataNode/TaskTracker pair with the

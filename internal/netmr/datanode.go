@@ -58,8 +58,8 @@ func WithBlockSpill(dir string, memBytes int64, codec spill.Codec) DataNodeOptio
 	}
 }
 
-// WithDataNodeRack assigns the node to a rack (topo.RackName naming);
-// the default is the flat topo.DefaultRack. The rack rides every
+// WithDataNodeRack assigns the node to a rack (RackName naming);
+// the default is the flat DefaultRack. The rack rides every
 // Register heartbeat, feeding the NameNode's rack-aware placement.
 func WithDataNodeRack(rack string) DataNodeOption {
 	return func(dn *DataNode) { dn.rack = rack }
@@ -141,9 +141,6 @@ func (dn *DataNode) loop() {
 
 // Addr returns the DataNode's RPC address.
 func (dn *DataNode) Addr() string { return dn.srv.Addr() }
-
-// Rack returns the node's rack assignment ("" for the flat default).
-func (dn *DataNode) Rack() string { return dn.rack }
 
 // Close stops the heartbeat loop and the server, and releases any
 // spill files. Idempotent.

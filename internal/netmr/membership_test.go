@@ -8,7 +8,6 @@ import (
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
-	"hetmr/internal/topo"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -50,7 +49,7 @@ func TestAddWorkerJoinsAtRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 2 takes the next round-robin rack slot: 2 % 2 = rack 0.
-	if got, want := tt.Rack(), topo.RackName(0); got != want {
+	if got, want := tt.Rack(), RackName(0); got != want {
 		t.Errorf("new worker rack = %q, want %q", got, want)
 	}
 	waitFor(t, 5*time.Second, func() bool {

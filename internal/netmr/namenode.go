@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hetmr/internal/rpcnet"
-	"hetmr/internal/topo"
 )
 
 // DefaultReplication is the block replica count when
@@ -229,7 +228,7 @@ func (nn *NameNode) rackOfLocked(addr, recorded string) string {
 	if recorded != "" {
 		return recorded
 	}
-	return topo.DefaultRack
+	return DefaultRack
 }
 
 func (nn *NameNode) handleRegister(body []byte) (any, error) {
@@ -239,7 +238,7 @@ func (nn *NameNode) handleRegister(body []byte) (any, error) {
 	}
 	rack := args.Rack
 	if rack == "" {
-		rack = topo.DefaultRack
+		rack = DefaultRack
 	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()

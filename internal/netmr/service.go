@@ -25,9 +25,6 @@ func NewTenantClient(nameNodeAddr, jobTrackerAddr string, blockSize int64, tenan
 	return &TenantClient{Client: c, tenant: tenant}, nil
 }
 
-// Tenant returns the tenant this client submits as.
-func (tc *TenantClient) Tenant() string { return tc.tenant }
-
 // Submit sends a job under this client's tenant and returns its ID.
 func (tc *TenantClient) Submit(spec JobSpec) (int64, error) {
 	spec.Tenant = tc.tenant

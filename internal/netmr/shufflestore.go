@@ -141,9 +141,6 @@ func (st *shuffleStore) jobBytes(jobID int64) int64 {
 	return 0
 }
 
-// heldBytes reports the store's total resident payload bytes.
-func (st *shuffleStore) heldBytes() int64 { return st.s.HeldBytes() }
-
 // spilledBytes reports the cumulative payload bytes this store sent to
 // disk.
 func (st *shuffleStore) spilledBytes() int64 { return st.s.SpilledBytes() }

@@ -154,7 +154,7 @@ func WithTrackerWireCodec(name string) TrackerOption {
 	return func(tt *TaskTracker) { tt.wireCodec = name }
 }
 
-// WithTrackerRack assigns the tracker to a rack (topo.RackName
+// WithTrackerRack assigns the tracker to a rack (RackName
 // naming); the default is the flat topology. The rack rides every
 // heartbeat and lets the tracker prefer same-rack replicas when its
 // co-located DataNode misses a block.
@@ -301,12 +301,6 @@ func (tt *TaskTracker) halt(ch chan struct{}) {
 // store sent to disk — the proof the watermark actually bounded
 // memory.
 func (tt *TaskTracker) SpilledBytes() int64 { return tt.store.spilledBytes() }
-
-// HeldBytes reports the resident payload bytes the tracker's store
-// holds right now, in memory or in spill frames — drops to zero once
-// every job's state is purged, which is how tests prove a kill
-// actually released a tenant's shuffle/spill footprint.
-func (tt *TaskTracker) HeldBytes() int64 { return tt.store.heldBytes() }
 
 // JobHeldBytes reports one job's resident bytes in the tracker's
 // store (0 after the job is purged).

@@ -27,7 +27,18 @@
 // tenant.
 package netmr
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
+
+// DefaultRack is the rack of nodes never assigned one. A flat cluster
+// keeps every node here, making all pairs rack-local.
+const DefaultRack = "rack00"
+
+// RackName returns the canonical name of rack i ("rack00", "rack01",
+// ...), the scheme WithRacks deals workers over.
+func RackName(i int) string { return fmt.Sprintf("rack%02d", i) }
 
 // BlockInfo describes one stored block: its cluster-wide ID, size and
 // every replica holding it.
@@ -46,8 +57,8 @@ type BlockInfo struct {
 	Racks []string
 }
 
-// RackOfReplica reports the rack of the i'th replica (topo.DefaultRack
-// for records predating rack placement).
+// RackOfReplica reports the rack of the i'th replica ("" for records
+// predating rack placement).
 func (b BlockInfo) RackOfReplica(i int) string {
 	if i >= 0 && i < len(b.Racks) {
 		return b.Racks[i]

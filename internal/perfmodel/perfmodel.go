@@ -9,35 +9,6 @@
 // per-device rates and per-operation overheads.
 package perfmodel
 
-// Device identifies a compute device in the modelled testbed.
-type Device int
-
-const (
-	// DevPower6 is one 4.0 GHz Power6 core of the JS22 blade running
-	// the Java kernels.
-	DevPower6 Device = iota
-	// DevPPE is the Cell BE's Power Processing Element running the
-	// Java kernels ("a limited implementation of the PowerPC family").
-	DevPPE
-	// DevSPE is one Synergistic Processing Element running the
-	// SDK 3.0 native kernels.
-	DevSPE
-)
-
-// String returns the device name.
-func (d Device) String() string {
-	switch d {
-	case DevPower6:
-		return "Power6"
-	case DevPPE:
-		return "PPE"
-	case DevSPE:
-		return "SPE"
-	default:
-		return "unknown-device"
-	}
-}
-
 // Cell BE micro-architecture constants (paper §II-B).
 const (
 	// SPEsPerCell is the number of SPE cores per Cell BE chip.
@@ -103,9 +74,6 @@ const (
 // of work distribution about SPUs is only worth when the work ... is
 // above the overhead of SPUs initialization").
 const (
-	// SPUContextCreateSeconds is the cost of creating/loading one SPE
-	// context (thread create + program load).
-	SPUContextCreateSeconds = 300e-6
 	// SPUOffloadInitSeconds is the fixed per-offload-session overhead
 	// (8 contexts, synchronization, argument marshalling).
 	SPUOffloadInitSeconds = 2.5e-3
@@ -119,8 +87,6 @@ const (
 	// GbEBytesPerSecond is the usable rate of the Gigabit NIC
 	// (~940 Mb/s of goodput).
 	GbEBytesPerSecond = 117e6
-	// NetLatencySeconds is the one-way switch+stack latency.
-	NetLatencySeconds = 100e-6
 	// LoopbackDeliveryBytesPerSec is the *effective* rate at which the
 	// Hadoop RecordReader delivers data from the co-located DataNode
 	// to the Mapper over the loopback interface. The paper measured
@@ -132,8 +98,6 @@ const (
 	LoopbackDeliveryBytesPerSec = 16e6
 	// DiskBytesPerSecond is the QS22 local disk streaming rate.
 	DiskBytesPerSecond = 60e6
-	// DiskSeekSeconds is the per-access positioning cost.
-	DiskSeekSeconds = 8e-3
 )
 
 // Hadoop 0.19 runtime constants (paper §III-A / §IV configuration,
@@ -169,8 +133,6 @@ const (
 	// SPEBlockBytes: "each record was split into 4KB data blocks that
 	// were sent to the SPUs".
 	SPEBlockBytes = 4 * 1024
-	// NameNodeOpSeconds is the NameNode metadata operation cost.
-	NameNodeOpSeconds = 1e-3
 	// HeartbeatProcessSeconds is the JobTracker's serialized cost to
 	// process one heartbeat RPC.
 	HeartbeatProcessSeconds = 30e-3
@@ -183,39 +145,4 @@ const (
 	// QS22IdleWatts / QS22BusyWatts bracket a dual-Cell QS22 blade.
 	QS22IdleWatts = 230.0
 	QS22BusyWatts = 330.0
-	// SPEActiveWatts is the incremental draw of one busy SPE.
-	SPEActiveWatts = 4.0
-	// Power6CoreBusyWatts is the incremental draw of a busy Power6
-	// core on the JS22.
-	Power6CoreBusyWatts = 25.0
 )
-
-// AESRate returns the modelled steady-state AES-128 encryption rate in
-// bytes/second for a device.
-func AESRate(d Device) float64 {
-	switch d {
-	case DevPower6:
-		return AESPower6BytesPerSec
-	case DevPPE:
-		return AESPPEBytesPerSec
-	case DevSPE:
-		return AESSPEBytesPerSec
-	default:
-		return 0
-	}
-}
-
-// PiRate returns the modelled Monte Carlo sampling rate in samples per
-// second for a device.
-func PiRate(d Device) float64 {
-	switch d {
-	case DevPower6:
-		return PiPower6SamplesPerSec
-	case DevPPE:
-		return PiPPESamplesPerSec
-	case DevSPE:
-		return PiSPESamplesPerSec
-	default:
-		return 0
-	}
-}

@@ -2,23 +2,9 @@ package perfmodel
 
 import "testing"
 
-func TestDeviceString(t *testing.T) {
-	cases := map[Device]string{
-		DevPower6:  "Power6",
-		DevPPE:     "PPE",
-		DevSPE:     "SPE",
-		Device(99): "unknown-device",
-	}
-	for d, want := range cases {
-		if got := d.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(d), got, want)
-		}
-	}
-}
-
 func TestAESRateOrdering(t *testing.T) {
 	// Paper Fig. 2: Cell >> Power6 > PPE.
-	if AESRate(DevSPE)*SPEsPerCell != AESCellBytesPerSec {
+	if AESSPEBytesPerSec*SPEsPerCell != AESCellBytesPerSec {
 		t.Error("per-SPE AES rate does not sum to chip rate")
 	}
 	if !(AESCellBytesPerSec > AESPower6BytesPerSec) {
@@ -32,9 +18,6 @@ func TestAESRateOrdering(t *testing.T) {
 	if AESCellBytesPerSec/AESPower6BytesPerSec < 10 {
 		t.Error("Cell/Power6 AES ratio should exceed 10x")
 	}
-	if AESRate(Device(99)) != 0 {
-		t.Error("unknown device rate should be 0")
-	}
 }
 
 func TestPiRateOrdering(t *testing.T) {
@@ -46,11 +29,8 @@ func TestPiRateOrdering(t *testing.T) {
 	if !(PiPower6SamplesPerSec > PiPPESamplesPerSec) {
 		t.Error("Power6 must out-sample PPE")
 	}
-	if PiRate(DevSPE)*SPEsPerCell != PiCellSamplesPerSec {
+	if PiSPESamplesPerSec*SPEsPerCell != PiCellSamplesPerSec {
 		t.Error("per-SPE Pi rate does not sum to chip rate")
-	}
-	if PiRate(Device(99)) != 0 {
-		t.Error("unknown device rate should be 0")
 	}
 }
 

@@ -76,10 +76,9 @@ func NewBoard(n int, lease time.Duration, opts Options) (*Board, error) {
 	}, nil
 }
 
-// Locality grades a task for the worker asking: how near its data sits,
-// mirroring the topology distance tiers (internal/topo) — on the
-// worker's own node, on its rack, or across racks — or that this worker
-// may not have it at all.
+// Locality grades a task for the worker asking: how near its data sits
+// — on the worker's own node, on its rack, or across racks — or that
+// this worker may not have it at all.
 type Locality int
 
 // Locality levels, ordered so a higher value is nearer.

@@ -124,12 +124,3 @@ func (f *FairShare) Idle(tenant string) {
 	defer f.mu.Unlock()
 	delete(f.deficit, tenant)
 }
-
-// Forget drops a tenant's weight and credit (its last job finished or
-// was killed); it re-registers implicitly on its next submission.
-func (f *FairShare) Forget(tenant string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.deficit, tenant)
-	delete(f.weights, tenant)
-}

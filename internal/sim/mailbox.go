@@ -70,34 +70,3 @@ func (g *Gate) Wait(p *Proc) {
 	}
 	g.waiters.Wait(p)
 }
-
-// Counter is a countdown latch: Wait blocks until Done has been called
-// n times (like sync.WaitGroup in simulation time).
-type Counter struct {
-	remaining int
-	waiters   WaitQueue
-}
-
-// NewCounter creates a latch expecting n completions.
-func NewCounter(n int) *Counter { return &Counter{remaining: n} }
-
-// Add increases the expected completion count by delta.
-func (c *Counter) Add(delta int) { c.remaining += delta }
-
-// Remaining returns the completions still outstanding.
-func (c *Counter) Remaining() int { return c.remaining }
-
-// Done records one completion, waking waiters when the count hits zero.
-func (c *Counter) Done() {
-	c.remaining--
-	if c.remaining <= 0 {
-		c.waiters.WakeAll()
-	}
-}
-
-// Wait blocks p until the count reaches zero.
-func (c *Counter) Wait(p *Proc) {
-	for c.remaining > 0 {
-		c.waiters.Wait(p)
-	}
-}

@@ -180,26 +180,3 @@ func TestGate(t *testing.T) {
 		t.Error("gate should be open")
 	}
 }
-
-func TestCounter(t *testing.T) {
-	e := NewEngine(1)
-	c := NewCounter(3)
-	var doneAt Time
-	e.Spawn("waiter", func(p *Proc) {
-		c.Wait(p)
-		doneAt = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		i := i
-		e.At(Time(i)*Second, func() { c.Done() })
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != 3*Second {
-		t.Errorf("counter released at %v, want 3s", doneAt)
-	}
-	if c.Remaining() != 0 {
-		t.Errorf("remaining = %d", c.Remaining())
-	}
-}

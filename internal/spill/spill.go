@@ -50,7 +50,6 @@ type Store struct {
 	codec    Codec
 	entries  map[string]entry
 	memUse   int64
-	held     int64 // resident payload bytes, in memory or on disk
 	spilled  int64
 	readmit  int64 // cumulative bytes promoted back into memory
 	clock    int64 // LRU clock for hot-entry eviction
@@ -101,7 +100,6 @@ func (s *Store) Put(key string, data []byte) error {
 	}
 	s.dropLocked(key)
 	size := int64(len(data))
-	s.held += size
 	// New primary payloads outrank cached re-admissions: evict hot
 	// copies (their frames stay on disk) before deciding to spill.
 	if s.memLimit >= 0 && s.memUse+size > s.memLimit {
@@ -169,14 +167,6 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return br.data, nil
 	}
 	return io.ReadAll(r)
-}
-
-// Has reports whether key is stored.
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
 }
 
 // memReader serves an in-memory payload; Get short-circuits it to
@@ -452,7 +442,6 @@ func (s *Store) dropLocked(key string) {
 	if e.path != "" {
 		os.Remove(e.path)
 	}
-	s.held -= e.size
 	delete(s.entries, key)
 }
 
@@ -461,16 +450,6 @@ func (s *Store) MemBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.memUse
-}
-
-// HeldBytes reports the resident payload bytes the store currently
-// holds, in memory or in spill frames (sizes pre-compression) — the
-// live-footprint figure behind per-tenant spill budgets, where
-// SpilledBytes is a cumulative traffic meter.
-func (s *Store) HeldBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.held
 }
 
 // SpilledBytes reports the cumulative payload bytes spilled to disk
@@ -507,7 +486,6 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.entries = make(map[string]entry)
 	s.memUse = 0
-	s.held = 0
 	if s.dir != "" {
 		return os.RemoveAll(s.dir)
 	}

@@ -202,14 +202,3 @@ func (r *Runtime) Compute(fn func(worker int) (int64, error)) ([]ComputeResult, 
 	}
 	return results, nil
 }
-
-// EstimateStreamTime models the wall time of Stream for the simulated
-// experiments (the live path above is functional, not timed).
-func (r *Runtime) EstimateStreamTime(bytes int64, perSPERate float64) float64 {
-	return cellbe.StreamOffloadTime(bytes, r.nSPEs, r.blockBytes, perSPERate).TotalSeconds
-}
-
-// EstimateComputeTime models the wall time of Compute.
-func (r *Runtime) EstimateComputeTime(work int64, perSPERate float64) float64 {
-	return cellbe.ComputeOffloadTime(work, r.nSPEs, perSPERate).TotalSeconds
-}

@@ -218,17 +218,3 @@ func TestComputeErrorPropagates(t *testing.T) {
 		t.Errorf("error = %v", err)
 	}
 }
-
-func TestEstimateTimesPositiveAndMonotonic(t *testing.T) {
-	r := newRuntime(t, 8, perfmodel.SPEBlockBytes)
-	t1 := r.EstimateStreamTime(1<<20, perfmodel.AESSPEBytesPerSec)
-	t2 := r.EstimateStreamTime(1<<24, perfmodel.AESSPEBytesPerSec)
-	if t1 <= 0 || t2 <= t1 {
-		t.Errorf("stream estimates not monotonic: %g, %g", t1, t2)
-	}
-	c1 := r.EstimateComputeTime(1e6, perfmodel.PiSPESamplesPerSec)
-	c2 := r.EstimateComputeTime(1e8, perfmodel.PiSPESamplesPerSec)
-	if c1 <= 0 || c2 <= c1 {
-		t.Errorf("compute estimates not monotonic: %g, %g", c1, c2)
-	}
-}

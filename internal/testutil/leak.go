@@ -43,22 +43,6 @@ var defaultIgnores = []string{
 	"testutil.leakedGoroutines",
 }
 
-// LeakOption tunes VerifyTestMain.
-type LeakOption func(*leakConfig)
-
-type leakConfig struct {
-	ignores []string
-}
-
-// WithIgnored exempts goroutines whose stack contains any of the given
-// substrings — for pools or daemons a package deliberately leaves
-// running process-wide.
-func WithIgnored(substrs ...string) LeakOption {
-	return func(c *leakConfig) {
-		c.ignores = append(c.ignores, substrs...)
-	}
-}
-
 // VerifyTestMain runs the package's tests and then verifies that no
 // non-allowlisted goroutines survive. Use it as the whole TestMain:
 //
@@ -68,11 +52,7 @@ func WithIgnored(substrs ...string) LeakOption {
 // non-zero. When the tests themselves failed, their exit code is
 // passed through and the leak check is skipped — goroutines stranded
 // mid-failure would only bury the real report.
-func VerifyTestMain(m *testing.M, opts ...LeakOption) {
-	cfg := &leakConfig{ignores: defaultIgnores}
-	for _, opt := range opts {
-		opt(cfg)
-	}
+func VerifyTestMain(m *testing.M) {
 	code := m.Run()
 	if code != 0 {
 		os.Exit(code)
@@ -80,7 +60,7 @@ func VerifyTestMain(m *testing.M, opts ...LeakOption) {
 	deadline := time.Now().Add(leakWait)
 	var leaked []string
 	for {
-		leaked = leakedGoroutines(cfg.ignores)
+		leaked = leakedGoroutines(defaultIgnores)
 		if len(leaked) == 0 {
 			os.Exit(code)
 		}

@@ -68,15 +68,6 @@ func EncryptionDataset(nn *hdfs.NameNode, nodes []string, mappersPerNode int,
 	return splits, nil
 }
 
-// TotalBytes sums the input bytes across splits.
-func TotalBytes(splits []hadoop.Split) int64 {
-	var total int64
-	for i := range splits {
-		total += splits[i].InputBytes()
-	}
-	return total
-}
-
 // SplitsFromFile converts a stored file's block layout into hadoop
 // splits for the simulated runner: numSplits splits of consecutive
 // records of recordBytes each, with record hosts and per-split

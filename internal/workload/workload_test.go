@@ -62,8 +62,12 @@ func TestEncryptionDatasetLayout(t *testing.T) {
 			}
 		}
 	}
-	if got := TotalBytes(splits); got != 6*perMapper {
-		t.Errorf("TotalBytes = %d, want %d", got, 6*perMapper)
+	var total int64
+	for i := range splits {
+		total += splits[i].InputBytes()
+	}
+	if total != 6*perMapper {
+		t.Errorf("splits carry %d input bytes, want %d", total, 6*perMapper)
 	}
 	// Splits must drive a valid hadoop job.
 	job := &hadoop.Job{Name: "enc", Splits: splits,
