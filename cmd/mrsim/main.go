@@ -12,26 +12,30 @@
 //	mrsim -backend live -workload sort -input big.dat -output sorted.dat -spill-mem 33554432
 //
 // It can also run as a long-lived multi-tenant job service, or submit
-// against one:
+// against one — the same job, staged, submitted and collected by the
+// same engine path as -backend net, on somebody else's fleet:
 //
 //	mrsim -serve -nodes 4 -quotas alice=3,bob=1:2
 //	mrsim -nn 127.0.0.1:40001 -jt 127.0.0.1:40003 -tenant alice -workload pi -samples 1e7
+//	mrsim -nn 127.0.0.1:40001 -jt 127.0.0.1:40003 -workload sort -input big.dat -output sorted.dat
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
 	"hetmr/internal/engine"
+	"hetmr/internal/netmr"
 )
 
 func main() {
 	backend := flag.String("backend", "sim", fmt.Sprintf("execution backend %v", engine.Backends()))
 	nodes := flag.Int("nodes", 16, "worker node count")
 	wl := flag.String("workload", "pi", "enc, pi, wc or sort")
-	mapper := flag.String("mapper", "cell", "java, cell or empty")
+	mapper := flag.String("mapper", "cell", "java, cell or empty (empty: sim only; remote submission honours it too)")
 	gbPerMapper := flag.Float64("gb-per-mapper", 1, "modelled input GB per mapper (backend sim data workloads)")
 	mb := flag.Float64("mb", 1, "materialized input MB (functional backends' data workloads)")
 	samples := flag.Float64("samples", 1e11, "total samples (pi)")
@@ -41,8 +45,8 @@ func main() {
 	maxAttempts := flag.Int("max-attempts", 0, "per-task attempt cap, 0 = scheduler default (sim, live and net)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline, 0 = engine default (net)")
 	timeline := flag.Bool("timeline", false, "print a task-attempt Gantt chart (sim)")
-	input := flag.String("input", "", "stream this file from disk through Job.Source instead of a synthetic dataset (data workloads)")
-	output := flag.String("output", "", "stream the job's output to this file through Job.Sink (sort and enc)")
+	input := flag.String("input", "", "stream this file from disk through Job.Source instead of a synthetic dataset (data workloads; remote submission too)")
+	output := flag.String("output", "", "stream the job's output to this file through Job.Sink (sort and enc; remote submission too)")
 	spillMem := flag.Int64("spill-mem", 0, "data-plane spill watermark in bytes: 0 keeps everything in memory, -1 spills every payload (live and net)")
 	spillCompress := flag.Bool("spill-compress", false, "frame-compress spilled payloads")
 	codec := flag.String("codec", "", "data-plane compression codec (snap or flate): negotiated on the wire for net backends and remote submission, and used for -spill-compress frames")
@@ -52,9 +56,8 @@ func main() {
 	blockSize := flag.Int64("block-size", 64_000, "DFS block size in bytes (-serve and remote submission)")
 	nn := flag.String("nn", "", "NameNode address of a running job service (remote submission and admin)")
 	jt := flag.String("jt", "", "JobTracker address of a running job service (remote submission and admin)")
-	tenant := flag.String("tenant", "", "tenant to submit as against a running job service")
+	tenant := flag.String("tenant", "", "tenant to submit as (Job.Tenant): against a running job service, or on -backend net")
 	racks := flag.Int("racks", 0, "spread workers over this many racks (net and -serve; live and sim accept it and ignore it); 0 or 1 = flat topology")
-	rangePartition := flag.Bool("range-partition", false, "route net-backend sort through the sampled range partitioner: output streams back in key order with no client-side merge")
 	listNodes := flag.Bool("list-nodes", false, "admin: print a running service's tracker and datanode membership (-nn/-jt)")
 	decommTracker := flag.String("decommission-tracker", "", "admin: drain the named TaskTracker on a running service (-jt)")
 	decommDN := flag.String("decommission-dn", "", "admin: re-replicate and retire the DataNode at this address on a running service (-nn)")
@@ -71,18 +74,17 @@ func main() {
 		spill = engine.SpillAll
 	}
 	cfg := engine.Config{
-		Workers:        *nodes,
-		Mapper:         *mapper,
-		AccelFraction:  accel,
-		Speculative:    *speculative,
-		MaxAttempts:    *maxAttempts,
-		JobTimeout:     *jobTimeout,
-		Timeline:       *timeline,
-		SpillMemBytes:  spill,
-		SpillCompress:  *spillCompress,
-		Codec:          *codec,
-		Racks:          *racks,
-		RangePartition: *rangePartition,
+		Workers:       *nodes,
+		Mapper:        *mapper,
+		AccelFraction: accel,
+		Speculative:   *speculative,
+		MaxAttempts:   *maxAttempts,
+		JobTimeout:    *jobTimeout,
+		Timeline:      *timeline,
+		SpillMemBytes: spill,
+		SpillCompress: *spillCompress,
+		Codec:         *codec,
+		Racks:         *racks,
 	}
 	var err error
 	switch {
@@ -91,14 +93,25 @@ func main() {
 		err = serve(cfg, *quotas)
 	case *listNodes || *decommTracker != "" || *decommDN != "":
 		err = runAdmin(*nn, *jt, *blockSize, *listNodes, *decommTracker, *decommDN)
-	case *nn != "" || *jt != "":
-		err = runRemote(*nn, *jt, *tenant, *wl, *blockSize, *mb, int64(*samples), *maps, *jobTimeout, *codec)
 	default:
+		// One job: on a backend booted for it, or — with -nn/-jt — on a
+		// running service through an attached client. Everything after
+		// the open is the same path.
+		header := fmt.Sprintf("mapper=%s nodes=%d accel=%.0f%% speculative=%v",
+			cfg.Mapper, cfg.Workers, max(accel, 0)*100, cfg.Speculative)
+		open := func() (*engine.Client, error) { return engine.Open(*backend, cfg) }
+		if *nn != "" || *jt != "" {
+			*backend = "net"
+			cfg.BlockSize = *blockSize
+			header = fmt.Sprintf("mapper=%s jobtracker=%s tenant=%s", cfg.Mapper, *jt, cmp.Or(*tenant, netmr.DefaultTenant))
+			open = func() (*engine.Client, error) { return engine.Dial(*nn, *jt, cfg) }
+		}
 		var job *engine.Job
 		job, err = buildJob(*backend, *wl, cfg, *gbPerMapper, *mb, int64(*samples), *maps)
 		if err == nil {
+			job.Tenant = *tenant
 			err = wireStreams(job, *input, *output, func(job *engine.Job) error {
-				return run(*backend, cfg, job)
+				return run(open, header, job)
 			})
 		}
 	}
@@ -176,17 +189,18 @@ func buildJob(backend, wl string, cfg engine.Config, gbPerMapper, mb float64,
 	return job, nil
 }
 
-func run(backend string, cfg engine.Config, job *engine.Job) error {
-	res, err := engine.RunOnce(backend, cfg, job)
+// run opens the client, runs the job on it and prints the result.
+func run(open func() (*engine.Client, error), header string, job *engine.Job) error {
+	c, err := open()
 	if err != nil {
 		return err
 	}
-	accel := cfg.AccelFraction
-	if accel == engine.NoAcceleration {
-		accel = 0
+	defer c.Close()
+	res, err := c.Run(job)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("backend=%s workload=%s mapper=%s nodes=%d accel=%.0f%% speculative=%v\n",
-		backend, job.Kind, cfg.Mapper, cfg.Workers, accel*100, cfg.Speculative)
+	fmt.Printf("backend=%s workload=%s %s\n", c.Backend(), job.Kind, header)
 	if res.Sim != nil {
 		s := res.Sim
 		fmt.Printf("  makespan        %.2f s (setup-adjusted: %.2f s)\n",

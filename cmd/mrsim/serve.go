@@ -7,11 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"hetmr/internal/engine"
 	"hetmr/internal/netmr"
-	"hetmr/internal/rpcnet"
 )
 
 // serve boots a long-running multi-tenant job service and blocks until
@@ -138,93 +136,6 @@ func runAdmin(nnAddr, jtAddr string, blockSize int64, list bool, decommTracker, 
 		for _, d := range nodes {
 			fmt.Printf("  %-22s rack=%-8s blocks=%-5d state=%s\n", d.Addr, d.Rack, d.Blocks, d.State)
 		}
-	}
-	return nil
-}
-
-// runRemote submits one workload to an already-running job service as
-// the given tenant, waits for it and prints the result — the client
-// half of -serve.
-func runRemote(nnAddr, jtAddr, tenant, wl string, blockSize int64, mb float64, samples int64, maps int, timeout time.Duration, codecName string) error {
-	if nnAddr == "" || jtAddr == "" {
-		return fmt.Errorf("remote submission needs both -nn and -jt")
-	}
-	var copts []netmr.ClientOption
-	if codecName != "" {
-		copts = append(copts, netmr.WithClientWireCodec(codecName))
-	}
-	tc, err := netmr.NewTenantClient(nnAddr, jtAddr, blockSize, tenant, copts...)
-	if err != nil {
-		return err
-	}
-	defer tc.Close()
-	if timeout == 0 {
-		timeout = engine.DefaultJobTimeout
-	}
-	inputBytes := int64(mb * float64(int64(1)<<20))
-	spec := netmr.JobSpec{Name: fmt.Sprintf("%s-%s", tenant, wl)}
-	switch wl {
-	case "pi":
-		spec.Kernel = "pi"
-		spec.Samples = samples
-		spec.NumTasks = maps
-	case "wc", "sort", "enc":
-		if wl == "sort" {
-			inputBytes -= inputBytes % 100 // whole records
-		}
-		path := fmt.Sprintf("/mrsim/%s-%d", wl, time.Now().UnixNano())
-		if _, err := tc.WriteFrom(path, engine.SyntheticReader(inputBytes), ""); err != nil {
-			return fmt.Errorf("staging %d input bytes: %w", inputBytes, err)
-		}
-		spec.Input = path
-		switch wl {
-		case "wc":
-			spec.Kernel = "wordcount"
-			spec.NumReducers = 3
-		case "sort":
-			spec.Kernel = "sort"
-			spec.NumReducers = 3
-		case "enc":
-			spec.Kernel = "aes-ctr"
-			args, err := rpcnet.Marshal(netmr.AESArgs{
-				Key: []byte("mrsim-aes-key-16"), IV: make([]byte, 16), BlockBytes: blockSize,
-			})
-			if err != nil {
-				return err
-			}
-			spec.Args = args
-		}
-	default:
-		return fmt.Errorf("unknown workload %q for remote submission (enc|pi|wc|sort)", wl)
-	}
-	start := time.Now()
-	id, err := tc.Submit(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("tenant=%s job=%d workload=%s submitted to %s\n", tenant, id, wl, jtAddr)
-	st, err := tc.WaitStatus(id, timeout)
-	if err != nil {
-		return err
-	}
-	raw := st.Result
-	fmt.Printf("  wall time       %v\n", time.Since(start))
-	fmt.Printf("  tasks           %d of %d completed\n", st.Completed, st.Total)
-	switch wl {
-	case "pi":
-		var pi netmr.PiResult
-		if err := rpcnet.Unmarshal(raw, &pi); err != nil {
-			return err
-		}
-		fmt.Printf("  pi              %.6f (%d of %d samples inside)\n", pi.Pi, pi.Inside, pi.Total)
-	case "wc":
-		var counts map[string]int64
-		if err := rpcnet.Unmarshal(raw, &counts); err != nil {
-			return err
-		}
-		fmt.Printf("  distinct words  %d\n", len(counts))
-	case "sort", "enc":
-		fmt.Printf("  output          %d bytes\n", len(raw))
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"hetmr/internal/engine"
 	"hetmr/internal/netmr"
@@ -84,5 +86,86 @@ func TestParseQuotas(t *testing.T) {
 		if _, err := parseQuotas(bad); err == nil {
 			t.Errorf("parseQuotas(%q) succeeded, want an error", bad)
 		}
+	}
+}
+
+// TestRemoteSubmissionMatchesLocalAndLeavesNothingBehind drives the
+// -nn/-jt path — buildJob, engine.Dial, Run — as three mrsim processes
+// submitting at once would, two of them as one tenant: every result
+// must equal
+// the in-process reference, and afterwards the service's namespace and
+// block stores must be as empty as before. Remote submission used to
+// stage under a name of its own and never delete it; and two attached
+// clients staging "/engine/sort-1" each would have interleaved their
+// blocks into one file.
+func TestRemoteSubmissionMatchesLocalAndLeavesNothingBehind(t *testing.T) {
+	cfg := engine.Config{Workers: 3, MappersPerNode: 2, BlockSize: 64_000}
+	r, clus, err := startService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	workloads := []string{"wc", "sort", "enc"}
+	build := func(wl string) *engine.Job {
+		job, err := buildJob("net", wl, cfg, 0, 0.5, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	want := make(map[string]*engine.Result)
+	for _, wl := range workloads {
+		if want[wl], err = engine.RunOnce("live", cfg, build(wl)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, tenant := range []string{"alice", "bob", "bob"} {
+		jobs := make(map[string]*engine.Job)
+		for _, wl := range workloads {
+			jobs[wl] = build(wl)
+			jobs[wl].Tenant = tenant
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := engine.Dial(clus.NN.Addr(), clus.JT.Addr(), engine.Config{BlockSize: cfg.BlockSize})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for _, wl := range workloads {
+				got, err := c.Run(jobs[wl])
+				if err != nil {
+					t.Errorf("%s %s: %v", tenant, wl, err)
+					return
+				}
+				if err := engine.SameResult(jobs[wl].Kind, want[wl], got); err != nil {
+					t.Errorf("%s %s: remote result differs from the in-process reference: %v", tenant, wl, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	files, err := clus.Client.ListFiles()
+	if err != nil || len(files) != 0 {
+		t.Fatalf("service namespace after the remote jobs = %v (err %v), want empty", files, err)
+	}
+	stored := func() int {
+		n := 0
+		for _, dn := range clus.DNs {
+			n += dn.BlockCount()
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for stored() != 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := stored(); n != 0 {
+		t.Errorf("datanodes still store %d block replicas after every remote job was collected", n)
 	}
 }

@@ -10,7 +10,9 @@
 // Each backquoted or double-quoted string after "want" is a regular
 // expression that must match exactly one diagnostic reported on that
 // line; diagnostics with no matching expectation, and expectations
-// with no matching diagnostic, fail the test.
+// with no matching diagnostic, fail the test. A "// want" may also sit
+// inside another line comment ("//directive ... // want `...`"), which
+// is how a finding on a directive comment is expected.
 package analysistest
 
 import (
@@ -86,7 +88,7 @@ func collectWants(t *testing.T, prog *analysis.Program) map[posKey][]*want {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, "// want ")
+					_, rest, ok := strings.Cut(c.Text, "// want ")
 					if !ok {
 						continue
 					}

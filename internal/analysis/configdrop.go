@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -30,7 +31,10 @@ import (
 //
 //	//hetlint:configdrop-ok <backend|*> <Field|Type.Field> [reason]
 //
-// anywhere in the package.
+// anywhere in the package. The directives are a debt count, so one that
+// excuses nothing is itself a finding: its backend is not registered,
+// its field does not exist, or the backend does read the field (or an
+// earlier directive already covers it).
 var ConfigDrop = &Analyzer{
 	Name: "configdrop",
 	Doc:  "report exported Config/Job fields that a registered backend neither reads nor explicitly acknowledges",
@@ -47,6 +51,8 @@ func runConfigDrop(pass *Pass) error {
 
 	decls := packageFuncDecls(pass)
 	acks := configAcks(pass)
+	registered := make(map[string]bool) // backend names seen in Register calls
+	fields := make(map[string]bool)     // every exported "Field" and "Type.Field"
 
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -65,6 +71,7 @@ func runConfigDrop(pass *Pass) error {
 			if err != nil {
 				return true
 			}
+			registered[backend] = true
 			refs := backendFieldRefs(pass, decls, call.Args[1])
 			for _, tn := range []*types.Named{cfgType, jobType} {
 				if tn == nil {
@@ -78,6 +85,7 @@ func runConfigDrop(pass *Pass) error {
 					if !fld.Exported() {
 						continue
 					}
+					fields[fld.Name()], fields[typeName+"."+fld.Name()] = true, true
 					if refs[typeName+"."+fld.Name()] {
 						continue
 					}
@@ -93,6 +101,17 @@ func runConfigDrop(pass *Pass) error {
 			}
 			return true
 		})
+	}
+	for _, a := range acks {
+		switch {
+		case a.used:
+		case a.backend != "*" && !registered[a.backend]:
+			pass.Reportf(a.pos, "configdrop-ok names backend %q, which is not registered — delete the directive", a.backend)
+		case !fields[a.field]:
+			pass.Reportf(a.pos, "configdrop-ok names %s, which is no exported field of Config or Job — delete the directive", a.field)
+		default:
+			pass.Reportf(a.pos, "configdrop-ok %s %s excuses nothing: the field is read, or an earlier directive covers it — delete the directive", a.backend, a.field)
+		}
 	}
 	return nil
 }
@@ -207,12 +226,21 @@ func namedRecvOf(t types.Type) *types.Named {
 	return named
 }
 
-// ackSet holds parsed //hetlint:configdrop-ok directives.
-type ackSet map[string]bool
+// ack is one parsed //hetlint:configdrop-ok directive. field is as
+// written, "Field" or "Type.Field"; used records that the directive
+// suppressed at least one finding.
+type ack struct {
+	pos            token.Pos
+	backend, field string
+	used           bool
+}
+
+type ackSet []*ack
 
 func (a ackSet) ok(backend, typeName, field string) bool {
-	for _, b := range []string{backend, "*"} {
-		if a[b+"|"+field] || a[b+"|"+typeName+"."+field] {
+	for _, k := range a {
+		if (k.backend == backend || k.backend == "*") && (k.field == field || k.field == typeName+"."+field) {
+			k.used = true
 			return true
 		}
 	}
@@ -222,7 +250,7 @@ func (a ackSet) ok(backend, typeName, field string) bool {
 // configAcks collects acknowledged-drop directives from the package's
 // comments.
 func configAcks(pass *Pass) ackSet {
-	acks := make(ackSet)
+	var acks ackSet
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -234,7 +262,7 @@ func configAcks(pass *Pass) ackSet {
 				if len(fields) < 2 {
 					continue
 				}
-				acks[fields[0]+"|"+fields[1]] = true
+				acks = append(acks, &ack{pos: c.Pos(), backend: fields[0], field: fields[1]})
 			}
 		}
 	}

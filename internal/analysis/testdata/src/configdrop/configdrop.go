@@ -65,4 +65,9 @@ func init() {
 	//hetlint:configdrop-ok acked Config.Depth fixture: proves the ack directive works
 	//hetlint:configdrop-ok acked Job.Size fixture: proves the ack directive works
 	Register("acked", func(cfg Config) (Runner, error) { return &ackedRunner{cfg: cfg}, nil })
+
+	// Directives that excuse nothing are findings too.
+	//hetlint:configdrop-ok ghost Config.Depth fixture // want `names backend "ghost", which is not registered`
+	//hetlint:configdrop-ok acked Config.Width fixture // want `names Config\.Width, which is no exported field`
+	//hetlint:configdrop-ok acked Config.Workers fixture // want `acked Config\.Workers excuses nothing`
 }

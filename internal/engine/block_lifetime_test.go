@@ -39,43 +39,39 @@ func tornSort() *Job {
 // does a job that fails.
 func TestStagedBlocksFreedAfterJobs(t *testing.T) {
 	t.Run("net", func(t *testing.T) {
-		for _, rangePartition := range []bool{false, true} {
-			cfg := conformanceConfig()
-			cfg.RangePartition = rangePartition
-			r, err := New("net", cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			for round := 0; round < 2; round++ {
-				for _, job := range lifetimeJobs() {
-					if _, err := r.Run(job); err != nil {
-						t.Fatalf("%s: %v", job.Kind, err)
-					}
+		r, err := New("net", conformanceConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for round := 0; round < 2; round++ {
+			for _, job := range lifetimeJobs() {
+				if _, err := r.Run(job); err != nil {
+					t.Fatalf("%s: %v", job.Kind, err)
 				}
 			}
-			if _, err := r.Run(tornSort()); err == nil {
-				t.Fatal("sort of a torn record succeeded")
+		}
+		if _, err := r.Run(tornSort()); err == nil {
+			t.Fatal("sort of a torn record succeeded")
+		}
+		clus := r.(interface{ Cluster() *netmr.Cluster }).Cluster()
+		files, err := clus.Client.ListFiles()
+		if err != nil || len(files) != 0 {
+			t.Fatalf("namespace after the jobs = %v (err %v), want empty", files, err)
+		}
+		stored := func() int {
+			n := 0
+			for _, dn := range clus.DNs {
+				n += dn.BlockCount()
 			}
-			clus := r.(interface{ Cluster() *netmr.Cluster }).Cluster()
-			files, err := clus.Client.ListFiles()
-			if err != nil || len(files) != 0 {
-				t.Fatalf("range=%v: namespace after the jobs = %v (err %v), want empty", rangePartition, files, err)
-			}
-			stored := func() int {
-				n := 0
-				for _, dn := range clus.DNs {
-					n += dn.BlockCount()
-				}
-				return n
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for stored() != 0 && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := stored(); n != 0 {
-				t.Errorf("range=%v: datanodes still store %d block replicas after every job finished", rangePartition, n)
-			}
+			return n
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for stored() != 0 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := stored(); n != 0 {
+			t.Errorf("datanodes still store %d block replicas after every job finished", n)
 		}
 	})
 	t.Run("live", func(t *testing.T) {

@@ -41,7 +41,6 @@ func init() {
 	//hetlint:configdrop-ok cellmr Config.SpillCompress no spill layer on the single-node framework
 	//hetlint:configdrop-ok cellmr Config.Codec no wire layer inside one chip
 	//hetlint:configdrop-ok cellmr Config.Racks single node: there is no second rack
-	//hetlint:configdrop-ok cellmr Config.RangePartition range routing reshapes the net shuffle plane; cellmr accepts only Encrypt and has no sort to partition
 	//hetlint:configdrop-ok cellmr Job.Name job names label tracker/DFS state, which the framework does not keep
 	//hetlint:configdrop-ok cellmr Job.Seed Seed shards Pi sampling; cellmr accepts only Encrypt
 	//hetlint:configdrop-ok cellmr Job.Tenant tenancy is the net job service's concept; Quotas are already rejected below

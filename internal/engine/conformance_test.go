@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hetmr/internal/kernels"
+	"hetmr/internal/netmr"
 )
 
 // The conformance suite is the engine's contract: the same job, run on
@@ -184,32 +185,32 @@ func TestCrossBackendConformanceWithCodec(t *testing.T) {
 	t.Run("net-result-paths", testNetResultPaths)
 }
 
-// testNetResultPaths pins the net backend's four byte-result paths —
-// reduced at the JobTracker or streamed from the trackers, into
-// Result.Bytes or a Sink — against the live reference, with and without
-// a wire codec. The tiny sorts have more reducers than records, so some
-// reduce partitions are empty on both the hash and the range route.
+// testNetResultPaths pins the net backend's byte results — collected
+// from the trackers into Result.Bytes ("inline") or a Sink ("streamed",
+// "sink") — against the live reference, whose sort hash-partitions in
+// process where net range-partitions, with and without a wire codec.
+// The tiny sorts have more reducers than records, so some reduce
+// partitions are empty.
 func testNetResultPaths(t *testing.T) {
 	bigSort := kernels.GenerateSortRecords(2009, 1_000)
 	tinySort := kernels.GenerateSortRecords(12, 5)
 	enc := &Job{Kind: Encrypt, Input: corpus()[:20_000],
 		Key: []byte("conformance-key!"), IV: []byte("conformance-iv!!")}
 	for _, tc := range []struct {
-		name               string
-		job                *Job
-		tiny, ranged, sink bool
+		name       string
+		job        *Job
+		tiny, sink bool
 	}{
 		{name: "sort-hash-inline", job: &Job{Kind: Sort, Input: bigSort}},
-		{name: "sort-range-streamed", job: &Job{Kind: Sort, Input: bigSort}, ranged: true},
+		{name: "sort-range-streamed", job: &Job{Kind: Sort, Input: bigSort}, sink: true},
 		{name: "sort-hash-inline-empty-partitions", job: &Job{Kind: Sort, Input: tinySort}, tiny: true},
-		{name: "sort-range-streamed-empty-partitions", job: &Job{Kind: Sort, Input: tinySort}, tiny: true, ranged: true},
+		{name: "sort-range-streamed-empty-partitions", job: &Job{Kind: Sort, Input: tinySort}, tiny: true, sink: true},
 		{name: "encrypt-inline", job: enc},
 		{name: "encrypt-sink", job: enc, sink: true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := conformanceConfig()
-			cfg.RangePartition = tc.ranged
 			if tc.tiny {
 				cfg.BlockSize, cfg.Reducers = 200, 8 // 5 records over 3 maps and 8 reduces
 			}
@@ -240,6 +241,48 @@ func testNetResultPaths(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNetBulkBytesNeverCrossJobTracker pins the data-plane invariant:
+// whatever the caller sets — no Sink, any reducer count, the inert
+// RangePartition left false — a byte-stream job's result is collected
+// from the trackers, so the task output bytes the JobTracker's
+// heartbeats carry stay metadata-sized while megabytes of result come
+// back equal to the live backend's.
+func TestNetBulkBytesNeverCrossJobTracker(t *testing.T) {
+	const size = 2_000_000
+	enc := &Job{Kind: Encrypt, InputBytes: size, Key: []byte("conformance-key!")}
+	sort := &Job{Kind: Sort, Input: kernels.GenerateSortRecords(2009, size/kernels.SortRecordBytes)}
+	for _, tc := range []struct {
+		reducers int
+		jobs     []*Job
+	}{
+		{reducers: 4, jobs: []*Job{enc, sort}},
+		{reducers: 1, jobs: []*Job{sort}},
+	} {
+		cfg := Config{Workers: 3, BlockSize: 250_000, Reducers: tc.reducers}
+		r, err := New("net", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		jt := r.(interface{ Cluster() *netmr.Cluster }).Cluster().JT
+		for _, job := range tc.jobs {
+			want, _ := runOnConfig(t, "live", cfg, job)
+			before := jt.DataPlaneBytes()
+			got, err := r.Run(job)
+			if err != nil {
+				t.Fatalf("reducers=%d %s: %v", tc.reducers, job.Kind, err)
+			}
+			if err := SameResult(job.Kind, want, got); err != nil {
+				t.Fatalf("reducers=%d %s: net differs from live: %v", tc.reducers, job.Kind, err)
+			}
+			if n := jt.DataPlaneBytes() - before; n >= 4<<10 {
+				t.Errorf("reducers=%d %s: %d task output bytes rode heartbeats for a %d-byte result, want < 4 KB",
+					tc.reducers, job.Kind, n, len(got.Bytes))
+			}
+		}
 	}
 }
 

@@ -2,6 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/rand"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -13,14 +17,26 @@ import (
 )
 
 // netRunner executes jobs on the socket-backed distributed runtime
-// (internal/netmr): NameNode, DataNodes, JobTracker and TaskTrackers
-// as TCP daemons on loopback, block data crossing the network stack.
-// An AccelFraction of the trackers carry a per-node Cell accelerator;
-// cell-mapper jobs offload their pi, aes-ctr and wordcount map tasks
-// to it with a bit-identical host fallback on the plain trackers.
+// (internal/netmr): NameNode, DataNodes, JobTracker and TaskTrackers as
+// TCP daemons, block data crossing the network stack. It is a netmr
+// client plus, optionally, the cluster behind it. The registered "net"
+// backend boots its own on loopback and owns it: an AccelFraction of the
+// trackers carry a per-node Cell accelerator, and cell-mapper jobs
+// offload their pi, aes-ctr and wordcount map tasks to it with a
+// bit-identical host fallback on the plain trackers. Dial attaches to a
+// service somebody else runs.
 type netRunner struct {
-	cfg  Config
+	cfg    Config
+	client *netmr.Client
+	// clus is the cluster this runner booted and will shut down; nil
+	// when attached to a running service.
 	clus *netmr.Cluster
+	// workers sizes the defaults that scale with the fleet (reduce tasks,
+	// Pi tasks): Config.Workers, or an attached service's tracker count.
+	workers int
+	// nonce is an attached runner's per-process random staging
+	// directory; "" when booted.
+	nonce string
 
 	// mu guards seq: Run may be called concurrently, and two jobs
 	// colliding on one DFS staging path would corrupt each other's
@@ -29,13 +45,22 @@ type netRunner struct {
 	seq int
 }
 
+// netRejects refuses the sim-only knobs, for the booted and the
+// attached runner alike.
+func netRejects(cfg Config) error {
+	if cfg.Mapper == "empty" {
+		return fmt.Errorf("%w: mapper \"empty\" models pure runtime overhead and only exists on the sim backend", ErrUnsupported)
+	}
+	if cfg.Timeline {
+		return fmt.Errorf("%w: Timeline is rendered from the simulated JobTracker's task log and only exists on the sim backend", ErrUnsupported)
+	}
+	return nil
+}
+
 func init() {
 	Register("net", func(cfg Config) (Runner, error) {
-		if cfg.Mapper == "empty" {
-			return nil, fmt.Errorf("%w: mapper \"empty\" models pure runtime overhead and only exists on the sim backend", ErrUnsupported)
-		}
-		if cfg.Timeline {
-			return nil, fmt.Errorf("%w: Timeline is rendered from the simulated JobTracker's task log and only exists on the sim backend", ErrUnsupported)
+		if err := netRejects(cfg); err != nil {
+			return nil, err
 		}
 		opts := []netmr.ClusterOption{
 			netmr.WithSpeculation(cfg.Speculative),
@@ -78,8 +103,51 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &netRunner{cfg: cfg, clus: clus}, nil
+		return &netRunner{cfg: cfg, client: clus.Client, clus: clus, workers: cfg.Workers}, nil
 	})
+}
+
+// Dial attaches to a running net job service (mrsim -serve, or any netmr
+// NameNode/JobTracker pair) and returns a Client that stages, submits
+// and collects jobs exactly as the booted "net" backend does, without
+// owning a daemon. Of cfg it reads BlockSize (how this client cuts staged
+// input), Mapper, Reducers, JobTimeout and Codec. The fields that shape a
+// cluster — Workers, MappersPerNode, AccelFraction, Speculative,
+// MaxAttempts, FaultDelays, Quotas, Racks, Spill* — describe the service
+// and are not consulted: defaults that scale with the fleet (Reducers 0,
+// Job.Tasks 0) use the service's tracker count as of the Dial. The
+// runner reports a nil Cluster and zero read-locality counters, and
+// Close closes the connections only.
+func Dial(nnAddr, jtAddr string, cfg Config) (*Client, error) {
+	if nnAddr == "" || jtAddr == "" {
+		return nil, errors.New("engine: Dial needs both a NameNode and a JobTracker address")
+	}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if err := netRejects(cfg); err != nil {
+		return nil, err
+	}
+	client, err := netmr.NewClient(nnAddr, jtAddr, cfg.BlockSize, netmr.WithClientWireCodec(cfg.Codec))
+	if err != nil {
+		return nil, err
+	}
+	trackers, err := client.ListTrackers()
+	if err != nil {
+		client.Close()
+		return nil, err
+	}
+	// The NameNode appends to a name that exists, so a staging name two
+	// attached processes could both produce would interleave their
+	// blocks: the nonce makes this process's names its own.
+	var nonce [8]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		client.Close()
+		return nil, err
+	}
+	return NewClient(&netRunner{cfg: cfg, client: client,
+		workers: max(len(trackers), 1), nonce: hex.EncodeToString(nonce[:])}), nil
 }
 
 // netDeviceKinds derives the cluster's per-tracker device profiles:
@@ -102,38 +170,54 @@ func netDeviceKinds(cfg Config) []string {
 // Backend implements Runner.
 func (r *netRunner) Backend() string { return "net" }
 
-// Close implements Runner: stops every daemon.
+// Close implements Runner: stops every daemon of a booted cluster, or
+// just the connections of an attached one.
 func (r *netRunner) Close() error {
+	if r.clus == nil {
+		return r.client.Close()
+	}
 	r.clus.Shutdown()
 	return nil
 }
 
-// Cluster exposes the running deployment (daemon addresses, tracker
-// devices etc.) for callers that need backend-specific detail.
+// Cluster exposes the deployment this runner booted (daemon addresses,
+// tracker devices etc.) for callers that need backend-specific detail;
+// nil when the runner is attached to a service it does not own.
 func (r *netRunner) Cluster() *netmr.Cluster { return r.clus }
 
-// reducers resolves the distributed-shuffle reduce-task count for data
-// jobs whose kernel supports partitioned output: the configured
-// partition count, defaulting to one reduce task per worker.
+// fetchTotals reads the cluster-wide block-fetch locality counters; an
+// attached runner cannot see the service's trackers and reads zeros.
+func (r *netRunner) fetchTotals() (local, rack, remote int64) {
+	if r.clus == nil {
+		return 0, 0, 0
+	}
+	return r.clus.FetchTotals()
+}
+
+// reducers resolves the reduce-task count for data jobs whose kernel
+// shuffles: the configured partition count, defaulting to one reduce
+// task per worker.
 func (r *netRunner) reducers() int {
 	if r.cfg.Reducers > 0 {
 		return r.cfg.Reducers
 	}
-	if r.cfg.Workers > 0 {
-		return r.cfg.Workers
-	}
-	return 1
+	return r.workers
 }
 
 // stageInput streams src (the job's dataset, possibly wrapped in a
 // sampling pass) into the distributed FS under the client's ingest
-// window.
+// window. A booted cluster's namespace is this runner's alone, so the
+// sequence number makes the name unique; an attached runner adds the
+// tenant and its process nonce.
 func (r *netRunner) stageInput(job *Job, src io.Reader) (string, error) {
 	r.mu.Lock()
 	r.seq++
 	name := fmt.Sprintf("/engine/%s-%d", job.title(), r.seq)
+	if r.nonce != "" {
+		name = fmt.Sprintf("/engine/%s/%s/%s-%d", cmp.Or(job.Tenant, netmr.DefaultTenant), r.nonce, job.title(), r.seq)
+	}
 	r.mu.Unlock()
-	if _, err := r.clus.Client.WriteFrom(name, src, ""); err != nil {
+	if _, err := r.client.WriteFrom(name, src, ""); err != nil {
 		return "", err
 	}
 	return name, nil
@@ -154,9 +238,9 @@ func rangeSampleCap(reducers int) int {
 }
 
 // buildSpec validates and expands an engine job into its netmr job
-// spec, staging the dataset into the DFS for data kinds. Encrypt jobs
-// with a Sink stream their output (the pieces stay on the trackers
-// until the client pulls them).
+// spec, staging the dataset into the DFS for data kinds. The spec names
+// a kernel and its inputs; which route the result takes is the kernel's
+// property (netmr.MapKernel), not something set here.
 func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 	spec := netmr.JobSpec{
 		Name:   job.title(),
@@ -166,20 +250,19 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 	switch job.Kind {
 	case Wordcount, Sort:
 		src := job.inputReader()
-		reducers := r.reducers()
+		spec.NumReducers = r.reducers()
 		var sampler *kernels.RecordKeySampler
-		if job.Kind == Sort && r.cfg.RangePartition {
-			// The sampling pass rides the staging stream: ingest is read
-			// exactly once, and the reservoir costs O(sample) memory.
-			spec.StreamOutput = true
-			if reducers > 1 {
-				seed := job.Seed
-				if seed == 0 {
-					seed = DefaultSeed
-				}
-				sampler = kernels.NewRecordKeySampler(src, rangeSampleCap(reducers), uint64(seed))
-				src = sampler
+		if job.Kind == Sort && spec.NumReducers > 1 {
+			// A sort's reducers own contiguous key ranges cut from a
+			// reservoir sample of the keys. The sampling pass rides the
+			// staging stream: ingest is read exactly once, and the
+			// reservoir costs O(sample) memory.
+			seed := job.Seed
+			if seed == 0 {
+				seed = DefaultSeed
 			}
+			sampler = kernels.NewRecordKeySampler(src, rangeSampleCap(spec.NumReducers), uint64(seed))
+			src = sampler
 		}
 		input, err := r.stageInput(job, src)
 		if err != nil {
@@ -187,11 +270,11 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 		}
 		spec.Kernel = string(job.Kind)
 		spec.Input = input
-		spec.NumReducers = reducers
 		if sampler != nil {
-			// Quantile split keys from the reservoir; an empty input
-			// yields none, falling back to hash routing of nothing.
-			spec.SplitKeys = sampler.SplitKeys(reducers)
+			// An empty input yields no keys: one reducer merges nothing.
+			if spec.SplitKeys = sampler.SplitKeys(spec.NumReducers); spec.SplitKeys == nil {
+				spec.NumReducers = 1
+			}
 		}
 	case Encrypt:
 		input, err := r.stageInput(job, job.inputReader())
@@ -207,7 +290,6 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 		spec.Kernel = "aes-ctr"
 		spec.Input = input
 		spec.Args = args
-		spec.StreamOutput = job.Sink != nil
 	case Pi:
 		seed := job.Seed
 		if seed == 0 {
@@ -215,7 +297,7 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 		}
 		spec.Kernel = "pi"
 		spec.Samples = job.Samples
-		spec.NumTasks = normalizeTasks(job.Tasks, r.cfg.Workers)
+		spec.NumTasks = normalizeTasks(job.Tasks, r.workers)
 		spec.Seed = seed
 	default:
 		return spec, fmt.Errorf("%w: %s on net", ErrUnsupported, job.Kind)
@@ -233,9 +315,6 @@ type netJob struct {
 	// input is the job's staged dataset in the DFS ("" for Pi); wait
 	// deletes it.
 	input string
-	// streamed: the job was submitted with StreamOutput, so its result
-	// is pulled from the trackers instead of riding the Status reply.
-	streamed bool
 	// Fetch-locality counter snapshot at submission; wait() reports
 	// the delta as the job's read-locality split.
 	local0, rack0, remote0 int64
@@ -251,55 +330,53 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	l0, rk0, rm0 := r.clus.FetchTotals()
-	id, err := r.clus.Client.Submit(spec)
+	l0, rk0, rm0 := r.fetchTotals()
+	id, err := r.client.Submit(spec)
 	if err != nil {
 		if spec.Input != "" {
 			// Not admitted: nothing will ever read the staged dataset.
 			// The rejection is the error to report, not a failed cleanup.
-			_ = r.clus.Client.DeleteFile(spec.Input)
+			_ = r.client.DeleteFile(spec.Input)
 		}
 		return nil, err
 	}
 	return &netJob{r: r, job: job, id: id, started: time.Now(), input: spec.Input,
-		streamed: spec.StreamOutput, local0: l0, rack0: rk0, remote0: rm0}, nil
+		local0: l0, rack0: rk0, remote0: rm0}, nil
 }
 
 // wait blocks until the job completes and decodes its result by kind.
-// There are two ways a result arrives. A streamed job (range-partitioned
-// Sort; Encrypt with a Sink) left its final-phase task outputs on the
-// trackers, and their concatenation in task order is the result:
+// A byte-stream kind (Sort, Encrypt) left its final-phase task outputs
+// on the trackers, and their concatenation in task order is the result:
 // WaitOutput pulls it one bounded chunk at a time into the Sink, or
 // into a buffer when the caller wants Result.Bytes — the JobTracker
-// never holds it. Every other job's reduced result rides the terminal
-// Status reply. Sort and Encrypt results are the raw bytes; Wordcount
-// and Pi are gob structs. Either way the job is over once the wait
-// returns — collected, failed or abandoned at its deadline — and its
-// staged input is deleted, so a long-lived runner's DataNodes hold only
-// the datasets of jobs in flight.
+// never holds it. A structured kind's (Wordcount, Pi) reduced gob struct
+// rides the terminal Status reply. Either way the job is over once the
+// wait returns — collected, failed or abandoned at its deadline — and
+// its staged input is deleted, so a long-lived service's DataNodes hold
+// only the datasets of jobs in flight.
 func (nj *netJob) wait() (*Result, error) {
 	r, job := nj.r, nj.job
 	res := &Result{Backend: r.Backend()}
 	var (
-		raw  []byte // the result, unless a streamed job wrote it to job.Sink
-		sunk int64  // bytes a streamed job wrote to job.Sink
+		raw  []byte // the result, unless job.Sink received it
+		sunk int64  // bytes written to job.Sink
 		st   netmr.StatusReply
 		err  error
 	)
-	if nj.streamed {
+	if job.Kind == Sort || job.Kind == Encrypt {
 		var buf bytes.Buffer
 		sink := job.Sink
 		if sink == nil {
 			sink = &buf
 		}
-		sunk, st, err = r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, sink)
+		sunk, st, err = r.client.WaitOutput(nj.id, r.cfg.JobTimeout, sink)
 		raw = buf.Bytes()
 	} else {
-		st, err = r.clus.Client.WaitStatus(nj.id, r.cfg.JobTimeout)
+		st, err = r.client.WaitStatus(nj.id, r.cfg.JobTimeout)
 		raw = st.Result
 	}
 	if nj.input != "" {
-		if derr := r.clus.Client.DeleteFile(nj.input); err == nil {
+		if derr := r.client.DeleteFile(nj.input); err == nil {
 			err = derr
 		}
 	}
@@ -315,21 +392,10 @@ func (nj *netJob) wait() (*Result, error) {
 		}
 		res.Pairs = pairsFromCounts(counts)
 	case Sort, Encrypt:
-		switch {
-		case job.Sink == nil:
+		if job.Sink == nil {
 			res.Bytes = raw
-		case nj.streamed:
+		} else {
 			res.OutputBytes = sunk
-		default:
-			// A hash-partitioned sort is globally sorted only after the
-			// JobTracker's final merge, so its Sink receives that merged
-			// result in one write (Config.RangePartition is the
-			// streamed, merge-free path).
-			n, err := job.Sink.Write(raw)
-			if err != nil {
-				return nil, err
-			}
-			res.OutputBytes = int64(n)
 		}
 	case Pi:
 		var pi netmr.PiResult
@@ -338,7 +404,7 @@ func (nj *netJob) wait() (*Result, error) {
 		}
 		res.Pi, res.Inside, res.Total = pi.Pi, pi.Inside, pi.Total
 	}
-	l1, rk1, rm1 := r.clus.FetchTotals()
+	l1, rk1, rm1 := r.fetchTotals()
 	res.LocalReads = l1 - nj.local0
 	res.RackReads = rk1 - nj.rack0
 	res.RemoteReads = rm1 - nj.remote0
@@ -369,9 +435,9 @@ func (r *netRunner) Submit(job *Job) (*JobHandle, error) {
 	}
 	return newJobHandle(
 		nj.wait,
-		func() error { return r.clus.Client.Kill(nj.id, job.Tenant) },
+		func() error { return r.client.Kill(nj.id, job.Tenant) },
 		func() (JobStatus, error) {
-			st, err := r.clus.Client.Status(nj.id)
+			st, err := r.client.Status(nj.id)
 			if err != nil {
 				return JobStatus{}, err
 			}

@@ -36,7 +36,7 @@ type Config struct {
 	MappersPerNode int
 	// Reducers is the shuffle partition count: the live backend's
 	// in-process bucket count, and the net backend's distributed
-	// reduce-task count for kernels with partitioned output (0:
+	// reduce-task count for its shuffling kinds, Wordcount and Sort (0:
 	// runtime default — one reduce task per worker on net). Negative
 	// counts are rejected here, at the API boundary, instead of
 	// panicking in the partition hash mid-shuffle.
@@ -127,13 +127,14 @@ type Config struct {
 	// Live and sim accept the knob and ignore it: their DFS places each
 	// block once and has no rack tier.
 	Racks int
-	// RangePartition routes net-backend Sort jobs through the sampled
-	// range partitioner: a reservoir-sampling pass over ingest cuts
-	// per-job split keys, reducers own contiguous key ranges, and the
-	// streamed reduce outputs concatenate in key order — the globally
-	// sorted file with zero post-reduce merge, at O(chunk) client
-	// memory. Results are bit-identical to the hash-partitioned path.
-	// The other backends sort fully in-process and ignore the knob.
+	// RangePartition is read by nothing. Range routing is how the net
+	// backend sorts — every net Sort with more than one reducer samples
+	// split keys on ingest — not an option, and the other backends sort
+	// fully in process. The field survives only because the frozen
+	// benchmark module names it in a composite literal; it goes with the
+	// next PR allowed to edit bench/.
+	//
+	//hetlint:configdrop-ok * Config.RangePartition inert: kept so bench/workloads.go compiles until the benchmark-only PR deletes the field
 	RangePartition bool
 }
 

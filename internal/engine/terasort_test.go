@@ -143,13 +143,12 @@ func terasortRun(tb testing.TB, inputBytes int64, spillDir string, partBytes, sp
 		reducers = 2
 	}
 	cfg := Config{
-		Workers:        4,
-		BlockSize:      4_000_000,
-		Reducers:       reducers,
-		RangePartition: true,
-		SpillMemBytes:  spillMem,
-		SpillDir:       spillDir,
-		JobTimeout:     10 * time.Minute,
+		Workers:       4,
+		BlockSize:     4_000_000,
+		Reducers:      reducers,
+		SpillMemBytes: spillMem,
+		SpillDir:      spillDir,
+		JobTimeout:    10 * time.Minute,
 	}
 	check := &sortedChecker{}
 	res, err := RunOnce("net", cfg, &Job{
@@ -219,9 +218,9 @@ func TestTerasortScaleFlatHeap(t *testing.T) {
 	}
 }
 
-// TestRangePartitionSortConformance pins the tentpole's correctness
-// contract: the range-partitioned, streamed net sort is bit-identical
-// to the hash-partitioned in-process sort — same records, same order,
+// TestRangePartitionSortConformance pins the net sort's correctness
+// contract: the range-partitioned net sort, its result collected from
+// the trackers, is bit-identical to the hash-partitioned in-process sort — same records, same order,
 // merely routed through contiguous key ranges instead of a hash ring.
 func TestRangePartitionSortConformance(t *testing.T) {
 	input := kernels.GenerateSortRecords(7, 3_000)
@@ -237,7 +236,6 @@ func TestRangePartitionSortConformance(t *testing.T) {
 		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
 			cfg := conformanceConfig()
 			cfg.Reducers = reducers
-			cfg.RangePartition = true
 			res, ok := runOnConfig(t, "net", cfg, job())
 			if !ok {
 				t.Fatal("net backend must support sort")

@@ -10,18 +10,7 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// PartitionIndex maps a key to one of parts partitions.
-func PartitionIndex(key []byte, parts int) int {
-	h := uint64(fnvOffset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return int(h % uint64(parts))
-}
-
-// PartitionIndexString is PartitionIndex for string keys, avoiding the
-// []byte conversion on the live shuffle's hot path.
+// PartitionIndexString maps a string key to one of parts partitions.
 func PartitionIndexString(key string, parts int) int {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {

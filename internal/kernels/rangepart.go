@@ -5,8 +5,8 @@ package kernels
 // split keys, every record routes to the partition whose key range
 // covers it, and the sorted partitions concatenate in key order —
 // reduce r's output strictly precedes reduce r+1's. This lives next to
-// PartitionIndex so both partitioning strategies share one home and
-// the backends can never diverge on where a key routes.
+// PartitionIndexString so both partitioning strategies share one home
+// and the backends can never diverge on where a key routes.
 
 import (
 	"bytes"

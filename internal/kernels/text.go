@@ -2,10 +2,10 @@ package kernels
 
 import "bytes"
 
-// Text kernels for the classic MapReduce examples (word count, grep).
-// These are not in the paper's evaluation but exercise the key/value
-// half of the MapReduce API the way the original MapReduce and Hadoop
-// papers motivate it.
+// Text kernels for the classic MapReduce example, word count. It is
+// not in the paper's evaluation but exercises the key/value half of the
+// MapReduce API the way the original MapReduce and Hadoop papers
+// motivate it.
 
 // isWordByte reports whether b belongs to a word (letters and digits;
 // everything else is a separator).
@@ -52,24 +52,4 @@ func WordCount(data []byte) map[string]int64 {
 	counts := make(map[string]int64)
 	Words(data, func(w []byte) { counts[string(w)]++ })
 	return counts
-}
-
-// GrepLines calls fn(lineNumber, line) for each line of data
-// containing pattern. Line numbers start at 1. The line slice is only
-// valid during the call.
-func GrepLines(data, pattern []byte, fn func(lineno int, line []byte)) {
-	lineno := 0
-	for len(data) > 0 {
-		lineno++
-		nl := bytes.IndexByte(data, '\n')
-		var line []byte
-		if nl < 0 {
-			line, data = data, nil
-		} else {
-			line, data = data[:nl], data[nl+1:]
-		}
-		if bytes.Contains(line, pattern) {
-			fn(lineno, line)
-		}
-	}
 }

@@ -62,31 +62,3 @@ func TestWordCountMatchesReferenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestGrepLines(t *testing.T) {
-	data := []byte("alpha\nbeta gamma\ndelta\ngamma end")
-	var lines []int
-	GrepLines(data, []byte("gamma"), func(n int, line []byte) {
-		lines = append(lines, n)
-	})
-	if !reflect.DeepEqual(lines, []int{2, 4}) {
-		t.Errorf("grep lines = %v, want [2 4]", lines)
-	}
-}
-
-func TestGrepNoMatchesAndEmpty(t *testing.T) {
-	called := false
-	GrepLines(nil, []byte("x"), func(int, []byte) { called = true })
-	GrepLines([]byte("aaa\nbbb"), []byte("zzz"), func(int, []byte) { called = true })
-	if called {
-		t.Error("callback fired with no matches")
-	}
-}
-
-func TestGrepTrailingNewline(t *testing.T) {
-	var count int
-	GrepLines([]byte("hit\nhit\n"), []byte("hit"), func(int, []byte) { count++ })
-	if count != 2 {
-		t.Errorf("count = %d, want 2", count)
-	}
-}

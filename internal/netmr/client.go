@@ -348,25 +348,28 @@ func (c *Client) ListJobs(tenant string) ([]JobInfo, error) {
 
 // waitCallTimeout caps a single Status round-trip inside Wait, so a
 // hung JobTracker surfaces as call timeouts instead of blocking the
-// client past its deadline. It matches dataCallTimeout: a Status reply
-// carries the full job Result once done, which can be as large as a
-// sort's whole output — the cap must cover a real transfer, and the
+// client past its deadline. A Status reply is small — a structured
+// kernel's reduced Result or a list of output locations, never bulk
+// bytes — so the cap only has to clear maxStatusHold with room; the
 // overall Wait deadline (which always clamps the per-call timeout)
 // stays the real bound against a hang.
 const waitCallTimeout = dataCallTimeout
 
-// Wait is WaitStatus narrowed to the reduced result bytes.
+// Wait is WaitStatus narrowed to a structured kernel's reduced result
+// bytes. A byte-stream kernel's job has none: collect it with
+// WaitOutput.
 func (c *Client) Wait(jobID int64, timeout time.Duration) ([]byte, error) {
 	st, err := c.WaitStatus(jobID, timeout)
 	return st.Result, err
 }
 
 // WaitStatus blocks until the job completes or timeout passes,
-// returning its terminal StatusReply: the reduced result bytes plus the
-// scheduler's attempt and per-tracker counts. It is a loop of held
-// Status calls (StatusArgs.Hold): the JobTracker parks each one and
-// answers on the job's terminal transition, so the wait ends one
-// round-trip after the job does, with no client-side timer in between.
+// returning its terminal StatusReply: the reduced result bytes (or the
+// output locations) plus the scheduler's attempt and per-tracker
+// counts. It is a loop of held Status calls (StatusArgs.Hold): the
+// JobTracker parks each one and answers on the job's terminal
+// transition, so the wait ends one round-trip after the job does, with
+// no client-side timer in between.
 // A job that failed terminally (a task exhausted its attempt budget,
 // the final reduce errored, or it was killed) returns that error on the
 // same edge. Every call runs under a per-call timeout clamped to the
@@ -419,10 +422,13 @@ func (c *Client) WaitStatus(jobID int64, timeout time.Duration) (StatusReply, er
 // client memory no matter how large the result is.
 const outputChunkBytes = 1 << 20
 
-// WaitOutput waits (WaitStatus) for a StreamOutput job, then streams its
-// result — the stored final-phase task outputs, concatenated in task
-// order — into w, and releases the job so the stores can free the
-// space. Each piece is pulled in bounded chunks straight from the
+// WaitOutput waits (WaitStatus) for a byte-stream kernel's job (sort,
+// aes-ctr), then streams its result — the stored final-phase task
+// outputs, concatenated in task order — into w, and releases the job so
+// the stores can free the space. The result lives on the workers until
+// this call collects it: a tracker lost after the job's terminal edge
+// fails the collection with an error naming its store (a loss mid-job
+// is repaired by re-running the tasks). Each piece is pulled in bounded chunks straight from the
 // worker tracker's shuffle store: the client's peak memory is O(chunk)
 // regardless of output size and the JobTracker never touches the
 // output bytes. Returns the bytes written to w and the job's terminal
@@ -439,7 +445,7 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (in
 	// space, never correctness.
 	defer c.Release(jobID)
 	if len(st.Outputs) == 0 {
-		return 0, st, fmt.Errorf("netmr: job %d reported no streamed outputs (submit with StreamOutput for a data job)", jobID)
+		return 0, st, fmt.Errorf("netmr: job %d has no stored outputs: its kernel is structured and its result is StatusReply.Result", jobID)
 	}
 	var total int64
 	for _, ref := range st.Outputs {

@@ -338,7 +338,7 @@ func TestJobTrackerForgetsOldJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed, err := c.Client.Submit(JobSpec{
-		Name: "enc", Kernel: "aes-ctr", Input: "/plain", Args: args, StreamOutput: true,
+		Name: "enc", Kernel: "aes-ctr", Input: "/plain", Args: args,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestJobTrackerForgetsOldJobs(t *testing.T) {
 	if kept > retainJobs+1 {
 		t.Errorf("JobTracker holds %d records after %d jobs, want at most %d (+1 unreleased streamed)", kept, jobs, retainJobs)
 	}
-	if finished == nil || finished.mapOut != nil || finished.redOut != nil || finished.result == nil {
+	if finished == nil || finished.partials != nil || finished.result == nil {
 		t.Errorf("latest finished record = %+v, want its result kept and its task outputs dropped", finished)
 	}
 	if _, err := c.Client.Status(first); err == nil || !strings.Contains(err.Error(), "unknown job") {

@@ -24,21 +24,26 @@ var ErrQuotaExceeded = errors.New("netmr: tenant quota exceeded")
 
 // jobRecord is one submitted job: its task specs plus the dynamic
 // scheduler's boards tracking leases, attempts and completions — one
-// board for the map phase, and on the distributed-shuffle path a
-// second for the reduce phase, whose tasks become assignable once
-// every map partition is in place.
+// board for the map phase, and for a shuffle job a second for the
+// reduce phase, whose tasks become assignable once every map partition
+// is in place. The job's route is two booleans read off the kernel
+// table (see MapKernel); nothing the submitter sets picks it.
 type jobRecord struct {
-	id      int64
-	tenant  string
-	spec    JobSpec
-	kern    MapKernel
-	shuffle bool // distributed shuffle/reduce plane on
-	// streamOut: final-phase outputs stay in the worker trackers'
-	// shuffle stores; outLoc records each piece's address, Status
-	// serves the refs, and the stores free them only after the client
-	// Releases the job.
+	id     int64
+	tenant string
+	spec   JobSpec
+	kern   MapKernel
+	// shuffle: the kernel has Partition+Merge and this is a data job, so
+	// the distributed shuffle/reduce plane runs.
+	shuffle bool
+	// streamOut: the kernel has no Reduce, so final-phase outputs stay
+	// in the worker trackers' stores; outLoc records each piece's
+	// address, Status serves the refs, and the stores free them only
+	// after the client Releases the job. Otherwise partials holds the
+	// final-phase outputs themselves, for the kernel's Reduce.
 	streamOut bool
 	outLoc    []string
+	partials  [][]byte
 	released  bool
 	// queued: admitted into the tenant's over-quota queue, holding a
 	// job ID but no scheduler state until quota frees up and the job
@@ -47,8 +52,7 @@ type jobRecord struct {
 
 	maps     []Task
 	mapBoard *sched.Board
-	mapOut   [][]byte // centralized path: map outputs
-	mapLoc   []string // shuffle path: shuffle-store addr per map task
+	mapLoc   []string // shuffle job: shuffle-store addr per map task
 	mapDone  int
 	// mapPartBytes records each winning map attempt's per-partition
 	// stored sizes (TaskResult.PartBytes); once every map is done they
@@ -59,9 +63,8 @@ type jobRecord struct {
 	// every map partition (with size data) is in place.
 	redHome []string
 
-	reduces  []Task // shuffle path: reduce task templates, TaskID = partition
+	reduces  []Task // shuffle job: reduce task templates, TaskID = partition
 	redBoard *sched.Board
-	redOut   [][]byte
 	redDone  int
 	// fetchFails counts distinct reduce-fetch failure reports per
 	// shuffle-store address; a store is declared lost (its map tasks
@@ -79,13 +82,23 @@ type jobRecord struct {
 	terminal chan struct{}
 }
 
-// phaseOutputsReady reports whether the job's last phase has every
-// output in hand. Callers hold jt.mu.
-func (rec *jobRecord) phaseOutputsReady() ([][]byte, bool) {
+// finalPhaseDone reports whether every task of the job's last phase has
+// completed. Callers hold jt.mu.
+func (rec *jobRecord) finalPhaseDone() bool {
 	if rec.shuffle {
-		return rec.redOut, rec.redDone == len(rec.reduces)
+		return rec.redDone == len(rec.reduces)
 	}
-	return rec.mapOut, rec.mapDone == len(rec.maps)
+	return rec.mapDone == len(rec.maps)
+}
+
+// keepFinal records a winning final-phase task's output: where it is
+// parked, or the partial itself. Callers hold jt.mu.
+func (rec *jobRecord) keepFinal(res TaskResult) {
+	if rec.streamOut {
+		rec.outLoc[res.TaskID] = res.ShuffleAddr
+	} else {
+		rec.partials[res.TaskID] = res.Output
+	}
 }
 
 // reduceTask materializes reduce task p with the current map output
@@ -107,11 +120,11 @@ func (rec *jobRecord) reduceTask(p int) Task {
 // optional speculative duplication of the longest-running in-flight
 // task when a tracker has idle slots, first finished attempt winning.
 //
-// The JobTracker is a pure control plane: on the distributed-shuffle
-// path map output bytes stay in the mapper trackers' shuffle stores
-// and heartbeats carry partition locations, not data. Only the final
-// reduce outputs (and centralized-path map outputs) cross it;
-// DataPlaneBytes meters exactly that traffic.
+// The JobTracker is a pure control plane: shuffle partitions and
+// byte-stream results stay in the trackers' stores and heartbeats carry
+// their locations, not data. Only the structured kernels' final-phase
+// partials (small gob structs) cross it; DataPlaneBytes meters exactly
+// that traffic.
 //
 // Job records are retained, not kept forever: a job's task outputs are
 // dropped the moment it turns terminal (only its reduced result stays),
@@ -376,7 +389,7 @@ const retainJobs = 64
 // rec.result must already reflect the outcome. Callers hold jt.mu.
 func (jt *JobTracker) terminate(rec *jobRecord) {
 	rec.done = true
-	rec.mapOut, rec.redOut = nil, nil
+	rec.partials = nil
 	close(rec.terminal)
 	jt.finished = append(jt.finished, rec.id)
 	jt.retire()
@@ -520,8 +533,9 @@ func (jt *JobTracker) Trackers() []TrackerInfo {
 
 // DataPlaneBytes reports how many winning task output bytes heartbeats
 // have delivered to the JobTracker (late duplicates and redelivered
-// reports excluded) — the shuffle benchmark's proof that the
-// distributed path moved the map outputs off the master.
+// reports excluded). It is metadata-sized for every job: only
+// structured partials ride heartbeats, never a sort run or a ciphertext
+// block.
 func (jt *JobTracker) DataPlaneBytes() int64 {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
@@ -537,36 +551,46 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The route comes off the kernel table alone. A kernel with the
+	// shuffle pair always shuffles its data jobs (NumReducers 0 means 1);
+	// a kernel with no Reduce always parks its final-phase outputs.
+	spec := args.Spec
+	shuffle := kern.Partition != nil && kern.Merge != nil && spec.Input != ""
+	streamOut := kern.Reduce == nil
+	if !shuffle && kern.Map == nil {
+		return nil, fmt.Errorf("netmr: job %q: kernel %q runs over an input file only", spec.Name, spec.Kernel)
+	}
 	// API-boundary validation: a negative reduce count would otherwise
 	// surface as a partition-hash divide-by-zero deep inside a mapper.
-	if args.Spec.NumReducers < 0 {
+	if spec.NumReducers < 0 {
 		return nil, fmt.Errorf("netmr: job %q: NumReducers must be >= 0, got %d",
-			args.Spec.Name, args.Spec.NumReducers)
+			spec.Name, spec.NumReducers)
 	}
-	// Range partitioning: exactly NumReducers-1 sorted split keys, or
-	// none at all (hash partitioning). A mismatch caught here would
-	// otherwise surface as a per-mapper partition-count error after the
-	// job already holds scheduler state.
-	if n := len(args.Spec.SplitKeys); n > 0 {
-		if n != args.Spec.NumReducers-1 {
-			return nil, fmt.Errorf("netmr: job %q: %d split keys for %d reducers (want NumReducers-1)",
-				args.Spec.Name, n, args.Spec.NumReducers)
-		}
-		for i := 1; i < n; i++ {
-			if bytes.Compare(args.Spec.SplitKeys[i-1], args.Spec.SplitKeys[i]) > 0 {
-				return nil, fmt.Errorf("netmr: job %q: split keys are not sorted", args.Spec.Name)
-			}
+	reducers := max(spec.NumReducers, 1)
+	// Range partitioning: exactly reducers-1 sorted split keys. A mismatch
+	// caught here would otherwise surface as a per-mapper partition-count
+	// error after the job already holds scheduler state. A byte-stream
+	// shuffle must bring them: its result is the partitions concatenated
+	// in order, and hash partitions are not in key order.
+	n := len(spec.SplitKeys)
+	if (n > 0 || (shuffle && streamOut)) && n != reducers-1 {
+		return nil, fmt.Errorf("netmr: job %q: %d split keys for %d reducers (want NumReducers-1)",
+			spec.Name, n, reducers)
+	}
+	for i := 1; i < n; i++ {
+		if bytes.Compare(spec.SplitKeys[i-1], spec.SplitKeys[i]) > 0 {
+			return nil, fmt.Errorf("netmr: job %q: split keys are not sorted", spec.Name)
 		}
 	}
-	mapper := args.Spec.Mapper
+	mapper := spec.Mapper
 	if mapper == "" {
 		mapper = MapperCell
 	}
 	if mapper != MapperCell && mapper != MapperJava {
 		return nil, fmt.Errorf("netmr: job %q: unknown mapper variant %q (%s|%s)",
-			args.Spec.Name, args.Spec.Mapper, MapperCell, MapperJava)
+			spec.Name, spec.Mapper, MapperCell, MapperJava)
 	}
-	tasks, err := jt.expand(args.Spec)
+	tasks, err := jt.expand(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -582,7 +606,7 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 	}
 	redOpts := opts
 	redOpts.Affinity = DeviceHost
-	tenant := args.Spec.Tenant
+	tenant := spec.Tenant
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
@@ -618,58 +642,50 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 	id := jt.nextJob
 	jt.nextJob++
 	rec := &jobRecord{
-		id:       id,
-		tenant:   tenant,
-		spec:     args.Spec,
-		kern:     kern,
-		maps:     make([]Task, 0, len(tasks)),
-		mapOut:   make([][]byte, len(tasks)),
-		terminal: make(chan struct{}),
+		id:        id,
+		tenant:    tenant,
+		spec:      spec,
+		kern:      kern,
+		shuffle:   shuffle,
+		streamOut: streamOut,
+		maps:      make([]Task, 0, len(tasks)),
+		mapBoard:  mapBoard,
+		terminal:  make(chan struct{}),
 	}
-	rec.mapBoard = mapBoard
-	rec.shuffle = args.Spec.NumReducers > 0 && args.Spec.Input != "" &&
-		kern.Partition != nil && kern.Merge != nil
-	// Streamed results apply to data jobs only: compute jobs (pi)
-	// reduce to a handful of bytes that ride the heartbeat anyway.
-	rec.streamOut = args.Spec.StreamOutput && args.Spec.Input != ""
 	for _, t := range tasks {
 		t.JobID = id
 		t.Mapper = mapper
-		if rec.shuffle {
-			t.NumParts = args.Spec.NumReducers
-			t.SplitKeys = args.Spec.SplitKeys
-		} else if rec.streamOut {
-			t.StreamOutput = true
+		if shuffle {
+			t.NumParts = reducers
+			t.SplitKeys = spec.SplitKeys
 		}
 		rec.maps = append(rec.maps, t)
 	}
-	if rec.streamOut && !rec.shuffle {
-		rec.outLoc = make([]string, len(rec.maps))
-	}
-	if rec.shuffle {
-		r := args.Spec.NumReducers
-		rec.redBoard, err = sched.NewBoard(r, jt.TaskLease, redOpts)
+	final := len(tasks) // tasks in the job's last phase
+	if shuffle {
+		final = reducers
+		rec.redBoard, err = sched.NewBoard(reducers, jt.TaskLease, redOpts)
 		if err != nil {
 			return nil, err
 		}
-		rec.redOut = make([][]byte, r)
 		rec.mapLoc = make([]string, len(tasks))
 		rec.mapPartBytes = make([][]int64, len(tasks))
 		rec.fetchFails = make(map[string]int)
-		for p := 0; p < r; p++ {
+		for p := 0; p < reducers; p++ {
 			rec.reduces = append(rec.reduces, Task{
-				JobID:        id,
-				TaskID:       p,
-				Kernel:       args.Spec.Kernel,
-				Args:         args.Spec.Args,
-				Reduce:       true,
-				Mapper:       mapper,
-				StreamOutput: rec.streamOut,
+				JobID:  id,
+				TaskID: p,
+				Kernel: spec.Kernel,
+				Args:   spec.Args,
+				Reduce: true,
+				Mapper: mapper,
 			})
 		}
-		if rec.streamOut {
-			rec.outLoc = make([]string, r)
-		}
+	}
+	if streamOut {
+		rec.outLoc = make([]string, final)
+	} else {
+		rec.partials = make([][]byte, final)
 	}
 	jt.jobs[id] = rec
 	if queued {
@@ -787,13 +803,13 @@ func (jt *JobTracker) handleHeartbeat(body []byte) (any, error) {
 		if rec.done || rec.finalizing || rec.failed != "" {
 			continue
 		}
-		if outputs, ready := rec.phaseOutputsReady(); ready {
+		if rec.finalPhaseDone() {
 			if rec.streamOut {
 				jt.terminate(rec)
 				continue
 			}
 			rec.finalizing = true
-			go jt.finalize(rec, outputs)
+			go jt.finalize(rec, rec.partials)
 		}
 	}
 	// Hand out work slot by slot under weighted deficit round-robin
@@ -1096,11 +1112,7 @@ func (jt *JobTracker) recordResult(rec *jobRecord, trackerID string, res TaskRes
 		}
 		if rec.redBoard.Complete(res.TaskID, trackerID) {
 			jt.addDataBytes(int64(len(res.Output)))
-			if rec.streamOut {
-				rec.outLoc[res.TaskID] = res.ShuffleAddr
-			} else {
-				rec.redOut[res.TaskID] = res.Output
-			}
+			rec.keepFinal(res)
 			rec.redDone++
 			// This reduce fetched from every shuffle store, so any
 			// accumulated transient-blame against them is stale.
@@ -1117,14 +1129,11 @@ func (jt *JobTracker) recordResult(rec *jobRecord, trackerID string, res TaskRes
 	}
 	if rec.mapBoard.Complete(res.TaskID, trackerID) {
 		jt.addDataBytes(int64(len(res.Output)))
-		switch {
-		case rec.shuffle:
+		if rec.shuffle {
 			rec.mapLoc[res.TaskID] = res.ShuffleAddr
 			rec.mapPartBytes[res.TaskID] = res.PartBytes
-		case rec.streamOut:
-			rec.outLoc[res.TaskID] = res.ShuffleAddr
-		default:
-			rec.mapOut[res.TaskID] = res.Output
+		} else {
+			rec.keepFinal(res)
 		}
 		rec.mapDone++
 		if rec.shuffle && rec.mapDone == len(rec.maps) {

@@ -1,48 +1,49 @@
 package netmr
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
 )
 
 // MapKernel is a named, registered computation the TaskTrackers can
-// run. Map consumes one task's input (block data, or samples for
-// compute kernels) and returns a partial result; Reduce folds the
-// partials, ordered by task ID, into the job result.
+// run, and the one table that says where a job's result goes. A kernel
+// has Map, or the shuffle pair Partition+Merge; and it has Reduce if and
+// only if it is structured.
 //
-// One rule fixes the payload format of every task output: a byte-stream
-// kernel (sort, aes-ctr) emits the result bytes themselves — a sorted
-// record run, a ciphertext block — and a structured kernel (wordcount,
-// pi, grep) emits one gob-encoded struct. Whatever a task returns is
-// what is stored, fetched and handed to Merge/Reduce, byte for byte;
-// the result of a JobSpec.StreamOutput job is its final-phase task
-// outputs concatenated in task order.
+// A byte-stream kernel (sort, aes-ctr) has no Reduce. Its task outputs
+// are the result bytes themselves — a sorted record run, a ciphertext
+// block — and the job's result is its final-phase task outputs
+// concatenated in task order: always parked in the executing trackers'
+// stores, reported by location and collected by the client with
+// WaitOutput. The JobTracker never holds them.
 //
-// Kernels with large intermediate output additionally implement the
-// distributed shuffle pair: Partition runs map-side and splits the
-// task's output into R key-routed partitions held in the tracker's
-// shuffle store; Merge runs as a reduce task and folds the per-mapper
-// pieces of one partition (ordered by map task ID) into that
-// partition's output, which must itself be a valid Reduce partial.
-// With both set and JobSpec.NumReducers > 0, map output bytes never
-// cross the JobTracker — only the R merged reduce outputs do.
+// A structured kernel (wordcount, pi) has a Reduce. Its task outputs are
+// small gob structs; the final-phase ones ride the completion heartbeat
+// and the JobTracker folds them into StatusReply.Result.
 //
-// Merge and Reduce must treat their inputs as read-only: a piece served
-// from the reducing tracker's own store aliases resident store memory.
+// A kernel with Partition and Merge always shuffles its data jobs:
+// Partition runs map-side and splits the task's output into R key-routed
+// partitions held in the tracker's shuffle store; Merge runs as a reduce
+// task and folds the per-mapper pieces of one partition (ordered by map
+// task ID) into that partition's output — for a structured kernel a
+// valid Reduce partial. Map output bytes never cross the JobTracker.
+//
+// Whatever a task returns is what is stored, fetched and handed to
+// Merge/Reduce, byte for byte. Merge and Reduce must treat their inputs
+// as read-only: a piece served from the reducing tracker's own store
+// aliases resident store memory.
 type MapKernel struct {
 	// Map runs on the TaskTracker. data is nil for compute tasks.
 	Map func(task Task, data []byte) ([]byte, error)
-	// Reduce runs on the JobTracker when all tasks are done: over the
-	// map outputs on the centralized path, over the reduce-task
-	// outputs (ordered by partition) on the shuffle path.
+	// Reduce runs on the JobTracker when all tasks are done, over the
+	// final-phase outputs in task order: the map outputs of a Map kernel,
+	// the reduce-task outputs (ordered by partition) of a shuffle kernel.
 	Reduce func(partials [][]byte) ([]byte, error)
-	// Partition runs on the TaskTracker instead of Map when the
-	// distributed shuffle is on: it returns exactly parts payloads,
-	// one per partition (empty partitions included).
+	// Partition runs on the TaskTracker in Map's place: it returns
+	// exactly parts payloads, one per partition (empty partitions
+	// included).
 	Partition func(task Task, data []byte, parts int) ([][]byte, error)
 	// Merge runs on the reducing TaskTracker: fold one partition's
 	// per-mapper pieces into the partition's reduce output.
@@ -147,9 +148,6 @@ func init() {
 	}
 
 	RegisterKernel("wordcount", MapKernel{
-		Map: func(_ Task, data []byte) ([]byte, error) {
-			return rpcnet.Marshal(wordCountPartial{Counts: kernels.WordCount(data)})
-		},
 		Reduce: func(partials [][]byte) ([]byte, error) {
 			total, err := mergeWordCounts(partials)
 			if err != nil {
@@ -167,16 +165,10 @@ func init() {
 			}
 			return rpcnet.Marshal(wordCountPartial{Counts: total})
 		},
-		// Accelerated variants: the block's table comes off the SPEs
+		// Accelerated variant: the block's table comes off the SPEs
 		// (separator-aligned sub-blocks, commutative merge), then the
-		// same marshalling as the host path — bit-identical results.
-		AccelMap: func(dev *AccelDevice, _ Task, data []byte) ([]byte, error) {
-			counts, err := dev.WordCount(data)
-			if err != nil {
-				return nil, err
-			}
-			return rpcnet.Marshal(wordCountPartial{Counts: counts})
-		},
+		// same split and marshalling as the host path — bit-identical
+		// results.
 		AccelPartition: func(dev *AccelDevice, _ Task, data []byte, parts int) ([][]byte, error) {
 			counts, err := dev.WordCount(data)
 			if err != nil {
@@ -214,11 +206,6 @@ func init() {
 			}
 			return dev.CTRStream(c, args.IV, int64(task.TaskID)*args.BlockBytes, data)
 		},
-		// Partials arrive in task order: concatenated they are the whole
-		// ciphertext.
-		Reduce: func(partials [][]byte) ([]byte, error) {
-			return bytes.Join(partials, nil), nil
-		},
 	})
 
 	RegisterKernel("pi", MapKernel{
@@ -255,73 +242,34 @@ func init() {
 	})
 
 	RegisterKernel("sort", MapKernel{
-		// TeraSort shape: sort each block's 100-byte records where
-		// they live, merge the sorted runs at the JobTracker. The
-		// submitter must pick a DFS block size that is a multiple of
-		// the record size.
-		Map: func(_ Task, data []byte) ([]byte, error) {
-			run := append([]byte(nil), data...)
-			if err := kernels.SortRecords(run); err != nil {
-				return nil, err
-			}
-			return run, nil
-		},
-		Reduce: kernels.MergeSortedRuns,
-		// Shuffle path: records route to partitions by key hash — or,
-		// when the task carries SplitKeys, by range
-		// (kernels.RangePartitioner). Either way equal keys meet in
-		// one reduce task, so both routes reproduce the centralized
-		// order bit for bit; the range route additionally makes the
-		// partitions themselves key-ordered, so a StreamOutput job's
-		// pieces concatenate globally sorted with no final merge.
+		// TeraSort shape: sort each block's 100-byte records where they
+		// live, route them by key range (kernels.RangePartitioner over the
+		// job's SplitKeys; none means one range), merge each range's runs
+		// on a reducer. Ranges are key-ordered, so the reduce outputs
+		// concatenate globally sorted with no final merge. The submitter
+		// must pick a DFS block size that is a multiple of the record
+		// size.
 		Partition: func(task Task, data []byte, parts int) ([][]byte, error) {
+			rp := kernels.NewRangePartitioner(task.SplitKeys)
+			if rp.Parts() != parts {
+				return nil, fmt.Errorf("netmr: %d split keys for %d partitions", len(task.SplitKeys), parts)
+			}
 			run := append([]byte(nil), data...)
 			if err := kernels.SortRecords(run); err != nil {
 				return nil, err
 			}
-			index := func(key []byte) int { return kernels.PartitionIndex(key, parts) }
-			if len(task.SplitKeys) > 0 {
-				rp := kernels.NewRangePartitioner(task.SplitKeys)
-				if rp.Parts() != parts {
-					return nil, fmt.Errorf("netmr: %d split keys for %d partitions", len(task.SplitKeys), parts)
-				}
-				index = rp.Index
+			if parts == 1 {
+				return [][]byte{run}, nil
 			}
 			// An empty partition stays a nil slice: a zero-length run.
 			split := make([][]byte, parts)
 			for off := 0; off < len(run); off += kernels.SortRecordBytes {
 				rec := run[off : off+kernels.SortRecordBytes]
-				p := index(rec[:kernels.SortKeyBytes])
+				p := rp.Index(rec[:kernels.SortKeyBytes])
 				split[p] = append(split[p], rec...)
 			}
 			return split, nil
 		},
 		Merge: kernels.MergeSortedRuns,
-	})
-
-	RegisterKernel("grep", MapKernel{
-		Map: func(task Task, data []byte) ([]byte, error) {
-			var pattern []byte
-			if err := rpcnet.Unmarshal(task.Args, &pattern); err != nil {
-				return nil, err
-			}
-			var matches []string
-			kernels.GrepLines(data, pattern, func(_ int, line []byte) {
-				matches = append(matches, string(line))
-			})
-			return rpcnet.Marshal(matches)
-		},
-		Reduce: func(partials [][]byte) ([]byte, error) {
-			var all []string
-			for _, p := range partials {
-				var m []string
-				if err := rpcnet.Unmarshal(p, &m); err != nil {
-					return nil, err
-				}
-				all = append(all, m...)
-			}
-			sort.Strings(all)
-			return rpcnet.Marshal(all)
-		},
 	})
 }

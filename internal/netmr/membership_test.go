@@ -120,6 +120,15 @@ func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The ciphertext pieces a draining tracker produced stay fetchable
+	// in its store until the client has collected them, so the drain
+	// below ends only once this collection has released the job.
+	var cipherText bytes.Buffer
+	collected := make(chan error, 1)
+	go func() {
+		_, _, err := c.Client.WaitOutput(id, 15*time.Second, &cipherText)
+		collected <- err
+	}()
 	// Retire worker 2 while the job is in flight: the drain must let
 	// its running tasks finish and the DFS must re-home its replicas.
 	if err := c.DecommissionWorker(2, 10*time.Second); err != nil {
@@ -128,14 +137,13 @@ func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
 	if got := len(c.TTs); got != 2 {
 		t.Errorf("roster holds %d trackers after decommission, want 2", got)
 	}
-	cipherText, err := c.Client.Wait(id, 15*time.Second)
-	if err != nil {
+	if err := <-collected; err != nil {
 		t.Fatal(err)
 	}
 	cip, _ := kernels.NewCipher(key)
 	want := make([]byte, len(plain))
 	kernels.CTRStream(cip, iv, 0, want, plain)
-	if !bytes.Equal(cipherText, want) {
+	if !bytes.Equal(cipherText.Bytes(), want) {
 		t.Fatal("output across a mid-job decommission differs from sequential reference")
 	}
 	if state := trackerStateOf(c.JT, "tracker-2"); state == NodeAlive {
@@ -282,11 +290,9 @@ func TestRackLocalityPreferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.SubmitAndWait(JobSpec{
+	collect(t, c.Client, JobSpec{
 		Name: "rack-enc", Kernel: "aes-ctr", Input: "/rackdata", Args: args,
-	}, 15*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	})
 	local, rack, remote := c.FetchTotals()
 	t.Logf("fetches: local=%d rack=%d remote=%d", local, rack, remote)
 	if local+rack+remote == 0 {

@@ -22,6 +22,22 @@ func startTestCluster(t *testing.T, workers int, blockSize int64) *Cluster {
 	return c
 }
 
+// collect submits a byte-stream kernel's job (sort, aes-ctr) and
+// returns its collected result: the stored pieces, fetched from the
+// trackers in task order.
+func collect(t *testing.T, c *Client, spec JobSpec) []byte {
+	t.Helper()
+	id, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, _, err := c.WaitOutput(id, 30*time.Second, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 func TestDFSWriteReadOverTCP(t *testing.T) {
 	c := startTestCluster(t, 3, 1024)
 	data := make([]byte, 5000)
@@ -120,12 +136,9 @@ func TestAESJobOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cipherText, err := c.Client.SubmitAndWait(JobSpec{
+	cipherText := collect(t, c.Client, JobSpec{
 		Name: "enc", Kernel: "aes-ctr", Input: "/plain", Args: args,
-	}, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	cip, _ := kernels.NewCipher(key)
 	want := make([]byte, len(plain))
 	kernels.CTRStream(cip, iv, 0, want, plain)
@@ -151,36 +164,6 @@ func TestPiJobOverTCP(t *testing.T) {
 	}
 	if math.Abs(pi.Pi-math.Pi) > 0.05 {
 		t.Errorf("pi = %g", pi.Pi)
-	}
-}
-
-func TestGrepJobOverTCP(t *testing.T) {
-	c := startTestCluster(t, 2, 32)
-	text := "alpha\nneedle one\nbeta\nneedle two\n"
-	if err := c.Client.WriteFile("/logs", []byte(text), ""); err != nil {
-		t.Fatal(err)
-	}
-	args, _ := rpcnet.Marshal([]byte("needle"))
-	result, err := c.Client.SubmitAndWait(JobSpec{
-		Name: "grep", Kernel: "grep", Input: "/logs", Args: args,
-	}, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var matches []string
-	if err := rpcnet.Unmarshal(result, &matches); err != nil {
-		t.Fatal(err)
-	}
-	// Blocks are 32 bytes, lines may straddle blocks; at minimum the
-	// two needle lines' fragments containing "needle" match.
-	found := 0
-	for _, m := range matches {
-		if strings.Contains(m, "needle") {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Errorf("matches = %v", matches)
 	}
 }
 
@@ -214,6 +197,11 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := c.Client.Submit(JobSpec{Name: "bad", Kernel: "wordcount", Input: "/missing"}); err == nil {
 		t.Error("missing input accepted")
+	}
+	// sort has no Map: as a compute job it would reach a tracker with
+	// nothing to run.
+	if _, err := c.Client.Submit(JobSpec{Name: "bad", Kernel: "sort", Samples: 10}); err == nil {
+		t.Error("shuffle-only kernel accepted without an input file")
 	}
 }
 

@@ -24,11 +24,10 @@ func splitKeysFor(t *testing.T, data []byte, parts int) [][]byte {
 	return keys
 }
 
-// TestRangePartitionedSortStreamsInOrder pins the tentpole invariant:
-// with range partitioning, reduce r's streamed output strictly
-// precedes reduce r+1's, so the plain WaitOutput concatenation is the
-// globally sorted file — bit-identical to the hash-partitioned inline
-// sort, with zero post-reduce merge.
+// TestRangePartitionedSortStreamsInOrder pins the range-routing
+// invariant: reduce r's stored output strictly precedes reduce r+1's,
+// so the plain WaitOutput concatenation is the globally sorted file —
+// bit-identical to the in-process sort, with zero post-reduce merge.
 func TestRangePartitionedSortStreamsInOrder(t *testing.T) {
 	c, err := StartCluster(3, 2, 2_000, 10*time.Millisecond)
 	if err != nil {
@@ -39,36 +38,24 @@ func TestRangePartitionedSortStreamsInOrder(t *testing.T) {
 	if err := c.Client.WriteFile("/records", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	// Hash-partitioned inline job: the reference output (merged by the
-	// JobTracker's final Reduce).
-	want, err := c.Client.SubmitAndWait(JobSpec{
-		Name: "sort-hash", Kernel: "sort", Input: "/records", NumReducers: 4,
-	}, 30*time.Second)
-	if err != nil {
+	want := append([]byte(nil), data...)
+	if err := kernels.SortRecords(want); err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.Client.Submit(JobSpec{
+	got := collect(t, c.Client, JobSpec{
 		Name: "sort-range", Kernel: "sort", Input: "/records", NumReducers: 4,
-		SplitKeys: splitKeysFor(t, data, 4), StreamOutput: true,
+		SplitKeys: splitKeysFor(t, data, 4),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	n, _, err := c.Client.WaitOutput(id, 30*time.Second, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(want)) {
-		t.Fatalf("streamed %d bytes, reference has %d", n, len(want))
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("range-partitioned concatenation differs from the hash-sorted reference")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("range-partitioned concatenation (%d bytes) differs from the in-process sort (%d bytes)", len(got), len(want))
 	}
 }
 
 // TestSubmitRejectsBadSplitKeys pins the API-boundary validation:
-// split keys must number exactly NumReducers-1 and be sorted.
+// split keys must number exactly NumReducers-1 and be sorted — and a
+// sort over more than one reducer must bring them, because its result
+// is the partitions concatenated and hash partitions are not in key
+// order.
 func TestSubmitRejectsBadSplitKeys(t *testing.T) {
 	c := startTestCluster(t, 1, 2_000)
 	data := sortableRecords(t, 10)
@@ -88,6 +75,12 @@ func TestSubmitRejectsBadSplitKeys(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("unsorted split keys accepted")
+	}
+	_, err = c.Client.Submit(JobSpec{
+		Name: "no-keys", Kernel: "sort", Input: "/records", NumReducers: 2,
+	})
+	if err == nil {
+		t.Error("sort over 2 reducers accepted without split keys")
 	}
 }
 
@@ -109,12 +102,10 @@ func TestFetchWindowBoundsOutstanding(t *testing.T) {
 	if err := c.Client.WriteFile("/records", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := c.Client.SubmitAndWait(JobSpec{
+	sorted := collect(t, c.Client, JobSpec{
 		Name: "sort-windowed", Kernel: "sort", Input: "/records", NumReducers: 4,
-	}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+		SplitKeys: splitKeysFor(t, data, 4),
+	})
 	if len(sorted) != len(data) {
 		t.Fatalf("sorted %d bytes of %d", len(sorted), len(data))
 	}

@@ -17,10 +17,11 @@ import (
 // control, and Kill releasing a tenant's state without touching its
 // neighbours.
 
-// piSpec builds a deterministic pi job of nTasks tasks.
-func piSpec(name string, nTasks int, samplesPerTask int64) JobSpec {
+// piSpec builds tenant's deterministic pi job of nTasks tasks.
+func piSpec(tenant, name string, nTasks int, samplesPerTask int64) JobSpec {
 	return JobSpec{
 		Name:     name,
+		Tenant:   tenant,
 		Kernel:   "pi",
 		Samples:  samplesPerTask * int64(nTasks),
 		NumTasks: nTasks,
@@ -40,92 +41,75 @@ func startService(t *testing.T, workers int, blockSize int64, opts ...ClusterOpt
 	return clus
 }
 
-// tenantClient dials clus as tenant, the way a remote submitter would.
-func tenantClient(t *testing.T, clus *Cluster, tenant string) *TenantClient {
-	t.Helper()
-	tc, err := NewTenantClient(clus.NN.Addr(), clus.JT.Addr(), clus.blockSize, tenant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tc.Close() })
-	return tc
-}
-
 // TestServiceFairShareAcrossTenants runs four concurrent jobs from two
 // tenants with a 3:1 weight ratio against one JobTracker and checks
-// (a) cumulative grants track the weights within 25% while both
-// tenants have work, and (b) every concurrent result is bit-identical
+// (a) grants track the weights within 25% while both tenants have
+// work, and (b) every concurrent result is bit-identical
 // to the same job submitted sequentially afterwards.
 func TestServiceFairShareAcrossTenants(t *testing.T) {
 	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
 		"alice": {Weight: 1},
 		"bob":   {Weight: 3},
 	}))
-	alice := tenantClient(t, clus, "alice")
-	bob := tenantClient(t, clus, "bob")
+	client := clus.Client
 
 	// Two jobs per tenant, identical work shapes: 100 sub-millisecond
 	// tasks each, so grant counts are the workload in both cases.
 	const tasksPerJob = 100
 	specs := map[string]JobSpec{}
 	ids := map[string]int64{}
-	for _, sub := range []struct {
-		tc   *TenantClient
-		name string
-	}{
-		{alice, "alice-0"}, {bob, "bob-0"}, {alice, "alice-1"}, {bob, "bob-1"},
+	for _, sub := range []struct{ tenant, name string }{
+		{"alice", "alice-0"}, {"bob", "bob-0"}, {"alice", "alice-1"}, {"bob", "bob-1"},
 	} {
-		spec := piSpec(sub.name, tasksPerJob, 1000)
-		id, err := sub.tc.Submit(spec)
+		spec := piSpec(sub.tenant, sub.name, tasksPerJob, 1000)
+		id, err := client.Submit(spec)
 		if err != nil {
 			t.Fatalf("submit %s: %v", sub.name, err)
 		}
 		specs[sub.name], ids[sub.name] = spec, id
 	}
 
-	// Sample the grant counters the moment bob's workload is fully
-	// granted — before bob drains, the 3:1 weights should have held on
-	// every heartbeat, so alice sits near a third of bob's grants.
-	const bobTotal = 2 * tasksPerJob
-	var aliceAtBobDone int64
+	// Count from the moment all four jobs are admitted (alice-0 was
+	// submitted first and ran uncontended until bob-0 arrived), and
+	// sample once bob is three quarters granted. Both tenants still have
+	// work on either side of that point, so the 3:1 weights hold on every
+	// heartbeat the two snapshots span however late this poller wakes —
+	// sampling at bob's last grant would credit alice with every slot
+	// she gets alone between that grant and the poll.
+	base := clus.JT.TenantStats()
+	const bobSample = 2 * tasksPerJob * 3 / 4
+	var aliceGain, bobGain int64
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		stats := clus.JT.TenantStats()
-		if stats["bob"].Granted >= bobTotal {
-			aliceAtBobDone = stats["alice"].Granted
+		if stats["bob"].Granted >= bobSample {
+			aliceGain = stats["alice"].Granted - base["alice"].Granted
+			bobGain = stats["bob"].Granted - base["bob"].Granted
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("bob never reached %d grants: %+v", bobTotal, stats)
+			t.Fatalf("bob never reached %d grants: %+v", bobSample, stats)
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
-	wantAlice := float64(bobTotal) / 3
-	if ratio := float64(aliceAtBobDone) / wantAlice; ratio < 0.75 || ratio > 1.25 {
-		t.Errorf("fair share: alice got %d grants when bob hit %d, want %.0f ±25%% for weights 1:3",
-			aliceAtBobDone, bobTotal, wantAlice)
+	wantAlice := float64(bobGain) / 3
+	if ratio := float64(aliceGain) / wantAlice; ratio < 0.75 || ratio > 1.25 {
+		t.Errorf("fair share: alice gained %d grants while bob gained %d, want %.0f ±25%% for weights 1:3",
+			aliceGain, bobGain, wantAlice)
 	}
 
 	// Every concurrent job completes, and bit-identically to the same
 	// spec submitted sequentially on the same (now idle) service.
 	results := map[string][]byte{}
 	for name, id := range ids {
-		tc := alice
-		if name[0] == 'b' {
-			tc = bob
-		}
-		raw, err := tc.Wait(id, 30*time.Second)
+		raw, err := client.Wait(id, 30*time.Second)
 		if err != nil {
 			t.Fatalf("wait %s: %v", name, err)
 		}
 		results[name] = raw
 	}
 	for name, spec := range specs {
-		tc := alice
-		if name[0] == 'b' {
-			tc = bob
-		}
-		seq, err := tc.SubmitAndWait(spec, 30*time.Second)
+		seq, err := client.SubmitAndWait(spec, 30*time.Second)
 		if err != nil {
 			t.Fatalf("sequential %s: %v", name, err)
 		}
@@ -142,23 +126,22 @@ func TestServiceQuotaMaxJobs(t *testing.T) {
 	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
 		"carol": {MaxJobs: 1},
 	}))
-	carol := tenantClient(t, clus, "carol")
-	id, err := carol.Submit(piSpec("carol-0", 50, 100_000))
+	client := clus.Client
+	id, err := client.Submit(piSpec("carol", "carol-0", 50, 100_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := carol.Submit(piSpec("carol-1", 2, 1000)); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := client.Submit(piSpec("carol", "carol-1", 2, 1000)); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("second submit at MaxJobs=1: error %v, want ErrQuotaExceeded", err)
 	}
 	// Other tenants are not throttled by carol's quota.
-	dave := tenantClient(t, clus, "dave")
-	if _, err := dave.SubmitAndWait(piSpec("dave-0", 2, 1000), 30*time.Second); err != nil {
+	if _, err := client.SubmitAndWait(piSpec("dave", "dave-0", 2, 1000), 30*time.Second); err != nil {
 		t.Fatalf("unthrottled tenant rejected: %v", err)
 	}
-	if _, err := carol.Wait(id, 30*time.Second); err != nil {
+	if _, err := client.Wait(id, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := carol.SubmitAndWait(piSpec("carol-2", 2, 1000), 30*time.Second); err != nil {
+	if _, err := client.SubmitAndWait(piSpec("carol", "carol-2", 2, 1000), 30*time.Second); err != nil {
 		t.Fatalf("submit after job finished: %v", err)
 	}
 }
@@ -171,18 +154,18 @@ func TestServiceQuotaMaxQueued(t *testing.T) {
 	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
 		"frank": {MaxJobs: 1, MaxQueued: 1},
 	}))
-	frank := tenantClient(t, clus, "frank")
-	running, err := frank.Submit(piSpec("frank-0", 50, 100_000))
+	frank := clus.Client
+	running, err := frank.Submit(piSpec("frank", "frank-0", 50, 100_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Over the job cap, inside the queue cap: accepted, parked.
-	queued, err := frank.Submit(piSpec("frank-1", 2, 1000))
+	queued, err := frank.Submit(piSpec("frank", "frank-1", 2, 1000))
 	if err != nil {
 		t.Fatalf("submit with queue room rejected: %v", err)
 	}
 	// Queue full too: now the typed rejection fires.
-	if _, err := frank.Submit(piSpec("frank-2", 2, 1000)); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := frank.Submit(piSpec("frank", "frank-2", 2, 1000)); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("submit past MaxQueued: error %v, want ErrQuotaExceeded", err)
 	}
 	// The queued job promotes once the running one finishes, and both
@@ -196,14 +179,14 @@ func TestServiceQuotaMaxQueued(t *testing.T) {
 }
 
 // TestServiceSpillQuotaAndKillRelease drives the byte-budget quota
-// end to end: a tenant whose streamed outputs sit unreleased on the
+// end to end: a tenant whose byte-stream results sit uncollected on the
 // trackers is refused new work once past its SpillBytes budget, and
 // Kill releases the held state, restoring admission.
 func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 	clus := startService(t, 2, 1000, WithQuotas(map[string]Quota{
 		"erin": {SpillBytes: 1},
 	}))
-	erin := tenantClient(t, clus, "erin")
+	erin := clus.Client
 	plain := bytes.Repeat([]byte("0123456789abcdef"), 1024) // 16 KB
 	if err := erin.WriteFile("/plain", plain, ""); err != nil {
 		t.Fatal(err)
@@ -215,7 +198,7 @@ func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, err := erin.Submit(JobSpec{
-		Name: "enc", Kernel: "aes-ctr", Input: "/plain", Args: args, StreamOutput: true,
+		Name: "enc", Tenant: "erin", Kernel: "aes-ctr", Input: "/plain", Args: args,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,15 +223,15 @@ func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 		}
 	}
 	waitHeld(true)
-	if _, err := erin.Submit(piSpec("erin-1", 2, 1000)); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := erin.Submit(piSpec("erin", "erin-1", 2, 1000)); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("submit over spill budget: error %v, want ErrQuotaExceeded", err)
 	}
 	// Kill on a finished streamed job releases its outputs.
-	if err := erin.Kill(id); err != nil {
+	if err := erin.Kill(id, "erin"); err != nil {
 		t.Fatal(err)
 	}
 	waitHeld(false)
-	if _, err := erin.SubmitAndWait(piSpec("erin-2", 2, 1000), 30*time.Second); err != nil {
+	if _, err := erin.SubmitAndWait(piSpec("erin", "erin-2", 2, 1000), 30*time.Second); err != nil {
 		t.Fatalf("submit after release: %v", err)
 	}
 }
@@ -261,19 +244,18 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	corpus := shuffleCorpus(50_000, 97)
 	delays := []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}
 	clus := startService(t, 3, 1000, WithTrackerDelays(delays))
-	frank := tenantClient(t, clus, "frank")
-	grace := tenantClient(t, clus, "grace")
-	if err := frank.WriteFile("/corpus", corpus, ""); err != nil {
+	client := clus.Client
+	if err := client.WriteFile("/corpus", corpus, ""); err != nil {
 		t.Fatal(err)
 	}
-	wcSpec := func(name string) JobSpec {
-		return JobSpec{Name: name, Kernel: "wordcount", Input: "/corpus", NumReducers: 3}
+	wcSpec := func(tenant, name string) JobSpec {
+		return JobSpec{Name: name, Tenant: tenant, Kernel: "wordcount", Input: "/corpus", NumReducers: 3}
 	}
-	victimID, err := frank.Submit(wcSpec("victim"))
+	victimID, err := client.Submit(wcSpec("frank", "victim"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	survivorID, err := grace.Submit(wcSpec("survivor"))
+	survivorID, err := client.Submit(wcSpec("grace", "survivor"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +263,7 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	// partitions) before the kill.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		st, err := frank.Status(victimID)
+		st, err := client.Status(victimID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,17 +276,17 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// A tenant cannot kill another tenant's job.
-	if err := grace.Kill(victimID); err == nil {
+	if err := client.Kill(victimID, "grace"); err == nil {
 		t.Error("cross-tenant kill succeeded, want refusal")
 	}
-	if err := frank.Kill(victimID); err != nil {
+	if err := client.Kill(victimID, "frank"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := frank.Wait(victimID, 30*time.Second); err == nil {
+	if _, err := client.Wait(victimID, 30*time.Second); err == nil {
 		t.Error("killed job's Wait returned success, want killed error")
 	}
 	// The survivor completes bit-identically to the serial reference.
-	raw, err := grace.Wait(survivorID, 60*time.Second)
+	raw, err := client.Wait(survivorID, 60*time.Second)
 	if err != nil {
 		t.Fatalf("survivor after neighbour kill: %v", err)
 	}
@@ -345,7 +327,7 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	}
 	// Lifecycle surfaces agree: the victim is terminal with a killed
 	// error, the tenant has no active jobs, the survivor shows done.
-	jobs, err := frank.ListJobs()
+	jobs, err := client.ListJobs("frank")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +337,7 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	if stats := clus.JT.TenantStats(); stats["frank"].ActiveJobs != 0 {
 		t.Errorf("killed tenant still has %d active jobs", stats["frank"].ActiveJobs)
 	}
-	all, err := frank.Client.ListJobs("")
+	all, err := client.ListJobs("")
 	if err != nil {
 		t.Fatal(err)
 	}

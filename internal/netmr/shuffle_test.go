@@ -14,12 +14,12 @@ import (
 // The distributed shuffle/reduce data plane: map outputs stay in the
 // mapper trackers' shuffle stores, reducers pull partitions directly,
 // and the JobTracker moves metadata — with results bit-identical to
-// the centralized reduce, including under a tracker killed mid-job.
+// the in-process reference, including under a tracker killed mid-job.
 
 // shuffleCorpus builds a word corpus whose 5-byte words never straddle
 // the given block size, with vocab distinct words repeating across
-// blocks — repetition is what makes the centralized path ship far more
-// bytes than the merged reduce outputs.
+// blocks — repetition is what keeps the merged reduce outputs bounded
+// by the vocabulary while the input grows.
 func shuffleCorpus(byteLen, vocab int) []byte {
 	var sb strings.Builder
 	for i := 0; sb.Len() < byteLen; i++ {
@@ -58,70 +58,59 @@ func TestDistributedShuffleWordCountMatchesCentralized(t *testing.T) {
 	// 1000-byte blocks of 5-byte words: words never straddle blocks,
 	// so the serial reference needs no block-boundary care.
 	corpus := shuffleCorpus(100_000, 97)
-	central, centralBytes := runWordCount(t, 0, corpus, 1000)
-	dist, distBytes := runWordCount(t, 3, corpus, 1000)
-
 	want := kernels.WordCount(corpus)
-	if len(dist) != len(want) || len(central) != len(want) {
-		t.Fatalf("distinct words: distributed %d, centralized %d, reference %d",
-			len(dist), len(central), len(want))
-	}
-	for w, n := range want {
-		if dist[w] != n || central[w] != n {
-			t.Fatalf("count[%s] = %d (distributed) / %d (centralized), want %d",
-				w, dist[w], central[w], n)
+	for _, reducers := range []int{0, 3} { // 0 means 1
+		got, _ := runWordCount(t, reducers, corpus, 1000)
+		if len(got) != len(want) {
+			t.Fatalf("reducers=%d: %d distinct words, reference has %d", reducers, len(got), len(want))
+		}
+		for w, n := range want {
+			if got[w] != n {
+				t.Fatalf("reducers=%d: count[%s] = %d, want %d", reducers, w, got[w], n)
+			}
 		}
 	}
-	// The tentpole claim: the JobTracker no longer transports map
-	// output bytes. Centralized heartbeats carry one partial table per
-	// block; distributed heartbeats carry only the R merged reduce
-	// outputs, bounded by the vocabulary — O(metadata), not O(input).
-	if distBytes*4 > centralBytes {
-		t.Errorf("heartbeat data plane: distributed %d B vs centralized %d B — shuffle moved no traffic off the JobTracker",
-			distBytes, centralBytes)
-	}
-	t.Logf("heartbeat data plane: centralized %d B, distributed %d B", centralBytes, distBytes)
 }
 
 func TestDistributedShuffleHeartbeatStaysMetadataSized(t *testing.T) {
-	// Doubling the input must not double the distributed plane's
-	// heartbeat bytes: reduce outputs are bounded by the vocabulary.
-	_, small := runWordCount(t, 3, shuffleCorpus(50_000, 97), 1000)
-	_, large := runWordCount(t, 3, shuffleCorpus(200_000, 97), 1000)
-	if large > small*2 {
-		t.Errorf("heartbeat bytes grew with input: %d B at 50KB vs %d B at 200KB", small, large)
+	// The heartbeats of a shuffle job carry the R merged reduce outputs
+	// and nothing else: bounded by the vocabulary (97 words, ~1.2 KB of
+	// gob across 3 partials), whatever the input size.
+	const bound = 4 << 10
+	for _, size := range []int{50_000, 200_000} {
+		if _, n := runWordCount(t, 3, shuffleCorpus(size, 97), 1000); n == 0 || n > bound {
+			t.Errorf("%d B input: heartbeats carried %d B of task output, want 1..%d", size, n, bound)
+		}
 	}
 }
 
 func TestDistributedShuffleSortMatchesCentralized(t *testing.T) {
 	input := kernels.GenerateSortRecords(2009, 2000) // 200 KB
-	run := func(reducers int) []byte {
+	want := append([]byte(nil), input...)
+	if err := kernels.SortRecords(want); err != nil {
+		t.Fatal(err)
+	}
+	for _, reducers := range []int{0, 3} { // 0 means 1
 		c, err := StartCluster(3, 2, 5000, 10*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Shutdown()
 		if err := c.Client.WriteFile("/records", input, ""); err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.Client.SubmitAndWait(JobSpec{
-			Name: "sort", Kernel: "sort", Input: "/records", NumReducers: reducers,
-		}, 30*time.Second)
-		if err != nil {
-			t.Fatal(err)
+		spec := JobSpec{Name: "sort", Kernel: "sort", Input: "/records", NumReducers: reducers}
+		if reducers > 1 {
+			spec.SplitKeys = splitKeysFor(t, input, reducers)
 		}
-		return out
-	}
-	central := run(0)
-	dist := run(3)
-	if !bytes.Equal(central, dist) {
-		t.Fatal("distributed shuffle changed the sort output")
-	}
-	if sorted, err := kernels.RecordsSorted(dist); err != nil || !sorted {
-		t.Fatalf("sort output not sorted (err=%v)", err)
-	}
-	if len(dist) != len(input) {
-		t.Fatalf("sort output %d bytes, want %d", len(dist), len(input))
+		got := collect(t, c.Client, spec)
+		if n := c.JT.DataPlaneBytes(); n != 0 {
+			t.Errorf("reducers=%d: %d sort output bytes rode heartbeats, want 0", reducers, n)
+		}
+		c.Shutdown()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reducers=%d: distributed sort differs from the in-process sort (%d vs %d bytes)",
+				reducers, len(got), len(want))
+		}
 	}
 }
 

@@ -44,11 +44,10 @@ func TestWriteFromStreams(t *testing.T) {
 	}
 }
 
-// TestStreamOutputEncrypt runs the same AES job with the result inline
-// and streamed, and checks (a) bit-identical ciphertext, (b) the
-// streamed run kept output bytes off the JobTracker's heartbeat
-// channel, and (c) the stores free the pieces after the client's
-// release.
+// TestStreamOutputEncrypt checks an AES job's collected ciphertext
+// against the sequential reference, that its output bytes stayed off
+// the JobTracker's heartbeat channel, and that the stores free the
+// pieces after the client's release.
 func TestStreamOutputEncrypt(t *testing.T) {
 	const blockSize = 1_000
 	c, err := StartCluster(3, 2, blockSize, 10*time.Millisecond,
@@ -61,43 +60,26 @@ func TestStreamOutputEncrypt(t *testing.T) {
 	if err := c.Client.WriteFile("/plain", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	args, err := rpcnet.Marshal(AESArgs{
-		Key: []byte("stream-test-key!"), IV: make([]byte, 16), BlockBytes: blockSize,
-	})
+	key, iv := []byte("stream-test-key!"), make([]byte, 16)
+	args, err := rpcnet.Marshal(AESArgs{Key: key, IV: iv, BlockBytes: blockSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: inline result.
-	want, err := c.Client.SubmitAndWait(JobSpec{
-		Name: "enc-inline", Kernel: "aes-ctr", Input: "/plain", Args: args,
-	}, 30*time.Second)
+	cip, err := kernels.NewCipher(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inlineBytes := c.JT.DataPlaneBytes()
+	want := make([]byte, len(data))
+	kernels.CTRStream(cip, iv, 0, want, data)
 
-	// Streamed result.
-	id, err := c.Client.Submit(JobSpec{
+	got := collect(t, c.Client, JobSpec{
 		Name: "enc-stream", Kernel: "aes-ctr", Input: "/plain", Args: args,
-		StreamOutput: true,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("collected ciphertext (%d bytes) differs from the sequential reference (%d bytes)", len(got), len(want))
 	}
-	var got bytes.Buffer
-	n, _, err := c.Client.WaitOutput(id, 30*time.Second, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(want)) {
-		t.Fatalf("streamed %d bytes, want %d", n, len(want))
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("streamed ciphertext differs from the inline result")
-	}
-	streamBytes := c.JT.DataPlaneBytes() - inlineBytes
-	if streamBytes != 0 {
-		t.Fatalf("streamed run moved %d output bytes over the heartbeat channel, want 0", streamBytes)
+	if n := c.JT.DataPlaneBytes(); n != 0 {
+		t.Fatalf("the job moved %d output bytes over the heartbeat channel, want 0", n)
 	}
 	// The release negotiated over heartbeats frees every store.
 	deadline := time.Now().Add(5 * time.Second)
@@ -117,9 +99,9 @@ func TestStreamOutputEncrypt(t *testing.T) {
 	}
 }
 
-// TestStreamOutputSortShufflePath streams a distributed-shuffle sort's
-// reduce outputs and checks the concatenated partitions match the
-// inline shuffle result bit for bit.
+// TestStreamOutputSortShufflePath collects a distributed-shuffle sort's
+// reduce outputs with every shuffle payload spilled to disk and checks
+// the concatenated partitions against the in-process sort.
 func TestStreamOutputSortShufflePath(t *testing.T) {
 	c, err := StartCluster(3, 2, 1_000, 10*time.Millisecond,
 		WithSpill(t.TempDir(), 0, nil))
@@ -131,43 +113,16 @@ func TestStreamOutputSortShufflePath(t *testing.T) {
 	if err := c.Client.WriteFile("/records", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Client.SubmitAndWait(JobSpec{
-		Name: "sort-inline", Kernel: "sort", Input: "/records", NumReducers: 3,
-	}, 30*time.Second)
-	if err != nil {
+	want := append([]byte(nil), data...)
+	if err := kernels.SortRecords(want); err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.Client.Submit(JobSpec{
+	got := collect(t, c.Client, JobSpec{
 		Name: "sort-stream", Kernel: "sort", Input: "/records", NumReducers: 3,
-		StreamOutput: true,
+		SplitKeys: splitKeysFor(t, data, 3),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The inline path's final Reduce merges the partition runs; the
-	// streamed path hands the client the partitions in order. The
-	// shuffle hash-routes keys, so byte equality only holds after
-	// re-merging the streamed pieces. The stream is the pieces and
-	// nothing else — no framing — so cutting it at every key drop
-	// recovers them: each reduce output is one sorted run, hence at
-	// most NumReducers runs.
-	var got bytes.Buffer
-	if _, _, err := c.Client.WaitOutput(id, 30*time.Second, &got); err != nil {
-		t.Fatal(err)
-	}
-	pieces := sortedRuns(got.Bytes())
-	if len(pieces) > 3 {
-		t.Fatalf("streamed output holds %d sorted runs, want at most one per reducer (3)", len(pieces))
-	}
-	if got.Len() != len(want) {
-		t.Fatalf("streamed %d bytes, inline produced %d", got.Len(), len(want))
-	}
-	merged, err := kernels.MergeSortedRuns(pieces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(merged, want) {
-		t.Fatal("re-merged streamed partitions differ from the inline sort")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("collected partitions (%d bytes) differ from the in-process sort (%d bytes)", len(got), len(want))
 	}
 	spilledAnywhere := false
 	for _, tt := range c.TTs {
@@ -178,22 +133,6 @@ func TestStreamOutputSortShufflePath(t *testing.T) {
 	if !spilledAnywhere {
 		t.Fatal("SpillAll watermark but no tracker spilled shuffle payloads")
 	}
-}
-
-// sortedRuns cuts a concatenation of sorted record runs back into
-// sorted runs: a new run starts wherever a key is below its
-// predecessor.
-func sortedRuns(stream []byte) [][]byte {
-	var runs [][]byte
-	start := 0
-	for off := kernels.SortRecordBytes; off <= len(stream); off += kernels.SortRecordBytes {
-		if off == len(stream) || bytes.Compare(stream[off:off+kernels.SortKeyBytes],
-			stream[off-kernels.SortRecordBytes:off-kernels.SortRecordBytes+kernels.SortKeyBytes]) < 0 {
-			runs = append(runs, stream[start:off])
-			start = off
-		}
-	}
-	return runs
 }
 
 // sortableRecords builds n 100-byte records.
@@ -233,26 +172,19 @@ func TestDataNodeSpillServesBlocks(t *testing.T) {
 }
 
 // TestWaitOutputRejectsInlineJob pins the misuse path: WaitOutput on a
-// job submitted without StreamOutput errors instead of hanging or
-// returning nothing.
+// structured kernel's job — whose result is inline in the Status reply,
+// with no stored pieces — errors instead of hanging or returning
+// nothing.
 func TestWaitOutputRejectsInlineJob(t *testing.T) {
 	c, err := StartCluster(2, 2, 1_000, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if err := c.Client.WriteFile("/in", streamCorpus(2_000), ""); err != nil {
+	if err := c.Client.WriteFile("/in", shuffleCorpus(2_000, 13), ""); err != nil {
 		t.Fatal(err)
 	}
-	args, err := rpcnet.Marshal(AESArgs{
-		Key: []byte("stream-test-key!"), IV: make([]byte, 16), BlockBytes: 1_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.Client.Submit(JobSpec{
-		Name: "enc", Kernel: "aes-ctr", Input: "/in", Args: args,
-	})
+	id, err := c.Client.Submit(JobSpec{Name: "wc", Kernel: "wordcount", Input: "/in"})
 	if err != nil {
 		t.Fatal(err)
 	}

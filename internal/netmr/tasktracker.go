@@ -17,12 +17,12 @@ type partKey struct {
 	part    int
 }
 
-// streamedMapKey is the store slot of a centralized map task's
-// streamed output (part -1 can never collide with a real partition).
+// streamedMapKey is the store slot of a byte-stream map task's parked
+// output (part -1 can never collide with a real partition).
 func streamedMapKey(task int) partKey { return partKey{mapTask: task, part: -1} }
 
-// streamedReduceKey is the store slot of a reduce task's streamed
-// output (map task -1 can never collide with a real map task).
+// streamedReduceKey is the store slot of a byte-stream reduce task's
+// parked output (map task -1 can never collide with a real map task).
 func streamedReduceKey(part int) partKey { return partKey{mapTask: -1, part: part} }
 
 // TaskTracker is the TCP worker daemon: it pulls work from the
@@ -36,11 +36,11 @@ func streamedReduceKey(part int) partKey { return partKey{mapTask: -1, part: par
 // advertises the slot, and its reply carries the next task (or the
 // reduces the last map just unlocked) without waiting out a tick.
 //
-// Each tracker is also a shuffle server: map tasks run under the
-// distributed shuffle leave their hash-partitioned output in the
-// tracker's in-memory shuffle store, which reduce tasks on any tracker
-// fetch directly over the FetchPartition RPC. The JobTracker never
-// sees those bytes.
+// Each tracker is also a shuffle server: map tasks of a shuffle job
+// leave their partitioned output in the tracker's shuffle store, which
+// reduce tasks on any tracker fetch directly over the FetchPartition
+// RPC, and a byte-stream kernel's final-phase outputs park there until
+// the client collects them. The JobTracker never sees those bytes.
 type TaskTracker struct {
 	ID        string
 	jtAddr    string
@@ -344,8 +344,8 @@ const heartbeatCallTimeout = 5 * time.Second
 
 // dialJobTracker opens a heartbeat connection with the call timeout
 // applied, or nil when the JobTracker is unreachable right now. The
-// tracker's wire codec rides along: centralized-path heartbeats carry
-// task outputs, which compress like any data-plane payload.
+// tracker's wire codec rides along: heartbeats carry the structured
+// kernels' partials, which compress like any payload.
 func (tt *TaskTracker) dialJobTracker() *rpcnet.Client {
 	var opts []rpcnet.Option
 	if tt.wireCodec != "" {
@@ -533,7 +533,7 @@ func (tt *TaskTracker) runTask(task Task) {
 
 // execTask does the attempt's work, filling res: fetch the inputs (a
 // DFS block for map tasks, shuffle partitions for reduce tasks), run
-// the kernel, and leave the output where its path wants it.
+// the kernel, and leave the output where the kernel table says it goes.
 func (tt *TaskTracker) execTask(task Task, res *TaskResult) error {
 	kern, err := lookupKernel(task.Kernel)
 	if err != nil {
@@ -575,17 +575,23 @@ func (tt *TaskTracker) execTask(task Task, res *TaskResult) error {
 	if err != nil {
 		return err
 	}
-	if task.StreamOutput {
-		// Streamed result path: the output parks here (spilling past
-		// the watermark) and only its location rides the heartbeat;
-		// the client fetches it straight from this store.
-		if err := tt.store.put(task.JobID, streamedMapKey(task.TaskID), out); err != nil {
-			return err
-		}
-		res.ShuffleAddr = tt.srv.Addr()
+	return tt.deliver(task.JobID, kern, streamedMapKey(task.TaskID), out, res)
+}
+
+// deliver leaves a final-phase task output where the kernel table says
+// it goes. A byte-stream kernel's (no Reduce) parks here, spilling past
+// the watermark, and only its location rides the heartbeat: the client
+// fetches it straight from this store. A structured kernel's partial
+// rides the heartbeat for the JobTracker's Reduce.
+func (tt *TaskTracker) deliver(jobID int64, kern MapKernel, slot partKey, out []byte, res *TaskResult) error {
+	if kern.Reduce != nil {
+		res.Output = out
 		return nil
 	}
-	res.Output = out
+	if err := tt.store.put(jobID, slot, out); err != nil {
+		return err
+	}
+	res.ShuffleAddr = tt.srv.Addr()
 	return nil
 }
 
@@ -714,17 +720,7 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res *TaskResult) err
 	if err != nil {
 		return err
 	}
-	if task.StreamOutput {
-		// The merged partition stays here too; the client pulls it in
-		// partition order once the job finishes.
-		if err := tt.store.put(task.JobID, streamedReduceKey(task.TaskID), out); err != nil {
-			return err
-		}
-		res.ShuffleAddr = own
-		return nil
-	}
-	res.Output = out
-	return nil
+	return tt.deliver(task.JobID, kern, streamedReduceKey(task.TaskID), out, res)
 }
 
 // fetchPartition pulls one whole partition from a peer shuffle store

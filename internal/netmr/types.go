@@ -9,12 +9,13 @@
 // identified as the data-intensive bottleneck.
 //
 // The data plane is distributed, mirroring the paper's Hadoop
-// architecture: map outputs never travel through the JobTracker.
-// Mappers hash-partition their output into a per-tracker shuffle store
+// architecture: bulk bytes never travel through the JobTracker.
+// Mappers partition their output into a per-tracker shuffle store
 // served over rpcnet, reducers pull partitions directly from the
-// mapper trackers and merge them, and heartbeats carry only metadata —
-// partition locations, task failures and the final (small) reduce
-// outputs.
+// mapper trackers and merge them, a byte-stream job's result stays in
+// those stores until the client collects it, and heartbeats carry only
+// metadata — output locations, task failures and the small structured
+// partials of wordcount and pi (see MapKernel).
 //
 // The JobTracker is a long-running multi-tenant job service, not a
 // one-job driver: Submit/Status/Wait/Kill/ListJobs RPCs manage many
@@ -23,8 +24,7 @@
 // job/tracker caps, a held-spill-bytes budget) enforced at admission
 // with the typed ErrQuotaExceeded, and free heartbeat slots are
 // granted across tenants by weighted deficit round-robin
-// (internal/sched's FairShare). TenantClient binds a Client to one
-// tenant.
+// (internal/sched's FairShare); JobSpec.Tenant names the submitter.
 package netmr
 
 import (
@@ -320,39 +320,26 @@ type JobSpec struct {
 	// the domain MixSeed(Seed, i). 0 selects the default seed (2009,
 	// the paper's year).
 	Seed uint64
-	// NumReducers turns the distributed shuffle/reduce plane on for
-	// data jobs whose kernel supports partitioned output: map outputs
-	// are hash-partitioned into this many reduce tasks, each scheduled
-	// like a map task and fetched directly from the mapper trackers.
-	// 0 keeps the centralized reduce at the JobTracker; negative is
-	// rejected at submission (the partition hash cannot route into a
-	// non-positive partition count).
+	// NumReducers is the reduce-task count of a data job whose kernel
+	// has the shuffle pair (Partition+Merge): map outputs are partitioned
+	// into this many reduce tasks, each scheduled like a map task and
+	// fetched directly from the mapper trackers. 0 means 1; negative is
+	// rejected at submission. Kernels without the pair ignore it.
 	NumReducers int
 	// Mapper selects the map-task variant: MapperCell (the default,
 	// offload to the tracker's accelerator where one exists, host
 	// fallback elsewhere — bit-identical either way) or MapperJava
 	// (host path everywhere).
 	Mapper string
-	// StreamOutput keeps task output bytes on the worker trackers
-	// instead of shipping them to the JobTracker: each final-phase
-	// task (map task on the centralized path, reduce task on the
-	// shuffle path) parks its output in its tracker's shuffle store
-	// and reports only the location. StatusReply.Outputs lists the
-	// stored pieces in task order once the job is done; the job's
-	// result is those pieces concatenated in that order, which the
-	// client streams straight to its sink before Releasing the job so
-	// trackers can free the space. The JobTracker never holds output
-	// bytes — the bounded-memory result path for outputs larger than
-	// any single process should buffer.
-	StreamOutput bool
-	// SplitKeys selects range partitioning for the shuffle: map output
-	// keys route by binary search into these sorted split keys
-	// (kernels.RangePartitioner) instead of the FNV hash, so partition
-	// p holds exactly the keys below partition p+1 and a StreamOutput
-	// job's pieces concatenate in key order — no final merge. Must be
-	// sorted and hold exactly NumReducers-1 keys (nil keeps hash
-	// partitioning). Typically computed by reservoir-sampling the
-	// ingest stream (kernels.RecordKeySampler).
+	// SplitKeys range-routes the shuffle of a byte-stream kernel (sort):
+	// map output keys route by binary search into these sorted split keys
+	// (kernels.RangePartitioner), so partition p holds exactly the keys
+	// below partition p+1 and the job's pieces concatenate in key order —
+	// no final merge. Must be sorted and hold exactly NumReducers-1 keys;
+	// such a job with more than one reducer and no keys is rejected, since
+	// its concatenated partitions would not be in key order. Typically
+	// computed by reservoir-sampling the ingest stream
+	// (kernels.RecordKeySampler).
 	SplitKeys [][]byte
 }
 
@@ -375,9 +362,8 @@ type Task struct {
 	Block   BlockInfo // data tasks; no Replicas for compute tasks
 	Samples int64     // compute tasks
 	Seed    uint64
-	// NumParts > 0 on a map task asks the tracker to hash-partition
-	// its output into NumParts partitions held in its shuffle store
-	// instead of shipping the bytes back on the heartbeat.
+	// NumParts > 0 on a map task asks the tracker to partition its
+	// output into NumParts partitions held in its shuffle store.
 	NumParts int
 	// Reduce marks a reduce task: fetch partition TaskID from every
 	// map task's shuffle store (Inputs) and merge with the kernel.
@@ -390,18 +376,13 @@ type Task struct {
 	// the kernel's accelerated variant; trackers without one (or
 	// kernels without a variant) run the bit-identical host path.
 	Mapper string
-	// StreamOutput marks a final-phase task whose output stays in the
-	// executing tracker's shuffle store (reported by location, fetched
-	// by the client) instead of riding the heartbeat.
-	StreamOutput bool
 	// SplitKeys carries the job's range-partition split keys to map
-	// tasks (see JobSpec.SplitKeys); kernels with a Partition function
-	// route by range when present and by hash otherwise.
+	// tasks (see JobSpec.SplitKeys).
 	SplitKeys [][]byte
 }
 
 // MapOutputRef locates one stored task output: a map task's shuffle
-// partition (reduce inputs) or a streamed final output piece
+// partition (reduce inputs) or a byte-stream job's final output piece
 // (StatusReply.Outputs). MapTask/Part are the FetchPartition
 // coordinates; streamed outputs use the sentinel conventions of
 // streamedMapKey/streamedReduceKey. The stored bytes are exactly what
@@ -417,13 +398,12 @@ type TaskResult struct {
 	JobID  int64
 	TaskID int
 	Reduce bool
-	// Output is the task's result bytes: the map output on the
-	// centralized path, the merged partition on the reduce path, and
-	// empty for shuffle-path map tasks (their bytes stay in the
-	// tracker's shuffle store — the heartbeat carries only metadata).
+	// Output is a structured kernel's final-phase partial (a small gob
+	// struct). Empty for every stored output — shuffle partitions and
+	// byte-stream results stay in the tracker's store and the heartbeat
+	// carries only ShuffleAddr.
 	Output []byte
-	// ShuffleAddr is where a shuffle-path map task's partitions are
-	// served from.
+	// ShuffleAddr is the store a stored output is served from.
 	ShuffleAddr string
 	// Err reports a failed attempt (unknown kernel, fetch error,
 	// map/reduce error) on the next heartbeat, so the JobTracker
@@ -538,13 +518,14 @@ type StatusArgs struct {
 // one of its connection's handler slots.
 const maxStatusHold = time.Second
 
-// StatusReply reports completion; Result is the kernel's reduced
-// output once Done.
+// StatusReply reports completion. Once Done, a structured kernel's job
+// carries its reduced output in Result and a byte-stream kernel's job
+// lists its stored pieces in Outputs.
 type StatusReply struct {
 	Done bool
 	// Completed counts finished tasks across both phases; Total is
-	// map tasks plus reduce tasks (reduce tasks exist only on the
-	// distributed-shuffle path).
+	// map tasks plus reduce tasks (reduce tasks exist only for kernels
+	// with the shuffle pair).
 	Completed int
 	Total     int
 	Result    []byte
@@ -562,14 +543,14 @@ type StatusReply struct {
 	// shows how completions skew toward accelerated nodes on a
 	// heterogeneous cluster.
 	Devices map[string]string
-	// Outputs lists a StreamOutput job's stored result pieces in task
+	// Outputs lists a byte-stream job's stored result pieces in task
 	// order once Done: the client fetches each from its tracker's
-	// shuffle store and streams it to the sink. Empty for jobs whose
-	// Result travelled inline.
+	// shuffle store and streams it to the sink (Client.WaitOutput).
+	// Empty for structured jobs, whose Result travels inline.
 	Outputs []MapOutputRef
 }
 
-// ReleaseArgs tells the JobTracker a StreamOutput job's results have
+// ReleaseArgs tells the JobTracker a byte-stream job's results have
 // been consumed: trackers may free the stored output pieces on their
 // next heartbeat.
 type ReleaseArgs struct {

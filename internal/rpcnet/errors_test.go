@@ -1,8 +1,10 @@
 package rpcnet
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMarshalUnencodable(t *testing.T) {
@@ -76,5 +78,37 @@ func TestCallAfterServerClose(t *testing.T) {
 	s.Close()
 	if err := c.Call("echo", 1, nil); err == nil {
 		t.Error("call after server close should fail")
+	}
+}
+
+// TestOversizeReplyIsAnErrorNotASilence: writeFrame refuses a frame
+// above MaxFrame before writing a byte, so the connection stays healthy
+// — the server must answer the caller's ID with an error frame instead
+// of leaving the call to wait out its timeout, and the same client keeps
+// working afterwards.
+func TestOversizeReplyIsAnErrorNotASilence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates ~300 MB for a reply above MaxFrame; skipped in -short")
+	}
+	s := newEchoServer(t)
+	s.Handle("huge", func([]byte) (any, error) {
+		return make([]byte, MaxFrame+1), nil
+	})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Encoding the reply takes ~0.2 s alone and seconds under -race on a
+	// loaded machine; the silent drop this pins took the whole timeout.
+	start := time.Now()
+	err = c.CallTimeout("huge", echoArg{}, nil, 20*time.Second)
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "response to huge: frame too large") {
+		t.Fatalf("oversize reply: error %v after %v, want a RemoteError naming the unframeable response", err, time.Since(start))
+	}
+	var reply echoReply
+	if err := c.Call("echo", echoArg{Msg: "still here"}, &reply); err != nil || reply.Msg != "still here" {
+		t.Fatalf("call after the oversize reply = %q, %v", reply.Msg, err)
 	}
 }

@@ -3,6 +3,7 @@ package rpcnet
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -139,7 +140,10 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // dispatch runs one request through its handler and writes the tagged
 // response. Write errors are dropped — the read loop will notice the
-// broken connection.
+// broken connection — except ErrFrameTooLarge: that one is returned
+// before a byte is written, so the connection is healthy and the caller
+// would wait out its whole timeout for an ID nobody answers. It gets an
+// error frame instead.
 func (s *Server) dispatch(conn net.Conn, wmu *sync.Mutex, codec spill.Codec, fr frame) {
 	body := fr.body.Bytes()
 	var decBuf *bytes.Buffer
@@ -177,7 +181,10 @@ func (s *Server) dispatch(conn net.Conn, wmu *sync.Mutex, codec spill.Codec, fr 
 	if respBody != nil {
 		raw = respBody.Bytes()
 	}
-	sendFrame(conn, wmu, fr.id, frameFlagResponse, errMsg, raw, codec)
+	if err := sendFrame(conn, wmu, fr.id, frameFlagResponse, errMsg, raw, codec); errors.Is(err, ErrFrameTooLarge) {
+		sendFrame(conn, wmu, fr.id, frameFlagResponse,
+			fmt.Sprintf("rpcnet: response to %s: frame too large", fr.meta), nil, codec)
+	}
 	putBuf(respBody)
 }
 
