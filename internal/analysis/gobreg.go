@@ -9,7 +9,8 @@ import (
 )
 
 // GobReg checks every value that flows into the gob wire layer —
-// arguments and replies of rpcnet Client.Call/CallTimeout, and values
+// arguments and replies of rpcnet Client.Call/CallTimeout (and of a
+// package's own helpers over them, see wireForwarders), and values
 // passed to rpcnet Marshal/Unmarshal — for static encodability,
 // catching at lint time what gob otherwise reports as a runtime error
 // mid-job:
@@ -52,6 +53,7 @@ func runGobReg(pass *Pass) error {
 		pass.Shared[sharedGobRegistered] = registered
 	}
 	seenMsg := make(map[string]bool) // dedupe per package: one report per (type, problem)
+	fwd := wireForwarders(pass)
 
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -82,16 +84,78 @@ func runGobReg(pass *Pass) error {
 				if len(call.Args) == 2 {
 					checkGobValue(pass, seenMsg, call.Args[1], "Unmarshal target", true)
 				}
-			case pkgNamed(fn.Pkg(), "rpcnet") && recvTypeName(fn) == "Client" && (fn.Name() == "Call" || fn.Name() == "CallTimeout"):
-				if len(call.Args) >= 3 {
-					checkGobValue(pass, seenMsg, call.Args[1], fn.Name()+" argument", false)
-					checkGobValue(pass, seenMsg, call.Args[2], fn.Name()+" reply", true)
+			default:
+				if arg, reply, ok := wireParams(fn, fwd); ok && len(call.Args) > reply {
+					checkGobValue(pass, seenMsg, call.Args[arg], fn.Name()+" argument", false)
+					checkGobValue(pass, seenMsg, call.Args[reply], fn.Name()+" reply", true)
 				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// wireParams reports which arguments of a call to fn are a wire call's
+// gob-encoded argument and its decode target: Client.Call's and
+// CallTimeout's own, or those a forwarder passes on to them.
+func wireParams(fn *types.Func, fwd map[*types.Func][2]int) (arg, reply int, ok bool) {
+	if pkgNamed(fn.Pkg(), "rpcnet") && recvTypeName(fn) == "Client" && (fn.Name() == "Call" || fn.Name() == "CallTimeout") {
+		return 1, 2, true
+	}
+	ix, ok := fwd[fn]
+	return ix[0], ix[1], ok
+}
+
+// wireForwarders finds the package's helpers over Client.Call:
+// functions that pass two of their own parameters on as a wire call's
+// argument and reply. Those parameters are typed any, so the concrete
+// types — and the reply's pointer-ness — show only at the helper's call
+// sites, which are then checked like Call's own. Found to a fixpoint, so
+// a helper over a helper counts.
+func wireForwarders(pass *Pass) map[*types.Func][2]int {
+	fwd := make(map[*types.Func][2]int)
+	for grew := true; grew; {
+		grew = false
+		for _, f := range pass.Files {
+			for _, decl := range f.Decls {
+				fd, _ := decl.(*ast.FuncDecl)
+				if fd == nil || fd.Body == nil {
+					continue
+				}
+				self, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+				if _, known := fwd[self]; self == nil || known {
+					continue
+				}
+				params := self.Type().(*types.Signature).Params()
+				ownParam := func(e ast.Expr) int {
+					id, _ := ast.Unparen(e).(*ast.Ident)
+					for i := 0; id != nil && i < params.Len(); i++ {
+						if pass.TypesInfo.Uses[id] == params.At(i) {
+							return i
+						}
+					}
+					return -1
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, _ := n.(*ast.CallExpr)
+					if call == nil {
+						return true
+					}
+					if fn := calleeFunc(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil {
+						if arg, reply, ok := wireParams(fn, fwd); ok && len(call.Args) > reply {
+							if a, r := ownParam(call.Args[arg]), ownParam(call.Args[reply]); a >= 0 && r >= 0 {
+								fwd[self] = [2]int{a, r}
+								grew = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return fwd
 }
 
 // checkGobValue validates one expression handed to the gob layer.
@@ -216,6 +280,9 @@ func interfaceComponents(t types.Type, seen []types.Type) []ifaceComponent {
 	}
 	switch u := t.Underlying().(type) {
 	case *types.Interface:
+		if _, generic := t.(*types.TypeParam); generic {
+			return nil // stands for concrete types, checked where a caller passes them to Call
+		}
 		return []ifaceComponent{{iface: t, path: typeLabel(t)}}
 	case *types.Pointer:
 		return interfaceComponents(u.Elem(), seen)

@@ -53,6 +53,20 @@ func good() {
 	rpcnet.Unmarshal(nil, &g)
 }
 
+// via hands its own parameters to the wire, so its call sites are where
+// the concrete types show; via2 is a helper over that helper.
+func via(method string, args, reply any) error { return c.Call(method, args, reply) }
+func via2(args, reply any) error               { return via("m", args, reply) }
+
+func forwarded() {
+	via("m", HasFunc{}, &Good{}) // want `via argument of type .* gob cannot encode funcs`
+	via2(Good{}, Good{})         // want `via2 reply has non-pointer type`
+	via("m", Good{}, &Good{})
+}
+
+// decode's type parameter carries no registration obligation itself.
+func decode[A any](body []byte, a *A) error { return rpcnet.Unmarshal(body, a) }
+
 func suppressed() {
 	rpcnet.Marshal(HasFunc{}) //hetlint:ignore gobreg fixture: proves the directive works
 }

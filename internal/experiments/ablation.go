@@ -13,8 +13,7 @@ import (
 
 // Ablations: each function sweeps one calibrated design parameter and
 // regenerates a reduced experiment, quantifying how much of the
-// paper's conclusion rests on that parameter. DESIGN.md §5 lists the
-// parameters; the root ablation benchmarks drive these.
+// paper's conclusion rests on that parameter.
 
 // AblationLoopbackRate sweeps the effective DataNode->Mapper record
 // delivery rate on a fixed-size encryption run (8 nodes, 4 GB/mapper)

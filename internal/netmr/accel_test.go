@@ -122,7 +122,7 @@ func TestClusterOffloadBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := c.Client.SubmitAndWait(JobSpec{
+		raw, err := submitAndWait(c.Client, JobSpec{
 			Name: "pi-accel", Kernel: "pi", Samples: 40_000, NumTasks: 4, Mapper: mapper,
 		}, 30*time.Second)
 		if err != nil {
@@ -167,7 +167,7 @@ func TestJavaMapperNeverOffloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	_, err = c.Client.SubmitAndWait(JobSpec{
+	_, err = submitAndWait(c.Client, JobSpec{
 		Name: "pi-java", Kernel: "pi", Samples: 10_000, NumTasks: 2, Mapper: MapperJava,
 	}, 30*time.Second)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestStatusReportsDeviceProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.Wait(id, 30*time.Second); err != nil {
+	if _, err := waitResult(c.Client, id, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Client.Status(id)
@@ -339,7 +339,7 @@ func skewedClusterCounts(t testing.TB, tasks int, samplesPerTask int64) (accel, 
 		c.Shutdown()
 		t.Fatal(err)
 	}
-	if _, err := c.Client.Wait(id, 120*time.Second); err != nil {
+	if _, err := waitResult(c.Client, id, 120*time.Second); err != nil {
 		c.Shutdown()
 		t.Fatal(err)
 	}

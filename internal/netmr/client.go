@@ -89,6 +89,16 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// jt runs one control-plane call against the JobTracker, nn against
+// the NameNode.
+func (c *Client) jt(method string, args, reply any) error {
+	return c.wire.call(c.jtAddr, method, args, reply)
+}
+
+func (c *Client) nn(method string, args, reply any) error {
+	return c.wire.call(c.nnAddr, method, args, reply)
+}
+
 // WriteFile stores data under name, block by block. preferred, when
 // non-empty, is the DataNode address to favour for every block.
 func (c *Client) WriteFile(name string, data []byte, preferred string) error {
@@ -105,10 +115,6 @@ func (c *Client) WriteFile(name string, data []byte, preferred string) error {
 // It returns the bytes consumed from r; on error some trailing blocks
 // may not have been stored.
 func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, error) {
-	nnc, err := c.wire.get(c.nnAddr)
-	if err != nil {
-		return 0, err
-	}
 	win := flow.NewWindow(c.ingestWindow)
 	var (
 		wg     sync.WaitGroup
@@ -150,7 +156,7 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 		chunk := buf[:n] // n == 0 only for an empty file's first block
 		credit := win.Acquire(int64(len(chunk)))
 		var alloc AllocateReply
-		err := nnc.Call("Allocate", AllocateArgs{
+		err := c.nn("Allocate", AllocateArgs{
 			File: name, Size: int64(len(chunk)), Preferred: preferred,
 		}, &alloc)
 		if err != nil {
@@ -162,7 +168,7 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 		go func(blk BlockInfo, chunk []byte, credit int64) {
 			defer wg.Done()
 			defer win.Release(credit)
-			if err := c.putBlock(nnc, name, blk, chunk); err != nil {
+			if err := c.putBlock(name, blk, chunk); err != nil {
 				fail(err)
 			}
 		}(alloc.Block, chunk, credit)
@@ -180,7 +186,7 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 }
 
 // putBlock stores one allocated block on every replica target.
-func (c *Client) putBlock(nnc *rpcnet.Client, name string, blk BlockInfo, chunk []byte) error {
+func (c *Client) putBlock(name string, blk BlockInfo, chunk []byte) error {
 	// Every replica gets the block at write time, so readers can
 	// fail over when a DataNode dies later. A placement target
 	// that is down costs the block a copy, not the write: the
@@ -206,24 +212,15 @@ func (c *Client) putBlock(nnc *rpcnet.Client, name string, blk BlockInfo, chunk 
 			blk.ID, lastErr)
 	}
 	if len(stored) < len(blk.Replicas) {
-		err := nnc.Call("Confirm", ConfirmArgs{
-			File: name, BlockID: blk.ID, Replicas: stored,
-		}, nil)
-		if err != nil {
-			return err
-		}
+		return c.nn("Confirm", ConfirmArgs{File: name, BlockID: blk.ID, Replicas: stored}, nil)
 	}
 	return nil
 }
 
 // ReadFile fetches name's full contents.
 func (c *Client) ReadFile(name string) ([]byte, error) {
-	nnc, err := c.wire.get(c.nnAddr)
-	if err != nil {
-		return nil, err
-	}
 	var lookup LookupReply
-	if err := nnc.Call("Lookup", LookupArgs{File: name}, &lookup); err != nil {
+	if err := c.nn("Lookup", LookupArgs{File: name}, &lookup); err != nil {
 		return nil, err
 	}
 	var out []byte
@@ -270,36 +267,22 @@ func readBlockFrom(wire *connCache, blk BlockInfo, addrs []string) ([]byte, stri
 
 // ListFiles returns the namespace listing.
 func (c *Client) ListFiles() ([]string, error) {
-	nnc, err := c.wire.get(c.nnAddr)
-	if err != nil {
-		return nil, err
-	}
 	var list ListReply
-	if err := nnc.Call("List", ListArgs{}, &list); err != nil {
-		return nil, err
-	}
-	return list.Files, nil
+	err := c.nn("List", ListArgs{}, &list)
+	return list.Files, err
 }
 
 // DeleteFile removes name from the namespace. Its block replicas are
 // freed as each DataNode next heartbeats the NameNode.
 func (c *Client) DeleteFile(name string) error {
-	nnc, err := c.wire.get(c.nnAddr)
-	if err != nil {
-		return err
-	}
-	return nnc.Call("Delete", DeleteArgs{File: name}, nil)
+	return c.nn("Delete", DeleteArgs{File: name}, nil)
 }
 
 // Submit sends a job and returns its ID. An admission-control
 // rejection satisfies errors.Is(err, ErrQuotaExceeded).
 func (c *Client) Submit(spec JobSpec) (int64, error) {
-	jtc, err := c.wire.get(c.jtAddr)
-	if err != nil {
-		return 0, err
-	}
 	var reply SubmitReply
-	if err := jtc.Call("Submit", SubmitArgs{Spec: spec}, &reply); err != nil {
+	if err := c.jt("Submit", SubmitArgs{Spec: spec}, &reply); err != nil {
 		return 0, quotaErr(err)
 	}
 	return reply.JobID, nil
@@ -325,43 +308,25 @@ func quotaErr(err error) error {
 // Trackers purge the job's shuffle and spill state on their next
 // heartbeats. Killing an already-finished job is not an error.
 func (c *Client) Kill(jobID int64, tenant string) error {
-	jtc, err := c.wire.get(c.jtAddr)
-	if err != nil {
-		return err
-	}
-	return jtc.Call("Kill", KillArgs{JobID: jobID, Tenant: tenant}, nil)
+	return c.jt("Kill", KillArgs{JobID: jobID, Tenant: tenant}, nil)
 }
 
 // ListJobs lists jobs known to the JobTracker in submission order —
 // every tenant's when tenant is empty, one tenant's otherwise.
 func (c *Client) ListJobs(tenant string) ([]JobInfo, error) {
-	jtc, err := c.wire.get(c.jtAddr)
-	if err != nil {
-		return nil, err
-	}
 	var reply ListJobsReply
-	if err := jtc.Call("ListJobs", ListJobsArgs{Tenant: tenant}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Jobs, nil
+	err := c.jt("ListJobs", ListJobsArgs{Tenant: tenant}, &reply)
+	return reply.Jobs, err
 }
 
-// waitCallTimeout caps a single Status round-trip inside Wait, so a
+// waitCallTimeout caps a single Status round-trip inside WaitStatus, so a
 // hung JobTracker surfaces as call timeouts instead of blocking the
 // client past its deadline. A Status reply is small — a structured
 // kernel's reduced Result or a list of output locations, never bulk
 // bytes — so the cap only has to clear maxStatusHold with room; the
-// overall Wait deadline (which always clamps the per-call timeout)
+// overall wait deadline (which always clamps the per-call timeout)
 // stays the real bound against a hang.
 const waitCallTimeout = dataCallTimeout
-
-// Wait is WaitStatus narrowed to a structured kernel's reduced result
-// bytes. A byte-stream kernel's job has none: collect it with
-// WaitOutput.
-func (c *Client) Wait(jobID int64, timeout time.Duration) ([]byte, error) {
-	st, err := c.WaitStatus(jobID, timeout)
-	return st.Result, err
-}
 
 // WaitStatus blocks until the job completes or timeout passes,
 // returning its terminal StatusReply: the reduced result bytes (or the
@@ -494,25 +459,15 @@ func (c *Client) streamOutputPiece(cc *rpcnet.Client, jobID int64, ref MapOutput
 // Release tells the JobTracker a streamed-output job's results have
 // been consumed, so trackers free the stored pieces.
 func (c *Client) Release(jobID int64) error {
-	jtc, err := c.wire.get(c.jtAddr)
-	if err != nil {
-		return err
-	}
-	return jtc.Call("Release", ReleaseArgs{JobID: jobID}, nil)
+	return c.jt("Release", ReleaseArgs{JobID: jobID}, nil)
 }
 
 // ListTrackers reports the JobTracker's live membership view: every
 // registered TaskTracker with its rack and lifecycle state.
 func (c *Client) ListTrackers() ([]TrackerInfo, error) {
-	jtc, err := c.wire.get(c.jtAddr)
-	if err != nil {
-		return nil, err
-	}
 	var reply ListTrackersReply
-	if err := jtc.Call("ListTrackers", ListTrackersArgs{}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Trackers, nil
+	err := c.jt("ListTrackers", ListTrackersArgs{}, &reply)
+	return reply.Trackers, err
 }
 
 // DecommissionTracker asks the JobTracker to drain the named tracker:
@@ -520,58 +475,36 @@ func (c *Client) ListTrackers() ([]TrackerInfo, error) {
 // fetchable until its jobs release it. The tracker process exits its
 // loop once the drain completes.
 func (c *Client) DecommissionTracker(id string) error {
-	jtc, err := c.wire.get(c.jtAddr)
-	if err != nil {
-		return err
-	}
-	return jtc.Call("DecommissionTracker", DecommissionTrackerArgs{TrackerID: id}, nil)
+	return c.jt("DecommissionTracker", DecommissionTrackerArgs{TrackerID: id}, nil)
 }
 
 // ListDataNodes reports the NameNode's live membership view: every
 // registered DataNode with its rack, lifecycle state and block count.
 func (c *Client) ListDataNodes() ([]DataNodeInfo, error) {
-	nnc, err := c.wire.get(c.nnAddr)
-	if err != nil {
-		return nil, err
-	}
 	var reply ListDataNodesReply
-	if err := nnc.Call("ListDataNodes", ListDataNodesArgs{}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Nodes, nil
+	err := c.nn("ListDataNodes", ListDataNodesArgs{}, &reply)
+	return reply.Nodes, err
 }
 
 // DecommissionDataNode asks the NameNode to drain the DataNode at
 // addr: its blocks are re-replicated onto the survivors, then the node
 // is dropped from placement and from every replica set. Returns once
-// the repair pass completes.
+// the repair pass completes — a whole pass of block transfers, so this
+// one call runs under no timeout.
 func (c *Client) DecommissionDataNode(addr string) error {
 	nnc, err := c.wire.get(c.nnAddr)
 	if err != nil {
 		return err
 	}
-	return nnc.Call("DecommissionDN", DecommissionDNArgs{Addr: addr}, nil)
+	return nnc.CallTimeout("DecommissionDN", DecommissionDNArgs{Addr: addr}, nil, 0)
 }
 
 // Status fetches a job's current state, including the scheduler's
 // attempt total and per-tracker completion counts.
 func (c *Client) Status(jobID int64) (StatusReply, error) {
 	var status StatusReply
-	jtc, err := c.wire.get(c.jtAddr)
-	if err != nil {
-		return status, err
-	}
-	err = jtc.Call("Status", StatusArgs{JobID: jobID}, &status)
+	err := c.jt("Status", StatusArgs{JobID: jobID}, &status)
 	return status, err
-}
-
-// SubmitAndWait is Submit followed by Wait.
-func (c *Client) SubmitAndWait(spec JobSpec, timeout time.Duration) ([]byte, error) {
-	id, err := c.Submit(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.Wait(id, timeout)
 }
 
 // Cluster bundles an in-process netmr deployment: one NameNode, one

@@ -3,9 +3,23 @@ package netmr
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"hetmr/internal/rpcnet"
 )
+
+// handle registers fn as srv's handler for method — the one place a
+// request body is decoded, so every daemon's handler is its typed core
+// and in-process callers use the same function the wire does.
+func handle[A, R any](srv *rpcnet.Server, method string, fn func(A) (R, error)) {
+	srv.Handle(method, func(body []byte) (any, error) {
+		var args A
+		if err := rpcnet.Unmarshal(body, &args); err != nil {
+			return nil, err
+		}
+		return fn(args)
+	})
+}
 
 // connCache keeps one pooled rpcnet client per remote address, so the
 // data plane reuses multiplexed connections instead of dialing per
@@ -15,6 +29,11 @@ import (
 // eviction; an unreachable peer just keeps failing its calls.
 type connCache struct {
 	codec string // wire codec name proposed at dial ("" for none)
+	// timeout is the default call timeout of every client the cache
+	// dials: a peer that accepts and then never answers fails the call
+	// instead of wedging its caller (an explicit CallTimeout overrides
+	// it). Set before the first get.
+	timeout time.Duration
 
 	mu     sync.Mutex
 	conns  map[string]*rpcnet.Client
@@ -22,7 +41,7 @@ type connCache struct {
 }
 
 func newConnCache(codec string) *connCache {
-	return &connCache{codec: codec, conns: make(map[string]*rpcnet.Client)}
+	return &connCache{codec: codec, timeout: dataCallTimeout, conns: make(map[string]*rpcnet.Client)}
 }
 
 // get returns the cached client for addr, dialing one on first use.
@@ -41,14 +60,11 @@ func (cc *connCache) get(addr string) (*rpcnet.Client, error) {
 	}
 	cc.mu.Unlock()
 
-	var opts []rpcnet.Option
-	if cc.codec != "" {
-		opts = append(opts, rpcnet.WithCodec(cc.codec))
-	}
-	c, err := rpcnet.Dial(addr, opts...)
+	c, err := rpcnet.Dial(addr, rpcnet.WithCodec(cc.codec))
 	if err != nil {
 		return nil, err
 	}
+	c.SetCallTimeout(cc.timeout)
 
 	cc.mu.Lock()
 	if cc.closed {
@@ -65,6 +81,16 @@ func (cc *connCache) get(addr string) (*rpcnet.Client, error) {
 	cc.conns[addr] = c
 	cc.mu.Unlock()
 	return c, nil
+}
+
+// call runs one RPC against the daemon at addr over its pooled
+// connection, under the cache's default call timeout.
+func (cc *connCache) call(addr, method string, args, reply any) error {
+	c, err := cc.get(addr)
+	if err != nil {
+		return err
+	}
+	return c.Call(method, args, reply)
 }
 
 // close tears down every cached client. Idempotent.

@@ -2,7 +2,9 @@ package netmr
 
 import (
 	"bytes"
+	"cmp"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,7 +90,7 @@ func TestCompletionBeatBringsNextWave(t *testing.T) {
 	client, _ := NewClient(nn.Addr(), jt.Addr(), 1024)
 	defer client.Close()
 	start := time.Now()
-	_, err = client.SubmitAndWait(JobSpec{Name: "waves", Kernel: "pi", Samples: 6000, NumTasks: 6}, 10*time.Second)
+	_, err = submitAndWait(client, JobSpec{Name: "waves", Kernel: "pi", Samples: 6000, NumTasks: 6}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +355,7 @@ func TestJobTrackerForgetsOldJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Client.Wait(id, 10*time.Second); err != nil {
+		if _, err := waitResult(c.Client, id, 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
@@ -371,6 +373,26 @@ func TestJobTrackerForgetsOldJobs(t *testing.T) {
 	if finished == nil || finished.partials != nil || finished.result == nil {
 		t.Errorf("latest finished record = %+v, want its result kept and its task outputs dropped", finished)
 	}
+	// The listing is the retained records in submission order — the
+	// unreleased streamed job first, then the newest finished ones — at a
+	// cost that does not grow with every ID ever issued: a service that
+	// has handed out 2^40 IDs lists as promptly as a fresh one (walking
+	// the ID space under jt.mu would stall this call, and every
+	// heartbeat behind it, for hours).
+	c.JT.mu.Lock()
+	c.JT.nextJob += 1 << 40
+	c.JT.mu.Unlock()
+	list, err := c.Client.ListJobs("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != kept || list[0].ID != streamed || list[len(list)-1].ID != last {
+		t.Errorf("ListJobs: %d rows from %d to %d, want the %d retained, from the streamed job %d to the latest %d",
+			len(list), list[0].ID, list[len(list)-1].ID, kept, streamed, last)
+	}
+	if !slices.IsSortedFunc(list, func(a, b JobInfo) int { return cmp.Compare(a.ID, b.ID) }) {
+		t.Errorf("ListJobs after retirement is not in submission order: %v", list)
+	}
 	if _, err := c.Client.Status(first); err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Errorf("Status of a forgotten job: err = %v, want unknown job", err)
 	}
@@ -386,7 +408,7 @@ func TestJobTrackerForgetsOldJobs(t *testing.T) {
 	if n, _, err := c.Client.WaitOutput(streamed, 10*time.Second, &out); err != nil || n != int64(len(plain)) {
 		t.Fatalf("streamed output after %d later jobs: %d bytes, %v", jobs, n, err)
 	}
-	if _, err := c.Client.SubmitAndWait(JobSpec{Name: "tiny", Kernel: "pi", Samples: 100, NumTasks: 2}, 10*time.Second); err != nil {
+	if _, err := submitAndWait(c.Client, JobSpec{Name: "tiny", Kernel: "pi", Samples: 100, NumTasks: 2}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Client.Status(streamed); err == nil || !strings.Contains(err.Error(), "unknown job") {

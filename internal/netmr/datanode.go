@@ -3,7 +3,6 @@ package netmr
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"hetmr/internal/rpcnet"
@@ -38,9 +37,7 @@ type DataNode struct {
 	spillMem   int64
 	spillCodec spill.Codec
 
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
+	beater *background
 }
 
 // DataNodeOption customizes StartDataNode.
@@ -84,16 +81,18 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 		heartbeat: 100 * time.Millisecond,
 		spillMem:  spill.NoSpill,
 		wire:      newConnCache(""),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
+	// The beat is this cache's control-plane call: a NameNode that goes
+	// mute must cost a missed beat, not wedge the loop (and Close behind
+	// it). Block pushes to peers pass their own, longer timeout.
+	dn.wire.timeout = heartbeatCallTimeout
 	for _, o := range opts {
 		o(dn)
 	}
 	dn.store = spill.NewStore(dn.spillDir, dn.spillMem, dn.spillCodec)
-	srv.Handle("Put", dn.handlePut)
-	srv.Handle("Get", dn.handleGet)
-	srv.Handle("Replicate", dn.handleReplicate)
+	handle(srv, "Put", dn.handlePut)
+	handle(srv, "Get", dn.handleGet)
+	handle(srv, "Replicate", dn.handleReplicate)
 	// First beat synchronously: callers may allocate right after
 	// StartDataNode returns, so the node must already be a member.
 	if err := dn.beat(); err != nil {
@@ -102,19 +101,16 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 		dn.store.Close()
 		return nil, err
 	}
-	go dn.loop()
+	// A missed beat (NameNode briefly unreachable) just retries next tick.
+	dn.beater = every(dn.heartbeat, func(time.Time) { dn.beat() })
 	return dn, nil
 }
 
 // beat sends one Register heartbeat and drops the blocks of deleted
 // files its reply names.
 func (dn *DataNode) beat() error {
-	nnc, err := dn.wire.get(dn.nnAddr)
-	if err != nil {
-		return err
-	}
 	var reply RegisterReply
-	if err := nnc.Call("Register", RegisterArgs{Addr: dn.srv.Addr(), Rack: dn.rack}, &reply); err != nil {
+	if err := dn.wire.call(dn.nnAddr, "Register", RegisterArgs{Addr: dn.srv.Addr(), Rack: dn.rack}, &reply); err != nil {
 		return err
 	}
 	for _, id := range reply.Free {
@@ -123,36 +119,13 @@ func (dn *DataNode) beat() error {
 	return nil
 }
 
-// loop repeats the liveness beat until the node closes. A missed beat
-// (NameNode briefly unreachable) just retries next tick.
-func (dn *DataNode) loop() {
-	defer close(dn.done)
-	ticker := time.NewTicker(dn.heartbeat)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-dn.stop:
-			return
-		case <-ticker.C:
-			dn.beat()
-		}
-	}
-}
-
 // Addr returns the DataNode's RPC address.
 func (dn *DataNode) Addr() string { return dn.srv.Addr() }
 
 // Close stops the heartbeat loop and the server, and releases any
 // spill files. Idempotent.
 func (dn *DataNode) Close() error {
-	dn.mu.Lock()
-	select {
-	case <-dn.stop:
-	default:
-		close(dn.stop)
-	}
-	dn.mu.Unlock()
-	<-dn.done
+	dn.beater.halt()
 	err := dn.srv.Close()
 	dn.wire.close()
 	if serr := dn.store.Close(); err == nil {
@@ -170,25 +143,14 @@ func (dn *DataNode) SpilledBytes() int64 { return dn.store.SpilledBytes() }
 
 func dnBlockKey(id int64) string { return strconv.FormatInt(id, 10) }
 
-func (dn *DataNode) handlePut(body []byte) (any, error) {
-	var args PutArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
-	if err := dn.store.Put(dnBlockKey(args.ID), args.Data); err != nil {
-		return nil, err
-	}
-	return PutReply{}, nil
+func (dn *DataNode) handlePut(args PutArgs) (PutReply, error) {
+	return PutReply{}, dn.store.Put(dnBlockKey(args.ID), args.Data)
 }
 
-func (dn *DataNode) handleGet(body []byte) (any, error) {
-	var args GetArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
+func (dn *DataNode) handleGet(args GetArgs) (GetReply, error) {
 	data, err := dn.store.Get(dnBlockKey(args.ID))
 	if err != nil {
-		return nil, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
+		return GetReply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
 	return GetReply{Data: data}, nil
 }
@@ -196,21 +158,17 @@ func (dn *DataNode) handleGet(body []byte) (any, error) {
 // handleReplicate pushes one locally stored block to a peer DataNode —
 // the NameNode-planned re-replication transfer. The payload flows
 // DataNode→DataNode; the NameNode only ever sees the acknowledgement.
-func (dn *DataNode) handleReplicate(body []byte) (any, error) {
-	var args ReplicateArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
+func (dn *DataNode) handleReplicate(args ReplicateArgs) (ReplicateReply, error) {
 	data, err := dn.store.Get(dnBlockKey(args.ID))
 	if err != nil {
-		return nil, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
+		return ReplicateReply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
 	peer, err := dn.wire.get(args.Target)
 	if err != nil {
-		return nil, fmt.Errorf("netmr: replicate block %d: %w", args.ID, err)
+		return ReplicateReply{}, fmt.Errorf("netmr: replicate block %d: %w", args.ID, err)
 	}
 	if err := peer.CallTimeout("Put", PutArgs{ID: args.ID, Data: data}, nil, dataCallTimeout); err != nil {
-		return nil, fmt.Errorf("netmr: replicate block %d to %s: %w", args.ID, args.Target, err)
+		return ReplicateReply{}, fmt.Errorf("netmr: replicate block %d to %s: %w", args.ID, args.Target, err)
 	}
 	return ReplicateReply{}, nil
 }

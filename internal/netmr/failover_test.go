@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,7 +102,7 @@ func TestMapTasksSurviveDataNodeDeath(t *testing.T) {
 	// Kill one DataNode before the job runs: every map task whose
 	// primary replica died must fail over to the surviving copy.
 	c.DNs[1].Close()
-	result, err := c.Client.SubmitAndWait(JobSpec{
+	result, err := submitAndWait(c.Client, JobSpec{
 		Name: "wc-dn-death", Kernel: "wordcount", Input: "/corpus",
 	}, 15*time.Second)
 	if err != nil {
@@ -127,7 +128,7 @@ func TestPoisonedTaskExhaustsAttemptsFast(t *testing.T) {
 	}
 	defer c.Shutdown()
 	start := time.Now()
-	_, err = c.Client.SubmitAndWait(JobSpec{
+	_, err = submitAndWait(c.Client, JobSpec{
 		Name: "poison", Kernel: "poison", Samples: 1, NumTasks: 1,
 	}, 8*time.Second)
 	elapsed := time.Since(start)
@@ -167,19 +168,20 @@ func TestStopDrainsCompletedResults(t *testing.T) {
 		return tt.running > 0
 	}, "task never started")
 	tt.Stop()
-	if _, err := client.Wait(id, 2*time.Second); err != nil {
+	if _, err := waitResult(client, id, 2*time.Second); err != nil {
 		t.Fatalf("job did not finish from the drained final heartbeat: %v", err)
 	}
 }
 
-func TestWaitHonoursDeadlineAgainstHungJobTracker(t *testing.T) {
-	// A listener that accepts and reads but never replies — the hung
-	// JobTracker the per-call timeout exists for.
+// muteMaster is a listener that accepts and reads but never replies —
+// the hung master the call timeouts exist for.
+func muteMaster(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -192,13 +194,17 @@ func TestWaitHonoursDeadlineAgainstHungJobTracker(t *testing.T) {
 			}(conn)
 		}
 	}()
-	client, err := NewClient("unused", ln.Addr().String(), 1024)
+	return ln.Addr().String()
+}
+
+func TestWaitHonoursDeadlineAgainstHungJobTracker(t *testing.T) {
+	client, err := NewClient("unused", muteMaster(t), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	start := time.Now()
-	_, err = client.Wait(0, 300*time.Millisecond)
+	_, err = waitResult(client, 0, 300*time.Millisecond)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("Wait against a hung JobTracker reported success")
@@ -208,5 +214,86 @@ func TestWaitHonoursDeadlineAgainstHungJobTracker(t *testing.T) {
 	}
 	if elapsed > 3*time.Second {
 		t.Errorf("Wait blocked %v past a 300ms deadline", elapsed)
+	}
+}
+
+// TestControlCallsTimeOutAgainstMuteMaster pins that no control-plane
+// call can wedge its caller: every client a daemon dials carries a
+// default call timeout, so a master that accepts and never answers
+// costs a timeout error, not a hang. (Shortened here; the default is
+// dataCallTimeout.)
+func TestControlCallsTimeOutAgainstMuteMaster(t *testing.T) {
+	mute := muteMaster(t)
+	client, err := NewClient(mute, mute, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.wire.timeout = 100 * time.Millisecond
+	calls := map[string]func() error{
+		"Submit": func() error {
+			_, err := client.Submit(JobSpec{Name: "pi", Kernel: "pi", Samples: 10})
+			return err
+		},
+		"WriteFrom": func() error {
+			_, err := client.WriteFrom("/f", strings.NewReader("data"), "")
+			return err
+		},
+		"ListJobs": func() error { _, err := client.ListJobs(""); return err },
+		"Kill":     func() error { return client.Kill(0, "") },
+	}
+	for name, call := range calls {
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Errorf("%s against a mute master: err = %v, want a timeout", name, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s against a mute master still blocked after 3s", name)
+		}
+	}
+}
+
+// TestDataNodeCloseReturnsWhenNameNodeGoesMute: a NameNode that answers
+// the first Register and then stops answering used to wedge the beat
+// loop inside its call, and Close behind it, forever.
+func TestDataNodeCloseReturnsWhenNameNodeGoesMute(t *testing.T) {
+	srv, err := rpcnet.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	release := make(chan struct{})
+	defer close(release) // unblock the handlers before srv.Close waits for them
+	var beats atomic.Int32
+	parked := make(chan struct{}, 1)
+	srv.Handle("Register", func([]byte) (any, error) {
+		if beats.Add(1) > 1 {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		return RegisterReply{}, nil
+	})
+	dn, err := StartDataNode("127.0.0.1:0", srv.Addr(), WithDataNodeHeartbeat(5*time.Millisecond),
+		func(dn *DataNode) { dn.wire.timeout = 100 * time.Millisecond })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked // the first beat was answered; the loop's next one now hangs
+	closed := make(chan struct{})
+	go func() {
+		dn.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("DataNode.Close still blocked 3s after its NameNode went mute")
 	}
 }

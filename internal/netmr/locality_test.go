@@ -15,7 +15,7 @@ func TestLocalityPreferredAssignment(t *testing.T) {
 	if err := c.Client.WriteFile("/spread", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.SubmitAndWait(JobSpec{
+	if _, err := submitAndWait(c.Client, JobSpec{
 		Name: "wc", Kernel: "wordcount", Input: "/spread",
 	}, 10*time.Second); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestLocalityStatsZeroWithoutLocalDN(t *testing.T) {
 	if err := client.WriteFile("/f", make([]byte, 2048), ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.SubmitAndWait(JobSpec{
+	if _, err := submitAndWait(client, JobSpec{
 		Name: "wc", Kernel: "wordcount", Input: "/f",
 	}, 10*time.Second); err != nil {
 		t.Fatal(err)

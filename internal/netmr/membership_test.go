@@ -74,7 +74,7 @@ func TestAddWorkerJoinsAtRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.Wait(id, 15*time.Second); err != nil {
+	if _, err := waitResult(c.Client, id, 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Client.Status(id)
@@ -255,7 +255,7 @@ func TestDeadTrackerRejoinsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.Wait(id, 15*time.Second); err != nil {
+	if _, err := waitResult(c.Client, id, 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Client.Status(id)

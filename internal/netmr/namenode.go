@@ -15,42 +15,14 @@ import (
 // without burning the small clusters the tests boot.
 const DefaultReplication = 2
 
-// Node lifecycle states, shared by the NameNode's DataNode view and
-// the JobTracker's tracker view.
-const (
-	// NodeAlive is a member heartbeating normally.
-	NodeAlive = "alive"
-	// NodeDraining is a member being decommissioned: it keeps serving
-	// but receives no new placements or tasks.
-	NodeDraining = "draining"
-	// NodeDead is a member that missed its liveness deadline; it
-	// rejoins as alive on its next heartbeat.
-	NodeDead = "dead"
-)
-
-// dnState is one DataNode's row in the NameNode's membership view.
+// dnState is the NameNode's own column of a DataNode's membership row.
 type dnState struct {
-	addr     string
-	rack     string
-	load     int // block replicas placed here
-	lastSeen time.Time
-	draining bool
-	dead     bool
+	load int // block replicas placed here
 }
 
-func (d *dnState) state() string {
-	switch {
-	case d.dead:
-		return NodeDead
-	case d.draining:
-		return NodeDraining
-	default:
-		return NodeAlive
-	}
-}
-
-// placeable reports whether new replicas may land on the node.
-func (d *dnState) placeable() bool { return !d.dead && !d.draining }
+// dnRow is one DataNode's row in the NameNode's roster, keyed by its
+// RPC address.
+type dnRow = member[dnState]
 
 // NameNode is the TCP metadata master: namespace, block placement, and
 // the authoritative DataNode membership view. DataNodes join over
@@ -77,19 +49,13 @@ type NameNode struct {
 	mu        sync.Mutex
 	nextBlock int64
 	files     map[string][]BlockInfo
-	nodes     map[string]*dnState
-	order     []string // registration order, for deterministic placement
+	nodes     *roster[dnState]
 	// freed queues, per DataNode, the block replicas of deleted files
 	// it still stores; the node's next Register reply carries them.
-	freed map[string][]int64
-	// retired holds decommissioned addresses: their Register beats are
-	// refused, or a retired node still running would rejoin on its next
-	// beat, empty, moments after its blocks were moved off it.
-	retired   map[string]bool
+	freed     map[string][]int64
 	repairing bool // one repair pass at a time
 
-	stop chan struct{}
-	done chan struct{}
+	sweeper *background
 }
 
 // StartNameNode launches the NameNode on addr ("127.0.0.1:0" for an
@@ -100,23 +66,24 @@ func StartNameNode(addr string) (*NameNode, error) {
 		return nil, err
 	}
 	nn := &NameNode{
-		srv:     srv,
-		files:   make(map[string][]BlockInfo),
-		nodes:   make(map[string]*dnState),
-		freed:   make(map[string][]int64),
-		retired: make(map[string]bool),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		srv:   srv,
+		files: make(map[string][]BlockInfo),
+		nodes: newRoster[dnState](),
+		freed: make(map[string][]int64),
 	}
-	srv.Handle("Register", nn.handleRegister)
-	srv.Handle("Allocate", nn.handleAllocate)
-	srv.Handle("Confirm", nn.handleConfirm)
-	srv.Handle("Lookup", nn.handleLookup)
-	srv.Handle("List", nn.handleList)
-	srv.Handle("Delete", nn.handleDelete)
-	srv.Handle("DecommissionDN", nn.handleDecommissionDN)
-	srv.Handle("ListDataNodes", nn.handleListDataNodes)
-	go nn.sweep()
+	nn.sweeper = every(sweepInterval, nn.sweep)
+	handle(srv, "Register", func(args RegisterArgs) (RegisterReply, error) {
+		return nn.register(args, time.Now())
+	})
+	handle(srv, "Allocate", nn.handleAllocate)
+	handle(srv, "Confirm", nn.handleConfirm)
+	handle(srv, "Lookup", nn.handleLookup)
+	handle(srv, "List", nn.handleList)
+	handle(srv, "Delete", nn.handleDelete)
+	handle(srv, "DecommissionDN", func(args DecommissionDNArgs) (DecommissionDNReply, error) {
+		return DecommissionDNReply{}, nn.DecommissionDataNode(args.Addr)
+	})
+	handle(srv, "ListDataNodes", nn.handleListDataNodes)
 	return nn, nil
 }
 
@@ -125,14 +92,7 @@ func (nn *NameNode) Addr() string { return nn.srv.Addr() }
 
 // Close stops the liveness sweep and the server.
 func (nn *NameNode) Close() error {
-	nn.mu.Lock()
-	select {
-	case <-nn.stop:
-	default:
-		close(nn.stop)
-	}
-	nn.mu.Unlock()
-	<-nn.done
+	nn.sweeper.halt()
 	return nn.srv.Close()
 }
 
@@ -144,65 +104,43 @@ func (nn *NameNode) want() int {
 	return DefaultReplication
 }
 
-// sweepInterval paces the liveness sweep; fine-grained enough for the
-// millisecond heartbeats tests run, cheap enough to always tick.
-const sweepInterval = 20 * time.Millisecond
-
-// sweep is the liveness loop: every tick it declares DataNodes that
-// missed DeadAfter dead, prunes their replicas, and re-replicates any
-// block left under target. All RPC work happens outside nn.mu.
-func (nn *NameNode) sweep() {
-	defer close(nn.done)
-	ticker := time.NewTicker(sweepInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-nn.stop:
-			return
-		case <-ticker.C:
-		}
-		nn.mu.Lock()
-		changed := false
-		if nn.DeadAfter > 0 {
-			now := time.Now()
-			for _, d := range nn.nodes {
-				if !d.dead && now.Sub(d.lastSeen) > nn.DeadAfter {
-					d.dead = true
-					changed = true
-				}
-			}
-		}
-		if changed {
-			nn.pruneUnservedLocked()
-		}
-		nn.mu.Unlock()
-		if changed {
-			nn.Repair()
-		}
+// sweep is the liveness tick: it declares DataNodes that missed
+// DeadAfter dead, prunes their replicas, and re-replicates any block
+// left under target. All RPC work happens outside nn.mu.
+func (nn *NameNode) sweep(now time.Time) {
+	nn.mu.Lock()
+	changed := len(nn.nodes.expire(now, nn.DeadAfter)) > 0
+	if changed {
+		// A dead replica is never the only one pruned away: a block
+		// whose every home is dead keeps its list so a rejoin can
+		// resurrect it.
+		nn.pruneLocked(func(d *dnRow) bool { return d.dead })
+	}
+	nn.mu.Unlock()
+	if changed {
+		nn.Repair()
 	}
 }
 
-// pruneUnservedLocked drops dead nodes from every replica list (a dead
-// replica is never the only one pruned away: a block whose every home
-// is dead keeps its list so a rejoin can resurrect it). Callers hold
-// nn.mu.
-func (nn *NameNode) pruneUnservedLocked() {
+// pruneLocked drops the nodes matching gone from every replica list.
+// Callers hold nn.mu.
+func (nn *NameNode) pruneLocked(gone func(*dnRow) bool) {
 	for _, blocks := range nn.files {
 		for i := range blocks {
-			nn.pruneBlockLocked(&blocks[i], func(d *dnState) bool { return d.dead })
+			nn.pruneBlockLocked(&blocks[i], gone)
 		}
 	}
 }
 
 // pruneBlockLocked removes replicas matching gone from blk, keeping at
 // least one replica, and keeps Racks parallel. Callers hold nn.mu.
-func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnState) bool) {
+func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnRow) bool) {
 	addrs := blk.Replicas
 	keptA := make([]string, 0, len(addrs))
 	keptR := make([]string, 0, len(addrs))
-	var dropped []*dnState
+	var dropped []*dnRow
 	for i, addr := range addrs {
-		d := nn.nodes[addr]
+		d := nn.nodes.members[addr]
 		if d != nil && gone(d) {
 			dropped = append(dropped, d)
 			continue
@@ -214,7 +152,7 @@ func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnState) bool) {
 		return // every home is gone: keep the list for a rejoin
 	}
 	for _, d := range dropped {
-		d.load--
+		d.info.load--
 	}
 	blk.Replicas, blk.Racks = keptA, keptR
 }
@@ -222,7 +160,7 @@ func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnState) bool) {
 // rackOfLocked resolves addr's current rack, falling back to the
 // recorded one for nodes no longer known. Callers hold nn.mu.
 func (nn *NameNode) rackOfLocked(addr, recorded string) string {
-	if d := nn.nodes[addr]; d != nil {
+	if d := nn.nodes.members[addr]; d != nil {
 		return d.rack
 	}
 	if recorded != "" {
@@ -231,32 +169,21 @@ func (nn *NameNode) rackOfLocked(addr, recorded string) string {
 	return DefaultRack
 }
 
-func (nn *NameNode) handleRegister(body []byte) (any, error) {
-	var args RegisterArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
+// register is a DataNode's heartbeat: a dead node re-registering
+// rejoins cleanly with its stored blocks counted again once
+// re-confirmed, and the reply carries the replicas of deleted files the
+// node may drop.
+func (nn *NameNode) register(args RegisterArgs, now time.Time) (RegisterReply, error) {
 	rack := args.Rack
 	if rack == "" {
 		rack = DefaultRack
 	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	if nn.retired[args.Addr] {
-		return nil, fmt.Errorf("netmr: datanode %s was decommissioned", args.Addr)
-	}
-	d := nn.nodes[args.Addr]
+	d := nn.nodes.beat(args.Addr, rack, now)
 	if d == nil {
-		d = &dnState{addr: args.Addr, rack: rack}
-		nn.nodes[args.Addr] = d
-		nn.order = append(nn.order, args.Addr)
+		return RegisterReply{}, fmt.Errorf("netmr: datanode %s was decommissioned", args.Addr)
 	}
-	// Heartbeat refresh: a dead node re-registering rejoins cleanly
-	// with its stored blocks counted again once re-confirmed; rack
-	// moves (a re-racked rejoin) are honoured.
-	d.rack = rack
-	d.lastSeen = time.Now()
-	d.dead = false
 	free := nn.freed[args.Addr]
 	delete(nn.freed, args.Addr)
 	return RegisterReply{Draining: d.draining, Free: free}, nil
@@ -264,54 +191,45 @@ func (nn *NameNode) handleRegister(body []byte) (any, error) {
 
 // placeableNodes lists nodes new replicas may land on, in registration
 // order. Callers hold nn.mu.
-func (nn *NameNode) placeableNodes() []*dnState {
-	out := make([]*dnState, 0, len(nn.order))
-	for _, addr := range nn.order {
-		if d := nn.nodes[addr]; d != nil && d.placeable() {
-			out = append(out, d)
-		}
-	}
-	return out
+func (nn *NameNode) placeableNodes() []*dnRow {
+	all := nn.nodes.list()
+	return slices.DeleteFunc(all, func(d *dnRow) bool { return !d.placeable() })
 }
 
 // pickTarget chooses the next replica home among candidates not in
 // have: first the least-loaded node on a rack the replica set misses
 // (the HDFS rack-spread rule), then the least-loaded anywhere. Returns
 // nil when every candidate already holds a copy. Callers hold nn.mu.
-func pickTarget(candidates []*dnState, have []string, haveRacks map[string]bool) *dnState {
-	var best *dnState
+func pickTarget(candidates []*dnRow, have []string, haveRacks map[string]bool) *dnRow {
+	var best *dnRow
 	bestOffRack := false
 	for _, d := range candidates {
-		if slices.Contains(have, d.addr) {
+		if slices.Contains(have, d.id) {
 			continue
 		}
 		offRack := !haveRacks[d.rack]
 		switch {
 		case best == nil,
 			offRack && !bestOffRack,
-			offRack == bestOffRack && d.load < best.load:
+			offRack == bestOffRack && d.info.load < best.info.load:
 			best, bestOffRack = d, offRack
 		}
 	}
 	return best
 }
 
-func (nn *NameNode) handleAllocate(body []byte) (any, error) {
-	var args AllocateArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
+func (nn *NameNode) handleAllocate(args AllocateArgs) (AllocateReply, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	candidates := nn.placeableNodes()
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("netmr: no datanodes registered")
+		return AllocateReply{}, fmt.Errorf("netmr: no datanodes registered")
 	}
 	// Primary placement: writer locality first, then least-loaded.
-	var primary *dnState
+	var primary *dnRow
 	if args.Preferred != "" {
 		for _, d := range candidates {
-			if d.addr == args.Preferred {
+			if d.id == args.Preferred {
 				primary = d
 				break
 			}
@@ -323,26 +241,22 @@ func (nn *NameNode) handleAllocate(body []byte) (any, error) {
 	// Secondary replicas spread across racks: each pick prefers a rack
 	// the replica set does not cover yet, so a dead node — or a dead
 	// rack — never takes the only copy of a block with it.
-	replicas := []string{primary.addr}
+	replicas := []string{primary.id}
 	racks := []string{primary.rack}
 	haveRacks := map[string]bool{primary.rack: true}
-	want := nn.want()
-	if want > len(candidates) {
-		want = len(candidates)
-	}
-	for len(replicas) < want {
+	for want := min(nn.want(), len(candidates)); len(replicas) < want; {
 		d := pickTarget(candidates, replicas, haveRacks)
 		if d == nil {
 			break
 		}
-		replicas = append(replicas, d.addr)
+		replicas = append(replicas, d.id)
 		racks = append(racks, d.rack)
 		haveRacks[d.rack] = true
 	}
 	blk := BlockInfo{ID: nn.nextBlock, Size: args.Size, Replicas: replicas, Racks: racks}
 	nn.nextBlock++
 	for _, addr := range replicas {
-		nn.nodes[addr].load++
+		nn.nodes.members[addr].info.load++
 	}
 	nn.files[args.File] = append(nn.files[args.File], blk)
 	return AllocateReply{Block: blk}, nil
@@ -353,13 +267,9 @@ func (nn *NameNode) handleAllocate(body []byte) (any, error) {
 // write time are pruned, so readers never chase a replica that was
 // never written. The liveness sweep's repair pass restores the lost
 // copies later.
-func (nn *NameNode) handleConfirm(body []byte) (any, error) {
-	var args ConfirmArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
+func (nn *NameNode) handleConfirm(args ConfirmArgs) (ConfirmReply, error) {
 	if len(args.Replicas) == 0 {
-		return nil, fmt.Errorf("netmr: confirm of block %d with no replicas", args.BlockID)
+		return ConfirmReply{}, fmt.Errorf("netmr: confirm of block %d with no replicas", args.BlockID)
 	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -370,8 +280,8 @@ func (nn *NameNode) handleConfirm(body []byte) (any, error) {
 		}
 		for _, addr := range blocks[i].Replicas {
 			if !slices.Contains(args.Replicas, addr) {
-				if d := nn.nodes[addr]; d != nil {
-					d.load--
+				if d := nn.nodes.members[addr]; d != nil {
+					d.info.load--
 				}
 			}
 		}
@@ -382,7 +292,7 @@ func (nn *NameNode) handleConfirm(body []byte) (any, error) {
 		}
 		return ConfirmReply{}, nil
 	}
-	return nil, fmt.Errorf("netmr: confirm of unknown block %d in %q", args.BlockID, args.File)
+	return ConfirmReply{}, fmt.Errorf("netmr: confirm of unknown block %d in %q", args.BlockID, args.File)
 }
 
 // repairOp is one planned re-replication: src pushes block id of file
@@ -445,7 +355,7 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 			haveRacks := make(map[string]bool)
 			healthy := 0
 			for i, addr := range blk.Replicas {
-				d := nn.nodes[addr]
+				d := nn.nodes.members[addr]
 				if d == nil || d.dead {
 					continue
 				}
@@ -460,17 +370,13 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 			if served == "" {
 				continue // no live source: nothing to copy from
 			}
-			want := nn.want()
-			if want > len(candidates) {
-				want = len(candidates)
-			}
-			for healthy < want {
+			for want := min(nn.want(), len(candidates)); healthy < want; {
 				d := pickTarget(candidates, have, haveRacks)
 				if d == nil {
 					break
 				}
-				ops = append(ops, repairOp{file: f, id: blk.ID, src: served, dst: d.addr})
-				have = append(have, d.addr)
+				ops = append(ops, repairOp{file: f, id: blk.ID, src: served, dst: d.id})
+				have = append(have, d.id)
 				haveRacks[d.rack] = true
 				healthy++
 			}
@@ -506,8 +412,8 @@ func (nn *NameNode) replicate(op repairOp) bool {
 		}
 		blocks[i].Replicas = append(blocks[i].Replicas, op.dst)
 		blocks[i].Racks = append(blocks[i].Racks, nn.rackOfLocked(op.dst, ""))
-		if d := nn.nodes[op.dst]; d != nil {
-			d.load++
+		if d := nn.nodes.members[op.dst]; d != nil {
+			d.info.load++
 		}
 		return true
 	}
@@ -515,35 +421,19 @@ func (nn *NameNode) replicate(op repairOp) bool {
 	return false
 }
 
-// handleDecommissionDN gracefully retires a DataNode: it is marked
+// DecommissionDataNode gracefully retires a DataNode: it is marked
 // draining (no new placements), every block it serves is re-replicated
 // until the survivors alone meet the replication target, and only then
 // is it dropped from the replica lists and the membership view. The
 // node keeps serving reads throughout, so the cluster never dips below
-// its pre-decommission redundancy.
-func (nn *NameNode) handleDecommissionDN(body []byte) (any, error) {
-	var args DecommissionDNArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
-	if err := nn.DecommissionDataNode(args.Addr); err != nil {
-		return nil, err
-	}
-	return DecommissionDNReply{}, nil
-}
-
-// DecommissionDataNode is the in-process form of the DecommissionDN
-// RPC. It blocks until the node's blocks are re-replicated and the
-// node is removed from the membership view.
+// its pre-decommission redundancy. It blocks until the node is gone.
 func (nn *NameNode) DecommissionDataNode(addr string) error {
 	nn.mu.Lock()
-	d := nn.nodes[addr]
+	d := nn.nodes.drain(addr)
+	nn.mu.Unlock()
 	if d == nil {
-		nn.mu.Unlock()
 		return fmt.Errorf("netmr: unknown datanode %q", addr)
 	}
-	d.draining = true
-	nn.mu.Unlock()
 
 	// Restore the replication target without the draining node: its
 	// copies no longer count as healthy, so every block it holds gains
@@ -552,52 +442,36 @@ func (nn *NameNode) DecommissionDataNode(addr string) error {
 
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	for _, blocks := range nn.files {
-		for i := range blocks {
-			nn.pruneBlockLocked(&blocks[i], func(n *dnState) bool { return n.addr == addr })
-		}
-	}
-	delete(nn.nodes, addr)
+	nn.pruneLocked(func(n *dnRow) bool { return n == d })
+	nn.nodes.retire(addr)
 	delete(nn.freed, addr)
-	nn.retired[addr] = true
-	nn.order = slices.DeleteFunc(nn.order, func(a string) bool { return a == addr })
 	return nil
 }
 
-// handleListDataNodes reports the membership view.
-func (nn *NameNode) handleListDataNodes(body []byte) (any, error) {
+// handleListDataNodes reports the membership view, in registration order.
+func (nn *NameNode) handleListDataNodes(ListDataNodesArgs) (ListDataNodesReply, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	var reply ListDataNodesReply
-	for _, addr := range nn.order {
-		d := nn.nodes[addr]
-		if d == nil {
-			continue
-		}
+	for _, d := range nn.nodes.list() {
 		reply.Nodes = append(reply.Nodes, DataNodeInfo{
-			Addr: d.addr, Rack: d.rack, State: d.state(), Blocks: d.load,
+			Addr: d.id, Rack: d.rack, State: d.state(), Blocks: d.info.load,
 		})
 	}
 	return reply, nil
 }
 
-func (nn *NameNode) handleLookup(body []byte) (any, error) {
-	var args LookupArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
+func (nn *NameNode) handleLookup(args LookupArgs) (LookupReply, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	blocks, ok := nn.files[args.File]
 	if !ok {
-		return nil, fmt.Errorf("netmr: file %q not found", args.File)
+		return LookupReply{}, fmt.Errorf("netmr: file %q not found", args.File)
 	}
-	out := make([]BlockInfo, len(blocks))
-	copy(out, blocks)
-	return LookupReply{Blocks: out}, nil
+	return LookupReply{Blocks: slices.Clone(blocks)}, nil
 }
 
-func (nn *NameNode) handleList(body []byte) (any, error) {
+func (nn *NameNode) handleList(ListArgs) (ListReply, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	var names []string
@@ -608,20 +482,16 @@ func (nn *NameNode) handleList(body []byte) (any, error) {
 	return ListReply{Files: names}, nil
 }
 
-func (nn *NameNode) handleDelete(body []byte) (any, error) {
-	var args DeleteArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
+func (nn *NameNode) handleDelete(args DeleteArgs) (DeleteReply, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	if _, ok := nn.files[args.File]; !ok {
-		return nil, fmt.Errorf("netmr: file %q not found", args.File)
+		return DeleteReply{}, fmt.Errorf("netmr: file %q not found", args.File)
 	}
 	for _, blk := range nn.files[args.File] {
 		for _, addr := range blk.Replicas {
-			if d := nn.nodes[addr]; d != nil {
-				d.load--
+			if d := nn.nodes.members[addr]; d != nil {
+				d.info.load--
 				nn.freed[addr] = append(nn.freed[addr], blk.ID)
 			}
 		}

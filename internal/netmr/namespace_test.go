@@ -63,7 +63,7 @@ func TestDFSDeleteAndList(t *testing.T) {
 func TestComputeJobDefaultTaskCount(t *testing.T) {
 	c := startTestCluster(t, 1, 512)
 	// NumTasks omitted: defaults to one task.
-	result, err := c.Client.SubmitAndWait(JobSpec{
+	result, err := submitAndWait(c.Client, JobSpec{
 		Name: "one", Kernel: "pi", Samples: 1000,
 	}, 10*time.Second)
 	if err != nil {

@@ -99,7 +99,7 @@ func TestWordCountJobOverTCP(t *testing.T) {
 	if err := c.Client.WriteFile("/corpus", []byte(text), ""); err != nil {
 		t.Fatal(err)
 	}
-	result, err := c.Client.SubmitAndWait(JobSpec{
+	result, err := submitAndWait(c.Client, JobSpec{
 		Name: "wc", Kernel: "wordcount", Input: "/corpus",
 	}, 10*time.Second)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestAESJobOverTCP(t *testing.T) {
 
 func TestPiJobOverTCP(t *testing.T) {
 	c := startTestCluster(t, 2, 1024)
-	result, err := c.Client.SubmitAndWait(JobSpec{
+	result, err := submitAndWait(c.Client, JobSpec{
 		Name: "pi", Kernel: "pi", Samples: 400000, NumTasks: 8,
 	}, 10*time.Second)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestTrackerFailureReassignsOverTCP(t *testing.T) {
 	c.JT.TaskLease = 300 * time.Millisecond
 	// Kill one tracker immediately: its assigned tasks must migrate.
 	c.TTs[0].Kill()
-	result, err := c.Client.SubmitAndWait(JobSpec{
+	result, err := submitAndWait(c.Client, JobSpec{
 		Name: "pi-failover", Kernel: "pi", Samples: 100000, NumTasks: 6,
 	}, 15*time.Second)
 	if err != nil {
@@ -222,10 +222,10 @@ func TestWaitTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Wait(id, 200*time.Millisecond); err == nil {
+	if _, err := waitResult(client, id, 200*time.Millisecond); err == nil {
 		t.Error("Wait should time out with no trackers")
 	}
-	if _, err := client.Wait(999, 50*time.Millisecond); err == nil {
+	if _, err := waitResult(client, 999, 50*time.Millisecond); err == nil {
 		t.Error("Wait on unknown job should fail")
 	}
 }

@@ -27,7 +27,7 @@ func TestSpeculativeStragglerOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result, err := c.Client.Wait(id, 30*time.Second)
+	result, err := waitResult(c.Client, id, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSpeculativeStragglerOverTCP(t *testing.T) {
 
 	// Same job on a healthy cluster without speculation: bit-identical.
 	plain := startTestCluster(t, 3, 1024)
-	raw, err := plain.Client.SubmitAndWait(JobSpec{
+	raw, err := submitAndWait(plain.Client, JobSpec{
 		Name: "pi-plain", Kernel: "pi", Samples: 90_000, NumTasks: 9,
 	}, 30*time.Second)
 	if err != nil {

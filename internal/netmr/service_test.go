@@ -102,14 +102,14 @@ func TestServiceFairShareAcrossTenants(t *testing.T) {
 	// spec submitted sequentially on the same (now idle) service.
 	results := map[string][]byte{}
 	for name, id := range ids {
-		raw, err := client.Wait(id, 30*time.Second)
+		raw, err := waitResult(client, id, 30*time.Second)
 		if err != nil {
 			t.Fatalf("wait %s: %v", name, err)
 		}
 		results[name] = raw
 	}
 	for name, spec := range specs {
-		seq, err := client.SubmitAndWait(spec, 30*time.Second)
+		seq, err := submitAndWait(client, spec, 30*time.Second)
 		if err != nil {
 			t.Fatalf("sequential %s: %v", name, err)
 		}
@@ -135,13 +135,13 @@ func TestServiceQuotaMaxJobs(t *testing.T) {
 		t.Fatalf("second submit at MaxJobs=1: error %v, want ErrQuotaExceeded", err)
 	}
 	// Other tenants are not throttled by carol's quota.
-	if _, err := client.SubmitAndWait(piSpec("dave", "dave-0", 2, 1000), 30*time.Second); err != nil {
+	if _, err := submitAndWait(client, piSpec("dave", "dave-0", 2, 1000), 30*time.Second); err != nil {
 		t.Fatalf("unthrottled tenant rejected: %v", err)
 	}
-	if _, err := client.Wait(id, 30*time.Second); err != nil {
+	if _, err := waitResult(client, id, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.SubmitAndWait(piSpec("carol", "carol-2", 2, 1000), 30*time.Second); err != nil {
+	if _, err := submitAndWait(client, piSpec("carol", "carol-2", 2, 1000), 30*time.Second); err != nil {
 		t.Fatalf("submit after job finished: %v", err)
 	}
 }
@@ -170,10 +170,10 @@ func TestServiceQuotaMaxQueued(t *testing.T) {
 	}
 	// The queued job promotes once the running one finishes, and both
 	// complete.
-	if _, err := frank.Wait(running, 30*time.Second); err != nil {
+	if _, err := waitResult(frank, running, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := frank.Wait(queued, 30*time.Second); err != nil {
+	if _, err := waitResult(frank, queued, 30*time.Second); err != nil {
 		t.Fatalf("queued job never promoted: %v", err)
 	}
 }
@@ -203,7 +203,7 @@ func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := erin.Wait(id, 30*time.Second); err != nil {
+	if _, err := waitResult(erin, id, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// The ciphertext pieces stay on the trackers until released;
@@ -231,7 +231,7 @@ func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitHeld(false)
-	if _, err := erin.SubmitAndWait(piSpec("erin", "erin-2", 2, 1000), 30*time.Second); err != nil {
+	if _, err := submitAndWait(erin, piSpec("erin", "erin-2", 2, 1000), 30*time.Second); err != nil {
 		t.Fatalf("submit after release: %v", err)
 	}
 }
@@ -282,11 +282,11 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	if err := client.Kill(victimID, "frank"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Wait(victimID, 30*time.Second); err == nil {
+	if _, err := waitResult(client, victimID, 30*time.Second); err == nil {
 		t.Error("killed job's Wait returned success, want killed error")
 	}
 	// The survivor completes bit-identically to the serial reference.
-	raw, err := client.Wait(survivorID, 60*time.Second)
+	raw, err := waitResult(client, survivorID, 60*time.Second)
 	if err != nil {
 		t.Fatalf("survivor after neighbour kill: %v", err)
 	}

@@ -41,7 +41,7 @@ func runWordCount(t *testing.T, reducers int, corpus []byte, blockSize int64) (m
 	if err := c.Client.WriteFile("/corpus", corpus, ""); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := c.Client.SubmitAndWait(JobSpec{
+	raw, err := submitAndWait(c.Client, JobSpec{
 		Name: "wc", Kernel: "wordcount", Input: "/corpus", NumReducers: reducers,
 	}, 30*time.Second)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestShuffleRerunAfterTrackerDeath(t *testing.T) {
 		t.Fatal("no tracker credited with map completions")
 	}
 	victim.Kill()
-	raw, err := c.Client.Wait(id, 30*time.Second)
+	raw, err := waitResult(c.Client, id, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestShuffleStoreGCAfterJobDone(t *testing.T) {
 	if err := c.Client.WriteFile("/corpus", corpus, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.SubmitAndWait(JobSpec{
+	if _, err := submitAndWait(c.Client, JobSpec{
 		Name: "wc-gc", Kernel: "wordcount", Input: "/corpus", NumReducers: 2,
 	}, 30*time.Second); err != nil {
 		t.Fatal(err)

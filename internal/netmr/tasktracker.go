@@ -109,9 +109,12 @@ type TaskTracker struct {
 	remoteFetch int64
 	accelTasks  int64
 
-	stop    chan struct{} // graceful: drain unreported results first
-	dead    chan struct{} // simulated node death: abandon everything
-	done    chan struct{}
+	// beater is the heartbeat loop; halting it is the graceful stop
+	// (unreported results drain first). dead, closed first, makes the
+	// same halt a simulated node death: abandon everything.
+	beater  *background
+	dead    chan struct{}
+	die     sync.Once
 	drained chan struct{} // closed once a decommission drain completes
 }
 
@@ -239,9 +242,7 @@ func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat tim
 		spillMem:      -1,
 		fetchWindow:   defaultFetchWindow,
 		wake:          make(chan struct{}, 1),
-		stop:          make(chan struct{}),
 		dead:          make(chan struct{}),
-		done:          make(chan struct{}),
 		drained:       make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -256,8 +257,8 @@ func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat tim
 	}
 	tt.wire = newConnCache(tt.wireCodec)
 	tt.store = newShuffleStore(tt.spillDir, tt.spillMem, tt.spillCodec)
-	srv.Handle("FetchPartition", tt.handleFetchPartition)
-	go tt.loop()
+	handle(srv, "FetchPartition", tt.handleFetchPartition)
+	tt.beater = goBackground(tt.loop)
 	return tt, nil
 }
 
@@ -269,7 +270,10 @@ func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat tim
 // partitions recover through the fetch-failure re-run path, exactly
 // as after a death.
 func (tt *TaskTracker) Stop() {
-	tt.halt(tt.stop)
+	tt.beater.halt()
+	tt.srv.Close()
+	tt.store.close()
+	tt.wire.close()
 }
 
 // Kill simulates node death: the heartbeat loop and shuffle server
@@ -277,24 +281,8 @@ func (tt *TaskTracker) Stop() {
 // JobTracker's lease (or a reducer's fetch failure) re-issues the lost
 // work elsewhere.
 func (tt *TaskTracker) Kill() {
-	tt.halt(tt.dead)
-}
-
-// halt closes ch once, waits for the loop to exit, and tears down the
-// shuffle server. Stop and Kill may race or repeat; all orders are
-// safe.
-func (tt *TaskTracker) halt(ch chan struct{}) {
-	tt.mu.Lock()
-	select {
-	case <-ch:
-	default:
-		close(ch)
-	}
-	tt.mu.Unlock()
-	<-tt.done
-	tt.srv.Close()
-	tt.store.close()
-	tt.wire.close()
+	tt.die.Do(func() { close(tt.dead) })
+	tt.Stop()
 }
 
 // SpilledBytes reports the cumulative bytes the tracker's shuffle
@@ -324,14 +312,10 @@ func (tt *TaskTracker) FetchWindowLimit() int64 { return tt.fetchWin.Limit() }
 // flow-control guarantee tests assert.
 func (tt *TaskTracker) FetchWindowPeak() int64 { return tt.fetchWin.Peak() }
 
-func (tt *TaskTracker) handleFetchPartition(body []byte) (any, error) {
-	var args FetchPartitionArgs
-	if err := rpcnet.Unmarshal(body, &args); err != nil {
-		return nil, err
-	}
+func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs) (FetchPartitionReply, error) {
 	data, size, ok := tt.store.getRange(args.JobID, partKey{args.MapTask, args.Part}, args.Offset, args.MaxBytes)
 	if !ok {
-		return nil, fmt.Errorf("netmr: tracker %s holds no partition %d of job %d map %d",
+		return FetchPartitionReply{}, fmt.Errorf("netmr: tracker %s holds no partition %d of job %d map %d",
 			tt.ID, args.Part, args.JobID, args.MapTask)
 	}
 	return FetchPartitionReply{Data: data, Size: size}, nil
@@ -342,47 +326,34 @@ func (tt *TaskTracker) handleFetchPartition(body []byte) (any, error) {
 // loop (and with it Stop/Kill) forever.
 const heartbeatCallTimeout = 5 * time.Second
 
-// dialJobTracker opens a heartbeat connection with the call timeout
-// applied, or nil when the JobTracker is unreachable right now. The
-// tracker's wire codec rides along: heartbeats carry the structured
-// kernels' partials, which compress like any payload.
-func (tt *TaskTracker) dialJobTracker() *rpcnet.Client {
-	var opts []rpcnet.Option
-	if tt.wireCodec != "" {
-		opts = append(opts, rpcnet.WithCodec(tt.wireCodec))
+// beat sends one Heartbeat — args plus who is beating — over the
+// tracker's pooled JobTracker connection (the wire codec rides along:
+// heartbeats carry the structured kernels' partials, which compress
+// like any payload). An unreachable JobTracker fails the dial, a hung
+// one the call; either way the pooled client redials on the next beat.
+func (tt *TaskTracker) beat(args HeartbeatArgs) (HeartbeatReply, error) {
+	args.TrackerID, args.LocalDataNode, args.Rack = tt.ID, tt.LocalDataNode, tt.rack
+	args.ShuffleAddr, args.Device = tt.srv.Addr(), tt.DeviceKind()
+	var reply HeartbeatReply
+	jtc, err := tt.wire.get(tt.jtAddr)
+	if err == nil {
+		err = jtc.CallTimeout("Heartbeat", args, &reply, heartbeatCallTimeout)
 	}
-	client, err := rpcnet.Dial(tt.jtAddr, opts...)
-	if err != nil {
-		return nil
-	}
-	client.SetCallTimeout(heartbeatCallTimeout)
-	return client
+	return reply, err
 }
 
-func (tt *TaskTracker) loop() {
-	defer close(tt.done)
-	client := tt.dialJobTracker()
-	defer func() {
-		if client != nil {
-			client.Close()
-		}
-	}()
+func (tt *TaskTracker) loop(stop <-chan struct{}) {
 	ticker := time.NewTicker(tt.heartbeat)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-tt.dead:
 			return
-		case <-tt.stop:
-			tt.drain(client)
+		case <-stop:
+			tt.drain()
 			return
 		case <-ticker.C:
 		case <-tt.wake:
-		}
-		if client == nil {
-			if client = tt.dialJobTracker(); client == nil {
-				continue // JobTracker unreachable: retry next tick
-			}
 		}
 		tt.mu.Lock()
 		reports := tt.completed
@@ -396,27 +367,13 @@ func (tt *TaskTracker) loop() {
 		}
 		tt.mu.Unlock()
 		held, heldBytes := tt.store.held()
-		var reply HeartbeatReply
-		err := client.Call("Heartbeat", HeartbeatArgs{
-			TrackerID:     tt.ID,
-			LocalDataNode: tt.LocalDataNode,
-			Rack:          tt.rack,
-			ShuffleAddr:   tt.srv.Addr(),
-			Device:        tt.DeviceKind(),
-			FreeSlots:     free,
-			Completed:     reports,
-			HeldJobs:      held,
-			HeldBytes:     heldBytes,
-		}, &reply)
+		reply, err := tt.beat(HeartbeatArgs{FreeSlots: free, Completed: reports, HeldJobs: held, HeldBytes: heldBytes})
 		if err != nil {
-			// JobTracker gone or the call timed out (the connection
-			// may be desynced mid-frame): requeue the unsent reports
-			// and redial on the next beat.
+			// JobTracker gone or the call timed out: requeue the unsent
+			// reports for the next beat.
 			tt.mu.Lock()
 			tt.completed = append(reports, tt.completed...)
 			tt.mu.Unlock()
-			client.Close()
-			client = nil
 			continue
 		}
 		for _, id := range reply.PurgeJobs {
@@ -440,13 +397,7 @@ func (tt *TaskTracker) loop() {
 			// unreported, no shuffle/output state left to serve. The
 			// loop exits; the decommissioner observes Drained and
 			// stops the tracker.
-			tt.mu.Lock()
-			select {
-			case <-tt.drained:
-			default:
-				close(tt.drained)
-			}
-			tt.mu.Unlock()
+			close(tt.drained)
 			return
 		}
 	}
@@ -458,9 +409,13 @@ const drainTimeout = 5 * time.Second
 
 // drain waits for in-flight tasks to finish and delivers every
 // completed-but-unreported result in one final heartbeat (FreeSlots 0,
-// so no new work comes back) — the graceful half of Stop. client may
-// be nil (the loop lost its connection); delivery redials once.
-func (tt *TaskTracker) drain(client *rpcnet.Client) {
+// so no new work comes back) — the graceful half of Stop.
+func (tt *TaskTracker) drain() {
+	select {
+	case <-tt.dead:
+		return // Kill halts the loop too, and a dead node reports nothing
+	default:
+	}
 	timeout := time.NewTimer(drainTimeout)
 	defer timeout.Stop()
 	for timedOut := false; ; {
@@ -471,21 +426,8 @@ func (tt *TaskTracker) drain(client *rpcnet.Client) {
 			tt.completed = nil
 			tt.mu.Unlock()
 			if len(reports) > 0 {
-				if client == nil {
-					if client = tt.dialJobTracker(); client == nil {
-						return
-					}
-					defer client.Close()
-				}
 				// Best effort: the JobTracker may already be gone.
-				client.Call("Heartbeat", HeartbeatArgs{
-					TrackerID:     tt.ID,
-					LocalDataNode: tt.LocalDataNode,
-					Rack:          tt.rack,
-					ShuffleAddr:   tt.srv.Addr(),
-					Device:        tt.DeviceKind(),
-					Completed:     reports,
-				}, nil)
+				tt.beat(HeartbeatArgs{Completed: reports})
 			}
 			return
 		}

@@ -18,13 +18,21 @@
 // partials of wordcount and pi (see MapKernel).
 //
 // The JobTracker is a long-running multi-tenant job service, not a
-// one-job driver: Submit/Status/Wait/Kill/ListJobs RPCs manage many
+// one-job driver: Submit/Status/Kill/ListJobs RPCs manage many
 // concurrent jobs, each with its own task boards and job-id-prefixed
 // shuffle namespace. Tenants carry quotas (Quota: fair-share weight,
 // job/tracker caps, a held-spill-bytes budget) enforced at admission
 // with the typed ErrQuotaExceeded, and free heartbeat slots are
 // granted across tenants by weighted deficit round-robin
 // (internal/sched's FairShare); JobSpec.Tenant names the submitter.
+//
+// Each master is a daemon shell — server, lock, goroutines — around
+// state components that hold no lock of their own, do no I/O and take
+// the current time as a parameter, so each is tested without a socket:
+// the membership roster both masters share (membership.go), and the
+// JobTracker's admission control (admission.go), job records (job.go)
+// and grant pass (grant.go). Every RPC handler is a typed function the
+// in-process callers use too.
 package netmr
 
 import (
