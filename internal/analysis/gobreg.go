@@ -9,7 +9,7 @@ import (
 )
 
 // GobReg checks every value that flows into the gob wire layer —
-// arguments and replies of rpcnet Client.Call/CallTimeout (and of a
+// arguments and replies of rpcnet Client.Call/CallTimeout/CallTail (and of a
 // package's own helpers over them, see wireForwarders), and values
 // passed to rpcnet Marshal/Unmarshal — for static encodability,
 // catching at lint time what gob otherwise reports as a runtime error
@@ -97,11 +97,18 @@ func runGobReg(pass *Pass) error {
 }
 
 // wireParams reports which arguments of a call to fn are a wire call's
-// gob-encoded argument and its decode target: Client.Call's and
-// CallTimeout's own, or those a forwarder passes on to them.
+// gob-encoded argument and its decode target: Client.Call's,
+// CallTimeout's and CallTail's own (CallTail's raw tail and dst sit
+// between and behind them and never meet gob), or those a forwarder
+// passes on to them.
 func wireParams(fn *types.Func, fwd map[*types.Func][2]int) (arg, reply int, ok bool) {
-	if pkgNamed(fn.Pkg(), "rpcnet") && recvTypeName(fn) == "Client" && (fn.Name() == "Call" || fn.Name() == "CallTimeout") {
-		return 1, 2, true
+	if pkgNamed(fn.Pkg(), "rpcnet") && recvTypeName(fn) == "Client" {
+		switch fn.Name() {
+		case "Call", "CallTimeout":
+			return 1, 2, true
+		case "CallTail":
+			return 1, 3, true
+		}
 	}
 	ix, ok := fwd[fn]
 	return ix[0], ix[1], ok

@@ -305,7 +305,7 @@ func (sc *lockScanner) bannedCall(f *types.Func) (string, bool) {
 		return "network I/O", true
 	case pkgNamed(pkg, "rpcnet") && recv == "" && (name == "Dial" || name == "NewServer"):
 		return "network I/O", true
-	case pkgNamed(pkg, "rpcnet") && recv == "Client" && (name == "Call" || name == "CallTimeout"):
+	case pkgNamed(pkg, "rpcnet") && recv == "Client" && (name == "Call" || name == "CallTimeout" || name == "CallTail"):
 		return "an RPC round-trip", true
 	}
 	return "", false

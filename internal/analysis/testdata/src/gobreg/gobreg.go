@@ -64,6 +64,19 @@ func forwarded() {
 	via("m", Good{}, &Good{})
 }
 
+// CallTail's gob values sit at different positions — its raw tail and
+// dst never meet gob — and bulk forwards over it.
+func bulk(method string, args any, tail []byte, reply any, dst []byte) ([]byte, error) {
+	return c.CallTail(method, args, tail, reply, dst, 0)
+}
+
+func tailed() {
+	c.CallTail("m", HasFunc{}, nil, &Good{}, nil, 0) // want `CallTail argument of type .* gob cannot encode funcs`
+	c.CallTail("m", Good{}, nil, Good{}, nil, 0)     // want `CallTail reply has non-pointer type`
+	bulk("m", &HasChan{}, nil, nil, nil)             // want `bulk argument of type .* gob cannot encode channels`
+	bulk("m", Good{}, []byte("tail"), &Good{}, nil)
+}
+
 // decode's type parameter carries no registration obligation itself.
 func decode[A any](body []byte, a *A) error { return rpcnet.Unmarshal(body, a) }
 

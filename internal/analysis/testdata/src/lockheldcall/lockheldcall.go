@@ -39,7 +39,8 @@ func (s *S) cleanAfterUnlock() {
 func (s *S) rpcUnderReadLock() {
 	s.rw.RLock()
 	defer s.rw.RUnlock()
-	s.c.Call("m", 1, nil) // want `an RPC round-trip`
+	s.c.Call("m", 1, nil)                  // want `an RPC round-trip`
+	s.c.CallTail("m", 1, nil, nil, nil, 0) // want `an RPC round-trip`
 }
 
 func (s *S) sendUnderLock() {

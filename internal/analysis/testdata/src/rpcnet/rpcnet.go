@@ -25,6 +25,11 @@ func (c *Client) Call(method string, arg, result any) error { return nil }
 // CallTimeout mirrors Client.CallTimeout.
 func (c *Client) CallTimeout(method string, arg, result any, timeoutNs int64) error { return nil }
 
+// CallTail mirrors Client.CallTail.
+func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst []byte, timeoutNs int64) ([]byte, error) {
+	return dst, nil
+}
+
 // Close mirrors Client.Close.
 func (c *Client) Close() error { return nil }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -195,13 +196,7 @@ func (c *Client) putBlock(name string, blk BlockInfo, chunk []byte) error {
 	var stored []string
 	var lastErr error
 	for _, addr := range blk.Replicas {
-		dnc, err := c.wire.get(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = dnc.CallTimeout("Put", PutArgs{ID: blk.ID, Data: chunk}, nil, dataCallTimeout)
-		if err != nil {
+		if _, err := c.wire.bulk(addr, "Put", PutArgs{ID: blk.ID}, chunk, nil, nil); err != nil {
 			lastErr = err
 			continue
 		}
@@ -223,13 +218,17 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 	if err := c.nn("Lookup", LookupArgs{File: name}, &lookup); err != nil {
 		return nil, err
 	}
-	var out []byte
+	var size int64
 	for _, blk := range lookup.Blocks {
-		data, _, err := readBlockFrom(c.wire, blk, blk.Replicas)
-		if err != nil {
+		size += blk.Size
+	}
+	// One allocation for the file: each block's reply tail lands in place.
+	out := make([]byte, 0, size)
+	for _, blk := range lookup.Blocks {
+		var err error
+		if out, _, err = readBlockFrom(c.wire, blk, blk.Replicas, out); err != nil {
 			return nil, err
 		}
-		out = append(out, data...)
 	}
 	return out, nil
 }
@@ -240,29 +239,25 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 // re-issued elsewhere — instead of a leaked task slot.
 const dataCallTimeout = 30 * time.Second
 
-// readBlockFrom fetches one block from the first reachable address,
-// trying addrs in order and returning the address that served the read
-// for the caller's accounting — the one copy of the DFS read-failover
+// readBlockFrom fetches one block from the first reachable address and
+// appends it to dst (grown once, to the block's recorded size), trying
+// addrs in order and returning the address that served the read for
+// the caller's accounting — the one copy of the DFS read-failover
 // protocol, shared by the client and the TaskTrackers. Connections
 // come from the caller's cache; a dead replica costs a failed call,
 // not a poisoned cache entry (the pooled client redials on reuse).
-func readBlockFrom(wire *connCache, blk BlockInfo, addrs []string) ([]byte, string, error) {
+func readBlockFrom(wire *connCache, blk BlockInfo, addrs []string, dst []byte) ([]byte, string, error) {
+	dst = slices.Grow(dst, int(blk.Size))
 	var lastErr error
 	for _, addr := range addrs {
-		dnc, err := wire.get(addr)
+		out, err := wire.bulk(addr, "Get", GetArgs{ID: blk.ID}, nil, nil, dst)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		var get GetReply
-		err = dnc.CallTimeout("Get", GetArgs{ID: blk.ID}, &get, dataCallTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return get.Data, addr, nil
+		return out, addr, nil
 	}
-	return nil, "", fmt.Errorf("netmr: block %d: no replica reachable: %v", blk.ID, lastErr)
+	return dst, "", fmt.Errorf("netmr: block %d: no replica reachable: %v", blk.ID, lastErr)
 }
 
 // ListFiles returns the namespace listing.
@@ -413,15 +408,12 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (in
 		return 0, st, fmt.Errorf("netmr: job %d has no stored outputs: its kernel is structured and its result is StatusReply.Result", jobID)
 	}
 	var total int64
+	chunk := make([]byte, 0, outputChunkBytes) // the one resident chunk, reused for the whole stream
 	for _, ref := range st.Outputs {
 		if ref.Addr == "" {
 			return total, st, fmt.Errorf("netmr: job %d output piece (%d,%d) has no location", jobID, ref.MapTask, ref.Part)
 		}
-		cc, err := c.wire.get(ref.Addr)
-		if err != nil {
-			return total, st, fmt.Errorf("netmr: job %d output store %s: %w", jobID, ref.Addr, err)
-		}
-		n, err := c.streamOutputPiece(cc, jobID, ref, w)
+		n, err := c.streamOutputPiece(jobID, ref, w, chunk)
 		total += n
 		if err != nil {
 			return total, st, fmt.Errorf("netmr: job %d stream output (%d,%d) from %s: %w",
@@ -431,26 +423,27 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (in
 	return total, st, nil
 }
 
-// streamOutputPiece pulls one stored output piece in
-// outputChunkBytes-sized ranges and writes each to w as it lands.
-func (c *Client) streamOutputPiece(cc *rpcnet.Client, jobID int64, ref MapOutputRef, w io.Writer) (int64, error) {
+// streamOutputPiece pulls one stored output piece in ranges of
+// cap(chunk) bytes — each lands in chunk — and writes each to w as it
+// lands.
+func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer, chunk []byte) (int64, error) {
 	var total int64
 	for off := int64(0); ; {
 		var rep FetchPartitionReply
-		err := cc.CallTimeout("FetchPartition", FetchPartitionArgs{
+		data, err := c.wire.bulk(ref.Addr, "FetchPartition", FetchPartitionArgs{
 			JobID: jobID, MapTask: ref.MapTask, Part: ref.Part,
-			Offset: off, MaxBytes: outputChunkBytes,
-		}, &rep, dataCallTimeout)
+			Offset: off, MaxBytes: int64(cap(chunk)),
+		}, nil, &rep, chunk[:0])
 		if err != nil {
 			return total, err
 		}
-		n, werr := w.Write(rep.Data)
+		n, werr := w.Write(data)
 		total += int64(n)
 		if werr != nil {
 			return total, werr
 		}
-		off += int64(len(rep.Data))
-		if off >= rep.Size || len(rep.Data) == 0 {
+		off += int64(len(data))
+		if off >= rep.Size || len(data) == 0 {
 			return total, nil
 		}
 	}

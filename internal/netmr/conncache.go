@@ -8,16 +8,27 @@ import (
 	"hetmr/internal/rpcnet"
 )
 
-// handle registers fn as srv's handler for method — the one place a
+// handleTail registers fn as srv's handler for method — the one place a
 // request body is decoded, so every daemon's handler is its typed core
-// and in-process callers use the same function the wire does.
-func handle[A, R any](srv *rpcnet.Server, method string, fn func(A) (R, error)) {
-	srv.Handle(method, func(body []byte) (any, error) {
+// and in-process callers use the same function the wire does. fn takes
+// the request's raw tail and returns the reply's, under
+// rpcnet.TailHandler's ownership rules: Put, Get and FetchPartition,
+// whose bulk bytes skip gob.
+func handleTail[A, R any](srv *rpcnet.Server, method string, fn func(A, []byte) (R, []byte, error)) {
+	srv.HandleTail(method, func(body, tail []byte) (any, []byte, error) {
 		var args A
 		if err := rpcnet.Unmarshal(body, &args); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return fn(args)
+		return fn(args, tail)
+	})
+}
+
+// handle is handleTail for the methods that move no bulk bytes.
+func handle[A, R any](srv *rpcnet.Server, method string, fn func(A) (R, error)) {
+	handleTail(srv, method, func(args A, _ []byte) (R, []byte, error) {
+		reply, err := fn(args)
+		return reply, nil, err
 	})
 }
 
@@ -91,6 +102,17 @@ func (cc *connCache) call(addr, method string, args, reply any) error {
 		return err
 	}
 	return c.Call(method, args, reply)
+}
+
+// bulk runs one data-plane RPC against the daemon at addr: tail rides
+// behind args as the request's raw frame tail and the reply's tail is
+// appended to dst (rpcnet.CallTail), under dataCallTimeout.
+func (cc *connCache) bulk(addr, method string, args any, tail []byte, reply any, dst []byte) ([]byte, error) {
+	c, err := cc.get(addr)
+	if err != nil {
+		return dst, err
+	}
+	return c.CallTail(method, args, tail, reply, dst, dataCallTimeout)
 }
 
 // close tears down every cached client. Idempotent.

@@ -90,8 +90,8 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 		o(dn)
 	}
 	dn.store = spill.NewStore(dn.spillDir, dn.spillMem, dn.spillCodec)
-	handle(srv, "Put", dn.handlePut)
-	handle(srv, "Get", dn.handleGet)
+	handleTail(srv, "Put", dn.handlePut)
+	handleTail(srv, "Get", dn.handleGet)
 	handle(srv, "Replicate", dn.handleReplicate)
 	// First beat synchronously: callers may allocate right after
 	// StartDataNode returns, so the node must already be a member.
@@ -143,16 +143,20 @@ func (dn *DataNode) SpilledBytes() int64 { return dn.store.SpilledBytes() }
 
 func dnBlockKey(id int64) string { return strconv.FormatInt(id, 10) }
 
-func (dn *DataNode) handlePut(args PutArgs) (PutReply, error) {
-	return PutReply{}, dn.store.Put(dnBlockKey(args.ID), args.Data)
+// handlePut stores the request tail as block args.ID (the store copies
+// it; the tail is the wire layer's buffer).
+func (dn *DataNode) handlePut(args PutArgs, block []byte) (PutReply, []byte, error) {
+	return PutReply{}, nil, dn.store.Put(dnBlockKey(args.ID), block)
 }
 
-func (dn *DataNode) handleGet(args GetArgs) (GetReply, error) {
+// handleGet answers with the stored block as the reply tail: the
+// store's own bytes, which go to the socket uncopied.
+func (dn *DataNode) handleGet(args GetArgs, _ []byte) (GetReply, []byte, error) {
 	data, err := dn.store.Get(dnBlockKey(args.ID))
 	if err != nil {
-		return GetReply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
+		return GetReply{}, nil, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
-	return GetReply{Data: data}, nil
+	return GetReply{}, data, nil
 }
 
 // handleReplicate pushes one locally stored block to a peer DataNode —
@@ -163,11 +167,7 @@ func (dn *DataNode) handleReplicate(args ReplicateArgs) (ReplicateReply, error) 
 	if err != nil {
 		return ReplicateReply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
-	peer, err := dn.wire.get(args.Target)
-	if err != nil {
-		return ReplicateReply{}, fmt.Errorf("netmr: replicate block %d: %w", args.ID, err)
-	}
-	if err := peer.CallTimeout("Put", PutArgs{ID: args.ID, Data: data}, nil, dataCallTimeout); err != nil {
+	if _, err := dn.wire.bulk(args.Target, "Put", PutArgs{ID: args.ID}, data, nil, nil); err != nil {
 		return ReplicateReply{}, fmt.Errorf("netmr: replicate block %d to %s: %w", args.ID, args.Target, err)
 	}
 	return ReplicateReply{}, nil

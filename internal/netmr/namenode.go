@@ -219,6 +219,11 @@ func pickTarget(candidates []*dnRow, have []string, haveRacks map[string]bool) *
 }
 
 func (nn *NameNode) handleAllocate(args AllocateArgs) (AllocateReply, error) {
+	// Readers size their buffers from the recorded block size, so it
+	// has to be one a block can have: it travels as one frame's tail.
+	if args.Size < 0 || args.Size > rpcnet.MaxFrame {
+		return AllocateReply{}, fmt.Errorf("netmr: block size %d outside [0, %d]", args.Size, rpcnet.MaxFrame)
+	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	candidates := nn.placeableNodes()

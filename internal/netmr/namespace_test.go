@@ -1,6 +1,7 @@
 package netmr
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -125,5 +126,13 @@ func TestAllocateWithoutDataNodes(t *testing.T) {
 	var alloc AllocateReply
 	if err := nnc.Call("Allocate", AllocateArgs{File: "/f", Size: 10}, &alloc); err == nil {
 		t.Error("allocation with no datanodes should fail")
+	}
+	// Readers pre-size their buffers from the recorded size: one no
+	// block can have is refused before it is recorded.
+	for _, size := range []int64{-1, rpcnet.MaxFrame + 1} {
+		err := nnc.Call("Allocate", AllocateArgs{File: "/f", Size: size}, &alloc)
+		if err == nil || !strings.Contains(err.Error(), "block size") {
+			t.Errorf("Allocate with size %d = %v, want a block-size error", size, err)
+		}
 	}
 }

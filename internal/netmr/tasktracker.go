@@ -3,6 +3,7 @@ package netmr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -257,7 +258,7 @@ func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat tim
 	}
 	tt.wire = newConnCache(tt.wireCodec)
 	tt.store = newShuffleStore(tt.spillDir, tt.spillMem, tt.spillCodec)
-	handle(srv, "FetchPartition", tt.handleFetchPartition)
+	handleTail(srv, "FetchPartition", tt.handleFetchPartition)
 	tt.beater = goBackground(tt.loop)
 	return tt, nil
 }
@@ -312,13 +313,16 @@ func (tt *TaskTracker) FetchWindowLimit() int64 { return tt.fetchWin.Limit() }
 // flow-control guarantee tests assert.
 func (tt *TaskTracker) FetchWindowPeak() int64 { return tt.fetchWin.Peak() }
 
-func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs) (FetchPartitionReply, error) {
+// handleFetchPartition answers with the requested range of a stored
+// payload as the reply tail — the store's own bytes when the payload is
+// in memory, which go to the socket uncopied.
+func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs, _ []byte) (FetchPartitionReply, []byte, error) {
 	data, size, ok := tt.store.getRange(args.JobID, partKey{args.MapTask, args.Part}, args.Offset, args.MaxBytes)
 	if !ok {
-		return FetchPartitionReply{}, fmt.Errorf("netmr: tracker %s holds no partition %d of job %d map %d",
+		return FetchPartitionReply{}, nil, fmt.Errorf("netmr: tracker %s holds no partition %d of job %d map %d",
 			tt.ID, args.Part, args.JobID, args.MapTask)
 	}
-	return FetchPartitionReply{Data: data, Size: size}, nil
+	return FetchPartitionReply{Size: size}, data, nil
 }
 
 // heartbeatCallTimeout bounds one Heartbeat round-trip, so a hung
@@ -672,29 +676,24 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res *TaskResult) err
 // full chunk (it never grants more than its limit), in which case the
 // loop simply takes more, smaller rounds.
 func (tt *TaskTracker) fetchPartition(addr string, args FetchPartitionArgs) ([]byte, error) {
-	c, err := tt.wire.get(addr)
-	if err != nil {
-		return nil, err
-	}
 	var out []byte
-	for off := int64(0); ; {
+	for {
 		credit := tt.fetchWin.Acquire(fetchChunkBytes)
-		args.Offset = off
+		args.Offset = int64(len(out))
 		args.MaxBytes = credit
 		var rep FetchPartitionReply
-		err := c.CallTimeout("FetchPartition", args, &rep, dataCallTimeout)
+		// Each chunk lands straight behind the ones already assembled.
+		next, err := tt.wire.bulk(addr, "FetchPartition", args, nil, &rep, out)
 		tt.fetchWin.Release(credit)
 		if err != nil {
 			return nil, err
 		}
-		if out == nil {
-			out = make([]byte, 0, rep.Size)
+		if int64(len(next)) >= rep.Size || len(next) == len(out) {
+			return next, nil
 		}
-		out = append(out, rep.Data...)
-		off += int64(len(rep.Data))
-		if off >= rep.Size || len(rep.Data) == 0 {
-			return out, nil
-		}
+		// The first reply says how big the partition is: size the
+		// slice for the rest once instead of growing chunk by chunk.
+		out = slices.Grow(next, int(rep.Size)-len(next))
 	}
 }
 
@@ -728,7 +727,7 @@ func (tt *TaskTracker) fetchBlock(blk BlockInfo) ([]byte, error) {
 			ordered = append(ordered, addr)
 		}
 	}
-	data, served, err := readBlockFrom(tt.wire, blk, ordered)
+	data, served, err := readBlockFrom(tt.wire, blk, ordered, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,8 @@
 // Package netmr is the live system over real sockets: a compact
 // Hadoop-architecture MapReduce runtime whose daemons — NameNode,
 // DataNodes, JobTracker, TaskTrackers — are TCP servers exchanging
-// framed gob RPCs (internal/rpcnet), storing real blocks and running
+// framed RPCs (internal/rpcnet: a gob message, plus a raw tail of block
+// or shuffle bytes on the bulk methods), storing real blocks and running
 // real kernels. It is the in-process live runner's (internal/core)
 // distributed sibling: same roles as the paper's §III prototype, but
 // data actually crosses the network stack, including the
@@ -207,11 +208,14 @@ type DeleteArgs struct {
 type DeleteReply struct{}
 
 // --- DataNode RPC messages ---
+//
+// Block bytes never ride inside these structs: Put's block is the
+// request's raw frame tail and Get's is the reply's (rpcnet.CallTail),
+// so a block crosses each hop without passing through gob.
 
-// PutArgs stores a block replica.
+// PutArgs stores a block replica, the request tail.
 type PutArgs struct {
-	ID   int64
-	Data []byte
+	ID int64
 }
 
 // PutReply acknowledges storage.
@@ -222,10 +226,8 @@ type GetArgs struct {
 	ID int64
 }
 
-// GetReply carries the block data.
-type GetReply struct {
-	Data []byte
-}
+// GetReply acknowledges a Get; the block is the reply tail.
+type GetReply struct{}
 
 // --- TaskTracker shuffle-store RPC messages ---
 
@@ -240,19 +242,18 @@ type FetchPartitionArgs struct {
 	Part    int
 	// Offset is the byte offset into the stored payload to read from.
 	Offset int64
-	// MaxBytes caps the reply's Data length; <= 0 means "the rest".
+	// MaxBytes caps the reply tail's length; <= 0 means "the rest".
 	// Each in-flight fetch holds MaxBytes of credit in the reducer's
 	// flow window, so outstanding shuffle bytes stay provably bounded.
 	MaxBytes int64
 }
 
-// FetchPartitionReply carries the partition payload (or a chunk of it)
-// and the payload's total size, so chunked readers know when they have
-// the whole thing.
+// FetchPartitionReply rides ahead of the partition payload (or a chunk
+// of it), which is the reply tail, and gives the payload's total size,
+// so chunked readers know when they have the whole thing.
 type FetchPartitionReply struct {
-	Data []byte
 	// Size is the stored payload's total size in bytes, regardless of
-	// how much of it this reply carries.
+	// how much of it this reply's tail carries.
 	Size int64
 }
 

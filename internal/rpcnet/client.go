@@ -2,7 +2,6 @@ package rpcnet
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -30,7 +29,7 @@ type dialOptions struct {
 
 // WithCodec proposes a payload codec (a spill.CodecByName name, e.g.
 // "snap") in the connection hello. If the server accepts it, bodies
-// above a small threshold are compressed on the wire in both
+// and tails above a small threshold are compressed on the wire in both
 // directions. Dial fails on names CodecByName does not know.
 func WithCodec(name string) Option {
 	return func(o *dialOptions) { o.codecName = name }
@@ -64,13 +63,12 @@ type Client struct {
 	closed bool
 }
 
-// clientConn is one multiplexed connection: a write side shared under
-// wmu and a readLoop that routes response frames to pending calls.
+// clientConn is one multiplexed connection: a shared write side and a
+// readLoop that routes response frames to pending calls.
 type clientConn struct {
 	nc    net.Conn
+	w     frameWriter // over nc
 	codec spill.Codec // negotiated: non-nil once the server accepts
-
-	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
 	pending map[uint64]chan callResult
@@ -80,13 +78,12 @@ type clientConn struct {
 	compressOK atomic.Bool // server accepted our proposed codec
 }
 
-// callResult carries one response (or transport failure) from the
-// readLoop to the waiting call.
+// callResult carries one response frame (its pooled buffers owned by
+// the receiver) or a transport failure from the readLoop to the waiting
+// call.
 type callResult struct {
-	errMsg     string        // remote handler error, if any
-	body       *bytes.Buffer // pooled; owned by the receiver
-	compressed bool
-	err        error // transport-level failure
+	fr  frame
+	err error
 }
 
 // Dial connects to an rpcnet server. The returned Client is a
@@ -133,6 +130,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 	}
 	cc := &clientConn{
 		nc:      nc,
+		w:       frameWriter{conn: nc},
 		codec:   c.codec,
 		pending: make(map[uint64]chan callResult),
 	}
@@ -161,7 +159,7 @@ func (cc *clientConn) readLoop(proposed string) {
 			return
 		}
 		if fr.flags&frameFlagResponse == 0 {
-			putBuf(fr.body)
+			fr.release()
 			cc.fail(errors.New("rpcnet: request frame on client connection"))
 			return
 		}
@@ -171,14 +169,10 @@ func (cc *clientConn) readLoop(proposed string) {
 		cc.mu.Unlock()
 		if !ok {
 			// Late reply to a call that timed out: discard by ID.
-			putBuf(fr.body)
+			fr.release()
 			continue
 		}
-		ch <- callResult{
-			errMsg:     fr.meta,
-			body:       fr.body,
-			compressed: fr.flags&frameFlagCompressed != 0,
-		}
+		ch <- callResult{fr: fr}
 	}
 }
 
@@ -288,16 +282,29 @@ func (c *Client) Call(method string, arg, result any) error {
 // none), overriding the client default. On timeout the error wraps
 // os.ErrDeadlineExceeded, so it satisfies net.Error.Timeout().
 func (c *Client) CallTimeout(method string, arg, result any, timeout time.Duration) error {
-	bodyBuf := getBuf()
-	if err := marshalTo(bodyBuf, arg); err != nil {
-		putBuf(bodyBuf)
-		return err
-	}
+	_, err := c.CallTail(method, arg, nil, result, nil, timeout)
+	return err
+}
+
+// CallTail is the call every other is a wrapper over: CallTimeout plus
+// a raw tail each way, for methods that move bulk bytes. tail travels
+// behind the gob-encoded arg without passing through gob — it goes to
+// the socket from the caller's slice — and the reply's tail is appended
+// to dst, which is returned (unchanged on error). The append happens on
+// the caller's goroutine once the reply is in hand, so a call that
+// timed out never has a late reply written into memory its caller has
+// moved on with. The timeout covers sending the request as well as
+// waiting for the reply.
+func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst []byte, timeout time.Duration) ([]byte, error) {
+	bodyBuf := getBuf(0)
 	defer putBuf(bodyBuf)
+	if err := marshalTo(bodyBuf, arg); err != nil {
+		return dst, err
+	}
 
 	cc, err := c.conn()
 	if err != nil {
-		return err
+		return dst, err
 	}
 	id := cc.nextID.Add(1)
 	ch := make(chan callResult, 1)
@@ -305,64 +312,64 @@ func (c *Client) CallTimeout(method string, arg, result any, timeout time.Durati
 		// Lost a race with the readLoop failing the conn; one retry on
 		// a fresh connection.
 		if cc, err = c.conn(); err != nil {
-			return err
+			return dst, err
 		}
 		id = cc.nextID.Add(1)
 		if err := cc.register(id, ch); err != nil {
-			return fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
+			return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
 		}
 	}
 
-	var codec spill.Codec
-	if cc.compressOK.Load() {
-		codec = cc.codec
-	}
-	if err := sendFrame(cc.nc, &cc.wmu, id, 0, method, bodyBuf.Bytes(), codec); err != nil {
-		cc.deregister(id)
-		cc.fail(err)
-		return fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
-	}
-
-	var timerCh <-chan time.Time
+	var (
+		deadline time.Time
+		timerCh  <-chan time.Time
+	)
 	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		timerCh = timer.C
 	}
+	var codec spill.Codec
+	if cc.compressOK.Load() {
+		codec = cc.codec
+	}
+	if err := cc.w.send(deadline, id, 0, method, bodyBuf.Bytes(), tail, codec); err != nil {
+		// Part of the frame may be on the wire and cannot be resumed: the
+		// connection is done, the next call redials.
+		cc.deregister(id)
+		cc.fail(err)
+		return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
+	}
+
 	select {
 	case res := <-ch:
-		return c.finish(method, result, res)
+		return c.finish(method, result, dst, res)
 	case <-timerCh:
 		cc.deregister(id)
-		return fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, os.ErrDeadlineExceeded)
+		return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, os.ErrDeadlineExceeded)
 	}
 }
 
-// finish decodes one call's response.
-func (c *Client) finish(method string, result any, res callResult) error {
+// finish decodes one call's response and appends its tail to dst.
+func (c *Client) finish(method string, result any, dst []byte, res callResult) ([]byte, error) {
 	if res.err != nil {
-		return fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, res.err)
+		return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, res.err)
 	}
-	defer putBuf(res.body)
-	if res.errMsg != "" {
-		return &RemoteError{Method: method, Addr: c.addr, Msg: res.errMsg}
+	fr := &res.fr
+	defer fr.release()
+	if fr.meta != "" {
+		return dst, &RemoteError{Method: method, Addr: c.addr, Msg: fr.meta}
 	}
-	body := res.body.Bytes()
-	if res.compressed {
-		if c.codec == nil {
-			return fmt.Errorf("rpcnet: call %s on %s: compressed response without negotiated codec", method, c.addr)
+	if err := fr.inflate(c.codec); err != nil {
+		return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
+	}
+	if result != nil {
+		if err := Unmarshal(fr.body.Bytes(), result); err != nil {
+			return dst, err
 		}
-		dec := getBuf()
-		defer putBuf(dec)
-		if err := decompressInto(c.codec, dec, body); err != nil {
-			return fmt.Errorf("rpcnet: call %s on %s: decompress: %w", method, c.addr, err)
-		}
-		body = dec.Bytes()
 	}
-	if result == nil {
-		return nil
-	}
-	return Unmarshal(body, result)
+	return append(dst, fr.tailBytes()...), nil
 }
 
 // Close tears down every pooled connection. In-flight calls fail.

@@ -81,7 +81,7 @@ func TestCallAfterServerClose(t *testing.T) {
 	}
 }
 
-// TestOversizeReplyIsAnErrorNotASilence: writeFrame refuses a frame
+// TestOversizeReplyIsAnErrorNotASilence: the frame writer refuses a frame
 // above MaxFrame before writing a byte, so the connection stays healthy
 // — the server must answer the caller's ID with an error frame instead
 // of leaving the call to wait out its timeout, and the same client keeps
@@ -94,6 +94,11 @@ func TestOversizeReplyIsAnErrorNotASilence(t *testing.T) {
 	s.Handle("huge", func([]byte) (any, error) {
 		return make([]byte, MaxFrame+1), nil
 	})
+	// A tail that fits MaxFrame alone but not behind its frame's header
+	// and body: the bound is on the whole frame.
+	s.HandleTail("hugeTail", func(_, _ []byte) (any, []byte, error) {
+		return echoReply{Msg: "body"}, make([]byte, MaxFrame-frameFixedLen), nil
+	})
 	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -101,11 +106,13 @@ func TestOversizeReplyIsAnErrorNotASilence(t *testing.T) {
 	defer c.Close()
 	// Encoding the reply takes ~0.2 s alone and seconds under -race on a
 	// loaded machine; the silent drop this pins took the whole timeout.
-	start := time.Now()
-	err = c.CallTimeout("huge", echoArg{}, nil, 20*time.Second)
-	var re *RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Msg, "response to huge: frame too large") {
-		t.Fatalf("oversize reply: error %v after %v, want a RemoteError naming the unframeable response", err, time.Since(start))
+	for _, method := range []string{"huge", "hugeTail"} {
+		start := time.Now()
+		_, err = c.CallTail(method, echoArg{}, nil, nil, nil, 20*time.Second)
+		var re *RemoteError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "response to "+method+": frame too large") {
+			t.Fatalf("oversize reply: error %v after %v, want a RemoteError naming the unframeable response", err, time.Since(start))
+		}
 	}
 	var reply echoReply
 	if err := c.Call("echo", echoArg{Msg: "still here"}, &reply); err != nil || reply.Msg != "still here" {

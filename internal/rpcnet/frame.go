@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"hetmr/internal/metrics"
 	"hetmr/internal/spill"
@@ -17,38 +19,45 @@ import (
 // frames, each
 //
 //	[4B big-endian length n] [8B big-endian request ID]
-//	[1B flags] [2B big-endian metaLen] [metaLen bytes meta] [body]
+//	[1B flags] [2B big-endian metaLen] [4B big-endian tailLen]
+//	[metaLen bytes meta] [body] [tailLen bytes tail]
 //
 // where n counts everything after the length field (so n =
-// 11 + metaLen + len(body), n ≤ MaxFrame). meta is the method name on
-// requests and the error text on responses; body is the gob-encoded
-// argument or result, optionally compressed (frameFlagCompressed) with
-// the codec the hello exchange agreed on.
+// 15 + metaLen + len(body) + tailLen, n ≤ MaxFrame). meta is the method
+// name on requests and the error text on responses; body is the
+// gob-encoded argument or result; tail is the call's bulk payload — a
+// DFS block, a shuffle chunk — as raw bytes that never pass through gob
+// (tailLen is 0 on every control frame). Body and tail are each
+// optionally compressed (frameFlagCompressed, frameFlagTailCompressed)
+// with the codec the hello exchange agreed on.
 //
-// Hello: each side opens with the 4-byte magic "hmr2", one length
+// Hello: each side opens with the 4-byte magic "hmr3", one length
 // byte, and that many bytes of codec name. The client proposes a
 // codec (or none); the server answers with the same name if it can
 // decode it, empty otherwise. Either side compresses only after it
 // has seen the other side accept — the exchange is asynchronous, so a
 // client never waits for a server that has stopped talking.
 const (
-	frameFixedLen  = 8 + 1 + 2 // id + flags + metaLen, counted by the length field
+	frameFixedLen  = 8 + 1 + 2 + 4 // id + flags + metaLen + tailLen, counted by the length field
 	frameHeaderLen = 4 + frameFixedLen
 
-	frameFlagResponse   = 1 << 0
-	frameFlagCompressed = 1 << 1
+	frameFlagResponse       = 1 << 0
+	frameFlagCompressed     = 1 << 1 // body
+	frameFlagTailCompressed = 1 << 2
 
 	// frameMaxMeta bounds the meta field (2-byte length on the wire);
 	// longer error texts are truncated.
 	frameMaxMeta = 1<<16 - 1
 
-	// compressMin is the smallest body worth running through the
-	// negotiated codec; tiny control messages skip it.
+	// compressMin is the smallest body or tail worth running through
+	// the negotiated codec; tiny control messages skip it.
 	compressMin = 1 << 10
 
 	// maxPooledBuf caps the capacity of buffers returned to the pool,
-	// so one jumbo frame doesn't pin megabytes forever.
+	// so one jumbo frame doesn't pin megabytes forever; bulkBufMin is
+	// where the pool's bulk size class starts.
 	maxPooledBuf = 4 << 20
+	bulkBufMin   = 64 << 10
 
 	// connReadBuf sizes each connection end's bufio.Reader. It only has
 	// to gather a frame's header, meta and a small body in one read: a
@@ -60,39 +69,104 @@ const (
 	// of an idle cluster's live heap.
 	connReadBuf = 4 << 10
 
-	// preGrowCap caps the speculative Grow before a body read; the
-	// rest grows only as real bytes arrive, so a lying length prefix
+	// preGrowCap caps the speculative Grow before a body or tail read;
+	// the rest grows only as real bytes arrive, so a lying length
 	// cannot force a huge allocation.
 	preGrowCap = 256 << 10
 )
 
-var helloMagic = [4]byte{'h', 'm', 'r', '2'}
+// helloMagic names the frame layout: it moved to "hmr3" with the tail
+// length, so an "hmr2" peer fails the hello instead of misparsing.
+var helloMagic = [4]byte{'h', 'm', 'r', '3'}
 
-// bufPool recycles frame body and header buffers across calls and
-// connections.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufPool and bulkPool recycle frame buffers across calls and
+// connections, in two size classes: a control message's gob body never
+// takes a buffer that grew to hold a block, which would leave the next
+// block read to grow a small one all over again.
+var bufPool, bulkPool = newBufPool(), newBufPool()
 
-func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
+func newBufPool() *sync.Pool {
+	return &sync.Pool{New: func() any { return new(bytes.Buffer) }}
+}
 
+// getBuf returns a pooled buffer for about n bytes; 0 is a gob encode,
+// whose size nobody knows beforehand.
+func getBuf(n int) *bytes.Buffer {
+	if n >= bulkBufMin {
+		return bulkPool.Get().(*bytes.Buffer)
+	}
+	return bufPool.Get().(*bytes.Buffer)
+}
+
+// putBuf returns b to the class its capacity puts it in.
 func putBuf(b *bytes.Buffer) {
 	if b == nil || b.Cap() > maxPooledBuf {
 		return
 	}
 	b.Reset()
-	bufPool.Put(b)
+	if b.Cap() >= bulkBufMin {
+		bulkPool.Put(b)
+	} else {
+		bufPool.Put(b)
+	}
 }
 
-// frame is one decoded wire frame. body is a pooled buffer the
-// consumer must release with putBuf.
+// frame is one decoded wire frame. body and tail are pooled buffers
+// (tail is nil when the frame carries none); the consumer returns both
+// with release.
 type frame struct {
 	id    uint64
 	flags byte
 	meta  string
 	body  *bytes.Buffer
+	tail  *bytes.Buffer
 }
 
-// readFrame decodes the next frame from br. The returned body buffer
-// is pooled; the caller owns it.
+// release returns the frame's buffers to the pool.
+func (fr *frame) release() {
+	putBuf(fr.body)
+	putBuf(fr.tail)
+}
+
+// tailBytes returns the frame's tail, nil when it has none.
+func (fr *frame) tailBytes() []byte {
+	if fr.tail == nil {
+		return nil
+	}
+	return fr.tail.Bytes()
+}
+
+// inflate replaces each compressed part of the frame with its decoded
+// bytes, so body and tail read the same whether or not the sender
+// compressed them.
+func (fr *frame) inflate(codec spill.Codec) error {
+	var err error
+	if fr.flags&frameFlagCompressed != 0 {
+		fr.body, err = inflated(codec, fr.body)
+	}
+	if err == nil && fr.flags&frameFlagTailCompressed != 0 && fr.tail != nil {
+		fr.tail, err = inflated(codec, fr.tail)
+	}
+	return err
+}
+
+// inflated decodes one compressed frame part into a pooled buffer and
+// releases the compressed one; on error the part is returned as it was.
+func inflated(codec spill.Codec, src *bytes.Buffer) (*bytes.Buffer, error) {
+	if codec == nil {
+		return src, errors.New("compressed frame without negotiated codec")
+	}
+	dec := getBuf(src.Len())
+	if err := decompressInto(codec, dec, src.Bytes()); err != nil {
+		putBuf(dec)
+		return src, fmt.Errorf("decompress: %w", err)
+	}
+	putBuf(src)
+	return dec, nil
+}
+
+// readFrame decodes the next frame from br. The returned buffers are
+// pooled; the caller owns them.
 func readFrame(br *bufio.Reader) (frame, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -105,88 +179,134 @@ func readFrame(br *bufio.Reader) (frame, error) {
 	if n < frameFixedLen {
 		return frame{}, errMalformedFrame
 	}
-	id := binary.BigEndian.Uint64(hdr[4:12])
-	flags := hdr[12]
+	fr := frame{id: binary.BigEndian.Uint64(hdr[4:12]), flags: hdr[12]}
 	metaLen := int(binary.BigEndian.Uint16(hdr[13:15]))
-	bodyLen := int64(n) - frameFixedLen - int64(metaLen)
+	tailLen := int64(binary.BigEndian.Uint32(hdr[15:19]))
+	bodyLen := int64(n) - frameFixedLen - int64(metaLen) - tailLen
 	if bodyLen < 0 {
 		return frame{}, errMalformedFrame
 	}
-	meta := ""
 	if metaLen > 0 {
 		mb := make([]byte, metaLen)
 		if _, err := io.ReadFull(br, mb); err != nil {
 			return frame{}, err
 		}
-		meta = string(mb)
+		fr.meta = string(mb)
 	}
-	body := getBuf()
-	if bodyLen > 0 {
-		grow := bodyLen
-		if grow > preGrowCap {
-			grow = preGrowCap
-		}
-		body.Grow(int(grow))
-		if _, err := io.CopyN(body, br, bodyLen); err != nil {
-			putBuf(body)
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return frame{}, err
-		}
+	var err error
+	if fr.body, err = readPart(br, bodyLen); err == nil && tailLen > 0 {
+		fr.tail, err = readPart(br, tailLen)
 	}
-	return frame{id: id, flags: flags, meta: meta, body: body}, nil
+	if err != nil {
+		fr.release()
+		return frame{}, err
+	}
+	return fr, nil
 }
 
-// writeFrame sends one frame under wmu, header and body in a single
-// writev when the connection supports it.
-func writeFrame(w io.Writer, wmu *sync.Mutex, id uint64, flags byte, meta string, body []byte) error {
+// readPart reads the next n bytes of a frame into a pooled buffer.
+func readPart(br *bufio.Reader, n int64) (*bytes.Buffer, error) {
+	buf := getBuf(int(n))
+	if n == 0 {
+		return buf, nil
+	}
+	buf.Grow(int(min(n, preGrowCap)))
+	if _, err := io.CopyN(buf, br, n); err != nil {
+		putBuf(buf)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf, nil
+}
+
+// frameWriter is a connection's write side, shared by every goroutine
+// that sends on it: one frame at a time under mu, with the header
+// scratch and the writev vector reused from frame to frame.
+type frameWriter struct {
+	conn net.Conn
+
+	mu   sync.Mutex  // serializes frame writes; guards the fields below
+	head []byte      // header and meta of the frame being written
+	vec  [3][]byte   // backing array of bufs
+	bufs net.Buffers // head, body, tail: what one writev sends
+}
+
+// writeFrame encodes one frame to w — header, body and tail in a single
+// writev when the connection supports it, so neither payload is copied
+// in user space. Callers hold fw.mu.
+func (fw *frameWriter) writeFrame(w io.Writer, id uint64, flags byte, meta string, body, tail []byte) error {
 	if len(meta) > frameMaxMeta {
 		meta = meta[:frameMaxMeta]
 	}
-	n := frameFixedLen + len(meta) + len(body)
+	n := frameFixedLen + len(meta) + len(body) + len(tail)
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	hdrBuf := getBuf()
 	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
 	binary.BigEndian.PutUint64(hdr[4:12], id)
 	hdr[12] = flags
 	binary.BigEndian.PutUint16(hdr[13:15], uint16(len(meta)))
-	hdrBuf.Write(hdr[:])
-	hdrBuf.WriteString(meta)
-	wmu.Lock()
-	var err error
-	if len(body) > 0 {
-		bufs := net.Buffers{hdrBuf.Bytes(), body}
-		_, err = bufs.WriteTo(w)
-	} else {
-		_, err = w.Write(hdrBuf.Bytes())
+	binary.BigEndian.PutUint32(hdr[15:19], uint32(len(tail)))
+	fw.head = append(append(fw.head[:0], hdr[:]...), meta...)
+	fw.bufs = append(fw.vec[:0], fw.head)
+	for _, part := range [2][]byte{body, tail} {
+		if len(part) > 0 {
+			fw.bufs = append(fw.bufs, part)
+		}
 	}
-	wmu.Unlock()
-	putBuf(hdrBuf)
+	_, err := fw.bufs.WriteTo(w) // consumes bufs, leaving vec holding no caller's slice
 	return err
 }
 
-// sendFrame is the shared send path: it compresses the body when the
-// peer accepted a codec and compression wins, meters raw vs on-wire
-// payload bytes, and writes the frame.
-func sendFrame(w io.Writer, wmu *sync.Mutex, id uint64, flags byte, meta string, rawBody []byte, codec spill.Codec) error {
-	body := rawBody
-	var compBuf *bytes.Buffer
-	if codec != nil && len(rawBody) >= compressMin {
-		compBuf = getBuf()
-		if err := compressInto(codec, compBuf, rawBody); err == nil && compBuf.Len() < len(rawBody) {
-			body = compBuf.Bytes()
-			flags |= frameFlagCompressed
-		}
+// send is the shared send path: it compresses body and tail, each on
+// its own, when the peer accepted a codec and compression wins, meters
+// raw vs on-wire payload bytes, and writes the frame. A non-zero
+// deadline bounds the write: a peer that stops reading fails it with a
+// timeout error instead of wedging the sender and everyone queued on
+// the connection behind it. The connection is unusable after any write
+// error — part of the frame may be on the wire.
+func (fw *frameWriter) send(deadline time.Time, id uint64, flags byte, meta string, rawBody, rawTail []byte, codec spill.Codec) error {
+	body, bodyBuf := deflate(codec, rawBody)
+	if bodyBuf != nil {
+		flags |= frameFlagCompressed
 	}
-	metrics.WireBytesRaw.Add(int64(len(rawBody)))
-	metrics.WireBytesOnWire.Add(int64(len(body)))
-	err := writeFrame(w, wmu, id, flags, meta, body)
-	putBuf(compBuf)
+	tail, tailBuf := deflate(codec, rawTail)
+	if tailBuf != nil {
+		flags |= frameFlagTailCompressed
+	}
+	metrics.WireBytesRaw.Add(int64(len(rawBody) + len(rawTail)))
+	metrics.WireBytesOnWire.Add(int64(len(body) + len(tail)))
+	fw.mu.Lock()
+	if !deadline.IsZero() {
+		fw.conn.SetWriteDeadline(deadline) // on a closed conn the write below reports it
+	}
+	err := fw.writeFrame(fw.conn, id, flags, meta, body, tail)
+	if !deadline.IsZero() {
+		fw.conn.SetWriteDeadline(time.Time{})
+	}
+	fw.mu.Unlock()
+	putBuf(bodyBuf)
+	putBuf(tailBuf)
 	return err
+}
+
+// deflate runs raw through codec when one is negotiated and raw is
+// worth the attempt. It returns the compressed bytes and the pooled
+// buffer that holds them, or raw and nil when compression is off or
+// does not win.
+func deflate(codec spill.Codec, raw []byte) ([]byte, *bytes.Buffer) {
+	if codec == nil || len(raw) < compressMin {
+		return raw, nil
+	}
+	buf := getBuf(len(raw))
+	if err := compressInto(codec, buf, raw); err != nil || buf.Len() >= len(raw) {
+		putBuf(buf)
+		return raw, nil
+	}
+	return buf.Bytes(), buf
 }
 
 // compressInto runs src through one codec frame into dst.
@@ -198,8 +318,8 @@ func compressInto(codec spill.Codec, dst *bytes.Buffer, src []byte) error {
 	return cw.Close()
 }
 
-// decompressInto inflates a compressed frame body into dst, bounded
-// by MaxFrame.
+// decompressInto inflates a compressed frame body or tail into dst,
+// bounded by MaxFrame.
 func decompressInto(codec spill.Codec, dst *bytes.Buffer, src []byte) error {
 	cr, err := codec.NewReader(bytes.NewReader(src))
 	if err != nil {

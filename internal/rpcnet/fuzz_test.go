@@ -5,27 +5,31 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
-	"sync"
 	"testing"
 )
 
-// FuzzReadFrame feeds arbitrary bytes to the frame decoder. Malformed
-// input — lying length prefixes, truncated headers, meta running past
-// the frame — must return an error, never panic, and never allocate
-// past MaxFrame: the decoder pre-grows at most preGrowCap and then
-// only as real bytes arrive.
-func FuzzReadFrame(f *testing.F) {
-	// Well-formed frames as seeds.
-	good := func(id uint64, flags byte, meta string, body []byte) []byte {
-		var buf bytes.Buffer
-		var wmu sync.Mutex
-		if err := writeFrame(&buf, &wmu, id, flags, meta, body); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+// encodeFrame is frameWriter.writeFrame into memory.
+func encodeFrame(t testing.TB, id uint64, flags byte, meta string, body, tail []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var fw frameWriter
+	if err := fw.writeFrame(&buf, id, flags, meta, body, tail); err != nil {
+		t.Fatal(err)
 	}
-	f.Add(good(1, 0, "echo", []byte("hello")))
-	f.Add(good(7, frameFlagResponse, "", bytes.Repeat([]byte("x"), 100)))
+	return buf.Bytes()
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame decoder. Malformed
+// input — lying length prefixes, truncated headers, meta or tail
+// running past the frame — must return an error, never panic, and never
+// allocate past MaxFrame: the decoder pre-grows at most preGrowCap per
+// part and then only as real bytes arrive.
+func FuzzReadFrame(f *testing.F) {
+	// Well-formed frames as seeds, without and with a tail.
+	f.Add(encodeFrame(f, 1, 0, "echo", []byte("hello"), nil))
+	f.Add(encodeFrame(f, 7, frameFlagResponse, "", bytes.Repeat([]byte("x"), 100), nil))
+	f.Add(encodeFrame(f, 2, 0, "Put", []byte("args"), bytes.Repeat([]byte("t"), 300)))
+	f.Add(encodeFrame(f, 3, frameFlagResponse|frameFlagTailCompressed, "", nil, []byte("tail only")))
 	// Length prefix claiming MaxFrame with no body behind it.
 	var lying [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(lying[0:4], MaxFrame)
@@ -38,6 +42,14 @@ func FuzzReadFrame(f *testing.F) {
 	binary.BigEndian.PutUint32(badMeta[0:4], frameFixedLen+1)
 	binary.BigEndian.PutUint16(badMeta[13:15], 5000)
 	f.Add(badMeta[:])
+	// tailLen claiming more than n leaves, and one claiming MaxFrame
+	// inside an honest n with nothing behind it.
+	badTail := encodeFrame(f, 4, 0, "m", []byte("body"), []byte("tail"))
+	binary.BigEndian.PutUint32(badTail[15:19], 1<<20)
+	f.Add(badTail)
+	binary.BigEndian.PutUint32(lying[0:4], MaxFrame)
+	binary.BigEndian.PutUint32(lying[15:19], MaxFrame-frameFixedLen)
+	f.Add(lying[:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -45,18 +57,19 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if int64(len(fr.meta))+int64(fr.body.Len()) > int64(len(data)) {
-			t.Fatalf("decoded more bytes (%d meta + %d body) than the input held (%d)",
-				len(fr.meta), fr.body.Len(), len(data))
+		if got := len(fr.meta) + fr.body.Len() + len(fr.tailBytes()); got > len(data) {
+			t.Fatalf("decoded more bytes (%d meta + %d body + %d tail) than the input held (%d)",
+				len(fr.meta), fr.body.Len(), len(fr.tailBytes()), len(data))
 		}
-		putBuf(fr.body)
+		fr.release()
 	})
 }
 
 // FuzzReadHello feeds arbitrary bytes to the hello decoder.
 func FuzzReadHello(f *testing.F) {
-	f.Add([]byte("hmr2\x04snap"))
-	f.Add([]byte("hmr2\x00"))
+	f.Add([]byte("hmr3\x04snap"))
+	f.Add([]byte("hmr3\x00"))
+	f.Add([]byte("hmr2\x00")) // the previous frame layout's magic
 	f.Add([]byte("junk\x04snap"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -71,8 +84,12 @@ func FuzzReadHello(f *testing.F) {
 // whatever arrives on the socket — garbage hello, corrupt frames,
 // truncated gob bodies — must never crash the server.
 func FuzzServeConn(f *testing.F) {
-	f.Add([]byte("hmr2\x00"))
-	f.Add(append([]byte("hmr2\x04snap"), 0, 0, 0, 30))
+	f.Add([]byte("hmr3\x00"))
+	f.Add(append([]byte("hmr3\x04snap"), 0, 0, 0, 30))
+	// A whole tailed request, and one flagged tail-compressed with no
+	// tail and no codec behind the flag.
+	f.Add(append([]byte("hmr3\x00"), encodeFrame(f, 1, 0, "echo", nil, []byte("tail"))...))
+	f.Add(append([]byte("hmr3\x00"), encodeFrame(f, 2, frameFlagTailCompressed, "echo", nil, nil)...))
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		f.Fatal(err)

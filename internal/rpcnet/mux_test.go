@@ -120,19 +120,20 @@ func TestRedialAfterTimeout(t *testing.T) {
 }
 
 // TestLateReplyDiscarded: a response that arrives after its call
-// timed out must be dropped by ID, not delivered to the next call.
+// timed out must be dropped by ID — body and tail — not delivered to
+// the next call.
 func TestLateReplyDiscarded(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Handle("slow", func(body []byte) (any, error) {
+	s.HandleTail("slow", func(_, _ []byte) (any, []byte, error) {
 		time.Sleep(80 * time.Millisecond)
-		return "slow-result", nil
+		return "slow-result", []byte("slow-tail"), nil
 	})
-	s.Handle("fast", func([]byte) (any, error) {
-		return "fast-result", nil
+	s.HandleTail("fast", func(_, _ []byte) (any, []byte, error) {
+		return "fast-result", []byte("fast-tail"), nil
 	})
 
 	c, err := Dial(s.Addr(), WithPoolSize(1))
@@ -141,18 +142,24 @@ func TestLateReplyDiscarded(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.CallTimeout("slow", struct{}{}, nil, 10*time.Millisecond); err == nil {
+	dst := make([]byte, 0, 64)
+	if _, err := c.CallTail("slow", struct{}{}, nil, nil, dst, 10*time.Millisecond); err == nil {
 		t.Fatal("slow call outlived its timeout")
 	}
 	// Wait for the late reply to land on the shared connection, then
-	// make a fresh call: it must see its own result.
+	// make a fresh call into the same dst: it must see its own result
+	// and its own tail, and the late tail must have gone nowhere.
 	time.Sleep(120 * time.Millisecond)
+	if got := dst[:cap(dst)]; !bytes.Equal(got, make([]byte, cap(dst))) {
+		t.Fatalf("late reply tail was written into the timed-out call's dst: %q", got)
+	}
 	var out string
-	if err := c.Call("fast", struct{}{}, &out); err != nil {
+	tail, err := c.CallTail("fast", struct{}{}, nil, &out, dst, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out != "fast-result" {
-		t.Fatalf("late reply leaked into the next call: got %q", out)
+	if out != "fast-result" || string(tail) != "fast-tail" {
+		t.Fatalf("late reply leaked into the next call: got %q with tail %q", out, tail)
 	}
 }
 

@@ -8,11 +8,16 @@
 // request frame carries a caller-chosen request ID, the server
 // dispatches handlers concurrently per connection, and response
 // frames come back in completion order — the ID, not the arrival
-// order, matches a response to its call. A connection starts with a
-// tiny hello exchange that negotiates an optional payload codec
-// (spill.CodecByName); after it, either side may compress any frame's
-// body, flagged per frame. See ARCHITECTURE.md ("Wire protocol") for
-// the frame layout.
+// order, matches a response to its call. A frame is a gob-encoded
+// argument or result and, behind it, an optional raw tail: the bulk
+// bytes of the call (a DFS block, a shuffle chunk), which never pass
+// through gob — the sender writes them to the socket from the caller's
+// slice (Client.CallTail, Server.HandleTail). Control messages have no
+// tail; Call, CallTimeout and Handle are the tail-less forms. A
+// connection starts with a tiny hello exchange that negotiates an
+// optional payload codec (spill.CodecByName); after it, either side may
+// compress any frame's body and tail, each flagged per frame. See
+// ARCHITECTURE.md ("The wire layer") for the frame layout.
 //
 // Client is a connection pool over that protocol: calls fan out over
 // a few multiplexed connections, a call that times out leaves its
@@ -38,7 +43,8 @@ var ErrFrameTooLarge = errors.New("rpcnet: frame exceeds maximum size")
 var ErrClientClosed = errors.New("rpcnet: client closed")
 
 // errMalformedFrame reports a frame whose header lies about its own
-// shape (length below the fixed minimum, meta running past the end).
+// shape (length below the fixed minimum, meta or tail running past the
+// end).
 var errMalformedFrame = errors.New("rpcnet: malformed frame")
 
 // Marshal gob-encodes v.
@@ -67,12 +73,20 @@ func Unmarshal(data []byte, v any) error {
 	return nil
 }
 
-// Handler serves one method: it decodes its argument from req, does
+// Handler serves one method: it decodes its argument from body, does
 // the work, and returns a gob-encodable result. Handlers run
 // concurrently — across connections and across the calls multiplexed
 // on one connection — and must be safe for that. The body slice is
 // only valid until the handler returns.
 type Handler func(body []byte) (any, error)
+
+// TailHandler is a Handler for a method that moves bulk bytes: tail is
+// the request's raw tail and replyTail becomes the reply's. Like body,
+// tail is only valid until the handler returns — a handler that keeps
+// the bytes, or answers with them, copies them. replyTail goes to the
+// socket as it is, so it must stay unmodified until the reply is
+// written; a slice of stored, immutable bytes needs no copy.
+type TailHandler func(body, tail []byte) (result any, replyTail []byte, err error)
 
 // RemoteError is an error reported by the remote handler.
 type RemoteError struct {

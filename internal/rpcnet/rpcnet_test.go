@@ -13,7 +13,7 @@ import (
 type echoArg struct{ Msg string }
 type echoReply struct{ Msg string }
 
-func newEchoServer(t *testing.T) *Server {
+func newEchoServer(t testing.TB) *Server {
 	t.Helper()
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {

@@ -2,11 +2,11 @@ package rpcnet
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"hetmr/internal/spill"
 )
@@ -23,7 +23,7 @@ const maxConnConcurrency = 64
 type Server struct {
 	ln       net.Listener
 	mu       sync.Mutex
-	handlers map[string]Handler
+	handlers map[string]TailHandler
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 	closed   bool
@@ -37,7 +37,7 @@ func NewServer(addr string) (*Server, error) {
 	}
 	s := &Server{
 		ln:       ln,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]TailHandler),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -48,15 +48,24 @@ func NewServer(addr string) (*Server, error) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Handle registers a method handler. Registration after Close is a
-// no-op; re-registering a name replaces the handler.
+// Handle registers a handler for a method that moves no bulk bytes: a
+// tail sent to it is ignored and its reply carries none.
 func (s *Server) Handle(method string, h Handler) {
+	s.HandleTail(method, func(body, _ []byte) (any, []byte, error) {
+		result, err := h(body)
+		return result, nil, err
+	})
+}
+
+// HandleTail registers a method handler. Registration after Close is a
+// no-op; re-registering a name replaces the handler.
+func (s *Server) HandleTail(method string, h TailHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[method] = h
 }
 
-func (s *Server) lookup(method string) (Handler, bool) {
+func (s *Server) lookup(method string) (TailHandler, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, ok := s.handlers[method]
@@ -113,7 +122,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := writeHello(conn, accepted); err != nil {
 		return
 	}
-	var wmu sync.Mutex
+	fw := &frameWriter{conn: conn}
 	sem := make(chan struct{}, maxConnConcurrency)
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
@@ -123,7 +132,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		if fr.flags&frameFlagResponse != 0 {
-			putBuf(fr.body)
+			fr.release()
 			return // protocol violation
 		}
 		sem <- struct{}{}
@@ -133,7 +142,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				<-sem
 				handlers.Done()
 			}()
-			s.dispatch(conn, &wmu, codec, fr)
+			s.dispatch(fw, codec, fr)
 		}(fr)
 	}
 }
@@ -144,48 +153,28 @@ func (s *Server) serveConn(conn net.Conn) {
 // before a byte is written, so the connection is healthy and the caller
 // would wait out its whole timeout for an ID nobody answers. It gets an
 // error frame instead.
-func (s *Server) dispatch(conn net.Conn, wmu *sync.Mutex, codec spill.Codec, fr frame) {
-	body := fr.body.Bytes()
-	var decBuf *bytes.Buffer
+func (s *Server) dispatch(fw *frameWriter, codec spill.Codec, fr frame) {
+	respBody := getBuf(0)
+	defer putBuf(respBody)
+	var respTail []byte
 	errMsg := ""
-	if fr.flags&frameFlagCompressed != 0 {
-		if codec == nil {
-			errMsg = "rpcnet: compressed request without negotiated codec"
-		} else {
-			decBuf = getBuf()
-			if err := decompressInto(codec, decBuf, body); err != nil {
-				errMsg = fmt.Sprintf("rpcnet: decompress request: %v", err)
-			} else {
-				body = decBuf.Bytes()
-			}
-		}
+	if err := fr.inflate(codec); err != nil {
+		errMsg = fmt.Sprintf("rpcnet: request: %v", err)
+	} else if h, ok := s.lookup(fr.meta); !ok {
+		errMsg = fmt.Sprintf("rpcnet: unknown method %q", fr.meta)
+	} else if result, tail, err := h(fr.body.Bytes(), fr.tailBytes()); err != nil {
+		errMsg = err.Error()
+	} else if err := marshalTo(respBody, result); err != nil {
+		respBody.Reset()
+		errMsg = err.Error()
+	} else {
+		respTail = tail
 	}
-	var respBody *bytes.Buffer
-	if errMsg == "" {
-		if h, ok := s.lookup(fr.meta); !ok {
-			errMsg = fmt.Sprintf("rpcnet: unknown method %q", fr.meta)
-		} else if result, err := h(body); err != nil {
-			errMsg = err.Error()
-		} else {
-			respBody = getBuf()
-			if err := marshalTo(respBody, result); err != nil {
-				putBuf(respBody)
-				respBody = nil
-				errMsg = err.Error()
-			}
-		}
+	fr.release()
+	if err := fw.send(time.Time{}, fr.id, frameFlagResponse, errMsg, respBody.Bytes(), respTail, codec); errors.Is(err, ErrFrameTooLarge) {
+		fw.send(time.Time{}, fr.id, frameFlagResponse,
+			fmt.Sprintf("rpcnet: response to %s: frame too large", fr.meta), nil, nil, codec)
 	}
-	putBuf(fr.body)
-	putBuf(decBuf)
-	var raw []byte
-	if respBody != nil {
-		raw = respBody.Bytes()
-	}
-	if err := sendFrame(conn, wmu, fr.id, frameFlagResponse, errMsg, raw, codec); errors.Is(err, ErrFrameTooLarge) {
-		sendFrame(conn, wmu, fr.id, frameFlagResponse,
-			fmt.Sprintf("rpcnet: response to %s: frame too large", fr.meta), nil, codec)
-	}
-	putBuf(respBody)
 }
 
 // Close stops the listener, severs live connections and waits for

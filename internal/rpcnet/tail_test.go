@@ -1,0 +1,353 @@
+package rpcnet
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/rand"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"hetmr/internal/spill"
+	"hetmr/internal/testutil"
+)
+
+// tailArg asks the "tail" handler for a reply tail of Reply bytes of
+// pattern; tailReply reports the request tail the handler saw.
+type tailArg struct{ Reply int }
+type tailReply struct {
+	Got int
+	Sum byte
+}
+
+func pattern(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i * 7)
+	}
+	return p
+}
+
+func xorSum(p []byte) (s byte) {
+	for _, b := range p {
+		s ^= b
+	}
+	return s
+}
+
+// newTailServer is newEchoServer (the un-tailed "echo") plus "tail"
+// (see tailArg) and "mirror", which answers with a copy of the request
+// tail.
+func newTailServer(t testing.TB) *Server {
+	t.Helper()
+	s := newEchoServer(t)
+	s.HandleTail("tail", func(body, tail []byte) (any, []byte, error) {
+		var a tailArg
+		if err := Unmarshal(body, &a); err != nil {
+			return nil, nil, err
+		}
+		var out []byte
+		if a.Reply > 0 {
+			out = pattern(a.Reply)
+		}
+		return tailReply{Got: len(tail), Sum: xorSum(tail)}, out, nil
+	})
+	s.HandleTail("mirror", func(_, tail []byte) (any, []byte, error) {
+		return struct{}{}, bytes.Clone(tail), nil
+	})
+	return s
+}
+
+// TestCallTailRoundTrip: a tail each way, one way and neither, plain
+// and with a codec negotiated, compressible and not — every byte must
+// come back as sent, and the gob result must ride along untouched.
+func TestCallTailRoundTrip(t *testing.T) {
+	random := make([]byte, 96<<10)
+	rand.Read(random)
+	text := bytes.Repeat([]byte("shuffle partition payload "), 4<<10)
+	for _, codec := range []string{"", "snap", "flate"} {
+		t.Run("codec="+codec, func(t *testing.T) {
+			s := newTailServer(t)
+			c, err := Dial(s.Addr(), WithCodec(codec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for _, tc := range []struct {
+				name  string
+				tail  []byte
+				reply int
+			}{
+				{"both ways", text, 200 << 10},
+				{"both ways random", random, 3},
+				{"request only", random, 0},
+				{"reply only", nil, 64 << 10},
+				{"neither", nil, 0},
+			} {
+				var rep tailReply
+				dst, err := c.CallTail("tail", tailArg{Reply: tc.reply}, tc.tail, &rep, nil, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if rep.Got != len(tc.tail) || rep.Sum != xorSum(tc.tail) {
+					t.Errorf("%s: handler saw %d tail bytes (sum %#x), sent %d (sum %#x)",
+						tc.name, rep.Got, rep.Sum, len(tc.tail), xorSum(tc.tail))
+				}
+				if !bytes.Equal(dst, pattern(tc.reply)) {
+					t.Errorf("%s: reply tail of %d bytes differs from the %d sent", tc.name, len(dst), tc.reply)
+				}
+			}
+			got, err := c.CallTail("mirror", struct{}{}, text, nil, nil, 0)
+			if err != nil || !bytes.Equal(got, text) {
+				t.Errorf("mirror: %d bytes back, err %v; want the %d sent, bit-identical", len(got), err, len(text))
+			}
+		})
+	}
+}
+
+// TestCallTailDst pins the caller's side of the reply-tail contract:
+// the tail is appended behind what dst already holds, a nil dst is
+// allocated, an empty tail is no tail, and an error leaves dst as it
+// was.
+func TestCallTailDst(t *testing.T) {
+	s := newTailServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	dst := append(make([]byte, 0, 64), "prefix:"...)
+	out, err := c.CallTail("tail", tailArg{Reply: 16}, nil, nil, dst, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("prefix:"), pattern(16)...); !bytes.Equal(out, want) {
+		t.Errorf("appended reply = %q, want %q", out, want)
+	}
+	if &out[0] != &dst[0] {
+		t.Error("reply tail that fits dst's capacity was not written in place")
+	}
+
+	var rep tailReply
+	out, err = c.CallTail("tail", tailArg{}, []byte{}, &rep, nil, 0)
+	if err != nil || len(out) != 0 || rep.Got != 0 {
+		t.Errorf("empty tail, nil dst: out %q, handler saw %d bytes, err %v", out, rep.Got, err)
+	}
+
+	// An un-tailed method ignores a tail sent to it and answers with none.
+	var echo echoReply
+	out, err = c.CallTail("echo", echoArg{Msg: "hi"}, pattern(2000), &echo, dst, 0)
+	if err != nil || echo.Msg != "hi" || !bytes.Equal(out, dst) {
+		t.Errorf("tail to an un-tailed method: reply %q, dst %q, err %v", echo.Msg, out, err)
+	}
+
+	out, err = c.CallTail("nope", tailArg{}, nil, nil, dst, 0)
+	if err == nil || !bytes.Equal(out, dst) {
+		t.Errorf("failed call returned dst %q, err %v; want dst unchanged and an error", out, err)
+	}
+}
+
+// TestSendCompressesTailOnlyWhenItWins reads what frameWriter.send put on
+// the wire: body and tail are compressed independently, each flagged
+// only when its compressed form is shorter, and inflate restores both.
+func TestSendCompressesTailOnlyWhenItWins(t *testing.T) {
+	snap, ok := spill.CodecByName("snap")
+	if !ok {
+		t.Fatal("snap codec not registered")
+	}
+	random := make([]byte, 8<<10)
+	rand.Read(random)
+	text := bytes.Repeat([]byte("compressible "), 1<<10)
+	for _, tc := range []struct {
+		name       string
+		codec      spill.Codec
+		body, tail []byte
+		wantFlags  byte
+	}{
+		{"no codec", nil, text, text, 0},
+		{"both win", snap, text, text, frameFlagCompressed | frameFlagTailCompressed},
+		{"tail wins", snap, random, text, frameFlagTailCompressed},
+		{"body wins", snap, text, random, frameFlagCompressed},
+		{"neither wins", snap, random, random, 0},
+		{"tail under the floor", snap, nil, text[:compressMin-1], 0},
+		{"no tail", snap, text, nil, frameFlagCompressed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wr, rd := net.Pipe()
+			defer wr.Close()
+			defer rd.Close()
+			fw := frameWriter{conn: wr}
+			sent := make(chan error, 1)
+			go func() { sent <- fw.send(time.Time{}, 9, 0, "m", tc.body, tc.tail, tc.codec) }()
+			fr, err := readFrame(bufio.NewReader(rd))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fr.release()
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			if fr.flags != tc.wantFlags {
+				t.Errorf("flags = %03b, want %03b", fr.flags, tc.wantFlags)
+			}
+			if fr.flags&frameFlagTailCompressed != 0 && len(fr.tailBytes()) >= len(tc.tail) {
+				t.Errorf("tail flagged compressed at %d bytes on the wire for %d raw", len(fr.tailBytes()), len(tc.tail))
+			}
+			if err := fr.inflate(snap); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fr.body.Bytes(), tc.body) || !bytes.Equal(fr.tailBytes(), tc.tail) {
+				t.Errorf("frame came back as %d body + %d tail bytes, sent %d + %d",
+					fr.body.Len(), len(fr.tailBytes()), len(tc.body), len(tc.tail))
+			}
+		})
+	}
+}
+
+// TestReadFrameLyingLengths: a tailLen larger than n leaves room for is
+// malformed, and an n or tailLen that promises bytes which never arrive
+// is an unexpected EOF that allocated no more than the pre-grow, not
+// what the header claimed.
+func TestReadFrameLyingLengths(t *testing.T) {
+	header := func(n, tailLen uint32) []byte {
+		var hdr [frameHeaderLen]byte
+		binary.BigEndian.PutUint32(hdr[0:4], n)
+		binary.BigEndian.PutUint32(hdr[15:19], tailLen)
+		return hdr[:]
+	}
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(header(frameFixedLen+10, 11))))
+	if !errors.Is(err, errMalformedFrame) {
+		t.Errorf("tailLen past the frame end: err %v, want errMalformedFrame", err)
+	}
+	for name, hdr := range map[string][]byte{
+		"lying n":       header(MaxFrame, 0),
+		"lying tailLen": header(MaxFrame, MaxFrame-frameFixedLen),
+	} {
+		input := append(hdr, "only these bytes arrived"...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readFrame(bufio.NewReader(bytes.NewReader(input)))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err %v, want io.ErrUnexpectedEOF", name, err)
+		}
+		// The pre-grow, twice over under the race detector; MaxFrame is 512x it.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*preGrowCap {
+			t.Errorf("%s: decoding %d real bytes allocated %d", name, len(input), grew)
+		}
+	}
+}
+
+// TestCallTimeoutCoversSend: against a peer that completes the hello
+// and then never reads, the call's timeout has to bound the frame write
+// too — before, the write blocked under the connection's write lock
+// with no deadline, and so did every call queued behind it.
+func TestCallTimeoutCoversSend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	var peer sync.WaitGroup
+	defer peer.Wait()
+	defer close(release)
+	peer.Add(1)
+	go func() {
+		defer peer.Done()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := readHello(bufio.NewReader(conn)); err != nil {
+			return
+		}
+		writeHello(conn, "")
+		<-release // never read a frame
+	}()
+
+	c, err := Dial(ln.Addr().String(), WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := c.CallTail("Put", struct{}{}, make([]byte, 32<<20), nil, nil, 200*time.Millisecond)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("send to a non-reading peer: error %v after %v, want a net timeout", err, time.Since(start))
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("call took %v with a 200ms timeout", elapsed)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("call with a 200ms timeout still blocked in its send after 3s")
+	}
+	// The half-written frame cannot be resumed: the connection is failed,
+	// not left for the next call to queue behind.
+	c.mu.Lock()
+	dead := c.conns[0].dead()
+	c.mu.Unlock()
+	if !dead {
+		t.Error("connection still pooled after a write timeout")
+	}
+}
+
+// TestTailCallAllocatesNoPayloadCopies is the property the raw tail
+// exists for: once the buffer pool is warm, a call moving 1 MiB each way
+// into a reused dst allocates a small constant, not a multiple of its
+// payload (a gob []byte field cost three allocations of the payload per
+// hop).
+func TestTailCallAllocatesNoPayloadCopies(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the ceiling holds only without it")
+	}
+	const size = 1 << 20
+	stored := pattern(size)
+	s := newTailServer(t)
+	s.HandleTail("swap", func(_, tail []byte) (any, []byte, error) {
+		return len(tail), stored, nil
+	})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dst := make([]byte, 0, size)
+	call := func() {
+		var got int
+		out, err := c.CallTail("swap", struct{}{}, stored, &got, dst, 0)
+		if err != nil || got != size || len(out) != size || &out[0] != &dst[:1][0] {
+			t.Fatalf("swap: handler saw %d bytes, %d came back (reallocated: %v), err %v",
+				got, len(out), cap(out) != cap(dst), err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		call() // warm the pool
+	}
+	const calls = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / (calls * 2 * size)
+	t.Logf("%.4f B allocated per payload byte", perByte)
+	if perByte >= 0.1 {
+		t.Errorf("a warm 1 MiB tail call allocates %.3f B per payload byte, want < 0.1", perByte)
+	}
+}
