@@ -42,8 +42,8 @@ func (c *LiveCluster) RunSort(input, output string) error {
 	var commitErrMu sync.Mutex
 	var commitErr error
 	_, err = c.runBlocks(work, func(w blockWork, _ *LiveNode, data []byte) (any, error) {
-		run := append([]byte(nil), data...)
-		if err := kernels.SortRecords(run); err != nil {
+		run, err := kernels.SortedRecords(data)
+		if err != nil {
 			return nil, fmt.Errorf("core: sort block %d: %w", w.index, err)
 		}
 		return run, nil

@@ -30,7 +30,7 @@ func TestNetAcceleratorConformance(t *testing.T) {
 		{"cell-accel0.5", "cell", 0.5},
 		{"cell-accel1", "cell", 1.0},
 	}
-	type runKey struct{ variant, kind string }
+	type runKey struct{ variant, job string }
 	results := make(map[runKey]*Result)
 	for _, v := range variants {
 		cfg := conformanceConfig()
@@ -40,13 +40,13 @@ func TestNetAcceleratorConformance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: New: %v", v.name, err)
 		}
-		for _, job := range conformanceJobs() {
-			res, err := r.Run(job)
+		for _, c := range conformanceCases() {
+			res, err := r.Run(c.job)
 			if err != nil {
 				r.Close()
-				t.Fatalf("%s: %s: %v", v.name, job.Kind, err)
+				t.Fatalf("%s: %s: %v", v.name, c.name, err)
 			}
-			results[runKey{v.name, string(job.Kind)}] = res
+			results[runKey{v.name, c.name}] = res
 		}
 		// The tracker device profile must match the requested fraction.
 		frac, err := ResolveAccelFraction(v.accel)
@@ -75,12 +75,12 @@ func TestNetAcceleratorConformance(t *testing.T) {
 		}
 		r.Close()
 	}
-	for _, job := range conformanceJobs() {
-		ref := results[runKey{variants[0].name, string(job.Kind)}]
+	for _, c := range conformanceCases() {
+		ref := results[runKey{variants[0].name, c.name}]
 		for _, v := range variants[1:] {
-			res := results[runKey{v.name, string(job.Kind)}]
-			if err := SameResult(job.Kind, ref, res); err != nil {
-				t.Errorf("%s vs %s on %s: %v", variants[0].name, v.name, job.Kind, err)
+			res := results[runKey{v.name, c.name}]
+			if err := SameResult(c.job.Kind, ref, res); err != nil {
+				t.Errorf("%s vs %s on %s: %v", variants[0].name, v.name, c.name, err)
 			}
 		}
 	}

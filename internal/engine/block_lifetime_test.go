@@ -14,7 +14,8 @@ import (
 // result inline, or streamed into a Sink.
 func lifetimeJobs() []*Job {
 	var jobs []*Job
-	for _, j := range conformanceJobs() {
+	for _, c := range conformanceCases() {
+		j := c.job
 		jobs = append(jobs, j)
 		if j.Kind == Sort || j.Kind == Encrypt {
 			sunk := *j

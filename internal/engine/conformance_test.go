@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -38,17 +39,42 @@ func corpus() []byte {
 	return b.Bytes()
 }
 
-func conformanceJobs() []*Job {
-	return []*Job{
-		{Kind: Wordcount, Input: corpus()},
-		{Kind: Sort, Input: kernels.GenerateSortRecords(2009, 1_000)},
-		{Kind: Pi, Samples: 300_000, Tasks: 8, Seed: 2009},
-		{
+// tiedSortRecords is a sort input of 1 000 records over 32 distinct
+// keys with every payload distinct: only a stable sort at every layer —
+// the map run, the range cut, the merge — gives every backend the same
+// order of equal keys, so this is what pins stability across backends.
+func tiedSortRecords() []byte {
+	const n, keys = 1_000, 32
+	pool := kernels.GenerateSortRecords(32, keys)
+	data := kernels.GenerateSortRecords(2010, n)
+	for i := 0; i < n; i++ {
+		rec := data[i*kernels.SortRecordBytes : (i+1)*kernels.SortRecordBytes]
+		k := int(rec[kernels.SortKeyBytes]) % keys
+		copy(rec, pool[k*kernels.SortRecordBytes:k*kernels.SortRecordBytes+kernels.SortKeyBytes])
+		binary.BigEndian.PutUint32(rec[kernels.SortKeyBytes+1:], uint32(i))
+	}
+	return data
+}
+
+// conformanceCase is one job of the conformance table; name is its
+// subtest name.
+type conformanceCase struct {
+	name string
+	job  *Job
+}
+
+func conformanceCases() []conformanceCase {
+	return []conformanceCase{
+		{"wordcount", &Job{Kind: Wordcount, Input: corpus()}},
+		{"sort", &Job{Kind: Sort, Input: kernels.GenerateSortRecords(2009, 1_000)}},
+		{"sort-ties", &Job{Kind: Sort, Input: tiedSortRecords()}},
+		{"pi", &Job{Kind: Pi, Samples: 300_000, Tasks: 8, Seed: 2009}},
+		{"encrypt", &Job{
 			Kind:  Encrypt,
 			Input: corpus()[:20_000],
 			Key:   []byte("conformance-key!"),
 			IV:    []byte("conformance-iv!!"),
-		},
+		}},
 	}
 }
 
@@ -76,9 +102,9 @@ func runOnConfig(t *testing.T, backend string, cfg Config, job *Job) (*Result, b
 
 func TestCrossBackendConformance(t *testing.T) {
 	required := []string{"live", "sim", "net"}
-	for _, job := range conformanceJobs() {
-		job := job
-		t.Run(string(job.Kind), func(t *testing.T) {
+	for _, c := range conformanceCases() {
+		job := c.job
+		t.Run(c.name, func(t *testing.T) {
 			results := make(map[string]*Result)
 			for _, backend := range append(append([]string{}, required...), "cellmr") {
 				if res, ok := runOn(t, backend, job); ok {
@@ -160,9 +186,9 @@ func testRacksConformance(t *testing.T) {
 // blocks, shuffle fetches); on the others it must be inert.
 func TestCrossBackendConformanceWithCodec(t *testing.T) {
 	backends := []string{"live", "sim", "net", "cellmr"}
-	for _, job := range conformanceJobs() {
-		job := job
-		t.Run(string(job.Kind), func(t *testing.T) {
+	for _, c := range conformanceCases() {
+		job := c.job
+		t.Run(c.name, func(t *testing.T) {
 			for _, backend := range backends {
 				plain, ok := runOn(t, backend, job)
 				if !ok {

@@ -26,9 +26,9 @@ func TestConformanceWithSpeculationAndStraggler(t *testing.T) {
 	for _, backend := range []string{"live", "net"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			for _, job := range conformanceJobs() {
-				job := job
-				t.Run(string(job.Kind), func(t *testing.T) {
+			for _, c := range conformanceCases() {
+				job := c.job
+				t.Run(c.name, func(t *testing.T) {
 					ref, ok := runOn(t, backend, job)
 					if !ok {
 						t.Fatalf("%s does not support %s", backend, job.Kind)
@@ -72,7 +72,8 @@ func TestSpeculationOnOffBitIdentical(t *testing.T) {
 	for _, backend := range []string{"live", "net"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			for _, job := range conformanceJobs() {
+			for _, c := range conformanceCases() {
+				job := c.job
 				off, ok := runOn(t, backend, job)
 				if !ok {
 					continue

@@ -114,8 +114,8 @@ func (r *simRunner) functional(job *Job, data []byte, res *Result) error {
 		blks := r.blocks(data)
 		runs := make([][]byte, len(blks))
 		for i, blk := range blks {
-			runs[i] = append([]byte(nil), blk...)
-			if err := kernels.SortRecords(runs[i]); err != nil {
+			var err error
+			if runs[i], err = kernels.SortedRecords(blk); err != nil {
 				return err
 			}
 		}

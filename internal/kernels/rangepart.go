@@ -2,8 +2,8 @@ package kernels
 
 // Sampled range partitioning, the TeraSort trick that makes the final
 // merge disappear: a reservoir sample of the input keys picks R-1
-// split keys, every record routes to the partition whose key range
-// covers it, and the sorted partitions concatenate in key order —
+// split keys, a sorted map run is cut at them into R slices, one per
+// key range, and the sorted partitions concatenate in key order —
 // reduce r's output strictly precedes reduce r+1's. This lives next to
 // PartitionIndexString so both partitioning strategies share one home
 // and the backends can never diverge on where a key routes.
@@ -45,6 +45,32 @@ func (p *RangePartitioner) Index(key []byte) int {
 	return sort.Search(len(p.splits), func(i int) bool {
 		return bytes.Compare(p.splits[i], key) > 0
 	})
+}
+
+// Cut splits a run of 100-byte records already in key order into
+// exactly Parts() sub-slices, partition i holding the records Index
+// routes to i. Because Index is monotone, each boundary is one binary
+// search over record indices. The slices alias sorted and are capped,
+// so appending to one cannot overwrite the next; an empty partition
+// is nil.
+func (p *RangePartitioner) Cut(sorted []byte) [][]byte {
+	n := len(sorted) / SortRecordBytes
+	parts := make([][]byte, p.Parts())
+	lo := 0
+	for i := range parts {
+		hi := n
+		if i < len(p.splits) {
+			hi = lo + sort.Search(n-lo, func(j int) bool {
+				off := (lo + j) * SortRecordBytes
+				return p.Index(sorted[off:off+SortKeyBytes]) > i
+			})
+		}
+		if hi > lo {
+			parts[i] = sorted[lo*SortRecordBytes : hi*SortRecordBytes : hi*SortRecordBytes]
+		}
+		lo = hi
+	}
+	return parts
 }
 
 // SplitKeysFromSample computes parts-1 split keys as evenly spaced

@@ -123,6 +123,60 @@ func TestRangePartitionerSingleReducer(t *testing.T) {
 	}
 }
 
+// TestCutMatchesIndexRouting pins Cut to Index: cutting a sorted run
+// must give each partition exactly the records Index routes there, in
+// run order, as capped slices, with nil for an empty partition.
+func TestCutMatchesIndexRouting(t *testing.T) {
+	rng := piRNG{state: 5}
+	alphabet := []byte{0x00, 0x40, 0x41, 0xff}
+	data := recordsWithKeys(400, func(_ int, k []byte) {
+		for j := range k {
+			k[j] = alphabet[rng.next()%uint64(len(alphabet))]
+		}
+	})
+	run, err := SortedRecords(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := append([]byte(nil), run[200*SortRecordBytes:200*SortRecordBytes+SortKeyBytes]...)
+	splitSets := map[string][][]byte{
+		"none":              nil,
+		"duplicates":        {{0x40}, {0x40}, {0x40}},
+		"equal-to-a-key":    {exact, exact},
+		"shorter-than-key":  {{0x00, 0x40}, {0x41}, {0x41, 0xff, 0x00}},
+		"longer-than-key":   {append(bytes.Repeat([]byte{0x40}, 10), 0x00, 0x01), append(bytes.Repeat([]byte{0x41}, 10), 0xff)},
+		"all-below":         {{}, {}},
+		"all-above":         {bytes.Repeat([]byte{0xff}, 11)},
+		"interleaved-empty": {{0x00}, {0x00, 0x00, 0x01}, {0x41, 0x00}, {0x41, 0x00}, {0xff, 0xff, 0xff}},
+	}
+	for name, splits := range splitSets {
+		t.Run(name, func(t *testing.T) {
+			p := NewRangePartitioner(splits)
+			want := make([][]byte, p.Parts())
+			for off := 0; off < len(run); off += SortRecordBytes {
+				i := p.Index(run[off : off+SortKeyBytes])
+				want[i] = append(want[i], run[off:off+SortRecordBytes]...)
+			}
+			got := p.Cut(run)
+			if len(got) != p.Parts() {
+				t.Fatalf("Cut returned %d partitions, want %d", len(got), p.Parts())
+			}
+			for i := range got {
+				if (got[i] == nil) != (want[i] == nil) || !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("partition %d: %d bytes (nil %v), want %d (nil %v)",
+						i, len(got[i]), got[i] == nil, len(want[i]), want[i] == nil)
+				}
+				if cap(got[i]) != len(got[i]) {
+					t.Fatalf("partition %d has cap %d > len %d: an append would bleed into the next", i, cap(got[i]), len(got[i]))
+				}
+			}
+		})
+	}
+	if got := NewRangePartitioner([][]byte{{0x40}}).Cut(nil); len(got) != 2 || got[0] != nil || got[1] != nil {
+		t.Fatalf("Cut of an empty run = %v, want two nil partitions", got)
+	}
+}
+
 func TestSplitKeysFromSampleSmallSample(t *testing.T) {
 	if got := SplitKeysFromSample(nil, 4); got != nil {
 		t.Fatalf("empty sample: got %v, want nil", got)

@@ -2,10 +2,118 @@ package kernels
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// sortedRecordsReference is the comparison sort SortedRecords replaced:
+// a stable sort of record indices by key, then a gather. It is the
+// oracle every radix-sort test checks against.
+func sortedRecordsReference(src []byte) []byte {
+	n := len(src) / SortRecordBytes
+	key := func(i int) []byte { return src[i*SortRecordBytes : i*SortRecordBytes+SortKeyBytes] }
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return bytes.Compare(key(idx[a]), key(idx[b])) < 0 })
+	out := make([]byte, len(src))
+	for to, from := range idx {
+		copy(out[to*SortRecordBytes:], src[from*SortRecordBytes:(from+1)*SortRecordBytes])
+	}
+	return out
+}
+
+// recordsWithKeys builds n records whose payloads are all distinct (so
+// any reordering of equal keys shows) and whose keys setKey fills in.
+func recordsWithKeys(n int, setKey func(i int, key []byte)) []byte {
+	buf := GenerateSortRecords(uint64(n)+1, n)
+	for i := 0; i < n; i++ {
+		rec := buf[i*SortRecordBytes : (i+1)*SortRecordBytes]
+		binary.BigEndian.PutUint64(rec[SortKeyBytes:], uint64(i))
+		setKey(i, rec[:SortKeyBytes])
+	}
+	return buf
+}
+
+// checkAgainstReference sorts src both ways and fails on any byte of
+// difference, or if SortedRecords wrote to src.
+func checkAgainstReference(t *testing.T, src []byte) {
+	t.Helper()
+	orig := append([]byte(nil), src...)
+	got, err := SortedRecords(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(src, orig) {
+		t.Fatal("SortedRecords modified its input")
+	}
+	if want := sortedRecordsReference(src); !bytes.Equal(got, want) {
+		t.Fatalf("radix sort of %d records differs from the stable comparison sort", len(src)/SortRecordBytes)
+	}
+}
+
+func TestSortedRecordsMatchesStableReference(t *testing.T) {
+	rng := piRNG{state: 77}
+	cases := []struct {
+		name   string
+		n      int
+		setKey func(i int, key []byte)
+	}{
+		{"empty", 0, nil},
+		{"one", 1, nil},
+		{"two-descending", 2, func(i int, k []byte) { k[0] = byte(1 - i) }},
+		{"two-equal", 2, func(_ int, k []byte) { copy(k, "samesamesa") }},
+		{"all-equal", 300, func(_ int, k []byte) { copy(k, "0123456789") }},
+		{"equal-prefix-differ-in-8-9", 300, func(i int, k []byte) {
+			copy(k, "prefix!!")
+			k[8], k[9] = byte(rng.next()%3), byte(rng.next()%3)
+		}},
+		{"equal-8-9-differ-earlier", 300, func(i int, k []byte) {
+			binary.BigEndian.PutUint64(k, rng.next()%5<<56|rng.next()%4)
+			k[8], k[9] = 0xab, 0xcd
+		}},
+		{"constant-column", 300, func(i int, k []byte) {
+			binary.BigEndian.PutUint64(k, rng.next())
+			k[3], k[9] = 0x42, byte(rng.next()%4)
+		}},
+		{"random", 2000, func(int, []byte) {}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			setKey := tc.setKey
+			if setKey == nil {
+				setKey = func(int, []byte) {}
+			}
+			checkAgainstReference(t, recordsWithKeys(tc.n, setKey))
+		})
+	}
+}
+
+// FuzzSortedRecords turns the fuzz input into records whose key bytes
+// come from a four-letter alphabet, so ties and shared prefixes are the
+// norm, and checks the radix sort against the stable comparison sort.
+func FuzzSortedRecords(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte("shared prefixes and duplicate keys, byte for byte"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		alphabet := [4]byte{0x00, 0x01, 0x80, 0xff}
+		n := len(data) / 4
+		if n > 512 {
+			n = 512
+		}
+		checkAgainstReference(t, recordsWithKeys(n, func(i int, k []byte) {
+			w := binary.LittleEndian.Uint32(data[4*i:])
+			for j := range k {
+				k[j] = alphabet[w>>(2*j)&3]
+			}
+		}))
+	})
+}
 
 func TestGenerateSortRecords(t *testing.T) {
 	a := GenerateSortRecords(1, 100)
@@ -67,6 +175,9 @@ func TestSortBadSize(t *testing.T) {
 	if err := SortRecords(make([]byte, 150)); !errors.Is(err, ErrRecordSize) {
 		t.Errorf("got %v", err)
 	}
+	if _, err := SortedRecords(make([]byte, 50)); !errors.Is(err, ErrRecordSize) {
+		t.Errorf("got %v", err)
+	}
 	if _, err := RecordsSorted(make([]byte, 99)); !errors.Is(err, ErrRecordSize) {
 		t.Errorf("got %v", err)
 	}
@@ -96,14 +207,10 @@ func TestMergeSortedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, _ := RecordsSorted(got)
-	if !sorted {
-		t.Fatal("merged output unsorted")
-	}
-	// Same multiset as the direct sort (stable order may differ for
-	// equal keys, but TeraSort only requires key order).
-	if len(got) != len(want) {
-		t.Fatal("merge lost records")
+	// Stable run sorts merged with ties to the lower run are the stable
+	// sort of the whole input, byte for byte.
+	if !bytes.Equal(got, want) {
+		t.Fatal("merge of sorted runs differs from sorting the whole input")
 	}
 }
 

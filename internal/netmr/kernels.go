@@ -243,32 +243,24 @@ func init() {
 
 	RegisterKernel("sort", MapKernel{
 		// TeraSort shape: sort each block's 100-byte records where they
-		// live, route them by key range (kernels.RangePartitioner over the
-		// job's SplitKeys; none means one range), merge each range's runs
-		// on a reducer. Ranges are key-ordered, so the reduce outputs
-		// concatenate globally sorted with no final merge. The submitter
-		// must pick a DFS block size that is a multiple of the record
-		// size.
+		// live, cut the sorted run at the job's SplitKeys
+		// (kernels.RangePartitioner; none means one range), merge each
+		// range's runs on a reducer. Ranges are key-ordered, so the
+		// reduce outputs concatenate globally sorted with no final merge.
+		// The submitter must pick a DFS block size that is a multiple of
+		// the record size.
 		Partition: func(task Task, data []byte, parts int) ([][]byte, error) {
 			rp := kernels.NewRangePartitioner(task.SplitKeys)
 			if rp.Parts() != parts {
 				return nil, fmt.Errorf("netmr: %d split keys for %d partitions", len(task.SplitKeys), parts)
 			}
-			run := append([]byte(nil), data...)
-			if err := kernels.SortRecords(run); err != nil {
+			run, err := kernels.SortedRecords(data)
+			if err != nil {
 				return nil, err
 			}
-			if parts == 1 {
-				return [][]byte{run}, nil
-			}
-			// An empty partition stays a nil slice: a zero-length run.
-			split := make([][]byte, parts)
-			for off := 0; off < len(run); off += kernels.SortRecordBytes {
-				rec := run[off : off+kernels.SortRecordBytes]
-				p := rp.Index(rec[:kernels.SortKeyBytes])
-				split[p] = append(split[p], rec...)
-			}
-			return split, nil
+			// The pieces alias one run; that is safe because the shuffle
+			// store copies each payload it keeps (spill.Store.Put).
+			return rp.Cut(run), nil
 		},
 		Merge: kernels.MergeSortedRuns,
 	})

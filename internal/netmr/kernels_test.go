@@ -5,11 +5,13 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
+	"hetmr/internal/testutil"
 )
 
 // These tests pin the payload format of the byte-stream kernels: a
@@ -103,6 +105,46 @@ func TestSortPartitionPiecesAreRecordSlices(t *testing.T) {
 		if !bytes.Equal(merged, want) {
 			t.Fatalf("partition %d merged to %d bytes, want %d", p, len(merged), len(want))
 		}
+	}
+}
+
+// TestSortPartitionAllocationCeiling pins the sort map kernel's copy
+// budget on a warm 4 MB block cut eight ways: the radix sort's two
+// packed-key arrays (0.32 B per input byte) plus the one sorted run the
+// partitions alias. A defensive copy of the block or per-partition
+// appends would each add a whole byte per input byte.
+func TestSortPartitionAllocationCeiling(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates; the ceiling holds only without it")
+	}
+	kern, err := lookupKernel("sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := kernels.GenerateSortRecords(25, 4<<20/kernels.SortRecordBytes)
+	var sample [][]byte
+	for off := 0; off < len(block); off += 100 * kernels.SortRecordBytes {
+		sample = append(sample, block[off:off+kernels.SortKeyBytes])
+	}
+	const parts = 8
+	task := Task{SplitKeys: kernels.SplitKeysFromSample(sample, parts)}
+	partition := func() {
+		if _, err := kern.Partition(task, block, parts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	partition() // warm
+	const calls = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		partition()
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(calls*len(block))
+	t.Logf("sort Partition allocates %.2f B per input byte", perByte)
+	if perByte > 1.5 {
+		t.Errorf("sort Partition allocates %.2f B per input byte, want <= 1.5", perByte)
 	}
 }
 
