@@ -55,8 +55,8 @@ func (e sortEntry) digit(d int) byte {
 
 // SortedRecords returns src's records in stable key order in a new
 // buffer, leaving src untouched. It packs every key into a sortEntry,
-// runs one LSD counting pass per key byte (skipping a byte every key
-// shares) and gathers the records into the output once.
+// runs one LSD counting pass per key byte and gathers the records into
+// the output once.
 func SortedRecords(src []byte) ([]byte, error) {
 	if len(src)%SortRecordBytes != 0 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordSize, len(src))
@@ -81,13 +81,9 @@ func SortedRecords(src []byte) ([]byte, error) {
 		}
 	}
 	for d := SortKeyBytes - 1; d >= 0; d-- {
-		c := &counts[d]
-		if c[a[0].digit(d)] == n {
-			continue // every key shares this byte: the pass would not move anything
-		}
 		var next [256]int
 		sum := 0
-		for v, k := range c {
+		for v, k := range &counts[d] {
 			next[v] = sum
 			sum += k
 		}
