@@ -49,14 +49,12 @@ bench-compare:
 	bash bench/run.sh -compare $(CMP)/base/result.json $(CMP)/head/result.json
 
 # fuzz-smoke mirrors the CI fuzz lane: short coverage-led mutation
-# over the rpcnet wire decoders, the snap codec and the radix sort
-# (checked against the stable comparison sort it replaced).
+# over the rpcnet wire decoders and the radix sort (checked against the
+# stable comparison sort it replaced).
 fuzz-smoke:
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadHello -fuzztime 5s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzServeConn -fuzztime 10s
-	$(GO) test ./internal/spill -run='^$$' -fuzz FuzzSnapRoundTrip -fuzztime 10s
-	$(GO) test ./internal/spill -run='^$$' -fuzz FuzzSnapDecode -fuzztime 10s
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzSortedRecords -fuzztime 10s
 
 # examples-smoke runs what tier-1 only compiles: each program under
@@ -125,7 +123,7 @@ loc:
 # count is the same on every machine, so a PR that grows the tree must
 # raise LOC_MAX in its own diff, where review sees it; one that shrinks
 # it lowers LOC_MAX to the new `make loc`.
-LOC_MAX := 21009
+LOC_MAX := 20348
 loc-gate:
 	@n="$$($(MAKE) -s --no-print-directory loc)"; \
 	echo "non-test Go lines outside bench/: $$n (LOC_MAX $(LOC_MAX))"; \

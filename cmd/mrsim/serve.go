@@ -50,7 +50,7 @@ func serve(cfg engine.Config, quotaSpec string) error {
 
 // startService boots the service's fleet as the engine's net backend,
 // so the one Config→cluster mapping (engine/net.go) decides what the
-// scheduling, accelerator, spill, codec and rack flags mean for -serve
+// scheduling, accelerator, spill and rack flags mean for -serve
 // exactly as it does for a one-shot -backend net run. Closing the
 // runner stops every daemon.
 func startService(cfg engine.Config) (engine.Runner, *netmr.Cluster, error) {

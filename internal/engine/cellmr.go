@@ -39,7 +39,6 @@ func init() {
 	//hetlint:configdrop-ok cellmr Config.SpillMemBytes the PPE staging buffer is the framework's whole memory model
 	//hetlint:configdrop-ok cellmr Config.SpillDir no spill layer on the single-node framework
 	//hetlint:configdrop-ok cellmr Config.SpillCompress no spill layer on the single-node framework
-	//hetlint:configdrop-ok cellmr Config.Codec no wire layer inside one chip
 	//hetlint:configdrop-ok cellmr Config.Racks single node: there is no second rack
 	//hetlint:configdrop-ok cellmr Job.Name job names label tracker/DFS state, which the framework does not keep
 	//hetlint:configdrop-ok cellmr Job.Seed Seed shards Pi sampling; cellmr accepts only Encrypt

@@ -124,6 +124,7 @@ func TestCrossBackendConformance(t *testing.T) {
 		})
 	}
 	t.Run("racks", testRacksConformance)
+	t.Run("net-result-paths", testNetResultPaths)
 }
 
 // testRacksConformance pins Config.Racks where users set it. On net the
@@ -178,44 +179,10 @@ func testRacksConformance(t *testing.T) {
 	}
 }
 
-// TestCrossBackendConformanceWithCodec re-runs the conformance
-// contract with wire compression negotiated (Config.Codec) and pins
-// every backend's compressed-wire result against the same backend's
-// uncompressed run — the codec is a transport knob, never a semantic
-// one. On the net backend the codec actually rides the wire (DFS
-// blocks, shuffle fetches); on the others it must be inert.
-func TestCrossBackendConformanceWithCodec(t *testing.T) {
-	backends := []string{"live", "sim", "net", "cellmr"}
-	for _, c := range conformanceCases() {
-		job := c.job
-		t.Run(c.name, func(t *testing.T) {
-			for _, backend := range backends {
-				plain, ok := runOn(t, backend, job)
-				if !ok {
-					continue
-				}
-				for _, codec := range []string{"snap", "flate"} {
-					cfg := conformanceConfig()
-					cfg.Codec = codec
-					compressed, ok := runOnConfig(t, backend, cfg, job)
-					if !ok {
-						t.Fatalf("%s: %s supported without codec but not with %q", backend, job.Kind, codec)
-					}
-					if err := SameResult(job.Kind, plain, compressed); err != nil {
-						t.Fatalf("%s: %s: codec %q changed the result: %v", backend, job.Kind, codec, err)
-					}
-				}
-			}
-		})
-	}
-	t.Run("net-result-paths", testNetResultPaths)
-}
-
 // testNetResultPaths pins the net backend's byte results — collected
 // from the trackers into Result.Bytes ("inline") or a Sink ("streamed",
 // "sink") — against the live reference, whose sort hash-partitions in
-// process where net range-partitions, with and without a wire codec.
-// The tiny sorts have more reducers than records, so some reduce
+// process where net range-partitions. The tiny sorts have more reducers than records, so some reduce
 // partitions are empty.
 func testNetResultPaths(t *testing.T) {
 	bigSort := kernels.GenerateSortRecords(2009, 1_000)
@@ -245,26 +212,23 @@ func testNetResultPaths(t *testing.T) {
 			if !ok {
 				t.Fatalf("live does not support %s", tc.job.Kind)
 			}
-			for _, codec := range []string{"", "snap"} {
-				cfg.Codec = codec
-				job := *tc.job
-				var sunk bytes.Buffer
-				if tc.sink {
-					job.Sink = &sunk
+			job := *tc.job
+			var sunk bytes.Buffer
+			if tc.sink {
+				job.Sink = &sunk
+			}
+			got, ok := runOnConfig(t, "net", cfg, &job)
+			if !ok {
+				t.Fatalf("net does not support %s", job.Kind)
+			}
+			if tc.sink {
+				if got.OutputBytes != int64(sunk.Len()) {
+					t.Fatalf("OutputBytes %d, sink holds %d", got.OutputBytes, sunk.Len())
 				}
-				got, ok := runOnConfig(t, "net", cfg, &job)
-				if !ok {
-					t.Fatalf("net does not support %s", job.Kind)
-				}
-				if tc.sink {
-					if got.OutputBytes != int64(sunk.Len()) {
-						t.Fatalf("codec %q: OutputBytes %d, sink holds %d", codec, got.OutputBytes, sunk.Len())
-					}
-					got.Bytes = sunk.Bytes()
-				}
-				if err := SameResult(job.Kind, want, got); err != nil {
-					t.Fatalf("codec %q: net differs from live: %v", codec, err)
-				}
+				got.Bytes = sunk.Bytes()
+			}
+			if err := SameResult(job.Kind, want, got); err != nil {
+				t.Fatalf("net differs from live: %v", err)
 			}
 		})
 	}

@@ -95,9 +95,6 @@ func init() {
 				netmr.WithIngestWindow(cfg.SpillMemBytes),
 				netmr.WithFetchWindow(cfg.SpillMemBytes))
 		}
-		if cfg.Codec != "" {
-			opts = append(opts, netmr.WithWireCodec(cfg.Codec))
-		}
 		clus, err := netmr.StartCluster(cfg.Workers, cfg.MappersPerNode,
 			cfg.BlockSize, 20*time.Millisecond, opts...)
 		if err != nil {
@@ -111,7 +108,7 @@ func init() {
 // NameNode/JobTracker pair) and returns a Client that stages, submits
 // and collects jobs exactly as the booted "net" backend does, without
 // owning a daemon. Of cfg it reads BlockSize (how this client cuts staged
-// input), Mapper, Reducers, JobTimeout and Codec. The fields that shape a
+// input), Mapper, Reducers and JobTimeout. The fields that shape a
 // cluster — Workers, MappersPerNode, AccelFraction, Speculative,
 // MaxAttempts, FaultDelays, Quotas, Racks, Spill* — describe the service
 // and are not consulted: defaults that scale with the fleet (Reducers 0,
@@ -129,7 +126,7 @@ func Dial(nnAddr, jtAddr string, cfg Config) (*Client, error) {
 	if err := netRejects(cfg); err != nil {
 		return nil, err
 	}
-	client, err := netmr.NewClient(nnAddr, jtAddr, cfg.BlockSize, netmr.WithClientWireCodec(cfg.Codec))
+	client, err := netmr.NewClient(nnAddr, jtAddr, cfg.BlockSize)
 	if err != nil {
 		return nil, err
 	}

@@ -98,18 +98,12 @@ type Config struct {
 	// the OS temp dir). Stores create and remove their own
 	// subdirectories.
 	SpillDir string
-	// SpillCompress frame-compresses spilled payloads — trade CPU for
-	// spill-disk footprint. The codec is Codec when set, DEFLATE at
-	// fastest otherwise.
+	// SpillCompress frame-compresses spilled payloads with DEFLATE at
+	// its fastest level — trade CPU for spill-disk footprint. It needs
+	// a SpillMemBytes watermark: without one nothing spills, so
+	// withDefaults rejects the pair rather than accept a knob that does
+	// nothing. Nothing on the wire is compressed.
 	SpillCompress bool
-	// Codec names the data-plane compression codec (spill.CodecByName:
-	// "snap" for the LZ4-style block codec, "flate" for DEFLATE; ""
-	// for none, the default). On the net backend a non-empty Codec is
-	// also negotiated as the rpcnet wire codec, so DFS block transfers
-	// and shuffle FetchPartition payloads are compressed per frame on
-	// the wire; results stay bit-identical with it on or off. With
-	// SpillCompress set it selects the spill frame codec too.
-	Codec string
 	// Timeline requests a rendered task Gantt chart in Result.Sim
 	// (simulated backend).
 	Timeline bool
@@ -220,10 +214,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Racks < 0 {
 		return c, fmt.Errorf("engine: negative rack count %d", c.Racks)
 	}
-	if c.Codec != "" {
-		if _, ok := spill.CodecByName(c.Codec); !ok {
-			return c, fmt.Errorf("engine: unknown codec %q (have %v)", c.Codec, spill.CodecNames())
-		}
+	if c.SpillCompress && c.SpillMemBytes == 0 {
+		return c, fmt.Errorf("%w: SpillCompress compresses spilled payloads and needs a SpillMemBytes watermark", ErrUnsupported)
 	}
 	if c.FaultDelays != nil && len(c.FaultDelays) != c.Workers {
 		return c, fmt.Errorf("engine: %d fault delays for %d workers", len(c.FaultDelays), c.Workers)
@@ -286,18 +278,13 @@ func (c Config) spillMem() int64 {
 	}
 }
 
-// spillCodec resolves the spill frame codec: Codec when named,
-// DEFLATE otherwise. Callers run after withDefaults, so a non-empty
-// Codec is known to resolve.
+// spillCodec resolves the spill frame codec: DEFLATE when
+// SpillCompress is set, none otherwise.
 func (c Config) spillCodec() spill.Codec {
-	if !c.SpillCompress {
-		return nil
+	if c.SpillCompress {
+		return spill.Flate()
 	}
-	if c.Codec != "" {
-		codec, _ := spill.CodecByName(c.Codec)
-		return codec
-	}
-	return spill.Flate()
+	return nil
 }
 
 // validateJob checks a job against this backend configuration at the

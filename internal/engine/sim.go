@@ -36,7 +36,6 @@ func init() {
 	//hetlint:configdrop-ok sim Config.SpillMemBytes the timing model has no real data plane to spill
 	//hetlint:configdrop-ok sim Config.SpillDir the timing model has no real data plane to spill
 	//hetlint:configdrop-ok sim Config.SpillCompress the timing model has no real data plane to spill
-	//hetlint:configdrop-ok sim Config.Codec no real wire layer; rpc cost is modelled, not paid
 	//hetlint:configdrop-ok sim Config.Racks locality on the model is the calibrated local/remote read split; there is no rack tier to place into
 	//hetlint:configdrop-ok sim Job.Tenant tenancy is the net job service's concept; Quotas are already rejected below
 	Register("sim", func(cfg Config) (Runner, error) {

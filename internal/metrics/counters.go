@@ -29,7 +29,7 @@ var (
 	// stores (DFS block stores, shuffle stores, sort-run stores) —
 	// the external-memory half of the bounded-memory data plane.
 	// Sizes are pre-compression, so the meter reflects logical
-	// traffic regardless of codec.
+	// traffic whether or not spill frames are compressed.
 	SpillBytes Counter
 
 	// DataPlaneBytes counts task output bytes that crossed a control
@@ -45,13 +45,9 @@ var (
 	// JobsKilled counts jobs terminated mid-flight by a Kill RPC.
 	JobsKilled Counter
 
-	// WireBytesRaw counts rpcnet frame payload bytes before optional
-	// wire compression, send-side (requests and responses alike).
+	// WireBytesRaw counts rpcnet frame payload bytes — gob body plus
+	// raw tail, headers and meta excluded — send-side, requests and
+	// responses alike. Nothing on the wire is compressed, so these are
+	// the payload bytes the sockets carried.
 	WireBytesRaw Counter
-
-	// WireBytesOnWire counts rpcnet frame payload bytes as actually
-	// sent — after compression when a frame was compressed, equal to
-	// the raw figure otherwise. WireBytesRaw−WireBytesOnWire is the
-	// traffic the negotiated codec saved.
-	WireBytesOnWire Counter
 )

@@ -21,32 +21,15 @@ import (
 // JobTracker. It keeps one pooled, multiplexed connection per daemon
 // (redialed transparently if it dies); Close releases them.
 type Client struct {
-	nnAddr        string
-	jtAddr        string
-	blockSize     int64
-	ingestWindow  int64
-	wireCodecName string
-	wire          *connCache
+	nnAddr       string
+	jtAddr       string
+	blockSize    int64
+	ingestWindow int64
+	wire         *connCache
 }
 
 // ClientOption customizes NewClient.
-type ClientOption func(*Client) error
-
-// WithClientWireCodec makes every connection the client dials propose
-// the named wire codec (spill.CodecByName), so DFS block transfers
-// and output fetches are compressed on the wire when the server side
-// accepts.
-func WithClientWireCodec(name string) ClientOption {
-	return func(c *Client) error {
-		if name != "" {
-			if _, ok := spill.CodecByName(name); !ok {
-				return fmt.Errorf("netmr: unknown wire codec %q", name)
-			}
-		}
-		c.wireCodecName = name
-		return nil
-	}
-}
+type ClientOption func(*Client)
 
 // WithClientIngestWindow bounds WriteFrom's in-flight block bytes: up
 // to bytes of blocks may be replicating concurrently before the reader
@@ -56,11 +39,10 @@ func WithClientWireCodec(name string) ClientOption {
 // ingest can never buffer more on the network than a store would hold
 // in memory.
 func WithClientIngestWindow(bytes int64) ClientOption {
-	return func(c *Client) error {
+	return func(c *Client) {
 		if bytes > 0 {
 			c.ingestWindow = bytes
 		}
-		return nil
 	}
 }
 
@@ -72,14 +54,12 @@ func NewClient(nameNodeAddr, jobTrackerAddr string, blockSize int64, opts ...Cli
 	}
 	c := &Client{nnAddr: nameNodeAddr, jtAddr: jobTrackerAddr, blockSize: blockSize}
 	for _, o := range opts {
-		if err := o(c); err != nil {
-			return nil, err
-		}
+		o(c)
 	}
 	if c.ingestWindow <= 0 {
 		c.ingestWindow = 4 * blockSize
 	}
-	c.wire = newConnCache(c.wireCodecName)
+	c.wire = newConnCache()
 	return c, nil
 }
 
@@ -537,7 +517,6 @@ type clusterConfig struct {
 	spillMem     int64 // < 0: all in memory (default)
 	spillCodec   spill.Codec
 	quotas       map[string]Quota
-	wireCodec    string
 	racks        int
 	deadAfter    time.Duration
 	ingestWindow int64
@@ -587,16 +566,6 @@ func WithSpill(dir string, memBytes int64, codec spill.Codec) ClusterOption {
 		c.spillMem = memBytes
 		c.spillCodec = codec
 	}
-}
-
-// WithWireCodec makes every data-plane connection in the cluster —
-// the client's DFS and output fetches, the trackers' block reads and
-// shuffle FetchPartition pulls — propose the named rpcnet wire codec
-// ("snap" or "flate"; "" disables, the default), so payloads are
-// compressed on the wire per frame. Purely a transport knob: stored
-// bytes and results are bit-identical with it on or off.
-func WithWireCodec(name string) ClusterOption {
-	return func(c *clusterConfig) { c.wireCodec = name }
 }
 
 // WithQuotas installs per-tenant quotas and fair-share weights on the
@@ -698,8 +667,7 @@ func StartCluster(workers, slots int, blockSize int64, heartbeat time.Duration, 
 		c.TTs = append(c.TTs, tt)
 	}
 	c.nextWorker = workers
-	client, err := NewClient(nn.Addr(), jt.Addr(), blockSize,
-		WithClientWireCodec(cfg.wireCodec), WithClientIngestWindow(cfg.ingestWindow))
+	client, err := NewClient(nn.Addr(), jt.Addr(), blockSize, WithClientIngestWindow(cfg.ingestWindow))
 	if err != nil {
 		c.Shutdown()
 		return nil, err
@@ -745,9 +713,6 @@ func (c *Cluster) startWorker(i int) (*DataNode, *TaskTracker, error) {
 	}
 	if i < len(cfg.delays) && cfg.delays[i] > 0 {
 		ttOpts = append(ttOpts, WithTaskDelay(cfg.delays[i]))
-	}
-	if cfg.wireCodec != "" {
-		ttOpts = append(ttOpts, WithTrackerWireCodec(cfg.wireCodec))
 	}
 	if cfg.fetchWindow > 0 {
 		ttOpts = append(ttOpts, WithTrackerFetchWindow(cfg.fetchWindow))

@@ -39,7 +39,6 @@ func handle[A, R any](srv *rpcnet.Server, method string, fn func(A) (R, error)) 
 // connection redials on the next call — so entries never need
 // eviction; an unreachable peer just keeps failing its calls.
 type connCache struct {
-	codec string // wire codec name proposed at dial ("" for none)
 	// timeout is the default call timeout of every client the cache
 	// dials: a peer that accepts and then never answers fails the call
 	// instead of wedging its caller (an explicit CallTimeout overrides
@@ -51,8 +50,8 @@ type connCache struct {
 	closed bool
 }
 
-func newConnCache(codec string) *connCache {
-	return &connCache{codec: codec, timeout: dataCallTimeout, conns: make(map[string]*rpcnet.Client)}
+func newConnCache() *connCache {
+	return &connCache{timeout: dataCallTimeout, conns: make(map[string]*rpcnet.Client)}
 }
 
 // get returns the cached client for addr, dialing one on first use.
@@ -71,7 +70,7 @@ func (cc *connCache) get(addr string) (*rpcnet.Client, error) {
 	}
 	cc.mu.Unlock()
 
-	c, err := rpcnet.Dial(addr, rpcnet.WithCodec(cc.codec))
+	c, err := rpcnet.Dial(addr)
 	if err != nil {
 		return nil, err
 	}

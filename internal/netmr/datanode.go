@@ -80,7 +80,7 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 		nnAddr:    nameNodeAddr,
 		heartbeat: 100 * time.Millisecond,
 		spillMem:  spill.NoSpill,
-		wire:      newConnCache(""),
+		wire:      newConnCache(),
 	}
 	// The beat is this cache's control-plane call: a NameNode that goes
 	// mute must cost a missed beat, not wedge the loop (and Close behind

@@ -85,7 +85,7 @@ func StartJobTracker(addr, nameNodeAddr string) (*JobTracker, error) {
 	jt := &JobTracker{
 		srv:       srv,
 		nnAddr:    nameNodeAddr,
-		wire:      newConnCache(""),
+		wire:      newConnCache(),
 		TaskLease: 10 * time.Second,
 		jobs:      make(map[int64]*jobRecord),
 		adm:       newAdmission(),

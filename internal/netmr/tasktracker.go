@@ -81,9 +81,6 @@ type TaskTracker struct {
 	spillMem   int64
 	spillCodec spill.Codec
 
-	// wireCodec is the rpcnet codec name this tracker proposes on its
-	// outgoing data-plane connections; immutable after start.
-	wireCodec string
 	// wire caches pooled connections to DataNodes and peer shuffle
 	// stores across tasks.
 	wire *connCache
@@ -148,14 +145,6 @@ func WithShuffleSpill(dir string, memBytes int64, codec spill.Codec) TrackerOpti
 		tt.spillMem = memBytes
 		tt.spillCodec = codec
 	}
-}
-
-// WithTrackerWireCodec makes the tracker's outgoing data-plane
-// connections — DFS block reads and shuffle fetches from peer
-// trackers — propose the named rpcnet wire codec (see
-// spill.CodecByName).
-func WithTrackerWireCodec(name string) TrackerOption {
-	return func(tt *TaskTracker) { tt.wireCodec = name }
 }
 
 // WithTrackerRack assigns the tracker to a rack (RackName
@@ -250,13 +239,7 @@ func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat tim
 		o(tt)
 	}
 	tt.fetchWin = flow.NewWindow(tt.fetchWindow)
-	if tt.wireCodec != "" {
-		if _, ok := spill.CodecByName(tt.wireCodec); !ok {
-			srv.Close()
-			return nil, fmt.Errorf("netmr: tracker %q: unknown wire codec %q", id, tt.wireCodec)
-		}
-	}
-	tt.wire = newConnCache(tt.wireCodec)
+	tt.wire = newConnCache()
 	tt.store = newShuffleStore(tt.spillDir, tt.spillMem, tt.spillCodec)
 	handleTail(srv, "FetchPartition", tt.handleFetchPartition)
 	tt.beater = goBackground(tt.loop)
@@ -331,10 +314,9 @@ func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs, _ []byte) (
 const heartbeatCallTimeout = 5 * time.Second
 
 // beat sends one Heartbeat — args plus who is beating — over the
-// tracker's pooled JobTracker connection (the wire codec rides along:
-// heartbeats carry the structured kernels' partials, which compress
-// like any payload). An unreachable JobTracker fails the dial, a hung
-// one the call; either way the pooled client redials on the next beat.
+// tracker's pooled JobTracker connection. An unreachable JobTracker
+// fails the dial, a hung one the call; either way the pooled client
+// redials on the next beat.
 func (tt *TaskTracker) beat(args HeartbeatArgs) (HeartbeatReply, error) {
 	args.TrackerID, args.LocalDataNode, args.Rack = tt.ID, tt.LocalDataNode, tt.rack
 	args.ShuffleAddr, args.Device = tt.srv.Addr(), tt.DeviceKind()

@@ -2,11 +2,11 @@
 // Hadoop-architecture MapReduce runtime whose daemons — NameNode,
 // DataNodes, JobTracker, TaskTrackers — are TCP servers exchanging
 // framed RPCs (internal/rpcnet: a gob message, plus a raw tail of block
-// or shuffle bytes on the bulk methods), storing real blocks and running
-// real kernels. It is the in-process live runner's (internal/core)
-// distributed sibling: same roles as the paper's §III prototype, but
-// data actually crosses the network stack, including the
-// DataNode→TaskTracker hop whose effective bandwidth the paper
+// or shuffle bytes on the bulk methods, both uncompressed), storing real
+// blocks and running real kernels. It is the in-process live runner's
+// (internal/core) distributed sibling: same roles as the paper's §III
+// prototype, but data actually crosses the network stack, including
+// the DataNode→TaskTracker hop whose effective bandwidth the paper
 // identified as the data-intensive bottleneck.
 //
 // The data plane is distributed, mirroring the paper's Hadoop

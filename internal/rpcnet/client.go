@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hetmr/internal/spill"
 )
 
 // DefaultPoolSize is the number of multiplexed connections a Client
@@ -23,16 +21,7 @@ const DefaultPoolSize = 2
 type Option func(*dialOptions)
 
 type dialOptions struct {
-	codecName string
-	poolSize  int
-}
-
-// WithCodec proposes a payload codec (a spill.CodecByName name, e.g.
-// "snap") in the connection hello. If the server accepts it, bodies
-// and tails above a small threshold are compressed on the wire in both
-// directions. Dial fails on names CodecByName does not know.
-func WithCodec(name string) Option {
-	return func(o *dialOptions) { o.codecName = name }
+	poolSize int
 }
 
 // WithPoolSize sets how many multiplexed connections the Client
@@ -52,10 +41,8 @@ func WithPoolSize(n int) Option {
 // stays usable — and a connection that dies is redialed on the next
 // call that lands on it. Safe for concurrent use.
 type Client struct {
-	addr      string
-	codecName string
-	codec     spill.Codec
-	timeout   atomic.Int64 // default per-call timeout, ns
+	addr    string
+	timeout atomic.Int64 // default per-call timeout, ns
 
 	mu     sync.Mutex
 	conns  []*clientConn
@@ -66,16 +53,14 @@ type Client struct {
 // clientConn is one multiplexed connection: a shared write side and a
 // readLoop that routes response frames to pending calls.
 type clientConn struct {
-	nc    net.Conn
-	w     frameWriter // over nc
-	codec spill.Codec // negotiated: non-nil once the server accepts
+	nc net.Conn
+	w  frameWriter // over nc
 
 	mu      sync.Mutex
 	pending map[uint64]chan callResult
 	err     error // terminal; set once, conn is dead after
 
-	nextID     atomic.Uint64
-	compressOK atomic.Bool // server accepted our proposed codec
+	nextID atomic.Uint64
 }
 
 // callResult carries one response frame (its pooled buffers owned by
@@ -87,27 +72,14 @@ type callResult struct {
 }
 
 // Dial connects to an rpcnet server. The returned Client is a
-// connection pool; see WithCodec and WithPoolSize. Dial establishes
+// connection pool; see WithPoolSize. Dial establishes
 // the first connection eagerly so an unreachable address fails fast.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	o := dialOptions{poolSize: DefaultPoolSize}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var codec spill.Codec
-	if o.codecName != "" {
-		var ok bool
-		codec, ok = spill.CodecByName(o.codecName)
-		if !ok {
-			return nil, fmt.Errorf("rpcnet: unknown codec %q", o.codecName)
-		}
-	}
-	c := &Client{
-		addr:      addr,
-		codecName: o.codecName,
-		codec:     codec,
-		conns:     make([]*clientConn, o.poolSize),
-	}
+	c := &Client{addr: addr, conns: make([]*clientConn, o.poolSize)}
 	cc, err := c.dialConn()
 	if err != nil {
 		return nil, err
@@ -124,17 +96,16 @@ func (c *Client) dialConn() (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: dial %s: %w", c.addr, err)
 	}
-	if err := writeHello(nc, c.codecName); err != nil {
+	if err := writeHello(nc); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("rpcnet: dial %s: hello: %w", c.addr, err)
 	}
 	cc := &clientConn{
 		nc:      nc,
 		w:       frameWriter{conn: nc},
-		codec:   c.codec,
 		pending: make(map[uint64]chan callResult),
 	}
-	go cc.readLoop(c.codecName)
+	go cc.readLoop()
 	return cc, nil
 }
 
@@ -142,15 +113,11 @@ func (c *Client) dialConn() (*clientConn, error) {
 // hello, then routes every response frame to the pending call it
 // tags. Any read error kills the connection and fails all pending
 // calls.
-func (cc *clientConn) readLoop(proposed string) {
+func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.nc, connReadBuf)
-	accepted, err := readHello(br)
-	if err != nil {
+	if err := readHello(br); err != nil {
 		cc.fail(fmt.Errorf("rpcnet: hello: %w", err))
 		return
-	}
-	if proposed != "" && accepted == proposed {
-		cc.compressOK.Store(true)
 	}
 	for {
 		fr, err := readFrame(br)
@@ -330,11 +297,7 @@ func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst [
 		defer timer.Stop()
 		timerCh = timer.C
 	}
-	var codec spill.Codec
-	if cc.compressOK.Load() {
-		codec = cc.codec
-	}
-	if err := cc.w.send(deadline, id, 0, method, bodyBuf.Bytes(), tail, codec); err != nil {
+	if err := cc.w.send(deadline, id, 0, method, bodyBuf.Bytes(), tail); err != nil {
 		// Part of the frame may be on the wire and cannot be resumed: the
 		// connection is done, the next call redials.
 		cc.deregister(id)
@@ -360,9 +323,6 @@ func (c *Client) finish(method string, result any, dst []byte, res callResult) (
 	defer fr.release()
 	if fr.meta != "" {
 		return dst, &RemoteError{Method: method, Addr: c.addr, Msg: fr.meta}
-	}
-	if err := fr.inflate(c.codec); err != nil {
-		return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
 	}
 	if result != nil {
 		if err := Unmarshal(fr.body.Bytes(), result); err != nil {

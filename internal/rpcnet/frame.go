@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,11 +11,9 @@ import (
 	"time"
 
 	"hetmr/internal/metrics"
-	"hetmr/internal/spill"
 )
 
-// Wire format, after the hello exchange (see below): a stream of
-// frames, each
+// Wire format, after the hello (see below): a stream of frames, each
 //
 //	[4B big-endian length n] [8B big-endian request ID]
 //	[1B flags] [2B big-endian metaLen] [4B big-endian tailLen]
@@ -27,31 +24,22 @@ import (
 // name on requests and the error text on responses; body is the
 // gob-encoded argument or result; tail is the call's bulk payload — a
 // DFS block, a shuffle chunk — as raw bytes that never pass through gob
-// (tailLen is 0 on every control frame). Body and tail are each
-// optionally compressed (frameFlagCompressed, frameFlagTailCompressed)
-// with the codec the hello exchange agreed on.
+// (tailLen is 0 on every control frame). Both go to the socket exactly
+// as the caller handed them over. The only flag is frameFlagResponse; a
+// frame with any other bit set is malformed.
 //
-// Hello: each side opens with the 4-byte magic "hmr3", one length
-// byte, and that many bytes of codec name. The client proposes a
-// codec (or none); the server answers with the same name if it can
-// decode it, empty otherwise. Either side compresses only after it
-// has seen the other side accept — the exchange is asynchronous, so a
-// client never waits for a server that has stopped talking.
+// Hello: each side opens with the 4-byte magic and nothing else. The
+// client writes its own without waiting for the server's, so dialing a
+// server that has stopped talking still returns.
 const (
 	frameFixedLen  = 8 + 1 + 2 + 4 // id + flags + metaLen + tailLen, counted by the length field
 	frameHeaderLen = 4 + frameFixedLen
 
-	frameFlagResponse       = 1 << 0
-	frameFlagCompressed     = 1 << 1 // body
-	frameFlagTailCompressed = 1 << 2
+	frameFlagResponse = 1 << 0
 
 	// frameMaxMeta bounds the meta field (2-byte length on the wire);
 	// longer error texts are truncated.
 	frameMaxMeta = 1<<16 - 1
-
-	// compressMin is the smallest body or tail worth running through
-	// the negotiated codec; tiny control messages skip it.
-	compressMin = 1 << 10
 
 	// maxPooledBuf caps the capacity of buffers returned to the pool,
 	// so one jumbo frame doesn't pin megabytes forever; bulkBufMin is
@@ -75,9 +63,10 @@ const (
 	preGrowCap = 256 << 10
 )
 
-// helloMagic names the frame layout: it moved to "hmr3" with the tail
-// length, so an "hmr2" peer fails the hello instead of misparsing.
-var helloMagic = [4]byte{'h', 'm', 'r', '3'}
+// helloMagic names the frame layout: it moved to "hmr4" when the codec
+// name left the hello and the compressed-frame flags left the header,
+// so an "hmr3" peer fails the hello instead of misparsing.
+var helloMagic = [4]byte{'h', 'm', 'r', '4'}
 
 // bufPool and bulkPool recycle frame buffers across calls and
 // connections, in two size classes: a control message's gob body never
@@ -136,35 +125,6 @@ func (fr *frame) tailBytes() []byte {
 	return fr.tail.Bytes()
 }
 
-// inflate replaces each compressed part of the frame with its decoded
-// bytes, so body and tail read the same whether or not the sender
-// compressed them.
-func (fr *frame) inflate(codec spill.Codec) error {
-	var err error
-	if fr.flags&frameFlagCompressed != 0 {
-		fr.body, err = inflated(codec, fr.body)
-	}
-	if err == nil && fr.flags&frameFlagTailCompressed != 0 && fr.tail != nil {
-		fr.tail, err = inflated(codec, fr.tail)
-	}
-	return err
-}
-
-// inflated decodes one compressed frame part into a pooled buffer and
-// releases the compressed one; on error the part is returned as it was.
-func inflated(codec spill.Codec, src *bytes.Buffer) (*bytes.Buffer, error) {
-	if codec == nil {
-		return src, errors.New("compressed frame without negotiated codec")
-	}
-	dec := getBuf(src.Len())
-	if err := decompressInto(codec, dec, src.Bytes()); err != nil {
-		putBuf(dec)
-		return src, fmt.Errorf("decompress: %w", err)
-	}
-	putBuf(src)
-	return dec, nil
-}
-
 // readFrame decodes the next frame from br. The returned buffers are
 // pooled; the caller owns them.
 func readFrame(br *bufio.Reader) (frame, error) {
@@ -177,6 +137,9 @@ func readFrame(br *bufio.Reader) (frame, error) {
 		return frame{}, ErrFrameTooLarge
 	}
 	if n < frameFixedLen {
+		return frame{}, errMalformedFrame
+	}
+	if hdr[12]&^frameFlagResponse != 0 {
 		return frame{}, errMalformedFrame
 	}
 	fr := frame{id: binary.BigEndian.Uint64(hdr[4:12]), flags: hdr[12]}
@@ -261,24 +224,14 @@ func (fw *frameWriter) writeFrame(w io.Writer, id uint64, flags byte, meta strin
 	return err
 }
 
-// send is the shared send path: it compresses body and tail, each on
-// its own, when the peer accepted a codec and compression wins, meters
-// raw vs on-wire payload bytes, and writes the frame. A non-zero
-// deadline bounds the write: a peer that stops reading fails it with a
-// timeout error instead of wedging the sender and everyone queued on
-// the connection behind it. The connection is unusable after any write
-// error — part of the frame may be on the wire.
-func (fw *frameWriter) send(deadline time.Time, id uint64, flags byte, meta string, rawBody, rawTail []byte, codec spill.Codec) error {
-	body, bodyBuf := deflate(codec, rawBody)
-	if bodyBuf != nil {
-		flags |= frameFlagCompressed
-	}
-	tail, tailBuf := deflate(codec, rawTail)
-	if tailBuf != nil {
-		flags |= frameFlagTailCompressed
-	}
-	metrics.WireBytesRaw.Add(int64(len(rawBody) + len(rawTail)))
-	metrics.WireBytesOnWire.Add(int64(len(body) + len(tail)))
+// send is the shared send path: it meters body and tail and writes the
+// frame. A non-zero deadline bounds the write: a peer that stops
+// reading fails it with a timeout error instead of wedging the sender
+// and everyone queued on the connection behind it. The connection is
+// unusable after any write error — part of the frame may be on the
+// wire.
+func (fw *frameWriter) send(deadline time.Time, id uint64, flags byte, meta string, body, tail []byte) error {
+	metrics.WireBytesRaw.Add(int64(len(body) + len(tail)))
 	fw.mu.Lock()
 	if !deadline.IsZero() {
 		fw.conn.SetWriteDeadline(deadline) // on a closed conn the write below reports it
@@ -288,84 +241,23 @@ func (fw *frameWriter) send(deadline time.Time, id uint64, flags byte, meta stri
 		fw.conn.SetWriteDeadline(time.Time{})
 	}
 	fw.mu.Unlock()
-	putBuf(bodyBuf)
-	putBuf(tailBuf)
 	return err
 }
 
-// deflate runs raw through codec when one is negotiated and raw is
-// worth the attempt. It returns the compressed bytes and the pooled
-// buffer that holds them, or raw and nil when compression is off or
-// does not win.
-func deflate(codec spill.Codec, raw []byte) ([]byte, *bytes.Buffer) {
-	if codec == nil || len(raw) < compressMin {
-		return raw, nil
-	}
-	buf := getBuf(len(raw))
-	if err := compressInto(codec, buf, raw); err != nil || buf.Len() >= len(raw) {
-		putBuf(buf)
-		return raw, nil
-	}
-	return buf.Bytes(), buf
+// writeHello sends this side's hello: the magic.
+func writeHello(w io.Writer) error {
+	_, err := w.Write(helloMagic[:])
+	return err
 }
 
-// compressInto runs src through one codec frame into dst.
-func compressInto(codec spill.Codec, dst *bytes.Buffer, src []byte) error {
-	cw := codec.NewWriter(dst)
-	if _, err := cw.Write(src); err != nil {
+// readHello consumes the peer's hello and fails on any magic but ours.
+func readHello(br *bufio.Reader) error {
+	var magic [len(helloMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return err
 	}
-	return cw.Close()
-}
-
-// decompressInto inflates a compressed frame body or tail into dst,
-// bounded by MaxFrame.
-func decompressInto(codec spill.Codec, dst *bytes.Buffer, src []byte) error {
-	cr, err := codec.NewReader(bytes.NewReader(src))
-	if err != nil {
-		return err
-	}
-	defer cr.Close()
-	n, err := io.Copy(dst, io.LimitReader(cr, MaxFrame+1))
-	if err != nil {
-		return err
-	}
-	if n > MaxFrame {
-		return ErrFrameTooLarge
+	if magic != helloMagic {
+		return fmt.Errorf("rpcnet: bad protocol magic %q", magic[:])
 	}
 	return nil
-}
-
-// writeHello sends this side's hello: magic, codec-name length, name.
-func writeHello(w io.Writer, codecName string) error {
-	if len(codecName) > 255 {
-		return fmt.Errorf("rpcnet: codec name %q too long", codecName)
-	}
-	hello := make([]byte, 0, len(helloMagic)+1+len(codecName))
-	hello = append(hello, helloMagic[:]...)
-	hello = append(hello, byte(len(codecName)))
-	hello = append(hello, codecName...)
-	_, err := w.Write(hello)
-	return err
-}
-
-// readHello consumes the peer's hello and returns its codec name
-// (empty when the peer proposed or accepted none).
-func readHello(br *bufio.Reader) (string, error) {
-	var hdr [len(helloMagic) + 1]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return "", err
-	}
-	if !bytes.Equal(hdr[:len(helloMagic)], helloMagic[:]) {
-		return "", fmt.Errorf("rpcnet: bad protocol magic %q", hdr[:len(helloMagic)])
-	}
-	n := int(hdr[len(helloMagic)])
-	if n == 0 {
-		return "", nil
-	}
-	name := make([]byte, n)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return "", err
-	}
-	return string(name), nil
 }

@@ -19,17 +19,24 @@ func encodeFrame(t testing.TB, id uint64, flags byte, meta string, body, tail []
 	return buf.Bytes()
 }
 
+// retiredFlags are the bits that once marked a compressed body (1) and
+// a compressed tail (2); a frame carrying either is malformed now.
+const retiredFlags = 1<<1 | 1<<2
+
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder. Malformed
 // input — lying length prefixes, truncated headers, meta or tail
-// running past the frame — must return an error, never panic, and never
-// allocate past MaxFrame: the decoder pre-grows at most preGrowCap per
-// part and then only as real bytes arrive.
+// running past the frame, any flag bit but the response bit — must
+// return an error, never panic, and never allocate past MaxFrame: the
+// decoder pre-grows at most preGrowCap per part and then only as real
+// bytes arrive.
 func FuzzReadFrame(f *testing.F) {
 	// Well-formed frames as seeds, without and with a tail.
 	f.Add(encodeFrame(f, 1, 0, "echo", []byte("hello"), nil))
 	f.Add(encodeFrame(f, 7, frameFlagResponse, "", bytes.Repeat([]byte("x"), 100), nil))
 	f.Add(encodeFrame(f, 2, 0, "Put", []byte("args"), bytes.Repeat([]byte("t"), 300)))
-	f.Add(encodeFrame(f, 3, frameFlagResponse|frameFlagTailCompressed, "", nil, []byte("tail only")))
+	// Frames flagged compressed, tail and body: each must be rejected.
+	f.Add(encodeFrame(f, 3, frameFlagResponse|1<<2, "", nil, []byte("tail only")))
+	f.Add(encodeFrame(f, 5, 1<<1, "echo", []byte("body"), nil))
 	// Length prefix claiming MaxFrame with no body behind it.
 	var lying [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(lying[0:4], MaxFrame)
@@ -57,6 +64,9 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if fr.flags&^frameFlagResponse != 0 {
+			t.Fatalf("decoded a frame flagged %08b", fr.flags)
+		}
 		if got := len(fr.meta) + fr.body.Len() + len(fr.tailBytes()); got > len(data) {
 			t.Fatalf("decoded more bytes (%d meta + %d body + %d tail) than the input held (%d)",
 				len(fr.meta), fr.body.Len(), len(fr.tailBytes()), len(data))
@@ -65,17 +75,18 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadHello feeds arbitrary bytes to the hello decoder.
+// FuzzReadHello feeds arbitrary bytes to the hello decoder: only input
+// that opens with this layout's magic passes. The older layouts' hellos
+// — "hmr3" proposing a codec, "hmr2" — must fail.
 func FuzzReadHello(f *testing.F) {
+	f.Add([]byte("hmr4"))
 	f.Add([]byte("hmr3\x04snap"))
-	f.Add([]byte("hmr3\x00"))
-	f.Add([]byte("hmr2\x00")) // the previous frame layout's magic
+	f.Add([]byte("hmr2\x00"))
 	f.Add([]byte("junk\x04snap"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		name, err := readHello(br)
-		if err == nil && len(name) > 255 {
-			t.Fatalf("hello name longer than the 1-byte length allows: %d", len(name))
+		err := readHello(bufio.NewReader(bytes.NewReader(data)))
+		if ours := bytes.HasPrefix(data, helloMagic[:]); ours != (err == nil) {
+			t.Fatalf("hello %q: err %v", data, err)
 		}
 	})
 }
@@ -84,12 +95,11 @@ func FuzzReadHello(f *testing.F) {
 // whatever arrives on the socket — garbage hello, corrupt frames,
 // truncated gob bodies — must never crash the server.
 func FuzzServeConn(f *testing.F) {
-	f.Add([]byte("hmr3\x00"))
+	f.Add([]byte("hmr4"))
 	f.Add(append([]byte("hmr3\x04snap"), 0, 0, 0, 30))
-	// A whole tailed request, and one flagged tail-compressed with no
-	// tail and no codec behind the flag.
-	f.Add(append([]byte("hmr3\x00"), encodeFrame(f, 1, 0, "echo", nil, []byte("tail"))...))
-	f.Add(append([]byte("hmr3\x00"), encodeFrame(f, 2, frameFlagTailCompressed, "echo", nil, nil)...))
+	// A whole tailed request, and one flagged compressed (body and tail).
+	f.Add(append([]byte("hmr4"), encodeFrame(f, 1, 0, "echo", nil, []byte("tail"))...))
+	f.Add(append([]byte("hmr4"), encodeFrame(f, 2, retiredFlags, "echo", []byte("body"), []byte("tail"))...))
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		f.Fatal(err)

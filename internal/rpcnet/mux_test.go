@@ -195,75 +195,3 @@ func TestRedialAfterConnDeath(t *testing.T) {
 	}
 	t.Fatalf("client did not recover after conn death: %v", lastErr)
 }
-
-// TestCompressedRoundTrip exercises the negotiated-codec path both
-// directions with compressible and incompressible payloads.
-func TestCompressedRoundTrip(t *testing.T) {
-	for _, codec := range []string{"snap", "flate"} {
-		t.Run(codec, func(t *testing.T) {
-			s, err := NewServer("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			s.Handle("echo", echoTagged)
-
-			c, err := Dial(s.Addr(), WithCodec(codec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-
-			compressible := bytes.Repeat([]byte("partition payload "), 16<<10/18)
-			random := make([]byte, 64<<10)
-			rand.Read(random)
-			tiny := []byte("ping")
-			for name, payload := range map[string][]byte{
-				"compressible": compressible, "random": random, "tiny": tiny,
-			} {
-				var got []byte
-				if err := c.Call("echo", payload, &got); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !bytes.Equal(got, payload) {
-					t.Fatalf("%s: corrupted over compressed wire", name)
-				}
-			}
-		})
-	}
-}
-
-// TestDialUnknownCodec: proposing a codec the registry doesn't know
-// fails at Dial, not at first call.
-func TestDialUnknownCodec(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", WithCodec("zstd-nope")); err == nil {
-		t.Fatal("unknown codec accepted at Dial")
-	}
-}
-
-// TestServerRejectsUnknownCodecGracefully: a server that can't decode
-// the proposed codec answers with an empty acceptance and the
-// connection still works, uncompressed.
-func TestCodecNegotiationFallback(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Handle("echo", echoTagged)
-	// Dial with no codec at all: hello carries an empty name and the
-	// server must answer in kind.
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	payload := bytes.Repeat([]byte("x"), 8<<10)
-	var got []byte
-	if err := c.Call("echo", payload, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("uncompressed fallback corrupted payload")
-	}
-}

@@ -1,7 +1,7 @@
 // Package rpcnet is the wire layer of the TCP-backed distributed
 // runtime (internal/netmr). Hadoop's daemons talk Hadoop IPC over
-// TCP; this is the equivalent substrate, built only on net,
-// encoding/gob and the repo's own spill codecs.
+// TCP; this is the equivalent substrate, built only on net and
+// encoding/gob.
 //
 // The protocol (v2) is a multiplexed, tagged-frame stream. One
 // connection carries any number of concurrent in-flight calls: every
@@ -14,10 +14,9 @@
 // through gob — the sender writes them to the socket from the caller's
 // slice (Client.CallTail, Server.HandleTail). Control messages have no
 // tail; Call, CallTimeout and Handle are the tail-less forms. A
-// connection starts with a tiny hello exchange that negotiates an
-// optional payload codec (spill.CodecByName); after it, either side may
-// compress any frame's body and tail, each flagged per frame. See
-// ARCHITECTURE.md ("The wire layer") for the frame layout.
+// connection starts with a 4-byte magic each way and negotiates
+// nothing: no frame is compressed. See ARCHITECTURE.md ("The wire
+// layer") for the frame layout.
 //
 // Client is a connection pool over that protocol: calls fan out over
 // a few multiplexed connections, a call that times out leaves its
@@ -44,7 +43,7 @@ var ErrClientClosed = errors.New("rpcnet: client closed")
 
 // errMalformedFrame reports a frame whose header lies about its own
 // shape (length below the fixed minimum, meta or tail running past the
-// end).
+// end) or sets a flag bit other than the response bit.
 var errMalformedFrame = errors.New("rpcnet: malformed frame")
 
 // Marshal gob-encodes v.

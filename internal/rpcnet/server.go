@@ -7,8 +7,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"hetmr/internal/spill"
 )
 
 // maxConnConcurrency caps the handler goroutines one connection can
@@ -107,19 +105,10 @@ func (s *Server) acceptLoop() {
 // in-flight handlers drain.
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, connReadBuf)
-	proposed, err := readHello(br)
-	if err != nil {
+	if err := readHello(br); err != nil {
 		return
 	}
-	var codec spill.Codec
-	accepted := ""
-	if proposed != "" {
-		if c, ok := spill.CodecByName(proposed); ok {
-			codec = c
-			accepted = proposed
-		}
-	}
-	if err := writeHello(conn, accepted); err != nil {
+	if err := writeHello(conn); err != nil {
 		return
 	}
 	fw := &frameWriter{conn: conn}
@@ -142,7 +131,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				<-sem
 				handlers.Done()
 			}()
-			s.dispatch(fw, codec, fr)
+			s.dispatch(fw, fr)
 		}(fr)
 	}
 }
@@ -153,14 +142,12 @@ func (s *Server) serveConn(conn net.Conn) {
 // before a byte is written, so the connection is healthy and the caller
 // would wait out its whole timeout for an ID nobody answers. It gets an
 // error frame instead.
-func (s *Server) dispatch(fw *frameWriter, codec spill.Codec, fr frame) {
+func (s *Server) dispatch(fw *frameWriter, fr frame) {
 	respBody := getBuf(0)
 	defer putBuf(respBody)
 	var respTail []byte
 	errMsg := ""
-	if err := fr.inflate(codec); err != nil {
-		errMsg = fmt.Sprintf("rpcnet: request: %v", err)
-	} else if h, ok := s.lookup(fr.meta); !ok {
+	if h, ok := s.lookup(fr.meta); !ok {
 		errMsg = fmt.Sprintf("rpcnet: unknown method %q", fr.meta)
 	} else if result, tail, err := h(fr.body.Bytes(), fr.tailBytes()); err != nil {
 		errMsg = err.Error()
@@ -171,9 +158,9 @@ func (s *Server) dispatch(fw *frameWriter, codec spill.Codec, fr frame) {
 		respTail = tail
 	}
 	fr.release()
-	if err := fw.send(time.Time{}, fr.id, frameFlagResponse, errMsg, respBody.Bytes(), respTail, codec); errors.Is(err, ErrFrameTooLarge) {
+	if err := fw.send(time.Time{}, fr.id, frameFlagResponse, errMsg, respBody.Bytes(), respTail); errors.Is(err, ErrFrameTooLarge) {
 		fw.send(time.Time{}, fr.id, frameFlagResponse,
-			fmt.Sprintf("rpcnet: response to %s: frame too large", fr.meta), nil, nil, codec)
+			fmt.Sprintf("rpcnet: response to %s: frame too large", fr.meta), nil, nil)
 	}
 }
 

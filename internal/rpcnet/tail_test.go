@@ -6,14 +6,17 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"hetmr/internal/spill"
+	"hetmr/internal/metrics"
 	"hetmr/internal/testutil"
 )
 
@@ -63,50 +66,46 @@ func newTailServer(t testing.TB) *Server {
 	return s
 }
 
-// TestCallTailRoundTrip: a tail each way, one way and neither, plain
-// and with a codec negotiated, compressible and not — every byte must
-// come back as sent, and the gob result must ride along untouched.
+// TestCallTailRoundTrip: a tail each way, one way and neither — every
+// byte must come back as sent, and the gob result must ride along
+// untouched.
 func TestCallTailRoundTrip(t *testing.T) {
 	random := make([]byte, 96<<10)
 	rand.Read(random)
 	text := bytes.Repeat([]byte("shuffle partition payload "), 4<<10)
-	for _, codec := range []string{"", "snap", "flate"} {
-		t.Run("codec="+codec, func(t *testing.T) {
-			s := newTailServer(t)
-			c, err := Dial(s.Addr(), WithCodec(codec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			for _, tc := range []struct {
-				name  string
-				tail  []byte
-				reply int
-			}{
-				{"both ways", text, 200 << 10},
-				{"both ways random", random, 3},
-				{"request only", random, 0},
-				{"reply only", nil, 64 << 10},
-				{"neither", nil, 0},
-			} {
-				var rep tailReply
-				dst, err := c.CallTail("tail", tailArg{Reply: tc.reply}, tc.tail, &rep, nil, 0)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				if rep.Got != len(tc.tail) || rep.Sum != xorSum(tc.tail) {
-					t.Errorf("%s: handler saw %d tail bytes (sum %#x), sent %d (sum %#x)",
-						tc.name, rep.Got, rep.Sum, len(tc.tail), xorSum(tc.tail))
-				}
-				if !bytes.Equal(dst, pattern(tc.reply)) {
-					t.Errorf("%s: reply tail of %d bytes differs from the %d sent", tc.name, len(dst), tc.reply)
-				}
-			}
-			got, err := c.CallTail("mirror", struct{}{}, text, nil, nil, 0)
-			if err != nil || !bytes.Equal(got, text) {
-				t.Errorf("mirror: %d bytes back, err %v; want the %d sent, bit-identical", len(got), err, len(text))
-			}
-		})
+	s := newTailServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct {
+		name  string
+		tail  []byte
+		reply int
+	}{
+		{"both ways", text, 200 << 10},
+		{"both ways random", random, 3},
+		{"request only", random, 0},
+		{"reply only", nil, 64 << 10},
+		{"neither", nil, 0},
+	} {
+		var rep tailReply
+		dst, err := c.CallTail("tail", tailArg{Reply: tc.reply}, tc.tail, &rep, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.Got != len(tc.tail) || rep.Sum != xorSum(tc.tail) {
+			t.Errorf("%s: handler saw %d tail bytes (sum %#x), sent %d (sum %#x)",
+				tc.name, rep.Got, rep.Sum, len(tc.tail), xorSum(tc.tail))
+		}
+		if !bytes.Equal(dst, pattern(tc.reply)) {
+			t.Errorf("%s: reply tail of %d bytes differs from the %d sent", tc.name, len(dst), tc.reply)
+		}
+	}
+	got, err := c.CallTail("mirror", struct{}{}, text, nil, nil, 0)
+	if err != nil || !bytes.Equal(got, text) {
+		t.Errorf("mirror: %d bytes back, err %v; want the %d sent, bit-identical", len(got), err, len(text))
 	}
 }
 
@@ -153,60 +152,171 @@ func TestCallTailDst(t *testing.T) {
 	}
 }
 
-// TestSendCompressesTailOnlyWhenItWins reads what frameWriter.send put on
-// the wire: body and tail are compressed independently, each flagged
-// only when its compressed form is shorter, and inflate restores both.
-func TestSendCompressesTailOnlyWhenItWins(t *testing.T) {
-	snap, ok := spill.CodecByName("snap")
-	if !ok {
-		t.Fatal("snap codec not registered")
+// TestWireBytesRawCountsBodiesAndTails pins the wire meter's meaning:
+// a call grows metrics.WireBytesRaw by exactly what both frames carry
+// past their headers — the gob-encoded argument and result plus the
+// request and reply tails — since every byte goes to the socket as it
+// was handed over. The benchmark's wire-per-input-byte figure divides
+// by this counter.
+func TestWireBytesRawCountsBodiesAndTails(t *testing.T) {
+	const size = 100_000
+	s := newTailServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	random := make([]byte, 8<<10)
-	rand.Read(random)
-	text := bytes.Repeat([]byte("compressible "), 1<<10)
-	for _, tc := range []struct {
-		name       string
-		codec      spill.Codec
-		body, tail []byte
-		wantFlags  byte
-	}{
-		{"no codec", nil, text, text, 0},
-		{"both win", snap, text, text, frameFlagCompressed | frameFlagTailCompressed},
-		{"tail wins", snap, random, text, frameFlagTailCompressed},
-		{"body wins", snap, text, random, frameFlagCompressed},
-		{"neither wins", snap, random, random, 0},
-		{"tail under the floor", snap, nil, text[:compressMin-1], 0},
-		{"no tail", snap, text, nil, frameFlagCompressed},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			wr, rd := net.Pipe()
-			defer wr.Close()
-			defer rd.Close()
-			fw := frameWriter{conn: wr}
-			sent := make(chan error, 1)
-			go func() { sent <- fw.send(time.Time{}, 9, 0, "m", tc.body, tc.tail, tc.codec) }()
-			fr, err := readFrame(bufio.NewReader(rd))
-			if err != nil {
-				t.Fatal(err)
+	defer c.Close()
+	tail := pattern(size)
+	arg := tailArg{Reply: size}
+	argBody, err := Marshal(arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replyBody, err := Marshal(tailReply{Got: size, Sum: xorSum(tail)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := metrics.WireBytesRaw.Load()
+	var rep tailReply
+	dst, err := c.CallTail("tail", arg, tail, &rep, nil, 0)
+	if err != nil || len(dst) != size {
+		t.Fatalf("call: %d reply tail bytes, err %v", len(dst), err)
+	}
+	// The server meters its reply before writing it, so the count is
+	// complete once the call returns.
+	want := int64(len(argBody) + size + len(replyBody) + size)
+	if got := metrics.WireBytesRaw.Load() - before; got != want {
+		t.Errorf("WireBytesRaw grew by %d, want %d (bodies %d + %d, tails %d + %d)",
+			got, want, len(argBody), len(replyBody), size, size)
+	}
+}
+
+// TestReadFrameRejectsUnknownFlags: the response bit is the only flag.
+// A frame with any other bit set — bits 1 and 2 once marked a
+// compressed body and tail — is malformed on either side of the
+// connection: the server drops the connection without dispatching the
+// request, and the client fails every call pending on it. Decoding
+// such a frame as raw bytes would hand gob a compressed body.
+func TestReadFrameRejectsUnknownFlags(t *testing.T) {
+	for _, bit := range []byte{1 << 1, 1 << 2, 1 << 7} {
+		t.Run(fmt.Sprintf("bit=%d", bits.TrailingZeros8(bit)), func(t *testing.T) {
+			for _, flags := range []byte{bit, frameFlagResponse | bit} {
+				frame := encodeFrame(t, 1, flags, "m", []byte("body"), []byte("tail"))
+				if _, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, errMalformedFrame) {
+					t.Errorf("flags %08b: err %v, want errMalformedFrame", flags, err)
+				}
 			}
-			defer fr.release()
-			if err := <-sent; err != nil {
-				t.Fatal(err)
-			}
-			if fr.flags != tc.wantFlags {
-				t.Errorf("flags = %03b, want %03b", fr.flags, tc.wantFlags)
-			}
-			if fr.flags&frameFlagTailCompressed != 0 && len(fr.tailBytes()) >= len(tc.tail) {
-				t.Errorf("tail flagged compressed at %d bytes on the wire for %d raw", len(fr.tailBytes()), len(tc.tail))
-			}
-			if err := fr.inflate(snap); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(fr.body.Bytes(), tc.body) || !bytes.Equal(fr.tailBytes(), tc.tail) {
-				t.Errorf("frame came back as %d body + %d tail bytes, sent %d + %d",
-					fr.body.Len(), len(fr.tailBytes()), len(tc.body), len(tc.tail))
-			}
+			t.Run("request", func(t *testing.T) { testServerDropsFlaggedRequest(t, bit) })
+			t.Run("response", func(t *testing.T) { testClientFailsOnFlaggedResponse(t, bit) })
 		})
+	}
+}
+
+// testServerDropsFlaggedRequest sends the server a request frame with
+// the extra flag bit and expects the connection closed with the handler
+// never run.
+func testServerDropsFlaggedRequest(t *testing.T, bit byte) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var dispatched atomic.Int32
+	s.Handle("count", func([]byte) (any, error) {
+		dispatched.Add(1)
+		return struct{}{}, nil
+	})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body, err := Marshal(struct{}{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(encodeFrame(t, 1, bit, "count", body, nil)); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes a connection only after its in-flight handlers
+	// return, so once the read ends no dispatch can still be on its way.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server kept the connection open after a request flagged %08b", bit)
+	}
+	if len(got) > len(helloMagic) {
+		t.Fatalf("server sent %d bytes after its hello to a request flagged %08b", len(got)-len(helloMagic), bit)
+	}
+	if n := dispatched.Load(); n != 0 {
+		t.Errorf("handler ran %d times for a request flagged %08b", n, bit)
+	}
+}
+
+// testClientFailsOnFlaggedResponse answers the first of two pending
+// calls with a response frame carrying the extra flag bit: both calls
+// must fail with errMalformedFrame, not decode the frame or hang.
+func testClientFailsOnFlaggedResponse(t *testing.T, bit byte) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	body, err := Marshal("reply")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peer sync.WaitGroup
+	defer peer.Wait()
+	peer.Add(1)
+	go func() {
+		defer peer.Done()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if readHello(br) != nil || writeHello(conn) != nil {
+			return
+		}
+		var first uint64
+		for i := 0; i < 2; i++ {
+			fr, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			if i == 0 {
+				first = fr.id
+			}
+			fr.release()
+		}
+		// A failed send leaves both calls to time out, which the test
+		// reports as the wrong error.
+		fw := frameWriter{conn: conn}
+		fw.send(time.Time{}, first, frameFlagResponse|bit, "", body, nil)
+		io.Copy(io.Discard, conn) // until the client hangs up
+	}()
+
+	c, err := Dial(ln.Addr().String(), WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			var out string
+			errs <- c.CallTimeout("m", struct{}{}, &out, 5*time.Second)
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, errMalformedFrame) {
+			t.Errorf("pending call %d: err %v, want errMalformedFrame", i, err)
+		}
 	}
 }
 
@@ -266,10 +376,10 @@ func TestCallTimeoutCoversSend(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, err := readHello(bufio.NewReader(conn)); err != nil {
+		if err := readHello(bufio.NewReader(conn)); err != nil {
 			return
 		}
-		writeHello(conn, "")
+		writeHello(conn)
 		<-release // never read a frame
 	}()
 

@@ -5,10 +5,11 @@ import (
 	"io"
 )
 
-// Codec is a streaming frame compressor for spilled payloads — the
-// seam where a snappy-style block codec would plug in. Implementations
-// must round-trip exactly: NewReader(NewWriter(frame)) yields the
-// original bytes.
+// Codec is a streaming frame compressor for spilled payloads: the
+// spill frame seam, and nothing else — the wire layer compresses
+// nothing. Flate is the one implementation. Implementations must
+// round-trip exactly: NewReader(NewWriter(frame)) yields the original
+// bytes.
 type Codec interface {
 	// Name labels the codec in diagnostics.
 	Name() string
@@ -18,24 +19,6 @@ type Codec interface {
 	// NewReader wraps r with the matching decompressor.
 	NewReader(r io.Reader) (io.ReadCloser, error)
 }
-
-// CodecByName resolves a built-in codec by its Name: "flate"
-// (DEFLATE, better ratio, more CPU) or "snap" (the LZ4-style block
-// codec, fastest). It is the negotiation table the rpcnet wire layer
-// and the engine's Config.Codec knob share, so a codec name means the
-// same codec on every layer. Unknown names report false.
-func CodecByName(name string) (Codec, bool) {
-	switch name {
-	case "flate":
-		return Flate(), true
-	case "snap":
-		return Snap(), true
-	}
-	return nil, false
-}
-
-// CodecNames lists the built-in codec names CodecByName resolves.
-func CodecNames() []string { return []string{"flate", "snap"} }
 
 // Flate returns the built-in codec: DEFLATE at the fastest setting,
 // the stdlib stand-in for a snappy-style frame codec (fast, modest

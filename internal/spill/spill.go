@@ -1,7 +1,9 @@
 // Package spill is the bounded-memory payload store behind the
 // streaming data plane: a keyed byte store that keeps payloads in
 // memory up to a configurable watermark and spills the rest to files
-// under a temp directory, optionally compressed frame by frame. One
+// under a temp directory, optionally compressed frame by frame through
+// a Codec (Flate). Codec is a spill-frame seam only: nothing on the
+// wire is compressed. One
 // implementation backs the DFS block stores (internal/hdfs), the
 // tracker-side shuffle stores (internal/netmr) and the live runner's
 // sorted-run stores (internal/core), so every layer shares the same
