@@ -34,7 +34,9 @@ func wordCountJob() *KVJob {
 		Name:  "wordcount",
 		Input: "/input.txt",
 		Map: func(record []byte, _ int64, emit func(k, v string)) error {
-			kernels.Words(record, func(w []byte) { emit(string(w), "1") })
+			var counts kernels.WordTable
+			counts.Add(record)
+			counts.Each(func(w string, n int64) { emit(w, strconv.FormatInt(n, 10)) })
 			return nil
 		},
 		Reduce: func(_ string, values []string) (string, error) {

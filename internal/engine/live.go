@@ -151,8 +151,11 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 		pairs, err := r.clus.RunKV(&core.KVJob{
 			Name:  job.title(),
 			Input: input,
+			// One pair per distinct word of the block, carrying its count.
 			Map: func(record []byte, _ int64, emit func(k, v string)) error {
-				kernels.Words(record, func(w []byte) { emit(string(w), "1") })
+				var counts kernels.WordTable
+				counts.Add(record)
+				counts.Each(func(w string, n int64) { emit(w, strconv.FormatInt(n, 10)) })
 				return nil
 			},
 			Reduce:   sum,

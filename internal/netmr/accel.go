@@ -139,10 +139,11 @@ const wordCountSlack = 1024
 // WordCount offloads one wordcount map task: the block is carved into
 // separator-aligned sub-blocks of roughly the SPE block size, each SPE
 // claims sub-blocks dynamically, DMAs them into its local store and
-// tallies them with the shared host kernel. Words never straddle a
-// sub-block boundary and counting is a commutative fold, so the merged
-// table is bit-identical to kernels.WordCount over the whole block.
-func (d *AccelDevice) WordCount(data []byte) (map[string]int64, error) {
+// adds them to its own kernels.WordTable, kept across all the
+// sub-blocks it claims. Words never straddle a sub-block boundary and
+// counting is a commutative fold, so the SPE tables merged once at the
+// end count exactly what one table over the whole block does.
+func (d *AccelDevice) WordCount(data []byte) (*kernels.WordTable, error) {
 	target := d.rt.BlockBytes()
 	bufBytes := target + wordCountSlack
 	// Carve at separators: extend each nominal boundary to the end of
@@ -165,13 +166,13 @@ func (d *AccelDevice) WordCount(data []byte) (map[string]int64, error) {
 		start = end
 	}
 	if len(spans) == 0 {
-		return map[string]int64{}, nil
+		return &kernels.WordTable{}, nil
 	}
 	nSPEs := d.rt.NSPEs()
 	if nSPEs > len(spans) {
 		nSPEs = len(spans)
 	}
-	// Dynamic claiming, per-worker tallies merged after the session —
+	// Dynamic claiming, one table per SPE merged after the session —
 	// the merge order cannot matter because the result is a bag of
 	// counts.
 	var claimMu sync.Mutex
@@ -186,38 +187,30 @@ func (d *AccelDevice) WordCount(data []byte) (map[string]int64, error) {
 		next++
 		return s, true
 	}
-	tallies := make([]map[string]int64, nSPEs)
+	tables := make([]kernels.WordTable, nSPEs)
 	err := d.chip.RunOnSPEs(nSPEs, func(spe *cellbe.SPE, worker int) error {
 		buf, err := spe.LS.Alloc(bufBytes)
 		if err != nil {
 			return fmt.Errorf("netmr: accel wordcount: %w", err)
 		}
 		defer spe.LS.Free(buf)
-		counts := make(map[string]int64)
 		for {
 			s, ok := take()
 			if !ok {
-				break
+				return nil
 			}
 			if err := spe.MFC.GetLarge(buf, 0, data[s.start:s.end], 0); err != nil {
 				return fmt.Errorf("netmr: accel wordcount dma: %w", err)
 			}
 			spe.MFC.WaitTag(0)
-			for w, n := range kernels.WordCount(buf.Bytes()[:s.end-s.start]) {
-				counts[w] += n
-			}
+			tables[worker].Add(buf.Bytes()[:s.end-s.start])
 		}
-		tallies[worker] = counts
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	total := make(map[string]int64)
-	for _, t := range tallies {
-		for w, n := range t {
-			total[w] += n
-		}
+	for i := 1; i < nSPEs; i++ {
+		tables[0].Merge(&tables[i])
 	}
-	return total, nil
+	return &tables[0], nil
 }

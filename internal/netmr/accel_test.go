@@ -3,6 +3,7 @@ package netmr
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,10 @@ func TestDeviceCTRBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDeviceWordCountBitIdentical runs the offload over a 1 MiB Zipf
+// block — 256 sub-blocks claimed by eight SPEs, each table growing
+// across its claims — and over a text whose words straddle every 4 KB
+// boundary, against the host kernel over the whole block.
 func TestDeviceWordCountBitIdentical(t *testing.T) {
 	dev, err := NewCellDevice()
 	if err != nil {
@@ -81,18 +86,16 @@ func TestDeviceWordCountBitIdentical(t *testing.T) {
 		b.WriteString("lorem ipsum becerra cell spe mapreduce word")
 		b.WriteByte(byte("  \n\t."[i%5]))
 	}
-	data := b.Bytes() // ~90KB, words straddling every 4KB sub-block boundary
-	want := kernels.WordCount(data)
-	got, err := dev.WordCount(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("device counted %d distinct words, host %d", len(got), len(want))
-	}
-	for w, n := range want {
-		if got[w] != n {
-			t.Errorf("word %q: device %d, host %d", w, got[w], n)
+	for name, data := range map[string][]byte{"zipf": zipfText(3, 1<<20), "straddling": b.Bytes()} {
+		want := kernels.WordCount(data)
+		table, err := dev.WordCount(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int64)
+		table.Each(func(w string, n int64) { got[w] = n })
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: device counted %d distinct words, host %d", name, len(got), len(want))
 		}
 	}
 	if _, err := dev.WordCount(nil); err != nil {

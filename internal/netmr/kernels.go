@@ -124,18 +124,18 @@ func init() {
 		return total, nil
 	}
 
-	// splitWordCounts routes each word's count to the partition its
-	// hash selects, so a reduce task owns a disjoint key range. Shared
-	// by the host and accelerated Partition variants — only how the
-	// per-block table is produced differs.
-	splitWordCounts := func(counts map[string]int64, parts int) ([][]byte, error) {
+	// splitWordCounts routes each distinct word of the block's table to
+	// the partition its hash selects, so a reduce task owns a disjoint
+	// key range. Shared by the host and accelerated Partition variants —
+	// only how the table is filled differs.
+	splitWordCounts := func(counts *kernels.WordTable, parts int) ([][]byte, error) {
 		split := make([]map[string]int64, parts)
 		for p := range split {
 			split[p] = make(map[string]int64)
 		}
-		for w, n := range counts {
+		counts.Each(func(w string, n int64) {
 			split[kernels.PartitionIndexString(w, parts)][w] = n
-		}
+		})
 		out := make([][]byte, parts)
 		for p := range split {
 			payload, err := rpcnet.Marshal(wordCountPartial{Counts: split[p]})
@@ -156,7 +156,9 @@ func init() {
 			return rpcnet.Marshal(total)
 		},
 		Partition: func(_ Task, data []byte, parts int) ([][]byte, error) {
-			return splitWordCounts(kernels.WordCount(data), parts)
+			var counts kernels.WordTable
+			counts.Add(data)
+			return splitWordCounts(&counts, parts)
 		},
 		Merge: func(pieces [][]byte) ([]byte, error) {
 			total, err := mergeWordCounts(pieces)
@@ -166,9 +168,9 @@ func init() {
 			return rpcnet.Marshal(wordCountPartial{Counts: total})
 		},
 		// Accelerated variant: the block's table comes off the SPEs
-		// (separator-aligned sub-blocks, commutative merge), then the
-		// same split and marshalling as the host path — bit-identical
-		// results.
+		// (separator-aligned sub-blocks, one table per SPE, merged once),
+		// then the same split and marshalling as the host path —
+		// bit-identical results.
 		AccelPartition: func(dev *AccelDevice, _ Task, data []byte, parts int) ([][]byte, error) {
 			counts, err := dev.WordCount(data)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
@@ -145,6 +146,87 @@ func TestSortPartitionAllocationCeiling(t *testing.T) {
 	t.Logf("sort Partition allocates %.2f B per input byte", perByte)
 	if perByte > 1.5 {
 		t.Errorf("sort Partition allocates %.2f B per input byte, want <= 1.5", perByte)
+	}
+}
+
+// zipfText returns size bytes of space-separated words drawn Zipf(1.2)
+// from a fixed 5 000-word vocabulary of 3 to 12 lowercase letters: the
+// shape of the benchmark's wordcount text, where a few words dominate
+// and the tail keeps the table at a realistic size.
+func zipfText(seed uint64, size int) []byte {
+	vr := rand.New(rand.NewPCG(2009, 0))
+	vocab := make([][]byte, 5000)
+	for i := range vocab {
+		w := []byte{byte('a' + i%26), byte('a' + i/26%26), byte('a' + i/676%26)}
+		for extra := vr.IntN(10); extra > 0; extra-- {
+			w = append(w, byte('a'+vr.IntN(26)))
+		}
+		vocab[i] = w
+	}
+	z := rand.NewZipf(rand.New(rand.NewPCG(seed, 0)), 1.2, 1, uint64(len(vocab)-1))
+	text := make([]byte, 0, size+16)
+	for len(text) < size {
+		text = append(text, vocab[z.Uint64()]...)
+		text = append(text, ' ')
+	}
+	return text[:size]
+}
+
+// TestWordCountPartitionAllocationCeiling holds the wordcount map
+// kernel, host and accelerated, under the bytes per input byte the
+// string-per-occurrence kernel allocated on a 64 KB block — the small
+// job's path — and on a 1 MiB one, cut four ways. The parent figures
+// below are the lowest that kernel read in this loop. The table
+// allocates per distinct word, so a per-occurrence string or a
+// whole-block map would cross them.
+func TestWordCountPartitionAllocationCeiling(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates; the ceiling holds only without it")
+	}
+	kern, err := lookupKernel("wordcount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewCellDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		size          int
+		accel         bool
+		parentPerByte float64
+	}{
+		{64 << 10, false, 5.64},
+		{64 << 10, true, 10.6},
+		{1 << 20, false, 2.25},
+		{1 << 20, true, 6.4},
+	} {
+		block := zipfText(7, tc.size)
+		partition := func() {
+			var err error
+			if tc.accel {
+				_, err = kern.AccelPartition(dev, Task{}, block, 4)
+			} else {
+				_, err = kern.Partition(Task{}, block, 4)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		partition() // warm
+		const calls = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			partition()
+		}
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(calls*len(block))
+		t.Logf("%d-byte block, accel %v: %.2f B per input byte (parent %.2f)", tc.size, tc.accel, perByte, tc.parentPerByte)
+		if perByte >= tc.parentPerByte {
+			t.Errorf("%d-byte block, accel %v: wordcount Partition allocates %.2f B per input byte, want < %.2f",
+				tc.size, tc.accel, perByte, tc.parentPerByte)
+		}
 	}
 }
 
