@@ -88,15 +88,3 @@ func (c *Chip) TotalDMABytes() int64 {
 	}
 	return total
 }
-
-// Blade is a QS22 blade: two Cell BE processors sharing main memory,
-// as in the paper's testbed ("each one equipped with 2x 3.2Ghz Cell
-// processors").
-type Blade struct {
-	Chips []*Chip
-}
-
-// NewBlade builds a QS22-like blade with two chips.
-func NewBlade() *Blade {
-	return &Blade{Chips: []*Chip{NewChip(0), NewChip(1)}}
-}

@@ -26,13 +26,6 @@ func TestNewChipArchitecture(t *testing.T) {
 	}
 }
 
-func TestNewBlade(t *testing.T) {
-	b := NewBlade()
-	if len(b.Chips) != perfmodel.CellsPerQS22 {
-		t.Fatalf("blade has %d chips, want 2", len(b.Chips))
-	}
-}
-
 func TestRunOnSPEsParallel(t *testing.T) {
 	c := NewChip(0)
 	var ran int64

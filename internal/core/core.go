@@ -4,17 +4,20 @@
 // across nodes (level 1, Hadoop-style) and offload of each mapper's
 // records onto the node's Cell BE SPEs in 4 KB blocks (level 2).
 //
-// Two runners share the same job definitions:
+// LiveCluster runs the engine's four job kinds for real — word count
+// (RunWordCount), sort (RunSort), block transforms such as encryption
+// (RunStream) and Pi (RunPiTasks) — on goroutine-backed nodes, real
+// bytes in the in-process block namespace (internal/hdfs, at the
+// paper's replication 1: nodes never leave, so there is no failover or
+// repair here) and real kernels on the functional Cell model. Each job
+// is a set of tasks on the dynamic scheduler (internal/sched); a data
+// job's commit hook folds each block's winning result into the job's
+// output exactly once.
 //
-//   - LiveCluster executes jobs for real: goroutine-backed nodes, real
-//     bytes in the in-process block namespace (internal/hdfs, at the
-//     paper's replication 1: nodes never leave, so there is no failover
-//     or repair here), real kernels on the functional Cell model. It is
-//     what the examples and correctness tests use.
-//   - The simulated runner (internal/hadoop on internal/sim) replays
-//     the same architecture against the calibrated performance model
-//     at the paper's 66-blade scale. Package core knows nothing of it;
-//     internal/workload builds its splits from the same DFS layouts.
+// The simulated runner (internal/hadoop on internal/sim) replays the
+// same architecture against the calibrated performance model at the
+// paper's 66-blade scale. Package core knows nothing of it;
+// internal/workload builds its splits from the same DFS layouts.
 package core
 
 import (
@@ -31,11 +34,9 @@ import (
 )
 
 // LiveNode is one worker of the live (functional) cluster: a name the
-// DFS knows it by, plus a QS22-like blade whose first Cell chip backs
-// the node's accelerator runtime.
+// DFS knows it by, plus the SPE runtime of the node's Cell chip.
 type LiveNode struct {
-	Name  string
-	Blade *cellbe.Blade
+	Name string
 	// Accel is the node's direct SPE offload runtime (nil on
 	// non-accelerated nodes of a heterogeneous cluster).
 	Accel *spurt.Runtime
@@ -72,7 +73,6 @@ type liveConfig struct {
 	blockSize      int64
 	mappersPerNode int
 	acceleratedN   int // -1: all
-	speBlock       int
 	sched          sched.Options
 	delays         []time.Duration
 	spillDir       string
@@ -89,10 +89,6 @@ func WithMappersPerNode(m int) LiveOption { return func(c *liveConfig) { c.mappe
 // WithAcceleratedNodes limits how many nodes get accelerators
 // (heterogeneous cluster extension; default all).
 func WithAcceleratedNodes(n int) LiveOption { return func(c *liveConfig) { c.acceleratedN = n } }
-
-// WithSPEBlockBytes sets the accelerator block size (default 4 KB as
-// in the paper's distributed experiments).
-func WithSPEBlockBytes(b int) LiveOption { return func(c *liveConfig) { c.speBlock = b } }
 
 // WithScheduling configures the dynamic scheduler (speculative
 // execution, per-task attempt caps) for every job the cluster runs.
@@ -137,7 +133,6 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 		blockSize:      perfmodel.HDFSBlockBytes,
 		mappersPerNode: perfmodel.MapSlotsPerNode,
 		acceleratedN:   -1,
-		speBlock:       perfmodel.SPEBlockBytes,
 		spillMem:       -1,
 	}
 	for _, o := range opts {
@@ -180,9 +175,9 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 		if _, err := nn.RegisterDataNode(name); err != nil {
 			return nil, err
 		}
-		node := &LiveNode{Name: name, Blade: cellbe.NewBlade()}
+		node := &LiveNode{Name: name}
 		if i < accelerated {
-			rt, err := spurt.New(node.Blade.Chips[0], perfmodel.SPEsPerCell, cfg.speBlock)
+			rt, err := spurt.New(cellbe.NewChip(0), perfmodel.SPEsPerCell, perfmodel.SPEBlockBytes)
 			if err != nil {
 				return nil, err
 			}
@@ -202,17 +197,6 @@ func (c *LiveCluster) Close() error { return c.FS.Close() }
 // watermark: all in memory).
 func (c *LiveCluster) newRunStore() *spill.Store {
 	return spill.NewStore(c.spillDir, c.spillMem, c.spillCodec)
-}
-
-// AcceleratedCount reports how many nodes carry accelerators.
-func (c *LiveCluster) AcceleratedCount() int {
-	n := 0
-	for _, node := range c.Nodes {
-		if node.Accel != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // LastStats returns the dynamic scheduler's per-worker stats for the

@@ -17,8 +17,8 @@ func TestNewLiveClusterValidation(t *testing.T) {
 	if len(c.Nodes) != 3 || c.MappersPerNode != perfmodel.MapSlotsPerNode {
 		t.Error("defaults wrong")
 	}
-	if c.AcceleratedCount() != 3 {
-		t.Errorf("accelerated = %d, want 3 (default all)", c.AcceleratedCount())
+	if n := acceleratedNodes(c); n != 3 {
+		t.Errorf("accelerated = %d, want 3 (default all)", n)
 	}
 	if c.FS.BlockSize() != perfmodel.HDFSBlockBytes {
 		t.Error("default block size should be 64MB")
@@ -29,8 +29,7 @@ func TestLiveClusterOptions(t *testing.T) {
 	c, err := NewLiveCluster(4,
 		WithBlockSize(1024),
 		WithMappersPerNode(3),
-		WithAcceleratedNodes(2),
-		WithSPEBlockBytes(512))
+		WithAcceleratedNodes(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +39,24 @@ func TestLiveClusterOptions(t *testing.T) {
 	if c.MappersPerNode != 3 {
 		t.Error("mappers option not applied")
 	}
-	if c.AcceleratedCount() != 2 {
-		t.Errorf("accelerated = %d, want 2", c.AcceleratedCount())
+	if n := acceleratedNodes(c); n != 2 {
+		t.Errorf("accelerated = %d, want 2", n)
 	}
 	if c.Nodes[0].Accel == nil || c.Nodes[3].Accel != nil {
 		t.Error("acceleration assignment wrong")
 	}
-	if c.Nodes[0].Accel.BlockBytes() != 512 {
-		t.Error("SPE block size not applied")
+	if c.Nodes[0].Accel.BlockBytes() != perfmodel.SPEBlockBytes {
+		t.Error("SPE block size is not the paper's 4 KB")
 	}
+}
+
+// acceleratedNodes counts the nodes that carry an SPE runtime.
+func acceleratedNodes(c *LiveCluster) int {
+	n := 0
+	for _, node := range c.Nodes {
+		if node.Accel != nil {
+			n++
+		}
+	}
+	return n
 }

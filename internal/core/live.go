@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -24,32 +23,6 @@ import (
 // then any pending block (a remote read, as in Hadoop's non-local
 // tasks), and with speculation enabled a straggling in-flight task is
 // duplicated, first finish winning.
-
-// KVJob is a key/value MapReduce job over a stored file (the classic
-// Hadoop programming model of §II-A).
-type KVJob struct {
-	Name  string
-	Input string
-	// Map consumes one record (a DFS block in the live runner) and
-	// emits key/value pairs.
-	Map func(record []byte, offset int64, emit func(key, value string)) error
-	// Reduce folds all values of one key.
-	Reduce func(key string, values []string) (string, error)
-	// Combine, when set, pre-reduces each mapper's local output before
-	// the shuffle (Hadoop's combiner): it folds a key's local values
-	// into one value of the same type, cutting shuffle volume. Reduce
-	// must accept combined values.
-	Combine func(key string, values []string) (string, error)
-	// Reducers is the number of shuffle partitions (and the bound on
-	// parallel reducers). 0 selects max(GOMAXPROCS, cluster nodes).
-	Reducers int
-}
-
-// KVResult holds a reduced key/value pair.
-type KVResult struct {
-	Key   string
-	Value string
-}
 
 // blockWork describes one block assignment for the live mappers.
 type blockWork struct {
@@ -108,14 +81,12 @@ func (c *LiveCluster) stall(node int) {
 // fn receives the node actually executing the attempt (which differs
 // from the home for remote grants and speculation) and must return a
 // result that depends only on the block — the scheduler commits the
-// first finished attempt of each task, calling onCommit (when set)
-// exactly once per block. Without a commit hook the per-task results
-// are returned indexed like work; with one, the hook owns the results
-// and the returned slice holds nils (bounded memory). The run's stats
-// are retained for LastStats.
+// first finished attempt of each task, handing its result to onCommit
+// exactly once per block, so no job ever holds every block's result at
+// once. The run's stats are retained for LastStats.
 func (c *LiveCluster) runBlocks(work []blockWork,
 	fn func(w blockWork, node *LiveNode, data []byte) (any, error),
-	onCommit func(task int, result any)) ([]any, error) {
+	onCommit func(task int, result any)) error {
 	nodeIndex := make(map[*LiveNode]int, len(c.Nodes))
 	for i, n := range c.Nodes {
 		nodeIndex[n] = i
@@ -135,58 +106,37 @@ func (c *LiveCluster) runBlocks(work []blockWork,
 	}
 	opts := c.Sched
 	opts.OnCommit = onCommit
-	// A commit hook owns the results (shuffle insert, run-store
-	// spill); retaining them in the results slice too would hold
-	// every block's payload in memory for the whole job.
-	opts.DiscardResults = onCommit != nil
-	results, stats, err := sched.Run(c.schedWorkers(), tasks, exec, opts)
+	_, stats, err := sched.Run(c.schedWorkers(), tasks, exec, opts)
 	c.lastStats = stats
-	return results, err
+	return err
 }
 
-// RunKV executes a key/value job and returns results sorted by key.
-// The shuffle between the phases is partitioned: each mapper's output
-// is hash-split into per-reducer buckets (after the optional map-side
-// combine) so mappers never serialize on a global table, and the
-// buckets reduce in parallel.
-func (c *LiveCluster) RunKV(job *KVJob) ([]KVResult, error) {
-	if job.Map == nil || job.Reduce == nil {
-		return nil, fmt.Errorf("core: job %q needs Map and Reduce", job.Name)
-	}
-	work, err := c.planBlocks(job.Input)
+// RunWordCount counts the words of a stored file. Each block is
+// counted into its own kernels.WordTable, and the commit hook merges
+// the winning table into the job's one table, so a speculative
+// duplicate never counts a block twice.
+func (c *LiveCluster) RunWordCount(input string) (map[string]int64, error) {
+	work, err := c.planBlocks(input)
 	if err != nil {
 		return nil, err
 	}
-	nPart := job.Reducers
-	if nPart <= 0 {
-		nPart = runtime.GOMAXPROCS(0)
-		if n := len(c.Nodes); n > nPart {
-			nPart = n
-		}
-	}
-	shuffle := newPartitionedShuffle(nPart)
-	// The mapper's local table is the task result; the scheduler's
-	// commit hook inserts it into the shuffle so a speculative
-	// duplicate can never double-count a block.
-	_, err = c.runBlocks(work, func(w blockWork, _ *LiveNode, data []byte) (any, error) {
-		local := make(map[string][]string)
-		emit := func(k, v string) { local[k] = append(local[k], v) }
-		if err := job.Map(data, w.offset, emit); err != nil {
-			return nil, fmt.Errorf("core: map on block %d: %w", w.index, err)
-		}
-		if job.Combine != nil {
-			if err := combineLocal(local, job.Combine); err != nil {
-				return nil, err
-			}
-		}
-		return local, nil
+	var mu sync.Mutex
+	var total kernels.WordTable
+	err = c.runBlocks(work, func(_ blockWork, _ *LiveNode, data []byte) (any, error) {
+		var counts kernels.WordTable
+		counts.Add(data)
+		return &counts, nil
 	}, func(_ int, result any) {
-		shuffle.insert(result.(map[string][]string))
+		mu.Lock()
+		total.Merge(result.(*kernels.WordTable))
+		mu.Unlock()
 	})
 	if err != nil {
 		return nil, err
 	}
-	return shuffle.reduceAll(job.Reduce)
+	counts := make(map[string]int64)
+	total.Each(func(w string, n int64) { counts[w] = n })
+	return counts, nil
 }
 
 // StreamJob transforms a stored file record-by-record (the encryption
@@ -227,7 +177,7 @@ func (c *LiveCluster) RunStream(job *StreamJob) (int64, error) {
 	defer outStore.Close()
 	var commitErrMu sync.Mutex
 	var commitErr error
-	_, err = c.runBlocks(work, func(w blockWork, node *LiveNode, data []byte) (any, error) {
+	err = c.runBlocks(work, func(w blockWork, node *LiveNode, data []byte) (any, error) {
 		out := make([]byte, len(data))
 		if job.Accelerated && node.Accel != nil {
 			if err := node.Accel.Stream(offsetKernel{job.Kernel, w.offset}, data, out); err != nil {
@@ -310,89 +260,13 @@ func (k offsetKernel) ProcessBlock(block []byte, offset int64) error {
 	return k.inner.ProcessBlock(block, k.base+offset)
 }
 
-// EstimatePi runs the CPU-intensive workload across the cluster:
-// samples are divided over nodes x mappers, each mapper either
-// offloading to the SPEs (accelerated) or sampling on the host core.
-// It returns the Pi estimate and the total samples actually drawn.
-// This path keeps its static mapper-id placement on purpose: a
-// mapper's count depends on whether its node offloads (the per-SPE
-// seed domains differ from the host path), so migrating an attempt to
-// a different node would change the estimate — the opposite of the
-// determinism the scheduler's first-finish-wins commit requires.
-// Engine-conformant Pi jobs go through RunPiTasks instead.
-func (c *LiveCluster) EstimatePi(samples int64, accelerated bool, seed uint64) (float64, int64, error) {
-	if samples <= 0 {
-		return 0, 0, fmt.Errorf("core: samples must be positive, got %d", samples)
-	}
-	nMappers := len(c.Nodes) * c.MappersPerNode
-	per := samples / int64(nMappers)
-	rem := samples % int64(nMappers)
-	var inside, total int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, nMappers)
-	mapperID := 0
-	for _, node := range c.Nodes {
-		for m := 0; m < c.MappersPerNode; m++ {
-			node := node
-			id := mapperID
-			mapperID++
-			n := per
-			if int64(id) < rem {
-				n++
-			}
-			if n == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Give each mapper a hashed seed domain distinct from
-				// the per-SPE streams PiWorkerFunc derives inside it.
-				mapperSeed := kernels.MixSeed(seed, 0x6d617070<<16|uint64(id))
-				var in int64
-				if accelerated && node.Accel != nil {
-					perWorker := n / int64(node.Accel.NSPEs())
-					extra := n % int64(node.Accel.NSPEs())
-					results, err := node.Accel.Compute(kernels.PiWorkerFunc(mapperSeed, perWorker))
-					if err != nil {
-						errCh <- err
-						return
-					}
-					for _, r := range results {
-						in += r.Value
-					}
-					// The remainder runs on the PPE, as real SPE
-					// kernels leave tails to the host.
-					in += kernels.CountInside(mapperSeed^0xabcdef, extra)
-				} else {
-					in = kernels.CountInside(mapperSeed, n)
-				}
-				mu.Lock()
-				inside += in
-				total += n
-				mu.Unlock()
-			}()
-		}
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return 0, 0, err
-	default:
-	}
-	return kernels.EstimatePi(inside, total), total, nil
-}
-
 // RunPiTasks draws each canonical Monte Carlo task
 // (kernels.SampleSplit) on the host core of a cluster node — placed by
 // the dynamic scheduler, bounded by each node's mapper slots — and
-// returns the aggregate inside/total counts. Unlike EstimatePi, which
-// derives its own per-mapper seed domains (and may offload to the
-// SPEs), this executes exactly the given decomposition, and each
-// task's count depends only on its seed — not on the node drawing it —
-// which is what makes results bit-identical across engine backends and
-// under remote grants, speculation and re-runs.
+// returns the aggregate inside/total counts. Each task's count depends
+// only on its seed — not on the node drawing it — which is what makes
+// results bit-identical across engine backends and under remote
+// grants, speculation and re-runs.
 func (c *LiveCluster) RunPiTasks(tasks []kernels.SampleSplit) (inside, total int64, err error) {
 	for i, t := range tasks {
 		if t.Samples <= 0 {

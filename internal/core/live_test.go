@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,7 +17,7 @@ import (
 // jobs span many blocks and nodes.
 func textCluster(t *testing.T, text string) *LiveCluster {
 	t.Helper()
-	c, err := NewLiveCluster(3, WithBlockSize(64), WithSPEBlockBytes(512))
+	c, err := NewLiveCluster(3, WithBlockSize(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,96 +27,32 @@ func textCluster(t *testing.T, text string) *LiveCluster {
 	return c
 }
 
-// wordCountJob is the canonical KV job used in several tests.
-func wordCountJob() *KVJob {
-	return &KVJob{
-		Name:  "wordcount",
-		Input: "/input.txt",
-		Map: func(record []byte, _ int64, emit func(k, v string)) error {
-			var counts kernels.WordTable
-			counts.Add(record)
-			counts.Each(func(w string, n int64) { emit(w, strconv.FormatInt(n, 10)) })
-			return nil
-		},
-		Reduce: func(_ string, values []string) (string, error) {
-			total := 0
-			for _, v := range values {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return "", err
-				}
-				total += n
-			}
-			return strconv.Itoa(total), nil
-		},
-	}
-}
-
-func TestRunKVWordCount(t *testing.T) {
-	// Words are whole multiples of the 64-byte block? No — blocks cut
-	// words arbitrarily; use 8-byte words aligned to make per-block
-	// counting exact (8 chars: "worddd \n"). Instead use text whose
-	// words never span block boundaries: 4-byte words, 64-byte blocks.
+func TestRunWordCount(t *testing.T) {
+	// Blocks cut words arbitrarily, so use text whose words never span
+	// block boundaries: 4-byte words, 64-byte blocks.
 	var sb strings.Builder
 	for i := 0; i < 160; i++ {
 		sb.WriteString(fmt.Sprintf("w%02d ", i%5)) // "w00 ".."w04 ", 4 bytes each
 	}
 	c := textCluster(t, sb.String())
-	res, err := c.RunKV(wordCountJob())
+	counts, err := c.RunWordCount("/input.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 5 {
-		t.Fatalf("got %d keys: %v", len(res), res)
+	if len(counts) != 5 {
+		t.Fatalf("got %d words: %v", len(counts), counts)
 	}
-	for _, kv := range res {
-		if kv.Value != "32" {
-			t.Errorf("count[%s] = %s, want 32", kv.Key, kv.Value)
-		}
-	}
-	// Results must be sorted by key.
-	for i := 1; i < len(res); i++ {
-		if res[i-1].Key >= res[i].Key {
-			t.Error("results not sorted")
+	for w, n := range counts {
+		if n != 32 {
+			t.Errorf("count[%s] = %d, want 32", w, n)
 		}
 	}
 }
 
-func TestRunKVValidation(t *testing.T) {
+func TestRunWordCountValidation(t *testing.T) {
 	c := textCluster(t, "hello world")
-	if _, err := c.RunKV(&KVJob{Name: "nil", Input: "/input.txt"}); err == nil {
-		t.Error("nil map/reduce should fail")
-	}
-	job := wordCountJob()
-	job.Input = "/missing"
-	if _, err := c.RunKV(job); !errors.Is(err, ErrNoInput) {
+	if _, err := c.RunWordCount("/missing"); !errors.Is(err, ErrNoInput) {
 		t.Errorf("missing input: %v", err)
-	}
-}
-
-func TestRunKVMapErrorPropagates(t *testing.T) {
-	c := textCluster(t, strings.Repeat("x ", 100))
-	boom := errors.New("map exploded")
-	job := &KVJob{
-		Name:  "boom",
-		Input: "/input.txt",
-		Map: func([]byte, int64, func(string, string)) error {
-			return boom
-		},
-		Reduce: func(string, []string) (string, error) { return "", nil },
-	}
-	if _, err := c.RunKV(job); !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestRunKVReduceErrorPropagates(t *testing.T) {
-	c := textCluster(t, "a b c")
-	boom := errors.New("reduce exploded")
-	job := wordCountJob()
-	job.Reduce = func(string, []string) (string, error) { return "", boom }
-	if _, err := c.RunKV(job); !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
 	}
 }
 
@@ -231,32 +166,10 @@ func TestRunStreamHeterogeneousFallback(t *testing.T) {
 	}
 }
 
-func TestEstimatePiLive(t *testing.T) {
-	c, err := NewLiveCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, accel := range []bool{false, true} {
-		pi, total, err := c.EstimatePi(400000, accel, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total != 400000 {
-			t.Errorf("accel=%v: total = %d, want 400000", accel, total)
-		}
-		if math.Abs(pi-math.Pi) > 0.05 {
-			t.Errorf("accel=%v: pi = %g too far off", accel, pi)
-		}
-	}
-	if _, _, err := c.EstimatePi(0, true, 1); err == nil {
-		t.Error("zero samples should fail")
-	}
-}
-
 // Property: live word count equals the direct kernel on the whole
 // input, regardless of how blocks cut the text, as long as words do
 // not span blocks (4-char words, block size multiple of 4).
-func TestRunKVMatchesDirectProperty(t *testing.T) {
+func TestRunWordCountMatchesDirectProperty(t *testing.T) {
 	f := func(wordsRaw []uint8) bool {
 		if len(wordsRaw) == 0 {
 			return true
@@ -276,20 +189,11 @@ func TestRunKVMatchesDirectProperty(t *testing.T) {
 		if err := c.FS.WriteFile("/input.txt", []byte(text), ""); err != nil {
 			return false
 		}
-		res, err := c.RunKV(wordCountJob())
+		got, err := c.RunWordCount("/input.txt")
 		if err != nil {
 			return false
 		}
-		want := kernels.WordCount([]byte(text))
-		if len(res) != len(want) {
-			return false
-		}
-		for _, kv := range res {
-			if strconv.FormatInt(want[kv.Key], 10) != kv.Value {
-				return false
-			}
-		}
-		return true
+		return maps.Equal(got, kernels.WordCount([]byte(text)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

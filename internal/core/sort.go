@@ -41,7 +41,7 @@ func (c *LiveCluster) RunSort(input, output string) error {
 	defer runStore.Close()
 	var commitErrMu sync.Mutex
 	var commitErr error
-	_, err = c.runBlocks(work, func(w blockWork, _ *LiveNode, data []byte) (any, error) {
+	err = c.runBlocks(work, func(w blockWork, _ *LiveNode, data []byte) (any, error) {
 		run, err := kernels.SortedRecords(data)
 		if err != nil {
 			return nil, fmt.Errorf("core: sort block %d: %w", w.index, err)

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -20,9 +19,9 @@ type liveRunner struct {
 	cfg  Config
 	clus *core.LiveCluster
 
-	// mu guards seq: two concurrent Runs colliding on one DFS staging
-	// path would corrupt each other's input (same pattern as the net
-	// runner).
+	// mu serialises Runs: the cluster is not goroutine-safe, and each
+	// job reads its TaskCounts back from the cluster's LastStats. It
+	// also guards seq, which names each job's DFS staging path.
 	mu  sync.Mutex
 	seq int
 }
@@ -36,6 +35,7 @@ func init() {
 	// synchronous in-process call with nothing to abandon.
 	//hetlint:configdrop-ok live Config.JobTimeout live runs synchronously in-process; the knob bounds the net backend's remote wait
 	//hetlint:configdrop-ok live Config.Racks the in-process DFS places every block once (the paper's replication 1) and has no rack tier to spread over; accepted and inert, as on sim
+	//hetlint:configdrop-ok live Config.Reducers live word count merges block tables in its commit hook and live sort merges every run at once; a partition count never changed a live result
 
 	Register("live", func(cfg Config) (Runner, error) {
 		if cfg.Mapper == "empty" {
@@ -80,12 +80,10 @@ func (r *liveRunner) Cluster() *core.LiveCluster { return r.clus }
 
 // stageInput streams the job's dataset into the DFS under a fresh
 // path — one transfer buffer plus one block resident, never the whole
-// dataset.
+// dataset. Callers hold r.mu.
 func (r *liveRunner) stageInput(job *Job) (string, error) {
-	r.mu.Lock()
 	r.seq++
 	name := fmt.Sprintf("/engine/%s-%d", job.title(), r.seq)
-	r.mu.Unlock()
 	if _, err := r.clus.FS.CreateFrom(name, "", job.inputReader()); err != nil {
 		return "", err
 	}
@@ -128,6 +126,8 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 	if err := r.cfg.validateJob(job); err != nil {
 		return nil, err
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	start := time.Now()
 	res := &Result{Backend: r.Backend()}
 	switch job.Kind {
@@ -137,38 +137,11 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 			return nil, err
 		}
 		defer r.unstage(input)
-		sum := func(_ string, values []string) (string, error) {
-			total := int64(0)
-			for _, v := range values {
-				n, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					return "", err
-				}
-				total += n
-			}
-			return strconv.FormatInt(total, 10), nil
-		}
-		pairs, err := r.clus.RunKV(&core.KVJob{
-			Name:  job.title(),
-			Input: input,
-			// One pair per distinct word of the block, carrying its count.
-			Map: func(record []byte, _ int64, emit func(k, v string)) error {
-				var counts kernels.WordTable
-				counts.Add(record)
-				counts.Each(func(w string, n int64) { emit(w, strconv.FormatInt(n, 10)) })
-				return nil
-			},
-			Reduce:   sum,
-			Combine:  sum,
-			Reducers: r.cfg.Reducers,
-		})
+		counts, err := r.clus.RunWordCount(input)
 		if err != nil {
 			return nil, err
 		}
-		res.Pairs = make([]KV, len(pairs))
-		for i, kv := range pairs {
-			res.Pairs[i] = KV{Key: kv.Key, Value: kv.Value}
-		}
+		res.Pairs = pairsFromCounts(counts)
 	case Sort:
 		input, err := r.stageInput(job)
 		if err != nil {

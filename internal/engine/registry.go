@@ -34,12 +34,11 @@ type Config struct {
 	// MappersPerNode bounds concurrent mappers per node on the live
 	// backend (default: the paper's 2).
 	MappersPerNode int
-	// Reducers is the shuffle partition count: the live backend's
-	// in-process bucket count, and the net backend's distributed
-	// reduce-task count for its shuffling kinds, Wordcount and Sort (0:
-	// runtime default — one reduce task per worker on net). Negative
-	// counts are rejected here, at the API boundary, instead of
-	// panicking in the partition hash mid-shuffle.
+	// Reducers is the net backend's distributed reduce-task count for
+	// its shuffling kinds, Wordcount and Sort (0: one reduce task per
+	// worker). The other backends have no partitioned shuffle and
+	// ignore it. Negative counts are rejected here, at the API
+	// boundary, instead of panicking in the partition hash mid-shuffle.
 	Reducers int
 	// Mapper selects the mapper variant: "cell" (accelerated, the
 	// default), "java" (host path) or "empty" (simulated backend

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 	"time"
+
+	"hetmr/internal/kernels"
 )
 
 // The dynamic scheduler must never change what a job computes, only
@@ -93,6 +97,46 @@ func TestSpeculationOnOffBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLiveConcurrentRunsKeepTheirOwnTaskCounts runs two jobs at once
+// on one live runner: each result's TaskCounts must count its own
+// tasks, never the other job's.
+func TestLiveConcurrentRunsKeepTheirOwnTaskCounts(t *testing.T) {
+	r, err := New("live", conformanceConfig()) // 5 000-byte blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	jobs := []struct {
+		job    *Job
+		blocks int
+	}{
+		{&Job{Kind: Wordcount, Input: bytes.Repeat([]byte("word "), 3_000)}, 3},
+		{&Job{Kind: Sort, Input: kernels.GenerateSortRecords(7, 350)}, 7},
+	}
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				res, err := r.Run(j.job)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				total := 0
+				for _, n := range res.TaskCounts {
+					total += n
+				}
+				if total != j.blocks {
+					t.Errorf("%s: TaskCounts %v sum to %d, want its %d blocks", j.job.Kind, res.TaskCounts, total, j.blocks)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestConfigSchedulingValidation(t *testing.T) {

@@ -30,7 +30,7 @@ func init() {
 	// rather than rejected: the conformance suite runs one Config
 	// across every backend, and the model's own calibrated defaults
 	// (perfmodel) stand in for what the knob would tune.
-	//hetlint:configdrop-ok sim Config.Reducers the model's reduce phase uses calibrated ReduceSlots; Reducers shapes real shuffle output on functional backends
+	//hetlint:configdrop-ok sim Config.Reducers the model's reduce phase uses calibrated ReduceSlots; Reducers shapes only the net backend's real shuffle
 	//hetlint:configdrop-ok sim Config.FaultDelays fault injection on the model goes through KillNode-style hooks, not live-cluster task delays
 	//hetlint:configdrop-ok sim Config.JobTimeout simulated virtual time completes in wall-milliseconds; there is no remote wait to bound
 	//hetlint:configdrop-ok sim Config.SpillMemBytes the timing model has no real data plane to spill

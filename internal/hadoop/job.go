@@ -186,8 +186,7 @@ type Config struct {
 	// does on the live and net runtimes: Speculative duplicates the
 	// longest-running single-attempt task once no pending work is left,
 	// MaxAttempts caps a task's launches for that purpose. The Run-only
-	// hooks (OnCommit, DiscardResults) and Affinity have no meaning
-	// here.
+	// OnCommit hook and Affinity have no meaning here.
 	sched.Options
 }
 

@@ -14,8 +14,8 @@ import (
 // Attempts, the failure budget, the straggler choice and the winner
 // credit are the board's; Run adds only what an in-process fleet needs
 // on top — the goroutines, the result slice and the commit hook. It
-// returns the per-task results (indexed like tasks) and the run's
-// per-worker stats.
+// returns the per-task results (indexed like tasks; nils when
+// Options.OnCommit consumed them) and the run's per-worker stats.
 //
 // Placement: a worker is granted the tasks homed on it first
 // (LocalityNode), then any pending task, so a faster worker simply asks
@@ -124,11 +124,10 @@ func (d *driver) slot(w int) {
 		if !d.board.Complete(t, d.fleet[w].ID) {
 			continue // a duplicate lost the race; its result is discarded
 		}
-		if !d.opts.DiscardResults {
-			d.results[t] = res
-		}
 		if d.opts.OnCommit != nil {
 			d.opts.OnCommit(t, res)
+		} else {
+			d.results[t] = res
 		}
 		d.mu.Lock()
 		d.committed++

@@ -28,19 +28,31 @@ func unhomed(n int) []Task {
 
 func TestRunCommitsEveryTaskOnce(t *testing.T) {
 	const n = 100
-	var commits atomic.Int64
+	var commits [n]atomic.Int64
+	var wrong atomic.Int64
 	results, stats, err := Run(fleet(4), unhomed(n), func(w, task int) (any, error) {
 		return task * 2, nil
-	}, Options{OnCommit: func(int, any) { commits.Add(1) }})
+	}, Options{OnCommit: func(task int, r any) {
+		commits[task].Add(1)
+		if r.(int) != task*2 {
+			wrong.Add(1)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if commits.Load() != n {
-		t.Errorf("OnCommit ran %d times, want %d", commits.Load(), n)
+	for i := range commits {
+		if c := commits[i].Load(); c != 1 {
+			t.Errorf("OnCommit ran %d times for task %d, want 1", c, i)
+		}
 	}
+	if wrong.Load() != 0 {
+		t.Errorf("%d tasks committed a result that is not their own", wrong.Load())
+	}
+	// The hook owns the results: Run keeps none of them.
 	for i, r := range results {
-		if r.(int) != i*2 {
-			t.Errorf("results[%d] = %v", i, r)
+		if r != nil {
+			t.Errorf("results[%d] = %v, want nil once OnCommit consumed it", i, r)
 		}
 	}
 	total := 0

@@ -77,16 +77,10 @@ type Options struct {
 	// OnCommit, when set, is called by Run exactly once per task with
 	// the winning attempt's result, concurrently across tasks, before
 	// Run returns. Use it to fold results into shared structures (e.g. the
-	// live runner's shuffle) without double-insertion under
-	// speculation.
+	// live runner's word tables) without double-insertion under
+	// speculation. The hook owns the results: Run then returns a slice
+	// of nils, so it never retains every task's payload.
 	OnCommit func(t int, result any)
-	// DiscardResults makes Run drop each committed result after
-	// OnCommit has consumed it, so Run's results slice never retains
-	// every task's payload — the bounded-memory contract for jobs
-	// whose commit hook persists the result itself (e.g. sorted runs
-	// spilled to disk). Run still returns a slice indexed like tasks;
-	// its entries are nil.
-	DiscardResults bool
 	// Affinity names the device kind this board's tasks prefer (e.g.
 	// netmr's "cell" for accelerated map tasks, "host" for reduce
 	// merges; "" means no preference). The board records it for the
