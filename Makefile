@@ -49,13 +49,15 @@ bench-compare:
 	bash bench/run.sh -compare $(CMP)/base/result.json $(CMP)/head/result.json
 
 # fuzz-smoke mirrors the CI fuzz lane: short coverage-led mutation
-# over the rpcnet wire decoders, the radix sort (checked against the
+# over the rpcnet wire decoders, the primed gob decoder (checked
+# against a fresh gob.Decoder), the radix sort (checked against the
 # stable comparison sort it replaced) and the word-count table (checked
 # against the map-based counter it replaced).
 fuzz-smoke:
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadHello -fuzztime 5s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzServeConn -fuzztime 10s
+	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzUnmarshalPrimed -fuzztime 10s
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzSortedRecords -fuzztime 10s
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzWordCount -fuzztime 10s
 
@@ -125,7 +127,7 @@ loc:
 # count is the same on every machine, so a PR that grows the tree must
 # raise LOC_MAX in its own diff, where review sees it; one that shrinks
 # it lowers LOC_MAX to the new `make loc`.
-LOC_MAX := 19922
+LOC_MAX := 20222
 loc-gate:
 	@n="$$($(MAKE) -s --no-print-directory loc)"; \
 	echo "non-test Go lines outside bench/: $$n (LOC_MAX $(LOC_MAX))"; \

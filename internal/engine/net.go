@@ -13,6 +13,7 @@ import (
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/netmr"
+	"hetmr/internal/perfmodel"
 	"hetmr/internal/rpcnet"
 )
 
@@ -62,7 +63,10 @@ func init() {
 		if err := netRejects(cfg); err != nil {
 			return nil, err
 		}
+		// It holds only staged input, deleted as each job ends: the paper's
+		// replication 1 puts a block once, and a lost DataNode fails the job.
 		opts := []netmr.ClusterOption{
+			netmr.WithReplication(perfmodel.ReplicationFactor),
 			netmr.WithSpeculation(cfg.Speculative),
 			netmr.WithMaxAttempts(cfg.MaxAttempts),
 			netmr.WithTrackerDelays(cfg.FaultDelays),

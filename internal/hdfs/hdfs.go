@@ -18,6 +18,7 @@
 package hdfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -215,7 +216,8 @@ func (nn *NameNode) storeBlock(f *fileMeta, data []byte, preferred string) error
 	id := nn.nextBlock
 	nn.nextBlock++
 	nn.mu.Unlock()
-	if err := nn.store.Put(id, data); err != nil {
+	// The store keeps what it is handed; data is borrowed.
+	if err := nn.store.Put(id, bytes.Clone(data)); err != nil {
 		return err
 	}
 	nn.mu.Lock()
@@ -298,7 +300,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 	written := len(p)
 	bs := int(w.nn.blockSize)
 	// Full blocks available directly from p skip the buffer entirely
-	// (the block store copies what it keeps).
+	// (storeBlock copies what the store keeps).
 	if len(w.buf) == 0 {
 		for len(p) >= bs {
 			if err := w.nn.storeBlock(w.f, p[:bs], w.preferred); err != nil {

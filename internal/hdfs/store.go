@@ -18,7 +18,8 @@ import (
 // by block, holding one O(blockSize) payload at a time.)
 type BlockStore interface {
 	// Put stores a block payload (replacing any previous payload —
-	// block IDs are never reused, so that only happens on re-write).
+	// block IDs are never reused, so that only happens on re-write). The
+	// store takes ownership of data.
 	Put(id BlockID, data []byte) error
 	// Get returns the whole payload.
 	Get(id BlockID) ([]byte, error)

@@ -97,6 +97,7 @@ func (c *Client) WriteFile(name string, data []byte, preferred string) error {
 // may not have been stored.
 func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, error) {
 	win := flow.NewWindow(c.ingestWindow)
+	free := make(chan []byte, c.ingestWindow/c.blockSize+1)
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -117,10 +118,15 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 	var total int64
 	first := true
 	for {
-		// A fresh buffer per block: the previous block's bytes are still
-		// replicating in the background. The window stalls this loop
-		// before in-flight buffers exceed the ingest budget.
-		buf := make([]byte, c.blockSize)
+		// Earlier blocks may still be replicating from their buffers: take
+		// a returned one (free holds a window's worth) or a new one. The
+		// window stalls this loop before in-flight buffers exceed it.
+		var buf []byte
+		select {
+		case buf = <-free:
+		default:
+			buf = make([]byte, c.blockSize)
+		}
 		n, rerr := io.ReadFull(r, buf)
 		if rerr == io.EOF && !first {
 			break // clean end on a block boundary
@@ -151,6 +157,12 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 			defer win.Release(credit)
 			if err := c.putBlock(name, blk, chunk); err != nil {
 				fail(err)
+			}
+			// The DataNodes copied the block off the wire: the buffer is
+			// free once the puts return, and back before the credit is.
+			select {
+			case free <- chunk[:cap(chunk)]:
+			default:
 			}
 		}(alloc.Block, chunk, credit)
 		total += int64(n)

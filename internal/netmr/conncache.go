@@ -44,6 +44,9 @@ type connCache struct {
 	// instead of wedging its caller (an explicit CallTimeout overrides
 	// it). Set before the first get.
 	timeout time.Duration
+	// local, the co-located DataNode's address, is dialed WithInProcess
+	// (a pipe while it runs in this process). Set before the first get.
+	local string
 
 	mu     sync.Mutex
 	conns  map[string]*rpcnet.Client
@@ -70,7 +73,11 @@ func (cc *connCache) get(addr string) (*rpcnet.Client, error) {
 	}
 	cc.mu.Unlock()
 
-	c, err := rpcnet.Dial(addr)
+	var opts []rpcnet.Option
+	if addr == cc.local {
+		opts = append(opts, rpcnet.WithInProcess())
+	}
+	c, err := rpcnet.Dial(addr, opts...)
 	if err != nil {
 		return nil, err
 	}

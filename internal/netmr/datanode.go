@@ -1,6 +1,7 @@
 package netmr
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"time"
@@ -143,10 +144,11 @@ func (dn *DataNode) SpilledBytes() int64 { return dn.store.SpilledBytes() }
 
 func dnBlockKey(id int64) string { return strconv.FormatInt(id, 10) }
 
-// handlePut stores the request tail as block args.ID (the store copies
-// it; the tail is the wire layer's buffer).
+// handlePut stores a copy of the request tail as block args.ID: the
+// tail is the wire layer's buffer, and the store keeps what it is
+// handed.
 func (dn *DataNode) handlePut(args PutArgs, block []byte) (PutReply, []byte, error) {
-	return PutReply{}, nil, dn.store.Put(dnBlockKey(args.ID), block)
+	return PutReply{}, nil, dn.store.Put(dnBlockKey(args.ID), bytes.Clone(block))
 }
 
 // handleGet answers with the stored block as the reply tail: the

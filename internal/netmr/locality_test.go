@@ -1,8 +1,12 @@
 package netmr
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
+
+	"hetmr/internal/metrics"
 )
 
 func TestLocalityPreferredAssignment(t *testing.T) {
@@ -70,5 +74,52 @@ func TestLocalityStatsZeroWithoutLocalDN(t *testing.T) {
 	local, _, remote := tt.FetchStats()
 	if local != 0 || remote != 4 {
 		t.Errorf("stats = %d local / %d remote, want 0/4", local, remote)
+	}
+}
+
+// TestColocatedReadSkipsTheSocket: a tracker reads a block held by its
+// own node's DataNode over rpcnet's in-process pipe — no socket byte
+// moves, and the read counts as local. With that DataNode closed, the
+// same fetch fails over to the other replica over TCP and counts as
+// remote.
+func TestColocatedReadSkipsTheSocket(t *testing.T) {
+	const block = 64 << 10
+	c := startTestCluster(t, 2, block) // replication 2: every block on both DataNodes
+	data := bytes.Repeat([]byte("colocated "), block/10)
+	if err := c.Client.WriteFile("/local", data, c.DNs[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	var lookup LookupReply
+	if err := c.Client.nn("Lookup", LookupArgs{File: "/local"}, &lookup); err != nil || len(lookup.Blocks) != 1 {
+		t.Fatalf("lookup: %+v, err %v", lookup, err)
+	}
+	blk := lookup.Blocks[0]
+	tt := c.TTs[0]
+	if !slices.Contains(blk.Replicas, tt.LocalDataNode) || len(blk.Replicas) != 2 {
+		t.Fatalf("replicas %v, want both DataNodes", blk.Replicas)
+	}
+	read := func() (wire int64) {
+		t.Helper()
+		before := metrics.WireBytesRaw.Load()
+		got, err := tt.fetchBlock(blk)
+		if err != nil || !bytes.Equal(got, data[:blk.Size]) {
+			t.Fatalf("fetch: %d bytes, err %v", len(got), err)
+		}
+		return metrics.WireBytesRaw.Load() - before
+	}
+	// Heartbeats run alongside, so the meter may move by a few control
+	// bodies, never by a block.
+	if wire := read(); wire >= blk.Size {
+		t.Errorf("co-located read moved %d socket bytes for a %d-byte block", wire, blk.Size)
+	}
+	if local, _, remote := tt.FetchStats(); local != 1 || remote != 0 {
+		t.Errorf("after the co-located read: %d local / %d remote, want 1/0", local, remote)
+	}
+	c.DNs[0].Close()
+	if wire := read(); wire < blk.Size {
+		t.Errorf("failover read moved %d socket bytes for a %d-byte block, want it over TCP", wire, blk.Size)
+	}
+	if local, _, remote := tt.FetchStats(); local != 1 || remote != 1 {
+		t.Errorf("after the failover read: %d local / %d remote, want 1/1", local, remote)
 	}
 }

@@ -82,7 +82,8 @@ type TaskTracker struct {
 	spillCodec spill.Codec
 
 	// wire caches pooled connections to DataNodes and peer shuffle
-	// stores across tasks.
+	// stores across tasks; the co-located DataNode's is an in-process
+	// pipe when that DataNode shares the tracker's process.
 	wire *connCache
 
 	// fetchWindow sizes the tracker's shuffle-fetch credit window in
@@ -240,6 +241,7 @@ func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat tim
 	}
 	tt.fetchWin = flow.NewWindow(tt.fetchWindow)
 	tt.wire = newConnCache()
+	tt.wire.local = localDataNode
 	tt.store = newShuffleStore(tt.spillDir, tt.spillMem, tt.spillCodec)
 	handleTail(srv, "FetchPartition", tt.handleFetchPartition)
 	tt.beater = goBackground(tt.loop)
@@ -683,7 +685,9 @@ func (tt *TaskTracker) fetchPartition(addr string, args FetchPartitionArgs) ([]b
 // protocol (readBlockFrom), trying replicas in topology order — the
 // co-located DataNode first, then same-rack replicas, then the rest in
 // placement order — what keeps map tasks running through a DataNode
-// death while preferring the cheapest surviving copy.
+// death while preferring the cheapest surviving copy. The co-located
+// read is the same Get over the same protocol; only its connection is
+// an in-process pipe rather than a loopback socket (connCache.local).
 func (tt *TaskTracker) fetchBlock(blk BlockInfo) ([]byte, error) {
 	addrs := blk.Replicas
 	rackOf := make(map[string]string, len(addrs))

@@ -21,7 +21,8 @@ const DefaultPoolSize = 2
 type Option func(*dialOptions)
 
 type dialOptions struct {
-	poolSize int
+	poolSize  int
+	inProcess bool
 }
 
 // WithPoolSize sets how many multiplexed connections the Client
@@ -34,6 +35,13 @@ func WithPoolSize(n int) Option {
 	}
 }
 
+// WithInProcess reaches a Server of this process over an in-memory pipe:
+// the same frames, handlers, timeouts and failures, no socket. Without
+// an open Server of this process at the address it dials TCP.
+func WithInProcess() Option {
+	return func(o *dialOptions) { o.inProcess = true }
+}
+
 // Client is a pooled, multiplexed connection to one rpcnet server.
 // Calls from any number of goroutines share the pool's connections;
 // each in-flight call is matched to its response by request ID. A
@@ -41,8 +49,9 @@ func WithPoolSize(n int) Option {
 // stays usable — and a connection that dies is redialed on the next
 // call that lands on it. Safe for concurrent use.
 type Client struct {
-	addr    string
-	timeout atomic.Int64 // default per-call timeout, ns
+	addr      string
+	inProcess bool
+	timeout   atomic.Int64 // default per-call timeout, ns
 
 	mu     sync.Mutex
 	conns  []*clientConn
@@ -79,7 +88,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	c := &Client{addr: addr, conns: make([]*clientConn, o.poolSize)}
+	c := &Client{addr: addr, inProcess: o.inProcess, conns: make([]*clientConn, o.poolSize)}
 	cc, err := c.dialConn()
 	if err != nil {
 		return nil, err
@@ -88,13 +97,20 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// dialConn opens one connection: TCP dial, send our hello, and start
-// the readLoop (which consumes the server's hello first — the
-// exchange is asynchronous so dialing a mute server still returns).
+// dialConn opens one connection: an in-process pipe or a TCP dial,
+// send our hello, and start the readLoop (which consumes the server's
+// hello first — the exchange is asynchronous so dialing a mute server
+// still returns).
 func (c *Client) dialConn() (*clientConn, error) {
-	nc, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("rpcnet: dial %s: %w", c.addr, err)
+	var nc net.Conn
+	if s, ok := inProcess.Load(c.addr); ok && c.inProcess {
+		nc = s.(*Server).pipe()
+	}
+	if nc == nil {
+		var err error
+		if nc, err = net.Dial("tcp", c.addr); err != nil {
+			return nil, fmt.Errorf("rpcnet: dial %s: %w", c.addr, err)
+		}
 	}
 	if err := writeHello(nc); err != nil {
 		nc.Close()
@@ -102,7 +118,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 	}
 	cc := &clientConn{
 		nc:      nc,
-		w:       frameWriter{conn: nc},
+		w:       frameWriter{conn: nc, pipe: isPipe(nc)},
 		pending: make(map[uint64]chan callResult),
 	}
 	go cc.readLoop()

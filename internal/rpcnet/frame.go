@@ -189,12 +189,16 @@ func readPart(br *bufio.Reader, n int64) (*bytes.Buffer, error) {
 // scratch and the writev vector reused from frame to frame.
 type frameWriter struct {
 	conn net.Conn
+	pipe bool // conn is in-process: its frames cross no socket and go unmetered
 
 	mu   sync.Mutex  // serializes frame writes; guards the fields below
 	head []byte      // header and meta of the frame being written
 	vec  [3][]byte   // backing array of bufs
 	bufs net.Buffers // head, body, tail: what one writev sends
 }
+
+// isPipe reports whether conn is an in-process pipe (WithInProcess).
+func isPipe(conn net.Conn) bool { return conn.LocalAddr().Network() == "pipe" }
 
 // writeFrame encodes one frame to w — header, body and tail in a single
 // writev when the connection supports it, so neither payload is copied
@@ -224,14 +228,16 @@ func (fw *frameWriter) writeFrame(w io.Writer, id uint64, flags byte, meta strin
 	return err
 }
 
-// send is the shared send path: it meters body and tail and writes the
-// frame. A non-zero deadline bounds the write: a peer that stops
-// reading fails it with a timeout error instead of wedging the sender
-// and everyone queued on the connection behind it. The connection is
-// unusable after any write error — part of the frame may be on the
-// wire.
+// send is the shared send path: it meters body and tail (socket frames
+// only) and writes the frame. A non-zero deadline bounds the write: a
+// peer that stops reading fails it with a timeout error instead of
+// wedging the sender and everyone queued on the connection behind it.
+// The connection is unusable after any write error — part of the frame
+// may be on the wire.
 func (fw *frameWriter) send(deadline time.Time, id uint64, flags byte, meta string, body, tail []byte) error {
-	metrics.WireBytesRaw.Add(int64(len(body) + len(tail)))
+	if !fw.pipe {
+		metrics.WireBytesRaw.Add(int64(len(body) + len(tail)))
+	}
 	fw.mu.Lock()
 	if !deadline.IsZero() {
 		fw.conn.SetWriteDeadline(deadline) // on a closed conn the write below reports it

@@ -21,12 +21,11 @@
 // Client is a connection pool over that protocol: calls fan out over
 // a few multiplexed connections, a call that times out leaves its
 // connection usable (the late response is discarded by ID), and a
-// connection that dies is redialed transparently on the next call.
+// connection that dies is redialed transparently on the next call, over
+// an in-memory pipe for WithInProcess to a Server of this process.
 package rpcnet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
@@ -45,32 +44,6 @@ var ErrClientClosed = errors.New("rpcnet: client closed")
 // shape (length below the fixed minimum, meta or tail running past the
 // end) or sets a flag bit other than the response bit.
 var errMalformedFrame = errors.New("rpcnet: malformed frame")
-
-// Marshal gob-encodes v.
-func Marshal(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := marshalTo(&buf, v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// marshalTo gob-encodes v into buf — the pooled-buffer encode path
-// Call and the server dispatcher use.
-func marshalTo(buf *bytes.Buffer, v any) error {
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return fmt.Errorf("rpcnet: encode: %w", err)
-	}
-	return nil
-}
-
-// Unmarshal gob-decodes data into v (a pointer).
-func Unmarshal(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("rpcnet: decode: %w", err)
-	}
-	return nil
-}
 
 // Handler serves one method: it decodes its argument from body, does
 // the work, and returns a gob-encodable result. Handlers run

@@ -17,7 +17,8 @@ const maxConnConcurrency = 64
 // Server is the rpcnet v2 server: one TCP listener, one read loop per
 // connection, and concurrent handler dispatch per connection —
 // responses are written as handlers finish, in any order, tagged with
-// the request ID they answer.
+// the request ID they answer. A client in the same process can also
+// reach it over an in-memory pipe (WithInProcess), served the same way.
 type Server struct {
 	ln       net.Listener
 	mu       sync.Mutex
@@ -40,8 +41,11 @@ func NewServer(addr string) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
+	inProcess.Store(s.Addr(), s)
 	return s, nil
 }
+
+var inProcess sync.Map // addr → open *Server, for WithInProcess
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -74,29 +78,46 @@ func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
-		if err != nil {
+		if err != nil || !s.serve(conn) {
 			return // listener closed
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.serveConn(conn)
-		}()
 	}
+}
+
+// pipe opens an in-process connection and returns its client end; the
+// server end is served like an accepted socket. Nil once closed.
+func (s *Server) pipe() net.Conn {
+	client, server := net.Pipe()
+	if !s.serve(server) {
+		client.Close()
+		return nil
+	}
+	return client
+}
+
+// serve tracks conn and serves it on a goroutine of its own until it
+// ends or Close severs it. After Close it closes conn and returns false.
+func (s *Server) serve(conn net.Conn) bool {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go func() {
+		defer s.wg.Done()
+		defer func() {
+			conn.Close()
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+		}()
+		s.serveConn(conn)
+	}()
+	return true
 }
 
 // serveConn answers the client hello, then reads request frames and
@@ -111,7 +132,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := writeHello(conn); err != nil {
 		return
 	}
-	fw := &frameWriter{conn: conn}
+	fw := &frameWriter{conn: conn, pipe: isPipe(conn)}
 	sem := make(chan struct{}, maxConnConcurrency)
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
@@ -164,9 +185,9 @@ func (s *Server) dispatch(fw *frameWriter, fr frame) {
 	}
 }
 
-// Close stops the listener, severs live connections and waits for
-// connection goroutines to drain. Clients with in-flight calls get a
-// connection error, not a hang.
+// Close stops the listener, severs live connections — pipes included —
+// and waits for connection goroutines to drain. Clients with in-flight
+// calls get a connection error, not a hang.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -174,6 +195,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	inProcess.CompareAndDelete(s.Addr(), s)
 	for conn := range s.conns {
 		conn.Close()
 	}

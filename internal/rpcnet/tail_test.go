@@ -156,8 +156,9 @@ func TestCallTailDst(t *testing.T) {
 // a call grows metrics.WireBytesRaw by exactly what both frames carry
 // past their headers — the gob-encoded argument and result plus the
 // request and reply tails — since every byte goes to the socket as it
-// was handed over. The benchmark's wire-per-input-byte figure divides
-// by this counter.
+// was handed over. The same call over an in-process pipe crosses no
+// socket and adds nothing. The benchmark's wire-per-input-byte figure
+// divides by this counter.
 func TestWireBytesRawCountsBodiesAndTails(t *testing.T) {
 	const size = 100_000
 	s := newTailServer(t)
@@ -188,6 +189,19 @@ func TestWireBytesRawCountsBodiesAndTails(t *testing.T) {
 	if got := metrics.WireBytesRaw.Load() - before; got != want {
 		t.Errorf("WireBytesRaw grew by %d, want %d (bodies %d + %d, tails %d + %d)",
 			got, want, len(argBody), len(replyBody), size, size)
+	}
+
+	local, err := Dial(s.Addr(), WithInProcess())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	before = metrics.WireBytesRaw.Load()
+	if dst, err = local.CallTail("tail", arg, tail, &rep, nil, 0); err != nil || len(dst) != size {
+		t.Fatalf("in-process call: %d reply tail bytes, err %v", len(dst), err)
+	}
+	if got := metrics.WireBytesRaw.Load() - before; got != 0 {
+		t.Errorf("an in-process call grew WireBytesRaw by %d, want 0", got)
 	}
 }
 

@@ -92,8 +92,9 @@ func (s *Store) spillDir() (string, error) {
 }
 
 // Put stores data under key, replacing any previous payload. The
-// store copies in-memory payloads, so the caller keeps ownership of
-// data.
+// store takes ownership of data: an in-memory payload is data itself,
+// so the caller must not modify it afterwards. A caller holding
+// borrowed memory (a reused buffer, a wire tail) copies it first.
 func (s *Store) Put(key string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -108,7 +109,7 @@ func (s *Store) Put(key string, data []byte) error {
 		s.evictHotLocked(size)
 	}
 	if s.memLimit < 0 || s.memUse+size <= s.memLimit {
-		s.entries[key] = entry{mem: append([]byte(nil), data...), size: size}
+		s.entries[key] = entry{mem: data, size: size}
 		s.memUse += size
 		return nil
 	}

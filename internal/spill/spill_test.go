@@ -324,3 +324,23 @@ func TestGetRange(t *testing.T) {
 		})
 	}
 }
+
+// TestPutKeepsTheBytesItIsHanded: an in-memory payload is the slice Put
+// was given — no copy is made — and Get serves that same memory.
+func TestPutKeepsTheBytesItIsHanded(t *testing.T) {
+	s := NewStore(t.TempDir(), NoSpill, nil)
+	defer s.Close()
+	data := payload(1<<20, 4)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := s.Put("k", data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got, err := s.Get("k")
+	if err != nil || &got[0] != &data[0] {
+		t.Fatalf("Get served a copy of the payload (err %v)", err)
+	}
+	if allocs > 1 {
+		t.Errorf("Put of a 1 MiB payload allocates %.0f times, want the payload kept as it is", allocs)
+	}
+}
