@@ -32,6 +32,9 @@ var corePackages = []string{
 	"internal/rpcnet",
 	"internal/analysis",
 	"internal/testutil",
+	"internal/core",
+	"internal/kernels",
+	"internal/cluster",
 }
 
 func main() {

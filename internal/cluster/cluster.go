@@ -48,18 +48,17 @@ type Cluster struct {
 type Option func(*config)
 
 type config struct {
-	acceleratedFraction float64
-	loopbackRate        float64
-	nicRate             float64
-	diskRate            float64
+	acceleratedNodes int
+	loopbackRate     float64
+	nicRate          float64
+	diskRate         float64
 }
 
-// WithAcceleratedFraction builds a heterogeneous cluster where only
-// the given fraction of worker nodes (rounded down, at least 0) have
-// accelerators — the paper's §V "increasing level of heterogeneity"
-// scenario.
-func WithAcceleratedFraction(f float64) Option {
-	return func(c *config) { c.acceleratedFraction = f }
+// WithAcceleratedNodes builds a heterogeneous cluster where only the
+// first n worker nodes have accelerators — the paper's §V "increasing
+// level of heterogeneity" scenario. The default is all of them.
+func WithAcceleratedNodes(n int) Option {
+	return func(c *config) { c.acceleratedNodes = n }
 }
 
 // WithLoopbackRate overrides the effective record-delivery rate
@@ -85,21 +84,20 @@ func New(eng *sim.Engine, nWorkers int, opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: need at least one worker, got %d", nWorkers)
 	}
 	cfg := config{
-		acceleratedFraction: 1.0,
-		loopbackRate:        perfmodel.LoopbackDeliveryBytesPerSec,
-		nicRate:             perfmodel.GbEBytesPerSecond,
-		diskRate:            perfmodel.DiskBytesPerSecond,
+		acceleratedNodes: nWorkers,
+		loopbackRate:     perfmodel.LoopbackDeliveryBytesPerSec,
+		nicRate:          perfmodel.GbEBytesPerSecond,
+		diskRate:         perfmodel.DiskBytesPerSecond,
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	c := &Cluster{Eng: eng, byName: make(map[string]*Node)}
-	nAccel := int(cfg.acceleratedFraction * float64(nWorkers))
 	for i := 0; i < nWorkers; i++ {
 		name := WorkerName(i)
 		n := &Node{
 			Name:        name,
-			Accelerated: i < nAccel,
+			Accelerated: i < cfg.acceleratedNodes,
 			NIC:         sim.NewLink(eng, name+"/nic", cfg.nicRate),
 			Loopback:    sim.NewLink(eng, name+"/lo", cfg.loopbackRate),
 			Disk:        sim.NewLink(eng, name+"/disk", cfg.diskRate),

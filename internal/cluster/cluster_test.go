@@ -50,7 +50,7 @@ func TestNewClusterValidation(t *testing.T) {
 func TestClusterOptions(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c, err := New(eng, 8,
-		WithAcceleratedFraction(0.5),
+		WithAcceleratedNodes(4),
 		WithLoopbackRate(99),
 		WithNICRate(88),
 		WithDiskRate(77))
@@ -93,14 +93,12 @@ func TestWorkerNameFormat(t *testing.T) {
 	}
 }
 
-func TestAcceleratedFractionEdges(t *testing.T) {
+func TestAcceleratedNodesEdges(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, _ := New(eng, 3, WithAcceleratedFraction(0))
-	if c.AcceleratedCount() != 0 {
-		t.Errorf("fraction 0: %d accelerated", c.AcceleratedCount())
-	}
-	c, _ = New(eng, 3, WithAcceleratedFraction(0.34))
-	if c.AcceleratedCount() != 1 {
-		t.Errorf("fraction .34 of 3: %d accelerated, want 1", c.AcceleratedCount())
+	for _, tc := range []struct{ n, want int }{{0, 0}, {1, 1}, {3, 3}, {5, 3}} {
+		c, _ := New(eng, 3, WithAcceleratedNodes(tc.n))
+		if c.AcceleratedCount() != tc.want {
+			t.Errorf("%d of 3 accelerated: %d, want %d", tc.n, c.AcceleratedCount(), tc.want)
+		}
 	}
 }

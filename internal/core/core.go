@@ -42,141 +42,90 @@ type LiveNode struct {
 	Accel *spurt.Runtime
 }
 
+// Config is what a LiveCluster is built from. The zero value of each
+// field selects its default.
+type Config struct {
+	// Nodes is the worker count (at least 1).
+	Nodes int
+	// BlockSize is the DFS block size (0: the paper's 64 MB).
+	BlockSize int64
+	// MappersPerNode is the number of concurrent mappers per node (0:
+	// the paper's 2, one per Cell processor).
+	MappersPerNode int
+	// AcceleratedNodes is how many nodes, counted from the first, carry
+	// a Cell SPE runtime; the rest are general-purpose nodes (the
+	// paper's §V heterogeneous cluster).
+	AcceleratedNodes int
+	// Sched configures the dynamic scheduler every job runs under
+	// (speculation, attempt caps). The zero value is plain pull grants,
+	// node-local first. The OnCommit hook is owned by the runtime —
+	// each job installs its own result-commit step — so a supplied hook
+	// is ignored.
+	Sched sched.Options
+	// TaskDelays injects a fixed artificial delay into every task a
+	// node executes (len 0 or Nodes) — the straggler fault-injection
+	// knob conformance tests and benchmarks use to make one node an
+	// order of magnitude slower than its peers.
+	TaskDelays []time.Duration
+	// SpillMem bounds the cluster's resident data-plane memory: the DFS
+	// block store and every job's run store (sorted runs, transformed
+	// stream blocks) each hold payloads in memory up to this watermark,
+	// in spill.NewStore's convention — 0 keeps everything in memory,
+	// spill.SpillAll spills everything. With a positive watermark a
+	// job's peak heap is O(blockSize × concurrent mappers) regardless of
+	// input size.
+	SpillMem int64
+	// SpillDir is the parent of the stores' spill directories ("": the
+	// OS temp dir).
+	SpillDir string
+	// SpillCodec, when non-nil, compresses spilled frames.
+	SpillCodec spill.Codec
+}
+
 // LiveCluster is the functional two-level runtime.
 type LiveCluster struct {
 	FS    *hdfs.NameNode
 	Nodes []*LiveNode
-	// MappersPerNode is the number of concurrent mappers per node
-	// (the paper runs 2, one per Cell processor).
-	MappersPerNode int
-	// Sched configures the dynamic scheduler every job runs under
-	// (speculation, attempt caps). The zero value is plain pull
-	// grants, node-local first.
-	Sched sched.Options
 
-	delays    []time.Duration
+	cfg       Config
 	lastStats *sched.Stats
-
-	// Spill configuration: run stores (sorted runs, transformed
-	// stream blocks) inherit the cluster's watermark so every stage
-	// of a job is bounded by the same knob. spillMem < 0 means
-	// unbounded memory (no spilling anywhere).
-	spillDir   string
-	spillMem   int64
-	spillCodec spill.Codec
 }
 
-// LiveOption customizes NewLiveCluster.
-type LiveOption func(*liveConfig)
-
-type liveConfig struct {
-	blockSize      int64
-	mappersPerNode int
-	acceleratedN   int // -1: all
-	sched          sched.Options
-	delays         []time.Duration
-	spillDir       string
-	spillMem       int64 // < 0: unbounded memory, no spilling
-	spillCodec     spill.Codec
-}
-
-// WithBlockSize sets the DFS block size (default 64 MB).
-func WithBlockSize(n int64) LiveOption { return func(c *liveConfig) { c.blockSize = n } }
-
-// WithMappersPerNode sets concurrent mappers per node (default 2).
-func WithMappersPerNode(m int) LiveOption { return func(c *liveConfig) { c.mappersPerNode = m } }
-
-// WithAcceleratedNodes limits how many nodes get accelerators
-// (heterogeneous cluster extension; default all).
-func WithAcceleratedNodes(n int) LiveOption { return func(c *liveConfig) { c.acceleratedN = n } }
-
-// WithScheduling configures the dynamic scheduler (speculative
-// execution, per-task attempt caps) for every job the cluster runs.
-// The OnCommit hook is owned by the runtime — each job installs its
-// own result-commit step — so a caller-supplied hook is ignored.
-func WithScheduling(o sched.Options) LiveOption {
-	return func(c *liveConfig) {
-		o.OnCommit = nil
-		c.sched = o
+// NewLiveCluster builds a functional cluster from cfg.
+func NewLiveCluster(cfg Config) (*LiveCluster, error) {
+	if cfg.Nodes <= 0 {
+		return nil, fmt.Errorf("core: cluster needs at least one node, got %d", cfg.Nodes)
 	}
-}
-
-// WithTaskDelays injects a fixed artificial delay into every task a
-// node executes (len must equal the node count). It is the
-// straggler/fault-injection knob: conformance tests and benchmarks use
-// it to make one node an order of magnitude slower than its peers.
-func WithTaskDelays(delays []time.Duration) LiveOption {
-	return func(c *liveConfig) { c.delays = delays }
-}
-
-// WithSpill bounds the cluster's resident data-plane memory: the DFS
-// block store and every job's run store keep payloads in memory up to
-// memBytes each and spill the rest to files under dir ("" selects the
-// OS temp dir), through codec when non-nil. memBytes zero spills
-// everything; a negative value restores the historical all-in-memory
-// behaviour. With spilling on, a job's peak heap is O(blockSize ×
-// concurrent mappers) regardless of input size.
-func WithSpill(dir string, memBytes int64, codec spill.Codec) LiveOption {
-	return func(c *liveConfig) {
-		c.spillDir = dir
-		c.spillMem = memBytes
-		c.spillCodec = codec
+	if cfg.BlockSize == 0 {
+		cfg.BlockSize = perfmodel.HDFSBlockBytes
 	}
-}
-
-// NewLiveCluster builds a functional cluster of n nodes.
-func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: cluster needs at least one node, got %d", n)
+	if cfg.MappersPerNode == 0 {
+		cfg.MappersPerNode = perfmodel.MapSlotsPerNode
 	}
-	cfg := liveConfig{
-		blockSize:      perfmodel.HDFSBlockBytes,
-		mappersPerNode: perfmodel.MapSlotsPerNode,
-		acceleratedN:   -1,
-		spillMem:       -1,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.delays != nil {
-		if len(cfg.delays) != n {
-			return nil, fmt.Errorf("core: %d task delays for %d nodes", len(cfg.delays), n)
+	cfg.Sched.OnCommit = nil
+	if cfg.TaskDelays != nil {
+		if len(cfg.TaskDelays) != cfg.Nodes {
+			return nil, fmt.Errorf("core: %d task delays for %d nodes", len(cfg.TaskDelays), cfg.Nodes)
 		}
-		for i, d := range cfg.delays {
+		for i, d := range cfg.TaskDelays {
 			if d < 0 {
 				return nil, fmt.Errorf("core: node %d has negative task delay %v", i, d)
 			}
 		}
 	}
-	var fsOpts []hdfs.Option
-	if cfg.spillMem >= 0 {
-		fsOpts = append(fsOpts, hdfs.WithBlockStore(
-			hdfs.NewSpillBlockStore(cfg.spillDir, cfg.spillMem, cfg.spillCodec)))
-	}
-	nn, err := hdfs.NewNameNode(cfg.blockSize, perfmodel.ReplicationFactor, fsOpts...)
+	nn, err := hdfs.NewNameNode(cfg.BlockSize, perfmodel.ReplicationFactor,
+		hdfs.WithBlockStore(hdfs.NewSpillBlockStore(cfg.SpillDir, cfg.SpillMem, cfg.SpillCodec)))
 	if err != nil {
 		return nil, err
 	}
-	c := &LiveCluster{
-		FS:             nn,
-		MappersPerNode: cfg.mappersPerNode,
-		Sched:          cfg.sched,
-		delays:         cfg.delays,
-		spillDir:       cfg.spillDir,
-		spillMem:       cfg.spillMem,
-		spillCodec:     cfg.spillCodec,
-	}
-	accelerated := cfg.acceleratedN
-	if accelerated < 0 {
-		accelerated = n
-	}
-	for i := 0; i < n; i++ {
+	c := &LiveCluster{FS: nn, cfg: cfg}
+	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("node%03d", i)
 		if _, err := nn.RegisterDataNode(name); err != nil {
 			return nil, err
 		}
 		node := &LiveNode{Name: name}
-		if i < accelerated {
+		if i < cfg.AcceleratedNodes {
 			rt, err := spurt.New(cellbe.NewChip(0), perfmodel.SPEsPerCell, perfmodel.SPEBlockBytes)
 			if err != nil {
 				return nil, err
@@ -189,14 +138,14 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 }
 
 // Close releases the DFS block store (spill files, when the cluster
-// was built WithSpill). Idempotent; the cluster is unusable after.
+// spills). Idempotent; the cluster is unusable after.
 func (c *LiveCluster) Close() error { return c.FS.Close() }
 
 // newRunStore builds a per-job payload store (sorted runs, stream
-// output blocks) under the cluster's spill configuration (negative
-// watermark: all in memory).
+// output blocks) under the cluster's spill watermark, so every stage
+// of a job is bounded by the same knob.
 func (c *LiveCluster) newRunStore() *spill.Store {
-	return spill.NewStore(c.spillDir, c.spillMem, c.spillCodec)
+	return spill.NewStore(c.cfg.SpillDir, c.cfg.SpillMem, c.cfg.SpillCodec)
 }
 
 // LastStats returns the dynamic scheduler's per-worker stats for the

@@ -2,42 +2,43 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"hetmr/internal/perfmodel"
 )
 
 func TestNewLiveClusterValidation(t *testing.T) {
-	if _, err := NewLiveCluster(0); err == nil {
+	if _, err := NewLiveCluster(Config{}); err == nil {
 		t.Error("zero nodes should fail")
 	}
-	c, err := NewLiveCluster(3)
+	if _, err := NewLiveCluster(Config{Nodes: 2, TaskDelays: make([]time.Duration, 3)}); err == nil {
+		t.Error("a task delay per node is required")
+	}
+	c, err := NewLiveCluster(Config{Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Nodes) != 3 || c.MappersPerNode != perfmodel.MapSlotsPerNode {
+	if len(c.Nodes) != 3 || c.cfg.MappersPerNode != perfmodel.MapSlotsPerNode {
 		t.Error("defaults wrong")
 	}
-	if n := acceleratedNodes(c); n != 3 {
-		t.Errorf("accelerated = %d, want 3 (default all)", n)
+	if n := acceleratedNodes(c); n != 0 {
+		t.Errorf("accelerated = %d, want 0 (AcceleratedNodes is a count)", n)
 	}
 	if c.FS.BlockSize() != perfmodel.HDFSBlockBytes {
 		t.Error("default block size should be 64MB")
 	}
 }
 
-func TestLiveClusterOptions(t *testing.T) {
-	c, err := NewLiveCluster(4,
-		WithBlockSize(1024),
-		WithMappersPerNode(3),
-		WithAcceleratedNodes(2))
+func TestLiveClusterConfig(t *testing.T) {
+	c, err := NewLiveCluster(Config{Nodes: 4, BlockSize: 1024, MappersPerNode: 3, AcceleratedNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.FS.BlockSize() != 1024 {
-		t.Error("fs options not applied")
+		t.Error("block size not applied")
 	}
-	if c.MappersPerNode != 3 {
-		t.Error("mappers option not applied")
+	if c.cfg.MappersPerNode != 3 {
+		t.Error("mappers per node not applied")
 	}
 	if n := acceleratedNodes(c); n != 2 {
 		t.Errorf("accelerated = %d, want 2", n)

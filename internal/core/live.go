@@ -64,15 +64,15 @@ func (c *LiveCluster) planBlocks(input string) ([]blockWork, error) {
 func (c *LiveCluster) schedWorkers() []sched.Worker {
 	workers := make([]sched.Worker, len(c.Nodes))
 	for i, n := range c.Nodes {
-		workers[i] = sched.Worker{ID: n.Name, Slots: c.MappersPerNode}
+		workers[i] = sched.Worker{ID: n.Name, Slots: c.cfg.MappersPerNode}
 	}
 	return workers
 }
 
 // stall applies the node's injected straggler delay, if any.
 func (c *LiveCluster) stall(node int) {
-	if c.delays != nil && c.delays[node] > 0 {
-		time.Sleep(c.delays[node])
+	if c.cfg.TaskDelays != nil && c.cfg.TaskDelays[node] > 0 {
+		time.Sleep(c.cfg.TaskDelays[node])
 	}
 }
 
@@ -104,7 +104,7 @@ func (c *LiveCluster) runBlocks(work []blockWork,
 		}
 		return fn(w, c.Nodes[worker], data)
 	}
-	opts := c.Sched
+	opts := c.cfg.Sched
 	opts.OnCommit = onCommit
 	_, stats, err := sched.Run(c.schedWorkers(), tasks, exec, opts)
 	c.lastStats = stats
@@ -281,7 +281,7 @@ func (c *LiveCluster) RunPiTasks(tasks []kernels.SampleSplit) (inside, total int
 		c.stall(worker)
 		return kernels.CountInside(tasks[task].Seed, tasks[task].Samples), nil
 	}
-	opts := c.Sched
+	opts := c.cfg.Sched
 	opts.OnCommit = nil // results fold below, in task order
 	results, stats, err := sched.Run(c.schedWorkers(), sTasks, exec, opts)
 	c.lastStats = stats

@@ -17,7 +17,7 @@ import (
 // jobs span many blocks and nodes.
 func textCluster(t *testing.T, text string) *LiveCluster {
 	t.Helper()
-	c, err := NewLiveCluster(3, WithBlockSize(64))
+	c, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunStreamEncryptionBothPathsMatch(t *testing.T) {
 		plain[i] = byte(i * 7)
 	}
 
-	c, err := NewLiveCluster(3, WithBlockSize(4096))
+	c, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 4096, AcceleratedNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRunStreamEncryptionBothPathsMatch(t *testing.T) {
 }
 
 func TestRunStreamValidation(t *testing.T) {
-	c, _ := NewLiveCluster(1, WithBlockSize(1024))
+	c, _ := NewLiveCluster(Config{Nodes: 1, BlockSize: 1024})
 	c.FS.WriteFile("/x", []byte("data"), "")
 	if _, err := c.RunStream(&StreamJob{Name: "k", Input: "/x", Output: "/y"}); err == nil {
 		t.Error("nil kernel should fail")
@@ -147,7 +147,7 @@ func TestRunStreamHeterogeneousFallback(t *testing.T) {
 	for i := range plain {
 		plain[i] = byte(i)
 	}
-	c, err := NewLiveCluster(2, WithBlockSize(4096), WithAcceleratedNodes(1))
+	c, err := NewLiveCluster(Config{Nodes: 2, BlockSize: 4096, AcceleratedNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRunWordCountMatchesDirectProperty(t *testing.T) {
 			sb.WriteString(fmt.Sprintf("t%02d ", w%10))
 		}
 		text := sb.String()
-		c, err := NewLiveCluster(2, WithBlockSize(32))
+		c, err := NewLiveCluster(Config{Nodes: 2, BlockSize: 32})
 		if err != nil {
 			return false
 		}

@@ -33,13 +33,12 @@ func stragglerText() string {
 // deterministic.
 func stragglerCluster(t *testing.T, delay time.Duration, speculative bool) *LiveCluster {
 	t.Helper()
-	opts := []LiveOption{WithBlockSize(64)}
+	cfg := Config{Nodes: 4, BlockSize: 64, Sched: sched.Options{Speculative: speculative}}
 	if delay > 0 {
 		pace := 2 * time.Millisecond
-		opts = append(opts, WithTaskDelays([]time.Duration{delay, pace, pace, pace}))
+		cfg.TaskDelays = []time.Duration{delay, pace, pace, pace}
 	}
-	opts = append(opts, WithScheduling(sched.Options{Speculative: speculative}))
-	c, err := NewLiveCluster(4, opts...)
+	c, err := NewLiveCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

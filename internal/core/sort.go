@@ -14,7 +14,7 @@ import (
 // streams them into the output file (reduce-side merge). The paper
 // uses the Terasort contest (§IV-A) to argue mappers are record-
 // delivery-bound; this job is the workload behind that argument. With
-// the cluster built WithSpill, the whole sort — input blocks, runs,
+// a positive Config.SpillMem watermark, the whole sort — input blocks, runs,
 // merge, output — runs in O(blockSize × mappers) memory, so datasets
 // far larger than RAM sort through the disk.
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunSortEndToEnd(t *testing.T) {
-	clus, err := NewLiveCluster(3, WithBlockSize(5000)) // 50 records/block
+	clus, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 5000}) // 50 records/block
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRunSortEndToEnd(t *testing.T) {
 }
 
 func TestRunSortValidation(t *testing.T) {
-	clus, _ := NewLiveCluster(1, WithBlockSize(5000))
+	clus, _ := NewLiveCluster(Config{Nodes: 1, BlockSize: 5000})
 	clus.FS.WriteFile("/in", kernels.GenerateSortRecords(1, 10), "")
 	if err := clus.RunSort("/in", ""); err == nil {
 		t.Error("empty output should fail")
@@ -45,7 +45,7 @@ func TestRunSortValidation(t *testing.T) {
 		t.Errorf("missing input: %v", err)
 	}
 	// Block size not a record multiple.
-	bad, _ := NewLiveCluster(1, WithBlockSize(4096))
+	bad, _ := NewLiveCluster(Config{Nodes: 1, BlockSize: 4096})
 	bad.FS.WriteFile("/in", kernels.GenerateSortRecords(1, 10), "")
 	if err := bad.RunSort("/in", "/out"); err == nil {
 		t.Error("non-multiple block size should fail")
@@ -53,7 +53,7 @@ func TestRunSortValidation(t *testing.T) {
 }
 
 func TestRunSortSingleBlock(t *testing.T) {
-	clus, _ := NewLiveCluster(2, WithBlockSize(100_000))
+	clus, _ := NewLiveCluster(Config{Nodes: 2, BlockSize: 100_000})
 	data := kernels.GenerateSortRecords(5, 100) // fits one block
 	clus.FS.WriteFile("/in", data, "")
 	if err := clus.RunSort("/in", "/out"); err != nil {

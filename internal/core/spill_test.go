@@ -31,15 +31,15 @@ func runSortOn(t *testing.T, c *LiveCluster, data []byte) []byte {
 // spilling to disk changes where bytes live, never what they are.
 func TestSortWithSpillMatchesInMemory(t *testing.T) {
 	data := kernels.GenerateSortRecords(2009, 3_000) // 300 KB
-	mem, err := NewLiveCluster(3, WithBlockSize(5_000))
+	mem, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 5_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := runSortOn(t, mem, data)
 
 	before := metrics.SpillBytes.Load()
-	spilled, err := NewLiveCluster(3, WithBlockSize(5_000),
-		WithSpill(t.TempDir(), 20_000, spill.Flate()))
+	spilled, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 5_000,
+		SpillDir: t.TempDir(), SpillMem: 20_000, SpillCodec: spill.Flate()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,12 @@ func TestStreamWithSpillMatchesInMemory(t *testing.T) {
 		}
 		return out
 	}
-	mem, err := NewLiveCluster(3, WithBlockSize(8_192))
+	mem, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 8_192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := run(mem)
-	spilled, err := NewLiveCluster(3, WithBlockSize(8_192),
-		WithSpill(t.TempDir(), 16_384, nil))
+	spilled, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 8_192, SpillDir: t.TempDir(), SpillMem: 16_384})
 	if err != nil {
 		t.Fatal(err)
 	}

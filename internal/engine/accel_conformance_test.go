@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"hetmr/internal/cluster"
 	"hetmr/internal/kernels"
 	"hetmr/internal/netmr"
+	"hetmr/internal/sim"
 )
 
 // The accelerator conformance contract on the distributed runtime:
@@ -241,6 +243,50 @@ func TestNetDeviceKindsFollowAccelFraction(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("device kinds %v, want %v", got, want)
+		}
+	}
+}
+
+// TestEveryBackendBuildsTheSameAcceleratedNodes pins "one Config
+// builds the same hardware everywhere": for every worker count and
+// fraction, live's SPE runtimes, net's device profiles and sim's
+// modelled cluster carry the same accelerated-node count — the fraction
+// rounded once, to the nearest node. (Sim used to truncate: Workers 3
+// at AccelFraction 0.5 modelled one accelerated node where live and
+// net built two.)
+func TestEveryBackendBuildsTheSameAcceleratedNodes(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		for _, f := range []float64{.1, .25, .3, .4, .5, .6, .75, .9} {
+			cfg, err := Config{Workers: n, AccelFraction: f}.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int(math.Round(f * float64(n)))
+			r, err := New("live", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := 0
+			for _, node := range r.(*liveRunner).Cluster().Nodes {
+				if node.Accel != nil {
+					live++
+				}
+			}
+			r.Close()
+			net := 0
+			for _, kind := range netDeviceKinds(cfg) {
+				if kind == netmr.DeviceCell {
+					net++
+				}
+			}
+			clus, err := cluster.New(sim.NewEngine(1), n, (&simRunner{cfg: cfg}).hardware()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if simN := clus.AcceleratedCount(); live != want || net != want || simN != want {
+				t.Errorf("Workers %d AccelFraction %g: live %d, net %d, sim %d accelerated nodes, want %d on all",
+					n, f, live, net, simN, want)
+			}
 		}
 	}
 }

@@ -47,20 +47,17 @@ func init() {
 		if len(cfg.Quotas) > 0 {
 			return nil, fmt.Errorf("%w: per-tenant quotas only exist on the net backend's job service", ErrUnsupported)
 		}
-		opts := []core.LiveOption{
-			core.WithBlockSize(cfg.BlockSize),
-			core.WithMappersPerNode(cfg.MappersPerNode),
-			core.WithAcceleratedNodes(cfg.acceleratedNodes(cfg.Workers)),
-			core.WithScheduling(sched.Options{
-				Speculative: cfg.Speculative,
-				MaxAttempts: cfg.MaxAttempts,
-			}),
-			core.WithTaskDelays(cfg.FaultDelays),
-		}
-		if cfg.SpillMemBytes != 0 {
-			opts = append(opts, core.WithSpill(cfg.SpillDir, cfg.spillMem(), cfg.spillCodec()))
-		}
-		clus, err := core.NewLiveCluster(cfg.Workers, opts...)
+		clus, err := core.NewLiveCluster(core.Config{
+			Nodes:            cfg.Workers,
+			BlockSize:        cfg.BlockSize,
+			MappersPerNode:   cfg.MappersPerNode,
+			AcceleratedNodes: cfg.acceleratedNodes(),
+			Sched:            sched.Options{Speculative: cfg.Speculative, MaxAttempts: cfg.MaxAttempts},
+			TaskDelays:       cfg.FaultDelays,
+			SpillMem:         cfg.SpillMemBytes,
+			SpillDir:         cfg.SpillDir,
+			SpillCodec:       cfg.spillCodec(),
+		})
 		if err != nil {
 			return nil, err
 		}

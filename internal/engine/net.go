@@ -63,44 +63,25 @@ func init() {
 		if err := netRejects(cfg); err != nil {
 			return nil, err
 		}
-		// It holds only staged input, deleted as each job ends: the paper's
-		// replication 1 puts a block once, and a lost DataNode fails the job.
-		opts := []netmr.ClusterOption{
-			netmr.WithReplication(perfmodel.ReplicationFactor),
-			netmr.WithSpeculation(cfg.Speculative),
-			netmr.WithMaxAttempts(cfg.MaxAttempts),
-			netmr.WithTrackerDelays(cfg.FaultDelays),
-			netmr.WithDeviceKinds(netDeviceKinds(cfg)),
-		}
-		if len(cfg.Quotas) > 0 {
-			quotas := make(map[string]netmr.Quota, len(cfg.Quotas))
-			for tenant, q := range cfg.Quotas {
-				quotas[tenant] = netmr.Quota{
-					Weight:      q.Weight,
-					MaxJobs:     q.MaxJobs,
-					MaxTrackers: q.MaxTrackers,
-					SpillBytes:  q.SpillBytes,
-					MaxQueued:   q.MaxQueued,
-				}
-			}
-			opts = append(opts, netmr.WithQuotas(quotas))
-		}
-		if cfg.Racks >= 2 {
-			opts = append(opts, netmr.WithRacks(cfg.Racks))
-		}
-		if cfg.SpillMemBytes != 0 {
-			opts = append(opts, netmr.WithSpill(cfg.SpillDir, cfg.spillMem(), cfg.spillCodec()))
-		}
-		// Flow control: with a positive spill watermark, grant ingest
-		// and shuffle-fetch credits against it, so the network side of
-		// the data plane is bounded the same way the stores are.
-		if cfg.SpillMemBytes > 0 {
-			opts = append(opts,
-				netmr.WithIngestWindow(cfg.SpillMemBytes),
-				netmr.WithFetchWindow(cfg.SpillMemBytes))
-		}
-		clus, err := netmr.StartCluster(cfg.Workers, cfg.MappersPerNode,
-			cfg.BlockSize, 20*time.Millisecond, opts...)
+		clus, err := netmr.StartCluster(netmr.Config{
+			Workers:   cfg.Workers,
+			Slots:     cfg.MappersPerNode,
+			BlockSize: cfg.BlockSize,
+			Heartbeat: 20 * time.Millisecond,
+			// It holds only staged input, deleted as each job ends: the
+			// paper's replication 1 puts a block once, and a lost
+			// DataNode fails the job.
+			Replication: perfmodel.ReplicationFactor,
+			Speculative: cfg.Speculative,
+			MaxAttempts: cfg.MaxAttempts,
+			Quotas:      cfg.Quotas,
+			Racks:       cfg.Racks,
+			Devices:     netDeviceKinds(cfg),
+			TaskDelays:  cfg.FaultDelays,
+			SpillMem:    cfg.SpillMemBytes,
+			SpillDir:    cfg.SpillDir,
+			SpillCodec:  cfg.spillCodec(),
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +138,7 @@ func Dial(nnAddr, jtAddr string, cfg Config) (*Client, error) {
 // hardware everywhere.
 func netDeviceKinds(cfg Config) []string {
 	kinds := make([]string, cfg.Workers)
-	accelerated := cfg.acceleratedNodes(cfg.Workers)
+	accelerated := cfg.acceleratedNodes()
 	for i := range kinds {
 		if i < accelerated {
 			kinds[i] = netmr.DeviceCell

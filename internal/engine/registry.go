@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hetmr/internal/kernels"
+	"hetmr/internal/netmr"
 	"hetmr/internal/perfmodel"
 	"hetmr/internal/spill"
 )
@@ -131,29 +132,10 @@ type Config struct {
 	RangePartition bool
 }
 
-// Quota bounds one tenant on the multi-tenant net backend. The zero
-// value means unlimited at fair-share weight 1; see netmr.Quota for
-// the enforcing layer.
-type Quota struct {
-	// Weight is the tenant's fair-share weight (0 or negative: 1).
-	// Grants across tenants track the weight ratio.
-	Weight float64
-	// MaxJobs caps the tenant's concurrent (non-terminal) jobs; a
-	// Submit beyond it fails with an error wrapping the runtime's
-	// quota sentinel. 0: unlimited.
-	MaxJobs int
-	// MaxTrackers caps how many distinct trackers may concurrently run
-	// the tenant's tasks. 0: unlimited.
-	MaxTrackers int
-	// SpillBytes caps the tenant's resident shuffle/spill bytes across
-	// the tracker fleet, enforced at job admission. 0: unlimited.
-	SpillBytes int64
-	// MaxQueued lets that many over-quota Submits wait in line instead
-	// of being rejected: queued jobs start automatically as running
-	// jobs finish or spill budget frees. 0 keeps the historical
-	// immediate rejection.
-	MaxQueued int
-}
+// Quota bounds one tenant on the multi-tenant net backend. It is
+// netmr.Quota, the enforcing layer's type: the zero value means
+// unlimited at fair-share weight 1.
+type Quota = netmr.Quota
 
 // DefaultJobTimeout is the net backend's per-job deadline when
 // Config.JobTimeout is zero; loopback jobs finish in
@@ -162,8 +144,9 @@ const DefaultJobTimeout = 2 * time.Minute
 
 // SpillAll is the Config.SpillMemBytes value that spills every
 // data-plane payload to disk (the field's zero value means "never
-// spill").
-const SpillAll = -1
+// spill"). It is spill.SpillAll: the watermark means the same thing at
+// every layer down to the stores.
+const SpillAll = spill.SpillAll
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() (Config, error) {
@@ -252,29 +235,14 @@ func ResolveAccelFraction(f float64) (float64, error) {
 	return f, nil
 }
 
-// acceleratedNodes resolves the accelerated-node count for n workers:
-// the fraction rounded to a node count, never exceeding n. Callers run
-// after withDefaults, so AccelFraction is already a plain fraction.
-func (c Config) acceleratedNodes(n int) int {
-	a := int(c.AccelFraction*float64(n) + 0.5)
-	if a > n {
-		a = n
-	}
-	return a
-}
-
-// spillMem translates the Config.SpillMemBytes convention (0: never
-// spill) into the store layers' convention (negative: never spill).
-// Callers run after withDefaults.
-func (c Config) spillMem() int64 {
-	switch {
-	case c.SpillMemBytes == 0:
-		return -1
-	case c.SpillMemBytes == SpillAll:
-		return 0
-	default:
-		return c.SpillMemBytes
-	}
+// acceleratedNodes resolves the accelerated-node count: the fraction
+// of Workers rounded to the nearest node. It is computed here once and
+// handed as a count to every backend (live's core.Config, net's device
+// profiles, sim's cluster), so one Config builds the same hardware
+// everywhere. Callers run after withDefaults, so AccelFraction is
+// already a plain fraction in [0,1].
+func (c Config) acceleratedNodes() int {
+	return int(c.AccelFraction*float64(c.Workers) + 0.5)
 }
 
 // spillCodec resolves the spill frame codec: DEFLATE when

@@ -49,6 +49,12 @@ func init() {
 // Backend implements Runner.
 func (r *simRunner) Backend() string { return "sim" }
 
+// hardware is the modelled cluster's node profile: the engine's
+// accelerated-node count, the same the live and net backends build.
+func (r *simRunner) hardware() []cluster.Option {
+	return []cluster.Option{cluster.WithAcceleratedNodes(r.cfg.acceleratedNodes())}
+}
+
 // Close implements Runner.
 func (r *simRunner) Close() error { return nil }
 
@@ -252,7 +258,7 @@ func (r *simRunner) Run(job *Job) (*Result, error) {
 	cfg.Speculative = r.cfg.Speculative
 	cfg.MaxAttempts = r.cfg.MaxAttempts
 	run, err := experiments.RunDistributed(r.cfg.Workers, cfg, r.buildSplits(job, data), mapperFor,
-		cluster.WithAcceleratedFraction(r.cfg.AccelFraction))
+		r.hardware()...)
 	if err != nil {
 		return nil, err
 	}

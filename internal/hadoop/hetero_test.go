@@ -10,20 +10,20 @@ import (
 // End-to-end heterogeneous-cluster behaviour (paper §V extension).
 
 func TestHeterogeneousPiJobFasterWithMoreAccel(t *testing.T) {
-	mk := func(frac float64) sim.Time {
+	mk := func(accelerated int) sim.Time {
 		job := &Job{Name: "het-pi",
 			MapperFor: AcceleratedMapperFor(CellPiMapper{}, JavaPiMapper{})}
 		for i := 0; i < 16; i++ {
 			job.Splits = append(job.Splits, Split{Index: i, Samples: 5e8})
 		}
 		res, err := tryRunJob(4, DefaultConfig(), job,
-			nil, cluster.WithAcceleratedFraction(frac))
+			nil, cluster.WithAcceleratedNodes(accelerated))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Duration()
 	}
-	none, all := mk(0), mk(1)
+	none, all := mk(0), mk(4)
 	if all >= none {
 		t.Errorf("full acceleration (%v) not faster than none (%v)", all, none)
 	}

@@ -44,18 +44,17 @@ func (b spillBlockStore) Close() error                      { return b.s.Close()
 // NewMemBlockStore builds the default all-in-memory block store — the
 // historical hdfs behaviour.
 func NewMemBlockStore() BlockStore {
-	return spillBlockStore{s: spill.NewStore("", spill.NoSpill, nil)}
+	return spillBlockStore{s: spill.NewStore("", 0, nil)}
 }
 
 // NewSpillBlockStore builds a disk-backed block store: payloads stay
 // in memory up to memLimit bytes and spill to files under a fresh
 // directory inside dir ("" selects the OS temp dir) beyond it, through
-// codec when non-nil. memLimit zero spills every block (a pure file
-// store); negative keeps everything in memory — the same convention
-// as every other spill-configured layer (core.WithSpill,
-// netmr.WithBlockSpill/WithShuffleSpill). This is what lets the live
-// runner stage and read datasets far larger than RAM with
-// O(blockSize) resident memory.
+// codec when non-nil. memLimit follows spill.NewStore's convention,
+// the one every spill-configured layer shares: 0 keeps every block in
+// memory, spill.SpillAll spills every block (a pure file store). This
+// is what lets the live runner stage and read datasets far larger than
+// RAM with O(blockSize) resident memory.
 func NewSpillBlockStore(dir string, memLimit int64, codec spill.Codec) BlockStore {
 	return spillBlockStore{s: spill.NewStore(dir, memLimit, codec)}
 }

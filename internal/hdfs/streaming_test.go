@@ -123,7 +123,7 @@ func TestSpillBlockStoreBoundsMemory(t *testing.T) {
 // TestCreateFromStreams ingests a reader without materializing it and
 // checks Delete releases the spill space.
 func TestCreateFromStreams(t *testing.T) {
-	store := NewSpillBlockStore(t.TempDir(), 0, spill.Flate())
+	store := NewSpillBlockStore(t.TempDir(), spill.SpillAll, spill.Flate())
 	nn := streamCluster(t, 256, 1, 2, WithBlockStore(store))
 	want := streamPayload(4_096)
 	n, err := nn.CreateFrom("/f", "", bytes.NewReader(want))

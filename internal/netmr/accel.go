@@ -48,10 +48,11 @@ var errAccelFallback = errors.New("netmr: input unsuitable for the accelerator, 
 // running the cellmr framework's map-stage discipline — dynamic
 // sub-block claiming, DMA into the local store, per-SPE tallies —
 // directly on the chip (the framework's fixed-size KV records cannot
-// carry string keys). Trackers built with WithAccelerator own exactly
-// one device; offload sessions on one chip serialize (cellbe.Chip
-// holds its SPE contexts exclusively per session), exactly as
-// concurrent map slots contended on the real hardware.
+// carry string keys). A tracker whose Config.Devices entry is
+// DeviceCell owns exactly one device; offload sessions on one chip
+// serialize (cellbe.Chip holds its SPE contexts exclusively per
+// session), exactly as concurrent map slots contended on the real
+// hardware.
 type AccelDevice struct {
 	chip *cellbe.Chip
 	rt   *spurt.Runtime

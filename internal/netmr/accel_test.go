@@ -121,7 +121,8 @@ func TestDeviceWordCountDeclinesGiantWord(t *testing.T) {
 // accelerated one actually offloaded.
 func TestClusterOffloadBitIdentical(t *testing.T) {
 	run := func(kinds []string, mapper string) ([]byte, *Cluster, func()) {
-		c, err := StartCluster(1, 2, 1024, 5*time.Millisecond, WithDeviceKinds(kinds))
+		c, err := StartCluster(Config{Workers: 1, Slots: 2, BlockSize: 1024, Heartbeat: 5 * time.Millisecond,
+			Devices: kinds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +165,8 @@ func TestClusterOffloadBitIdentical(t *testing.T) {
 // TestJavaMapperNeverOffloads pins the mapper knob: a cell-equipped
 // tracker must keep the host path when the job asks for java.
 func TestJavaMapperNeverOffloads(t *testing.T) {
-	c, err := StartCluster(1, 2, 1024, 5*time.Millisecond,
-		WithDeviceKinds([]string{DeviceCell}))
+	c, err := StartCluster(Config{Workers: 1, Slots: 2, BlockSize: 1024, Heartbeat: 5 * time.Millisecond,
+		Devices: []string{DeviceCell}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +185,8 @@ func TestJavaMapperNeverOffloads(t *testing.T) {
 // TestStatusReportsDeviceProfile checks the cluster's device kinds
 // surface through Status alongside the completion counts.
 func TestStatusReportsDeviceProfile(t *testing.T) {
-	c, err := StartCluster(2, 2, 1024, 5*time.Millisecond,
-		WithDeviceKinds([]string{DeviceCell, DeviceHost}))
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1024, Heartbeat: 5 * time.Millisecond,
+		Devices: []string{DeviceCell, DeviceHost}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,9 +329,8 @@ const hostTaskDelay = 12 * time.Millisecond
 func skewedClusterCounts(t testing.TB, tasks int, samplesPerTask int64) (accel, host int, c *Cluster) {
 	t.Helper()
 	kinds := []string{DeviceCell, DeviceCell, DeviceHost, DeviceHost}
-	c, err := StartCluster(len(kinds), 1, 1024, 2*time.Millisecond,
-		WithDeviceKinds(kinds),
-		WithTrackerDelays([]time.Duration{0, 0, hostTaskDelay, hostTaskDelay}))
+	c, err := StartCluster(Config{Workers: len(kinds), Slots: 1, BlockSize: 1024, Heartbeat: 2 * time.Millisecond,
+		Devices: kinds, TaskDelays: []time.Duration{0, 0, hostTaskDelay, hostTaskDelay}})
 	if err != nil {
 		t.Fatal(err)
 	}

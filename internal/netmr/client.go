@@ -13,7 +13,6 @@ import (
 
 	"hetmr/internal/flow"
 	"hetmr/internal/rpcnet"
-	"hetmr/internal/spill"
 )
 
 // Client is the user-facing handle to a running netmr cluster: DFS
@@ -28,39 +27,14 @@ type Client struct {
 	wire         *connCache
 }
 
-// ClientOption customizes NewClient.
-type ClientOption func(*Client)
-
-// WithClientIngestWindow bounds WriteFrom's in-flight block bytes: up
-// to bytes of blocks may be replicating concurrently before the reader
-// stalls — the write-side credit window matching the trackers' fetch
-// window. Values < 1 keep the default of four block sizes. Clusters
-// typically tie this to the spill watermark (WithIngestWindow does), so
-// ingest can never buffer more on the network than a store would hold
-// in memory.
-func WithClientIngestWindow(bytes int64) ClientOption {
-	return func(c *Client) {
-		if bytes > 0 {
-			c.ingestWindow = bytes
-		}
-	}
-}
-
 // NewClient builds a client. blockSize governs how files are cut into
-// blocks on write.
-func NewClient(nameNodeAddr, jobTrackerAddr string, blockSize int64, opts ...ClientOption) (*Client, error) {
+// blocks on write; WriteFrom keeps up to four blocks in flight.
+func NewClient(nameNodeAddr, jobTrackerAddr string, blockSize int64) (*Client, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("netmr: block size must be positive, got %d", blockSize)
 	}
-	c := &Client{nnAddr: nameNodeAddr, jtAddr: jobTrackerAddr, blockSize: blockSize}
-	for _, o := range opts {
-		o(c)
-	}
-	if c.ingestWindow <= 0 {
-		c.ingestWindow = 4 * blockSize
-	}
-	c.wire = newConnCache()
-	return c, nil
+	return &Client{nnAddr: nameNodeAddr, jtAddr: jobTrackerAddr, blockSize: blockSize,
+		ingestWindow: Config{BlockSize: blockSize}.ingestWindow(), wire: newConnCache()}, nil
 }
 
 // Close releases the client's cached connections. The client must not
@@ -393,9 +367,10 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (in
 	// Release whichever way the stream ends: a fetch or sink error
 	// cannot be retried through this call anyway, and without the
 	// release every tracker would hold the job's full output until
-	// cluster shutdown. Best effort — a failed release leaks store
-	// space, never correctness.
-	defer c.Release(jobID)
+	// cluster shutdown. Killing a finished job is exactly that release.
+	// Best effort — a failed release leaks store space, never
+	// correctness.
+	defer c.Kill(jobID, "")
 	if len(st.Outputs) == 0 {
 		return 0, st, fmt.Errorf("netmr: job %d has no stored outputs: its kernel is structured and its result is StatusReply.Result", jobID)
 	}
@@ -439,12 +414,6 @@ func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer, c
 			return total, nil
 		}
 	}
-}
-
-// Release tells the JobTracker a streamed-output job's results have
-// been consumed, so trackers free the stored pieces.
-func (c *Client) Release(jobID int64) error {
-	return c.jt("Release", ReleaseArgs{JobID: jobID}, nil)
 }
 
 // ListTrackers reports the JobTracker's live membership view: every
@@ -504,148 +473,26 @@ type Cluster struct {
 	TTs    []*TaskTracker
 	Client *Client
 
-	// Boot parameters, retained so AddWorker can clone the original
-	// per-worker configuration.
-	cfg        clusterConfig
-	slots      int
-	blockSize  int64
-	heartbeat  time.Duration
+	// cfg is the boot configuration, retained so AddWorker starts its
+	// pair the way StartCluster started the others.
+	cfg        Config
 	nextWorker int
 
 	mu sync.Mutex // guards DNs/TTs/nextWorker against concurrent membership changes
 }
 
-// ClusterOption customizes StartCluster's scheduling behaviour.
-type ClusterOption func(*clusterConfig)
-
-type clusterConfig struct {
-	speculative  bool
-	maxAttempts  int
-	taskLease    time.Duration
-	delays       []time.Duration
-	replication  int
-	deviceKinds  []string
-	spillDir     string
-	spillMem     int64 // < 0: all in memory (default)
-	spillCodec   spill.Codec
-	quotas       map[string]Quota
-	racks        int
-	deadAfter    time.Duration
-	ingestWindow int64
-	fetchWindow  int64
-}
-
-// WithSpeculation enables speculative duplicates of straggling
-// in-flight tasks on the JobTracker.
-func WithSpeculation(on bool) ClusterOption {
-	return func(c *clusterConfig) { c.speculative = on }
-}
-
-// WithMaxAttempts caps per-task attempts (0: the scheduler default).
-func WithMaxAttempts(n int) ClusterOption {
-	return func(c *clusterConfig) { c.maxAttempts = n }
-}
-
-// WithTaskLease overrides how long an assigned task may stay silent
-// before the JobTracker re-issues it.
-func WithTaskLease(d time.Duration) ClusterOption {
-	return func(c *clusterConfig) { c.taskLease = d }
-}
-
-// WithTrackerDelays injects a per-task slowdown into each tracker by
-// worker index (shorter slices leave the remaining trackers alone) —
-// straggler fault injection for tests and benchmarks.
-func WithTrackerDelays(delays []time.Duration) ClusterOption {
-	return func(c *clusterConfig) { c.delays = delays }
-}
-
-// WithReplication sets the NameNode's per-block replica count (0: the
-// DefaultReplication; always capped by the DataNode count).
-func WithReplication(n int) ClusterOption {
-	return func(c *clusterConfig) { c.replication = n }
-}
-
-// WithSpill bounds every daemon's resident data-plane memory: each
-// DataNode's block store and each TaskTracker's shuffle store keeps
-// payloads in memory up to memBytes and spills the rest to files
-// under dir ("" selects the OS temp dir), through codec when non-nil
-// (spill.Flate() for the built-in frame compressor). A negative
-// memBytes keeps everything in memory — the historical behaviour and
-// the default.
-func WithSpill(dir string, memBytes int64, codec spill.Codec) ClusterOption {
-	return func(c *clusterConfig) {
-		c.spillDir = dir
-		c.spillMem = memBytes
-		c.spillCodec = codec
-	}
-}
-
-// WithQuotas installs per-tenant quotas and fair-share weights on the
-// JobTracker before any tracker heartbeats (see JobTracker.SetQuota).
-func WithQuotas(quotas map[string]Quota) ClusterOption {
-	return func(c *clusterConfig) { c.quotas = quotas }
-}
-
-// WithRacks spreads the workers round-robin over n named racks
-// (RackName); block replicas then spread across racks on write
-// and repair, and the scheduler adds a rack-local grant pass between
-// node-local and remote. n < 2 keeps the historical flat topology.
-func WithRacks(n int) ClusterOption {
-	return func(c *clusterConfig) { c.racks = n }
-}
-
-// WithDeadAfter enables dead-node detection on both masters: a
-// DataNode or TaskTracker silent for longer than d is declared dead —
-// its blocks re-replicated, its map outputs reopened — without waiting
-// for a reader or reducer to stumble over it. Keep d several multiples
-// of the cluster heartbeat. Zero (the default) keeps the lazy,
-// fetch-failure-driven recovery only.
-func WithDeadAfter(d time.Duration) ClusterOption {
-	return func(c *clusterConfig) { c.deadAfter = d }
-}
-
-// WithIngestWindow bounds the cluster client's in-flight WriteFrom
-// block bytes (see WithClientIngestWindow). Engines tie it to the
-// spill watermark, so ingest credits are granted against the same
-// budget the stores spill at. Values < 1 keep the client default.
-func WithIngestWindow(bytes int64) ClusterOption {
-	return func(c *clusterConfig) { c.ingestWindow = bytes }
-}
-
-// WithFetchWindow bounds each tracker's outstanding shuffle-fetch
-// bytes (see WithTrackerFetchWindow): every FetchPartition chunk a
-// tracker's reducers have in flight holds credit against this window.
-// Engines tie it to the spill watermark, so the network side of the
-// shuffle is bounded the same way the stores are. Values < 1 keep the
-// tracker default.
-func WithFetchWindow(bytes int64) ClusterOption {
-	return func(c *clusterConfig) { c.fetchWindow = bytes }
-}
-
-// WithDeviceKinds sets each tracker's device profile by worker index:
-// DeviceCell equips the tracker with its own Cell accelerator
-// (NewCellDevice), anything else leaves it a general-purpose node. A
-// shorter slice leaves the remaining trackers host-only — the paper's
-// §V heterogeneous cluster of accelerated and plain nodes.
-func WithDeviceKinds(kinds []string) ClusterOption {
-	return func(c *clusterConfig) { c.deviceKinds = kinds }
-}
-
-// StartCluster boots a full deployment with the given worker count,
-// slot count per tracker and DFS block size.
-func StartCluster(workers, slots int, blockSize int64, heartbeat time.Duration, opts ...ClusterOption) (*Cluster, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("netmr: need at least one worker, got %d", workers)
-	}
-	cfg := clusterConfig{spillMem: -1}
-	for _, o := range opts {
-		o(&cfg)
+// StartCluster boots a full deployment of cfg.Workers worker pairs.
+// The cluster's client cuts files at cfg.BlockSize and ingests through
+// cfg's ingest window.
+func StartCluster(cfg Config) (*Cluster, error) {
+	if cfg.Workers <= 0 {
+		return nil, fmt.Errorf("netmr: need at least one worker, got %d", cfg.Workers)
 	}
 	nn, err := StartNameNode("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	nn.Replication = cfg.replication
+	nn.Replication = cfg.Replication
 	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr())
 	if err != nil {
 		nn.Close()
@@ -653,23 +500,20 @@ func StartCluster(workers, slots int, blockSize int64, heartbeat time.Duration, 
 	}
 	// Scheduling knobs are applied before any tracker or client
 	// exists, so no job can have been submitted yet.
-	jt.Speculative = cfg.speculative
-	jt.MaxAttempts = cfg.maxAttempts
-	if cfg.taskLease > 0 {
-		jt.TaskLease = cfg.taskLease
+	jt.Speculative = cfg.Speculative
+	jt.MaxAttempts = cfg.MaxAttempts
+	if cfg.TaskLease > 0 {
+		jt.TaskLease = cfg.TaskLease
 	}
-	for tenant, q := range cfg.quotas {
+	for tenant, q := range cfg.Quotas {
 		jt.SetQuota(tenant, q)
 	}
-	if cfg.deadAfter > 0 {
-		nn.DeadAfter = cfg.deadAfter
-		jt.DeadAfter = cfg.deadAfter
+	if cfg.DeadAfter > 0 {
+		nn.DeadAfter = cfg.DeadAfter
+		jt.DeadAfter = cfg.DeadAfter
 	}
-	c := &Cluster{
-		NN: nn, JT: jt,
-		cfg: cfg, slots: slots, blockSize: blockSize, heartbeat: heartbeat,
-	}
-	for i := 0; i < workers; i++ {
+	c := &Cluster{NN: nn, JT: jt, cfg: cfg}
+	for i := 0; i < cfg.Workers; i++ {
 		dn, tt, err := c.startWorker(i)
 		if err != nil {
 			c.Shutdown()
@@ -678,69 +522,28 @@ func StartCluster(workers, slots int, blockSize int64, heartbeat time.Duration, 
 		c.DNs = append(c.DNs, dn)
 		c.TTs = append(c.TTs, tt)
 	}
-	c.nextWorker = workers
-	client, err := NewClient(nn.Addr(), jt.Addr(), blockSize, WithClientIngestWindow(cfg.ingestWindow))
+	c.nextWorker = cfg.Workers
+	client, err := NewClient(nn.Addr(), jt.Addr(), cfg.BlockSize)
 	if err != nil {
 		c.Shutdown()
 		return nil, err
 	}
+	client.ingestWindow = cfg.ingestWindow()
 	c.Client = client
 	return c, nil
 }
 
-// workerRack names worker i's rack under the configured topology ("",
-// the flat default, when racks < 2).
-func (c *Cluster) workerRack(i int) string {
-	if c.cfg.racks < 2 {
-		return ""
-	}
-	return RackName(i % c.cfg.racks)
-}
-
-// startWorker boots worker i's DataNode/TaskTracker pair with the
-// cluster's per-worker configuration. It performs network I/O (both
-// daemons bind listeners and dial their masters), so callers must NOT
-// hold the membership lock; the returned pair is appended to the
-// roster by the caller.
+// startWorker boots worker i's DataNode/TaskTracker pair from the
+// cluster's Config. It performs network I/O (both daemons bind
+// listeners and dial their masters), so callers must NOT hold the
+// membership lock; the returned pair is appended to the roster by the
+// caller.
 func (c *Cluster) startWorker(i int) (*DataNode, *TaskTracker, error) {
-	cfg := c.cfg
-	rack := c.workerRack(i)
-	var dnOpts []DataNodeOption
-	if cfg.spillMem >= 0 {
-		dnOpts = append(dnOpts, WithBlockSpill(cfg.spillDir, cfg.spillMem, cfg.spillCodec))
-	}
-	if rack != "" {
-		dnOpts = append(dnOpts, WithDataNodeRack(rack))
-	}
-	if c.heartbeat > 0 {
-		dnOpts = append(dnOpts, WithDataNodeHeartbeat(c.heartbeat))
-	}
-	dn, err := StartDataNode("127.0.0.1:0", c.NN.Addr(), dnOpts...)
+	dn, err := StartDataNode("127.0.0.1:0", c.NN.Addr(), i, c.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ttOpts []TrackerOption
-	if cfg.spillMem >= 0 {
-		ttOpts = append(ttOpts, WithShuffleSpill(cfg.spillDir, cfg.spillMem, cfg.spillCodec))
-	}
-	if i < len(cfg.delays) && cfg.delays[i] > 0 {
-		ttOpts = append(ttOpts, WithTaskDelay(cfg.delays[i]))
-	}
-	if cfg.fetchWindow > 0 {
-		ttOpts = append(ttOpts, WithTrackerFetchWindow(cfg.fetchWindow))
-	}
-	if rack != "" {
-		ttOpts = append(ttOpts, WithTrackerRack(rack))
-	}
-	if i < len(cfg.deviceKinds) && cfg.deviceKinds[i] == DeviceCell {
-		dev, err := NewCellDevice()
-		if err != nil {
-			dn.Close()
-			return nil, nil, err
-		}
-		ttOpts = append(ttOpts, WithAccelerator(dev))
-	}
-	tt, err := StartTaskTracker(fmt.Sprintf("tracker-%d", i), c.JT.Addr(), dn.Addr(), c.slots, c.heartbeat, ttOpts...)
+	tt, err := StartTaskTracker(fmt.Sprintf("tracker-%d", i), c.JT.Addr(), dn.Addr(), i, c.cfg)
 	if err != nil {
 		dn.Close()
 		return nil, nil, err

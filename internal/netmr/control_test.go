@@ -82,7 +82,7 @@ func TestCompletionBeatBringsNextWave(t *testing.T) {
 	// beat on each completion only the first grant waits for a tick.
 	const tick = 300 * time.Millisecond
 	nn, jt := startMasters(t)
-	tt, err := StartTaskTracker("solo", jt.Addr(), "", 2, tick)
+	tt, err := StartTaskTracker("solo", jt.Addr(), "", 0, Config{Slots: 2, Heartbeat: tick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestReportFreesSlotWithResult(t *testing.T) {
 	const slots, tasks = 3, 100
 	gauge.peak.Store(0)
 	nn, jt := startMasters(t)
-	tt, err := StartTaskTracker("solo", jt.Addr(), "", slots, time.Second)
+	tt, err := StartTaskTracker("solo", jt.Addr(), "", 0, Config{Slots: slots, Heartbeat: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,8 @@ func TestReportFreesSlotWithResult(t *testing.T) {
 
 func TestHeldStatusReturnsOnCompletion(t *testing.T) {
 	nn, jt := startMasters(t)
-	tt, err := StartTaskTracker("slow", jt.Addr(), "", 1, 10*time.Millisecond,
-		WithTaskDelay(100*time.Millisecond))
+	tt, err := StartTaskTracker("slow", jt.Addr(), "", 0, Config{Slots: 1, Heartbeat: 10 * time.Millisecond,
+		TaskDelays: []time.Duration{100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +292,8 @@ func TestManyWaitersOnOneClient(t *testing.T) {
 	// the server (2 connections x 64): the surplus queues behind parked
 	// calls, and the bounded hold guarantees they are all served.
 	nn, jt := startMasters(t)
-	tt, err := StartTaskTracker("slow", jt.Addr(), "", 1, 10*time.Millisecond,
-		WithTaskDelay(100*time.Millisecond))
+	tt, err := StartTaskTracker("slow", jt.Addr(), "", 0, Config{Slots: 1, Heartbeat: 10 * time.Millisecond,
+		TaskDelays: []time.Duration{100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestManyWaitersOnOneClient(t *testing.T) {
 }
 
 func TestJobTrackerForgetsOldJobs(t *testing.T) {
-	c, err := StartCluster(2, 2, 1024, 5*time.Millisecond)
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1024, Heartbeat: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

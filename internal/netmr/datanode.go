@@ -13,9 +13,9 @@ import (
 // DataNode is a TCP block server: it stores block replicas and serves
 // them to TaskTrackers — the hop the paper's RecordReader measurement
 // is about. Blocks live in a spill store: all in memory by default,
-// bounded by a watermark (the rest on disk) when the node is started
-// WithBlockSpill — the path that lets a cluster hold datasets larger
-// than its RAM.
+// bounded by a watermark (the rest on disk) when Config.SpillMem sets
+// one — the path that lets a cluster hold datasets larger than its
+// RAM.
 //
 // Membership is dynamic: the node joins the NameNode over its first
 // Register heartbeat and repeats the beat on a timer, so the NameNode
@@ -30,67 +30,32 @@ type DataNode struct {
 	// NameNode for beats, peer DataNodes for Replicate pushes.
 	wire *connCache
 
-	nnAddr    string
-	rack      string
-	heartbeat time.Duration
-
-	spillDir   string
-	spillMem   int64
-	spillCodec spill.Codec
+	nnAddr string
+	rack   string
 
 	beater *background
 }
 
-// DataNodeOption customizes StartDataNode.
-type DataNodeOption func(*DataNode)
-
-// WithBlockSpill bounds the DataNode's resident block memory: blocks
-// above memBytes spill to files under dir ("" selects the OS temp
-// dir), through codec when non-nil. Negative memBytes keeps every
-// block in memory (the default).
-func WithBlockSpill(dir string, memBytes int64, codec spill.Codec) DataNodeOption {
-	return func(dn *DataNode) {
-		dn.spillDir = dir
-		dn.spillMem = memBytes
-		dn.spillCodec = codec
-	}
-}
-
-// WithDataNodeRack assigns the node to a rack (RackName naming);
-// the default is the flat DefaultRack. The rack rides every
-// Register heartbeat, feeding the NameNode's rack-aware placement.
-func WithDataNodeRack(rack string) DataNodeOption {
-	return func(dn *DataNode) { dn.rack = rack }
-}
-
-// WithDataNodeHeartbeat sets the liveness-beat interval (default
-// 100ms). Keep it well under the NameNode's DeadAfter.
-func WithDataNodeHeartbeat(d time.Duration) DataNodeOption {
-	return func(dn *DataNode) { dn.heartbeat = d }
-}
-
-// StartDataNode launches a DataNode on addr and registers it with the
-// NameNode over its first heartbeat; the beat then repeats until Close.
-func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode, error) {
+// StartDataNode launches a DataNode on addr as worker number worker of
+// cfg (its rack, beat interval and block store) and registers it with
+// the NameNode over its first heartbeat; the beat then repeats until
+// Close.
+func StartDataNode(addr, nameNodeAddr string, worker int, cfg Config) (*DataNode, error) {
 	srv, err := rpcnet.NewServer(addr)
 	if err != nil {
 		return nil, err
 	}
 	dn := &DataNode{
-		srv:       srv,
-		nnAddr:    nameNodeAddr,
-		heartbeat: 100 * time.Millisecond,
-		spillMem:  spill.NoSpill,
-		wire:      newConnCache(),
+		srv:    srv,
+		store:  spill.NewStore(cfg.SpillDir, cfg.SpillMem, cfg.SpillCodec),
+		nnAddr: nameNodeAddr,
+		rack:   cfg.rack(worker),
+		wire:   newConnCache(),
 	}
 	// The beat is this cache's control-plane call: a NameNode that goes
 	// mute must cost a missed beat, not wedge the loop (and Close behind
 	// it). Block pushes to peers pass their own, longer timeout.
 	dn.wire.timeout = heartbeatCallTimeout
-	for _, o := range opts {
-		o(dn)
-	}
-	dn.store = spill.NewStore(dn.spillDir, dn.spillMem, dn.spillCodec)
 	handleTail(srv, "Put", dn.handlePut)
 	handleTail(srv, "Get", dn.handleGet)
 	handle(srv, "Replicate", dn.handleReplicate)
@@ -103,7 +68,7 @@ func StartDataNode(addr, nameNodeAddr string, opts ...DataNodeOption) (*DataNode
 		return nil, err
 	}
 	// A missed beat (NameNode briefly unreachable) just retries next tick.
-	dn.beater = every(dn.heartbeat, func(time.Time) { dn.beat() })
+	dn.beater = every(cfg.heartbeat(), func(time.Time) { dn.beat() })
 	return dn, nil
 }
 

@@ -122,7 +122,8 @@ func TestPoisonedTaskExhaustsAttemptsFast(t *testing.T) {
 	// board re-issues immediately and the attempt cap turns the task
 	// into a terminal job error — long before the 10s lease would
 	// have expired even once.
-	c, err := StartCluster(2, 2, 1024, 10*time.Millisecond, WithMaxAttempts(2))
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1024, Heartbeat: 10 * time.Millisecond,
+		MaxAttempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +151,8 @@ func TestStopDrainsCompletedResults(t *testing.T) {
 	// Stop returns, so with a single tracker a dropped result could never
 	// be recomputed and the Wait below could not succeed.
 	nn, jt := startMasters(t)
-	tt, err := StartTaskTracker("drainer", jt.Addr(), "", 2, 20*time.Millisecond,
-		WithTaskDelay(300*time.Millisecond))
+	tt, err := StartTaskTracker("drainer", jt.Addr(), "", 0, Config{Slots: 2, Heartbeat: 20 * time.Millisecond,
+		TaskDelays: []time.Duration{300 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +281,9 @@ func TestDataNodeCloseReturnsWhenNameNodeGoesMute(t *testing.T) {
 		}
 		return RegisterReply{}, nil
 	})
-	dn, err := StartDataNode("127.0.0.1:0", srv.Addr(), WithDataNodeHeartbeat(5*time.Millisecond),
-		func(dn *DataNode) { dn.wire.timeout = 100 * time.Millisecond })
+	defer func(d time.Duration) { heartbeatCallTimeout = d }(heartbeatCallTimeout)
+	heartbeatCallTimeout = 100 * time.Millisecond
+	dn, err := StartDataNode("127.0.0.1:0", srv.Addr(), 0, Config{Heartbeat: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

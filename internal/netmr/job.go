@@ -42,8 +42,9 @@ type jobRecord struct {
 	// streamOut: the kernel has no Reduce, so final-phase outputs stay
 	// in the worker trackers' stores; the final phase's loc records each
 	// piece's address, Status serves the refs, and the stores free them
-	// only after the client Releases the job. Otherwise partials holds
-	// the final-phase outputs themselves, for the kernel's Reduce.
+	// only after the client releases the job (Kill once it is done).
+	// Otherwise partials holds the final-phase outputs themselves, for
+	// the kernel's Reduce.
 	streamOut bool
 	partials  [][]byte
 	released  bool
@@ -194,7 +195,7 @@ func (rec *jobRecord) progress() (completed, total int) {
 
 // guardsOutputs reports whether the record still stands between the
 // trackers' stores and a result nobody has read: a streamed job that
-// succeeded and is not yet Released. Such a job is neither purged from
+// succeeded and is not yet released. Such a job is neither purged from
 // the stores nor forgotten by the JobTracker.
 func (rec *jobRecord) guardsOutputs() bool {
 	return rec.streamOut && !rec.released && rec.failed == ""

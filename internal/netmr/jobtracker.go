@@ -31,10 +31,10 @@ import (
 // Job records are retained, not kept forever: a job's task outputs are
 // dropped the moment it turns terminal (only its reduced result stays),
 // and once more than retainJobs terminal records exist the oldest are
-// forgotten — except a streamed job the client has not yet Released,
-// whose stored outputs the record still guards. Status, Kill and
-// Release on a forgotten ID answer "unknown job", exactly as for an ID
-// that was never issued.
+// forgotten — except a streamed job the client has not yet released
+// (Kill on a finished job), whose stored outputs the record still
+// guards. Status and Kill on a forgotten ID answer "unknown job",
+// exactly as for an ID that was never issued.
 type JobTracker struct {
 	srv    *rpcnet.Server
 	nnAddr string
@@ -97,7 +97,6 @@ func StartJobTracker(addr, nameNodeAddr string) (*JobTracker, error) {
 		return jt.heartbeat(args, time.Now()), nil
 	})
 	handle(srv, "Status", jt.handleStatus)
-	handle(srv, "Release", jt.handleRelease)
 	handle(srv, "Kill", jt.handleKill)
 	handle(srv, "ListJobs", jt.handleListJobs)
 	handle(srv, "DecommissionTracker", func(args DecommissionTrackerArgs) (DecommissionTrackerReply, error) {
@@ -360,26 +359,13 @@ func (jt *JobTracker) heartbeat(args HeartbeatArgs, now time.Time) HeartbeatRepl
 	// Shuffle-store GC: name the held jobs that finished (or that the
 	// JobTracker no longer knows), so trackers free their partitions. A
 	// streamed-output job's stores also hold its results — those survive
-	// until the client Releases the job (or the job fails terminally).
+	// until the client releases the job (or the job fails terminally).
 	for _, id := range args.HeldJobs {
 		if rec, ok := jt.jobs[id]; !ok || (rec.done && !rec.guardsOutputs()) {
 			reply.PurgeJobs = append(reply.PurgeJobs, id)
 		}
 	}
 	return reply
-}
-
-// handleRelease marks a streamed-output job's results consumed: trackers
-// free the stored pieces on their next heartbeat.
-func (jt *JobTracker) handleRelease(args ReleaseArgs) (ReleaseReply, error) {
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	rec, ok := jt.jobs[args.JobID]
-	if !ok {
-		return ReleaseReply{}, fmt.Errorf("netmr: unknown job %d", args.JobID)
-	}
-	rec.released = true
-	return ReleaseReply{}, nil
 }
 
 // handleKill terminates a job mid-flight: the record turns terminal with a

@@ -260,8 +260,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			// The pieces alias one run; that is safe because the shuffle
-			// store copies each payload it keeps (spill.Store.Put).
+			// The pieces are capped slices of the one run, and the shuffle
+			// store keeps each as handed (spill.Store.Put takes
+			// ownership): nothing writes the run after the cut, and it
+			// lives until its last in-memory piece is deleted.
 			return rp.Cut(run), nil
 		},
 		Merge: kernels.MergeSortedRuns,

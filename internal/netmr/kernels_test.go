@@ -76,7 +76,7 @@ func TestSortPartitionPiecesAreRecordSlices(t *testing.T) {
 	// work on them or garbage-collects their stores.
 	var tts [2]*TaskTracker
 	for i := range tts {
-		tt, err := StartTaskTracker(fmt.Sprintf("tt%d", i), "127.0.0.1:1", "", 1, time.Hour)
+		tt, err := StartTaskTracker(fmt.Sprintf("tt%d", i), "127.0.0.1:1", "", 0, Config{Slots: 1, Heartbeat: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}

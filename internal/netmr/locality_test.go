@@ -47,7 +47,7 @@ func TestLocalityStatsZeroWithoutLocalDN(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nn.Close()
-	dn, err := StartDataNode("127.0.0.1:0", nn.Addr())
+	dn, err := StartDataNode("127.0.0.1:0", nn.Addr(), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLocalityStatsZeroWithoutLocalDN(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jt.Close()
-	tt, err := StartTaskTracker("lonely", jt.Addr(), "", 2, 20*time.Millisecond)
+	tt, err := StartTaskTracker("lonely", jt.Addr(), "", 0, Config{Slots: 2, Heartbeat: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,8 @@ func trackerStateOf(jt *JobTracker, id string) string {
 // first heartbeats — no restart, no static wiring — and takes real
 // work.
 func TestAddWorkerJoinsAtRuntime(t *testing.T) {
-	c, err := StartCluster(2, 2, 1024, 30*time.Millisecond, WithRacks(2))
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1024, Heartbeat: 30 * time.Millisecond,
+		Racks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +91,8 @@ func TestAddWorkerJoinsAtRuntime(t *testing.T) {
 // tasks finish, lost replicas fail over, and the job's output is
 // bit-identical to the sequential reference.
 func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
-	c, err := StartCluster(3, 2, 512, 30*time.Millisecond, WithRacks(2),
-		WithTrackerDelays([]time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond}))
+	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: 512, Heartbeat: 30 * time.Millisecond,
+		Racks: 2, TaskDelays: []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,8 @@ func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
 // spread over at least two racks, and never reference the retired
 // node.
 func TestDataNodeDecommissionReReplicates(t *testing.T) {
-	c, err := StartCluster(4, 2, 512, 30*time.Millisecond, WithRacks(2), WithReplication(2))
+	c, err := StartCluster(Config{Workers: 4, Slots: 2, BlockSize: 512, Heartbeat: 30 * time.Millisecond,
+		Racks: 2, Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +227,8 @@ func TestDeadTrackerRejoinsCleanly(t *testing.T) {
 	// tracker refills a slot the moment its task ends, so tasks shorter
 	// than a tick would all be eaten by whichever tracker beat first.
 	const tick, taskTime = 30 * time.Millisecond, 60 * time.Millisecond
-	c, err := StartCluster(2, 2, 1024, tick, WithDeadAfter(150*time.Millisecond),
-		WithTrackerDelays([]time.Duration{taskTime, taskTime}))
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1024, Heartbeat: tick,
+		DeadAfter: 150 * time.Millisecond, TaskDelays: []time.Duration{taskTime, taskTime}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,8 @@ func TestDeadTrackerRejoinsCleanly(t *testing.T) {
 		return trackerStateOf(c.JT, victim.ID) == NodeDead
 	}, "killed tracker never declared dead")
 
-	reborn, err := StartTaskTracker(victim.ID, c.JT.Addr(), localDN, 2, tick, WithTaskDelay(taskTime))
+	reborn, err := StartTaskTracker(victim.ID, c.JT.Addr(), localDN, 0, Config{Slots: 2, Heartbeat: tick,
+		TaskDelays: []time.Duration{taskTime}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +274,8 @@ func TestDeadTrackerRejoinsCleanly(t *testing.T) {
 // same-rack copy, so the grant loop's node-local and rack-local passes
 // keep remote fetches off the books entirely.
 func TestRackLocalityPreferred(t *testing.T) {
-	c, err := StartCluster(4, 2, 512, 30*time.Millisecond, WithRacks(2), WithReplication(2))
+	c, err := StartCluster(Config{Workers: 4, Slots: 2, BlockSize: 512, Heartbeat: 30 * time.Millisecond,
+		Racks: 2, Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +312,8 @@ func TestRackLocalityPreferred(t *testing.T) {
 
 // Sanity on the exported membership view shapes the admin CLI prints.
 func TestListTrackersSorted(t *testing.T) {
-	c, err := StartCluster(3, 1, 1024, 30*time.Millisecond, WithRacks(2))
+	c, err := StartCluster(Config{Workers: 3, Slots: 1, BlockSize: 1024, Heartbeat: 30 * time.Millisecond,
+		Racks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // startTestCluster boots a small cluster with fast heartbeats.
 func startTestCluster(t *testing.T, workers int, blockSize int64) *Cluster {
 	t.Helper()
-	c, err := StartCluster(workers, 2, blockSize, 30*time.Millisecond)
+	c, err := StartCluster(Config{Workers: workers, Slots: 2, BlockSize: blockSize, Heartbeat: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestClientValidation(t *testing.T) {
 	if _, err := NewClient("x", "y", 0); err == nil {
 		t.Error("zero block size accepted")
 	}
-	if _, err := StartCluster(0, 1, 1024, time.Millisecond); err == nil {
+	if _, err := StartCluster(Config{Workers: 0, Slots: 1, BlockSize: 1024, Heartbeat: time.Millisecond}); err == nil {
 		t.Error("zero workers accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hetmr/internal/kernels"
+	"hetmr/internal/spill"
 )
 
 // splitKeysFor samples every key in data and cuts parts-1 quantile
@@ -29,7 +30,7 @@ func splitKeysFor(t *testing.T, data []byte, parts int) [][]byte {
 // so the plain WaitOutput concatenation is the globally sorted file —
 // bit-identical to the in-process sort, with zero post-reduce merge.
 func TestRangePartitionedSortStreamsInOrder(t *testing.T) {
-	c, err := StartCluster(3, 2, 2_000, 10*time.Millisecond)
+	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: 2_000, Heartbeat: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +86,16 @@ func TestSubmitRejectsBadSplitKeys(t *testing.T) {
 }
 
 // TestFetchWindowBoundsOutstanding pins the credit invariant on the
-// shuffle plane: with a deliberately tiny fetch window, a sort whose
-// reducers pull partitions from remote trackers never holds more
-// outstanding fetch bytes than the window grants — the tracker-wide
-// peak (which bounds every reducer's share a fortiori) stays at or
-// under the limit, provably, under the race detector.
+// shuffle plane: with a deliberately tiny spill watermark — which is
+// also every tracker's fetch window — a sort whose reducers pull
+// partitions (some spilled, some resident) from remote trackers never
+// holds more outstanding fetch bytes than the window grants: the
+// tracker-wide peak (which bounds every reducer's share a fortiori)
+// stays at or under the limit, provably, under the race detector.
 func TestFetchWindowBoundsOutstanding(t *testing.T) {
-	const window = 64 << 10
-	c, err := StartCluster(3, 2, 2_000, 10*time.Millisecond,
-		WithFetchWindow(window), WithSpill(t.TempDir(), 0, nil))
+	const window = 16 << 10
+	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: 2_000, Heartbeat: 10 * time.Millisecond,
+		SpillDir: t.TempDir(), SpillMem: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestFetchWindowBoundsOutstanding(t *testing.T) {
 	credited := false
 	for _, tt := range c.TTs {
 		if got := tt.FetchWindowLimit(); got != window {
-			t.Fatalf("tracker %s fetch window %d, configured %d", tt.ID, got, window)
+			t.Fatalf("tracker %s fetch window %d, spill watermark %d", tt.ID, got, window)
 		}
 		peak := tt.FetchWindowPeak()
 		if peak > window {
@@ -124,5 +126,40 @@ func TestFetchWindowBoundsOutstanding(t *testing.T) {
 	}
 	if !credited {
 		t.Fatal("no tracker acquired fetch credit — shuffle ran without the window?")
+	}
+}
+
+// TestCreditWindowsFollowSpillWatermark pins the derived flow-control
+// values: a positive spill watermark is both the cluster client's
+// ingest window and every tracker's fetch window, and without one
+// (everything in memory, or everything spilled) both keep their
+// defaults.
+func TestCreditWindowsFollowSpillWatermark(t *testing.T) {
+	const block = 1_000
+	for _, tc := range []struct {
+		name                  string
+		spillMem              int64
+		ingestWant, fetchWant int64
+	}{
+		{"in-memory", 0, 4 * block, defaultFetchWindow},
+		{"spill-all", spill.SpillAll, 4 * block, defaultFetchWindow},
+		{"watermark", 24 << 10, 24 << 10, 24 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := StartCluster(Config{Workers: 2, Slots: 1, BlockSize: block, Heartbeat: 10 * time.Millisecond,
+				SpillDir: t.TempDir(), SpillMem: tc.spillMem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Shutdown()
+			if got := c.Client.ingestWindow; got != tc.ingestWant {
+				t.Errorf("client ingest window %d, want %d", got, tc.ingestWant)
+			}
+			for _, tt := range c.TTs {
+				if got := tt.FetchWindowLimit(); got != tc.fetchWant {
+					t.Errorf("tracker %s fetch window %d, want %d", tt.ID, got, tc.fetchWant)
+				}
+			}
+		})
 	}
 }

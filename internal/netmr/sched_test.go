@@ -14,9 +14,8 @@ import (
 func TestSpeculativeStragglerOverTCP(t *testing.T) {
 	// Tracker 0 sleeps 150ms per task — well over 10x the real task
 	// cost — while its peers heartbeat every 10ms and speculate.
-	c, err := StartCluster(3, 2, 1024, 10*time.Millisecond,
-		WithSpeculation(true),
-		WithTrackerDelays([]time.Duration{150 * time.Millisecond}))
+	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: 1024, Heartbeat: 10 * time.Millisecond,
+		Speculative: true, TaskDelays: []time.Duration{150 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,12 @@ func piSpec(tenant, name string, nTasks int, samplesPerTask int64) JobSpec {
 	}
 }
 
-// startService boots a cluster for a service-lifetime test and stops it
-// with the test.
-func startService(t *testing.T, workers int, blockSize int64, opts ...ClusterOption) *Cluster {
+// startService boots a cluster of two-slot trackers on a 2 ms beat for
+// a service-lifetime test and stops it with the test.
+func startService(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	clus, err := StartCluster(workers, 2, blockSize, 2*time.Millisecond, opts...)
+	cfg.Slots, cfg.Heartbeat = 2, 2*time.Millisecond
+	clus, err := StartCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +48,10 @@ func startService(t *testing.T, workers int, blockSize int64, opts ...ClusterOpt
 // work, and (b) every concurrent result is bit-identical
 // to the same job submitted sequentially afterwards.
 func TestServiceFairShareAcrossTenants(t *testing.T) {
-	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
+	clus := startService(t, Config{Workers: 2, BlockSize: 64_000, Quotas: map[string]Quota{
 		"alice": {Weight: 1},
 		"bob":   {Weight: 3},
-	}))
+	}})
 	client := clus.Client
 
 	// Two jobs per tenant, identical work shapes: 100 sub-millisecond
@@ -123,9 +124,9 @@ func TestServiceFairShareAcrossTenants(t *testing.T) {
 // at its concurrent-job cap gets ErrQuotaExceeded across the RPC
 // boundary, and regains admission once a job finishes.
 func TestServiceQuotaMaxJobs(t *testing.T) {
-	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
+	clus := startService(t, Config{Workers: 2, BlockSize: 64_000, Quotas: map[string]Quota{
 		"carol": {MaxJobs: 1},
-	}))
+	}})
 	client := clus.Client
 	id, err := client.Submit(piSpec("carol", "carol-0", 50, 100_000))
 	if err != nil {
@@ -151,9 +152,9 @@ func TestServiceQuotaMaxJobs(t *testing.T) {
 // promotes automatically when a running job finishes, and completes —
 // while submissions past the queue cap still get the typed rejection.
 func TestServiceQuotaMaxQueued(t *testing.T) {
-	clus := startService(t, 2, 64_000, WithQuotas(map[string]Quota{
+	clus := startService(t, Config{Workers: 2, BlockSize: 64_000, Quotas: map[string]Quota{
 		"frank": {MaxJobs: 1, MaxQueued: 1},
-	}))
+	}})
 	frank := clus.Client
 	running, err := frank.Submit(piSpec("frank", "frank-0", 50, 100_000))
 	if err != nil {
@@ -183,9 +184,9 @@ func TestServiceQuotaMaxQueued(t *testing.T) {
 // trackers is refused new work once past its SpillBytes budget, and
 // Kill releases the held state, restoring admission.
 func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
-	clus := startService(t, 2, 1000, WithQuotas(map[string]Quota{
+	clus := startService(t, Config{Workers: 2, BlockSize: 1000, Quotas: map[string]Quota{
 		"erin": {SpillBytes: 1},
-	}))
+	}})
 	erin := clus.Client
 	plain := bytes.Repeat([]byte("0123456789abcdef"), 1024) // 16 KB
 	if err := erin.WriteFile("/plain", plain, ""); err != nil {
@@ -243,7 +244,7 @@ func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	corpus := shuffleCorpus(50_000, 97)
 	delays := []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}
-	clus := startService(t, 3, 1000, WithTrackerDelays(delays))
+	clus := startService(t, Config{Workers: 3, BlockSize: 1000, TaskDelays: delays})
 	client := clus.Client
 	if err := client.WriteFile("/corpus", corpus, ""); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func shuffleCorpus(byteLen, vocab int) []byte {
 // plane byte meter after the run.
 func runWordCount(t *testing.T, reducers int, corpus []byte, blockSize int64) (map[string]int64, int64) {
 	t.Helper()
-	c, err := StartCluster(3, 2, blockSize, 10*time.Millisecond)
+	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: blockSize, Heartbeat: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDistributedShuffleSortMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, reducers := range []int{0, 3} { // 0 means 1
-		c, err := StartCluster(3, 2, 5000, 10*time.Millisecond)
+		c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: 5000, Heartbeat: 10 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,9 +121,8 @@ func TestShuffleRerunAfterTrackerDeath(t *testing.T) {
 	// produce the exact result. Every task sleeps 80ms, so the window
 	// between "all maps done" and "reduces fetched" is wide.
 	corpus := shuffleCorpus(30_000, 31)
-	c, err := StartCluster(3, 2, 1000, 10*time.Millisecond,
-		WithTaskLease(400*time.Millisecond),
-		WithTrackerDelays([]time.Duration{80 * time.Millisecond, 80 * time.Millisecond, 80 * time.Millisecond}))
+	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: 1000, Heartbeat: 10 * time.Millisecond,
+		TaskLease: 400 * time.Millisecond, TaskDelays: []time.Duration{80 * time.Millisecond, 80 * time.Millisecond, 80 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestShuffleRerunAfterTrackerDeath(t *testing.T) {
 }
 
 func TestShuffleStoreGCAfterJobDone(t *testing.T) {
-	c, err := StartCluster(2, 2, 1000, 10*time.Millisecond)
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1000, Heartbeat: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

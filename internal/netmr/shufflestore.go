@@ -28,8 +28,8 @@ type jobHold struct {
 }
 
 // newShuffleStore builds a store spilling under dir ("" selects the OS
-// temp dir) above memLimit bytes (negative: never spill), through
-// codec when non-nil.
+// temp dir) above the memLimit watermark (spill.NewStore's
+// convention), through codec when non-nil.
 func newShuffleStore(dir string, memLimit int64, codec spill.Codec) *shuffleStore {
 	return &shuffleStore{
 		s:     spill.NewStore(dir, memLimit, codec),

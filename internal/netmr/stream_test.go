@@ -22,7 +22,7 @@ func streamCorpus(n int) []byte {
 // TestWriteFromStreams pins the streaming ingest path: WriteFrom from
 // an io.Reader must lay out the same blocks WriteFile does.
 func TestWriteFromStreams(t *testing.T) {
-	c, err := StartCluster(2, 2, 1_000, 10*time.Millisecond)
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1_000, Heartbeat: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func TestWriteFromStreams(t *testing.T) {
 // pieces after the client's release.
 func TestStreamOutputEncrypt(t *testing.T) {
 	const blockSize = 1_000
-	c, err := StartCluster(3, 2, blockSize, 10*time.Millisecond,
-		WithSpill(t.TempDir(), 2_000, spill.Flate()))
+	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: blockSize, Heartbeat: 10 * time.Millisecond,
+		SpillDir: t.TempDir(), SpillMem: 2_000, SpillCodec: spill.Flate()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestStreamOutputEncrypt(t *testing.T) {
 // reduce outputs with every shuffle payload spilled to disk and checks
 // the concatenated partitions against the in-process sort.
 func TestStreamOutputSortShufflePath(t *testing.T) {
-	c, err := StartCluster(3, 2, 1_000, 10*time.Millisecond,
-		WithSpill(t.TempDir(), 0, nil))
+	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: 1_000, Heartbeat: 10 * time.Millisecond,
+		SpillDir: t.TempDir(), SpillMem: spill.SpillAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,8 @@ func sortableRecords(t *testing.T, n int) []byte {
 // TestDataNodeSpillServesBlocks pins the DataNode's disk-backed path:
 // blocks spilled under the watermark still serve reads and jobs.
 func TestDataNodeSpillServesBlocks(t *testing.T) {
-	c, err := StartCluster(2, 2, 1_000, 10*time.Millisecond,
-		WithSpill(t.TempDir(), 0, spill.Flate()))
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1_000, Heartbeat: 10 * time.Millisecond,
+		SpillDir: t.TempDir(), SpillMem: spill.SpillAll, SpillCodec: spill.Flate()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestDataNodeSpillServesBlocks(t *testing.T) {
 // with no stored pieces — errors instead of hanging or returning
 // nothing.
 func TestWaitOutputRejectsInlineJob(t *testing.T) {
-	c, err := StartCluster(2, 2, 1_000, 10*time.Millisecond)
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1_000, Heartbeat: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"hetmr/internal/flow"
 	"hetmr/internal/rpcnet"
-	"hetmr/internal/spill"
 )
 
 // partKey names one map task's partition in a tracker's shuffle store.
@@ -76,23 +75,18 @@ type TaskTracker struct {
 	// partitions and streamed task outputs, spilled to disk above the
 	// configured watermark.
 	store *shuffleStore
-	// Spill configuration, set by options before start.
-	spillDir   string
-	spillMem   int64
-	spillCodec spill.Codec
 
 	// wire caches pooled connections to DataNodes and peer shuffle
 	// stores across tasks; the co-located DataNode's is an in-process
 	// pipe when that DataNode shares the tracker's process.
 	wire *connCache
 
-	// fetchWindow sizes the tracker's shuffle-fetch credit window in
-	// bytes; fetchWin is the window itself, shared by every reduce
-	// attempt on the tracker so outstanding remote partition bytes are
-	// bounded tracker-wide (and a fortiori per reducer). Each in-flight
+	// fetchWin is the tracker's shuffle-fetch credit window
+	// (Config.fetchWindow), shared by every reduce attempt on the
+	// tracker so outstanding remote partition bytes are bounded
+	// tracker-wide (and a fortiori per reducer). Each in-flight
 	// FetchPartition chunk holds exactly its MaxBytes of credit.
-	fetchWindow int64
-	fetchWin    *flow.Window
+	fetchWin *flow.Window
 
 	// wake asks the loop for an out-of-band heartbeat; report pokes it
 	// after every task. Capacity 1 coalesces a burst of completions into
@@ -115,60 +109,6 @@ type TaskTracker struct {
 	dead    chan struct{}
 	die     sync.Once
 	drained chan struct{} // closed once a decommission drain completes
-}
-
-// TrackerOption customizes StartTaskTracker.
-type TrackerOption func(*TaskTracker)
-
-// WithTaskDelay makes the tracker sleep d before executing every task
-// — the injected-straggler knob the conformance suite uses to prove
-// results stay bit-identical when one worker is 10x slower.
-func WithTaskDelay(d time.Duration) TrackerOption {
-	return func(tt *TaskTracker) { tt.delay = d }
-}
-
-// WithAccelerator equips the tracker with a per-node accelerator
-// device: cell-mapper map tasks of kernels with an accelerated variant
-// offload to it, everything else keeps the host path.
-func WithAccelerator(dev *AccelDevice) TrackerOption {
-	return func(tt *TaskTracker) { tt.device = dev }
-}
-
-// WithShuffleSpill bounds the tracker's shuffle-store memory: stored
-// partitions and streamed outputs above memBytes spill to files under
-// dir ("" selects the OS temp dir), optionally compressed frame by
-// frame by codec. FetchPartition serves spilled payloads
-// transparently. A negative memBytes keeps everything in memory (the
-// historical behaviour, and the default).
-func WithShuffleSpill(dir string, memBytes int64, codec spill.Codec) TrackerOption {
-	return func(tt *TaskTracker) {
-		tt.spillDir = dir
-		tt.spillMem = memBytes
-		tt.spillCodec = codec
-	}
-}
-
-// WithTrackerRack assigns the tracker to a rack (RackName
-// naming); the default is the flat topology. The rack rides every
-// heartbeat and lets the tracker prefer same-rack replicas when its
-// co-located DataNode misses a block.
-func WithTrackerRack(rack string) TrackerOption {
-	return func(tt *TaskTracker) { tt.rack = rack }
-}
-
-// WithTrackerFetchWindow bounds the tracker's outstanding shuffle-fetch
-// bytes: reduce tasks pull remote partitions in chunks, and every
-// in-flight chunk holds its byte count as credit in a tracker-wide
-// window of this size — network receive buffers are bounded the same
-// way the spill watermark bounds the stores. Values < 1 keep the
-// default (defaultFetchWindow). Clusters typically tie this to the
-// spill watermark (Client options do this via WithFetchWindow).
-func WithTrackerFetchWindow(bytes int64) TrackerOption {
-	return func(tt *TaskTracker) {
-		if bytes >= 1 {
-			tt.fetchWindow = bytes
-		}
-	}
 }
 
 // DeviceKind reports the tracker's device kind (DeviceCell when an
@@ -209,15 +149,21 @@ func (tt *TaskTracker) Drained() <-chan struct{} { return tt.drained }
 // ShuffleAddr is the tracker's shuffle-store (data plane) address.
 func (tt *TaskTracker) ShuffleAddr() string { return tt.srv.Addr() }
 
-// StartTaskTracker launches a tracker with the given slot count and
-// heartbeat interval, polling the JobTracker at jtAddr. localDataNode
-// is the co-located DataNode's address ("" when the tracker has none).
-func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat time.Duration, opts ...TrackerOption) (*TaskTracker, error) {
-	if slots <= 0 {
+// StartTaskTracker launches a tracker as worker number worker of cfg
+// (its rack, device, task delay and stores), polling the JobTracker at
+// jtAddr. localDataNode is the co-located DataNode's address ("" when
+// the tracker has none).
+func StartTaskTracker(id, jtAddr, localDataNode string, worker int, cfg Config) (*TaskTracker, error) {
+	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("netmr: tracker %q needs at least one slot", id)
 	}
-	if heartbeat <= 0 {
-		heartbeat = 100 * time.Millisecond
+	var device *AccelDevice
+	if at(cfg.Devices, worker) == DeviceCell {
+		dev, err := NewCellDevice()
+		if err != nil {
+			return nil, err
+		}
+		device = dev
 	}
 	srv, err := rpcnet.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -226,23 +172,21 @@ func StartTaskTracker(id, jtAddr, localDataNode string, slots int, heartbeat tim
 	tt := &TaskTracker{
 		ID:            id,
 		jtAddr:        jtAddr,
-		slots:         slots,
-		heartbeat:     heartbeat,
+		slots:         cfg.Slots,
+		heartbeat:     cfg.heartbeat(),
 		LocalDataNode: localDataNode,
+		rack:          cfg.rack(worker),
 		srv:           srv,
-		spillMem:      -1,
-		fetchWindow:   defaultFetchWindow,
+		delay:         at(cfg.TaskDelays, worker),
+		device:        device,
+		store:         newShuffleStore(cfg.SpillDir, cfg.SpillMem, cfg.SpillCodec),
+		fetchWin:      flow.NewWindow(cfg.fetchWindow()),
 		wake:          make(chan struct{}, 1),
 		dead:          make(chan struct{}),
 		drained:       make(chan struct{}),
 	}
-	for _, o := range opts {
-		o(tt)
-	}
-	tt.fetchWin = flow.NewWindow(tt.fetchWindow)
 	tt.wire = newConnCache()
 	tt.wire.local = localDataNode
-	tt.store = newShuffleStore(tt.spillDir, tt.spillMem, tt.spillCodec)
 	handleTail(srv, "FetchPartition", tt.handleFetchPartition)
 	tt.beater = goBackground(tt.loop)
 	return tt, nil
@@ -281,7 +225,7 @@ func (tt *TaskTracker) SpilledBytes() int64 { return tt.store.spilledBytes() }
 func (tt *TaskTracker) JobHeldBytes(jobID int64) int64 { return tt.store.jobBytes(jobID) }
 
 // defaultFetchWindow bounds a tracker's outstanding shuffle-fetch
-// bytes when no explicit window is configured.
+// bytes when no positive spill watermark sizes the window.
 const defaultFetchWindow = 8 << 20
 
 // fetchChunkBytes is the preferred chunk size of the credit-window
@@ -312,8 +256,9 @@ func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs, _ []byte) (
 
 // heartbeatCallTimeout bounds one Heartbeat round-trip, so a hung
 // JobTracker degrades into per-tick call errors instead of wedging the
-// loop (and with it Stop/Kill) forever.
-const heartbeatCallTimeout = 5 * time.Second
+// loop (and with it Stop/Kill) forever. A variable only so a test can
+// shorten it before starting a daemon.
+var heartbeatCallTimeout = 5 * time.Second
 
 // beat sends one Heartbeat — args plus who is beating — over the
 // tracker's pooled JobTracker connection. An unreachable JobTracker

@@ -46,7 +46,7 @@ import (
 const DefaultRack = "rack00"
 
 // RackName returns the canonical name of rack i ("rack00", "rack01",
-// ...), the scheme WithRacks deals workers over.
+// ...), the scheme Config.Racks deals workers over.
 func RackName(i int) string { return fmt.Sprintf("rack%02d", i) }
 
 // BlockInfo describes one stored block: its cluster-wide ID, size and
@@ -558,16 +558,6 @@ type StatusReply struct {
 	// Empty for structured jobs, whose Result travels inline.
 	Outputs []MapOutputRef
 }
-
-// ReleaseArgs tells the JobTracker a byte-stream job's results have
-// been consumed: trackers may free the stored output pieces on their
-// next heartbeat.
-type ReleaseArgs struct {
-	JobID int64
-}
-
-// ReleaseReply acknowledges the release.
-type ReleaseReply struct{}
 
 // KillArgs terminates a job: its unfinished work is abandoned, its
 // shuffle/spill/streamed-output state is freed on the trackers' next

@@ -30,7 +30,7 @@ func TestDFSBlockBytesSkipGob(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; the ceilings hold only without it")
 	}
-	cluster, err := StartCluster(4, 1, 1<<20, 20*time.Millisecond)
+	cluster, err := StartCluster(Config{Workers: 4, Slots: 1, BlockSize: 1 << 20, Heartbeat: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,6 @@ func wireSamples() map[string]any {
 		"DecommissionTrackerArgs": DecommissionTrackerArgs{}, "DecommissionTrackerReply": DecommissionTrackerReply{},
 		"ListTrackersArgs": ListTrackersArgs{}, "ListTrackersReply": ListTrackersReply{},
 		"StatusArgs": StatusArgs{}, "StatusReply": StatusReply{},
-		"ReleaseArgs": ReleaseArgs{}, "ReleaseReply": ReleaseReply{},
 		"KillArgs": KillArgs{}, "KillReply": KillReply{},
 		"ListJobsArgs": ListJobsArgs{}, "ListJobsReply": ListJobsReply{},
 		"map[string]int64": map[string]int64{}, "PiResult": PiResult{}, "AESArgs": AESArgs{},

@@ -21,14 +21,12 @@ import (
 	"hetmr/internal/metrics"
 )
 
-// NoSpill keeps every payload in memory — the historical behaviour of
-// the stores this package replaced. Any negative memLimit means the
-// same; this constant just names the convention. A memLimit of 0
-// spills every payload (a pure file store). There is deliberately no
-// "SpillAll" constant here: the engine layer exports one with a
-// different value for its own zero-value-friendly convention, and two
-// identically named constants with opposite meanings would be a trap.
-const NoSpill int64 = -1
+// SpillAll is the watermark that spills every payload (a pure file
+// store); any negative watermark means the same. A watermark of 0
+// keeps every payload in memory and a positive one spills what no
+// longer fits under it: the convention every layer above shares, from
+// engine.Config.SpillMemBytes down.
+const SpillAll int64 = -1
 
 // entry is one stored payload: in memory, spilled to a file, or both
 // (a spilled payload re-admitted into the hot cache keeps its frame on
@@ -61,9 +59,9 @@ type Store struct {
 
 // NewStore builds a store spilling under a fresh directory inside
 // baseDir ("" selects os.TempDir()). memLimit is the in-memory
-// watermark in bytes: NoSpill (any negative value) never spills, zero
-// spills everything, a positive limit keeps payloads in memory until
-// adding one would exceed it. codec, when non-nil, compresses spilled
+// watermark in bytes: 0 never spills, SpillAll spills everything, a
+// positive limit keeps payloads in memory until adding one would
+// exceed it. codec, when non-nil, compresses spilled
 // frames (in-memory payloads are never compressed).
 func NewStore(baseDir string, memLimit int64, codec Codec) *Store {
 	return &Store{
@@ -105,10 +103,10 @@ func (s *Store) Put(key string, data []byte) error {
 	size := int64(len(data))
 	// New primary payloads outrank cached re-admissions: evict hot
 	// copies (their frames stay on disk) before deciding to spill.
-	if s.memLimit >= 0 && s.memUse+size > s.memLimit {
+	if s.memLimit > 0 && s.memUse+size > s.memLimit {
 		s.evictHotLocked(size)
 	}
-	if s.memLimit < 0 || s.memUse+size <= s.memLimit {
+	if s.memLimit == 0 || s.memUse+size <= s.memLimit {
 		s.entries[key] = entry{mem: data, size: size}
 		s.memUse += size
 		return nil
@@ -257,7 +255,7 @@ func (s *Store) GetRange(key string, off, max int64) ([]byte, int64, error) {
 			return sliceRange(data, off, max), e.size, nil
 		}
 	}
-	// Too big for the cache (or the watermark is 0): read the window
+	// Too big for the cache (or the store spills everything): read the window
 	// straight from the frame.
 	f, err := os.Open(e.path)
 	if err != nil {

@@ -17,7 +17,7 @@ func payload(n int, salt byte) []byte {
 }
 
 func TestMemoryOnlyNeverSpills(t *testing.T) {
-	s := NewStore(t.TempDir(), NoSpill, nil)
+	s := NewStore(t.TempDir(), 0, nil)
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		if err := s.Put(string(rune('a'+i)), payload(10_000, byte(i))); err != nil {
@@ -25,7 +25,7 @@ func TestMemoryOnlyNeverSpills(t *testing.T) {
 		}
 	}
 	if s.SpilledBytes() != 0 {
-		t.Fatalf("spilled %d bytes with NoSpill", s.SpilledBytes())
+		t.Fatalf("spilled %d bytes with a 0 watermark", s.SpilledBytes())
 	}
 	if s.MemBytes() != 80_000 {
 		t.Fatalf("mem use %d, want 80000", s.MemBytes())
@@ -60,7 +60,7 @@ func TestWatermarkSpillsAboveLimit(t *testing.T) {
 }
 
 func TestSpillAllAndStreamingOpen(t *testing.T) {
-	s := NewStore(t.TempDir(), 0, nil)
+	s := NewStore(t.TempDir(), SpillAll, nil)
 	defer s.Close()
 	want := payload(50_000, 7)
 	if err := s.Put("k", want); err != nil {
@@ -84,7 +84,7 @@ func TestSpillAllAndStreamingOpen(t *testing.T) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	s := NewStore(t.TempDir(), 0, Flate())
+	s := NewStore(t.TempDir(), SpillAll, Flate())
 	defer s.Close()
 	// Compressible payload: the frame on disk must be smaller, the
 	// read-back identical.
@@ -112,7 +112,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestPutReplacesAndDeleteFrees(t *testing.T) {
-	s := NewStore(t.TempDir(), NoSpill, nil)
+	s := NewStore(t.TempDir(), 0, nil)
 	defer s.Close()
 	if err := s.Put("k", payload(1_000, 1)); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestPutReplacesAndDeleteFrees(t *testing.T) {
 
 func TestCloseRemovesSpillDir(t *testing.T) {
 	base := t.TempDir()
-	s := NewStore(base, 0, nil)
+	s := NewStore(base, SpillAll, nil)
 	if err := s.Put("k", payload(1_000, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +261,9 @@ func TestGetRange(t *testing.T) {
 		codec    Codec
 		resident int // bytes of an earlier payload occupying the watermark
 	}{
-		{"memory", NoSpill, nil, 0},
-		{"spilled", 0, nil, 0},
-		{"spilled-codec", 0, flateCodec{}, 0},
+		{"memory", 0, nil, 0},
+		{"spilled", SpillAll, nil, 0},
+		{"spilled-codec", SpillAll, flateCodec{}, 0},
 		// A positive watermark smaller than the payload: spilled and too
 		// big to re-admit, so every chunk is a direct frame read.
 		{"spilled-over-watermark", 10_000, nil, 0},
@@ -302,7 +302,7 @@ func TestGetRange(t *testing.T) {
 			if !bytes.Equal(got, data) {
 				t.Fatal("chunked reads disagree with payload")
 			}
-			if tc.limit != NoSpill && s.MemBytes() != int64(tc.resident) {
+			if tc.limit != 0 && s.MemBytes() != int64(tc.resident) {
 				t.Fatalf("%d bytes in memory after ranged reads of an un-cacheable frame, want %d", s.MemBytes(), tc.resident)
 			}
 			// Past-the-end reads return empty, not an error.
@@ -328,7 +328,7 @@ func TestGetRange(t *testing.T) {
 // TestPutKeepsTheBytesItIsHanded: an in-memory payload is the slice Put
 // was given — no copy is made — and Get serves that same memory.
 func TestPutKeepsTheBytesItIsHanded(t *testing.T) {
-	s := NewStore(t.TempDir(), NoSpill, nil)
+	s := NewStore(t.TempDir(), 0, nil)
 	defer s.Close()
 	data := payload(1<<20, 4)
 	allocs := testing.AllocsPerRun(10, func() {
