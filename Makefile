@@ -51,8 +51,9 @@ bench-compare:
 # fuzz-smoke mirrors the CI fuzz lane: short coverage-led mutation
 # over the rpcnet wire decoders, the primed gob decoder (checked
 # against a fresh gob.Decoder), the radix sort (checked against the
-# stable comparison sort it replaced) and the word-count table (checked
-# against the map-based counter it replaced).
+# stable comparison sort it replaced), the word-count table (checked
+# against the map-based counter it replaced) and the SPE-offloaded word
+# count (checked against the host kernel).
 fuzz-smoke:
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadHello -fuzztime 5s
@@ -60,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzUnmarshalPrimed -fuzztime 10s
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzSortedRecords -fuzztime 10s
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzWordCount -fuzztime 10s
+	$(GO) test ./internal/netmr -run='^$$' -fuzz FuzzAccelWordCount -fuzztime 10s
 
 # examples-smoke runs what tier-1 only compiles: each program under
 # examples/ (keyed to a paper section) must exit 0; the first that does
@@ -127,7 +129,7 @@ loc:
 # count is the same on every machine, so a PR that grows the tree must
 # raise LOC_MAX in its own diff, where review sees it; one that shrinks
 # it lowers LOC_MAX to the new `make loc`.
-LOC_MAX := 19939
+LOC_MAX := 19618
 loc-gate:
 	@n="$$($(MAKE) -s --no-print-directory loc)"; \
 	echo "non-test Go lines outside bench/: $$n (LOC_MAX $(LOC_MAX))"; \

@@ -35,6 +35,9 @@ var corePackages = []string{
 	"internal/core",
 	"internal/kernels",
 	"internal/cluster",
+	"internal/spurt",
+	"internal/cellmr",
+	"internal/cellbe",
 }
 
 func main() {

@@ -22,7 +22,6 @@ import (
 	"hetmr/internal/engine"
 	"hetmr/internal/experiments"
 	"hetmr/internal/kernels"
-	"hetmr/internal/metrics"
 )
 
 func main() {
@@ -115,14 +114,14 @@ func run(figNum int, tsvDir string, quick bool) error {
 		fig8Nodes = []int{4, 16}
 	}
 
-	type genFn func() (metrics.Figure, error)
+	type genFn func() (experiments.Figure, error)
 	gens := map[int]genFn{
-		2: func() (metrics.Figure, error) { return experiments.Fig2RawEncryption(), nil },
-		4: func() (metrics.Figure, error) { return experiments.Fig4ProportionalEncryption(fig4Nodes) },
-		5: func() (metrics.Figure, error) { return experiments.Fig5FixedEncryption(fig5Nodes) },
-		6: func() (metrics.Figure, error) { return experiments.Fig6RawPi(), nil },
-		7: func() (metrics.Figure, error) { return experiments.Fig7DistributedPiSweep(fig7Nodes, fig7Samples) },
-		8: func() (metrics.Figure, error) { return experiments.Fig8DistributedPiScaling(fig8Nodes) },
+		2: func() (experiments.Figure, error) { return experiments.Fig2RawEncryption(), nil },
+		4: func() (experiments.Figure, error) { return experiments.Fig4ProportionalEncryption(fig4Nodes) },
+		5: func() (experiments.Figure, error) { return experiments.Fig5FixedEncryption(fig5Nodes) },
+		6: func() (experiments.Figure, error) { return experiments.Fig6RawPi(), nil },
+		7: func() (experiments.Figure, error) { return experiments.Fig7DistributedPiSweep(fig7Nodes, fig7Samples) },
+		8: func() (experiments.Figure, error) { return experiments.Fig8DistributedPiScaling(fig8Nodes) },
 	}
 	order := []int{2, 4, 5, 6, 7, 8}
 	if figNum != 0 {

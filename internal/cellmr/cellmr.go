@@ -8,322 +8,54 @@
 // data must be copied again to internal buffers managed by the
 // framework".
 //
-// The framework executes the classic five stages on real data:
-// map (SPEs) -> partition (by key hash) -> sort (per-partition) ->
-// reduce -> merge (PPE).
+// That staging copy is all the framework adds: RunStream copies the
+// input, then streams the copy through the SPEs on the spurt runtime,
+// the same block loop the direct path uses. EstimateStreamTime charges
+// the copy and the framework's start-up on top of spurt's offload
+// model, which is the "MapReduce Cell" curve of Figure 2.
 package cellmr
 
 import (
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"hetmr/internal/cellbe"
 	"hetmr/internal/perfmodel"
+	"hetmr/internal/spurt"
 )
-
-// KV is a fixed-size key/value pair. Fixed-size records are what let
-// the real framework reason about local-store budgets; we keep that
-// restriction.
-type KV struct {
-	Key uint64
-	Val int64
-}
-
-// kvBytes is the serialized size of a KV in an SPE emit buffer.
-const kvBytes = 16
-
-// MapFunc is the map stage: it consumes one input block (local-store
-// resident) at a stream offset and emits key/value pairs. emit may be
-// called any number of times; the framework spills full emit buffers
-// to main memory via DMA.
-type MapFunc func(block []byte, offset int64, emit func(k uint64, v int64)) error
-
-// ReduceFunc folds all values of one key into a single value.
-type ReduceFunc func(key uint64, vals []int64) int64
 
 // Framework is one Cell chip's MapReduce runtime instance.
 type Framework struct {
-	chip       *cellbe.Chip
-	nSPEs      int
-	blockBytes int
-	emitCap    int // KVs per SPE emit buffer
-
-	// stats
-	stagedBytes  int64
-	spilledPairs int64
+	rt          *spurt.Runtime
+	stagedBytes int64
 }
 
 // New creates a framework on the chip using nSPEs workers and the
-// given input block size.
+// given input block size; the limits are spurt.New's.
 func New(chip *cellbe.Chip, nSPEs, blockBytes int) (*Framework, error) {
-	if chip == nil {
-		return nil, errors.New("cellmr: nil chip")
+	rt, err := spurt.New(chip, nSPEs, blockBytes)
+	if err != nil {
+		return nil, fmt.Errorf("cellmr: %w", err)
 	}
-	if nSPEs <= 0 || nSPEs > len(chip.SPEs) {
-		return nil, fmt.Errorf("cellmr: %d SPEs requested, chip has %d", nSPEs, len(chip.SPEs))
-	}
-	if blockBytes <= 0 || blockBytes%perfmodel.DMAAlignment != 0 {
-		return nil, fmt.Errorf("cellmr: block size %d must be positive and 16-byte aligned", blockBytes)
-	}
-	// Input block + emit buffer must both fit in the local store with
-	// headroom for the kernel.
-	emitBufBytes := perfmodel.DMAMaxRequestBytes // one DMA-able spill unit
-	if blockBytes+emitBufBytes > perfmodel.LocalStoreBytes/2 {
-		return nil, fmt.Errorf("cellmr: block size %d leaves no local store headroom", blockBytes)
-	}
-	return &Framework{
-		chip:       chip,
-		nSPEs:      nSPEs,
-		blockBytes: blockBytes,
-		emitCap:    emitBufBytes / kvBytes,
-	}, nil
+	return &Framework{rt: rt}, nil
 }
 
 // StagedBytes reports how many input bytes the PPE staging copy has
 // moved (the framework's signature overhead).
 func (f *Framework) StagedBytes() int64 { return f.stagedBytes }
 
-// SpilledPairs reports how many KVs were DMA-spilled from SPE emit
-// buffers to main memory.
-func (f *Framework) SpilledPairs() int64 { return f.spilledPairs }
-
-// stage performs the PPE input copy into a framework-managed buffer.
-func (f *Framework) stage(input []byte) []byte {
-	staged := make([]byte, len(input))
-	copy(staged, input) // the PPE memcpy the paper calls out
-	f.stagedBytes += int64(len(input))
-	return staged
-}
-
-// Run executes a full map/partition/sort/reduce/merge job over input.
-// The result is sorted by key (the merge stage's output order).
-func (f *Framework) Run(input []byte, mapFn MapFunc, reduceFn ReduceFunc) ([]KV, error) {
-	if mapFn == nil || reduceFn == nil {
-		return nil, errors.New("cellmr: nil map or reduce function")
-	}
-	staged := f.stage(input)
-
-	nBlocks := (len(staged) + f.blockBytes - 1) / f.blockBytes
-	// Spill regions: one per SPE, grown as needed, guarded because
-	// spills from concurrent SPEs append to per-SPE regions only.
-	spills := make([][]KV, f.nSPEs)
-	var spillMu sync.Mutex
-
-	// Dynamic block claiming.
-	var claimMu sync.Mutex
-	nextBlock := 0
-	take := func() (start, end int, ok bool) {
-		claimMu.Lock()
-		defer claimMu.Unlock()
-		if nextBlock >= nBlocks {
-			return 0, 0, false
-		}
-		start = nextBlock * f.blockBytes
-		nextBlock++
-		end = start + f.blockBytes
-		if end > len(staged) {
-			end = len(staged)
-		}
-		return start, end, true
-	}
-
-	if nBlocks > 0 {
-		err := f.chip.RunOnSPEs(f.nSPEs, func(spe *cellbe.SPE, worker int) error {
-			inBuf, err := spe.LS.Alloc(f.blockBytes)
-			if err != nil {
-				return fmt.Errorf("cellmr: %v: %w", spe, err)
-			}
-			defer spe.LS.Free(inBuf)
-			emitBuf, err := spe.LS.Alloc(f.emitCap * kvBytes)
-			if err != nil {
-				return fmt.Errorf("cellmr: %v: %w", spe, err)
-			}
-			defer spe.LS.Free(emitBuf)
-
-			// Local emit buffer bounded by its LS allocation; spill
-			// to main memory when full (modelling the DMA-out of the
-			// real framework).
-			local := make([]KV, 0, f.emitCap)
-			flush := func() {
-				if len(local) == 0 {
-					return
-				}
-				spillMu.Lock()
-				spills[worker] = append(spills[worker], local...)
-				f.spilledPairs += int64(len(local))
-				spillMu.Unlock()
-				local = local[:0]
-			}
-			emit := func(k uint64, v int64) {
-				if len(local) == cap(local) {
-					flush()
-				}
-				local = append(local, KV{k, v})
-			}
-
-			for {
-				start, end, ok := take()
-				if !ok {
-					break
-				}
-				if err := spe.MFC.GetLarge(inBuf, 0, staged[start:end], 0); err != nil {
-					return fmt.Errorf("cellmr: dma in: %w", err)
-				}
-				spe.MFC.WaitTag(0)
-				if err := mapFn(inBuf.Bytes()[:end-start], int64(start), emit); err != nil {
-					return fmt.Errorf("cellmr: map at offset %d: %w", start, err)
-				}
-			}
-			flush()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	return f.shuffleReduce(spills, reduceFn), nil
-}
-
-// shuffleReduce partitions spilled pairs by key hash, sorts each
-// partition, reduces runs of equal keys, and merges the sorted
-// partitions into one sorted result. The partition stage fans the
-// per-SPE spill regions out concurrently — one lock-free worker per
-// spill hashing into its own sub-buckets, gathered in worker order so
-// partition contents stay deterministic — the PPE-side analogue of
-// the partitioned shuffle the distributed runner uses at node level.
-func (f *Framework) shuffleReduce(spills [][]KV, reduceFn ReduceFunc) []KV {
-	nPart := f.nSPEs
-	// Hash each spill region into per-worker sub-buckets concurrently,
-	// then gather in worker order so the partition contents stay
-	// deterministic.
-	sub := make([][][]KV, len(spills))
-	var pwg sync.WaitGroup
-	for w, spill := range spills {
-		if len(spill) == 0 {
-			continue
-		}
-		pwg.Add(1)
-		go func(w int, spill []KV) {
-			defer pwg.Done()
-			buckets := make([][]KV, nPart)
-			for _, kv := range spill {
-				p := int(hash64(kv.Key) % uint64(nPart))
-				buckets[p] = append(buckets[p], kv)
-			}
-			sub[w] = buckets
-		}(w, spill)
-	}
-	pwg.Wait()
-	parts := make([][]KV, nPart)
-	for _, buckets := range sub {
-		for p, b := range buckets {
-			parts[p] = append(parts[p], b...)
-		}
-	}
-	// Sort + reduce each partition (the framework runs these stages
-	// on the SPEs; partition contents are independent so we use the
-	// same worker parallelism).
-	reduced := make([][]KV, nPart)
-	var wg sync.WaitGroup
-	for p := range parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			part := parts[p]
-			sort.Slice(part, func(i, j int) bool { return part[i].Key < part[j].Key })
-			var out []KV
-			for i := 0; i < len(part); {
-				j := i
-				var vals []int64
-				for ; j < len(part) && part[j].Key == part[i].Key; j++ {
-					vals = append(vals, part[j].Val)
-				}
-				out = append(out, KV{part[i].Key, reduceFn(part[i].Key, vals)})
-				i = j
-			}
-			reduced[p] = out
-		}(p)
-	}
-	wg.Wait()
-	// Merge: partitions are sorted and key-disjoint, so concatenate
-	// and do a final merge sort by key.
-	var merged []KV
-	for _, r := range reduced {
-		merged = append(merged, r...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Key < merged[j].Key })
-	return merged
-}
-
-// hash64 is a simple 64-bit mix (splitmix64 finalizer) used for
-// partitioning.
-func hash64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// RunStream executes a pure block-transform (no key/value semantics)
-// through the framework: input is staged (the PPE copy), transformed
-// block-by-block on the SPEs, and written to output. This is the mode
-// the paper's single-node AES experiment uses for the "MapReduce Cell"
+// RunStream executes a pure block-transform through the framework:
+// input is staged (the PPE copy), transformed block-by-block on the
+// SPEs, and written to output. This is the mode the paper's
+// single-node AES experiment uses for the "MapReduce Cell"
 // configuration of Figure 2.
 func (f *Framework) RunStream(kernel func(block []byte, offset int64) error, input, output []byte) error {
 	if len(output) < len(input) {
 		return fmt.Errorf("cellmr: output %d bytes < input %d bytes", len(output), len(input))
 	}
-	staged := f.stage(input)
-
-	nBlocks := (len(staged) + f.blockBytes - 1) / f.blockBytes
-	if nBlocks == 0 {
-		return nil
-	}
-	var claimMu sync.Mutex
-	nextBlock := 0
-	take := func() (start, end int, ok bool) {
-		claimMu.Lock()
-		defer claimMu.Unlock()
-		if nextBlock >= nBlocks {
-			return 0, 0, false
-		}
-		start = nextBlock * f.blockBytes
-		nextBlock++
-		end = start + f.blockBytes
-		if end > len(staged) {
-			end = len(staged)
-		}
-		return start, end, true
-	}
-	return f.chip.RunOnSPEs(f.nSPEs, func(spe *cellbe.SPE, worker int) error {
-		buf, err := spe.LS.Alloc(f.blockBytes)
-		if err != nil {
-			return err
-		}
-		defer spe.LS.Free(buf)
-		for {
-			start, end, ok := take()
-			if !ok {
-				return nil
-			}
-			if err := spe.MFC.GetLarge(buf, 0, staged[start:end], 0); err != nil {
-				return err
-			}
-			spe.MFC.WaitTag(0)
-			if err := kernel(buf.Bytes()[:end-start], int64(start)); err != nil {
-				return err
-			}
-			if err := spe.MFC.PutLarge(buf, 0, output[start:end], 0); err != nil {
-				return err
-			}
-			spe.MFC.WaitTag(0)
-		}
-	})
+	staged := make([]byte, len(input))
+	copy(staged, input) // the PPE memcpy the paper calls out
+	f.stagedBytes += int64(len(input))
+	return f.rt.Stream(spurt.KernelFunc{KernelName: "cellmr", Fn: kernel}, staged, output)
 }
 
 // EstimateStreamTime models RunStream's wall time: framework init,
@@ -331,6 +63,6 @@ func (f *Framework) RunStream(kernel func(block []byte, offset int64) error, inp
 // "MapReduce Cell" curve of Figure 2.
 func (f *Framework) EstimateStreamTime(bytes int64, perSPERate float64) float64 {
 	stagingCopy := float64(bytes) / perfmodel.CellMRStagingBytesPerSec
-	stream := cellbe.StreamOffloadTime(bytes, f.nSPEs, f.blockBytes, perSPERate)
+	stream := cellbe.StreamOffloadTime(bytes, f.rt.NSPEs(), f.rt.BlockBytes(), perSPERate)
 	return perfmodel.CellMRFrameworkInitSeconds + stagingCopy + stream.TotalSeconds
 }

@@ -2,11 +2,7 @@ package cellmr
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"hetmr/internal/cellbe"
 	"hetmr/internal/kernels"
@@ -34,143 +30,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(nil, 4, 4096); err == nil {
 		t.Error("nil chip should fail")
-	}
-}
-
-// byteHistogram is a tiny MapReduce: count occurrences of each byte
-// value in the input.
-func byteHistogram(block []byte, _ int64, emit func(uint64, int64)) error {
-	for _, b := range block {
-		emit(uint64(b), 1)
-	}
-	return nil
-}
-
-func sumReduce(_ uint64, vals []int64) int64 {
-	var s int64
-	for _, v := range vals {
-		s += v
-	}
-	return s
-}
-
-func TestRunByteHistogram(t *testing.T) {
-	f := newFW(t, 8, 4096)
-	input := make([]byte, 50000)
-	want := make(map[uint64]int64)
-	for i := range input {
-		input[i] = byte(i % 7)
-		want[uint64(input[i])]++
-	}
-	out, err := f.Run(input, byteHistogram, sumReduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 7 {
-		t.Fatalf("got %d keys, want 7", len(out))
-	}
-	if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i].Key < out[j].Key }) {
-		t.Error("result not sorted by key")
-	}
-	for _, kv := range out {
-		if want[kv.Key] != kv.Val {
-			t.Errorf("key %d: count %d, want %d", kv.Key, kv.Val, want[kv.Key])
-		}
-	}
-	if f.StagedBytes() != int64(len(input)) {
-		t.Errorf("staged %d bytes, want %d (the PPE copy overhead)", f.StagedBytes(), len(input))
-	}
-}
-
-func TestRunEmptyInput(t *testing.T) {
-	f := newFW(t, 4, 4096)
-	out, err := f.Run(nil, byteHistogram, sumReduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Errorf("empty input produced %d pairs", len(out))
-	}
-}
-
-func TestRunNilFuncs(t *testing.T) {
-	f := newFW(t, 4, 4096)
-	if _, err := f.Run(nil, nil, sumReduce); err == nil {
-		t.Error("nil map should fail")
-	}
-	if _, err := f.Run(nil, byteHistogram, nil); err == nil {
-		t.Error("nil reduce should fail")
-	}
-}
-
-func TestRunMapErrorPropagates(t *testing.T) {
-	f := newFW(t, 2, 1024)
-	boom := errors.New("map fault")
-	_, err := f.Run(make([]byte, 4096), func([]byte, int64, func(uint64, int64)) error {
-		return boom
-	}, sumReduce)
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestEmitBufferSpills(t *testing.T) {
-	// Emit far more pairs than one emit buffer holds; all must survive.
-	f := newFW(t, 2, 4096)
-	input := make([]byte, 64*1024)
-	out, err := f.Run(input, byteHistogram, sumReduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Key != 0 || out[0].Val != int64(len(input)) {
-		t.Fatalf("out = %v, want [{0 %d}]", out, len(input))
-	}
-	if f.SpilledPairs() != int64(len(input)) {
-		t.Errorf("spilled %d pairs, want %d", f.SpilledPairs(), len(input))
-	}
-}
-
-// Property: word-length histogram via the framework equals a direct
-// sequential computation, for any input.
-func TestRunMatchesSequentialProperty(t *testing.T) {
-	f := func(raw []byte) bool {
-		fw, err := New(cellbe.NewChip(0), 8, 1024)
-		if err != nil {
-			return false
-		}
-		// Map: per 8-byte group, key = value of first byte, val = 1.
-		mapper := func(block []byte, off int64, emit func(uint64, int64)) error {
-			for i := 0; i < len(block); i += 8 {
-				emit(uint64(block[i])%16, 1)
-			}
-			return nil
-		}
-		got, err := fw.Run(raw, mapper, sumReduce)
-		if err != nil {
-			return false
-		}
-		want := make(map[uint64]int64)
-		for i := 0; i < len(raw); i += 1024 {
-			end := i + 1024
-			if end > len(raw) {
-				end = len(raw)
-			}
-			for j := i; j < end; j += 8 {
-				want[uint64(raw[j])%16]++
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for _, kv := range got {
-			if want[kv.Key] != kv.Val {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -219,26 +78,5 @@ func TestEstimateStreamTimeSlowerThanDirect(t *testing.T) {
 	power6 := float64(size) / perfmodel.AESPower6BytesPerSec
 	if fw >= power6 {
 		t.Errorf("framework (%g s) should still beat Power6 Java (%g s)", fw, power6)
-	}
-}
-
-func TestHash64Distributes(t *testing.T) {
-	buckets := make([]int, 8)
-	for i := uint64(0); i < 8000; i++ {
-		buckets[hash64(i)%8]++
-	}
-	for i, c := range buckets {
-		if c < 800 || c > 1200 {
-			t.Errorf("bucket %d has %d of 8000 (poor distribution)", i, c)
-		}
-	}
-}
-
-func TestKVSerializedSize(t *testing.T) {
-	// The emit-buffer budget assumes 16-byte pairs; keep the struct
-	// honest.
-	var kv KV
-	if binary.Size(kv) != kvBytes {
-		t.Errorf("KV serialized size = %d, want %d", binary.Size(kv), kvBytes)
 	}
 }

@@ -17,9 +17,8 @@ import (
 // scheduling knobs (Speculative, MaxAttempts, FaultDelays) are
 // accepted but inert: the framework's intra-chip block distribution is
 // already dynamic (SPEs pull 4 KB blocks), and there is no second node
-// to share work with or speculate on. Its fixed-size KV
-// records cannot express string-keyed or record-merge jobs, so only
-// Encrypt (the framework's RunStream mode) is supported.
+// to share work with or speculate on. The framework's one mode is a
+// block stream (RunStream), so only Encrypt is supported.
 type cellmrRunner struct {
 	cfg Config
 	fw  *cellmr.Framework
@@ -73,10 +72,6 @@ func (r *cellmrRunner) Backend() string { return "cellmr" }
 
 // Close implements Runner.
 func (r *cellmrRunner) Close() error { return nil }
-
-// Framework exposes the underlying framework for staging/spill
-// statistics.
-func (r *cellmrRunner) Framework() *cellmr.Framework { return r.fw }
 
 // Run implements Runner.
 func (r *cellmrRunner) Run(job *Job) (*Result, error) {

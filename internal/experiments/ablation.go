@@ -6,7 +6,6 @@ import (
 	"hetmr/internal/cellbe"
 	"hetmr/internal/cluster"
 	"hetmr/internal/hadoop"
-	"hetmr/internal/metrics"
 	"hetmr/internal/perfmodel"
 	"hetmr/internal/sim"
 )
@@ -21,8 +20,8 @@ import (
 // conclusion — acceleration hidden behind record delivery — must
 // dissolve as delivery gets faster: the Java/Cell gap opens toward the
 // raw Fig. 2 ratio.
-func AblationLoopbackRate(ratesMBps []float64) (metrics.Figure, error) {
-	fig := metrics.Figure{
+func AblationLoopbackRate(ratesMBps []float64) (Figure, error) {
+	fig := Figure{
 		ID:     "ablation-loopback",
 		Title:  "Record delivery rate vs. encryption makespan (8 nodes, 4GB/mapper)",
 		XLabel: "Delivery(MB/s)",
@@ -30,9 +29,9 @@ func AblationLoopbackRate(ratesMBps []float64) (metrics.Figure, error) {
 	}
 	const nodes = 8
 	const perMapper = 4 << 30
-	java := metrics.Series{Label: "Java Mapper"}
-	cell := metrics.Series{Label: "Cell Mapper"}
-	gap := metrics.Series{Label: "Java/Cell"}
+	java := Series{Label: "Java Mapper"}
+	cell := Series{Label: "Cell Mapper"}
+	gap := Series{Label: "Java/Cell"}
 	for _, rate := range ratesMBps {
 		opt := cluster.WithLoopbackRate(rate * 1e6)
 		jr, err := RunDistributed(nodes, hadoop.DefaultConfig(),
@@ -47,26 +46,26 @@ func AblationLoopbackRate(ratesMBps []float64) (metrics.Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		java.Points = append(java.Points, metrics.Point{X: rate, Y: jr.Seconds})
-		cell.Points = append(cell.Points, metrics.Point{X: rate, Y: cr.Seconds})
-		gap.Points = append(gap.Points, metrics.Point{X: rate, Y: jr.Seconds / cr.Seconds})
+		java.Points = append(java.Points, Point{X: rate, Y: jr.Seconds})
+		cell.Points = append(cell.Points, Point{X: rate, Y: cr.Seconds})
+		gap.Points = append(gap.Points, Point{X: rate, Y: jr.Seconds / cr.Seconds})
 	}
-	fig.Series = []metrics.Series{java, cell, gap}
+	fig.Series = []Series{java, cell, gap}
 	return fig, nil
 }
 
 // AblationHeartbeat sweeps the TaskTracker heartbeat interval on a
 // small CPU-intensive job (the Hadoop floor of Figs. 7/8 is largely
 // heartbeat quantization: one task per heartbeat).
-func AblationHeartbeat(intervalsSec []float64) (metrics.Figure, error) {
-	fig := metrics.Figure{
+func AblationHeartbeat(intervalsSec []float64) (Figure, error) {
+	fig := Figure{
 		ID:     "ablation-heartbeat",
 		Title:  "Heartbeat interval vs. Pi job floor (16 nodes, 1e9 samples)",
 		XLabel: "Heartbeat(s)",
 		YLabel: "Time(s)",
 	}
 	const nodes = 16
-	floor := metrics.Series{Label: "Cell Mapper"}
+	floor := Series{Label: "Cell Mapper"}
 	for _, hb := range intervalsSec {
 		cfg := hadoop.DefaultConfig()
 		cfg.HeartbeatInterval = sim.Seconds(hb)
@@ -76,24 +75,24 @@ func AblationHeartbeat(intervalsSec []float64) (metrics.Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		floor.Points = append(floor.Points, metrics.Point{X: hb, Y: run.Seconds})
+		floor.Points = append(floor.Points, Point{X: hb, Y: run.Seconds})
 	}
-	fig.Series = []metrics.Series{floor}
+	fig.Series = []Series{floor}
 	return fig, nil
 }
 
 // AblationHousekeeping sweeps the JobTracker's serialized per-task
 // bookkeeping cost at 64 nodes (128 tasks) — the parameter behind the
 // Fig. 8 scaling stall.
-func AblationHousekeeping(costsSec []float64) (metrics.Figure, error) {
-	fig := metrics.Figure{
+func AblationHousekeeping(costsSec []float64) (Figure, error) {
+	fig := Figure{
 		ID:     "ablation-housekeeping",
 		Title:  "JobTracker per-task bookkeeping vs. makespan (64 nodes, 1e11 samples, Cell)",
 		XLabel: "Bookkeeping(s)",
 		YLabel: "Time(s)",
 	}
 	const nodes = 64
-	s := metrics.Series{Label: "Cell Mapper"}
+	s := Series{Label: "Cell Mapper"}
 	for _, c := range costsSec {
 		cfg := hadoop.DefaultConfig()
 		cfg.TaskHousekeeping = sim.Seconds(c)
@@ -103,9 +102,9 @@ func AblationHousekeeping(costsSec []float64) (metrics.Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		s.Points = append(s.Points, metrics.Point{X: c, Y: run.Seconds})
+		s.Points = append(s.Points, Point{X: c, Y: run.Seconds})
 	}
-	fig.Series = []metrics.Series{s}
+	fig.Series = []Series{s}
 	return fig, nil
 }
 
@@ -113,8 +112,8 @@ func AblationHousekeeping(costsSec []float64) (metrics.Figure, error) {
 // encryption offload (the paper fixes 4 KB; larger blocks amortize MFC
 // issue overhead but consume local store and lengthen the pipeline
 // fill).
-func AblationSPEBlockSize(blockBytes []int) metrics.Figure {
-	fig := metrics.Figure{
+func AblationSPEBlockSize(blockBytes []int) Figure {
+	fig := Figure{
 		ID:     "ablation-speblock",
 		Title:  "SPE block size vs. raw encryption bandwidth (256MB input)",
 		XLabel: "Block(B)",
@@ -122,34 +121,34 @@ func AblationSPEBlockSize(blockBytes []int) metrics.Figure {
 		XLog:   true,
 	}
 	const input = 256 << 20
-	s := metrics.Series{Label: "Cell BE"}
+	s := Series{Label: "Cell BE"}
 	for _, b := range blockBytes {
 		sec := cellbe.StreamOffloadTime(input, perfmodel.SPEsPerCell, b,
 			perfmodel.AESSPEBytesPerSec).TotalSeconds
-		s.Points = append(s.Points, metrics.Point{X: float64(b), Y: bw(input, sec)})
+		s.Points = append(s.Points, Point{X: float64(b), Y: bw(input, sec)})
 	}
-	fig.Series = []metrics.Series{s}
+	fig.Series = []Series{s}
 	return fig
 }
 
 // AblationSPECount sweeps how many SPEs the offload uses (1..8) for
 // the raw encryption kernel — near-linear scaling is what makes the
 // Cell the paper's accelerator of choice.
-func AblationSPECount() metrics.Figure {
-	fig := metrics.Figure{
+func AblationSPECount() Figure {
+	fig := Figure{
 		ID:     "ablation-spes",
 		Title:  "SPE count vs. raw encryption bandwidth (256MB input)",
 		XLabel: "SPEs",
 		YLabel: "Bandwidth (MB/s)",
 	}
 	const input = 256 << 20
-	s := metrics.Series{Label: "Cell BE"}
+	s := Series{Label: "Cell BE"}
 	for n := 1; n <= perfmodel.SPEsPerCell; n++ {
 		sec := cellbe.StreamOffloadTime(input, n, perfmodel.SPEBlockBytes,
 			perfmodel.AESSPEBytesPerSec).TotalSeconds
-		s.Points = append(s.Points, metrics.Point{X: float64(n), Y: bw(input, sec)})
+		s.Points = append(s.Points, Point{X: float64(n), Y: bw(input, sec)})
 	}
-	fig.Series = []metrics.Series{s}
+	fig.Series = []Series{s}
 	return fig
 }
 

@@ -14,7 +14,6 @@ import (
 	"hetmr/internal/cluster"
 	"hetmr/internal/hadoop"
 	"hetmr/internal/hdfs"
-	"hetmr/internal/metrics"
 	"hetmr/internal/perfmodel"
 	"hetmr/internal/sim"
 	"hetmr/internal/workload"
@@ -46,8 +45,8 @@ var (
 // configurations — direct Cell offload, the MapReduce-for-Cell
 // framework, Java on the Cell PPE, and Java on a Power6 core. No
 // Hadoop is involved.
-func Fig2RawEncryption() metrics.Figure {
-	fig := metrics.Figure{
+func Fig2RawEncryption() Figure {
+	fig := Figure{
 		ID:     "fig2",
 		Title:  "Raw node encryption performance",
 		XLabel: "Size(MB)",
@@ -55,26 +54,26 @@ func Fig2RawEncryption() metrics.Figure {
 		XLog:   true,
 		YLog:   true,
 	}
-	cell := metrics.Series{Label: "Cell BE"}
-	cellMR := metrics.Series{Label: "MapReduce Cell"}
-	ppc := metrics.Series{Label: "PPC"}
-	power6 := metrics.Series{Label: "Power 6"}
+	cell := Series{Label: "Cell BE"}
+	cellMR := Series{Label: "MapReduce Cell"}
+	ppc := Series{Label: "PPC"}
+	power6 := Series{Label: "Power 6"}
 	for _, mb := range Fig2Sizes {
 		bytes := mb << 20
 		x := float64(mb)
 		directSec := cellbe.StreamOffloadTime(bytes, perfmodel.SPEsPerCell,
 			perfmodel.SPEBlockBytes, perfmodel.AESSPEBytesPerSec).TotalSeconds
-		cell.Points = append(cell.Points, metrics.Point{X: x, Y: bw(bytes, directSec)})
+		cell.Points = append(cell.Points, Point{X: x, Y: bw(bytes, directSec)})
 
 		fwSec := cellmrEstimate(bytes)
-		cellMR.Points = append(cellMR.Points, metrics.Point{X: x, Y: bw(bytes, fwSec)})
+		cellMR.Points = append(cellMR.Points, Point{X: x, Y: bw(bytes, fwSec)})
 
-		ppc.Points = append(ppc.Points, metrics.Point{X: x,
+		ppc.Points = append(ppc.Points, Point{X: x,
 			Y: bw(bytes, cellbe.HostComputeTime(bytes, perfmodel.AESPPEBytesPerSec))})
-		power6.Points = append(power6.Points, metrics.Point{X: x,
+		power6.Points = append(power6.Points, Point{X: x,
 			Y: bw(bytes, cellbe.HostComputeTime(bytes, perfmodel.AESPower6BytesPerSec))})
 	}
-	fig.Series = []metrics.Series{cell, cellMR, ppc, power6}
+	fig.Series = []Series{cell, cellMR, ppc, power6}
 	return fig
 }
 
@@ -100,8 +99,8 @@ func bw(bytes int64, seconds float64) float64 {
 // Fig6RawPi reproduces Figure 6: single-node Pi estimation throughput
 // (samples/s) versus total samples for the Cell SPEs, the PPE and a
 // Power6 core.
-func Fig6RawPi() metrics.Figure {
-	fig := metrics.Figure{
+func Fig6RawPi() Figure {
+	fig := Figure{
 		ID:     "fig6",
 		Title:  "Raw node Pi estimation performance",
 		XLabel: "Samples",
@@ -109,20 +108,20 @@ func Fig6RawPi() metrics.Figure {
 		XLog:   true,
 		YLog:   true,
 	}
-	cell := metrics.Series{Label: "Cell BE"}
-	ppc := metrics.Series{Label: "PPC"}
-	power6 := metrics.Series{Label: "Power 6"}
+	cell := Series{Label: "Cell BE"}
+	ppc := Series{Label: "PPC"}
+	power6 := Series{Label: "Power 6"}
 	for _, n := range Fig6Samples {
 		x := float64(n)
 		cellSec := cellbe.ComputeOffloadTime(n, perfmodel.SPEsPerCell,
 			perfmodel.PiSPESamplesPerSec).TotalSeconds
-		cell.Points = append(cell.Points, metrics.Point{X: x, Y: float64(n) / cellSec})
-		ppc.Points = append(ppc.Points, metrics.Point{X: x,
+		cell.Points = append(cell.Points, Point{X: x, Y: float64(n) / cellSec})
+		ppc.Points = append(ppc.Points, Point{X: x,
 			Y: float64(n) / cellbe.HostComputeTime(n, perfmodel.PiPPESamplesPerSec)})
-		power6.Points = append(power6.Points, metrics.Point{X: x,
+		power6.Points = append(power6.Points, Point{X: x,
 			Y: float64(n) / cellbe.HostComputeTime(n, perfmodel.PiPower6SamplesPerSec)})
 	}
-	fig.Series = []metrics.Series{cell, ppc, power6}
+	fig.Series = []Series{cell, ppc, power6}
 	return fig
 }
 
@@ -211,16 +210,16 @@ func encryptionSplitBuilder(bytesPerMapper int64) func(*hdfs.NameNode, []string)
 // encryption with the data set proportional to the mapper count (1 GB
 // per mapper, 2 mappers per node), Java versus Cell mappers, versus
 // node count.
-func Fig4ProportionalEncryption(nodeCounts []int) (metrics.Figure, error) {
-	fig := metrics.Figure{
+func Fig4ProportionalEncryption(nodeCounts []int) (Figure, error) {
+	fig := Figure{
 		ID:     "fig4",
 		Title:  "Distributed encryption performance: proportional data set",
 		XLabel: "Nodes",
 		YLabel: "Time(s)",
 	}
 	const bytesPerMapper = 1 << 30 // "a fixed proportion of 1GB per mapper"
-	java := metrics.Series{Label: "Java Mapper"}
-	cell := metrics.Series{Label: "Cell BE Mapper"}
+	java := Series{Label: "Java Mapper"}
+	cell := Series{Label: "Cell BE Mapper"}
 	for _, n := range nodeCounts {
 		jr, err := RunDistributed(n, hadoop.DefaultConfig(),
 			encryptionSplitBuilder(bytesPerMapper),
@@ -228,24 +227,24 @@ func Fig4ProportionalEncryption(nodeCounts []int) (metrics.Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		java.Points = append(java.Points, metrics.Point{X: float64(n), Y: jr.Seconds})
+		java.Points = append(java.Points, Point{X: float64(n), Y: jr.Seconds})
 		cr, err := RunDistributed(n, hadoop.DefaultConfig(),
 			encryptionSplitBuilder(bytesPerMapper),
 			hadoop.StaticMapperFor(hadoop.CellAESMapper{}))
 		if err != nil {
 			return fig, err
 		}
-		cell.Points = append(cell.Points, metrics.Point{X: float64(n), Y: cr.Seconds})
+		cell.Points = append(cell.Points, Point{X: float64(n), Y: cr.Seconds})
 	}
-	fig.Series = []metrics.Series{java, cell}
+	fig.Series = []Series{java, cell}
 	return fig, nil
 }
 
 // Fig5FixedEncryption reproduces Figure 5: distributed encryption of a
 // fixed 120 GB data set versus node count, with the EmptyMapper
 // isolating the Hadoop runtime overhead.
-func Fig5FixedEncryption(nodeCounts []int) (metrics.Figure, error) {
-	fig := metrics.Figure{
+func Fig5FixedEncryption(nodeCounts []int) (Figure, error) {
+	fig := Figure{
 		ID:     "fig5",
 		Title:  "Distributed encryption performance: 120GB data set",
 		XLabel: "Nodes",
@@ -253,13 +252,13 @@ func Fig5FixedEncryption(nodeCounts []int) (metrics.Figure, error) {
 		YLog:   true,
 	}
 	const totalBytes = 120 << 30 // "a fixed data set size of 120GB"
-	empty := metrics.Series{Label: "Empty Mapper"}
-	java := metrics.Series{Label: "Java Mapper"}
-	cell := metrics.Series{Label: "Cell Mapper"}
+	empty := Series{Label: "Empty Mapper"}
+	java := Series{Label: "Java Mapper"}
+	cell := Series{Label: "Cell Mapper"}
 	for _, n := range nodeCounts {
 		perMapper := totalBytes / int64(n*perfmodel.MapSlotsPerNode)
 		for _, cfg := range []struct {
-			series *metrics.Series
+			series *Series
 			mapper hadoop.Mapper
 		}{
 			{&empty, hadoop.EmptyMapper{}},
@@ -273,10 +272,10 @@ func Fig5FixedEncryption(nodeCounts []int) (metrics.Figure, error) {
 				return fig, err
 			}
 			cfg.series.Points = append(cfg.series.Points,
-				metrics.Point{X: float64(n), Y: run.Seconds})
+				Point{X: float64(n), Y: run.Seconds})
 		}
 	}
-	fig.Series = []metrics.Series{empty, java, cell}
+	fig.Series = []Series{empty, java, cell}
 	return fig, nil
 }
 
@@ -290,8 +289,8 @@ func piSplitBuilder(total int64, nWorkers int) func(*hdfs.NameNode, []string) ([
 // Fig7DistributedPiSweep reproduces Figure 7: Pi estimation on a fixed
 // 50-node cluster, sweeping the total sample count, Java versus Cell
 // mappers.
-func Fig7DistributedPiSweep(nWorkers int, samples []int64) (metrics.Figure, error) {
-	fig := metrics.Figure{
+func Fig7DistributedPiSweep(nWorkers int, samples []int64) (Figure, error) {
+	fig := Figure{
 		ID:     "fig7",
 		Title:  fmt.Sprintf("Distributed Pi estimation performance: %d nodes", nWorkers),
 		XLabel: "Samples",
@@ -299,8 +298,8 @@ func Fig7DistributedPiSweep(nWorkers int, samples []int64) (metrics.Figure, erro
 		XLog:   true,
 		YLog:   true,
 	}
-	java := metrics.Series{Label: "Java Mapper"}
-	cell := metrics.Series{Label: "Cell BE Mapper"}
+	java := Series{Label: "Java Mapper"}
+	cell := Series{Label: "Cell BE Mapper"}
 	for _, total := range samples {
 		jr, err := RunDistributedJob(nWorkers, hadoop.DefaultConfig(),
 			piSplitBuilder(total, nWorkers),
@@ -309,7 +308,7 @@ func Fig7DistributedPiSweep(nWorkers int, samples []int64) (metrics.Figure, erro
 		if err != nil {
 			return fig, err
 		}
-		java.Points = append(java.Points, metrics.Point{X: float64(total), Y: jr.Seconds})
+		java.Points = append(java.Points, Point{X: float64(total), Y: jr.Seconds})
 		cr, err := RunDistributedJob(nWorkers, hadoop.DefaultConfig(),
 			piSplitBuilder(total, nWorkers),
 			&hadoop.Job{Name: "pi-cell", Reduces: 1,
@@ -317,26 +316,26 @@ func Fig7DistributedPiSweep(nWorkers int, samples []int64) (metrics.Figure, erro
 		if err != nil {
 			return fig, err
 		}
-		cell.Points = append(cell.Points, metrics.Point{X: float64(total), Y: cr.Seconds})
+		cell.Points = append(cell.Points, Point{X: float64(total), Y: cr.Seconds})
 	}
-	fig.Series = []metrics.Series{java, cell}
+	fig.Series = []Series{java, cell}
 	return fig, nil
 }
 
 // Fig8DistributedPiScaling reproduces Figure 8: Pi estimation of 1e11
 // samples versus node count — Java, Cell, and Cell with 10x samples
 // (which shows where the Hadoop runtime floor reappears).
-func Fig8DistributedPiScaling(nodeCounts []int) (metrics.Figure, error) {
-	fig := metrics.Figure{
+func Fig8DistributedPiScaling(nodeCounts []int) (Figure, error) {
+	fig := Figure{
 		ID:     "fig8",
 		Title:  "Distributed Pi estimation performance: 1e+11 samples",
 		XLabel: "Nodes",
 		YLabel: "Time(s)",
 		YLog:   true,
 	}
-	cell := metrics.Series{Label: "Cell BE Mapper"}
-	java := metrics.Series{Label: "Java Mapper"}
-	cell10 := metrics.Series{Label: "Cell BE Mapper (10x samples)"}
+	cell := Series{Label: "Cell BE Mapper"}
+	java := Series{Label: "Java Mapper"}
+	cell10 := Series{Label: "Cell BE Mapper (10x samples)"}
 	for _, n := range nodeCounts {
 		cr, err := RunDistributedJob(n, hadoop.DefaultConfig(),
 			piSplitBuilder(Fig8Samples, n),
@@ -345,7 +344,7 @@ func Fig8DistributedPiScaling(nodeCounts []int) (metrics.Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		cell.Points = append(cell.Points, metrics.Point{X: float64(n), Y: cr.Seconds})
+		cell.Points = append(cell.Points, Point{X: float64(n), Y: cr.Seconds})
 		jr, err := RunDistributedJob(n, hadoop.DefaultConfig(),
 			piSplitBuilder(Fig8Samples, n),
 			&hadoop.Job{Name: "pi-java", Reduces: 1,
@@ -353,7 +352,7 @@ func Fig8DistributedPiScaling(nodeCounts []int) (metrics.Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		java.Points = append(java.Points, metrics.Point{X: float64(n), Y: jr.Seconds})
+		java.Points = append(java.Points, Point{X: float64(n), Y: jr.Seconds})
 		cr10, err := RunDistributedJob(n, hadoop.DefaultConfig(),
 			piSplitBuilder(Fig8Samples*10, n),
 			&hadoop.Job{Name: "pi-cell-10x", Reduces: 1,
@@ -361,8 +360,8 @@ func Fig8DistributedPiScaling(nodeCounts []int) (metrics.Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		cell10.Points = append(cell10.Points, metrics.Point{X: float64(n), Y: cr10.Seconds})
+		cell10.Points = append(cell10.Points, Point{X: float64(n), Y: cr10.Seconds})
 	}
-	fig.Series = []metrics.Series{cell, java, cell10}
+	fig.Series = []Series{cell, java, cell10}
 	return fig, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"hetmr/internal/hadoop"
 	"hetmr/internal/hdfs"
-	"hetmr/internal/metrics"
 	"hetmr/internal/perfmodel"
 )
 
@@ -15,7 +14,7 @@ import (
 // where floors and crossovers fall), on reduced sweeps so the suite
 // stays fast.
 
-func yAt(t *testing.T, fig *metrics.Figure, label string, x float64) float64 {
+func yAt(t *testing.T, fig *Figure, label string, x float64) float64 {
 	t.Helper()
 	s := fig.FindSeries(label)
 	if s == nil {

@@ -1,8 +1,9 @@
-// Package metrics holds the figure/series data model the experiment
-// harness produces and renders: each of the paper's figures becomes a
-// Figure with labelled series, printable as an aligned text table or
-// as TSV for external plotting.
-package metrics
+package experiments
+
+// This file is the figure/series data model the generators produce and
+// cmd/repro renders: each of the paper's figures becomes a Figure with
+// labelled series, printable as an aligned text table or as TSV for
+// external plotting.
 
 import (
 	"fmt"

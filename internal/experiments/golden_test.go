@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"hetmr/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fig*.tsv from the current model (make figures-golden)")
@@ -23,11 +21,11 @@ func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full paper sweeps")
 	}
-	gens := []func() (metrics.Figure, error){
-		func() (metrics.Figure, error) { return Fig4ProportionalEncryption(Fig4Nodes) },
-		func() (metrics.Figure, error) { return Fig5FixedEncryption(Fig5Nodes) },
-		func() (metrics.Figure, error) { return Fig7DistributedPiSweep(Fig7NodeCount, Fig7Samples) },
-		func() (metrics.Figure, error) { return Fig8DistributedPiScaling(Fig8Nodes) },
+	gens := []func() (Figure, error){
+		func() (Figure, error) { return Fig4ProportionalEncryption(Fig4Nodes) },
+		func() (Figure, error) { return Fig5FixedEncryption(Fig5Nodes) },
+		func() (Figure, error) { return Fig7DistributedPiSweep(Fig7NodeCount, Fig7Samples) },
+		func() (Figure, error) { return Fig8DistributedPiScaling(Fig8Nodes) },
 	}
 	for _, gen := range gens {
 		fig, err := gen()

@@ -1,3 +1,4 @@
+// Package metrics holds the process-wide traffic counters (see Counter).
 package metrics
 
 import "sync/atomic"

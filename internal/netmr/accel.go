@@ -3,7 +3,6 @@ package netmr
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"hetmr/internal/cellbe"
 	"hetmr/internal/kernels"
@@ -43,30 +42,25 @@ const (
 var errAccelFallback = errors.New("netmr: input unsuitable for the accelerator, host fallback")
 
 // AccelDevice is one node's accelerator: a functional Cell BE chip
-// (internal/cellbe) driven through the spurt runtime for streaming and
-// compute offload (the paper's direct path), with the wordcount path
-// running the cellmr framework's map-stage discipline — dynamic
-// sub-block claiming, DMA into the local store, per-SPE tallies —
-// directly on the chip (the framework's fixed-size KV records cannot
-// carry string keys). A tracker whose Config.Devices entry is
-// DeviceCell owns exactly one device; offload sessions on one chip
-// serialize (cellbe.Chip holds its SPE contexts exclusively per
-// session), exactly as concurrent map slots contended on the real
-// hardware.
+// (internal/cellbe) driven through the spurt runtime, the paper's
+// direct offload path — Stream for block transforms, Compute for
+// sampling, Scan for wordcount's read-only pass. A tracker whose
+// Config.Devices entry is DeviceCell owns exactly one device; offload
+// sessions on one chip serialize (cellbe.Chip holds its SPE contexts
+// exclusively per session), exactly as concurrent map slots contended
+// on the real hardware.
 type AccelDevice struct {
-	chip *cellbe.Chip
-	rt   *spurt.Runtime
+	rt *spurt.Runtime
 }
 
 // NewCellDevice builds a per-node Cell accelerator: one chip, all
 // eight SPEs, the paper's 4 KB SPE blocking.
 func NewCellDevice() (*AccelDevice, error) {
-	chip := cellbe.NewChip(0)
-	rt, err := spurt.New(chip, perfmodel.SPEsPerCell, perfmodel.SPEBlockBytes)
+	rt, err := spurt.New(cellbe.NewChip(0), perfmodel.SPEsPerCell, perfmodel.SPEBlockBytes)
 	if err != nil {
 		return nil, fmt.Errorf("netmr: accelerator runtime: %w", err)
 	}
-	return &AccelDevice{chip: chip, rt: rt}, nil
+	return &AccelDevice{rt: rt}, nil
 }
 
 // Kind reports the device kind for heartbeats and status.
@@ -138,19 +132,18 @@ func (d *AccelDevice) CTRStream(c *kernels.Cipher, iv []byte, base int64, data [
 const wordCountSlack = 1024
 
 // WordCount offloads one wordcount map task: the block is carved into
-// separator-aligned sub-blocks of roughly the SPE block size, each SPE
-// claims sub-blocks dynamically, DMAs them into its local store and
-// adds them to its own kernels.WordTable, kept across all the
-// sub-blocks it claims. Words never straddle a sub-block boundary and
-// counting is a commutative fold, so the SPE tables merged once at the
-// end count exactly what one table over the whole block does.
+// separator-aligned sub-blocks of roughly the SPE block size, and the
+// spurt scan hands each SPE the sub-blocks it claims, resident in its
+// local store, to add to its own kernels.WordTable. Words never
+// straddle a sub-block boundary and counting is a commutative fold, so
+// the SPE tables merged once at the end count exactly what one table
+// over the whole block does.
 func (d *AccelDevice) WordCount(data []byte) (*kernels.WordTable, error) {
 	target := d.rt.BlockBytes()
 	bufBytes := target + wordCountSlack
 	// Carve at separators: extend each nominal boundary to the end of
 	// the word it would split.
-	type span struct{ start, end int }
-	var spans []span
+	var spans []spurt.Span
 	for start := 0; start < len(data); {
 		end := start + target
 		if end >= len(data) {
@@ -163,54 +156,21 @@ func (d *AccelDevice) WordCount(data []byte) (*kernels.WordTable, error) {
 				end++
 			}
 		}
-		spans = append(spans, span{start, end})
+		spans = append(spans, spurt.Span{Start: start, End: end})
 		start = end
 	}
 	if len(spans) == 0 {
 		return &kernels.WordTable{}, nil
 	}
-	nSPEs := d.rt.NSPEs()
-	if nSPEs > len(spans) {
-		nSPEs = len(spans)
-	}
-	// Dynamic claiming, one table per SPE merged after the session —
-	// the merge order cannot matter because the result is a bag of
-	// counts.
-	var claimMu sync.Mutex
-	next := 0
-	take := func() (span, bool) {
-		claimMu.Lock()
-		defer claimMu.Unlock()
-		if next >= len(spans) {
-			return span{}, false
-		}
-		s := spans[next]
-		next++
-		return s, true
-	}
-	tables := make([]kernels.WordTable, nSPEs)
-	err := d.chip.RunOnSPEs(nSPEs, func(spe *cellbe.SPE, worker int) error {
-		buf, err := spe.LS.Alloc(bufBytes)
-		if err != nil {
-			return fmt.Errorf("netmr: accel wordcount: %w", err)
-		}
-		defer spe.LS.Free(buf)
-		for {
-			s, ok := take()
-			if !ok {
-				return nil
-			}
-			if err := spe.MFC.GetLarge(buf, 0, data[s.start:s.end], 0); err != nil {
-				return fmt.Errorf("netmr: accel wordcount dma: %w", err)
-			}
-			spe.MFC.WaitTag(0)
-			tables[worker].Add(buf.Bytes()[:s.end-s.start])
-		}
+	tables := make([]kernels.WordTable, min(d.rt.NSPEs(), len(spans)))
+	err := d.rt.Scan(data, spans, bufBytes, func(worker int, block []byte) error {
+		tables[worker].Add(block)
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("netmr: accel wordcount: %w", err)
 	}
-	for i := 1; i < nSPEs; i++ {
+	for i := 1; i < len(tables); i++ {
 		tables[0].Merge(&tables[i])
 	}
 	return &tables[0], nil

@@ -116,6 +116,53 @@ func TestDeviceWordCountDeclinesGiantWord(t *testing.T) {
 	}
 }
 
+// FuzzAccelWordCount holds the offloaded wordcount to the host kernel
+// on arbitrary bytes: the same counts exactly, and a decline only when
+// some word is longer than the sub-block slack (the one input the
+// separator-aligned carving cannot place in a local-store buffer).
+func FuzzAccelWordCount(f *testing.F) {
+	dev, err := NewCellDevice()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(""))
+	f.Add([]byte("The cell, the SPE; the cell!"))
+	f.Add(zipfText(5, 6_000))
+	f.Add(append(bytes.Repeat([]byte("ab "), 1500), bytes.Repeat([]byte("z"), 3000)...))
+	f.Add(append(bytes.Repeat([]byte("w"), 4090), " tail"...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		table, err := dev.WordCount(data)
+		if errors.Is(err, errAccelFallback) {
+			if longest := longestWord(data); longest <= wordCountSlack {
+				t.Fatalf("declined with no word over the %d-byte slack (longest %d)", wordCountSlack, longest)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int64)
+		table.Each(func(w string, n int64) { got[w] = n })
+		if want := kernels.WordCount(data); !maps.Equal(got, want) {
+			t.Fatalf("device counted %d distinct words, host %d", len(got), len(want))
+		}
+	})
+}
+
+// longestWord is the length of the longest run of word bytes in data.
+func longestWord(data []byte) int {
+	longest, run := 0, 0
+	for _, b := range data {
+		if kernels.IsWordByte(b) {
+			run++
+			longest = max(longest, run)
+		} else {
+			run = 0
+		}
+	}
+	return longest
+}
+
 // TestClusterOffloadBitIdentical proves a fully-accelerated cluster
 // and an all-host cluster produce identical job results, and that the
 // accelerated one actually offloaded.

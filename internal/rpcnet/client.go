@@ -12,9 +12,9 @@ import (
 )
 
 // DefaultPoolSize is the number of multiplexed connections a Client
-// keeps per address unless WithPoolSize overrides it. Multiplexing
-// carries the concurrency; a second connection mainly keeps a huge
-// frame mid-write from head-of-line-blocking small control calls.
+// keeps per address. Multiplexing carries the concurrency; a second
+// connection mainly keeps a huge frame mid-write from
+// head-of-line-blocking small control calls.
 const DefaultPoolSize = 2
 
 // Option configures a Client at Dial time.
@@ -23,16 +23,6 @@ type Option func(*dialOptions)
 type dialOptions struct {
 	poolSize  int
 	inProcess bool
-}
-
-// WithPoolSize sets how many multiplexed connections the Client
-// spreads calls over (minimum 1).
-func WithPoolSize(n int) Option {
-	return func(o *dialOptions) {
-		if n > 0 {
-			o.poolSize = n
-		}
-	}
 }
 
 // WithInProcess reaches a Server of this process over an in-memory pipe:
@@ -80,9 +70,9 @@ type callResult struct {
 	err error
 }
 
-// Dial connects to an rpcnet server. The returned Client is a
-// connection pool; see WithPoolSize. Dial establishes
-// the first connection eagerly so an unreachable address fails fast.
+// Dial connects to an rpcnet server. The returned Client is a pool of
+// DefaultPoolSize connections. Dial establishes the first connection
+// eagerly so an unreachable address fails fast.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	o := dialOptions{poolSize: DefaultPoolSize}
 	for _, opt := range opts {

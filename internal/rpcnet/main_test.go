@@ -12,3 +12,10 @@ import (
 func TestMain(m *testing.M) {
 	testutil.VerifyTestMain(m)
 }
+
+// withPoolSize dials a Client over n pooled connections instead of
+// DefaultPoolSize: one connection makes frame interleaving on a single
+// socket deterministic.
+func withPoolSize(n int) Option {
+	return func(o *dialOptions) { o.poolSize = n }
+}

@@ -136,7 +136,7 @@ func TestLateReplyDiscarded(t *testing.T) {
 		return "fast-result", []byte("fast-tail"), nil
 	})
 
-	c, err := Dial(s.Addr(), WithPoolSize(1))
+	c, err := Dial(s.Addr(), withPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRedialAfterConnDeath(t *testing.T) {
 	defer s.Close()
 	s.Handle("quick", func([]byte) (any, error) { return "ok", nil })
 
-	c, err := Dial(s.Addr(), WithPoolSize(1))
+	c, err := Dial(s.Addr(), withPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}

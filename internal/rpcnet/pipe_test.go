@@ -117,7 +117,7 @@ func TestPipeTimeouts(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		return struct{}{}, nil
 	})
-	c, err := Dial(s.Addr(), WithInProcess(), WithPoolSize(1))
+	c, err := Dial(s.Addr(), WithInProcess(), withPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestTimedOutBurstDoesNotExhaustDispatchSlots(t *testing.T) {
 	})
 
 	// Pool size 1 so every call shares one connection's semaphore.
-	c, err := Dial(s.Addr(), WithPoolSize(1))
+	c, err := Dial(s.Addr(), withPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -315,7 +315,7 @@ func testClientFailsOnFlaggedResponse(t *testing.T, bit byte) {
 		io.Copy(io.Discard, conn) // until the client hangs up
 	}()
 
-	c, err := Dial(ln.Addr().String(), WithPoolSize(1))
+	c, err := Dial(ln.Addr().String(), withPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestCallTimeoutCoversSend(t *testing.T) {
 		<-release // never read a frame
 	}()
 
-	c, err := Dial(ln.Addr().String(), WithPoolSize(1))
+	c, err := Dial(ln.Addr().String(), withPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@
 // paper's distributed experiments), streams them through the SPEs with
 // double-buffered DMA, and runs a block kernel on each — the direct,
 // pthread-style offload path that reaches ~700 MB/s of AES throughput
-// in Figure 2.
+// in Figure 2. Every data offload in the tree, the cellmr framework's
+// included, goes through its one claim-and-DMA loop: Stream transforms
+// fixed blocks in place, Scan reads caller-carved spans.
 package spurt
 
 import (
@@ -76,6 +78,10 @@ func (r *Runtime) BlockBytes() int { return r.blockBytes }
 // NSPEs returns the number of SPEs in use.
 func (r *Runtime) NSPEs() int { return r.nSPEs }
 
+// Span is the half-open byte range [Start, End) of one unit of
+// offload work within an input.
+type Span struct{ Start, End int }
+
 // Stream runs kernel over input, writing transformed blocks to output
 // (which must be at least len(input) bytes). Blocks are distributed
 // dynamically: each SPE grabs the next unprocessed block, double
@@ -84,94 +90,88 @@ func (r *Runtime) Stream(kernel BlockKernel, input, output []byte) error {
 	if len(output) < len(input) {
 		return fmt.Errorf("spurt: output %d bytes < input %d bytes", len(output), len(input))
 	}
-	if len(input) == 0 {
+	b := r.blockBytes
+	nBlocks := (len(input) + b - 1) / b
+	block := func(i int) Span { return Span{i * b, min((i+1)*b, len(input))} }
+	return r.offload(input, nBlocks, b, block, func(spe *cellbe.SPE, _ int, buf *cellbe.LSBuffer, s Span) error {
+		if err := kernel.ProcessBlock(buf.Bytes()[:s.End-s.Start], int64(s.Start)); err != nil {
+			return fmt.Errorf("spurt: kernel %q block %d: %w", kernel.Name(), s.Start/b, err)
+		}
+		if err := spe.MFC.PutLarge(buf, 0, output[s.Start:s.End], tagPut); err != nil {
+			return fmt.Errorf("spurt: %v: put block %d: %w", spe, s.Start/b, err)
+		}
+		spe.MFC.WaitTag(tagPut)
 		return nil
-	}
-	nBlocks := (len(input) + r.blockBytes - 1) / r.blockBytes
-	var next int64 // atomically claimed block index
-	takeBlock := func() (idx, start, end int, ok bool) {
-		i := int(atomic.AddInt64(&next, 1)) - 1
-		if i >= nBlocks {
-			return 0, 0, 0, false
-		}
-		start = i * r.blockBytes
-		end = start + r.blockBytes
-		if end > len(input) {
-			end = len(input)
-		}
-		return i, start, end, true
-	}
-
-	return r.chip.RunOnSPEs(r.nSPEs, func(spe *cellbe.SPE, worker int) error {
-		const tagCur, tagNext = 0, 1
-		bufA, err := spe.LS.Alloc(r.blockBytes)
-		if err != nil {
-			return fmt.Errorf("spurt: %v: %w", spe, err)
-		}
-		defer spe.LS.Free(bufA)
-		bufB, err := spe.LS.Alloc(r.blockBytes)
-		if err != nil {
-			return fmt.Errorf("spurt: %v: %w", spe, err)
-		}
-		defer spe.LS.Free(bufB)
-
-		cur, curStart, curEnd, ok := claimAndFetch(spe, bufA, tagCur, input, takeBlock)
-		if !ok {
-			return nil
-		}
-		curBuf, nextBuf := bufA, bufB
-		for {
-			// Prefetch the next block into the other buffer.
-			nxt, nxtStart, nxtEnd, more := claimAndFetch(spe, nextBuf, tagNext, input, takeBlock)
-
-			// Complete the DMA for the current block, compute, and
-			// DMA the result out.
-			spe.MFC.WaitTag(tagCur)
-			n := curEnd - curStart
-			if err := kernel.ProcessBlock(curBuf.Bytes()[:n], int64(curStart)); err != nil {
-				return fmt.Errorf("spurt: kernel %q block %d: %w", kernel.Name(), cur, err)
-			}
-			if err := spe.MFC.PutLarge(curBuf, 0, output[curStart:curEnd], tagCur); err != nil {
-				return fmt.Errorf("spurt: put block %d: %w", cur, err)
-			}
-			spe.MFC.WaitTag(tagCur)
-
-			if !more {
-				return nil
-			}
-			// Promote the prefetched block: retag by waiting is not
-			// needed — we simply treat tagNext as the current tag by
-			// swapping roles of the buffers and waiting on tagNext
-			// next iteration. To keep tags fixed, wait for the
-			// prefetch here and reissue nothing: the data is already
-			// in nextBuf.
-			spe.MFC.WaitTag(tagNext)
-			cur, curStart, curEnd = nxt, nxtStart, nxtEnd
-			curBuf, nextBuf = nextBuf, curBuf
-			// The promoted block's data is resident; make WaitTag a
-			// no-op by issuing nothing on tagCur.
-		}
 	})
 }
 
-// claimAndFetch claims the next block and issues its DMA-in.
-func claimAndFetch(spe *cellbe.SPE, buf *cellbe.LSBuffer, tag int, input []byte,
-	take func() (int, int, int, bool)) (idx, start, end int, ok bool) {
-	idx, start, end, ok = take()
-	if !ok {
-		return 0, 0, 0, false
+// Scan runs visit, read-only, over each span of input on the SPEs.
+// Spans are claimed dynamically and DMA'd double-buffered into
+// bufBytes local-store buffers, so no span may be longer than
+// bufBytes. worker is below min(NSPEs(), len(spans)) and fixed for
+// all the spans one SPE claims, so per-worker state needs no lock.
+// block is local-store resident and valid only for the call.
+func (r *Runtime) Scan(input []byte, spans []Span, bufBytes int, visit func(worker int, block []byte) error) error {
+	span := func(i int) Span { return spans[i] }
+	return r.offload(input, len(spans), bufBytes, span, func(_ *cellbe.SPE, worker int, buf *cellbe.LSBuffer, s Span) error {
+		return visit(worker, buf.Bytes()[:s.End-s.Start])
+	})
+}
+
+// tagPut is the MFC tag group of Stream's DMA-out; the two input
+// buffers use tags 0 and 1.
+const tagPut = 2
+
+// offload is the one SPE work loop behind Stream and Scan. Each of
+// min(nSPEs, nSpans) SPEs allocates two bufBytes local-store buffers
+// and claims spans from a shared counter, issuing the DMA-in of its
+// next span before computing on the current one (double buffering).
+// visit runs on the resident span and must finish any DMA it issues.
+// Whatever the outcome, each SPE drains its MFC and frees both buffers
+// before the session returns, so a failed offload leaves the chip
+// reusable.
+func (r *Runtime) offload(input []byte, nSpans, bufBytes int, span func(i int) Span,
+	visit func(spe *cellbe.SPE, worker int, buf *cellbe.LSBuffer, s Span) error) error {
+	if nSpans == 0 {
+		return nil
 	}
-	if err := spe.MFC.GetLarge(buf, 0, input[start:end], tag); err != nil {
-		// A failed issue is a programming error at this block size;
-		// surface it by processing synchronously via panic-free path:
-		// retry after draining (queue can only be full transiently
-		// with our two-buffer discipline).
-		spe.MFC.WaitTag(tag)
-		if err2 := spe.MFC.GetLarge(buf, 0, input[start:end], tag); err2 != nil {
-			panic(fmt.Sprintf("spurt: DMA issue failed after drain: %v", err2))
+	var next atomic.Int64
+	return r.chip.RunOnSPEs(min(r.nSPEs, nSpans), func(spe *cellbe.SPE, worker int) error {
+		var bufs [2]*cellbe.LSBuffer // bufs[i] fills under MFC tag i
+		for i := range bufs {
+			buf, err := spe.LS.Alloc(bufBytes)
+			if err != nil {
+				return fmt.Errorf("spurt: %v: %w", spe, err)
+			}
+			defer spe.LS.Free(buf)
+			bufs[i] = buf
 		}
-	}
-	return idx, start, end, true
+		defer spe.MFC.WaitAll() // before the frees: no DMA outlives its buffer
+		// fetch claims the next span and issues its DMA into bufs[tag].
+		fetch := func(tag int) (Span, bool, error) {
+			i := int(next.Add(1)) - 1
+			if i >= nSpans {
+				return Span{}, false, nil
+			}
+			s := span(i)
+			if err := spe.MFC.GetLarge(bufs[tag], 0, input[s.Start:s.End], tag); err != nil {
+				return Span{}, false, fmt.Errorf("spurt: %v: get span %d: %w", spe, i, err)
+			}
+			return s, true, nil
+		}
+		s, ok, err := fetch(0)
+		for cur := 0; ok && err == nil; cur = 1 - cur {
+			var nxt Span
+			var more bool
+			if nxt, more, err = fetch(1 - cur); err != nil {
+				break
+			}
+			spe.MFC.WaitTag(cur)
+			err = visit(spe, worker, bufs[cur], s)
+			s, ok = nxt, more
+		}
+		return err
+	})
 }
 
 // ComputeResult is one worker's output from a Compute offload.

@@ -2,7 +2,12 @@ package spurt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -217,4 +222,159 @@ func TestComputeErrorPropagates(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("error = %v", err)
 	}
+}
+
+// indexed returns n bytes (n a multiple of 4) whose 4-byte groups hold
+// their own group index, so any 4-aligned block names its offset.
+func indexed(n int) []byte {
+	b := make([]byte, n)
+	for i := 0; i < n; i += 4 {
+		binary.LittleEndian.PutUint32(b[i:], uint32(i/4))
+	}
+	return b
+}
+
+// carve cuts n bytes into 4-aligned spans of 4..maxLen bytes.
+func carve(n, maxLen int, rng *rand.Rand) []Span {
+	var spans []Span
+	for start := 0; start < n; {
+		end := min(start+4*(1+rng.Intn(maxLen/4)), n)
+		spans = append(spans, Span{start, end})
+		start = end
+	}
+	return spans
+}
+
+// offloadMode drives the shared SPE loop through one of its two entry
+// points; visit sees each resident block with the worker that holds it
+// (-1 where Stream does not say).
+type offloadMode struct {
+	name string
+	run  func(r *Runtime, input []byte, spans []Span, visit func(worker int, block []byte) error) error
+}
+
+var offloadModes = []offloadMode{
+	{"stream", func(r *Runtime, input []byte, _ []Span, visit func(int, []byte) error) error {
+		k := KernelFunc{KernelName: "visit", Fn: func(block []byte, _ int64) error { return visit(-1, block) }}
+		return r.Stream(k, input, make([]byte, len(input)))
+	}},
+	{"scan", func(r *Runtime, input []byte, spans []Span, visit func(int, []byte) error) error {
+		return r.Scan(input, spans, r.BlockBytes(), visit)
+	}},
+}
+
+// assertChipIdle checks every SPE's local store is fully free and its
+// MFC queue empty: the loop cleaned up whatever the outcome.
+func assertChipIdle(t *testing.T, chip *cellbe.Chip) {
+	t.Helper()
+	for _, spe := range chip.SPEs {
+		if free := spe.LS.FreeBytes(); free != spe.LS.Size() {
+			t.Errorf("%v: %d of %d local-store bytes free", spe, free, spe.LS.Size())
+		}
+		if n := spe.MFC.Outstanding(); n != 0 {
+			t.Errorf("%v: %d DMA requests outstanding", spe, n)
+		}
+	}
+}
+
+func TestOffloadLoopCoversInputOnce(t *testing.T) {
+	cases := []struct {
+		name         string
+		nSPEs, block int
+		size         int
+	}{
+		{"many spans", 8, 1024, 50000},
+		{"more SPEs than spans", 8, 1024, 2048},
+		{"one short span", 3, 1024, 12},
+		{"one SPE", 1, 512, 9000},
+		{"empty input", 4, 1024, 0},
+	}
+	for _, mode := range offloadModes {
+		for _, c := range cases {
+			t.Run(mode.name+"/"+c.name, func(t *testing.T) {
+				chip := cellbe.NewChip(0)
+				r, err := New(chip, c.nSPEs, c.block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				input := indexed(c.size)
+				spans := carve(c.size, c.block, rand.New(rand.NewSource(int64(c.size))))
+				nUnits := len(spans)
+				if mode.name == "stream" {
+					nUnits = (c.size + c.block - 1) / c.block
+				}
+				seen := make([]int32, c.size)
+				var mu sync.Mutex
+				err = mode.run(r, input, spans, func(worker int, block []byte) error {
+					if worker >= min(c.nSPEs, nUnits) {
+						return fmt.Errorf("worker %d of %d SPEs and %d spans", worker, c.nSPEs, nUnits)
+					}
+					off := 4 * int(binary.LittleEndian.Uint32(block))
+					mu.Lock()
+					defer mu.Unlock()
+					for i := range block {
+						if block[i] != input[off+i] {
+							return fmt.Errorf("byte %d: got %d, want %d", off+i, block[i], input[off+i])
+						}
+						seen[off+i]++
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, n := range seen {
+					if n != 1 {
+						t.Fatalf("byte %d reached a worker %d times", i, n)
+					}
+				}
+				assertChipIdle(t, chip)
+			})
+		}
+	}
+}
+
+func TestOffloadLoopKernelErrorFreesChip(t *testing.T) {
+	boom := errors.New("kernel fault")
+	for _, mode := range offloadModes {
+		t.Run(mode.name, func(t *testing.T) {
+			chip := cellbe.NewChip(0)
+			r, err := New(chip, 4, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			input := indexed(64 * 1024)
+			spans := carve(len(input), 1024, rand.New(rand.NewSource(1)))
+			var calls atomic.Int32
+			err = mode.run(r, input, spans, func(int, []byte) error {
+				if calls.Add(1) == 5 {
+					return boom
+				}
+				return nil
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the kernel's", err)
+			}
+			assertChipIdle(t, chip)
+			// The chip is reusable after the failed session.
+			if err := mode.run(r, input, spans, func(int, []byte) error { return nil }); err != nil {
+				t.Fatalf("rerun after failure: %v", err)
+			}
+			assertChipIdle(t, chip)
+		})
+	}
+}
+
+func TestScanSpanLongerThanBufferFails(t *testing.T) {
+	chip := cellbe.NewChip(0)
+	r, err := New(chip, 2, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := make([]byte, 4096)
+	err = r.Scan(input, []Span{{0, 1024}, {1024, 4096}}, 1024, func(int, []byte) error { return nil })
+	if err == nil {
+		t.Fatal("a span longer than the buffer should fail the scan")
+	}
+	assertChipIdle(t, chip)
 }
