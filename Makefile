@@ -74,8 +74,9 @@ examples-smoke:
 
 # mem-smoke mirrors the CI bounded-memory lane: above-watermark
 # synthetic datasets streamed through the live and net backends under
-# a hard runtime memory limit, including the range-partitioned
-# terasort smoke (the -run prefix matches both). The 1 GB scale gate
+# a hard runtime memory limit, plus a 40 MB terasort on both backends
+# (net range-partitioned, live merged straight into the sink; the -run
+# prefix matches both tests). The 1 GB scale gate
 # (TestTerasortScaleFlatHeap) is opt-in: make terasort-scale.
 mem-smoke:
 	GOMEMLIMIT=256MiB $(GO) test -v -run TestBoundedMemoryStreaming ./internal/engine/
@@ -129,7 +130,7 @@ loc:
 # count is the same on every machine, so a PR that grows the tree must
 # raise LOC_MAX in its own diff, where review sees it; one that shrinks
 # it lowers LOC_MAX to the new `make loc`.
-LOC_MAX := 19618
+LOC_MAX := 19558
 loc-gate:
 	@n="$$($(MAKE) -s --no-print-directory loc)"; \
 	echo "non-test Go lines outside bench/: $$n (LOC_MAX $(LOC_MAX))"; \

@@ -12,7 +12,8 @@
 // repair here) and real kernels on the functional Cell model. Each job
 // is a set of tasks on the dynamic scheduler (internal/sched); a data
 // job's commit hook folds each block's winning result into the job's
-// output exactly once.
+// output exactly once. Only a job's input lives in the DFS: RunSort and
+// RunStream write their result into the caller's io.Writer.
 //
 // The simulated runner (internal/hadoop on internal/sim) replays the
 // same architecture against the calibrated performance model at the

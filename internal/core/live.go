@@ -141,12 +141,10 @@ func (c *LiveCluster) RunWordCount(input string) (map[string]int64, error) {
 
 // StreamJob transforms a stored file record-by-record (the encryption
 // workload shape): each block is processed on its hosting node, via
-// the SPE runtime when Accelerated, and the transformed file is
-// written back to the DFS.
+// the SPE runtime when Accelerated.
 type StreamJob struct {
-	Name   string
-	Input  string
-	Output string
+	Name  string
+	Input string
 	// Kernel is the block transformation (e.g. AES-CTR).
 	Kernel spurt.BlockKernel
 	// Accelerated selects the level-2 SPE offload path; otherwise the
@@ -154,18 +152,15 @@ type StreamJob struct {
 	Accelerated bool
 }
 
-// RunStream executes a stream job and returns the number of bytes
-// processed.
-func (c *LiveCluster) RunStream(job *StreamJob) (int64, error) {
+// RunStream executes a stream job and copies the transformed blocks
+// into w in file order.
+func (c *LiveCluster) RunStream(job *StreamJob, w io.Writer) error {
 	if job.Kernel == nil {
-		return 0, fmt.Errorf("core: stream job %q needs a kernel", job.Name)
-	}
-	if job.Output == "" {
-		return 0, fmt.Errorf("core: stream job %q needs an output path", job.Name)
+		return fmt.Errorf("core: stream job %q needs a kernel", job.Name)
 	}
 	work, err := c.planBlocks(job.Input)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	// The transformed block is the task result: whichever node's
 	// attempt wins (the accelerated and host paths are bit-identical,
@@ -183,21 +178,14 @@ func (c *LiveCluster) RunStream(job *StreamJob) (int64, error) {
 			if err := node.Accel.Stream(offsetKernel{job.Kernel, w.offset}, data, out); err != nil {
 				return nil, fmt.Errorf("core: accelerated stream on block %d: %w", w.index, err)
 			}
-		} else {
-			// Host path: process the block in SPE-sized chunks so the
-			// two paths produce identical output for offset-aware
-			// kernels.
-			copy(out, data)
-			chunk := 4096
-			for off := 0; off < len(out); off += chunk {
-				end := off + chunk
-				if end > len(out) {
-					end = len(out)
-				}
-				if err := job.Kernel.ProcessBlock(out[off:end], w.offset+int64(off)); err != nil {
-					return nil, fmt.Errorf("core: host stream on block %d: %w", w.index, err)
-				}
-			}
+			return out, nil
+		}
+		// Host path: the whole block at its file offset. The kernel is
+		// offset-aware (CTR seeks), so this matches the SPE path's
+		// 4 KB blocks byte for byte.
+		copy(out, data)
+		if err := job.Kernel.ProcessBlock(out, w.offset); err != nil {
+			return nil, fmt.Errorf("core: host stream on block %d: %w", w.index, err)
 		}
 		return out, nil
 	}, func(task int, result any) {
@@ -210,35 +198,26 @@ func (c *LiveCluster) RunStream(job *StreamJob) (int64, error) {
 		}
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if commitErr != nil {
-		return 0, fmt.Errorf("core: stream job %q: %w", job.Name, commitErr)
+		return fmt.Errorf("core: stream job %q: %w", job.Name, commitErr)
 	}
-	// Commit the output file in block order, streaming each
-	// transformed block out of the run store.
-	wtr, err := c.FS.Create(job.Output, "")
-	if err != nil {
-		return 0, err
-	}
-	var total int64
+	// Deliver in block order, streaming each transformed block out of
+	// the run store.
 	for i := range work {
 		rc, err := outStore.Open(runKey(work[i].index))
 		if err != nil {
-			return 0, err
+			return err
 		}
-		n, err := io.Copy(wtr, rc)
+		_, err = io.Copy(w, rc)
 		rc.Close()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		outStore.Delete(runKey(work[i].index))
-		total += n
 	}
-	if err := wtr.Close(); err != nil {
-		return 0, err
-	}
-	return total, nil
+	return nil
 }
 
 // runKey names a block-indexed payload in a job's run store.

@@ -11,20 +11,17 @@ import (
 // Distributed TeraSort-style sort on the live runner: each input block
 // is sorted on the node that stores it (map phase), the sorted runs
 // land in a spill-bounded run store, and an external k-way merge
-// streams them into the output file (reduce-side merge). The paper
+// streams them into the caller's writer (reduce-side merge). The paper
 // uses the Terasort contest (§IV-A) to argue mappers are record-
 // delivery-bound; this job is the workload behind that argument. With
-// a positive Config.SpillMem watermark, the whole sort — input blocks, runs,
-// merge, output — runs in O(blockSize × mappers) memory, so datasets
-// far larger than RAM sort through the disk.
+// a positive Config.SpillMem watermark, the whole sort — input blocks,
+// runs, merge — runs in O(blockSize × mappers) memory, so datasets far
+// larger than RAM sort through the disk.
 
-// RunSort sorts a stored file of 100-byte TeraSort records into
-// output. The DFS block size must be a multiple of the record size so
-// records never straddle blocks.
-func (c *LiveCluster) RunSort(input, output string) error {
-	if output == "" {
-		return fmt.Errorf("core: sort needs an output path")
-	}
+// RunSort sorts a stored file of 100-byte TeraSort records and merges
+// the result into w. The DFS block size must be a multiple of the
+// record size so records never straddle blocks.
+func (c *LiveCluster) RunSort(input string, w io.Writer) error {
 	if c.FS.BlockSize()%kernels.SortRecordBytes != 0 {
 		return fmt.Errorf("core: block size %d is not a multiple of the %d-byte record",
 			c.FS.BlockSize(), kernels.SortRecordBytes)
@@ -63,7 +60,7 @@ func (c *LiveCluster) RunSort(input, output string) error {
 		return fmt.Errorf("core: sort %q: %w", input, commitErr)
 	}
 	// Reduce phase: external k-way merge over the spilled runs,
-	// streamed straight into the output file.
+	// streamed straight into w.
 	readers := make([]io.Reader, len(work))
 	for i := range work {
 		rc, err := runStore.Open(runKey(work[i].index))
@@ -73,12 +70,6 @@ func (c *LiveCluster) RunSort(input, output string) error {
 		defer rc.Close()
 		readers[i] = rc
 	}
-	wtr, err := c.FS.Create(output, "")
-	if err != nil {
-		return err
-	}
-	if _, err := kernels.MergeSortedStreams(wtr, readers...); err != nil {
-		return err
-	}
-	return wtr.Close()
+	_, err = kernels.MergeSortedStreams(w, readers...)
+	return err
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"hetmr/internal/kernels"
@@ -16,13 +18,11 @@ func TestRunSortEndToEnd(t *testing.T) {
 	if err := clus.FS.WriteFile("/in", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := clus.RunSort("/in", "/out"); err != nil {
+	var buf bytes.Buffer
+	if err := clus.RunSort("/in", &buf); err != nil {
 		t.Fatal(err)
 	}
-	out, err := clus.FS.ReadFile("/out")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := buf.Bytes()
 	if len(out) != len(data) {
 		t.Fatalf("output %d bytes, want %d", len(out), len(data))
 	}
@@ -38,16 +38,13 @@ func TestRunSortEndToEnd(t *testing.T) {
 func TestRunSortValidation(t *testing.T) {
 	clus, _ := NewLiveCluster(Config{Nodes: 1, BlockSize: 5000})
 	clus.FS.WriteFile("/in", kernels.GenerateSortRecords(1, 10), "")
-	if err := clus.RunSort("/in", ""); err == nil {
-		t.Error("empty output should fail")
-	}
-	if err := clus.RunSort("/missing", "/out"); !errors.Is(err, ErrNoInput) {
+	if err := clus.RunSort("/missing", io.Discard); !errors.Is(err, ErrNoInput) {
 		t.Errorf("missing input: %v", err)
 	}
 	// Block size not a record multiple.
 	bad, _ := NewLiveCluster(Config{Nodes: 1, BlockSize: 4096})
 	bad.FS.WriteFile("/in", kernels.GenerateSortRecords(1, 10), "")
-	if err := bad.RunSort("/in", "/out"); err == nil {
+	if err := bad.RunSort("/in", io.Discard); err == nil {
 		t.Error("non-multiple block size should fail")
 	}
 }
@@ -56,11 +53,11 @@ func TestRunSortSingleBlock(t *testing.T) {
 	clus, _ := NewLiveCluster(Config{Nodes: 2, BlockSize: 100_000})
 	data := kernels.GenerateSortRecords(5, 100) // fits one block
 	clus.FS.WriteFile("/in", data, "")
-	if err := clus.RunSort("/in", "/out"); err != nil {
+	var out bytes.Buffer
+	if err := clus.RunSort("/in", &out); err != nil {
 		t.Fatal(err)
 	}
-	out, _ := clus.FS.ReadFile("/out")
-	sorted, _ := kernels.RecordsSorted(out)
+	sorted, _ := kernels.RecordsSorted(out.Bytes())
 	if !sorted {
 		t.Fatal("single-block sort failed")
 	}

@@ -17,14 +17,11 @@ func runSortOn(t *testing.T, c *LiveCluster, data []byte) []byte {
 	if err := c.FS.WriteFile("/in", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunSort("/in", "/out"); err != nil {
+	var out bytes.Buffer
+	if err := c.RunSort("/in", &out); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.FS.ReadFile("/out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return out.Bytes()
 }
 
 // TestSortWithSpillMatchesInMemory pins the streaming sort's contract:
@@ -82,20 +79,14 @@ func TestStreamWithSpillMatchesInMemory(t *testing.T) {
 		if err := c.FS.WriteFile("/in", data, ""); err != nil {
 			t.Fatal(err)
 		}
-		n, err := c.RunStream(&StreamJob{
-			Name: "enc", Input: "/in", Output: "/out", Kernel: newKernel(),
-		})
-		if err != nil {
+		var out bytes.Buffer
+		if err := c.RunStream(&StreamJob{Name: "enc", Input: "/in", Kernel: newKernel()}, &out); err != nil {
 			t.Fatal(err)
 		}
-		if n != int64(len(data)) {
-			t.Fatalf("stream processed %d bytes, want %d", n, len(data))
+		if out.Len() != len(data) {
+			t.Fatalf("stream wrote %d bytes, want %d", out.Len(), len(data))
 		}
-		out, err := c.FS.ReadFile("/out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return out.Bytes()
 	}
 	mem, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 8_192})
 	if err != nil {

@@ -33,11 +33,27 @@ func tornSort() *Job {
 	return &Job{Kind: Sort, Source: bytes.NewReader(make([]byte, 5_050))}
 }
 
+// listingSink is a Sink that records the live DFS namespace at its
+// first Write, the moment the backend starts delivering the result.
+type listingSink struct {
+	list  func() []string
+	files []string
+	wrote bool
+}
+
+func (s *listingSink) Write(p []byte) (int, error) {
+	if !s.wrote {
+		s.files, s.wrote = s.list(), true
+	}
+	return len(p), nil
+}
+
 // TestStagedBlocksFreedAfterJobs pins block lifetime on the long-lived
-// runners: a job's staged input (and, on live, its output file) lives
-// exactly as long as the job, so N jobs on one runner leave the DFS as
-// empty as they found it — namespace and block stores both — and so
-// does a job that fails.
+// runners: a job's staged input lives exactly as long as the job, so N
+// jobs on one runner leave the DFS as empty as they found it —
+// namespace and block stores both — and so does a job that fails. On
+// live, a result never enters the DFS: while a Sort or Encrypt result
+// streams out, the namespace holds only the staged input.
 func TestStagedBlocksFreedAfterJobs(t *testing.T) {
 	t.Run("net", func(t *testing.T) {
 		r, err := New("net", conformanceConfig())
@@ -81,15 +97,23 @@ func TestStagedBlocksFreedAfterJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
+		fs := r.(interface{ Cluster() *core.LiveCluster }).Cluster().FS
 		for _, job := range lifetimeJobs() {
+			var sink *listingSink
+			if job.Sink != nil {
+				sink = &listingSink{list: fs.List}
+				job.Sink = sink
+			}
 			if _, err := r.Run(job); err != nil {
 				t.Fatalf("%s: %v", job.Kind, err)
+			}
+			if sink != nil && len(sink.files) != 1 {
+				t.Errorf("%s: DFS while the result streamed = %v, want only the staged input", job.Kind, sink.files)
 			}
 		}
 		if _, err := r.Run(tornSort()); err == nil {
 			t.Fatal("sort of a torn record succeeded")
 		}
-		fs := r.(interface{ Cluster() *core.LiveCluster }).Cluster().FS
 		if files := fs.List(); len(files) != 0 {
 			t.Errorf("DFS after the jobs = %v, want empty", files)
 		}

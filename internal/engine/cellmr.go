@@ -99,15 +99,10 @@ func (r *cellmrRunner) Run(job *Job) (*Result, error) {
 	if err := r.fw.RunStream(ctr, input, out); err != nil {
 		return nil, err
 	}
-	res := &Result{Backend: r.Backend(), Elapsed: time.Since(start)}
-	if job.Sink != nil {
-		n, err := job.Sink.Write(out)
-		if err != nil {
-			return nil, err
-		}
-		res.OutputBytes = int64(n)
-	} else {
-		res.Bytes = out
+	res := &Result{Backend: r.Backend()}
+	if err := job.writeOutput(res, out); err != nil {
+		return nil, err
 	}
+	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -77,9 +77,10 @@ type Job struct {
 	InputBytes int64
 	// Sink, when set on a byte-output kind (Sort, Encrypt), receives
 	// the job's output as a stream instead of Result.Bytes: the live
-	// backend copies straight out of the DFS, the net backend pulls
-	// streamed result pieces from the worker trackers. Result.Bytes
-	// stays nil and Result.OutputBytes counts what was written.
+	// backend merges or copies its committed runs into it, the net
+	// backend pulls streamed result pieces from the worker trackers.
+	// Result.Bytes stays nil and Result.OutputBytes counts what was
+	// written. A Sink error fails the job.
 	Sink io.Writer
 	// Key and IV parameterize Encrypt (AES-128/CTR). Key must be 16
 	// bytes; a nil IV selects a zero IV.
@@ -317,6 +318,44 @@ func (j *Job) inputReader() io.Reader {
 		return j.Source
 	}
 	return SyntheticReader(j.InputBytes)
+}
+
+// output returns where a byte-output job (Sort, Encrypt) writes its
+// result, and the finish that records it on the Result once written:
+// the job's Sink behind a byte counter (Result.OutputBytes), or a
+// buffer that becomes Result.Bytes. It is the one delivery path every
+// backend writes through.
+func (j *Job) output() (io.Writer, func(*Result)) {
+	if j.Sink != nil {
+		cw := &countingWriter{w: j.Sink}
+		return cw, func(res *Result) { res.OutputBytes = cw.n }
+	}
+	buf := new(bytes.Buffer)
+	return buf, func(res *Result) { res.Bytes = buf.Bytes() }
+}
+
+// writeOutput delivers a byte-output result a backend computed whole
+// through the job's output.
+func (j *Job) writeOutput(res *Result, out []byte) error {
+	w, finish := j.output()
+	if _, err := w.Write(out); err != nil {
+		return err
+	}
+	finish(res)
+	return nil
+}
+
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+// Write implements io.Writer.
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // materializeInput returns the whole dataset as bytes, reading Source

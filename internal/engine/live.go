@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -87,38 +86,10 @@ func (r *liveRunner) stageInput(job *Job) (string, error) {
 	return name, nil
 }
 
-// unstage deletes the DFS files one job staged or wrote. Run defers it
-// in every arm, so a long-lived runner's DFS holds only the jobs in
-// flight.
-func (r *liveRunner) unstage(files ...string) {
-	for _, f := range files {
-		// ErrNotFound is the one failure: a job that failed before
-		// writing its output has none to delete.
-		_ = r.clus.FS.Delete(f)
-	}
-}
-
-// deliverOutput resolves a byte-output job's result: streamed from
-// the DFS into the job's Sink, or materialized into res.Bytes.
-func (r *liveRunner) deliverOutput(job *Job, res *Result, output string) error {
-	if job.Sink == nil {
-		var err error
-		res.Bytes, err = r.clus.FS.ReadFile(output)
-		return err
-	}
-	rd, err := r.clus.FS.Open(output, "")
-	if err != nil {
-		return err
-	}
-	n, err := io.Copy(job.Sink, rd)
-	if err != nil {
-		return err
-	}
-	res.OutputBytes = n
-	return nil
-}
-
-// Run implements Runner.
+// Run implements Runner. A data job's dataset is staged into the DFS
+// and deleted when the job ends, so a long-lived runner's DFS holds
+// only the job in flight; Sort and Encrypt write their result through
+// the job's output, never into the DFS.
 func (r *liveRunner) Run(job *Job) (*Result, error) {
 	if err := r.cfg.validateJob(job); err != nil {
 		return nil, err
@@ -127,57 +98,47 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 	defer r.mu.Unlock()
 	start := time.Now()
 	res := &Result{Backend: r.Backend()}
-	switch job.Kind {
-	case Wordcount:
-		input, err := r.stageInput(job)
-		if err != nil {
+	var input string
+	if job.Kind != Pi {
+		var err error
+		if input, err = r.stageInput(job); err != nil {
 			return nil, err
 		}
-		defer r.unstage(input)
+		// Staging created the file and nothing else deletes it, so the
+		// delete cannot fail.
+		defer r.clus.FS.Delete(input)
+	}
+	switch job.Kind {
+	case Wordcount:
 		counts, err := r.clus.RunWordCount(input)
 		if err != nil {
 			return nil, err
 		}
 		res.Pairs = pairsFromCounts(counts)
 	case Sort:
-		input, err := r.stageInput(job)
-		if err != nil {
+		w, finish := job.output()
+		if err := r.clus.RunSort(input, w); err != nil {
 			return nil, err
 		}
-		output := input + ".sorted"
-		defer r.unstage(input, output)
-		if err := r.clus.RunSort(input, output); err != nil {
-			return nil, err
-		}
-		if err := r.deliverOutput(job, res, output); err != nil {
-			return nil, err
-		}
+		finish(res)
 	case Encrypt:
-		input, err := r.stageInput(job)
-		if err != nil {
-			return nil, err
-		}
-		output := input + ".aes"
-		defer r.unstage(input, output)
 		cipher, err := kernels.NewCipher(job.Key)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := r.clus.RunStream(&core.StreamJob{
-			Name:   job.title(),
-			Input:  input,
-			Output: output,
+		w, finish := job.output()
+		if err := r.clus.RunStream(&core.StreamJob{
+			Name:  job.title(),
+			Input: input,
 			Kernel: spurt.KernelFunc{
 				KernelName: "aes-ctr",
 				Fn:         kernels.CTRBlockFuncFast(cipher, job.iv()),
 			},
 			Accelerated: r.cfg.Mapper != "java",
-		}); err != nil {
+		}, w); err != nil {
 			return nil, err
 		}
-		if err := r.deliverOutput(job, res, output); err != nil {
-			return nil, err
-		}
+		finish(res)
 	case Pi:
 		tasks := piTasks(job.Samples, normalizeTasks(job.Tasks, r.cfg.Workers), job.Seed)
 		inside, total, err := r.clus.RunPiTasks(tasks)

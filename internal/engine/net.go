@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/rand"
 	"encoding/hex"
@@ -329,33 +328,27 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 // wait blocks until the job completes and decodes its result by kind.
 // A byte-stream kind (Sort, Encrypt) left its final-phase task outputs
 // on the trackers, and their concatenation in task order is the result:
-// WaitOutput pulls it one bounded chunk at a time into the Sink, or
-// into a buffer when the caller wants Result.Bytes — the JobTracker
-// never holds it. A structured kind's (Wordcount, Pi) reduced gob struct
-// rides the terminal Status reply. Either way the job is over once the
-// wait returns — collected, failed or abandoned at its deadline — and
-// its staged input is deleted, so a long-lived service's DataNodes hold
-// only the datasets of jobs in flight.
+// WaitOutput pulls it one bounded chunk at a time into the job's
+// output — the JobTracker never holds it. A structured kind's
+// (Wordcount, Pi) reduced gob struct rides the terminal Status reply.
+// Either way the job is over once the wait returns — collected, failed
+// or abandoned at its deadline — and its staged input is deleted, so a
+// long-lived service's DataNodes hold only the datasets of jobs in
+// flight.
 func (nj *netJob) wait() (*Result, error) {
 	r, job := nj.r, nj.job
 	res := &Result{Backend: r.Backend()}
 	var (
-		raw  []byte // the result, unless job.Sink received it
-		sunk int64  // bytes written to job.Sink
-		st   netmr.StatusReply
-		err  error
+		finish func(*Result) // records a byte-stream result
+		st     netmr.StatusReply
+		err    error
 	)
 	if job.Kind == Sort || job.Kind == Encrypt {
-		var buf bytes.Buffer
-		sink := job.Sink
-		if sink == nil {
-			sink = &buf
-		}
-		sunk, st, err = r.client.WaitOutput(nj.id, r.cfg.JobTimeout, sink)
-		raw = buf.Bytes()
+		var w io.Writer
+		w, finish = job.output()
+		st, err = r.client.WaitOutput(nj.id, r.cfg.JobTimeout, w)
 	} else {
 		st, err = r.client.WaitStatus(nj.id, r.cfg.JobTimeout)
-		raw = st.Result
 	}
 	if nj.input != "" {
 		if derr := r.client.DeleteFile(nj.input); err == nil {
@@ -369,19 +362,15 @@ func (nj *netJob) wait() (*Result, error) {
 	switch job.Kind {
 	case Wordcount:
 		var counts map[string]int64
-		if err := rpcnet.Unmarshal(raw, &counts); err != nil {
+		if err := rpcnet.Unmarshal(st.Result, &counts); err != nil {
 			return nil, err
 		}
 		res.Pairs = pairsFromCounts(counts)
 	case Sort, Encrypt:
-		if job.Sink == nil {
-			res.Bytes = raw
-		} else {
-			res.OutputBytes = sunk
-		}
+		finish(res)
 	case Pi:
 		var pi netmr.PiResult
-		if err := rpcnet.Unmarshal(raw, &pi); err != nil {
+		if err := rpcnet.Unmarshal(st.Result, &pi); err != nil {
 			return nil, err
 		}
 		res.Pi, res.Inside, res.Total = pi.Pi, pi.Inside, pi.Total

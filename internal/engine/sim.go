@@ -128,7 +128,7 @@ func (r *simRunner) functional(job *Job, data []byte, res *Result) error {
 		if err != nil {
 			return err
 		}
-		res.Bytes = merged
+		return job.writeOutput(res, merged)
 	case Encrypt:
 		if len(data) == 0 {
 			return nil
@@ -139,7 +139,7 @@ func (r *simRunner) functional(job *Job, data []byte, res *Result) error {
 		}
 		out := make([]byte, len(data))
 		kernels.CTRStreamFast(cipher, job.iv(), 0, out, data)
-		res.Bytes = out
+		return job.writeOutput(res, out)
 	case Pi:
 		if job.Samples > maxFunctionalPiSamples {
 			return nil // paper-scale sweep: timing-only run
@@ -240,14 +240,6 @@ func (r *simRunner) Run(job *Job) (*Result, error) {
 	}
 	if err := r.functional(job, data, res); err != nil {
 		return nil, err
-	}
-	if job.Sink != nil && res.Bytes != nil {
-		n, err := job.Sink.Write(res.Bytes)
-		if err != nil {
-			return nil, err
-		}
-		res.OutputBytes = int64(n)
-		res.Bytes = nil
 	}
 	mapperFor, err := r.mapperFor(job.Kind)
 	if err != nil {

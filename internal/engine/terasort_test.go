@@ -14,7 +14,8 @@ import (
 )
 
 // terasort at scale: these tests drive the net backend's sampled
-// range-partitioned sort end to end — random records stream in through
+// range-partitioned sort (and, in the bounded-memory smoke, live's
+// merge) end to end — random records stream in through
 // the windowed ingest path, partitions stream back in key order through
 // WaitOutput, and a constant-space checker verifies global sortedness
 // without ever materializing the dataset. TestBoundedMemoryStreamingSort
@@ -129,14 +130,14 @@ func (c *sortedChecker) check(tb testing.TB, wantBytes int64) {
 // roughly constant — the shape that makes peak heap independent of
 // total size.
 func terasortOnce(tb testing.TB, inputBytes int64, spillDir string) {
-	terasortRun(tb, inputBytes, spillDir, 8_000_000, 8<<20)
+	terasortRun(tb, "net", inputBytes, spillDir, 8_000_000, 8<<20)
 }
 
-// terasortRun is terasortOnce with the two memory knobs exposed:
-// partBytes is the target reduce-partition size (the per-task working
-// set) and spillMem the per-store watermark (which also sizes the
-// ingest and fetch credit windows).
-func terasortRun(tb testing.TB, inputBytes int64, spillDir string, partBytes, spillMem int64) {
+// terasortRun is terasortOnce on any backend with the two memory knobs
+// exposed: partBytes is the target reduce-partition size (the per-task
+// working set; net only) and spillMem the per-store watermark (which on
+// net also sizes the ingest and fetch credit windows).
+func terasortRun(tb testing.TB, backend string, inputBytes int64, spillDir string, partBytes, spillMem int64) {
 	tb.Helper()
 	reducers := int(inputBytes / partBytes)
 	if reducers < 2 {
@@ -151,7 +152,7 @@ func terasortRun(tb testing.TB, inputBytes int64, spillDir string, partBytes, sp
 		JobTimeout:    10 * time.Minute,
 	}
 	check := &sortedChecker{}
-	res, err := RunOnce("net", cfg, &Job{
+	res, err := RunOnce(backend, cfg, &Job{
 		Kind:   Sort,
 		Seed:   2009,
 		Source: newSortRecordSource(2009, inputBytes),
@@ -168,12 +169,14 @@ func terasortRun(tb testing.TB, inputBytes int64, spillDir string, partBytes, sp
 
 // TestBoundedMemoryStreamingSort is the terasort analogue of
 // TestBoundedMemoryStreaming (the CI mem-smoke lane's -run prefix
-// covers both): a dataset many times the spill watermark range-sorts
-// end to end under a hard Go memory limit, and the streamed output is
-// verified globally sorted with zero post-reduce merge. GOGC is pinned
-// low so sampled heap tracks the live working set instead of the GC
-// target riding up to the limit — the assertion is on what the
-// pipeline retains, not on how lazy the collector feels.
+// covers both): on net and live, a dataset many times the spill
+// watermark sorts end to end under a hard Go memory limit, and the
+// streamed output is verified globally sorted — net's range partitions
+// concatenated with zero post-reduce merge, live's spilled runs merged
+// straight into the Sink. GOGC is pinned low so sampled heap tracks the
+// live working set instead of the GC target riding up to the limit —
+// the assertion is on what the pipeline retains, not on how lazy the
+// collector feels.
 func TestBoundedMemoryStreamingSort(t *testing.T) {
 	oldLimit := debug.SetMemoryLimit(256 << 20)
 	defer debug.SetMemoryLimit(oldLimit)
@@ -184,13 +187,17 @@ func TestBoundedMemoryStreamingSort(t *testing.T) {
 		input   = 40_000_000 // 40 MB of 100-byte records
 		peakCap = 128 << 20
 	)
-	peak := samplePeakHeap(func() {
-		terasortRun(t, input, t.TempDir(), 2_000_000, 2<<20)
-	})
-	t.Logf("peak_heap_MB=%.1f input_MB=%d", float64(peak)/(1<<20), input/1_000_000)
-	if peak > peakCap {
-		t.Fatalf("peak heap %.1f MB exceeds the %d MB bound for a %d MB range-partitioned sort",
-			float64(peak)/(1<<20), peakCap>>20, input/1_000_000)
+	for _, backend := range []string{"net", "live"} {
+		t.Run(backend, func(t *testing.T) {
+			peak := samplePeakHeap(func() {
+				terasortRun(t, backend, input, t.TempDir(), 2_000_000, 2<<20)
+			})
+			t.Logf("peak_heap_MB=%.1f input_MB=%d", float64(peak)/(1<<20), input/1_000_000)
+			if peak > peakCap {
+				t.Fatalf("peak heap %.1f MB exceeds the %d MB bound for a %d MB streamed sort",
+					float64(peak)/(1<<20), peakCap>>20, input/1_000_000)
+			}
+		})
 	}
 }
 

@@ -357,12 +357,11 @@ const outputChunkBytes = 1 << 20
 // is repaired by re-running the tasks). Each piece is pulled in bounded chunks straight from the
 // worker tracker's shuffle store: the client's peak memory is O(chunk)
 // regardless of output size and the JobTracker never touches the
-// output bytes. Returns the bytes written to w and the job's terminal
-// status.
-func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (int64, StatusReply, error) {
+// output bytes. Returns the job's terminal status.
+func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (StatusReply, error) {
 	st, err := c.WaitStatus(jobID, timeout)
 	if err != nil {
-		return 0, st, err
+		return st, err
 	}
 	// Release whichever way the stream ends: a fetch or sink error
 	// cannot be retried through this call anyway, and without the
@@ -372,29 +371,25 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (in
 	// correctness.
 	defer c.Kill(jobID, "")
 	if len(st.Outputs) == 0 {
-		return 0, st, fmt.Errorf("netmr: job %d has no stored outputs: its kernel is structured and its result is StatusReply.Result", jobID)
+		return st, fmt.Errorf("netmr: job %d has no stored outputs: its kernel is structured and its result is StatusReply.Result", jobID)
 	}
-	var total int64
 	chunk := make([]byte, 0, outputChunkBytes) // the one resident chunk, reused for the whole stream
 	for _, ref := range st.Outputs {
 		if ref.Addr == "" {
-			return total, st, fmt.Errorf("netmr: job %d output piece (%d,%d) has no location", jobID, ref.MapTask, ref.Part)
+			return st, fmt.Errorf("netmr: job %d output piece (%d,%d) has no location", jobID, ref.MapTask, ref.Part)
 		}
-		n, err := c.streamOutputPiece(jobID, ref, w, chunk)
-		total += n
-		if err != nil {
-			return total, st, fmt.Errorf("netmr: job %d stream output (%d,%d) from %s: %w",
+		if err := c.streamOutputPiece(jobID, ref, w, chunk); err != nil {
+			return st, fmt.Errorf("netmr: job %d stream output (%d,%d) from %s: %w",
 				jobID, ref.MapTask, ref.Part, ref.Addr, err)
 		}
 	}
-	return total, st, nil
+	return st, nil
 }
 
 // streamOutputPiece pulls one stored output piece in ranges of
 // cap(chunk) bytes — each lands in chunk — and writes each to w as it
 // lands.
-func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer, chunk []byte) (int64, error) {
-	var total int64
+func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer, chunk []byte) error {
 	for off := int64(0); ; {
 		var rep FetchPartitionReply
 		data, err := c.wire.bulk(ref.Addr, "FetchPartition", FetchPartitionArgs{
@@ -402,16 +397,14 @@ func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer, c
 			Offset: off, MaxBytes: int64(cap(chunk)),
 		}, nil, &rep, chunk[:0])
 		if err != nil {
-			return total, err
+			return err
 		}
-		n, werr := w.Write(data)
-		total += int64(n)
-		if werr != nil {
-			return total, werr
+		if _, err := w.Write(data); err != nil {
+			return err
 		}
 		off += int64(len(data))
 		if off >= rep.Size || len(data) == 0 {
-			return total, nil
+			return nil
 		}
 	}
 }

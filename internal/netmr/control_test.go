@@ -405,8 +405,8 @@ func TestJobTrackerForgetsOldJobs(t *testing.T) {
 	// The unreleased streamed job is still whole, and once read and
 	// released it is forgotten like any other.
 	var out bytes.Buffer
-	if n, _, err := c.Client.WaitOutput(streamed, 10*time.Second, &out); err != nil || n != int64(len(plain)) {
-		t.Fatalf("streamed output after %d later jobs: %d bytes, %v", jobs, n, err)
+	if _, err := c.Client.WaitOutput(streamed, 10*time.Second, &out); err != nil || out.Len() != len(plain) {
+		t.Fatalf("streamed output after %d later jobs: %d bytes, %v", jobs, out.Len(), err)
 	}
 	if _, err := submitAndWait(c.Client, JobSpec{Name: "tiny", Kernel: "pi", Samples: 100, NumTasks: 2}, 10*time.Second); err != nil {
 		t.Fatal(err)

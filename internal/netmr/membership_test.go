@@ -38,8 +38,13 @@ func trackerStateOf(jt *JobTracker, id string) string {
 // first heartbeats — no restart, no static wiring — and takes real
 // work.
 func TestAddWorkerJoinsAtRuntime(t *testing.T) {
+	// Every task, the newcomer's (worker 2) included, sleeps 10 ms
+	// first, so the job spans several ticks. Bare pi tasks take about
+	// 0.1 ms: one tracker's completion-driven beats could pull all 30
+	// inside one 30 ms tick, before the newcomer's first beat asks.
+	taskTime := 10 * time.Millisecond
 	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1024, Heartbeat: 30 * time.Millisecond,
-		Racks: 2})
+		Racks: 2, TaskDelays: []time.Duration{taskTime, taskTime, taskTime}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +132,7 @@ func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
 	var cipherText bytes.Buffer
 	collected := make(chan error, 1)
 	go func() {
-		_, _, err := c.Client.WaitOutput(id, 15*time.Second, &cipherText)
+		_, err := c.Client.WaitOutput(id, 15*time.Second, &cipherText)
 		collected <- err
 	}()
 	// Retire worker 2 while the job is in flight: the drain must let

@@ -32,7 +32,7 @@ func collect(t *testing.T, c *Client, spec JobSpec) []byte {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if _, _, err := c.WaitOutput(id, 30*time.Second, &out); err != nil {
+	if _, err := c.WaitOutput(id, 30*time.Second, &out); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()

@@ -48,14 +48,17 @@ func startService(t *testing.T, cfg Config) *Cluster {
 // work, and (b) every concurrent result is bit-identical
 // to the same job submitted sequentially afterwards.
 func TestServiceFairShareAcrossTenants(t *testing.T) {
+	// Every task sleeps 1 ms first, so a grant wave outlasts the
+	// poller's 0.5 ms nap: bare pi tasks finish in microseconds, and on
+	// a busy box the poller could wake only after bob's last grant.
 	clus := startService(t, Config{Workers: 2, BlockSize: 64_000, Quotas: map[string]Quota{
 		"alice": {Weight: 1},
 		"bob":   {Weight: 3},
-	}})
+	}, TaskDelays: []time.Duration{time.Millisecond, time.Millisecond}})
 	client := clus.Client
 
-	// Two jobs per tenant, identical work shapes: 100 sub-millisecond
-	// tasks each, so grant counts are the workload in both cases.
+	// Two jobs per tenant, identical work shapes: 100 tasks of about
+	// 1 ms each, so grant counts are the workload in both cases.
 	const tasksPerJob = 100
 	specs := map[string]JobSpec{}
 	ids := map[string]int64{}

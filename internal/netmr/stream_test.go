@@ -188,7 +188,7 @@ func TestWaitOutputRejectsInlineJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Client.WaitOutput(id, 30*time.Second, io.Discard); err == nil {
+	if _, err := c.Client.WaitOutput(id, 30*time.Second, io.Discard); err == nil {
 		t.Fatal("WaitOutput on an inline job succeeded")
 	}
 }
