@@ -116,7 +116,7 @@ lint: vet hetlint loc-gate
 	fi
 
 # hetlint runs the project-invariant analyzer suite (lockheldcall,
-# gobreg, configdrop, mustclose) over the whole module. It mirrors the
+# configdrop, mustclose) over the whole module. It mirrors the
 # CI lint-custom lane and needs nothing beyond the Go toolchain.
 hetlint:
 	$(GO) run ./cmd/hetlint ./...
@@ -130,7 +130,7 @@ loc:
 # count is the same on every machine, so a PR that grows the tree must
 # raise LOC_MAX in its own diff, where review sees it; one that shrinks
 # it lowers LOC_MAX to the new `make loc`.
-LOC_MAX := 19558
+LOC_MAX := 19082
 loc-gate:
 	@n="$$($(MAKE) -s --no-print-directory loc)"; \
 	echo "non-test Go lines outside bench/: $$n (LOC_MAX $(LOC_MAX))"; \

@@ -1,9 +1,9 @@
 // Command hetlint runs the project-invariant analyzer suite
-// (internal/analysis) over the module: lockheldcall, gobreg,
-// configdrop and mustclose. It loads and type-checks the module from
-// source — no module downloads, no build cache — and prints findings
-// as file:line:col: [analyzer] message, exiting non-zero when any
-// survive the //hetlint:ignore directives.
+// (internal/analysis) over the module: lockheldcall, configdrop and
+// mustclose. It loads and type-checks the module from source — no
+// module downloads, no build cache — and prints findings as
+// file:line:col: [analyzer] message, exiting non-zero when any survive
+// the //hetlint:ignore directives.
 //
 // Usage:
 //

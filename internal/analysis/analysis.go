@@ -1,4 +1,4 @@
-// Package analysis is hetmr's project-invariant analyzer suite: four
+// Package analysis is hetmr's project-invariant analyzer suite: three
 // custom static analyzers encoding the rules this codebase keeps
 // re-learning the hard way, runnable over the whole module by
 // cmd/hetlint and unit-tested against fixtures by the analysistest
@@ -10,10 +10,6 @@
 //     file I/O, time.Sleep, channel sends — while a sync.Mutex or
 //     RWMutex acquired in the same function is held (the PR-3
 //     JobTracker bug class).
-//   - gobreg: every value that flows into the gob wire layer (rpcnet
-//     Marshal/Unmarshal/Call) must be gob-encodable, decode targets
-//     must be pointers, and interface-typed components need a
-//     gob.Register of at least one concrete implementation.
 //   - configdrop: every exported engine.Config / engine.Job field must
 //     be referenced by each registered backend's code or explicitly
 //     acknowledged — silently dropped knobs (the PR-4/PR-6 bug class)
@@ -50,23 +46,16 @@ import (
 	"strings"
 )
 
-// Analyzer is one static check: a name, documentation, a per-package
-// Run pass, and an optional whole-program Finish pass for invariants
-// that span packages (e.g. gob registrations living in a different
-// package than the RPC call site).
+// Analyzer is one static check: a name, documentation and a
+// per-package Run pass.
 type Analyzer struct {
 	// Name identifies the analyzer in reports and in
 	// //hetlint:ignore directives.
 	Name string
 	// Doc is the one-paragraph description hetlint -list prints.
 	Doc string
-	// Run analyzes one package. It reports findings through the pass
-	// and may stash cross-package state in Pass.Shared.
+	// Run analyzes one package. It reports findings through the pass.
 	Run func(*Pass) error
-	// Finish, when non-nil, runs once after every package's Run pass
-	// completed, for program-wide conclusions. It receives the same
-	// Shared map the passes populated.
-	Finish func(prog *Program, shared map[string]any, report func(Diagnostic))
 }
 
 // Pass carries one analyzer's view of one package, mirroring
@@ -84,9 +73,6 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Prog is the whole loaded program (module packages only).
 	Prog *Program
-	// Shared persists across this analyzer's passes within one Run of
-	// the driver — the framework's stand-in for x/tools facts.
-	Shared map[string]any
 
 	report func(Diagnostic)
 }
@@ -122,7 +108,6 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 	for _, a := range analyzers {
-		shared := make(map[string]any)
 		for _, pkg := range prog.Packages {
 			pass := &Pass{
 				Analyzer:  a,
@@ -131,15 +116,11 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Pkg:       pkg.Pkg,
 				TypesInfo: pkg.Info,
 				Prog:      prog,
-				Shared:    shared,
 				report:    report,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
-		}
-		if a.Finish != nil {
-			a.Finish(prog, shared, report)
 		}
 	}
 	diags = prog.filterSuppressed(diags)
@@ -158,7 +139,7 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full hetlint analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{LockHeldCall, GobReg, ConfigDrop, MustClose}
+	return []*Analyzer{LockHeldCall, ConfigDrop, MustClose}
 }
 
 // filterSuppressed drops findings whose line (or the line above) holds

@@ -15,17 +15,6 @@ func TestMustClose(t *testing.T) {
 	analysistest.Run(t, analysis.MustClose, "mustclose")
 }
 
-func TestGobReg(t *testing.T) {
-	analysistest.Run(t, analysis.GobReg, "gobreg")
-}
-
-// TestGobRegRegistered is a separate fixture program: gob.Register
-// resolution is program-wide, so the registered and unregistered
-// cases must not share one load.
-func TestGobRegRegistered(t *testing.T) {
-	analysistest.Run(t, analysis.GobReg, "gobregok")
-}
-
 func TestConfigDrop(t *testing.T) {
 	analysistest.Run(t, analysis.ConfigDrop, "configdrop")
 }

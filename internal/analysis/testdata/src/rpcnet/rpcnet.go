@@ -32,9 +32,3 @@ func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst [
 
 // Close mirrors Client.Close.
 func (c *Client) Close() error { return nil }
-
-// Marshal mirrors rpcnet.Marshal.
-func Marshal(v any) ([]byte, error) { return nil, nil }
-
-// Unmarshal mirrors rpcnet.Unmarshal.
-func Unmarshal(data []byte, v any) error { return nil }

@@ -79,7 +79,8 @@ func TestDFSBlockBytesSkipGob(t *testing.T) {
 
 // wireSamples is one value of every message type the daemons exchange —
 // each Args/Reply of types.go — plus the gob bodies that ride inside
-// them: word-count results, Pi results and AES job arguments.
+// them: the word-count and pi kernels' map partials and results, and
+// AES job arguments.
 func wireSamples() map[string]any {
 	return map[string]any{
 		"RegisterArgs": RegisterArgs{}, "RegisterReply": RegisterReply{},
@@ -101,7 +102,8 @@ func wireSamples() map[string]any {
 		"StatusArgs": StatusArgs{}, "StatusReply": StatusReply{},
 		"KillArgs": KillArgs{}, "KillReply": KillReply{},
 		"ListJobsArgs": ListJobsArgs{}, "ListJobsReply": ListJobsReply{},
-		"map[string]int64": map[string]int64{}, "PiResult": PiResult{}, "AESArgs": AESArgs{},
+		"wordCountPartial": wordCountPartial{}, "map[string]int64": map[string]int64{},
+		"piPartial": piPartial{}, "PiResult": PiResult{}, "AESArgs": AESArgs{},
 	}
 }
 
@@ -147,7 +149,9 @@ func fill(v reflect.Value) {
 // a body, not its bytes. For every message type, zero and filled,
 // Marshal writes what a fresh gob.Encoder writes, and a warm Unmarshal
 // decodes what a fresh gob.Decoder decodes. types.go is parsed so a new
-// Args or Reply type cannot be left out.
+// Args or Reply type cannot be left out, and a field rpcnet refuses (a
+// func, chan or interface, which gob would skip or need registered)
+// fails it.
 func TestPrimedMarshalMatchesGob(t *testing.T) {
 	samples := wireSamples()
 	file, err := parser.ParseFile(token.NewFileSet(), "types.go", nil, 0)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -244,8 +245,9 @@ func (c *Client) SetCallTimeout(d time.Duration) {
 }
 
 // Call invokes method on the server, gob-encoding arg and decoding
-// the response into result (which may be nil to discard it). It
-// applies the client's default timeout (SetCallTimeout). Safe for
+// the response into result (which may be nil to discard it). An arg or
+// result whose type Marshal refuses fails the call before it is sent.
+// It applies the client's default timeout (SetCallTimeout). Safe for
 // concurrent use; concurrent calls share the pool's connections.
 func (c *Client) Call(method string, arg, result any) error {
 	return c.CallTimeout(method, arg, result, time.Duration(c.timeout.Load()))
@@ -273,6 +275,9 @@ func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst [
 	defer putBuf(bodyBuf)
 	if err := marshalTo(bodyBuf, arg); err != nil {
 		return dst, err
+	}
+	if _, err := codecFor(reflect.TypeOf(result)); err != nil {
+		return dst, err // refused before the call costs the server anything
 	}
 
 	cc, err := c.conn()

@@ -2,17 +2,18 @@ package rpcnet
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 )
 
 // Primed gob codecs. A fresh gob.Encoder writes a type's definitions
 // ahead of every value, and a fresh gob.Decoder compiles the type for
-// every message. So each type whose encoding holds no interface (its
-// bytes then depend on the value alone) caches its definition bytes and
-// free lists of encoders and decoders that have sent or consumed them.
+// every message. So each type caches its definition bytes and free
+// lists of encoders and decoders that have sent or consumed them.
 // Marshal writes the definitions and has a primed encoder write the
 // value message: a fresh encoder's bytes, every frame self-contained.
 // Unmarshal gives a primed decoder only a body that opens with exactly
@@ -20,15 +21,21 @@ import (
 // process whose gob numbered its types differently, a malformed one)
 // takes a fresh decoder. A codec that errs is dropped, never reused;
 // the free lists are slices, which unlike a sync.Pool survive GC.
+//
+// The cache also holds each type's verdict from wireCheck, the rule for
+// what may cross rpcnet at all: a type it refuses is never encoded or
+// decoded, primed or fresh.
 const (
 	maxCodecTypes = 256     // a body is decoded only by its caller's type, so a peer cannot grow the cache
 	maxIdleCodecs = 16      // per free list
 	maxPrimedMsg  = 8 << 10 // a codec that handled more keeps a buffer that big: drop it
 )
 
-// codecType is one cached type; ok is false when the type cannot be
-// primed, and its bodies take fresh codecs.
+// codecType is one cached type. err is why the type cannot cross the
+// wire; ok is true when it is primed. A type that crosses but cannot be
+// primed takes fresh codecs.
 type codecType struct {
+	err  error
 	ok   bool
 	zero reflect.Value // the type's zero, behind non-nil pointers
 	body []byte        // a fresh encoder's body for zero
@@ -45,10 +52,12 @@ var (
 	codecCount int        // guarded by codecMu
 )
 
-// codecFor returns t's primed codecs, nil for the fresh path.
-func codecFor(t reflect.Type) *codecType {
+// codecFor returns t's primed codecs, nil for the fresh path, and an
+// error if t cannot cross the wire. Past the cache's cap, t is checked
+// on every call.
+func codecFor(t reflect.Type) (*codecType, error) {
 	if t == nil {
-		return nil
+		return nil, nil // gob reports a nil value itself
 	}
 	v, found := codecTypes.Load(t)
 	if !found {
@@ -60,15 +69,23 @@ func codecFor(t reflect.Type) *codecType {
 		}
 		codecMu.Unlock()
 	}
-	if ct, _ := v.(*codecType); found && ct.ok {
-		return ct
+	if !found {
+		return nil, wireCheck(t)
 	}
-	return nil
+	ct := v.(*codecType)
+	if !ct.ok {
+		return nil, ct.err
+	}
+	return ct, nil
 }
 
-// newCodecType encodes t's zero twice on one encoder: the first body is
-// definitions plus value message, the second the value message alone.
+// newCodecType checks t, then encodes its zero twice on one encoder:
+// the first body is definitions plus value message, the second the
+// value message alone.
 func newCodecType(t reflect.Type) *codecType {
+	if err := wireCheck(t); err != nil {
+		return &codecType{err: err}
+	}
 	base := t
 	for base.Kind() == reflect.Pointer {
 		base = base.Elem()
@@ -81,7 +98,7 @@ func newCodecType(t reflect.Type) *codecType {
 	}
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
-	if holdsInterface(base, map[reflect.Type]bool{}) || enc.EncodeValue(ct.zero) != nil {
+	if enc.EncodeValue(ct.zero) != nil {
 		return ct
 	}
 	first := buf.Len()
@@ -94,27 +111,68 @@ func newCodecType(t reflect.Type) *codecType {
 	return ct
 }
 
-// holdsInterface reports whether t's gob encoding can hold an interface.
-func holdsInterface(t reflect.Type, seen map[reflect.Type]bool) bool {
-	switch t.Kind() {
-	case reflect.Interface:
-		return true
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return holdsInterface(t.Elem(), seen)
-	case reflect.Map:
-		return holdsInterface(t.Key(), seen) || holdsInterface(t.Elem(), seen)
-	case reflect.Struct:
-		if seen[t] {
-			return false
+var (
+	gobEncoder      = reflect.TypeFor[gob.GobEncoder]()
+	binaryMarshaler = reflect.TypeFor[encoding.BinaryMarshaler]()
+)
+
+// wireCheck is the rule for what crosses rpcnet: no func, chan,
+// interface or unsafe.Pointer anywhere in t, and no struct with fields
+// but none exported. Gob silently skips a func or chan field, sends what
+// an interface holds only after a gob.Register, and refuses the rest at
+// the first value; this refuses them all at the first use of the type,
+// with the field that broke it. A type that encodes itself (GobEncoder,
+// BinaryMarshaler — gob ignores TextMarshaler) is opaque to gob and passes.
+func wireCheck(t reflect.Type) error {
+	field, bad := refusedPart(t, "", map[reflect.Type]bool{})
+	if bad == nil {
+		return nil
+	}
+	where, what := "it", bad.String()
+	if field != "" {
+		where = "field " + field
+	}
+	if bad.Kind() == reflect.Struct {
+		what += ", a struct with no exported fields"
+	}
+	return fmt.Errorf("rpcnet: type %v cannot cross the wire: %s holds %s", t, where, what)
+}
+
+// refusedPart returns the first component of t that wireCheck refuses
+// and the path of exported fields that reaches it; nil if none.
+func refusedPart(t reflect.Type, field string, seen map[reflect.Type]bool) (string, reflect.Type) {
+	if seen[t] {
+		return "", nil
+	}
+	seen[t] = true
+	pt := reflect.PointerTo(t)
+	switch k := t.Kind(); {
+	case k == reflect.Func || k == reflect.Chan || k == reflect.Interface || k == reflect.UnsafePointer:
+		return field, t
+	case t.Implements(gobEncoder) || t.Implements(binaryMarshaler) || pt.Implements(gobEncoder) || pt.Implements(binaryMarshaler):
+		return "", nil
+	case k == reflect.Pointer || k == reflect.Slice || k == reflect.Array:
+		return refusedPart(t.Elem(), field, seen)
+	case k == reflect.Map:
+		if f, bad := refusedPart(t.Key(), field, seen); bad != nil {
+			return f, bad
 		}
-		seen[t] = true
-		for i := 0; i < t.NumField(); i++ {
-			if f := t.Field(i); f.IsExported() && holdsInterface(f.Type, seen) {
-				return true
+		return refusedPart(t.Elem(), field, seen)
+	case k == reflect.Struct:
+		exported := t.NumField() == 0
+		for i := range t.NumField() {
+			if f := t.Field(i); f.IsExported() {
+				exported = true
+				if f, bad := refusedPart(f.Type, strings.TrimPrefix(field+"."+f.Name, "."), seen); bad != nil {
+					return f, bad
+				}
 			}
 		}
+		if !exported {
+			return field, t
+		}
 	}
-	return false
+	return "", nil
 }
 
 // primedEncoder has sent its type's definitions; it writes to out,
@@ -169,6 +227,8 @@ func release[C any](ct *codecType, list *[]C, c C, n int) {
 }
 
 // Marshal gob-encodes v: exactly the bytes a fresh gob.Encoder writes.
+// It refuses a type that cannot cross the wire (wireCheck), naming the
+// field.
 func Marshal(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := marshalTo(&buf, v); err != nil {
@@ -180,8 +240,11 @@ func Marshal(v any) ([]byte, error) {
 // marshalTo appends v's gob encoding to buf — the pooled-buffer encode
 // path Call and the server dispatcher use.
 func marshalTo(buf *bytes.Buffer, v any) error {
-	var err error
-	if ct := codecFor(reflect.TypeOf(v)); ct == nil {
+	ct, err := codecFor(reflect.TypeOf(v))
+	if err != nil {
+		return err
+	}
+	if ct == nil {
 		err = gob.NewEncoder(buf).Encode(v)
 	} else if pe, ok := take(ct, &ct.encs, ct.primeEncoder); !ok {
 		err = gob.NewEncoder(buf).Encode(v)
@@ -201,11 +264,15 @@ func marshalTo(buf *bytes.Buffer, v any) error {
 	return nil
 }
 
-// Unmarshal gob-decodes data into v (a pointer). It succeeds exactly
-// when a fresh gob.Decoder does, with the same result.
+// Unmarshal gob-decodes data into v (a pointer). Unless it refuses v's
+// type as Marshal does, it succeeds exactly when a fresh gob.Decoder
+// does, with the same result.
 func Unmarshal(data []byte, v any) error {
-	var err error
-	if ct := codecFor(reflect.TypeOf(v)); ct == nil || !valueFollows(data, ct.defs) {
+	ct, err := codecFor(reflect.TypeOf(v))
+	if err != nil {
+		return err
+	}
+	if ct == nil || !valueFollows(data, ct.defs) {
 		err = gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 	} else if pd, ok := take(ct, &ct.decs, ct.primeDecoder); !ok {
 		err = gob.NewDecoder(bytes.NewReader(data)).Decode(v)

@@ -3,12 +3,16 @@ package rpcnet
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // nested covers what the netmr messages are built from: nested
@@ -75,7 +79,7 @@ func TestPrimedCodecsMatchFreshGob(t *testing.T) {
 			}
 		}
 	}
-	if ct := codecFor(reflect.TypeOf(&nested{})); ct == nil || len(ct.decs) == 0 {
+	if ct, _ := codecFor(reflect.TypeOf(&nested{})); ct == nil || len(ct.decs) == 0 {
 		t.Error("a warm Unmarshal into *nested left no primed decoder behind")
 	}
 }
@@ -86,23 +90,108 @@ func ptrTo(v any) any {
 	return p.Interface()
 }
 
-// TestPrimedCodecsSkipInterfaces: a type holding an interface encodes
-// differently once its encoder has sent the concrete type, so it is
-// never primed — and still round-trips.
-func TestPrimedCodecsSkipInterfaces(t *testing.T) {
-	type boxed struct{ V any }
-	gob.Register(echoArg{})
-	if codecFor(reflect.TypeOf(boxed{})) != nil {
-		t.Fatal("a struct with an interface field was primed")
-	}
-	for i := 0; i < 2; i++ {
-		body, err := Marshal(boxed{V: echoArg{Msg: "x"}})
-		if err != nil || !bytes.Equal(body, freshMarshal(t, boxed{V: echoArg{Msg: "x"}})) {
-			t.Fatalf("Marshal = %x, err %v", body, err)
+// hidden has a field, but none gob would send.
+type hidden struct{ n int }
+
+// tree refers to itself, through a pointer and through a slice.
+type tree struct {
+	Val  int64
+	Kids []tree
+	Next *tree
+}
+
+// refusedTypes is one struct per shape the wire refuses, each with the
+// offending component in its field Bad: a chan, func, interface and
+// unsafe.Pointer, bare and under a pointer, a slice and a map value,
+// and a struct with no exported fields.
+func refusedTypes() []reflect.Type {
+	var out []reflect.Type
+	for _, bad := range []reflect.Type{
+		reflect.TypeFor[chan int](), reflect.TypeFor[func()](), reflect.TypeFor[any](), reflect.TypeFor[unsafe.Pointer](),
+	} {
+		for _, wrap := range []func(reflect.Type) reflect.Type{
+			func(t reflect.Type) reflect.Type { return t },
+			reflect.PointerTo,
+			reflect.SliceOf,
+			func(t reflect.Type) reflect.Type { return reflect.MapOf(reflect.TypeFor[string](), t) },
+		} {
+			out = append(out, reflect.StructOf([]reflect.StructField{
+				{Name: "ID", Type: reflect.TypeFor[int64]()}, {Name: "Bad", Type: wrap(bad)},
+			}))
 		}
-		var out boxed
-		if err := Unmarshal(body, &out); err != nil || out.V != (echoArg{Msg: "x"}) {
-			t.Fatalf("round trip = %+v, err %v", out, err)
+	}
+	return append(out, reflect.TypeFor[struct {
+		ID  int64
+		Bad hidden
+	}]())
+}
+
+// TestWireRefusesWhatGobCannotCarry: Marshal, Unmarshal and Call refuse
+// every refused type, value or pointer, with an error naming the field,
+// and the call sends no frame; a handler whose reply is refused answers
+// with a RemoteError on a connection that goes on serving. What gob
+// encodes itself, an empty struct, a recursive type and a map pass.
+func TestWireRefusesWhatGobCannotCarry(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var served atomic.Int64
+	s.Handle("count", func([]byte) (any, error) {
+		served.Add(1)
+		return echoReply{Msg: "ok"}, nil
+	})
+	var reply atomic.Value // the reflect.Type handler "reply" answers with
+	s.Handle("reply", func([]byte) (any, error) {
+		return reflect.Zero(reply.Load().(reflect.Type)).Interface(), nil
+	})
+	c, err := Dial(s.Addr(), withPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	body := freshMarshal(t, struct{ ID int64 }{7}) // a fresh decoder fills ID and skips Bad
+
+	for _, typ := range refusedTypes() {
+		for _, typ := range []reflect.Type{typ, reflect.PointerTo(typ)} {
+			zero := reflect.New(typ)
+			checks := map[string]error{}
+			_, checks["Marshal"] = Marshal(zero.Elem().Interface())
+			checks["Unmarshal"] = Unmarshal(body, zero.Interface())
+			checks["Call arg"] = c.Call("count", zero.Elem().Interface(), nil)
+			checks["Call result"] = c.Call("count", echoArg{}, zero.Interface())
+			for what, err := range checks {
+				if err == nil || !strings.Contains(err.Error(), "field Bad holds") {
+					t.Errorf("%s of %v: err %v, want one naming field Bad", what, typ, err)
+				}
+			}
+			if n := served.Load(); n != 0 {
+				t.Fatalf("%v: %d refused calls reached the server", typ, n)
+			}
+
+			reply.Store(typ)
+			var re *RemoteError
+			if err := c.Call("reply", echoArg{}, nil); !errors.As(err, &re) || !strings.Contains(re.Msg, "field Bad holds") {
+				t.Errorf("a handler replying %v: err %v, want a RemoteError naming field Bad", typ, err)
+			}
+		}
+	}
+	if err := c.Call("count", echoArg{}, nil); err != nil || served.Load() != 1 {
+		t.Fatalf("a call after the refusals: err %v, served %d", err, served.Load())
+	}
+	if _, err := Marshal(hidden{n: 1}); err == nil || !strings.Contains(err.Error(), "no exported fields") {
+		t.Errorf("Marshal(hidden) err %v, want one saying it has no exported fields", err)
+	}
+
+	for _, v := range []any{time.Unix(1e9, 5).UTC(), struct{}{}, tree{Val: 1, Kids: []tree{{Val: 2}}, Next: &tree{Val: 3}}, map[string]int64{"x": 1}} {
+		got, err := Marshal(v)
+		if err != nil || !bytes.Equal(got, freshMarshal(t, v)) {
+			t.Fatalf("Marshal(%T) = %x, err %v; want a fresh encoder's bytes", v, got, err)
+		}
+		out := reflect.New(reflect.TypeOf(v))
+		if err := Unmarshal(got, out.Interface()); err != nil || !reflect.DeepEqual(out.Elem().Interface(), v) {
+			t.Fatalf("%T round trip = %+v, err %v", v, out.Elem(), err)
 		}
 	}
 }
@@ -119,7 +208,7 @@ func TestFailedDecoderIsDropped(t *testing.T) {
 	if err := Unmarshal(good, &v); err != nil {
 		t.Fatal(err)
 	}
-	ct := codecFor(reflect.TypeOf(&v))
+	ct, _ := codecFor(reflect.TypeOf(&v))
 	if len(ct.decs) != 1 {
 		t.Fatalf("%d idle decoders after one decode, want 1", len(ct.decs))
 	}
@@ -142,7 +231,8 @@ func TestFailedDecoderIsDropped(t *testing.T) {
 
 // TestCodecCacheIsCapped: 300 distinct types, each with its own
 // definition bytes, leave at most maxCodecTypes cached; the ones past
-// the cap still round-trip through fresh codecs.
+// the cap still round-trip through fresh codecs, and refused types are
+// still refused.
 func TestCodecCacheIsCapped(t *testing.T) {
 	var added []reflect.Type
 	t.Cleanup(func() {
@@ -173,6 +263,15 @@ func TestCodecCacheIsCapped(t *testing.T) {
 	codecMu.Unlock()
 	if n > maxCodecTypes {
 		t.Errorf("%d cached codec types, want at most %d", n, maxCodecTypes)
+	}
+	refused := reflect.New(reflect.StructOf([]reflect.StructField{ // a type no other test caches
+		{Name: "PastTheCap", Type: reflect.TypeFor[int64]()}, {Name: "Bad", Type: reflect.TypeFor[[]any]()},
+	}))
+	_, merr := Marshal(refused.Interface())
+	for _, err := range []error{merr, Unmarshal(nil, refused.Interface())} {
+		if err == nil || !strings.Contains(err.Error(), "field Bad holds") {
+			t.Errorf("%v with the cache full: err %v, want one naming field Bad", refused.Type(), err)
+		}
 	}
 }
 
