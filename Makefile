@@ -51,15 +51,17 @@ bench-compare:
 # fuzz-smoke mirrors the CI fuzz lane: short coverage-led mutation
 # over the rpcnet wire decoders, the primed gob decoder (checked
 # against a fresh gob.Decoder), the radix sort (checked against the
-# stable comparison sort it replaced), the word-count table (checked
-# against the map-based counter it replaced) and the SPE-offloaded word
-# count (checked against the host kernel).
+# stable comparison sort it replaced), the loser-tree merge (both entry
+# points checked against the scan merge it replaced), the word-count
+# table (checked against the map-based counter it replaced) and the
+# SPE-offloaded word count (checked against the host kernel).
 fuzz-smoke:
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadHello -fuzztime 5s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzServeConn -fuzztime 10s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzUnmarshalPrimed -fuzztime 10s
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzSortedRecords -fuzztime 10s
+	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzMergeSorted -fuzztime 10s
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzWordCount -fuzztime 10s
 	$(GO) test ./internal/netmr -run='^$$' -fuzz FuzzAccelWordCount -fuzztime 10s
 

@@ -1,136 +1,136 @@
 package kernels
 
 import (
-	"bufio"
-	"bytes"
-	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// External k-way merge of sorted TeraSort record runs. The runs are
-// io.Readers — in-memory buffers, spilled run files, network streams —
-// and the merge holds one record per run plus a small heap, so memory
-// stays O(k·recordSize) no matter how large the runs are. This is the
-// reduce-side merge behind both the live runner's sort (over spilled
-// run files) and the netmr sort kernel (over fetched partition
-// pieces).
+// The reduce side of every backend's sort: one loser tree over k
+// sorted record runs, keyed by SortedRecords' packed form (key bytes
+// 0–7 as a big-endian uint64, then bytes 8–9, then the run index), so
+// a record costs log2(k) integer compares and one copy, and equal keys
+// drain lower-indexed runs first on every backend.
 
-// mergeBufBytes is the per-run read-ahead; a few records' worth keeps
-// syscall counts low without hoarding memory.
-const mergeBufBytes = 16 * 1024
+// mergeWindow (160 records) is a stream's read window and Write size.
+const mergeWindow = 160 * SortRecordBytes
 
-// runCursor is one run's read head: the current record plus its
-// source index (the tie-breaker that keeps the merge stable, matching
-// the historical scan-based merge bit for bit).
-type runCursor struct {
-	r   *bufio.Reader
-	rec [SortRecordBytes]byte
-	idx int
+// mergeRun is one run's head.
+type mergeRun struct {
+	hi, lo   uint64    // packed key of win's first record
+	win, buf []byte    // records in hand; a stream's window
+	r        io.Reader // nil once nothing more can be read
 }
 
-// advance loads the cursor's next record. It reports false at a clean
-// run end and errors when a run ends mid-record.
-func (c *runCursor) advance() (bool, error) {
-	_, err := io.ReadFull(c.r, c.rec[:])
-	if err == io.EOF {
-		return false, nil
-	}
-	if err == io.ErrUnexpectedEOF {
-		return false, fmt.Errorf("%w: run %d ends mid-record", ErrRecordSize, c.idx)
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+// merger is a loser tree: tree[0] is the run with the smallest head,
+// tree[p] (0 < p < k) the loser at the node over 2p and 2p+1.
+type merger struct {
+	runs []mergeRun
+	tree []int
+	live int
 }
 
-// cursorHeap orders cursors by current key, ties broken by run index
-// so equal keys drain lower-indexed runs first — the exact order the
-// scan merge produced.
-type cursorHeap []*runCursor
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	c := bytes.Compare(h[i].rec[:SortKeyBytes], h[j].rec[:SortKeyBytes])
-	if c != 0 {
-		return c < 0
-	}
-	return h[i].idx < h[j].idx
-}
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*runCursor)) }
-func (h *cursorHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
-}
-
-// MergeSortedStreams merges independently sorted record streams into w
-// and returns the bytes written. Each run must be a whole number of
-// 100-byte records in key order; the output interleaves them into one
-// globally sorted stream. Memory use is O(len(runs)·recordSize): this
-// is the external-merge kernel that lets a sort's reduce phase run
-// over spilled runs far larger than RAM.
-func MergeSortedStreams(w io.Writer, runs ...io.Reader) (int64, error) {
-	bw := bufio.NewWriterSize(w, mergeBufBytes)
-	h := make(cursorHeap, 0, len(runs))
-	for i, r := range runs {
-		c := &runCursor{r: bufio.NewReaderSize(r, mergeBufBytes), idx: i}
-		ok, err := c.advance()
+// load packs run i's head, refilling an empty window from its stream.
+// A finished run packs as all ones, after any real head (its lo holds
+// a run index below 1<<48); a torn tail is ErrRecordSize.
+func (m *merger) load(i int) error {
+	r := &m.runs[i]
+	if len(r.win) == 0 && r.r != nil {
+		n, err := io.ReadFull(r.r, r.buf)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			r.r, err = nil, nil
+		}
 		if err != nil {
+			return err
+		}
+		r.win = r.buf[:n]
+	}
+	switch {
+	case len(r.win) == 0:
+		r.hi, r.lo = ^uint64(0), ^uint64(0)
+		m.live--
+	case len(r.win) < SortRecordBytes:
+		return fmt.Errorf("%w: run %d ends mid-record", ErrRecordSize, i)
+	default:
+		r.hi = binary.BigEndian.Uint64(r.win)
+		r.lo = uint64(r.win[8])<<56 | uint64(r.win[9])<<48 | uint64(i)
+	}
+	return nil
+}
+
+// play replays run i's head from its leaf to the root. While the tree
+// is built, a node still holding -1 parks the head for the other side.
+func (m *merger) play(i int) {
+	tree, hi, lo := m.tree, m.runs[i].hi, m.runs[i].lo
+	for p := (i + len(tree)) >> 1; p > 0; p >>= 1 {
+		if tree[p] < 0 {
+			tree[p] = i
+			return
+		}
+		if o := &m.runs[tree[p]]; o.hi < hi || o.hi == hi && o.lo < lo {
+			tree[p], i, hi, lo = i, tree[p], o.hi, o.lo
+		}
+	}
+	tree[0] = i
+}
+
+// merge drains the runs into out, whole when w is nil, else as a window
+// handed to w each time it fills and at the end.
+func (m *merger) merge(out []byte, w io.Writer) (written int64, err error) {
+	m.live, m.tree = len(m.runs), make([]int, len(m.runs))
+	for p := range m.tree {
+		m.tree[p] = -1
+	}
+	for i := range m.runs {
+		if err := m.load(i); err != nil {
 			return 0, err
 		}
-		if ok {
-			h = append(h, c)
-		}
+		m.play(i)
 	}
-	heap.Init(&h)
-	var written int64
-	for h.Len() > 0 {
-		c := h[0]
-		if _, err := bw.Write(c.rec[:]); err != nil {
+	for n := 0; m.live > 0; {
+		i := m.tree[0]
+		r := &m.runs[i]
+		*(*[SortRecordBytes]byte)(out[n:]) = *(*[SortRecordBytes]byte)(r.win)
+		r.win, n = r.win[SortRecordBytes:], n+SortRecordBytes
+		if err := m.load(i); err != nil {
 			return written, err
 		}
-		written += SortRecordBytes
-		ok, err := c.advance()
-		if err != nil {
-			return written, err
+		m.play(i)
+		if w != nil && (n == len(out) || m.live == 0) {
+			nw, err := w.Write(out[:n])
+			if written += int64(nw); err != nil {
+				return written, err
+			}
+			n = 0
 		}
-		if ok {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return written, err
 	}
 	return written, nil
 }
 
-// MergeSortedRuns merges independently sorted in-memory runs (the map
-// outputs) into one sorted buffer — the reduce-side merge. It is the
-// materialized convenience over MergeSortedStreams; callers with runs
-// on disk should merge the streams directly.
+// MergeSortedStreams merges sorted streams of whole 100-byte records
+// into one sorted stream on w and returns the bytes written, holding one
+// window per run: a reduce can merge spilled runs larger than RAM.
+func MergeSortedStreams(w io.Writer, runs ...io.Reader) (int64, error) {
+	slab := make([]byte, (len(runs)+1)*mergeWindow)
+	m := &merger{runs: make([]mergeRun, len(runs))}
+	for i, r := range runs {
+		m.runs[i] = mergeRun{r: r, buf: slab[i*mergeWindow : (i+1)*mergeWindow]}
+	}
+	return m.merge(slab[len(runs)*mergeWindow:], w)
+}
+
+// MergeSortedRuns merges sorted in-memory runs (the map outputs), read
+// in place, into one new buffer of exactly their total size.
 func MergeSortedRuns(runs [][]byte) ([]byte, error) {
+	m := &merger{runs: make([]mergeRun, len(runs))}
 	var total int
-	for _, r := range runs {
-		if len(r)%SortRecordBytes != 0 {
-			return nil, fmt.Errorf("%w: run of %d bytes", ErrRecordSize, len(r))
-		}
+	for i, r := range runs {
+		m.runs[i].win = r
 		total += len(r)
 	}
-	readers := make([]io.Reader, len(runs))
-	for i, r := range runs {
-		readers[i] = bytes.NewReader(r)
-	}
-	var out bytes.Buffer
-	out.Grow(total)
-	if _, err := MergeSortedStreams(&out, readers...); err != nil {
+	out := make([]byte, total)
+	if _, err := m.merge(out, nil); err != nil {
 		return nil, err
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
