@@ -66,13 +66,17 @@ fuzz-smoke:
 	$(GO) test ./internal/netmr -run='^$$' -fuzz FuzzAccelWordCount -fuzztime 10s
 
 # examples-smoke runs what tier-1 only compiles: each program under
-# examples/ (keyed to a paper section) must exit 0; the first that does
-# not fails the target.
+# examples/ (keyed to a paper section) must exit 0, and so must
+# cellbench's -live runs, which drive the node-level Cell framework
+# (internal/cellmr) and the SPE runtime end to end and check their
+# output; the first that does not fails the target.
 examples-smoke:
 	@for d in examples/*/; do \
 		echo "go run ./$$d"; \
 		$(GO) run ./$$d >/dev/null || exit 1; \
 	done
+	$(GO) run ./cmd/cellbench -workload enc -size 1 -live >/dev/null
+	$(GO) run ./cmd/cellbench -workload pi -samples 1000000 -live >/dev/null
 
 # mem-smoke mirrors the CI bounded-memory lane: above-watermark
 # synthetic datasets streamed through the live and net backends under
@@ -132,7 +136,7 @@ loc:
 # count is the same on every machine, so a PR that grows the tree must
 # raise LOC_MAX in its own diff, where review sees it; one that shrinks
 # it lowers LOC_MAX to the new `make loc`.
-LOC_MAX := 19082
+LOC_MAX := 18960
 loc-gate:
 	@n="$$($(MAKE) -s --no-print-directory loc)"; \
 	echo "non-test Go lines outside bench/: $$n (LOC_MAX $(LOC_MAX))"; \

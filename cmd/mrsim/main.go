@@ -1,8 +1,7 @@
 // Command mrsim runs ad-hoc jobs on any registered MapReduce backend:
 // pick a backend, a workload, a mapper variant and a cluster size, and
 // get either the calibrated model's makespan and runtime statistics
-// (backend sim) or a real execution's results (backends live, net,
-// cellmr).
+// (backend sim) or a real execution's results (backends live and net).
 //
 //	mrsim -nodes 16 -workload enc -mapper cell -gb-per-mapper 1
 //	mrsim -nodes 50 -workload pi -mapper java -samples 1e11
@@ -22,6 +21,7 @@ package main
 
 import (
 	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +44,7 @@ func main() {
 	speculative := flag.Bool("speculative", false, "enable speculative execution (sim, live and net)")
 	maxAttempts := flag.Int("max-attempts", 0, "per-task attempt cap, 0 = scheduler default (sim, live and net)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline, 0 = engine default (net)")
-	timeline := flag.Bool("timeline", false, "print a task-attempt Gantt chart (sim)")
+	timeline := flag.Bool("timeline", false, "print a task-attempt Gantt chart (sim only; other backends refuse it)")
 	input := flag.String("input", "", "stream this file from disk through Job.Source instead of a synthetic dataset (data workloads; remote submission too)")
 	output := flag.String("output", "", "stream the job's output to this file through Job.Sink (sort and enc; remote submission too)")
 	spillMem := flag.Int64("spill-mem", 0, "data-plane spill watermark in bytes: 0 keeps everything in memory, -1 spills every payload (live and net)")
@@ -79,13 +79,14 @@ func main() {
 		Speculative:   *speculative,
 		MaxAttempts:   *maxAttempts,
 		JobTimeout:    *jobTimeout,
-		Timeline:      *timeline,
 		SpillMemBytes: spill,
 		SpillCompress: *spillCompress,
 		Racks:         *racks,
 	}
 	var err error
 	switch {
+	case *timeline && (*backend != "sim" || *serveMode || *nn != "" || *jt != ""):
+		err = errors.New("-timeline needs -backend sim: it draws the simulated JobTracker's task log")
 	case *serveMode:
 		cfg.MappersPerNode, cfg.BlockSize = *slots, *blockSize
 		err = serve(cfg, *quotas)
@@ -109,7 +110,7 @@ func main() {
 		if err == nil {
 			job.Tenant = *tenant
 			err = wireStreams(job, *input, *output, func(job *engine.Job) error {
-				return run(open, header, job)
+				return run(open, header, job, *timeline)
 			})
 		}
 	}
@@ -187,8 +188,9 @@ func buildJob(backend, wl string, cfg engine.Config, gbPerMapper, mb float64,
 	return job, nil
 }
 
-// run opens the client, runs the job on it and prints the result.
-func run(open func() (*engine.Client, error), header string, job *engine.Job) error {
+// run opens the client, runs the job on it and prints the result, with
+// the sim backend's task Gantt chart when timeline is set.
+func run(open func() (*engine.Client, error), header string, job *engine.Job, timeline bool) error {
 	c, err := open()
 	if err != nil {
 		return err
@@ -212,9 +214,9 @@ func run(open func() (*engine.Client, error), header string, job *engine.Job) er
 		fmt.Printf("  energy          %.1f kJ (%.4f kWh)\n",
 			s.EnergyJoules/1e3, s.EnergyJoules/3.6e6)
 		fmt.Printf("  slot use        %.0f%% of map-slot time\n", 100*s.SlotUtilization)
-		if s.Timeline != "" {
+		if timeline {
 			fmt.Println()
-			fmt.Print(s.Timeline)
+			fmt.Print(s.Timeline(100))
 		}
 	} else {
 		fmt.Printf("  wall time       %v\n", res.Elapsed)

@@ -47,8 +47,8 @@ func main() {
 	}
 }
 
-// checkConformance runs the same wordcount, sort and pi jobs on every
-// full backend through the engine registry and verifies the results
+// checkConformance runs the same wordcount, sort, pi and encrypt jobs on
+// every registered backend through the engine and verifies the results
 // agree — the figures below are only trustworthy if the runners they
 // are drawn from compute the same thing.
 func checkConformance() error {
@@ -67,7 +67,7 @@ func checkConformance() error {
 			Key:   []byte("repro-conf-key!!"),
 		},
 	}
-	backends := []string{"live", "sim", "net"}
+	backends := engine.Backends()
 	fmt.Printf("cross-backend conformance (%v):\n", backends)
 	// One booted cluster per backend, reused for every job.
 	results := make(map[string][]*engine.Result)

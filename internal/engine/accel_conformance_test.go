@@ -98,19 +98,13 @@ func TestNoSilentConfigDrop(t *testing.T) {
 	}{
 		{"live", Config{Mapper: "empty"}},
 		{"net", Config{Mapper: "empty"}},
-		{"cellmr", Config{Mapper: "java"}},
-		{"cellmr", Config{Mapper: "empty"}},
-		{"cellmr", Config{AccelFraction: 0.5}},
-		{"cellmr", Config{AccelFraction: NoAcceleration}},
 		{"live", Config{Quotas: map[string]Quota{"a": {MaxJobs: 1}}}},
 		{"sim", Config{Quotas: map[string]Quota{"a": {MaxJobs: 1}}}},
-		{"cellmr", Config{Mapper: "cell", Quotas: map[string]Quota{"a": {MaxJobs: 1}}}},
 		// SpillCompress with no watermark: nothing spills, so nothing
 		// would be compressed on any backend.
 		{"live", Config{SpillCompress: true}},
 		{"sim", Config{SpillCompress: true}},
 		{"net", Config{SpillCompress: true}},
-		{"cellmr", Config{SpillCompress: true}},
 	}
 	for _, tc := range unsupported {
 		r, err := New(tc.backend, tc.cfg)
@@ -131,7 +125,6 @@ func TestNoSilentConfigDrop(t *testing.T) {
 		{"sim", Config{Mapper: "empty"}},
 		{"net", Config{Workers: 1, Mapper: "java", AccelFraction: 0.5}},
 		{"net", Config{Workers: 1, Quotas: map[string]Quota{"a": {Weight: 2, MaxJobs: 4}}}},
-		{"cellmr", Config{Mapper: "cell"}},
 		{"live", Config{Workers: 1, SpillMemBytes: 10_000, SpillDir: t.TempDir(), SpillCompress: true}},
 	}
 	for _, tc := range supported {

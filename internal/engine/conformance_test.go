@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,8 +15,8 @@ import (
 // every registered backend, must produce identical results — the live
 // in-process cluster, the calibrated simulation and the TCP-backed
 // distributed runtime agree bit-for-bit on wordcount, sort, pi and
-// encrypt. Backends that cannot express a kind (ErrUnsupported) are
-// skipped for that kind only.
+// encrypt. Every backend runs every kind, so an error from any of them
+// (ErrUnsupported included) fails the suite.
 
 // conformanceConfig is shared by every backend so block boundaries
 // (and with them map-task decomposition) agree.
@@ -78,12 +77,12 @@ func conformanceCases() []conformanceCase {
 	}
 }
 
-func runOn(t *testing.T, backend string, job *Job) (*Result, bool) {
+func runOn(t *testing.T, backend string, job *Job) *Result {
 	t.Helper()
 	return runOnConfig(t, backend, conformanceConfig(), job)
 }
 
-func runOnConfig(t *testing.T, backend string, cfg Config, job *Job) (*Result, bool) {
+func runOnConfig(t *testing.T, backend string, cfg Config, job *Job) *Result {
 	t.Helper()
 	r, err := New(backend, cfg)
 	if err != nil {
@@ -91,35 +90,20 @@ func runOnConfig(t *testing.T, backend string, cfg Config, job *Job) (*Result, b
 	}
 	defer r.Close()
 	res, err := r.Run(job)
-	if errors.Is(err, ErrUnsupported) {
-		return nil, false
-	}
 	if err != nil {
 		t.Fatalf("%s: %s: %v", backend, job.Kind, err)
 	}
-	return res, true
+	return res
 }
 
 func TestCrossBackendConformance(t *testing.T) {
-	required := []string{"live", "sim", "net"}
+	backends := Backends()
 	for _, c := range conformanceCases() {
 		job := c.job
 		t.Run(c.name, func(t *testing.T) {
-			results := make(map[string]*Result)
-			for _, backend := range append(append([]string{}, required...), "cellmr") {
-				if res, ok := runOn(t, backend, job); ok {
-					results[backend] = res
-				} else if backend != "cellmr" {
-					t.Fatalf("backend %s does not support required kind %s", backend, job.Kind)
-				}
-			}
-			// Every required backend must have run the job.
-			ref := results[required[0]]
-			for backend, res := range results {
-				if backend == required[0] {
-					continue
-				}
-				assertSameResult(t, job.Kind, required[0], ref, backend, res)
+			ref := runOn(t, backends[0], job)
+			for _, backend := range backends[1:] {
+				assertSameResult(t, job.Kind, backends[0], ref, backend, runOn(t, backend, job))
 			}
 		})
 	}
@@ -142,10 +126,7 @@ func testRacksConformance(t *testing.T) {
 	for _, backend := range []string{"live", "sim", "net"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			want, ok := runOnConfig(t, backend, flat, job)
-			if !ok {
-				t.Fatalf("%s does not support %s", backend, job.Kind)
-			}
+			want := runOnConfig(t, backend, flat, job)
 			r, err := New(backend, racked)
 			if err != nil {
 				t.Fatalf("New with Racks: %v", err)
@@ -208,19 +189,13 @@ func testNetResultPaths(t *testing.T) {
 				cfg.BlockSize, cfg.Reducers = 200, 8 // 5 records over 3 maps and 8 reduces
 			}
 			// Live takes the block size and ignores the net-only knobs.
-			want, ok := runOnConfig(t, "live", Config{Workers: cfg.Workers, BlockSize: cfg.BlockSize}, tc.job)
-			if !ok {
-				t.Fatalf("live does not support %s", tc.job.Kind)
-			}
+			want := runOnConfig(t, "live", Config{Workers: cfg.Workers, BlockSize: cfg.BlockSize}, tc.job)
 			job := *tc.job
 			var sunk bytes.Buffer
 			if tc.sink {
 				job.Sink = &sunk
 			}
-			got, ok := runOnConfig(t, "net", cfg, &job)
-			if !ok {
-				t.Fatalf("net does not support %s", job.Kind)
-			}
+			got := runOnConfig(t, "net", cfg, &job)
 			if tc.sink {
 				if got.OutputBytes != int64(sunk.Len()) {
 					t.Fatalf("OutputBytes %d, sink holds %d", got.OutputBytes, sunk.Len())
@@ -259,7 +234,7 @@ func TestNetBulkBytesNeverCrossJobTracker(t *testing.T) {
 		defer r.Close()
 		jt := r.(interface{ Cluster() *netmr.Cluster }).Cluster().JT
 		for _, job := range tc.jobs {
-			want, _ := runOnConfig(t, "live", cfg, job)
+			want := runOnConfig(t, "live", cfg, job)
 			before := jt.DataPlaneBytes()
 			got, err := r.Run(job)
 			if err != nil {
@@ -306,6 +281,32 @@ func TestSimReportsModelStats(t *testing.T) {
 	}
 	if res.Sim.EnergyJoules <= 0 {
 		t.Fatalf("modelled energy %v, want > 0", res.Sim.EnergyJoules)
+	}
+}
+
+// TestSimTimelineRendersTaskLog pins the Gantt chart as a sim result:
+// a sim run's Timeline draws one row per task stat under its header,
+// and the functional backends return no SimStats to draw from.
+func TestSimTimelineRendersTaskLog(t *testing.T) {
+	job := &Job{Kind: Wordcount, Input: corpus()[:20_000]}
+	res := runOn(t, "sim", job)
+	if res.Sim == nil {
+		t.Fatal("sim backend returned no SimStats")
+	}
+	chart := res.Sim.Timeline(60)
+	lines := strings.Split(strings.TrimSuffix(chart, "\n"), "\n")
+	if rows := len(lines) - 1; rows != res.Sim.Tasks || rows == 0 {
+		t.Fatalf("timeline has %d rows after its header, want one per task stat (%d):\n%s", rows, res.Sim.Tasks, chart)
+	}
+	for _, row := range lines[1:] {
+		if _, canvas, _ := strings.Cut(row, "|"); !strings.ContainsAny(canvas, "mMrR") {
+			t.Errorf("timeline row %q draws no attempt", row)
+		}
+	}
+	for _, backend := range []string{"live", "net"} {
+		if res := runOn(t, backend, job); res.Sim != nil {
+			t.Errorf("%s returned SimStats %+v, want nil", backend, res.Sim)
+		}
 	}
 }
 

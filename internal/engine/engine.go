@@ -1,14 +1,14 @@
 // Package engine is the backend-agnostic MapReduce layer: one Job
 // description, one Runner interface, one named-backend registry. The
-// repo grows three full runners of the paper's architecture — the live
+// registry holds the paper's three cluster runtimes — the live
 // in-process two-level cluster (internal/core), the calibrated
 // discrete-event simulation (internal/hadoop on internal/sim) and the
-// socket-backed distributed system (internal/netmr) — plus the
-// node-level Cell framework (internal/cellmr). Every example, command
-// and benchmark selects among them through this package instead of
-// hand-wiring a bespoke call path per backend, and a shared
-// conformance suite holds all backends to identical results for the
-// same job.
+// socket-backed distributed system (internal/netmr) — and each runs
+// every job Kind. Every example, command and benchmark selects among
+// them through this package instead of hand-wiring a call path per
+// backend, and a shared conformance suite holds all backends to
+// identical results for the same job. The node-level Cell framework
+// (internal/cellmr) is a library that Figure 2 and cmd/cellbench call.
 //
 // Two call shapes exist. RunOnce (and Runner.Run) is the one-shot
 // path: boot a backend, run one job, tear it down. Client is the
@@ -27,6 +27,7 @@ import (
 	"sort"
 	"time"
 
+	"hetmr/internal/hadoop"
 	"hetmr/internal/kernels"
 )
 
@@ -171,8 +172,14 @@ type SimStats struct {
 	EnergyJoules float64
 	// SlotUtilization is the busy fraction of map-slot time.
 	SlotUtilization float64
-	// Timeline is a rendered task Gantt chart (when requested).
-	Timeline string
+	// run is the simulated JobTracker's task log Timeline renders.
+	run *hadoop.JobResult
+}
+
+// Timeline renders the job's task attempts as a text Gantt chart
+// width columns wide: one header line, then one row per attempt.
+func (s *SimStats) Timeline(width int) string {
+	return hadoop.RenderTimeline(s.run, width)
 }
 
 // Result is a finished job. Which fields are set depends on the kind:
@@ -221,8 +228,8 @@ type Result struct {
 type Runner interface {
 	// Backend reports the registered backend name.
 	Backend() string
-	// Run executes one job. Jobs a backend cannot express return an
-	// error wrapping ErrUnsupported.
+	// Run executes one job. A job the backend's configuration cannot
+	// honour returns an error wrapping ErrUnsupported.
 	Run(job *Job) (*Result, error)
 	// Close tears the backend's cluster down.
 	Close() error
@@ -356,17 +363,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// materializeInput returns the whole dataset as bytes, reading Source
-// when the job streams. For backends that need the full buffer
-// (cellmr's single-node framework, the simulator's functional pass).
-func (j *Job) materializeInput() ([]byte, error) {
-	if len(j.Input) > 0 {
-		return j.Input, nil
-	}
-	if j.Source != nil {
-		return io.ReadAll(j.Source)
-	}
-	return syntheticInput(j.InputBytes), nil
 }

@@ -8,7 +8,7 @@ import (
 
 func TestBackendsRegistered(t *testing.T) {
 	got := Backends()
-	want := []string{"cellmr", "live", "net", "sim"}
+	want := []string{"live", "net", "sim"}
 	if len(got) != len(want) {
 		t.Fatalf("Backends() = %v, want %v", got, want)
 	}
@@ -81,18 +81,6 @@ func TestJobValidate(t *testing.T) {
 		if err := j.Validate(); err != nil {
 			t.Errorf("job %+v rejected: %v", j, err)
 		}
-	}
-}
-
-func TestUnsupportedKind(t *testing.T) {
-	r, err := New("cellmr", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	_, err = r.Run(&Job{Kind: Wordcount, Input: []byte("a b c")})
-	if !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("cellmr wordcount error %v, want ErrUnsupported", err)
 	}
 }
 

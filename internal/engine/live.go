@@ -40,9 +40,6 @@ func init() {
 		if cfg.Mapper == "empty" {
 			return nil, fmt.Errorf("%w: mapper \"empty\" models pure runtime overhead and only exists on the sim backend", ErrUnsupported)
 		}
-		if cfg.Timeline {
-			return nil, fmt.Errorf("%w: Timeline is rendered from the simulated JobTracker's task log and only exists on the sim backend", ErrUnsupported)
-		}
 		if len(cfg.Quotas) > 0 {
 			return nil, fmt.Errorf("%w: per-tenant quotas only exist on the net backend's job service", ErrUnsupported)
 		}
@@ -147,8 +144,6 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 		}
 		res.Inside, res.Total = inside, total
 		res.Pi = kernels.EstimatePi(inside, total)
-	default:
-		return nil, fmt.Errorf("%w: %s on live", ErrUnsupported, job.Kind)
 	}
 	if stats := r.clus.LastStats(); stats != nil {
 		res.TaskCounts = stats.Counts()

@@ -45,14 +45,11 @@ type netRunner struct {
 	seq int
 }
 
-// netRejects refuses the sim-only knobs, for the booted and the
-// attached runner alike.
+// netRejects refuses the sim-only "empty" mapper, for the booted and
+// the attached runner alike.
 func netRejects(cfg Config) error {
 	if cfg.Mapper == "empty" {
 		return fmt.Errorf("%w: mapper \"empty\" models pure runtime overhead and only exists on the sim backend", ErrUnsupported)
-	}
-	if cfg.Timeline {
-		return fmt.Errorf("%w: Timeline is rendered from the simulated JobTracker's task log and only exists on the sim backend", ErrUnsupported)
 	}
 	return nil
 }
@@ -280,8 +277,6 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 		spec.Samples = job.Samples
 		spec.NumTasks = normalizeTasks(job.Tasks, r.workers)
 		spec.Seed = seed
-	default:
-		return spec, fmt.Errorf("%w: %s on net", ErrUnsupported, job.Kind)
 	}
 	return spec, nil
 }

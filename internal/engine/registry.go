@@ -17,10 +17,11 @@ import (
 // ErrUnknownBackend is wrapped by New for unregistered names.
 var ErrUnknownBackend = errors.New("engine: unknown backend")
 
-// ErrUnsupported is wrapped by Runner.Run when a backend cannot
-// express the requested job kind (e.g. string-keyed word count on the
-// fixed-size-record Cell framework).
-var ErrUnsupported = errors.New("engine: job kind not supported by backend")
+// ErrUnsupported is wrapped when a backend cannot honour a configuration
+// (the "empty" mapper off sim, Quotas off net, a Sink on a dataset sim
+// only models) or a Kill or Status without a job service; every backend
+// runs every job Kind.
+var ErrUnsupported = errors.New("engine: configuration not supported by backend")
 
 // Config parameterizes a backend at construction time. The zero value
 // selects sensible defaults everywhere.
@@ -32,8 +33,9 @@ type Config struct {
 	// record, so Sort jobs work out of the box). All backends must
 	// agree on it for block-boundary semantics to agree.
 	BlockSize int64
-	// MappersPerNode bounds concurrent mappers per node on the live
-	// backend (default: the paper's 2).
+	// MappersPerNode bounds concurrent map tasks per node (default: the
+	// paper's 2): live's node slots, net's netmr.Config.Slots and sim's
+	// hadoop.Config.MapSlots.
 	MappersPerNode int
 	// Reducers is the net backend's distributed reduce-task count for
 	// its shuffling kinds, Wordcount and Sort (0: one reduce task per
@@ -50,9 +52,7 @@ type Config struct {
 	// fallback elsewhere. The live backend offloads only Encrypt —
 	// its Pi jobs always run the host path so results stay
 	// bit-identical across backends, and wordcount/sort have no
-	// accelerated kernel there. cellmr is the accelerated node
-	// framework itself and rejects "java"/"empty" with
-	// ErrUnsupported.
+	// accelerated kernel there.
 	Mapper string
 	// AccelFraction is the fraction of nodes carrying accelerators
 	// (live, simulated and net backends; on net it decides which
@@ -104,9 +104,6 @@ type Config struct {
 	// withDefaults rejects the pair rather than accept a knob that does
 	// nothing. Nothing on the wire is compressed.
 	SpillCompress bool
-	// Timeline requests a rendered task Gantt chart in Result.Sim
-	// (simulated backend).
-	Timeline bool
 	// Quotas installs per-tenant fair-share weights and admission
 	// limits on the net backend's JobTracker (see Quota). Only the net
 	// backend runs a multi-tenant service; the others reject a

@@ -33,10 +33,7 @@ func TestConformanceWithSpeculationAndStraggler(t *testing.T) {
 			for _, c := range conformanceCases() {
 				job := c.job
 				t.Run(c.name, func(t *testing.T) {
-					ref, ok := runOn(t, backend, job)
-					if !ok {
-						t.Fatalf("%s does not support %s", backend, job.Kind)
-					}
+					ref := runOn(t, backend, job)
 					r, err := New(backend, stragglerConfig())
 					if err != nil {
 						t.Fatal(err)
@@ -78,10 +75,7 @@ func TestSpeculationOnOffBitIdentical(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			for _, c := range conformanceCases() {
 				job := c.job
-				off, ok := runOn(t, backend, job)
-				if !ok {
-					continue
-				}
+				off := runOn(t, backend, job)
 				cfg := conformanceConfig()
 				cfg.Speculative = true
 				r, err := New(backend, cfg)

@@ -265,9 +265,7 @@ func (r *simRunner) Run(job *Job) (*Result, error) {
 		InputBytes:           jr.InputBytes,
 		EnergyJoules:         jr.EnergyJoules,
 		SlotUtilization:      hadoop.SlotUtilization(jr, r.cfg.Workers, r.cfg.MappersPerNode),
-	}
-	if r.cfg.Timeline {
-		res.Sim.Timeline = hadoop.RenderTimeline(jr, 100)
+		run:                  jr,
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"hetmr/internal/kernels"
@@ -28,7 +27,7 @@ func streamingConfig(t *testing.T) Config {
 // runStreaming executes kind on backend with the dataset arriving via
 // Source and (for byte kinds) leaving via Sink, returning a Result
 // shaped like the materialized path for SameResult.
-func runStreaming(t *testing.T, backend string, cfg Config, kind Kind, data []byte) (*Result, bool) {
+func runStreaming(t *testing.T, backend string, cfg Config, kind Kind, data []byte) *Result {
 	t.Helper()
 	job := &Job{Kind: kind, Source: bytes.NewReader(data)}
 	var sink bytes.Buffer
@@ -45,9 +44,6 @@ func runStreaming(t *testing.T, backend string, cfg Config, kind Kind, data []by
 	}
 	defer r.Close()
 	res, err := r.Run(job)
-	if errors.Is(err, ErrUnsupported) {
-		return nil, false
-	}
 	if err != nil {
 		t.Fatalf("%s: streaming %s: %v", backend, kind, err)
 	}
@@ -60,7 +56,7 @@ func runStreaming(t *testing.T, backend string, cfg Config, kind Kind, data []by
 		}
 		res.Bytes = sink.Bytes()
 	}
-	return res, true
+	return res
 }
 
 func TestStreamingConformance(t *testing.T) {
@@ -80,15 +76,9 @@ func TestStreamingConformance(t *testing.T) {
 				job.Key = []byte("conformance-key!")
 				job.IV = []byte("conformance-iv!!")
 			}
-			ref, ok := runOn(t, "live", job)
-			if !ok {
-				t.Fatal("live cannot run the reference job")
-			}
-			for _, backend := range []string{"live", "net", "sim", "cellmr"} {
-				res, ok := runStreaming(t, backend, streamingConfig(t), kind, data)
-				if !ok {
-					continue // backend cannot express the kind
-				}
+			ref := runOn(t, "live", job)
+			for _, backend := range Backends() {
+				res := runStreaming(t, backend, streamingConfig(t), kind, data)
 				if err := SameResult(kind, ref, res); err != nil {
 					t.Fatalf("streaming %s on %s diverges from materialized live: %v", kind, backend, err)
 				}
@@ -104,8 +94,8 @@ func TestStreamingConformance(t *testing.T) {
 func TestSyntheticGeneratorConformance(t *testing.T) {
 	cfg := streamingConfig(t)
 	job := func() *Job { return &Job{Kind: Wordcount, InputBytes: 30_000} }
-	ref, ok := runOn(t, "live", job())
-	if !ok || len(ref.Pairs) == 0 {
+	ref := runOn(t, "live", job())
+	if len(ref.Pairs) == 0 {
 		t.Fatal("live produced no pairs for a synthetic dataset")
 	}
 	for _, backend := range []string{"net", "sim"} {

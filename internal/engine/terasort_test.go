@@ -233,20 +233,14 @@ func TestRangePartitionSortConformance(t *testing.T) {
 	input := kernels.GenerateSortRecords(7, 3_000)
 	job := func() *Job { return &Job{Kind: Sort, Input: append([]byte(nil), input...)} }
 
-	ref, ok := runOn(t, "live", job())
-	if !ok {
-		t.Fatal("live backend must support sort")
-	}
+	ref := runOn(t, "live", job())
 
 	for _, reducers := range []int{1, 5} {
 		reducers := reducers
 		t.Run(fmt.Sprintf("reducers=%d", reducers), func(t *testing.T) {
 			cfg := conformanceConfig()
 			cfg.Reducers = reducers
-			res, ok := runOnConfig(t, "net", cfg, job())
-			if !ok {
-				t.Fatal("net backend must support sort")
-			}
+			res := runOnConfig(t, "net", cfg, job())
 			if !bytes.Equal(ref.Bytes, res.Bytes) {
 				t.Fatalf("range-partitioned net sort differs from live hash sort (%d vs %d bytes)",
 					len(res.Bytes), len(ref.Bytes))

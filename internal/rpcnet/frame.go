@@ -167,19 +167,25 @@ func readFrame(br *bufio.Reader) (frame, error) {
 	return fr, nil
 }
 
-// readPart reads the next n bytes of a frame into a pooled buffer.
+// readPart reads the next n bytes of a frame into a pooled buffer,
+// filling the capacity it has and growing it in steps no larger than
+// the bytes already read (the first at most preGrowCap): a lying length
+// cannot force a huge allocation, and no buffer ends at twice its
+// part's size (bytes.Buffer.ReadFrom doubles, then reserves MinRead).
 func readPart(br *bufio.Reader, n int64) (*bytes.Buffer, error) {
 	buf := getBuf(int(n))
-	if n == 0 {
-		return buf, nil
-	}
-	buf.Grow(int(min(n, preGrowCap)))
-	if _, err := io.CopyN(buf, br, n); err != nil {
-		putBuf(buf)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for int64(buf.Len()) < n {
+		step := int(min(n-int64(buf.Len()), int64(max(buf.Len(), buf.Available(), preGrowCap))))
+		buf.Grow(step)
+		p := buf.AvailableBuffer()[:step]
+		if _, err := io.ReadFull(br, p); err != nil {
+			putBuf(buf)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
-		return nil, err
+		buf.Write(p) // p is the buffer's own free space: this only extends its length
 	}
 	return buf, nil
 }

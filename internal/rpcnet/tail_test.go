@@ -368,6 +368,46 @@ func TestReadFrameLyingLengths(t *testing.T) {
 	}
 }
 
+// TestReadPartGrowsToFit pins what a part costs when the bulk pool
+// misses: a 1 MiB part allocates at most 2 MiB and leaves a buffer
+// under 2 MiB, and a 4 000 000-byte part (a terasort block) leaves one
+// the pool takes back. bytes.Buffer.ReadFrom's doubling costs the first
+// 3.75 MiB and a 2 MiB buffer, and MinRead headroom on every step would
+// push the second past maxPooledBuf.
+func TestReadPartGrowsToFit(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts hold only without the race detector")
+	}
+	defer func(saved *sync.Pool) { bulkPool = saved }(bulkPool)
+	for _, tc := range []struct {
+		n        int
+		maxAlloc uint64 // 0: not pinned
+		maxCap   int
+	}{
+		{n: 1 << 20, maxAlloc: 2 << 20, maxCap: 2<<20 - 1},
+		{n: 4_000_000, maxCap: maxPooledBuf},
+	} {
+		bulkPool = newBufPool() // cold: the pool has nothing to hand out
+		br := bufio.NewReaderSize(bytes.NewReader(make([]byte, tc.n)), connReadBuf)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		buf, err := readPart(br, int64(tc.n))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%d-byte part: %v", tc.n, err)
+		}
+		if buf.Len() != tc.n {
+			t.Errorf("%d-byte part: read %d bytes", tc.n, buf.Len())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; tc.maxAlloc > 0 && grew > tc.maxAlloc {
+			t.Errorf("%d-byte part: allocated %d B, want <= %d", tc.n, grew, tc.maxAlloc)
+		}
+		if buf.Cap() > tc.maxCap {
+			t.Errorf("%d-byte part: buffer capacity %d, want <= %d", tc.n, buf.Cap(), tc.maxCap)
+		}
+	}
+}
+
 // TestCallTimeoutCoversSend: against a peer that completes the hello
 // and then never reads, the call's timeout has to bound the frame write
 // too — before, the write blocked under the connection's write lock
