@@ -48,7 +48,6 @@ func main() {
 	input := flag.String("input", "", "stream this file from disk through Job.Source instead of a synthetic dataset (data workloads; remote submission too)")
 	output := flag.String("output", "", "stream the job's output to this file through Job.Sink (sort and enc; remote submission too)")
 	spillMem := flag.Int64("spill-mem", 0, "data-plane spill watermark in bytes: 0 keeps everything in memory, -1 spills every payload (live and net)")
-	spillCompress := flag.Bool("spill-compress", false, "DEFLATE-compress spilled payloads (live and net; needs -spill-mem)")
 	serveMode := flag.Bool("serve", false, "run a long-lived multi-tenant job service instead of one job; print its addresses and block until interrupted")
 	quotas := flag.String("quotas", "", "per-tenant quotas for -serve: tenant=weight[:maxJobs[:maxTrackers[:spillBytes[:maxQueued]]]],...")
 	slots := flag.Int("slots", 2, "task slots per worker (-serve)")
@@ -80,7 +79,6 @@ func main() {
 		MaxAttempts:   *maxAttempts,
 		JobTimeout:    *jobTimeout,
 		SpillMemBytes: spill,
-		SpillCompress: *spillCompress,
 		Racks:         *racks,
 	}
 	var err error

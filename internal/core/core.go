@@ -71,7 +71,7 @@ type Config struct {
 	// SpillMem bounds the cluster's resident data-plane memory: the DFS
 	// block store and every job's run store (sorted runs, transformed
 	// stream blocks) each hold payloads in memory up to this watermark,
-	// in spill.NewStore's convention — 0 keeps everything in memory,
+	// in spill.New's convention — 0 keeps everything in memory,
 	// spill.SpillAll spills everything. With a positive watermark a
 	// job's peak heap is O(blockSize × concurrent mappers) regardless of
 	// input size.
@@ -79,8 +79,6 @@ type Config struct {
 	// SpillDir is the parent of the stores' spill directories ("": the
 	// OS temp dir).
 	SpillDir string
-	// SpillCodec, when non-nil, compresses spilled frames.
-	SpillCodec spill.Codec
 }
 
 // LiveCluster is the functional two-level runtime.
@@ -115,7 +113,7 @@ func NewLiveCluster(cfg Config) (*LiveCluster, error) {
 		}
 	}
 	nn, err := hdfs.NewNameNode(cfg.BlockSize, perfmodel.ReplicationFactor,
-		hdfs.WithBlockStore(hdfs.NewSpillBlockStore(cfg.SpillDir, cfg.SpillMem, cfg.SpillCodec)))
+		hdfs.WithBlockStore(hdfs.NewSpillBlockStore(cfg.SpillDir, cfg.SpillMem)))
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +143,8 @@ func (c *LiveCluster) Close() error { return c.FS.Close() }
 // newRunStore builds a per-job payload store (sorted runs, stream
 // output blocks) under the cluster's spill watermark, so every stage
 // of a job is bounded by the same knob.
-func (c *LiveCluster) newRunStore() *spill.Store {
-	return spill.NewStore(c.cfg.SpillDir, c.cfg.SpillMem, c.cfg.SpillCodec)
+func (c *LiveCluster) newRunStore() *spill.Store[int] {
+	return spill.New[int](c.cfg.SpillDir, c.cfg.SpillMem)
 }
 
 // LastStats returns the dynamic scheduler's per-worker stats for the

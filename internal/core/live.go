@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -189,7 +188,7 @@ func (c *LiveCluster) RunStream(job *StreamJob, w io.Writer) error {
 		}
 		return out, nil
 	}, func(task int, result any) {
-		if err := outStore.Put(runKey(work[task].index), result.([]byte)); err != nil {
+		if err := outStore.Put(work[task].index, result.([]byte)); err != nil {
 			commitErrMu.Lock()
 			if commitErr == nil {
 				commitErr = err
@@ -206,7 +205,7 @@ func (c *LiveCluster) RunStream(job *StreamJob, w io.Writer) error {
 	// Deliver in block order, streaming each transformed block out of
 	// the run store.
 	for i := range work {
-		rc, err := outStore.Open(runKey(work[i].index))
+		rc, err := outStore.Open(work[i].index)
 		if err != nil {
 			return err
 		}
@@ -215,13 +214,10 @@ func (c *LiveCluster) RunStream(job *StreamJob, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		outStore.Delete(runKey(work[i].index))
+		outStore.Delete(work[i].index)
 	}
 	return nil
 }
-
-// runKey names a block-indexed payload in a job's run store.
-func runKey(index int) string { return strconv.Itoa(index) }
 
 // offsetKernel rebases a block kernel's offsets to the block's
 // position within the whole file (the SPE runtime reports offsets

@@ -45,7 +45,7 @@ func (c *LiveCluster) RunSort(input string, w io.Writer) error {
 		}
 		return run, nil
 	}, func(task int, result any) {
-		if err := runStore.Put(runKey(work[task].index), result.([]byte)); err != nil {
+		if err := runStore.Put(work[task].index, result.([]byte)); err != nil {
 			commitErrMu.Lock()
 			if commitErr == nil {
 				commitErr = err
@@ -63,7 +63,7 @@ func (c *LiveCluster) RunSort(input string, w io.Writer) error {
 	// streamed straight into w.
 	readers := make([]io.Reader, len(work))
 	for i := range work {
-		rc, err := runStore.Open(runKey(work[i].index))
+		rc, err := runStore.Open(work[i].index)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/metrics"
-	"hetmr/internal/spill"
 	"hetmr/internal/spurt"
 )
 
@@ -36,7 +35,7 @@ func TestSortWithSpillMatchesInMemory(t *testing.T) {
 
 	before := metrics.SpillBytes.Load()
 	spilled, err := NewLiveCluster(Config{Nodes: 3, BlockSize: 5_000,
-		SpillDir: t.TempDir(), SpillMem: 20_000, SpillCodec: spill.Flate()})
+		SpillDir: t.TempDir(), SpillMem: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,11 +100,6 @@ func TestNoSilentConfigDrop(t *testing.T) {
 		{"net", Config{Mapper: "empty"}},
 		{"live", Config{Quotas: map[string]Quota{"a": {MaxJobs: 1}}}},
 		{"sim", Config{Quotas: map[string]Quota{"a": {MaxJobs: 1}}}},
-		// SpillCompress with no watermark: nothing spills, so nothing
-		// would be compressed on any backend.
-		{"live", Config{SpillCompress: true}},
-		{"sim", Config{SpillCompress: true}},
-		{"net", Config{SpillCompress: true}},
 	}
 	for _, tc := range unsupported {
 		r, err := New(tc.backend, tc.cfg)
@@ -125,7 +120,7 @@ func TestNoSilentConfigDrop(t *testing.T) {
 		{"sim", Config{Mapper: "empty"}},
 		{"net", Config{Workers: 1, Mapper: "java", AccelFraction: 0.5}},
 		{"net", Config{Workers: 1, Quotas: map[string]Quota{"a": {Weight: 2, MaxJobs: 4}}}},
-		{"live", Config{Workers: 1, SpillMemBytes: 10_000, SpillDir: t.TempDir(), SpillCompress: true}},
+		{"live", Config{Workers: 1, SpillMemBytes: 10_000, SpillDir: t.TempDir()}},
 	}
 	for _, tc := range supported {
 		r, err := New(tc.backend, tc.cfg)

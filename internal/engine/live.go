@@ -52,7 +52,6 @@ func init() {
 			TaskDelays:       cfg.FaultDelays,
 			SpillMem:         cfg.SpillMemBytes,
 			SpillDir:         cfg.SpillDir,
-			SpillCodec:       cfg.spillCodec(),
 		})
 		if err != nil {
 			return nil, err

@@ -76,7 +76,6 @@ func init() {
 			TaskDelays:  cfg.FaultDelays,
 			SpillMem:    cfg.SpillMemBytes,
 			SpillDir:    cfg.SpillDir,
-			SpillCodec:  cfg.spillCodec(),
 		})
 		if err != nil {
 			return nil, err

@@ -98,12 +98,6 @@ type Config struct {
 	// the OS temp dir). Stores create and remove their own
 	// subdirectories.
 	SpillDir string
-	// SpillCompress frame-compresses spilled payloads with DEFLATE at
-	// its fastest level — trade CPU for spill-disk footprint. It needs
-	// a SpillMemBytes watermark: without one nothing spills, so
-	// withDefaults rejects the pair rather than accept a knob that does
-	// nothing. Nothing on the wire is compressed.
-	SpillCompress bool
 	// Quotas installs per-tenant fair-share weights and admission
 	// limits on the net backend's JobTracker (see Quota). Only the net
 	// backend runs a multi-tenant service; the others reject a
@@ -193,9 +187,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Racks < 0 {
 		return c, fmt.Errorf("engine: negative rack count %d", c.Racks)
 	}
-	if c.SpillCompress && c.SpillMemBytes == 0 {
-		return c, fmt.Errorf("%w: SpillCompress compresses spilled payloads and needs a SpillMemBytes watermark", ErrUnsupported)
-	}
 	if c.FaultDelays != nil && len(c.FaultDelays) != c.Workers {
 		return c, fmt.Errorf("engine: %d fault delays for %d workers", len(c.FaultDelays), c.Workers)
 	}
@@ -240,15 +231,6 @@ func ResolveAccelFraction(f float64) (float64, error) {
 // already a plain fraction in [0,1].
 func (c Config) acceleratedNodes() int {
 	return int(c.AccelFraction*float64(c.Workers) + 0.5)
-}
-
-// spillCodec resolves the spill frame codec: DEFLATE when
-// SpillCompress is set, none otherwise.
-func (c Config) spillCodec() spill.Codec {
-	if c.SpillCompress {
-		return spill.Flate()
-	}
-	return nil
 }
 
 // validateJob checks a job against this backend configuration at the

@@ -14,13 +14,12 @@ import (
 // never what they are.
 
 // streamingConfig is conformanceConfig with the data plane bounded: a
-// watermark far below the test datasets plus frame compression, so
-// every layer's spill path actually runs.
+// watermark far below the test datasets, so every layer's spill path
+// actually runs.
 func streamingConfig(t *testing.T) Config {
 	cfg := conformanceConfig()
 	cfg.SpillMemBytes = 10_000
 	cfg.SpillDir = t.TempDir()
-	cfg.SpillCompress = true
 	return cfg
 }
 

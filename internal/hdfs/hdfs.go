@@ -6,15 +6,15 @@
 // membership, liveness, repair or rack model here — the fault-tolerant
 // DFS is netmr's NameNode.
 //
-// Block payloads live in a pluggable BlockStore: the default keeps
-// everything in memory (live execution, examples, tests), while the
-// spill-backed store keeps payloads under a memory watermark and
-// spills the rest to disk — the bounded-memory path for datasets far
-// larger than RAM. Replicas share one immutable payload per block;
-// replication is placement metadata, not extra copies. Files can also
-// be synthetic — metadata and sizes only — so the simulated
-// experiments can describe the paper's 120 GB working sets without
-// allocating them.
+// Block payloads live in one spill.Store, keyed by block ID: the
+// default keeps everything in memory (live execution, examples,
+// tests), while NewSpillBlockStore's watermark keeps payloads in memory
+// up to a bound and writes the rest to disk as raw files — the
+// bounded-memory path for datasets far larger than RAM. Replicas share
+// one immutable payload per block; replication is placement metadata,
+// not extra copies. Files can also be synthetic — metadata and sizes
+// only — so the simulated experiments can describe the paper's 120 GB
+// working sets without allocating them.
 package hdfs
 
 import (
@@ -24,6 +24,8 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"hetmr/internal/spill"
 )
 
 // Errors returned by the file system.
@@ -41,7 +43,7 @@ type BlockID int64
 
 // DataNode stores block replicas for one cluster node. A replica is
 // metadata — block ID and size — referencing the payload the NameNode's
-// BlockStore holds once.
+// block store holds once.
 type DataNode struct {
 	Name   string
 	blocks map[BlockID]int64 // replica sizes
@@ -71,7 +73,7 @@ type NameNode struct {
 	mu          sync.Mutex
 	blockSize   int64
 	replication int
-	store       BlockStore
+	store       *spill.Store[BlockID]
 	files       map[string]*fileMeta
 	nodes       map[string]*DataNode
 	nodeOrder   []string // registration order, for deterministic placement
@@ -85,10 +87,29 @@ type NameNode struct {
 type Option func(*NameNode)
 
 // WithBlockStore selects the block payload store (default: all in
-// memory). The NameNode owns the store after construction; Close
-// releases it.
-func WithBlockStore(bs BlockStore) Option {
-	return func(nn *NameNode) { nn.store = bs }
+// memory). The NameNode stores each block's payload exactly once, no
+// matter how many replicas reference it — a replica is placement
+// metadata, the payload is immutable — so the store's memory watermark
+// bounds the DFS's resident size, not the replication factor times
+// it. The NameNode owns the store after construction; Close releases
+// it.
+func WithBlockStore(s *spill.Store[BlockID]) Option {
+	return func(nn *NameNode) { nn.store = s }
+}
+
+// NewSpillBlockStore builds a disk-backed block store: payloads stay
+// in memory up to memLimit bytes and spill to raw files under a fresh
+// directory inside dir ("" selects the OS temp dir) beyond it.
+// memLimit follows spill.New's convention, the one every
+// spill-configured layer shares: 0 keeps every block in memory,
+// spill.SpillAll spills every block (a pure file store). This is what
+// lets the live runner stage and read datasets far larger than RAM
+// with O(blockSize) resident memory. The trailing spill.Codec is
+// spill.NewStore's inert parameter, read by nothing: it survives only
+// because the frozen benchmark module calls NewSpillBlockStore(dir, w,
+// nil), and goes with the next PR allowed to edit bench/.
+func NewSpillBlockStore(dir string, memLimit int64, _ ...spill.Codec) *spill.Store[BlockID] {
+	return spill.New[BlockID](dir, memLimit)
 }
 
 // NewNameNode creates a NameNode with the given block size and
@@ -113,7 +134,7 @@ func NewNameNode(blockSize int64, replication int, opts ...Option) (*NameNode, e
 		o(nn)
 	}
 	if nn.store == nil {
-		nn.store = NewMemBlockStore()
+		nn.store = spill.New[BlockID]("", 0)
 	}
 	return nn, nil
 }
@@ -208,9 +229,9 @@ func (nn *NameNode) commitBlock(f *fileMeta, id BlockID, size int64, hasData boo
 }
 
 // storeBlock is the data-block write path: mint an ID, store the
-// payload OUTSIDE nn.mu — a spill-backed store may compress and hit
-// the disk, and that work must not stall every concurrent metadata
-// operation — then commit the metadata under the lock.
+// payload OUTSIDE nn.mu — a spill-backed store may hit the disk, and
+// that must not stall every concurrent metadata operation — then
+// commit the metadata under the lock.
 func (nn *NameNode) storeBlock(f *fileMeta, data []byte, preferred string) error {
 	nn.mu.Lock()
 	id := nn.nextBlock

@@ -96,19 +96,18 @@ func TestReaderCopyMatchesReadFile(t *testing.T) {
 // watermark and checks payloads spilled to disk, replicas shared one
 // payload, and the bytes read back identically.
 func TestSpillBlockStoreBoundsMemory(t *testing.T) {
-	store := NewSpillBlockStore(t.TempDir(), 1_000, nil)
+	store := NewSpillBlockStore(t.TempDir(), 1_000)
 	nn := streamCluster(t, 500, 3, 3, WithBlockStore(store))
 	want := streamPayload(10_000) // 20 blocks, replication 3
 	if err := nn.WriteFile("/f", want, ""); err != nil {
 		t.Fatal(err)
 	}
-	inner := store.(spillBlockStore).s
-	if got := inner.MemBytes(); got > 1_000 {
+	if got := store.MemBytes(); got > 1_000 {
 		t.Fatalf("store holds %d bytes in memory above the 1000-byte watermark", got)
 	}
 	// Replicas share one payload: the store saw the file once, not
 	// replication times.
-	if total := inner.MemBytes() + inner.SpilledBytes(); total != int64(len(want)) {
+	if total := store.MemBytes() + store.SpilledBytes(); total != int64(len(want)) {
 		t.Fatalf("store holds %d payload bytes for a %d-byte file at replication 3 — replicas must share payloads", total, len(want))
 	}
 	got, err := nn.ReadFile("/f")
@@ -123,7 +122,7 @@ func TestSpillBlockStoreBoundsMemory(t *testing.T) {
 // TestCreateFromStreams ingests a reader without materializing it and
 // checks Delete releases the spill space.
 func TestCreateFromStreams(t *testing.T) {
-	store := NewSpillBlockStore(t.TempDir(), spill.SpillAll, spill.Flate())
+	store := NewSpillBlockStore(t.TempDir(), spill.SpillAll)
 	nn := streamCluster(t, 256, 1, 2, WithBlockStore(store))
 	want := streamPayload(4_096)
 	n, err := nn.CreateFrom("/f", "", bytes.NewReader(want))
@@ -143,7 +142,7 @@ func TestCreateFromStreams(t *testing.T) {
 	if err := nn.Delete("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if store.(spillBlockStore).s.Len() != 0 {
+	if store.Len() != 0 {
 		t.Fatal("Delete left payloads in the block store")
 	}
 

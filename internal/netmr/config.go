@@ -1,10 +1,6 @@
 package netmr
 
-import (
-	"time"
-
-	"hetmr/internal/spill"
-)
+import "time"
 
 // Config is what a netmr deployment is built from. StartCluster reads
 // all of it and hands the same value to every DataNode and TaskTracker
@@ -63,7 +59,7 @@ type Config struct {
 	TaskDelays []time.Duration
 
 	// SpillMem is the memory watermark of every DataNode block store
-	// and tracker shuffle store, in spill.NewStore's convention: 0
+	// and tracker shuffle store, in spill.New's convention: 0
 	// keeps everything in memory, spill.SpillAll spills everything, a
 	// positive value spills what no longer fits under it. A positive
 	// watermark also sizes the credit windows: the client's ingest
@@ -74,8 +70,6 @@ type Config struct {
 	// SpillDir is the parent of the stores' spill directories ("":
 	// the OS temp dir).
 	SpillDir string
-	// SpillCodec, when non-nil, compresses spilled frames.
-	SpillCodec spill.Codec
 }
 
 // defaultHeartbeat is the worker beat interval when Config.Heartbeat

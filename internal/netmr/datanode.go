@@ -3,7 +3,6 @@ package netmr
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"time"
 
 	"hetmr/internal/rpcnet"
@@ -25,7 +24,7 @@ import (
 // straight to the target peer.
 type DataNode struct {
 	srv   *rpcnet.Server
-	store *spill.Store
+	store *spill.Store[int64]
 	// wire caches the pooled connections this node calls out on: the
 	// NameNode for beats, peer DataNodes for Replicate pushes.
 	wire *connCache
@@ -47,7 +46,7 @@ func StartDataNode(addr, nameNodeAddr string, worker int, cfg Config) (*DataNode
 	}
 	dn := &DataNode{
 		srv:    srv,
-		store:  spill.NewStore(cfg.SpillDir, cfg.SpillMem, cfg.SpillCodec),
+		store:  spill.New[int64](cfg.SpillDir, cfg.SpillMem),
 		nnAddr: nameNodeAddr,
 		rack:   cfg.rack(worker),
 		wire:   newConnCache(),
@@ -80,7 +79,7 @@ func (dn *DataNode) beat() error {
 		return err
 	}
 	for _, id := range reply.Free {
-		dn.store.Delete(dnBlockKey(id))
+		dn.store.Delete(id)
 	}
 	return nil
 }
@@ -107,19 +106,17 @@ func (dn *DataNode) BlockCount() int { return dn.store.Len() }
 // disk.
 func (dn *DataNode) SpilledBytes() int64 { return dn.store.SpilledBytes() }
 
-func dnBlockKey(id int64) string { return strconv.FormatInt(id, 10) }
-
 // handlePut stores a copy of the request tail as block args.ID: the
 // tail is the wire layer's buffer, and the store keeps what it is
 // handed.
 func (dn *DataNode) handlePut(args PutArgs, block []byte) (PutReply, []byte, error) {
-	return PutReply{}, nil, dn.store.Put(dnBlockKey(args.ID), bytes.Clone(block))
+	return PutReply{}, nil, dn.store.Put(args.ID, bytes.Clone(block))
 }
 
 // handleGet answers with the stored block as the reply tail: the
 // store's own bytes, which go to the socket uncopied.
 func (dn *DataNode) handleGet(args GetArgs, _ []byte) (GetReply, []byte, error) {
-	data, err := dn.store.Get(dnBlockKey(args.ID))
+	data, err := dn.store.Get(args.ID)
 	if err != nil {
 		return GetReply{}, nil, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
@@ -130,7 +127,7 @@ func (dn *DataNode) handleGet(args GetArgs, _ []byte) (GetReply, []byte, error) 
 // the NameNode-planned re-replication transfer. The payload flows
 // DataNode→DataNode; the NameNode only ever sees the acknowledgement.
 func (dn *DataNode) handleReplicate(args ReplicateArgs) (ReplicateReply, error) {
-	data, err := dn.store.Get(dnBlockKey(args.ID))
+	data, err := dn.store.Get(args.ID)
 	if err != nil {
 		return ReplicateReply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}

@@ -1,7 +1,6 @@
 package netmr
 
 import (
-	"fmt"
 	"sync"
 
 	"hetmr/internal/spill"
@@ -10,14 +9,14 @@ import (
 // shuffleStore is a TaskTracker's data-plane store: map-side
 // partitions and streamed task outputs, keyed by (job, map task,
 // partition), held in memory up to a configurable watermark and
-// spilled to disk-backed frames beyond it (optionally compressed).
-// FetchPartition serves from memory or spill transparently — a reducer
-// cannot tell where a partition lived. Every key is job-id-prefixed,
-// so concurrent tenants' jobs can never collide in one store and a
-// single job's state can be purged without touching its neighbours.
+// spilled to raw files beyond it. FetchPartition serves from memory or
+// spill transparently — a reducer cannot tell where a partition lived.
+// Every key is job-id-prefixed, so concurrent tenants' jobs can never
+// collide in one store and a single job's state can be purged without
+// touching its neighbours.
 type shuffleStore struct {
 	mu    sync.Mutex
-	s     *spill.Store
+	s     *spill.Store[shuffleKey]
 	byJob map[int64]*jobHold // per-job keys and bytes, for GC and quotas
 }
 
@@ -28,20 +27,20 @@ type jobHold struct {
 }
 
 // newShuffleStore builds a store spilling under dir ("" selects the OS
-// temp dir) above the memLimit watermark (spill.NewStore's
-// convention), through codec when non-nil.
-func newShuffleStore(dir string, memLimit int64, codec spill.Codec) *shuffleStore {
+// temp dir) above the memLimit watermark (spill.New's convention).
+func newShuffleStore(dir string, memLimit int64) *shuffleStore {
 	return &shuffleStore{
-		s:     spill.NewStore(dir, memLimit, codec),
+		s:     spill.New[shuffleKey](dir, memLimit),
 		byJob: make(map[int64]*jobHold),
 	}
 }
 
-// shuffleKey names one payload. The job ID prefix is the multi-tenant
+// shuffleKey names one payload. The job ID is the multi-tenant
 // namespace: two jobs' identical (map, part) coordinates map to
 // distinct store keys.
-func shuffleKey(jobID int64, k partKey) string {
-	return fmt.Sprintf("%d/%d/%d", jobID, k.mapTask, k.part)
+type shuffleKey struct {
+	job int64
+	partKey
 }
 
 // put stores one payload. The key registration and the store write
@@ -51,7 +50,7 @@ func shuffleKey(jobID int64, k partKey) string {
 func (st *shuffleStore) put(jobID int64, k partKey, payload []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	key := shuffleKey(jobID, k)
+	key := shuffleKey{jobID, k}
 	// A re-issued attempt landing on the same tracker replaces its
 	// earlier payload: account the superseded size away instead of
 	// double-counting it against the tenant's budget.
@@ -75,7 +74,7 @@ func (st *shuffleStore) put(jobID int64, k partKey, payload []byte) error {
 
 // get fetches one payload (from memory or spill).
 func (st *shuffleStore) get(jobID int64, k partKey) ([]byte, bool) {
-	data, err := st.s.Get(shuffleKey(jobID, k))
+	data, err := st.s.Get(shuffleKey{jobID, k})
 	if err != nil {
 		return nil, false
 	}
@@ -84,11 +83,10 @@ func (st *shuffleStore) get(jobID int64, k partKey) ([]byte, bool) {
 
 // getRange fetches up to max bytes of one payload starting at off,
 // plus the payload's total size — the chunked FetchPartition serving
-// path. Repeatedly fetched spilled partitions are re-admitted into the
-// spill store's hot cache, so a reducer's chunk loop decompresses a
-// frame once, not once per chunk.
+// path. A spilled partition's chunk is one read at its offset in the
+// partition's file.
 func (st *shuffleStore) getRange(jobID int64, k partKey, off, max int64) ([]byte, int64, bool) {
-	data, size, err := st.s.GetRange(shuffleKey(jobID, k), off, max)
+	data, size, err := st.s.GetRange(shuffleKey{jobID, k}, off, max)
 	if err != nil {
 		return nil, 0, false
 	}
@@ -106,7 +104,7 @@ func (st *shuffleStore) purgeJob(jobID int64) {
 		return
 	}
 	for _, k := range hold.keys {
-		st.s.Delete(shuffleKey(jobID, k))
+		st.s.Delete(shuffleKey{jobID, k})
 	}
 	delete(st.byJob, jobID)
 }

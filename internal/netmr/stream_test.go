@@ -51,7 +51,7 @@ func TestWriteFromStreams(t *testing.T) {
 func TestStreamOutputEncrypt(t *testing.T) {
 	const blockSize = 1_000
 	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: blockSize, Heartbeat: 10 * time.Millisecond,
-		SpillDir: t.TempDir(), SpillMem: 2_000, SpillCodec: spill.Flate()})
+		SpillDir: t.TempDir(), SpillMem: 2_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func sortableRecords(t *testing.T, n int) []byte {
 // blocks spilled under the watermark still serve reads and jobs.
 func TestDataNodeSpillServesBlocks(t *testing.T) {
 	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1_000, Heartbeat: 10 * time.Millisecond,
-		SpillDir: t.TempDir(), SpillMem: spill.SpillAll, SpillCodec: spill.Flate()})
+		SpillDir: t.TempDir(), SpillMem: spill.SpillAll})
 	if err != nil {
 		t.Fatal(err)
 	}

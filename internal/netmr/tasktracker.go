@@ -179,7 +179,7 @@ func StartTaskTracker(id, jtAddr, localDataNode string, worker int, cfg Config) 
 		srv:           srv,
 		delay:         at(cfg.TaskDelays, worker),
 		device:        device,
-		store:         newShuffleStore(cfg.SpillDir, cfg.SpillMem, cfg.SpillCodec),
+		store:         newShuffleStore(cfg.SpillDir, cfg.SpillMem),
 		fetchWin:      flow.NewWindow(cfg.fetchWindow()),
 		wake:          make(chan struct{}, 1),
 		dead:          make(chan struct{}),

@@ -2,6 +2,7 @@ package spill
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,7 +18,7 @@ func payload(n int, salt byte) []byte {
 }
 
 func TestMemoryOnlyNeverSpills(t *testing.T) {
-	s := NewStore(t.TempDir(), 0, nil)
+	s := NewStore(t.TempDir(), 0)
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		if err := s.Put(string(rune('a'+i)), payload(10_000, byte(i))); err != nil {
@@ -34,7 +35,7 @@ func TestMemoryOnlyNeverSpills(t *testing.T) {
 
 func TestWatermarkSpillsAboveLimit(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore(dir, 25_000, nil)
+	s := NewStore(dir, 25_000)
 	defer s.Close()
 	for i := 0; i < 5; i++ {
 		if err := s.Put(string(rune('a'+i)), payload(10_000, byte(i))); err != nil {
@@ -60,7 +61,7 @@ func TestWatermarkSpillsAboveLimit(t *testing.T) {
 }
 
 func TestSpillAllAndStreamingOpen(t *testing.T) {
-	s := NewStore(t.TempDir(), SpillAll, nil)
+	s := NewStore(t.TempDir(), SpillAll)
 	defer s.Close()
 	want := payload(50_000, 7)
 	if err := s.Put("k", want); err != nil {
@@ -83,36 +84,8 @@ func TestSpillAllAndStreamingOpen(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	s := NewStore(t.TempDir(), SpillAll, Flate())
-	defer s.Close()
-	// Compressible payload: the frame on disk must be smaller, the
-	// read-back identical.
-	want := bytes.Repeat([]byte("becerra cell spe "), 4_000)
-	if err := s.Put("k", want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("compressed payload did not round-trip")
-	}
-	var onDisk int64
-	filepath.Walk(s.dir, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			onDisk += info.Size()
-		}
-		return nil
-	})
-	if onDisk >= int64(len(want)) {
-		t.Fatalf("frame on disk %d >= payload %d: codec did not compress", onDisk, len(want))
-	}
-}
-
 func TestPutReplacesAndDeleteFrees(t *testing.T) {
-	s := NewStore(t.TempDir(), 0, nil)
+	s := NewStore(t.TempDir(), 0)
 	defer s.Close()
 	if err := s.Put("k", payload(1_000, 1)); err != nil {
 		t.Fatal(err)
@@ -141,7 +114,7 @@ func TestPutReplacesAndDeleteFrees(t *testing.T) {
 
 func TestCloseRemovesSpillDir(t *testing.T) {
 	base := t.TempDir()
-	s := NewStore(base, SpillAll, nil)
+	s := NewStore(base, SpillAll)
 	if err := s.Put("k", payload(1_000, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,119 +133,24 @@ func TestCloseRemovesSpillDir(t *testing.T) {
 	}
 }
 
-func TestHotPartitionReadmission(t *testing.T) {
-	s := NewStore(t.TempDir(), 25_000, nil)
-	defer s.Close()
-	// a, b fill the watermark; c spills.
-	for i, k := range []string{"a", "b", "c"} {
-		if err := s.Put(k, payload(10_000, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.MemBytes() != 20_000 || s.SpilledBytes() != 10_000 {
-		t.Fatalf("mem=%d spilled=%d, want 20000/10000", s.MemBytes(), s.SpilledBytes())
-	}
-	// c cannot be re-admitted while a and b (primary residents) hold
-	// the watermark.
-	if got, _ := s.Get("c"); !bytes.Equal(got, payload(10_000, 2)) {
-		t.Fatal("spilled payload corrupted")
-	}
-	if s.ReadmittedBytes() != 0 {
-		t.Fatalf("readmitted %d with no headroom, want 0", s.ReadmittedBytes())
-	}
-	// Freeing a primary resident makes room: the next fetch of c is
-	// promoted into memory and subsequent reads hit the cache.
-	s.Delete("a")
-	if got, _ := s.Get("c"); !bytes.Equal(got, payload(10_000, 2)) {
-		t.Fatal("spilled payload corrupted")
-	}
-	if s.ReadmittedBytes() != 10_000 {
-		t.Fatalf("readmitted %d, want 10000", s.ReadmittedBytes())
-	}
-	if s.MemBytes() != 20_000 {
-		t.Fatalf("mem use %d after re-admission, want 20000", s.MemBytes())
-	}
-	// The hot copy keeps its frame on disk, so a new primary Put that
-	// needs the room simply evicts it — and c still reads back whole.
-	if err := s.Put("d", payload(10_000, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SpilledBytes(); got != 10_000 {
-		t.Fatalf("spilled %d after hot eviction made room, want 10000", got)
-	}
-	if got, _ := s.Get("c"); !bytes.Equal(got, payload(10_000, 2)) {
-		t.Fatal("payload lost across hot eviction")
-	}
-}
-
-func TestReadmissionLRU(t *testing.T) {
-	s := NewStore(t.TempDir(), 20_000, nil)
-	defer s.Close()
-	// Everything spills except nothing is resident: watermark 20000,
-	// three 10000-byte payloads -> a, b in memory, c spilled... keep it
-	// deterministic instead: spill-everything via tiny watermark is no
-	// re-admission, so use explicit deletes.
-	for i, k := range []string{"x", "y", "z"} {
-		if err := s.Put(k, payload(10_000, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// x, y resident; z spilled. Free both residents.
-	s.Delete("x")
-	s.Delete("y")
-	// z promotes; cache now holds z (10000/20000).
-	if _, err := s.Get("z"); err != nil {
-		t.Fatal(err)
-	}
-	// Two more spilled payloads via a full watermark.
-	if err := s.Put("w", payload(10_000, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("v", payload(10_000, 8)); err != nil {
-		t.Fatal(err)
-	}
-	// w and v displaced nothing permanent; fetch both so whichever was
-	// spilled gets promoted, evicting the least-recently-used hot copy.
-	if _, err := s.Get("w"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("v"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.MemBytes(); got > 20_000 {
-		t.Fatalf("mem use %d exceeds watermark after promotions", got)
-	}
-	// Every payload still reads back correctly from cache or disk.
-	for k, salt := range map[string]byte{"z": 2, "w": 9, "v": 8} {
-		got, err := s.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload(10_000, salt)) {
-			t.Fatalf("payload %q corrupted", k)
-		}
-	}
-}
-
 func TestGetRange(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		limit    int64
-		codec    Codec
 		resident int // bytes of an earlier payload occupying the watermark
 	}{
-		{"memory", 0, nil, 0},
-		{"spilled", SpillAll, nil, 0},
-		{"spilled-codec", SpillAll, flateCodec{}, 0},
-		// A positive watermark smaller than the payload: spilled and too
-		// big to re-admit, so every chunk is a direct frame read.
-		{"spilled-over-watermark", 10_000, nil, 0},
-		// The payload would fit the cache but a primary payload holds the
-		// watermark: no re-admission, no whole-frame read per chunk.
-		{"spilled-no-headroom", 60_000, nil, 50_000},
+		{"memory", 0, 0},
+		{"spilled", SpillAll, 0},
+		// A positive watermark smaller than the payload: spilled, and
+		// every chunk is a read at its offset in the frame.
+		{"spilled-over-watermark", 10_000, 0},
+		// The payload would fit the watermark but a resident payload
+		// holds it: spilled, and reading it leaves MemBytes at the
+		// resident's size.
+		{"spilled-no-headroom", 60_000, 50_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewStore(t.TempDir(), tc.limit, tc.codec)
+			s := NewStore(t.TempDir(), tc.limit)
 			defer s.Close()
 			if tc.resident > 0 {
 				if err := s.Put("resident", payload(tc.resident, 6)); err != nil {
@@ -303,7 +181,7 @@ func TestGetRange(t *testing.T) {
 				t.Fatal("chunked reads disagree with payload")
 			}
 			if tc.limit != 0 && s.MemBytes() != int64(tc.resident) {
-				t.Fatalf("%d bytes in memory after ranged reads of an un-cacheable frame, want %d", s.MemBytes(), tc.resident)
+				t.Fatalf("%d bytes in memory after ranged reads of a spilled frame, want %d", s.MemBytes(), tc.resident)
 			}
 			// Past-the-end reads return empty, not an error.
 			chunk, size, err := s.GetRange("k", 50_000, 1_000)
@@ -328,7 +206,7 @@ func TestGetRange(t *testing.T) {
 // TestPutKeepsTheBytesItIsHanded: an in-memory payload is the slice Put
 // was given — no copy is made — and Get serves that same memory.
 func TestPutKeepsTheBytesItIsHanded(t *testing.T) {
-	s := NewStore(t.TempDir(), 0, nil)
+	s := NewStore(t.TempDir(), 0)
 	defer s.Close()
 	data := payload(1<<20, 4)
 	allocs := testing.AllocsPerRun(10, func() {
@@ -343,4 +221,160 @@ func TestPutKeepsTheBytesItIsHanded(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("Put of a 1 MiB payload allocates %.0f times, want the payload kept as it is", allocs)
 	}
+}
+
+// TestReadsDoNotChangeResidentBytes: a spilled payload stays in its
+// file when it is read, even with headroom under the watermark. Get,
+// Open and GetRange all return its exact bytes and leave MemBytes as
+// it was.
+func TestReadsDoNotChangeResidentBytes(t *testing.T) {
+	s := NewStore(t.TempDir(), 25_000)
+	defer s.Close()
+	// a, b fill the watermark; c spills. Deleting a leaves headroom
+	// c would fit in.
+	for i, k := range []string{"a", "b", "c"} {
+		if err := s.Put(k, payload(10_000, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Delete("a")
+	want := payload(10_000, 2)
+	reads := map[string]func() ([]byte, error){
+		"Get": func() ([]byte, error) { return s.Get("c") },
+		"Open": func() ([]byte, error) {
+			r, err := s.Open("c")
+			if err != nil {
+				return nil, err
+			}
+			defer r.Close()
+			return io.ReadAll(r)
+		},
+		"GetRange": func() ([]byte, error) {
+			data, _, err := s.GetRange("c", 0, 0)
+			return data, err
+		},
+	}
+	for name, read := range reads {
+		got, err := read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s returned the wrong bytes", name)
+		}
+		if m := s.MemBytes(); m != 10_000 {
+			t.Fatalf("MemBytes %d after %s of a spilled payload, want 10000", m, name)
+		}
+	}
+}
+
+// TestFailedSpillWriteLeavesNoFrame: a frame whose write fails is
+// removed at once, not left on disk until Close, and the store keeps
+// no entry for it.
+func TestFailedSpillWriteLeavesNoFrame(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail a write on")
+	}
+	s := NewStore(t.TempDir(), SpillAll)
+	defer s.Close()
+	if err := s.Put("a", payload(1_000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(s.dir, fmt.Sprintf("f%06d", s.seq+1))
+	if err := os.Symlink("/dev/full", next); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("b", payload(1_000, 2)); err == nil {
+		t.Fatal("Put onto a full device succeeded")
+	}
+	if _, err := os.Lstat(next); !os.IsNotExist(err) {
+		t.Fatalf("failed frame %s left on disk (%v)", next, err)
+	}
+	if _, err := s.Size("b"); err == nil || s.Len() != 1 {
+		t.Fatalf("store kept an entry for the failed Put (%d entries)", s.Len())
+	}
+}
+
+// FuzzStore drives a store with random Put, Delete, Get, Open and
+// GetRange sequences under a watermark of 0, SpillAll or a small
+// positive value, and holds it to a map: every read returns the last
+// bytes put, MemBytes never exceeds a positive watermark, a read
+// leaves MemBytes as it was, and Close removes the spill directory.
+// Each op is three bytes: op, key, argument.
+func FuzzStore(f *testing.F) {
+	f.Add(byte(0), []byte{0, 0, 40, 2, 0, 0, 4, 0, 7})
+	f.Add(byte(1), []byte{0, 0, 40, 0, 1, 0, 3, 1, 0, 1, 0, 0, 2, 0, 0})
+	f.Add(byte(2), []byte{0, 0, 60, 0, 1, 60, 0, 2, 30, 4, 1, 33, 1, 0, 0, 3, 1, 0, 0, 1, 96})
+	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
+		limit := [...]int64{0, SpillAll, 100}[mode%3]
+		base := t.TempDir()
+		s := NewStore(base, limit)
+		want := map[string][]byte{}
+		for i := 0; i+3 <= len(ops); i += 3 {
+			op, key, arg := ops[i]%5, string(rune('a'+ops[i+1]%4)), ops[i+2]
+			if op == 0 {
+				data := payload(int(arg)%97, byte(i))
+				want[key] = bytes.Clone(data)
+				if err := s.Put(key, data); err != nil {
+					t.Fatal(err)
+				}
+				if m := s.MemBytes(); limit > 0 && m > limit {
+					t.Fatalf("MemBytes %d over the %d watermark", m, limit)
+				}
+				continue
+			}
+			if op == 1 {
+				s.Delete(key)
+				delete(want, key)
+				continue
+			}
+			exp, ok := want[key]
+			mem := s.MemBytes()
+			var got []byte
+			var err error
+			switch op {
+			case 2:
+				got, err = s.Get(key)
+			case 3:
+				var r io.ReadCloser
+				if r, err = s.Open(key); err == nil {
+					got, err = io.ReadAll(r)
+					r.Close()
+				}
+			case 4:
+				off, max := int64(arg%128), int64(arg/32)*8
+				var size int64
+				got, size, err = s.GetRange(key, off, max)
+				if ok {
+					if size != int64(len(exp)) {
+						t.Fatalf("GetRange(%q) size %d, want %d", key, size, len(exp))
+					}
+					lo := min(off, size)
+					hi := size
+					if max > 0 {
+						hi = min(hi, lo+max)
+					}
+					exp = exp[lo:hi]
+				}
+			}
+			if ok != (err == nil) {
+				t.Fatalf("op %d on %q: err %v, stored %v", op, key, err, ok)
+			}
+			if ok && !bytes.Equal(got, exp) {
+				t.Fatalf("op %d on %q returned %d bytes, want the %d put", op, key, len(got), len(exp))
+			}
+			if m := s.MemBytes(); m != mem {
+				t.Fatalf("op %d on %q moved MemBytes %d -> %d", op, key, mem, m)
+			}
+		}
+		if s.Len() != len(want) {
+			t.Fatalf("store holds %d payloads, want %d", s.Len(), len(want))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left, err := os.ReadDir(base); err != nil || len(left) != 0 {
+			t.Fatalf("Close left %d entries in the base dir (%v)", len(left), err)
+		}
+	})
 }
