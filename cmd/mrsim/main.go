@@ -55,7 +55,6 @@ func main() {
 	nn := flag.String("nn", "", "NameNode address of a running job service (remote submission and admin)")
 	jt := flag.String("jt", "", "JobTracker address of a running job service (remote submission and admin)")
 	tenant := flag.String("tenant", "", "tenant to submit as (Job.Tenant): against a running job service, or on -backend net")
-	racks := flag.Int("racks", 0, "spread workers over this many racks (net and -serve; live and sim accept it and ignore it); 0 or 1 = flat topology")
 	listNodes := flag.Bool("list-nodes", false, "admin: print a running service's tracker and datanode membership (-nn/-jt)")
 	decommTracker := flag.String("decommission-tracker", "", "admin: drain the named TaskTracker on a running service (-jt)")
 	decommDN := flag.String("decommission-dn", "", "admin: re-replicate and retire the DataNode at this address on a running service (-nn)")
@@ -79,7 +78,6 @@ func main() {
 		MaxAttempts:   *maxAttempts,
 		JobTimeout:    *jobTimeout,
 		SpillMemBytes: spill,
-		Racks:         *racks,
 	}
 	var err error
 	switch {

@@ -50,7 +50,7 @@ func serve(cfg engine.Config, quotaSpec string) error {
 
 // startService boots the service's fleet as the engine's net backend,
 // so the one Config→cluster mapping (engine/net.go) decides what the
-// scheduling, accelerator, spill and rack flags mean for -serve
+// scheduling, accelerator and spill flags mean for -serve
 // exactly as it does for a one-shot -backend net run. Closing the
 // runner stops every daemon.
 func startService(cfg engine.Config) (engine.Runner, *netmr.Cluster, error) {
@@ -126,7 +126,7 @@ func runAdmin(nnAddr, jtAddr string, blockSize int64, list bool, decommTracker, 
 		}
 		fmt.Printf("trackers (%d):\n", len(trackers))
 		for _, t := range trackers {
-			fmt.Printf("  %-16s rack=%-8s device=%-5s state=%s\n", t.ID, t.Rack, t.Device, t.State)
+			fmt.Printf("  %-16s device=%-5s state=%s\n", t.ID, t.Device, t.State)
 		}
 		nodes, err := c.ListDataNodes()
 		if err != nil {
@@ -134,7 +134,7 @@ func runAdmin(nnAddr, jtAddr string, blockSize int64, list bool, decommTracker, 
 		}
 		fmt.Printf("datanodes (%d):\n", len(nodes))
 		for _, d := range nodes {
-			fmt.Printf("  %-22s rack=%-8s blocks=%-5d state=%s\n", d.Addr, d.Rack, d.Blocks, d.State)
+			fmt.Printf("  %-22s blocks=%-5d state=%s\n", d.Addr, d.Blocks, d.State)
 		}
 	}
 	return nil

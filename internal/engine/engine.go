@@ -210,15 +210,18 @@ type Result struct {
 	// completions skew toward accelerated nodes. Nil elsewhere.
 	Devices map[string]string
 
-	// LocalReads/RackReads/RemoteReads count DFS block fetches by
-	// locality tier over the job's span on the net backend: served by
-	// the tracker's co-located DataNode, by a same-rack DataNode, or
-	// across racks. Cluster-wide counter deltas — concurrent jobs'
-	// fetches land in whichever result collects first. Zero elsewhere
-	// (the sim backend's modelled locality lives in Sim).
+	// LocalReads/RemoteReads count DFS block fetches over the job's
+	// span on the net backend: served by the tracker's co-located
+	// DataNode, or by another one. Cluster-wide counter deltas —
+	// concurrent jobs' fetches land in whichever result collects first.
+	// Zero elsewhere (the sim backend's modelled locality lives in Sim).
 	LocalReads  int64
-	RackReads   int64
 	RemoteReads int64
+	// RackReads is always 0: the cluster is one flat rack, as the
+	// paper's testbed was. The field survives only because the frozen
+	// benchmark module (bench/run.go) sums it into its read count; it
+	// goes when bench/ is next edited (ROADMAP item 1(b)).
+	RackReads int64
 
 	Sim *SimStats
 }

@@ -33,7 +33,6 @@ func init() {
 	// JobTimeout bounds the net backend's remote wait; a live Run is a
 	// synchronous in-process call with nothing to abandon.
 	//hetlint:configdrop-ok live Config.JobTimeout live runs synchronously in-process; the knob bounds the net backend's remote wait
-	//hetlint:configdrop-ok live Config.Racks the in-process DFS places every block once (the paper's replication 1) and has no rack tier to spread over; accepted and inert, as on sim
 	//hetlint:configdrop-ok live Config.Reducers live word count merges block tables in its commit hook and live sort merges every run at once; a partition count never changed a live result
 
 	Register("live", func(cfg Config) (Runner, error) {

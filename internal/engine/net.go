@@ -71,7 +71,6 @@ func init() {
 			Speculative: cfg.Speculative,
 			MaxAttempts: cfg.MaxAttempts,
 			Quotas:      cfg.Quotas,
-			Racks:       cfg.Racks,
 			Devices:     netDeviceKinds(cfg),
 			TaskDelays:  cfg.FaultDelays,
 			SpillMem:    cfg.SpillMemBytes,
@@ -90,7 +89,7 @@ func init() {
 // owning a daemon. Of cfg it reads BlockSize (how this client cuts staged
 // input), Mapper, Reducers and JobTimeout. The fields that shape a
 // cluster — Workers, MappersPerNode, AccelFraction, Speculative,
-// MaxAttempts, FaultDelays, Quotas, Racks, Spill* — describe the service
+// MaxAttempts, FaultDelays, Quotas, Spill* — describe the service
 // and are not consulted: defaults that scale with the fleet (Reducers 0,
 // Job.Tasks 0) use the service's tracker count as of the Dial. The
 // runner reports a nil Cluster and zero read-locality counters, and
@@ -164,9 +163,9 @@ func (r *netRunner) Cluster() *netmr.Cluster { return r.clus }
 
 // fetchTotals reads the cluster-wide block-fetch locality counters; an
 // attached runner cannot see the service's trackers and reads zeros.
-func (r *netRunner) fetchTotals() (local, rack, remote int64) {
+func (r *netRunner) fetchTotals() (local, remote int64) {
 	if r.clus == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	return r.clus.FetchTotals()
 }
@@ -292,7 +291,7 @@ type netJob struct {
 	input string
 	// Fetch-locality counter snapshot at submission; wait() reports
 	// the delta as the job's read-locality split.
-	local0, rack0, remote0 int64
+	local0, remote0 int64
 }
 
 // start validates, stages and submits one job, returning the handle to
@@ -305,7 +304,7 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	l0, rk0, rm0 := r.fetchTotals()
+	l0, rm0 := r.fetchTotals()
 	id, err := r.client.Submit(spec)
 	if err != nil {
 		if spec.Input != "" {
@@ -316,7 +315,7 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 		return nil, err
 	}
 	return &netJob{r: r, job: job, id: id, started: time.Now(), input: spec.Input,
-		local0: l0, rack0: rk0, remote0: rm0}, nil
+		local0: l0, remote0: rm0}, nil
 }
 
 // wait blocks until the job completes and decodes its result by kind.
@@ -369,9 +368,8 @@ func (nj *netJob) wait() (*Result, error) {
 		}
 		res.Pi, res.Inside, res.Total = pi.Pi, pi.Inside, pi.Total
 	}
-	l1, rk1, rm1 := r.fetchTotals()
+	l1, rm1 := r.fetchTotals()
 	res.LocalReads = l1 - nj.local0
-	res.RackReads = rk1 - nj.rack0
 	res.RemoteReads = rm1 - nj.remote0
 	res.Elapsed = time.Since(nj.started)
 	return res, nil

@@ -104,14 +104,6 @@ type Config struct {
 	// non-empty map with ErrUnsupported rather than silently running
 	// without enforcement.
 	Quotas map[string]Quota
-	// Racks spreads the workers round-robin over that many named racks
-	// on the net backend (and the -serve daemon built from it): block
-	// replicas then spread across racks on write and repair, and the
-	// scheduler prefers rack-local over remote grants. 0 or 1 keeps the
-	// flat single-rack topology (the default); negative is an error.
-	// Live and sim accept the knob and ignore it: their DFS places each
-	// block once and has no rack tier.
-	Racks int
 	// RangePartition is read by nothing. Range routing is how the net
 	// backend sorts — every net Sort with more than one reducer samples
 	// split keys on ingest — not an option, and the other backends sort
@@ -183,9 +175,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxAttempts < 0 {
 		return c, fmt.Errorf("engine: negative attempt cap %d", c.MaxAttempts)
-	}
-	if c.Racks < 0 {
-		return c, fmt.Errorf("engine: negative rack count %d", c.Racks)
 	}
 	if c.FaultDelays != nil && len(c.FaultDelays) != c.Workers {
 		return c, fmt.Errorf("engine: %d fault delays for %d workers", len(c.FaultDelays), c.Workers)

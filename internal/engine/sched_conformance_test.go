@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +90,60 @@ func TestSpeculationOnOffBitIdentical(t *testing.T) {
 					t.Fatalf("%s speculative: %v", job.Kind, err)
 				}
 				assertSameResult(t, job.Kind, "speculation-off", off, "speculation-on", on)
+			}
+		})
+	}
+}
+
+// TestSlowWorkerCommitsItsCapacityShare is the paper's central claim on
+// the real backends, read from task counts rather than wall time: on a
+// cluster of three workers and one slowed 10x, pull grants hand the
+// slow worker no more than its capacity share of the tasks plus the one
+// wave of slots each phase grants it at the start. With speculation on,
+// duplicates may run but each task commits once, so the counts still
+// sum to the task total. The word count is bit-identical throughout.
+func TestSlowWorkerCommitsItsCapacityShare(t *testing.T) {
+	const fast = 20 * time.Millisecond
+	job := &Job{Kind: Wordcount, Input: corpus()}
+	for _, backend := range []string{"live", "net"} {
+		t.Run(backend, func(t *testing.T) {
+			ref := runOn(t, backend, job)
+			for _, speculative := range []bool{false, true} {
+				cfg := conformanceConfig()
+				cfg.Workers, cfg.MappersPerNode, cfg.Reducers = 4, 2, 1
+				cfg.Speculative = speculative
+				cfg.FaultDelays = []time.Duration{10 * fast, fast, fast, fast}
+				res := runOnConfig(t, backend, cfg, job)
+				assertSameResult(t, job.Kind, "plain", ref, fmt.Sprintf("slow worker (speculative %v)", speculative), res)
+
+				// Live word count is one phase of map tasks; net adds a
+				// reduce phase of cfg.Reducers tasks on its own board.
+				tasks := (len(job.Input) + int(cfg.BlockSize) - 1) / int(cfg.BlockSize)
+				phases := 1
+				if backend == "net" {
+					tasks += cfg.Reducers
+					phases = 2
+				}
+				committed := 0
+				for _, n := range res.TaskCounts {
+					committed += n
+				}
+				if committed != tasks {
+					t.Errorf("speculative %v: TaskCounts %v commit %d tasks, want each of %d once", speculative, res.TaskCounts, committed, tasks)
+				}
+				// A worker's capacity is its slots over its per-task time.
+				var capacity float64
+				for _, d := range cfg.FaultDelays {
+					capacity += float64(cfg.MappersPerNode) / d.Seconds()
+				}
+				share := float64(cfg.MappersPerNode) / cfg.FaultDelays[0].Seconds() / capacity
+				bound := int(math.Ceil(share*float64(tasks))) + phases*cfg.MappersPerNode
+				slow := res.TaskCounts[map[string]string{"live": "node000", "net": "tracker-0"}[backend]]
+				t.Logf("speculative %v: slow worker committed %d of %d tasks (bound %d)", speculative, slow, tasks, bound)
+				if slow > bound {
+					t.Errorf("speculative %v: the slow worker committed %d of %d tasks, want <= %d (capacity share %.3f plus a wave per phase); counts %v",
+						speculative, slow, tasks, bound, share, res.TaskCounts)
+				}
 			}
 		})
 	}

@@ -35,7 +35,6 @@ func init() {
 	//hetlint:configdrop-ok sim Config.JobTimeout simulated virtual time completes in wall-milliseconds; there is no remote wait to bound
 	//hetlint:configdrop-ok sim Config.SpillMemBytes the timing model has no real data plane to spill
 	//hetlint:configdrop-ok sim Config.SpillDir the timing model has no real data plane to spill
-	//hetlint:configdrop-ok sim Config.Racks locality on the model is the calibrated local/remote read split; there is no rack tier to place into
 	//hetlint:configdrop-ok sim Job.Tenant tenancy is the net job service's concept; Quotas are already rejected below
 	Register("sim", func(cfg Config) (Runner, error) {
 		if len(cfg.Quotas) > 0 {

@@ -3,8 +3,8 @@
 // lost): a NameNode mapping file names to ordered fixed-size blocks,
 // each placed on R least-loaded DataNodes with the writer's node first,
 // and readers that prefer a replica on their own node. There is no
-// membership, liveness, repair or rack model here — the fault-tolerant
-// DFS is netmr's NameNode.
+// membership, liveness or repair model here — the fault-tolerant DFS
+// is netmr's NameNode.
 //
 // Block payloads live in one spill.Store, keyed by block ID: the
 // default keeps everything in memory (live execution, examples,

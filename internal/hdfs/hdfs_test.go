@@ -143,8 +143,7 @@ func TestPlacementBalanced(t *testing.T) {
 		}
 	}
 
-	// Replication 2: the exact host lists, recorded before the rack pass
-	// and liveness filters were removed from placement, so the flat
+	// Replication 2: the exact host lists, so the flat
 	// least-loaded order (ties broken by registration order, the
 	// writer's node first) is pinned rather than assumed.
 	nn = newCluster(t, 10, 2, 4)

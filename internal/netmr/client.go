@@ -410,7 +410,7 @@ func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer, c
 }
 
 // ListTrackers reports the JobTracker's live membership view: every
-// registered TaskTracker with its rack and lifecycle state.
+// registered TaskTracker with its device and lifecycle state.
 func (c *Client) ListTrackers() ([]TrackerInfo, error) {
 	var reply ListTrackersReply
 	err := c.jt("ListTrackers", ListTrackersArgs{}, &reply)
@@ -426,7 +426,7 @@ func (c *Client) DecommissionTracker(id string) error {
 }
 
 // ListDataNodes reports the NameNode's live membership view: every
-// registered DataNode with its rack, lifecycle state and block count.
+// registered DataNode with its lifecycle state and block count.
 func (c *Client) ListDataNodes() ([]DataNodeInfo, error) {
 	var reply ListDataNodesReply
 	err := c.nn("ListDataNodes", ListDataNodesArgs{}, &reply)
@@ -547,12 +547,11 @@ func (c *Cluster) startWorker(i int) (*DataNode, *TaskTracker, error) {
 // AddWorker joins one new DataNode/TaskTracker pair to the running
 // cluster: the DataNode registers with the NameNode over its first
 // heartbeat, the TaskTracker over its first JobTracker heartbeat — no
-// master restart, no static wiring. The new worker takes the next
-// round-robin rack slot.
+// master restart, no static wiring.
 func (c *Cluster) AddWorker() (*DataNode, *TaskTracker, error) {
 	// Claim the worker index under the lock, boot outside it (the pair
 	// binds listeners and dials the masters), then publish the pair. A
-	// failed boot burns the index — the rack round-robin just moves on.
+	// failed boot burns the index.
 	c.mu.Lock()
 	i := c.nextWorker
 	c.nextWorker++
@@ -613,18 +612,16 @@ func (c *Cluster) DecommissionWorker(i int, timeout time.Duration) error {
 }
 
 // FetchTotals sums every live tracker's block-fetch locality counters:
-// fetches served by the co-located DataNode, by a same-rack DataNode,
-// and by a remote rack.
-func (c *Cluster) FetchTotals() (local, rack, remote int64) {
+// fetches served by the co-located DataNode, and by any other.
+func (c *Cluster) FetchTotals() (local, remote int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, tt := range c.TTs {
-		l, rk, r := tt.FetchStats()
+		l, r := tt.FetchStats()
 		local += l
-		rack += rk
 		remote += r
 	}
-	return local, rack, remote
+	return local, remote
 }
 
 // Shutdown stops every daemon. Trackers stop concurrently: each

@@ -42,11 +42,6 @@ type Config struct {
 	// Quotas installs per-tenant quotas and fair-share weights on the
 	// JobTracker before any tracker heartbeats (see JobTracker.SetQuota).
 	Quotas map[string]Quota
-	// Racks spreads the workers round-robin over that many named racks
-	// (RackName): block replicas then spread across racks on write and
-	// repair, and the scheduler adds a rack-local grant pass between
-	// node-local and remote. Fewer than 2 keeps the flat topology.
-	Racks int
 
 	// Devices is each worker's device profile: DeviceCell equips the
 	// worker's tracker with its own Cell accelerator (NewCellDevice),
@@ -82,14 +77,6 @@ func (c Config) heartbeat() time.Duration {
 		return c.Heartbeat
 	}
 	return defaultHeartbeat
-}
-
-// rack names worker i's rack ("", the flat default, when Racks < 2).
-func (c Config) rack(i int) string {
-	if c.Racks < 2 {
-		return ""
-	}
-	return RackName(i % c.Racks)
 }
 
 // window is a credit window that defaults to def unless a positive

@@ -30,16 +30,19 @@ type DataNode struct {
 	wire *connCache
 
 	nnAddr string
-	rack   string
+	// freed is the Free list of the last answered beat: dropped from
+	// the store, and acknowledged on every beat until one is answered.
+	// Only the beat loop touches it.
+	freed []int64
 
 	beater *background
 }
 
-// StartDataNode launches a DataNode on addr as worker number worker of
-// cfg (its rack, beat interval and block store) and registers it with
-// the NameNode over its first heartbeat; the beat then repeats until
-// Close.
-func StartDataNode(addr, nameNodeAddr string, worker int, cfg Config) (*DataNode, error) {
+// StartDataNode launches a DataNode on addr with cfg's beat interval
+// and block store, and registers it with the NameNode over its first
+// heartbeat; the beat then repeats until Close. The worker number is
+// the one StartTaskTracker takes; no DataNode setting is per-worker.
+func StartDataNode(addr, nameNodeAddr string, _ int, cfg Config) (*DataNode, error) {
 	srv, err := rpcnet.NewServer(addr)
 	if err != nil {
 		return nil, err
@@ -48,7 +51,6 @@ func StartDataNode(addr, nameNodeAddr string, worker int, cfg Config) (*DataNode
 		srv:    srv,
 		store:  spill.New[int64](cfg.SpillDir, cfg.SpillMem),
 		nnAddr: nameNodeAddr,
-		rack:   cfg.rack(worker),
 		wire:   newConnCache(),
 	}
 	// The beat is this cache's control-plane call: a NameNode that goes
@@ -71,16 +73,19 @@ func StartDataNode(addr, nameNodeAddr string, worker int, cfg Config) (*DataNode
 	return dn, nil
 }
 
-// beat sends one Register heartbeat and drops the blocks of deleted
-// files its reply names.
+// beat sends one Register heartbeat, acknowledging the frees of the
+// last answered one, and drops the blocks of deleted files its reply
+// names. A lost reply leaves the acknowledgement standing, and the
+// NameNode names the unacknowledged IDs again: deletes are idempotent.
 func (dn *DataNode) beat() error {
 	var reply RegisterReply
-	if err := dn.wire.call(dn.nnAddr, "Register", RegisterArgs{Addr: dn.srv.Addr(), Rack: dn.rack}, &reply); err != nil {
+	if err := dn.wire.call(dn.nnAddr, "Register", RegisterArgs{Addr: dn.srv.Addr(), Freed: dn.freed}, &reply); err != nil {
 		return err
 	}
 	for _, id := range reply.Free {
 		dn.store.Delete(id)
 	}
+	dn.freed = reply.Free
 	return nil
 }
 

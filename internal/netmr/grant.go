@@ -106,13 +106,12 @@ func (rec *jobRecord) grant(device string, args HeartbeatArgs, now time.Time, sp
 
 // locality grades task i of phase pi for the heartbeating tracker. Map
 // tasks: node-local (a replica on the tracker's co-located DataNode)
-// first, then rack-local (a replica on the tracker's rack), then remote
-// — the paper's "minimize the number of remote block accesses" extended
-// one topology tier. Reduce tasks: the partition whose bytes mostly live
-// in this tracker's own shuffle store first, so the heaviest fetch
-// stream becomes a local read instead of a network pull. Everything is
-// remote when there is nothing to grade by: a compute task, a tracker
-// that named no DataNode or rack, a reduce phase with no plan.
+// first, then remote — the paper's "minimize the number of remote block
+// accesses". Reduce tasks: the partition whose bytes mostly live in
+// this tracker's own shuffle store first, so the heaviest fetch stream
+// becomes a local read instead of a network pull. Everything is remote
+// when there is nothing to grade by: a compute task, a tracker that
+// named no DataNode, a reduce phase with no plan.
 func (rec *jobRecord) locality(pi, i int, args *HeartbeatArgs) sched.Locality {
 	if pi > 0 {
 		if rec.redHome != nil && args.ShuffleAddr != "" && rec.redHome[i] == args.ShuffleAddr {
@@ -121,13 +120,8 @@ func (rec *jobRecord) locality(pi, i int, args *HeartbeatArgs) sched.Locality {
 		return sched.LocalityRemote
 	}
 	blk := rec.phases[0].tasks[i].Block
-	switch {
-	case len(blk.Replicas) == 0:
-		return sched.LocalityRemote
-	case args.LocalDataNode != "" && slices.Contains(blk.Replicas, args.LocalDataNode):
+	if args.LocalDataNode != "" && slices.Contains(blk.Replicas, args.LocalDataNode) {
 		return sched.LocalityNode
-	case args.Rack != "" && len(blk.Racks) > 0 && blk.OnRack(args.Rack):
-		return sched.LocalityRack
 	}
 	return sched.LocalityRemote
 }

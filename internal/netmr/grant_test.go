@@ -61,21 +61,21 @@ func TestGrantAffinityPassComesBeforeAnyBoard(t *testing.T) {
 	}
 }
 
-func TestGrantLocalityNodeThenRackThenRemote(t *testing.T) {
+func TestGrantLocalityNodeThenRemote(t *testing.T) {
 	blocks := []BlockInfo{
-		{ID: 0, Replicas: []string{"dn-far"}, Racks: []string{"rack09"}},
-		{ID: 1, Replicas: []string{"dn-near"}, Racks: []string{"rack01"}},
-		{ID: 2, Replicas: []string{"dn-mine", "dn-far"}, Racks: []string{"rack01", "rack09"}},
+		{ID: 0, Replicas: []string{"dn-far"}},
+		{ID: 1, Replicas: []string{"dn-near"}},
+		{ID: 2, Replicas: []string{"dn-mine", "dn-far"}},
 	}
 	rec := openJob(t, 1, JobSpec{Kernel: "aes-ctr", Input: "/f", Mapper: MapperJava}, 3, sched.Options{}, blocks...)
 	adm, jobs := grantTable(rec)
-	beat := HeartbeatArgs{TrackerID: "t", LocalDataNode: "dn-mine", Rack: "rack01", FreeSlots: 1}
+	beat := HeartbeatArgs{TrackerID: "t", LocalDataNode: "dn-mine", FreeSlots: 1}
 	var order []int
 	for range blocks {
 		order = append(order, taskIDs(grantTasks(adm, jobs, DeviceHost, beat, testEpoch))...)
 	}
-	if !slices.Equal(order, []int{2, 1, 0}) {
-		t.Errorf("grant order = %v, want [2 1 0]: node-local, then rack-local, then remote", order)
+	if !slices.Equal(order, []int{2, 0, 1}) {
+		t.Errorf("grant order = %v, want [2 0 1]: node-local, then remote in task order", order)
 	}
 
 	// Reduce tasks: the partition whose bytes mostly sit in the asking

@@ -211,7 +211,7 @@ func (jt *JobTracker) Trackers() []TrackerInfo {
 	defer jt.mu.Unlock()
 	var out []TrackerInfo
 	for _, t := range jt.trackers.list() {
-		out = append(out, TrackerInfo{ID: t.id, Rack: t.rack, Device: t.info.device, State: t.state()})
+		out = append(out, TrackerInfo{ID: t.id, Device: t.info.device, State: t.state()})
 	}
 	slices.SortFunc(out, func(a, b TrackerInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
@@ -312,7 +312,7 @@ func (jt *JobTracker) expand(spec JobSpec) ([]Task, error) {
 func (jt *JobTracker) heartbeat(args HeartbeatArgs, now time.Time) HeartbeatReply {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	t := jt.trackers.beat(args.TrackerID, args.Rack, now)
+	t := jt.trackers.beat(args.TrackerID, now)
 	t.info.device = args.Device
 	if t.info.device == "" {
 		t.info.device = DeviceHost

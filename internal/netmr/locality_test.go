@@ -26,7 +26,7 @@ func TestLocalityPreferredAssignment(t *testing.T) {
 	}
 	var local, remote int64
 	for _, tt := range c.TTs {
-		l, _, r := tt.FetchStats()
+		l, r := tt.FetchStats()
 		local += l
 		remote += r
 	}
@@ -71,7 +71,7 @@ func TestLocalityStatsZeroWithoutLocalDN(t *testing.T) {
 	}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	local, _, remote := tt.FetchStats()
+	local, remote := tt.FetchStats()
 	if local != 0 || remote != 4 {
 		t.Errorf("stats = %d local / %d remote, want 0/4", local, remote)
 	}
@@ -112,14 +112,14 @@ func TestColocatedReadSkipsTheSocket(t *testing.T) {
 	if wire := read(); wire >= blk.Size {
 		t.Errorf("co-located read moved %d socket bytes for a %d-byte block", wire, blk.Size)
 	}
-	if local, _, remote := tt.FetchStats(); local != 1 || remote != 0 {
+	if local, remote := tt.FetchStats(); local != 1 || remote != 0 {
 		t.Errorf("after the co-located read: %d local / %d remote, want 1/0", local, remote)
 	}
 	c.DNs[0].Close()
 	if wire := read(); wire < blk.Size {
 		t.Errorf("failover read moved %d socket bytes for a %d-byte block, want it over TCP", wire, blk.Size)
 	}
-	if local, _, remote := tt.FetchStats(); local != 1 || remote != 1 {
+	if local, remote := tt.FetchStats(); local != 1 || remote != 1 {
 		t.Errorf("after the failover read: %d local / %d remote, want 1/1", local, remote)
 	}
 }

@@ -23,7 +23,6 @@ const (
 // member has, plus the master's own in info.
 type member[T any] struct {
 	id       string
-	rack     string
 	lastSeen time.Time
 	draining bool
 	dead     bool
@@ -64,10 +63,9 @@ func newRoster[T any]() *roster[T] {
 }
 
 // beat records a heartbeat: the first one registers the member, every
-// one refreshes its liveness and rack (a re-racked rejoin is honoured),
-// and one after a declared death rejoins it cleanly. A retired ID gets
-// nil.
-func (r *roster[T]) beat(id, rack string, now time.Time) *member[T] {
+// one refreshes its liveness, and one after a declared death rejoins it
+// cleanly. A retired ID gets nil.
+func (r *roster[T]) beat(id string, now time.Time) *member[T] {
 	if r.retired[id] {
 		return nil
 	}
@@ -77,7 +75,6 @@ func (r *roster[T]) beat(id, rack string, now time.Time) *member[T] {
 		r.members[id] = m
 		r.order = append(r.order, id)
 	}
-	m.rack = rack
 	m.lastSeen = now
 	m.dead = false
 	return m

@@ -44,7 +44,7 @@ func TestAddWorkerJoinsAtRuntime(t *testing.T) {
 	// inside one 30 ms tick, before the newcomer's first beat asks.
 	taskTime := 10 * time.Millisecond
 	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1024, Heartbeat: 30 * time.Millisecond,
-		Racks: 2, TaskDelays: []time.Duration{taskTime, taskTime, taskTime}})
+		TaskDelays: []time.Duration{taskTime, taskTime, taskTime}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,6 @@ func TestAddWorkerJoinsAtRuntime(t *testing.T) {
 	dn, tt, err := c.AddWorker()
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Worker 2 takes the next round-robin rack slot: 2 % 2 = rack 0.
-	if got, want := tt.Rack(), RackName(0); got != want {
-		t.Errorf("new worker rack = %q, want %q", got, want)
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		return trackerStateOf(c.JT, tt.ID) == NodeAlive
@@ -97,7 +93,7 @@ func TestAddWorkerJoinsAtRuntime(t *testing.T) {
 // bit-identical to the sequential reference.
 func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
 	c, err := StartCluster(Config{Workers: 3, Slots: 2, BlockSize: 512, Heartbeat: 30 * time.Millisecond,
-		Racks: 2, TaskDelays: []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond}})
+		TaskDelays: []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +155,10 @@ func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
 
 // A DataNode decommission re-replicates every block it holds before
 // the node departs: the replica sets are restored to the target count,
-// spread over at least two racks, and never reference the retired
-// node.
+// on distinct live nodes, and never reference the retired node.
 func TestDataNodeDecommissionReReplicates(t *testing.T) {
 	c, err := StartCluster(Config{Workers: 4, Slots: 2, BlockSize: 512, Heartbeat: 30 * time.Millisecond,
-		Racks: 2, Replication: 2})
+		Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +180,12 @@ func TestDataNodeDecommissionReReplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	alive := make(map[string]bool)
 	for _, d := range nodes {
 		if d.Addr == retired {
 			t.Errorf("retired datanode %s still in the membership view (state %s)", d.Addr, d.State)
 		}
+		alive[d.Addr] = d.State == NodeAlive
 	}
 	nnc, err := rpcnet.Dial(c.NN.Addr())
 	if err != nil {
@@ -204,15 +201,17 @@ func TestDataNodeDecommissionReReplicates(t *testing.T) {
 		if len(addrs) != 2 {
 			t.Errorf("block %d has %d replicas after decommission, want 2", blk.ID, len(addrs))
 		}
-		racks := make(map[string]bool)
-		for i, addr := range addrs {
+		homes := make(map[string]bool)
+		for _, addr := range addrs {
 			if addr == retired {
 				t.Errorf("block %d still lists retired replica %s", blk.ID, retired)
 			}
-			racks[blk.RackOfReplica(i)] = true
+			if alive[addr] {
+				homes[addr] = true
+			}
 		}
-		if len(racks) < 2 {
-			t.Errorf("block %d replicas cover %d rack(s) after repair, want >= 2", blk.ID, len(racks))
+		if len(homes) != 2 {
+			t.Errorf("block %d replicas %v sit on %d distinct live node(s) after repair, want 2", blk.ID, addrs, len(homes))
 		}
 	}
 	got, err := c.Client.ReadFile("/repl")
@@ -275,50 +274,9 @@ func TestDeadTrackerRejoinsCleanly(t *testing.T) {
 	}
 }
 
-// On a two-rack cluster with rack-spread replicas, every block has a
-// same-rack copy, so the grant loop's node-local and rack-local passes
-// keep remote fetches off the books entirely.
-func TestRackLocalityPreferred(t *testing.T) {
-	c, err := StartCluster(Config{Workers: 4, Slots: 2, BlockSize: 512, Heartbeat: 30 * time.Millisecond,
-		Racks: 2, Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Shutdown)
-
-	data := make([]byte, 32*512)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	if err := c.Client.WriteFile("/rackdata", data, ""); err != nil {
-		t.Fatal(err)
-	}
-	args, err := rpcnet.Marshal(AESArgs{
-		Key: []byte("0123456789abcdef"), IV: make([]byte, 16), BlockBytes: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect(t, c.Client, JobSpec{
-		Name: "rack-enc", Kernel: "aes-ctr", Input: "/rackdata", Args: args,
-	})
-	local, rack, remote := c.FetchTotals()
-	t.Logf("fetches: local=%d rack=%d remote=%d", local, rack, remote)
-	if local+rack+remote == 0 {
-		t.Fatal("no block fetches recorded")
-	}
-	if local == 0 {
-		t.Error("node-local grant pass produced no local fetches")
-	}
-	if remote != 0 {
-		t.Errorf("%d remote fetches despite a same-rack replica of every block", remote)
-	}
-}
-
 // Sanity on the exported membership view shapes the admin CLI prints.
 func TestListTrackersSorted(t *testing.T) {
-	c, err := StartCluster(Config{Workers: 3, Slots: 1, BlockSize: 1024, Heartbeat: 30 * time.Millisecond,
-		Racks: 2})
+	c, err := StartCluster(Config{Workers: 3, Slots: 1, BlockSize: 1024, Heartbeat: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,9 +292,6 @@ func TestListTrackersSorted(t *testing.T) {
 	for i, ti := range trackers {
 		if want := fmt.Sprintf("tracker-%d", i); ti.ID != want {
 			t.Errorf("trackers[%d].ID = %q, want %q (sorted)", i, ti.ID, want)
-		}
-		if ti.Rack == "" {
-			t.Errorf("tracker %s reports no rack", ti.ID)
 		}
 	}
 }

@@ -20,8 +20,8 @@ func TestRosterJoinExpireRejoin(t *testing.T) {
 	const deadAfter = 3 * time.Second
 	t0 := time.Unix(1000, 0)
 	r := newRoster[dnState]()
-	r.beat("b", "rack01", t0)
-	r.beat("a", "rack00", t0.Add(time.Second))
+	r.beat("b", t0)
+	r.beat("a", t0.Add(time.Second))
 	if got := rosterIDs(r); len(got) != 2 || got[0] != "b:alive" || got[1] != "a:alive" {
 		t.Fatalf("list = %v, want join order [b:alive a:alive]", got)
 	}
@@ -42,15 +42,15 @@ func TestRosterJoinExpireRejoin(t *testing.T) {
 	if again := r.expire(t0.Add(time.Hour), deadAfter); len(again) != 1 || again[0].id != "a" {
 		t.Fatalf("second expire = %v, want only the newly dead [a]", again)
 	}
-	if off := newRoster[dnState](); off.beat("x", "", t0) == nil || len(off.expire(t0.Add(time.Hour), 0)) != 0 {
+	if off := newRoster[dnState](); off.beat("x", t0) == nil || len(off.expire(t0.Add(time.Hour), 0)) != 0 {
 		t.Error("expire with DeadAfter 0 declared a member dead")
 	}
 
-	// A beat after a declared death rejoins the same row, re-racked.
+	// A beat after a declared death rejoins the same row.
 	row := r.members["b"]
 	row.info.load = 7
-	if back := r.beat("b", "rack09", t0.Add(2*time.Hour)); back != row || back.dead || back.rack != "rack09" || back.info.load != 7 {
-		t.Fatalf("rejoin = %+v, want the same row alive on rack09 with its columns kept", back)
+	if back := r.beat("b", t0.Add(2*time.Hour)); back != row || back.dead || back.info.load != 7 {
+		t.Fatalf("rejoin = %+v, want the same row alive with its columns kept", back)
 	}
 	if got := rosterIDs(r); got[0] != "b:alive" || got[1] != "a:dead" {
 		t.Fatalf("list after rejoin = %v", got)
@@ -60,8 +60,8 @@ func TestRosterJoinExpireRejoin(t *testing.T) {
 func TestRosterDrainAndRetire(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	r := newRoster[trackerState]()
-	r.beat("t0", "", t0)
-	r.beat("t1", "", t0)
+	r.beat("t0", t0)
+	r.beat("t1", t0)
 	if r.drain("nobody") != nil {
 		t.Error("drain of an unknown ID returned a member")
 	}
@@ -70,7 +70,7 @@ func TestRosterDrainAndRetire(t *testing.T) {
 		t.Fatalf("drain = %+v, want t0 draining and not placeable", m)
 	}
 	// Draining survives beats; death outranks it in the reported state.
-	if r.beat("t0", "", t0.Add(time.Second)); m.state() != NodeDraining {
+	if r.beat("t0", t0.Add(time.Second)); m.state() != NodeDraining {
 		t.Errorf("state after a beat = %s, want still draining", m.state())
 	}
 	r.expire(t0.Add(time.Minute), time.Second)
@@ -82,7 +82,7 @@ func TestRosterDrainAndRetire(t *testing.T) {
 	if got := rosterIDs(r); len(got) != 1 || got[0] != "t1:dead" {
 		t.Fatalf("list after retire = %v, want only t1", got)
 	}
-	if r.beat("t0", "", t0.Add(time.Hour)) != nil {
+	if r.beat("t0", t0.Add(time.Hour)) != nil {
 		t.Error("a retired ID's beat was accepted")
 	}
 	if _, back := r.members["t0"]; back {

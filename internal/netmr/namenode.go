@@ -29,8 +29,7 @@ type dnRow = member[dnState]
 // their first Register heartbeat and stay alive by repeating it; a
 // node that misses DeadAfter is declared dead, its replicas are
 // pruned, and its blocks are re-replicated onto the survivors. Replica
-// placement and repair spread copies across racks, so losing a whole
-// rack cannot take every copy of a block with it.
+// placement and repair put each copy of a block on a distinct node.
 type NameNode struct {
 	srv *rpcnet.Server
 
@@ -51,7 +50,8 @@ type NameNode struct {
 	files     map[string][]BlockInfo
 	nodes     *roster[dnState]
 	// freed queues, per DataNode, the block replicas of deleted files
-	// it still stores; the node's next Register reply carries them.
+	// it still stores. Every Register reply carries the node's queue,
+	// and an ID leaves it only when a later beat acknowledges it.
 	freed     map[string][]int64
 	repairing bool // one repair pass at a time
 
@@ -133,60 +133,48 @@ func (nn *NameNode) pruneLocked(gone func(*dnRow) bool) {
 }
 
 // pruneBlockLocked removes replicas matching gone from blk, keeping at
-// least one replica, and keeps Racks parallel. Callers hold nn.mu.
+// least one replica. Callers hold nn.mu.
 func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnRow) bool) {
-	addrs := blk.Replicas
-	keptA := make([]string, 0, len(addrs))
-	keptR := make([]string, 0, len(addrs))
+	kept := make([]string, 0, len(blk.Replicas))
 	var dropped []*dnRow
-	for i, addr := range addrs {
+	for _, addr := range blk.Replicas {
 		d := nn.nodes.members[addr]
 		if d != nil && gone(d) {
 			dropped = append(dropped, d)
 			continue
 		}
-		keptA = append(keptA, addr)
-		keptR = append(keptR, nn.rackOfLocked(addr, blk.RackOfReplica(i)))
+		kept = append(kept, addr)
 	}
-	if len(keptA) == 0 {
+	if len(kept) == 0 {
 		return // every home is gone: keep the list for a rejoin
 	}
 	for _, d := range dropped {
 		d.info.load--
 	}
-	blk.Replicas, blk.Racks = keptA, keptR
-}
-
-// rackOfLocked resolves addr's current rack, falling back to the
-// recorded one for nodes no longer known. Callers hold nn.mu.
-func (nn *NameNode) rackOfLocked(addr, recorded string) string {
-	if d := nn.nodes.members[addr]; d != nil {
-		return d.rack
-	}
-	if recorded != "" {
-		return recorded
-	}
-	return DefaultRack
+	blk.Replicas = kept
 }
 
 // register is a DataNode's heartbeat: a dead node re-registering
 // rejoins cleanly with its stored blocks counted again once
-// re-confirmed, and the reply carries the replicas of deleted files the
-// node may drop.
+// re-confirmed. The beat's Freed forgets what the node acknowledged
+// dropping, and the reply names every replica of a deleted file still
+// queued for it — again, if an earlier reply was lost.
 func (nn *NameNode) register(args RegisterArgs, now time.Time) (RegisterReply, error) {
-	rack := args.Rack
-	if rack == "" {
-		rack = DefaultRack
-	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	d := nn.nodes.beat(args.Addr, rack, now)
+	d := nn.nodes.beat(args.Addr, now)
 	if d == nil {
 		return RegisterReply{}, fmt.Errorf("netmr: datanode %s was decommissioned", args.Addr)
 	}
-	free := nn.freed[args.Addr]
-	delete(nn.freed, args.Addr)
-	return RegisterReply{Draining: d.draining, Free: free}, nil
+	queue := slices.DeleteFunc(nn.freed[args.Addr], func(id int64) bool {
+		return slices.Contains(args.Freed, id)
+	})
+	if len(queue) == 0 {
+		delete(nn.freed, args.Addr)
+	} else {
+		nn.freed[args.Addr] = queue
+	}
+	return RegisterReply{Draining: d.draining, Free: slices.Clone(queue)}, nil
 }
 
 // placeableNodes lists nodes new replicas may land on, in registration
@@ -196,23 +184,14 @@ func (nn *NameNode) placeableNodes() []*dnRow {
 	return slices.DeleteFunc(all, func(d *dnRow) bool { return !d.placeable() })
 }
 
-// pickTarget chooses the next replica home among candidates not in
-// have: first the least-loaded node on a rack the replica set misses
-// (the HDFS rack-spread rule), then the least-loaded anywhere. Returns
-// nil when every candidate already holds a copy. Callers hold nn.mu.
-func pickTarget(candidates []*dnRow, have []string, haveRacks map[string]bool) *dnRow {
+// pickTarget chooses the next replica home: the least-loaded candidate
+// not in have, the first of equals in candidate order. Returns nil when
+// every candidate already holds a copy. Callers hold nn.mu.
+func pickTarget(candidates []*dnRow, have []string) *dnRow {
 	var best *dnRow
-	bestOffRack := false
 	for _, d := range candidates {
-		if slices.Contains(have, d.id) {
-			continue
-		}
-		offRack := !haveRacks[d.rack]
-		switch {
-		case best == nil,
-			offRack && !bestOffRack,
-			offRack == bestOffRack && d.info.load < best.info.load:
-			best, bestOffRack = d, offRack
+		if !slices.Contains(have, d.id) && (best == nil || d.info.load < best.info.load) {
+			best = d
 		}
 	}
 	return best
@@ -241,24 +220,19 @@ func (nn *NameNode) handleAllocate(args AllocateArgs) (AllocateReply, error) {
 		}
 	}
 	if primary == nil {
-		primary = pickTarget(candidates, nil, map[string]bool{})
+		primary = pickTarget(candidates, nil)
 	}
-	// Secondary replicas spread across racks: each pick prefers a rack
-	// the replica set does not cover yet, so a dead node — or a dead
-	// rack — never takes the only copy of a block with it.
+	// Secondary replicas go to the least-loaded other nodes, so a dead
+	// node never takes the only copy of a block with it.
 	replicas := []string{primary.id}
-	racks := []string{primary.rack}
-	haveRacks := map[string]bool{primary.rack: true}
 	for want := min(nn.want(), len(candidates)); len(replicas) < want; {
-		d := pickTarget(candidates, replicas, haveRacks)
+		d := pickTarget(candidates, replicas)
 		if d == nil {
 			break
 		}
 		replicas = append(replicas, d.id)
-		racks = append(racks, d.rack)
-		haveRacks[d.rack] = true
 	}
-	blk := BlockInfo{ID: nn.nextBlock, Size: args.Size, Replicas: replicas, Racks: racks}
+	blk := BlockInfo{ID: nn.nextBlock, Size: args.Size, Replicas: replicas}
 	nn.nextBlock++
 	for _, addr := range replicas {
 		nn.nodes.members[addr].info.load++
@@ -291,10 +265,6 @@ func (nn *NameNode) handleConfirm(args ConfirmArgs) (ConfirmReply, error) {
 			}
 		}
 		blocks[i].Replicas = append([]string(nil), args.Replicas...)
-		blocks[i].Racks = make([]string, len(args.Replicas))
-		for j, addr := range args.Replicas {
-			blocks[i].Racks[j] = nn.rackOfLocked(addr, "")
-		}
 		return ConfirmReply{}, nil
 	}
 	return ConfirmReply{}, fmt.Errorf("netmr: confirm of unknown block %d in %q", args.BlockID, args.File)
@@ -311,7 +281,7 @@ type repairOp struct {
 
 // Repair runs one re-replication pass: every block whose serving
 // replica count sits below the replication target gains copies on the
-// least-loaded placeable nodes, racks the replica set misses first.
+// least-loaded placeable nodes.
 // The plan is computed under nn.mu; the block transfers are DataNode→
 // DataNode Replicate RPCs issued with the lock released, and each
 // success commits back under the lock. It returns the number of
@@ -357,9 +327,8 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 		for _, blk := range nn.files[f] {
 			served := ""
 			have := append([]string(nil), blk.Replicas...)
-			haveRacks := make(map[string]bool)
 			healthy := 0
-			for i, addr := range blk.Replicas {
+			for _, addr := range blk.Replicas {
 				d := nn.nodes.members[addr]
 				if d == nil || d.dead {
 					continue
@@ -369,20 +338,18 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 				}
 				if d.placeable() {
 					healthy++
-					haveRacks[nn.rackOfLocked(addr, blk.RackOfReplica(i))] = true
 				}
 			}
 			if served == "" {
 				continue // no live source: nothing to copy from
 			}
 			for want := min(nn.want(), len(candidates)); healthy < want; {
-				d := pickTarget(candidates, have, haveRacks)
+				d := pickTarget(candidates, have)
 				if d == nil {
 					break
 				}
 				ops = append(ops, repairOp{file: f, id: blk.ID, src: served, dst: d.id})
 				have = append(have, d.id)
-				haveRacks[d.rack] = true
 				healthy++
 			}
 		}
@@ -416,7 +383,6 @@ func (nn *NameNode) replicate(op repairOp) bool {
 			return false // raced with another pass
 		}
 		blocks[i].Replicas = append(blocks[i].Replicas, op.dst)
-		blocks[i].Racks = append(blocks[i].Racks, nn.rackOfLocked(op.dst, ""))
 		if d := nn.nodes.members[op.dst]; d != nil {
 			d.info.load++
 		}
@@ -442,7 +408,7 @@ func (nn *NameNode) DecommissionDataNode(addr string) error {
 
 	// Restore the replication target without the draining node: its
 	// copies no longer count as healthy, so every block it holds gains
-	// a home elsewhere (racks the set misses first).
+	// a home elsewhere.
 	nn.Repair()
 
 	nn.mu.Lock()
@@ -460,7 +426,7 @@ func (nn *NameNode) handleListDataNodes(ListDataNodesArgs) (ListDataNodesReply, 
 	var reply ListDataNodesReply
 	for _, d := range nn.nodes.list() {
 		reply.Nodes = append(reply.Nodes, DataNodeInfo{
-			Addr: d.id, Rack: d.rack, State: d.state(), Blocks: d.info.load,
+			Addr: d.id, State: d.state(), Blocks: d.info.load,
 		})
 	}
 	return reply, nil

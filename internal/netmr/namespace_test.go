@@ -1,6 +1,7 @@
 package netmr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,49 @@ func TestRegisterIdempotent(t *testing.T) {
 	// Writes still place on the single datanode without error.
 	if err := c.Client.WriteFile("/x", make([]byte, 100), ""); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockFreesSurviveALostRegisterReply: the NameNode keeps naming a
+// deleted file's replicas to their DataNode until a beat acknowledges
+// them, so a Register reply lost after the NameNode handled it costs a
+// repeat, not a replica leaked for good. Driven on the handlers alone,
+// with no socket.
+func TestBlockFreesSurviveALostRegisterReply(t *testing.T) {
+	nn := &NameNode{files: make(map[string][]BlockInfo), nodes: newRoster[dnState](), freed: make(map[string][]int64)}
+	t0 := time.Unix(1000, 0)
+	beat := func(at time.Duration, acked []int64) []int64 {
+		t.Helper()
+		reply, err := nn.register(RegisterArgs{Addr: "dn", Freed: acked}, t0.Add(at))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply.Free
+	}
+	beat(0, nil)
+	var ids []int64
+	for range 3 {
+		alloc, err := nn.handleAllocate(AllocateArgs{File: "/f", Size: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, alloc.Block.ID)
+	}
+	if _, err := nn.handleDelete(DeleteArgs{File: "/f"}); err != nil {
+		t.Fatal(err)
+	}
+	if lost := beat(time.Second, nil); !slices.Equal(lost, ids) {
+		t.Fatalf("first beat after the delete frees %v, want %v", lost, ids)
+	}
+	// That reply never arrived: the node dropped nothing and
+	// acknowledges nothing, so its next beat must name the IDs again.
+	again := beat(2*time.Second, nil)
+	if !slices.Equal(again, ids) {
+		t.Fatalf("beat after a lost reply frees %v, want %v again", again, ids)
+	}
+	// Acknowledged, they leave the queue for good.
+	if rest := beat(3*time.Second, again); len(rest) != 0 || len(nn.freed) != 0 {
+		t.Fatalf("after the acknowledgement the beat frees %v and the queue holds %v, want both empty", rest, nn.freed)
 	}
 }
 

@@ -48,13 +48,8 @@ type TaskTracker struct {
 	heartbeat time.Duration
 	// LocalDataNode, when set, is the co-located DataNode's address;
 	// the JobTracker uses it for data-local assignment, and the
-	// tracker counts local vs rack vs remote fetches.
+	// tracker counts local vs remote fetches.
 	LocalDataNode string
-
-	// rack is the tracker's rack assignment ("" reads as the flat
-	// default rack); it rides every heartbeat for the JobTracker's
-	// rack-local grant pass and orders replica fetches.
-	rack string
 
 	// srv serves the shuffle store (the data plane); its address
 	// travels to the JobTracker in map results.
@@ -98,7 +93,6 @@ type TaskTracker struct {
 	running     int
 	draining    bool // JobTracker-initiated decommission in progress
 	localFetch  int64
-	rackFetch   int64
 	remoteFetch int64
 	accelTasks  int64
 
@@ -129,16 +123,12 @@ func (tt *TaskTracker) AccelTasks() int64 {
 }
 
 // FetchStats reports how many block fetches hit the co-located
-// DataNode, a DataNode on the tracker's rack, or a remote rack.
-func (tt *TaskTracker) FetchStats() (local, rack, remote int64) {
+// DataNode, and how many another one.
+func (tt *TaskTracker) FetchStats() (local, remote int64) {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	return tt.localFetch, tt.rackFetch, tt.remoteFetch
+	return tt.localFetch, tt.remoteFetch
 }
-
-// Rack returns the tracker's rack assignment ("" for the flat
-// default).
-func (tt *TaskTracker) Rack() string { return tt.rack }
 
 // Drained returns a channel closed once a JobTracker-initiated
 // decommission drain completes: in-flight tasks finished, results
@@ -150,7 +140,7 @@ func (tt *TaskTracker) Drained() <-chan struct{} { return tt.drained }
 func (tt *TaskTracker) ShuffleAddr() string { return tt.srv.Addr() }
 
 // StartTaskTracker launches a tracker as worker number worker of cfg
-// (its rack, device, task delay and stores), polling the JobTracker at
+// (its device, task delay and stores), polling the JobTracker at
 // jtAddr. localDataNode is the co-located DataNode's address ("" when
 // the tracker has none).
 func StartTaskTracker(id, jtAddr, localDataNode string, worker int, cfg Config) (*TaskTracker, error) {
@@ -175,7 +165,6 @@ func StartTaskTracker(id, jtAddr, localDataNode string, worker int, cfg Config) 
 		slots:         cfg.Slots,
 		heartbeat:     cfg.heartbeat(),
 		LocalDataNode: localDataNode,
-		rack:          cfg.rack(worker),
 		srv:           srv,
 		delay:         at(cfg.TaskDelays, worker),
 		device:        device,
@@ -265,7 +254,7 @@ var heartbeatCallTimeout = 5 * time.Second
 // fails the dial, a hung one the call; either way the pooled client
 // redials on the next beat.
 func (tt *TaskTracker) beat(args HeartbeatArgs) (HeartbeatReply, error) {
-	args.TrackerID, args.LocalDataNode, args.Rack = tt.ID, tt.LocalDataNode, tt.rack
+	args.TrackerID, args.LocalDataNode = tt.ID, tt.LocalDataNode
 	args.ShuffleAddr, args.Device = tt.srv.Addr(), tt.DeviceKind()
 	var reply HeartbeatReply
 	jtc, err := tt.wire.get(tt.jtAddr)
@@ -627,34 +616,19 @@ func (tt *TaskTracker) fetchPartition(addr string, args FetchPartitionArgs) ([]b
 }
 
 // fetchBlock pulls one DFS block through the shared read-failover
-// protocol (readBlockFrom), trying replicas in topology order — the
-// co-located DataNode first, then same-rack replicas, then the rest in
-// placement order — what keeps map tasks running through a DataNode
-// death while preferring the cheapest surviving copy. The co-located
-// read is the same Get over the same protocol; only its connection is
-// an in-process pipe rather than a loopback socket (connCache.local).
+// protocol (readBlockFrom), trying the co-located DataNode first, then
+// the other replicas in placement order — what keeps map tasks running
+// through a DataNode death while preferring the cheapest surviving
+// copy. The co-located read is the same Get over the same protocol;
+// only its connection is an in-process pipe rather than a loopback
+// socket (connCache.local).
 func (tt *TaskTracker) fetchBlock(blk BlockInfo) ([]byte, error) {
-	addrs := blk.Replicas
-	rackOf := make(map[string]string, len(addrs))
-	for i, addr := range addrs {
-		rackOf[addr] = blk.RackOfReplica(i)
+	ordered := make([]string, 0, len(blk.Replicas))
+	if slices.Contains(blk.Replicas, tt.LocalDataNode) {
+		ordered = append(ordered, tt.LocalDataNode)
 	}
-	sameRack := func(addr string) bool {
-		return tt.rack != "" && rackOf[addr] == tt.rack
-	}
-	ordered := make([]string, 0, len(addrs))
-	for _, addr := range addrs {
-		if addr == tt.LocalDataNode {
-			ordered = append(ordered, addr)
-		}
-	}
-	for _, addr := range addrs {
-		if addr != tt.LocalDataNode && sameRack(addr) {
-			ordered = append(ordered, addr)
-		}
-	}
-	for _, addr := range addrs {
-		if addr != tt.LocalDataNode && !sameRack(addr) {
+	for _, addr := range blk.Replicas {
+		if addr != tt.LocalDataNode {
 			ordered = append(ordered, addr)
 		}
 	}
@@ -663,12 +637,9 @@ func (tt *TaskTracker) fetchBlock(blk BlockInfo) ([]byte, error) {
 		return nil, err
 	}
 	tt.mu.Lock()
-	switch {
-	case served == tt.LocalDataNode:
+	if served == tt.LocalDataNode {
 		tt.localFetch++
-	case sameRack(served):
-		tt.rackFetch++
-	default:
+	} else {
 		tt.remoteFetch++
 	}
 	tt.mu.Unlock()

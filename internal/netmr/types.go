@@ -36,18 +36,7 @@
 // in-process callers use too.
 package netmr
 
-import (
-	"fmt"
-	"time"
-)
-
-// DefaultRack is the rack of nodes never assigned one. A flat cluster
-// keeps every node here, making all pairs rack-local.
-const DefaultRack = "rack00"
-
-// RackName returns the canonical name of rack i ("rack00", "rack01",
-// ...), the scheme Config.Racks deals workers over.
-func RackName(i int) string { return fmt.Sprintf("rack%02d", i) }
+import "time"
 
 // BlockInfo describes one stored block: its cluster-wide ID, size and
 // every replica holding it.
@@ -58,35 +47,6 @@ type BlockInfo struct {
 	// block, primary first. Readers fail over along this list when a
 	// DataNode is down.
 	Replicas []string
-	// Racks lists each replica's rack, parallel to Replicas, so
-	// schedulers and readers can grade locality (node, rack, remote)
-	// without a separate topology exchange. Records written before
-	// racks existed leave it empty — every replica then reads as
-	// rack-local, the flat pre-rack behaviour.
-	Racks []string
-}
-
-// RackOfReplica reports the rack of the i'th replica ("" for records
-// predating rack placement).
-func (b BlockInfo) RackOfReplica(i int) string {
-	if i >= 0 && i < len(b.Racks) {
-		return b.Racks[i]
-	}
-	return ""
-}
-
-// OnRack reports whether any replica of the block lives on rack.
-// Blocks without rack records match any rack — the flat topology.
-func (b BlockInfo) OnRack(rack string) bool {
-	if len(b.Racks) == 0 {
-		return true
-	}
-	for _, r := range b.Racks {
-		if r == rack {
-			return true
-		}
-	}
-	return false
 }
 
 // --- NameNode RPC messages ---
@@ -98,9 +58,11 @@ func (b BlockInfo) OnRack(rack string) bool {
 // node re-registering after being declared dead rejoins cleanly.
 type RegisterArgs struct {
 	Addr string
-	// Rack is the node's rack assignment ("" lands in the default
-	// rack — the flat topology).
-	Rack string
+	// Freed acknowledges the Free list of the node's last answered
+	// beat: it dropped those blocks, so the NameNode may forget them.
+	// Until a beat acknowledges an ID the NameNode keeps naming it, so
+	// a reply lost in transit costs a repeat, never a leaked replica.
+	Freed []int64
 }
 
 // RegisterReply acknowledges registration. Draining tells the node the
@@ -109,7 +71,8 @@ type RegisterArgs struct {
 type RegisterReply struct {
 	Draining bool
 	// Free names blocks of deleted files this node stores a replica
-	// of: the node drops them from its block store.
+	// of: the node drops them from its block store and acknowledges
+	// them in its next beat's Freed. An ID stays here until then.
 	Free []int64
 }
 
@@ -139,7 +102,6 @@ type DecommissionDNReply struct{}
 // DataNodeInfo is one DataNode's row in a ListDataNodes reply.
 type DataNodeInfo struct {
 	Addr string
-	Rack string
 	// State is the node's lifecycle state: "alive", "draining" or
 	// "dead".
 	State string
@@ -440,10 +402,6 @@ type HeartbeatArgs struct {
 	// (same machine in the paper's deployment); the JobTracker
 	// prefers handing the tracker tasks whose block lives there.
 	LocalDataNode string
-	// Rack is the tracker's rack; the grant loop prefers tasks whose
-	// block has a replica on it when no node-local task is pending ("",
-	// like every pre-rack tracker, reads as the default rack).
-	Rack string
 	// ShuffleAddr is the tracker's shuffle-store (data plane) address.
 	// The JobTracker's membership view keys shuffle state by it: when
 	// the tracker is declared dead, map outputs recorded at this
@@ -492,7 +450,6 @@ type DecommissionTrackerReply struct{}
 // TrackerInfo is one TaskTracker's row in a ListTrackers reply.
 type TrackerInfo struct {
 	ID     string
-	Rack   string
 	Device string
 	// State is the tracker's lifecycle state: "alive", "draining" or
 	// "dead".

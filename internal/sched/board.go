@@ -76,9 +76,9 @@ func NewBoard(n int, lease time.Duration, opts Options) (*Board, error) {
 	}, nil
 }
 
-// Locality grades a task for the worker asking: how near its data sits
-// — on the worker's own node, on its rack, or across racks — or that
-// this worker may not have it at all.
+// Locality grades a task for the worker asking: whether its data sits
+// on the worker's own node or elsewhere — or that this worker may not
+// have it at all.
 type Locality int
 
 // Locality levels, ordered so a higher value is nearer.
@@ -90,19 +90,17 @@ const (
 	// pull its own failure back and burn the task's whole failure
 	// budget); the JobTracker's closures never return it.
 	LocalityExcluded Locality = iota - 1
-	// LocalityRemote is data on another rack (or locality-indifferent
+	// LocalityRemote is data on another node (or locality-indifferent
 	// tasks).
 	LocalityRemote
-	// LocalityRack is data on the worker's rack but another node.
-	LocalityRack
 	// LocalityNode is data on the worker's own node.
 	LocalityNode
 )
 
 // Assign grants worker up to max pending task attempts at time now:
 // expired leases are reclaimed first, then pending tasks in descending
-// locality order — node-local first, then rack-local, then remote (nil
-// closure: every task is remote, one flat pass). A task the closure
+// locality order — node-local first, then remote (nil closure: every
+// task is remote, one flat pass). A task the closure
 // grades LocalityExcluded stays pending. A task index repeats across
 // calls only after a lease expiry. Speculative duplicates are a
 // separate step (Speculate), so a master serving several boards can
@@ -116,9 +114,9 @@ func (b *Board) Assign(worker string, max int, now time.Time, locality func(task
 	for b.low < len(order) && !b.pending(order[b.low]) {
 		b.low++
 	}
-	tiers := []Locality{LocalityNode, LocalityRack, LocalityRemote}
+	tiers := []Locality{LocalityNode, LocalityRemote}
 	if locality == nil {
-		tiers = tiers[2:]
+		tiers = tiers[1:]
 	}
 	var out []int
 	for _, want := range tiers {

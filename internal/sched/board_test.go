@@ -64,39 +64,6 @@ func TestBoardLocalityFirst(t *testing.T) {
 	}
 }
 
-func TestBoardRackLocalityOrder(t *testing.T) {
-	// Full node → rack → remote order: with three grants available the
-	// node-local task goes first, then the rack-local one, then remote.
-	b := boardAt(t, 3, time.Second, Options{})
-	t0 := time.Unix(0, 0)
-	locality := func(i int) Locality {
-		switch i {
-		case 1:
-			return LocalityNode
-		case 2:
-			return LocalityRack
-		default:
-			return LocalityRemote
-		}
-	}
-	got := b.Assign("a", 3, t0, locality)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Fatalf("granted %v, want node-local 1, rack-local 2, remote 0", got)
-	}
-	// A worker with one slot and only rack-local data still gets it
-	// ahead of remote tasks.
-	b2 := boardAt(t, 2, time.Second, Options{})
-	rackOnly := func(i int) Locality {
-		if i == 1 {
-			return LocalityRack
-		}
-		return LocalityRemote
-	}
-	if got := b2.Assign("b", 1, t0, rackOnly); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("granted %v, want the rack-local task [1]", got)
-	}
-}
-
 func TestBoardLeaseExpiryReissues(t *testing.T) {
 	b := boardAt(t, 1, time.Second, Options{})
 	t0 := time.Unix(100, 0)

@@ -12,9 +12,8 @@
 // mechanisms:
 //
 //   - pull grants, node-local first: a worker is handed the tasks whose
-//     data it holds, then rack-local ones, then any pending task, so a
-//     faster device simply asks more often and a slow one never
-//     serializes the job tail;
+//     data it holds, then any pending task, so a faster device simply
+//     asks more often and a slow one never serializes the job tail;
 //   - speculative execution: when idle capacity appears and nothing is
 //     pending, the longest-running in-flight task is duplicated and the
 //     first finished attempt wins (Hadoop's straggler defence);
