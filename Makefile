@@ -139,7 +139,7 @@ loc:
 # count is the same on every machine, so a PR that grows the tree must
 # raise LOC_MAX in its own diff, where review sees it; one that shrinks
 # it lowers LOC_MAX to the new `make loc`.
-LOC_MAX := 18474
+LOC_MAX := 18513
 loc-gate:
 	@n="$$($(MAKE) -s --no-print-directory loc)"; \
 	echo "non-test Go lines outside bench/: $$n (LOC_MAX $(LOC_MAX))"; \

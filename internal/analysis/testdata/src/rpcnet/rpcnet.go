@@ -26,8 +26,8 @@ func (c *Client) Call(method string, arg, result any) error { return nil }
 func (c *Client) CallTimeout(method string, arg, result any, timeoutNs int64) error { return nil }
 
 // CallTail mirrors Client.CallTail.
-func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst []byte, timeoutNs int64) ([]byte, error) {
-	return dst, nil
+func (c *Client) CallTail(method string, arg any, tail []byte, result any, timeoutNs int64, use func([]byte) error) error {
+	return nil
 }
 
 // Close mirrors Client.Close.

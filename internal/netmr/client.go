@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -162,7 +161,7 @@ func (c *Client) putBlock(name string, blk BlockInfo, chunk []byte) error {
 	var stored []string
 	var lastErr error
 	for _, addr := range blk.Replicas {
-		if _, err := c.wire.bulk(addr, "Put", PutArgs{ID: blk.ID}, chunk, nil, nil); err != nil {
+		if err := c.wire.bulk(addr, "Put", PutArgs{ID: blk.ID}, chunk, nil, nil); err != nil {
 			lastErr = err
 			continue
 		}
@@ -188,11 +187,13 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 	for _, blk := range lookup.Blocks {
 		size += blk.Size
 	}
-	// One allocation for the file: each block's reply tail lands in place.
+	// One allocation for the file: each block's lent tail is appended.
 	out := make([]byte, 0, size)
 	for _, blk := range lookup.Blocks {
-		var err error
-		if out, _, err = readBlockFrom(c.wire, blk, blk.Replicas, out); err != nil {
+		if _, err := readBlockFrom(c.wire, blk, blk.Replicas, func(data []byte) error {
+			out = append(out, data...)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -205,25 +206,30 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 // re-issued elsewhere — instead of a leaked task slot.
 const dataCallTimeout = 30 * time.Second
 
-// readBlockFrom fetches one block from the first reachable address and
-// appends it to dst (grown once, to the block's recorded size), trying
-// addrs in order and returning the address that served the read for
-// the caller's accounting — the one copy of the DFS read-failover
-// protocol, shared by the client and the TaskTrackers. Connections
-// come from the caller's cache; a dead replica costs a failed call,
-// not a poisoned cache entry (the pooled client redials on reuse).
-func readBlockFrom(wire *connCache, blk BlockInfo, addrs []string, dst []byte) ([]byte, string, error) {
-	dst = slices.Grow(dst, int(blk.Size))
+// readBlockFrom lends one block to use (rpcnet.CallTail: valid until
+// use returns) from the first of addrs that serves all BlockInfo.Size
+// bytes of it, and returns that address for the caller's accounting —
+// the one copy of the DFS read-failover protocol, shared by the client
+// and the TaskTrackers. use's own error is returned at once, not
+// retried. A dead replica costs a failed call, not a poisoned cache
+// entry (the pooled client redials on reuse).
+func readBlockFrom(wire *connCache, blk BlockInfo, addrs []string, use func([]byte) error) (string, error) {
 	var lastErr error
 	for _, addr := range addrs {
-		out, err := wire.bulk(addr, "Get", GetArgs{ID: blk.ID}, nil, nil, dst)
-		if err != nil {
-			lastErr = err
-			continue
+		served := false
+		err := wire.bulk(addr, "Get", GetArgs{ID: blk.ID}, nil, nil, func(data []byte) error {
+			if int64(len(data)) != blk.Size {
+				return fmt.Errorf("replica at %s holds %d bytes, want %d", addr, len(data), blk.Size)
+			}
+			served = true
+			return use(data)
+		})
+		if served {
+			return addr, err
 		}
-		return out, addr, nil
+		lastErr = err
 	}
-	return dst, "", fmt.Errorf("netmr: block %d: no replica reachable: %v", blk.ID, lastErr)
+	return "", fmt.Errorf("netmr: block %d: no replica served it: %v", blk.ID, lastErr)
 }
 
 // ListFiles returns the namespace listing.
@@ -354,10 +360,10 @@ const outputChunkBytes = 1 << 20
 // the stores can free the space. The result lives on the workers until
 // this call collects it: a tracker lost after the job's terminal edge
 // fails the collection with an error naming its store (a loss mid-job
-// is repaired by re-running the tasks). Each piece is pulled in bounded chunks straight from the
-// worker tracker's shuffle store: the client's peak memory is O(chunk)
-// regardless of output size and the JobTracker never touches the
-// output bytes. Returns the job's terminal status.
+// is repaired by re-running the tasks). Each piece is pulled in bounded
+// chunks straight from the worker tracker's shuffle store: the client's
+// peak memory is O(chunk) regardless of output size and the JobTracker
+// never touches the output bytes. Returns the job's terminal status.
 func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (StatusReply, error) {
 	st, err := c.WaitStatus(jobID, timeout)
 	if err != nil {
@@ -373,12 +379,11 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (St
 	if len(st.Outputs) == 0 {
 		return st, fmt.Errorf("netmr: job %d has no stored outputs: its kernel is structured and its result is StatusReply.Result", jobID)
 	}
-	chunk := make([]byte, 0, outputChunkBytes) // the one resident chunk, reused for the whole stream
 	for _, ref := range st.Outputs {
 		if ref.Addr == "" {
 			return st, fmt.Errorf("netmr: job %d output piece (%d,%d) has no location", jobID, ref.MapTask, ref.Part)
 		}
-		if err := c.streamOutputPiece(jobID, ref, w, chunk); err != nil {
+		if err := c.streamOutputPiece(jobID, ref, w); err != nil {
 			return st, fmt.Errorf("netmr: job %d stream output (%d,%d) from %s: %w",
 				jobID, ref.MapTask, ref.Part, ref.Addr, err)
 		}
@@ -387,24 +392,22 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (St
 }
 
 // streamOutputPiece pulls one stored output piece in ranges of
-// cap(chunk) bytes — each lands in chunk — and writes each to w as it
-// lands.
-func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer, chunk []byte) error {
+// outputChunkBytes and writes each to w as it lands (an io.Writer keeps
+// nothing it is handed, so the borrowed chunk needs no copy).
+func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer) error {
 	for off := int64(0); ; {
 		var rep FetchPartitionReply
-		data, err := c.wire.bulk(ref.Addr, "FetchPartition", FetchPartitionArgs{
+		start := off
+		err := c.wire.bulk(ref.Addr, "FetchPartition", FetchPartitionArgs{
 			JobID: jobID, MapTask: ref.MapTask, Part: ref.Part,
-			Offset: off, MaxBytes: int64(cap(chunk)),
-		}, nil, &rep, chunk[:0])
-		if err != nil {
+			Offset: off, MaxBytes: outputChunkBytes,
+		}, nil, &rep, func(chunk []byte) error {
+			off += int64(len(chunk))
+			_, err := w.Write(chunk)
 			return err
-		}
-		if _, err := w.Write(data); err != nil {
+		})
+		if err != nil || off >= rep.Size || off == start {
 			return err
-		}
-		off += int64(len(data))
-		if off >= rep.Size || len(data) == 0 {
-			return nil
 		}
 	}
 }
@@ -532,7 +535,7 @@ func StartCluster(cfg Config) (*Cluster, error) {
 // membership lock; the returned pair is appended to the roster by the
 // caller.
 func (c *Cluster) startWorker(i int) (*DataNode, *TaskTracker, error) {
-	dn, err := StartDataNode("127.0.0.1:0", c.NN.Addr(), i, c.cfg)
+	dn, err := StartDataNode("127.0.0.1:0", c.NN.Addr(), c.cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -112,13 +112,14 @@ func (cc *connCache) call(addr, method string, args, reply any) error {
 
 // bulk runs one data-plane RPC against the daemon at addr: tail rides
 // behind args as the request's raw frame tail and the reply's tail is
-// appended to dst (rpcnet.CallTail), under dataCallTimeout.
-func (cc *connCache) bulk(addr, method string, args any, tail []byte, reply any, dst []byte) ([]byte, error) {
+// lent to use (rpcnet.CallTail: valid until use returns; nil discards
+// it), under dataCallTimeout.
+func (cc *connCache) bulk(addr, method string, args any, tail []byte, reply any, use func([]byte) error) error {
 	c, err := cc.get(addr)
 	if err != nil {
-		return dst, err
+		return err
 	}
-	return c.CallTail(method, args, tail, reply, dst, dataCallTimeout)
+	return c.CallTail(method, args, tail, reply, dataCallTimeout, use)
 }
 
 // close tears down every cached client. Idempotent.

@@ -40,9 +40,9 @@ type DataNode struct {
 
 // StartDataNode launches a DataNode on addr with cfg's beat interval
 // and block store, and registers it with the NameNode over its first
-// heartbeat; the beat then repeats until Close. The worker number is
-// the one StartTaskTracker takes; no DataNode setting is per-worker.
-func StartDataNode(addr, nameNodeAddr string, _ int, cfg Config) (*DataNode, error) {
+// heartbeat; the beat then repeats until Close. No DataNode setting is
+// per-worker.
+func StartDataNode(addr, nameNodeAddr string, cfg Config) (*DataNode, error) {
 	srv, err := rpcnet.NewServer(addr)
 	if err != nil {
 		return nil, err
@@ -136,7 +136,7 @@ func (dn *DataNode) handleReplicate(args ReplicateArgs) (ReplicateReply, error) 
 	if err != nil {
 		return ReplicateReply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
-	if _, err := dn.wire.bulk(args.Target, "Put", PutArgs{ID: args.ID}, data, nil, nil); err != nil {
+	if err := dn.wire.bulk(args.Target, "Put", PutArgs{ID: args.ID}, data, nil, nil); err != nil {
 		return ReplicateReply{}, fmt.Errorf("netmr: replicate block %d to %s: %w", args.ID, args.Target, err)
 	}
 	return ReplicateReply{}, nil

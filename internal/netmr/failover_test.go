@@ -28,6 +28,57 @@ func init() {
 	})
 }
 
+// TestShortReplicaIsAFailedRead: a replica that answers Get with fewer
+// bytes than the block's recorded size has not served the block. The
+// read moves on to the next replica, and with none left it fails naming
+// the block — a truncated input would silently shorten an AES output
+// and drop a sort's trailing records. An error from use, the kernel's
+// own, is no replica's fault: it comes back at once, not retried.
+func TestShortReplicaIsAFailedRead(t *testing.T) {
+	block := bytes.Repeat([]byte("0123456789"), 100)
+	stub := func(answer []byte) string {
+		srv, err := rpcnet.NewServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		handleTail(srv, "Get", func(GetArgs, []byte) (GetReply, []byte, error) {
+			return GetReply{}, answer, nil
+		})
+		return srv.Addr()
+	}
+	short, full := stub(block[:len(block)-100]), stub(block)
+	wire := newConnCache()
+	defer wire.close()
+	blk := BlockInfo{ID: 7, Size: int64(len(block))}
+	var got []byte
+	uses := 0
+	keep := func(b []byte) error {
+		uses++
+		got = bytes.Clone(b)
+		return nil
+	}
+
+	served, err := readBlockFrom(wire, blk, []string{short, full}, keep)
+	if err != nil || served != full || !bytes.Equal(got, block) {
+		t.Fatalf("short replica first: served by %q (full is %q), %d bytes, err %v", served, full, len(got), err)
+	}
+	uses = 0
+	served, err = readBlockFrom(wire, blk, []string{short}, keep)
+	if err == nil || !strings.Contains(err.Error(), "block 7") || served != "" || uses != 0 {
+		t.Fatalf("short replica alone: served by %q, use ran %d times, err %v; want an error naming block 7", served, uses, err)
+	}
+
+	errKernel := errors.New("kernel failed")
+	served, err = readBlockFrom(wire, blk, []string{full, full}, func([]byte) error {
+		uses++
+		return errKernel
+	})
+	if err != errKernel || served != full || uses != 1 {
+		t.Fatalf("failing use: served by %q, use ran %d times, err %v; want its error once", served, uses, err)
+	}
+}
+
 func TestReadFailoverAfterDataNodeDeath(t *testing.T) {
 	c := startTestCluster(t, 3, 1024)
 	data := make([]byte, 10_000)
@@ -283,7 +334,7 @@ func TestDataNodeCloseReturnsWhenNameNodeGoesMute(t *testing.T) {
 	})
 	defer func(d time.Duration) { heartbeatCallTimeout = d }(heartbeatCallTimeout)
 	heartbeatCallTimeout = 100 * time.Millisecond
-	dn, err := StartDataNode("127.0.0.1:0", srv.Addr(), 0, Config{Heartbeat: 5 * time.Millisecond})
+	dn, err := StartDataNode("127.0.0.1:0", srv.Addr(), Config{Heartbeat: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,11 @@ import (
 // Merge/Reduce, byte for byte. Merge and Reduce must treat their inputs
 // as read-only: a piece served from the reducing tracker's own store
 // aliases resident store memory.
+//
+// A map task's data is borrowed: the DFS block in rpcnet's pooled frame
+// buffer, valid only until Map or Partition (or an Accel variant)
+// returns. No output may alias it: the sort run, the word table's arena
+// and the CTR output are all copies.
 type MapKernel struct {
 	// Map runs on the TaskTracker. data is nil for compute tasks.
 	Map func(task Task, data []byte) ([]byte, error)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -105,6 +107,96 @@ func TestSortPartitionPiecesAreRecordSlices(t *testing.T) {
 		}
 		if !bytes.Equal(merged, want) {
 			t.Fatalf("partition %d merged to %d bytes, want %d", p, len(merged), len(want))
+		}
+	}
+}
+
+// TestMapKernelsDoNotAliasTheirBlock holds every registered kernel to
+// MapKernel's borrowing rule: a map task's block is lent from rpcnet's
+// frame buffer and reused once the task returns, so no output may
+// alias it. Each map variant — host and accelerated — runs on a copy
+// of a block; the copy is then overwritten and every output must still
+// read as it did on pristine bytes. A one-record block is in the table
+// because it is where a sort can most cheaply return its input.
+func TestMapKernelsDoNotAliasTheirBlock(t *testing.T) {
+	dev, err := NewCellDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 64
+	text := zipfText(5, records*kernels.SortRecordBytes)
+	keys := kernels.GenerateSortRecords(9, records)
+	for i := 0; i < len(text); i += kernels.SortRecordBytes {
+		copy(text[i:i+kernels.SortKeyBytes], keys[i:]) // a terasort key ahead of each record's words
+	}
+	aesArgs, err := rpcnet.Marshal(AESArgs{Key: []byte("alias-test-key!!"), IV: []byte("alias-test-iv!!!"), BlockBytes: int64(len(text))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parts = 2
+	task := Task{TaskID: 1, Args: aesArgs, Samples: 1000, Seed: 3,
+		SplitKeys: [][]byte{text[records/2*kernels.SortRecordBytes:][:kernels.SortKeyBytes]}}
+
+	type variant struct {
+		name string
+		run  func(data []byte) ([][]byte, error)
+	}
+	builtin := []string{"sort", "aes-ctr", "wordcount", "pi"}
+	var names []string
+	for name := range kernelRegistry {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range builtin {
+		if !slices.Contains(names, name) {
+			t.Fatalf("built-in kernel %q is not registered", name)
+		}
+	}
+	for _, name := range names {
+		k := kernelRegistry[name]
+		one := func(out []byte, err error) ([][]byte, error) { return [][]byte{out}, err }
+		var variants []variant
+		if k.Map != nil {
+			variants = append(variants, variant{"Map", func(d []byte) ([][]byte, error) { return one(k.Map(task, d)) }})
+		}
+		if k.Partition != nil {
+			variants = append(variants, variant{"Partition", func(d []byte) ([][]byte, error) { return k.Partition(task, d, parts) }})
+		}
+		if k.AccelMap != nil {
+			variants = append(variants, variant{"AccelMap", func(d []byte) ([][]byte, error) { return one(k.AccelMap(dev, task, d)) }})
+		}
+		if k.AccelPartition != nil {
+			variants = append(variants, variant{"AccelPartition", func(d []byte) ([][]byte, error) { return k.AccelPartition(dev, task, d, parts) }})
+		}
+		for _, v := range variants {
+			for _, block := range [][]byte{text, text[:kernels.SortRecordBytes]} {
+				lent := bytes.Clone(block)
+				got, err := v.run(lent)
+				if errors.Is(err, errAccelFallback) {
+					continue // the host path runs this block
+				}
+				if err != nil {
+					if slices.Contains(builtin, name) {
+						t.Errorf("%s %s, %d-byte block: %v", name, v.name, len(block), err)
+					}
+					continue
+				}
+				// The outputs as they read while the block was pristine: a
+				// structured kernel's gob map is not byte-stable across runs.
+				want := make([][]byte, len(got))
+				for p := range got {
+					want[p] = bytes.Clone(got[p])
+				}
+				for i := range lent {
+					lent[i] = 0xA5 // the frame buffer, reused for the next reply
+				}
+				for p := range want {
+					if !bytes.Equal(got[p], want[p]) {
+						t.Errorf("%s %s, %d-byte block: output %d changed when its input block was overwritten: it aliases the block",
+							name, v.name, len(block), p)
+					}
+				}
+			}
 		}
 	}
 }

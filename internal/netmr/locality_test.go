@@ -47,7 +47,7 @@ func TestLocalityStatsZeroWithoutLocalDN(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nn.Close()
-	dn, err := StartDataNode("127.0.0.1:0", nn.Addr(), 0, Config{})
+	dn, err := StartDataNode("127.0.0.1:0", nn.Addr(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,11 @@ func TestColocatedReadSkipsTheSocket(t *testing.T) {
 	read := func() (wire int64) {
 		t.Helper()
 		before := metrics.WireBytesRaw.Load()
-		got, err := tt.fetchBlock(blk)
+		var got []byte
+		err := tt.fetchBlock(blk, func(b []byte) error {
+			got = bytes.Clone(b)
+			return nil
+		})
 		if err != nil || !bytes.Equal(got, data[:blk.Size]) {
 			t.Fatalf("fetch: %d bytes, err %v", len(got), err)
 		}

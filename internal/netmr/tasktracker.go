@@ -409,13 +409,18 @@ func (tt *TaskTracker) execTask(task Task, res *TaskResult) error {
 	if task.Reduce {
 		return tt.runReduce(task, kern, res)
 	}
-	var data []byte
-	if len(task.Block.Replicas) > 0 {
-		data, err = tt.fetchBlock(task.Block)
-		if err != nil {
-			return err
-		}
+	if len(task.Block.Replicas) == 0 {
+		return tt.runMap(task, kern, nil, res)
 	}
+	return tt.fetchBlock(task.Block, func(data []byte) error {
+		return tt.runMap(task, kern, data, res)
+	})
+}
+
+// runMap runs one map task over data — borrowed, straight from the
+// frame buffer its reply landed in (see MapKernel) — and stores or
+// delivers what the kernel returns.
+func (tt *TaskTracker) runMap(task Task, kern MapKernel, data []byte, res *TaskResult) error {
 	if task.NumParts > 0 && kern.Partition != nil {
 		// Distributed shuffle: the partitions stay here, served over
 		// FetchPartition; only their location crosses the heartbeat.
@@ -592,7 +597,8 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res *TaskResult) err
 // count as credit in the tracker's fetch window — the credit-based
 // flow control of the shuffle plane. The window may grant less than a
 // full chunk (it never grants more than its limit), in which case the
-// loop simply takes more, smaller rounds.
+// loop simply takes more, smaller rounds. The piece is allocated once,
+// at the size the first reply names, and each lent chunk appended.
 func (tt *TaskTracker) fetchPartition(addr string, args FetchPartitionArgs) ([]byte, error) {
 	var out []byte
 	for {
@@ -600,41 +606,36 @@ func (tt *TaskTracker) fetchPartition(addr string, args FetchPartitionArgs) ([]b
 		args.Offset = int64(len(out))
 		args.MaxBytes = credit
 		var rep FetchPartitionReply
-		// Each chunk lands straight behind the ones already assembled.
-		next, err := tt.wire.bulk(addr, "FetchPartition", args, nil, &rep, out)
+		err := tt.wire.bulk(addr, "FetchPartition", args, nil, &rep, func(chunk []byte) error {
+			if out == nil {
+				out = make([]byte, 0, max(rep.Size, int64(len(chunk))))
+			}
+			out = append(out, chunk...)
+			return nil
+		})
 		tt.fetchWin.Release(credit)
-		if err != nil {
-			return nil, err
+		if err != nil || int64(len(out)) >= rep.Size || int64(len(out)) == args.Offset {
+			return out, err
 		}
-		if int64(len(next)) >= rep.Size || len(next) == len(out) {
-			return next, nil
-		}
-		// The first reply says how big the partition is: size the
-		// slice for the rest once instead of growing chunk by chunk.
-		out = slices.Grow(next, int(rep.Size)-len(next))
 	}
 }
 
-// fetchBlock pulls one DFS block through the shared read-failover
+// fetchBlock reads one DFS block through the shared read-failover
 // protocol (readBlockFrom), trying the co-located DataNode first, then
 // the other replicas in placement order — what keeps map tasks running
 // through a DataNode death while preferring the cheapest surviving
-// copy. The co-located read is the same Get over the same protocol;
-// only its connection is an in-process pipe rather than a loopback
-// socket (connCache.local).
-func (tt *TaskTracker) fetchBlock(blk BlockInfo) ([]byte, error) {
-	ordered := make([]string, 0, len(blk.Replicas))
-	if slices.Contains(blk.Replicas, tt.LocalDataNode) {
-		ordered = append(ordered, tt.LocalDataNode)
+// copy — and runs use on it in place (valid until use returns). The
+// co-located read is the same Get over the same protocol; only its
+// connection is an in-process pipe rather than a loopback socket
+// (connCache.local).
+func (tt *TaskTracker) fetchBlock(blk BlockInfo, use func([]byte) error) error {
+	ordered := slices.Clone(blk.Replicas)
+	if i := slices.Index(ordered, tt.LocalDataNode); i > 0 {
+		ordered = slices.Insert(slices.Delete(ordered, i, i+1), 0, tt.LocalDataNode)
 	}
-	for _, addr := range blk.Replicas {
-		if addr != tt.LocalDataNode {
-			ordered = append(ordered, addr)
-		}
-	}
-	data, served, err := readBlockFrom(tt.wire, blk, ordered, nil)
-	if err != nil {
-		return nil, err
+	served, err := readBlockFrom(tt.wire, blk, ordered, use)
+	if served == "" {
+		return err
 	}
 	tt.mu.Lock()
 	if served == tt.LocalDataNode {
@@ -643,5 +644,5 @@ func (tt *TaskTracker) fetchBlock(blk BlockInfo) ([]byte, error) {
 		tt.remoteFetch++
 	}
 	tt.mu.Unlock()
-	return data, nil
+	return err
 }

@@ -77,6 +77,54 @@ func TestDFSBlockBytesSkipGob(t *testing.T) {
 	}
 }
 
+// TestMapTaskReadsTheBlockInPlace pins the map side's copy budget: a
+// warm fetchBlock lends the 1 MiB block to its use where the reply
+// landed, in rpcnet's pooled frame buffer, so a read allocates a small
+// constant. Appending the tail into a fresh slice of the block's size
+// first cost a whole byte per block byte.
+func TestMapTaskReadsTheBlockInPlace(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the ceiling holds only without it")
+	}
+	const block = 1 << 20
+	c := startTestCluster(t, 1, block)
+	data := bytes.Repeat([]byte("in place "), block/9+1)[:block]
+	if err := c.Client.WriteFile("/inplace", data, ""); err != nil {
+		t.Fatal(err)
+	}
+	var lookup LookupReply
+	if err := c.Client.nn("Lookup", LookupArgs{File: "/inplace"}, &lookup); err != nil || len(lookup.Blocks) != 1 {
+		t.Fatalf("lookup: %+v, err %v", lookup, err)
+	}
+	blk, tt := lookup.Blocks[0], c.TTs[0]
+	use := func(b []byte) error {
+		if len(b) != block {
+			return fmt.Errorf("use saw %d bytes of a %d-byte block", len(b), block)
+		}
+		return nil
+	}
+	fetch := func() {
+		if err := tt.fetchBlock(blk, use); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		fetch() // warm the connection and the buffer pool
+	}
+	const reads = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		fetch()
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / (reads * block)
+	t.Logf("a warm block read allocates %.4f B per block byte", perByte)
+	if perByte >= 0.1 {
+		t.Errorf("a warm 1 MiB block read allocates %.3f B per block byte, want < 0.1", perByte)
+	}
+}
+
 // wireSamples is one value of every message type the daemons exchange —
 // each Args/Reply of types.go — plus the gob bodies that ride inside
 // them: the word-count and pi kernels' map partials and results, and

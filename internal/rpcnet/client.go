@@ -257,32 +257,31 @@ func (c *Client) Call(method string, arg, result any) error {
 // none), overriding the client default. On timeout the error wraps
 // os.ErrDeadlineExceeded, so it satisfies net.Error.Timeout().
 func (c *Client) CallTimeout(method string, arg, result any, timeout time.Duration) error {
-	_, err := c.CallTail(method, arg, nil, result, nil, timeout)
-	return err
+	return c.CallTail(method, arg, nil, result, timeout, nil)
 }
 
 // CallTail is the call every other is a wrapper over: CallTimeout plus
 // a raw tail each way, for methods that move bulk bytes. tail travels
 // behind the gob-encoded arg without passing through gob — it goes to
-// the socket from the caller's slice — and the reply's tail is appended
-// to dst, which is returned (unchanged on error). The append happens on
-// the caller's goroutine once the reply is in hand, so a call that
-// timed out never has a late reply written into memory its caller has
-// moved on with. The timeout covers sending the request as well as
-// waiting for the reply.
-func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst []byte, timeout time.Duration) ([]byte, error) {
+// the socket from the caller's slice. The reply's tail is lent, not
+// copied: once result is decoded, use runs on the caller's goroutine
+// on the tail in its pooled frame buffer, valid until use returns, and
+// CallTail returns use's error. A nil use discards the tail; a call
+// that fails or times out never runs use, so a late reply never reaches
+// a caller that has moved on. The timeout covers the send and the wait.
+func (c *Client) CallTail(method string, arg any, tail []byte, result any, timeout time.Duration, use func([]byte) error) error {
 	bodyBuf := getBuf(0)
 	defer putBuf(bodyBuf)
 	if err := marshalTo(bodyBuf, arg); err != nil {
-		return dst, err
+		return err
 	}
 	if _, err := codecFor(reflect.TypeOf(result)); err != nil {
-		return dst, err // refused before the call costs the server anything
+		return err // refused before the call costs the server anything
 	}
 
 	cc, err := c.conn()
 	if err != nil {
-		return dst, err
+		return err
 	}
 	id := cc.nextID.Add(1)
 	ch := make(chan callResult, 1)
@@ -290,11 +289,11 @@ func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst [
 		// Lost a race with the readLoop failing the conn; one retry on
 		// a fresh connection.
 		if cc, err = c.conn(); err != nil {
-			return dst, err
+			return err
 		}
 		id = cc.nextID.Add(1)
 		if err := cc.register(id, ch); err != nil {
-			return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
+			return fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
 		}
 	}
 
@@ -313,34 +312,37 @@ func (c *Client) CallTail(method string, arg any, tail []byte, result any, dst [
 		// connection is done, the next call redials.
 		cc.deregister(id)
 		cc.fail(err)
-		return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
+		return fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, err)
 	}
 
 	select {
 	case res := <-ch:
-		return c.finish(method, result, dst, res)
+		return c.finish(method, result, use, res)
 	case <-timerCh:
 		cc.deregister(id)
-		return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, os.ErrDeadlineExceeded)
+		return fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, os.ErrDeadlineExceeded)
 	}
 }
 
-// finish decodes one call's response and appends its tail to dst.
-func (c *Client) finish(method string, result any, dst []byte, res callResult) ([]byte, error) {
+// finish decodes one call's response and lends its tail to use.
+func (c *Client) finish(method string, result any, use func([]byte) error, res callResult) error {
 	if res.err != nil {
-		return dst, fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, res.err)
+		return fmt.Errorf("rpcnet: call %s on %s: %w", method, c.addr, res.err)
 	}
 	fr := &res.fr
 	defer fr.release()
 	if fr.meta != "" {
-		return dst, &RemoteError{Method: method, Addr: c.addr, Msg: fr.meta}
+		return &RemoteError{Method: method, Addr: c.addr, Msg: fr.meta}
 	}
 	if result != nil {
 		if err := Unmarshal(fr.body.Bytes(), result); err != nil {
-			return dst, err
+			return err
 		}
 	}
-	return append(dst, fr.tailBytes()...), nil
+	if use == nil {
+		return nil
+	}
+	return use(fr.tailBytes())
 }
 
 // Close tears down every pooled connection. In-flight calls fail.

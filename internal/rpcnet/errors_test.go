@@ -108,7 +108,7 @@ func TestOversizeReplyIsAnErrorNotASilence(t *testing.T) {
 	// loaded machine; the silent drop this pins took the whole timeout.
 	for _, method := range []string{"huge", "hugeTail"} {
 		start := time.Now()
-		_, err = c.CallTail(method, echoArg{}, nil, nil, nil, 20*time.Second)
+		err = c.CallTail(method, echoArg{}, nil, nil, 20*time.Second, nil)
 		var re *RemoteError
 		if !errors.As(err, &re) || !strings.Contains(re.Msg, "response to "+method+": frame too large") {
 			t.Fatalf("oversize reply: error %v after %v, want a RemoteError naming the unframeable response", err, time.Since(start))

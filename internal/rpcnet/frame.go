@@ -87,9 +87,18 @@ func getBuf(n int) *bytes.Buffer {
 	return bufPool.Get().(*bytes.Buffer)
 }
 
-// putBuf returns b to the class its capacity puts it in.
+// putBuf returns b to the class its capacity puts it in, poisoned
+// first in race builds (poisonReleased).
 func putBuf(b *bytes.Buffer) {
-	if b == nil || b.Cap() > maxPooledBuf {
+	if b == nil {
+		return
+	}
+	if p := b.Bytes(); poisonReleased {
+		for n := copy(p, []byte{poisonByte}); n < len(p); n *= 2 {
+			copy(p[n:], p[:n])
+		}
+	}
+	if b.Cap() > maxPooledBuf {
 		return
 	}
 	b.Reset()

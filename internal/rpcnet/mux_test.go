@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -121,7 +122,8 @@ func TestRedialAfterTimeout(t *testing.T) {
 
 // TestLateReplyDiscarded: a response that arrives after its call
 // timed out must be dropped by ID — body and tail — not delivered to
-// the next call.
+// the next call, and the timed-out call's use must never run, even once
+// the late reply has landed.
 func TestLateReplyDiscarded(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -142,24 +144,28 @@ func TestLateReplyDiscarded(t *testing.T) {
 	}
 	defer c.Close()
 
-	dst := make([]byte, 0, 64)
-	if _, err := c.CallTail("slow", struct{}{}, nil, nil, dst, 10*time.Millisecond); err == nil {
+	var lateUses atomic.Int32
+	late := func([]byte) error {
+		lateUses.Add(1)
+		return nil
+	}
+	if err := c.CallTail("slow", struct{}{}, nil, nil, 10*time.Millisecond, late); err == nil {
 		t.Fatal("slow call outlived its timeout")
 	}
 	// Wait for the late reply to land on the shared connection, then
-	// make a fresh call into the same dst: it must see its own result
-	// and its own tail, and the late tail must have gone nowhere.
+	// make a fresh call: it must see its own result and its own tail,
+	// and the late tail must have gone nowhere.
 	time.Sleep(120 * time.Millisecond)
-	if got := dst[:cap(dst)]; !bytes.Equal(got, make([]byte, cap(dst))) {
-		t.Fatalf("late reply tail was written into the timed-out call's dst: %q", got)
-	}
 	var out string
-	tail, err := c.CallTail("fast", struct{}{}, nil, &out, dst, 0)
-	if err != nil {
+	var tail []byte
+	if err := c.CallTail("fast", struct{}{}, nil, &out, 0, keep(&tail)); err != nil {
 		t.Fatal(err)
 	}
 	if out != "fast-result" || string(tail) != "fast-tail" {
 		t.Fatalf("late reply leaked into the next call: got %q with tail %q", out, tail)
+	}
+	if n := lateUses.Load(); n != 0 {
+		t.Fatalf("the timed-out call's use ran %d times after its late reply landed", n)
 	}
 }
 

@@ -36,7 +36,8 @@ func TestInProcessDialServesSameHandlers(t *testing.T) {
 	}
 	text := bytes.Repeat([]byte("block "), 50_000)
 	var rep tailReply
-	dst, err := c.CallTail("tail", tailArg{Reply: 200 << 10}, text, &rep, nil, 0)
+	var dst []byte
+	err = c.CallTail("tail", tailArg{Reply: 200 << 10}, text, &rep, 0, keep(&dst))
 	if err != nil || rep.Got != len(text) || rep.Sum != xorSum(text) || !bytes.Equal(dst, pattern(200<<10)) {
 		t.Fatalf("tail: handler saw %d bytes, %d came back, err %v", rep.Got, len(dst), err)
 	}

@@ -12,8 +12,11 @@
 // argument or result and, behind it, an optional raw tail: the bulk
 // bytes of the call (a DFS block, a shuffle chunk), which never pass
 // through gob — the sender writes them to the socket from the caller's
-// slice (Client.CallTail, Server.HandleTail). Control messages have no
-// tail; Call, CallTimeout and Handle are the tail-less forms. A
+// slice (Client.CallTail, Server.HandleTail) — and the receiver lends
+// them from its pooled frame buffer, to the handler or the caller's use
+// func, only until that returns (race builds poison a released buffer).
+// Control messages have no tail; Call, CallTimeout and Handle are the
+// tail-less forms. A
 // connection starts with a 4-byte magic each way and negotiates
 // nothing: no frame is compressed. See ARCHITECTURE.md ("The wire
 // layer") for the frame layout.

@@ -36,6 +36,14 @@ func pattern(n int) []byte {
 	return p
 }
 
+// keep returns a use func that copies the lent reply tail into *dst.
+func keep(dst *[]byte) func([]byte) error {
+	return func(tail []byte) error {
+		*dst = append((*dst)[:0], tail...)
+		return nil
+	}
+}
+
 func xorSum(p []byte) (s byte) {
 	for _, b := range p {
 		s ^= b
@@ -91,7 +99,8 @@ func TestCallTailRoundTrip(t *testing.T) {
 		{"neither", nil, 0},
 	} {
 		var rep tailReply
-		dst, err := c.CallTail("tail", tailArg{Reply: tc.reply}, tc.tail, &rep, nil, 0)
+		var dst []byte
+		err := c.CallTail("tail", tailArg{Reply: tc.reply}, tc.tail, &rep, 0, keep(&dst))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -103,17 +112,18 @@ func TestCallTailRoundTrip(t *testing.T) {
 			t.Errorf("%s: reply tail of %d bytes differs from the %d sent", tc.name, len(dst), tc.reply)
 		}
 	}
-	got, err := c.CallTail("mirror", struct{}{}, text, nil, nil, 0)
+	var got []byte
+	err = c.CallTail("mirror", struct{}{}, text, nil, 0, keep(&got))
 	if err != nil || !bytes.Equal(got, text) {
 		t.Errorf("mirror: %d bytes back, err %v; want the %d sent, bit-identical", len(got), err, len(text))
 	}
 }
 
-// TestCallTailDst pins the caller's side of the reply-tail contract:
-// the tail is appended behind what dst already holds, a nil dst is
-// allocated, an empty tail is no tail, and an error leaves dst as it
-// was.
-func TestCallTailDst(t *testing.T) {
+// TestCallTailUse pins the caller's side of the reply-tail contract:
+// use sees exactly the reply's tail, after result is decoded; a nil use
+// discards it; use's error is the call's error; and a call that fails
+// never runs use.
+func TestCallTailUse(t *testing.T) {
 	s := newTailServer(t)
 	c, err := Dial(s.Addr())
 	if err != nil {
@@ -121,34 +131,88 @@ func TestCallTailDst(t *testing.T) {
 	}
 	defer c.Close()
 
-	dst := append(make([]byte, 0, 64), "prefix:"...)
-	out, err := c.CallTail("tail", tailArg{Reply: 16}, nil, nil, dst, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append([]byte("prefix:"), pattern(16)...); !bytes.Equal(out, want) {
-		t.Errorf("appended reply = %q, want %q", out, want)
-	}
-	if &out[0] != &dst[0] {
-		t.Error("reply tail that fits dst's capacity was not written in place")
+	var rep tailReply
+	calls := 0
+	err = c.CallTail("tail", tailArg{Reply: 16}, pattern(5), &rep, 0, func(tail []byte) error {
+		calls++
+		if !bytes.Equal(tail, pattern(16)) {
+			t.Errorf("use saw %q, want the %d-byte reply tail", tail, 16)
+		}
+		if rep.Got != 5 {
+			t.Errorf("use ran before the result was decoded: result %+v", rep)
+		}
+		return nil
+	})
+	if err != nil || calls != 1 {
+		t.Fatalf("call ran use %d times, err %v; want once and no error", calls, err)
 	}
 
-	var rep tailReply
-	out, err = c.CallTail("tail", tailArg{}, []byte{}, &rep, nil, 0)
-	if err != nil || len(out) != 0 || rep.Got != 0 {
-		t.Errorf("empty tail, nil dst: out %q, handler saw %d bytes, err %v", out, rep.Got, err)
+	// A nil use discards the tail; an empty tail is lent as no bytes.
+	if err := c.CallTail("tail", tailArg{Reply: 64 << 10}, nil, &rep, 0, nil); err != nil {
+		t.Errorf("nil use: %v", err)
+	}
+	var out []byte
+	rep = tailReply{} // gob leaves a zero field as it found it
+	if err := c.CallTail("tail", tailArg{}, []byte{}, &rep, 0, keep(&out)); err != nil || len(out) != 0 || rep.Got != 0 {
+		t.Errorf("empty tail: use saw %q, handler saw %d bytes, err %v", out, rep.Got, err)
+	}
+
+	// use's error is returned as it is.
+	errUse := errors.New("the kernel failed")
+	if err := c.CallTail("tail", tailArg{Reply: 16}, nil, nil, 0, func([]byte) error { return errUse }); err != errUse {
+		t.Errorf("use's error came back as %v, want %v", err, errUse)
 	}
 
 	// An un-tailed method ignores a tail sent to it and answers with none.
 	var echo echoReply
-	out, err = c.CallTail("echo", echoArg{Msg: "hi"}, pattern(2000), &echo, dst, 0)
-	if err != nil || echo.Msg != "hi" || !bytes.Equal(out, dst) {
-		t.Errorf("tail to an un-tailed method: reply %q, dst %q, err %v", echo.Msg, out, err)
+	out = []byte("stale")
+	if err := c.CallTail("echo", echoArg{Msg: "hi"}, pattern(2000), &echo, 0, keep(&out)); err != nil || echo.Msg != "hi" || len(out) != 0 {
+		t.Errorf("tail to an un-tailed method: reply %q, use saw %q, err %v", echo.Msg, out, err)
 	}
 
-	out, err = c.CallTail("nope", tailArg{}, nil, nil, dst, 0)
-	if err == nil || !bytes.Equal(out, dst) {
-		t.Errorf("failed call returned dst %q, err %v; want dst unchanged and an error", out, err)
+	// A failed call — a remote error, an unknown method, a refused
+	// result type — never runs use.
+	never := func([]byte) error {
+		t.Error("use ran for a failed call")
+		return nil
+	}
+	if err := c.CallTail("fail", echoArg{}, nil, nil, 0, never); err == nil {
+		t.Error("remote failure: no error")
+	}
+	if err := c.CallTail("nope", tailArg{}, nil, nil, 0, never); err == nil {
+		t.Error("unknown method: no error")
+	}
+	if err := c.CallTail("tail", tailArg{}, nil, new(func()), 0, never); err == nil {
+		t.Error("refused result type: no error")
+	}
+}
+
+// TestKeptTailReadsAsPoison: a use that keeps the lent tail past its
+// return — the bug the ownership rule forbids — reads poison in a race
+// build, not the reply bytes it would go on reading until the buffer
+// was reused. CI's race lane is where that catches it.
+func TestKeptTailReadsAsPoison(t *testing.T) {
+	if !testutil.RaceEnabled {
+		t.Skip("released frame buffers are poisoned only in race builds")
+	}
+	s := newTailServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var kept []byte
+	err = c.CallTail("tail", tailArg{Reply: 200 << 10}, nil, nil, 0, func(tail []byte) error {
+		kept = tail
+		return nil
+	})
+	if err != nil || len(kept) != 200<<10 {
+		t.Fatalf("call: kept %d bytes, err %v", len(kept), err)
+	}
+	for i, b := range kept {
+		if b != poisonByte {
+			t.Fatalf("kept tail byte %d reads %#x after CallTail returned, want poison %#x", i, b, poisonByte)
+		}
 	}
 }
 
@@ -179,7 +243,8 @@ func TestWireBytesRawCountsBodiesAndTails(t *testing.T) {
 	}
 	before := metrics.WireBytesRaw.Load()
 	var rep tailReply
-	dst, err := c.CallTail("tail", arg, tail, &rep, nil, 0)
+	var dst []byte
+	err = c.CallTail("tail", arg, tail, &rep, 0, keep(&dst))
 	if err != nil || len(dst) != size {
 		t.Fatalf("call: %d reply tail bytes, err %v", len(dst), err)
 	}
@@ -197,7 +262,7 @@ func TestWireBytesRawCountsBodiesAndTails(t *testing.T) {
 	}
 	defer local.Close()
 	before = metrics.WireBytesRaw.Load()
-	if dst, err = local.CallTail("tail", arg, tail, &rep, nil, 0); err != nil || len(dst) != size {
+	if err = local.CallTail("tail", arg, tail, &rep, 0, keep(&dst)); err != nil || len(dst) != size {
 		t.Fatalf("in-process call: %d reply tail bytes, err %v", len(dst), err)
 	}
 	if got := metrics.WireBytesRaw.Load() - before; got != 0 {
@@ -445,7 +510,7 @@ func TestCallTimeoutCoversSend(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := c.CallTail("Put", struct{}{}, make([]byte, 32<<20), nil, nil, 200*time.Millisecond)
+		err := c.CallTail("Put", struct{}{}, make([]byte, 32<<20), nil, 200*time.Millisecond, nil)
 		done <- err
 	}()
 	select {
@@ -472,9 +537,9 @@ func TestCallTimeoutCoversSend(t *testing.T) {
 
 // TestTailCallAllocatesNoPayloadCopies is the property the raw tail
 // exists for: once the buffer pool is warm, a call moving 1 MiB each way
-// into a reused dst allocates a small constant, not a multiple of its
-// payload (a gob []byte field cost three allocations of the payload per
-// hop).
+// allocates a small constant, not a multiple of its payload (a gob
+// []byte field cost three allocations of the payload per hop). The
+// reply tail is read where it lands, in the pooled frame buffer.
 func TestTailCallAllocatesNoPayloadCopies(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; the ceiling holds only without it")
@@ -490,13 +555,15 @@ func TestTailCallAllocatesNoPayloadCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	dst := make([]byte, 0, size)
+	var got, back int
+	use := func(tail []byte) error {
+		back = len(tail)
+		return nil
+	}
 	call := func() {
-		var got int
-		out, err := c.CallTail("swap", struct{}{}, stored, &got, dst, 0)
-		if err != nil || got != size || len(out) != size || &out[0] != &dst[:1][0] {
-			t.Fatalf("swap: handler saw %d bytes, %d came back (reallocated: %v), err %v",
-				got, len(out), cap(out) != cap(dst), err)
+		err := c.CallTail("swap", struct{}{}, stored, &got, 0, use)
+		if err != nil || got != size || back != size {
+			t.Fatalf("swap: handler saw %d bytes, %d came back, err %v", got, back, err)
 		}
 	}
 	for i := 0; i < 8; i++ {
