@@ -75,7 +75,8 @@ func (m *merger) play(i int) {
 }
 
 // merge drains the runs into out, whole when w is nil, else as a window
-// handed to w each time it fills and at the end.
+// handed to w each time it fills and at the end. It returns the bytes
+// merged; runs holding more than a whole out are an error.
 func (m *merger) merge(out []byte, w io.Writer) (written int64, err error) {
 	m.live, m.tree = len(m.runs), make([]int, len(m.runs))
 	for p := range m.tree {
@@ -87,7 +88,11 @@ func (m *merger) merge(out []byte, w io.Writer) (written int64, err error) {
 		}
 		m.play(i)
 	}
-	for n := 0; m.live > 0; {
+	n := 0
+	for m.live > 0 {
+		if n == len(out) { // only a whole out fills: a window is flushed first
+			return written, fmt.Errorf("kernels: sorted runs overflow a %d-byte merge output", len(out))
+		}
 		i := m.tree[0]
 		r := &m.runs[i]
 		*(*[SortRecordBytes]byte)(out[n:]) = *(*[SortRecordBytes]byte)(r.win)
@@ -104,6 +109,9 @@ func (m *merger) merge(out []byte, w io.Writer) (written int64, err error) {
 			n = 0
 		}
 	}
+	if w == nil {
+		written = int64(n)
+	}
 	return written, nil
 }
 
@@ -111,12 +119,33 @@ func (m *merger) merge(out []byte, w io.Writer) (written int64, err error) {
 // into one sorted stream on w and returns the bytes written, holding one
 // window per run: a reduce can merge spilled runs larger than RAM.
 func MergeSortedStreams(w io.Writer, runs ...io.Reader) (int64, error) {
-	slab := make([]byte, (len(runs)+1)*mergeWindow)
+	m, out := newStreamMerger(runs, mergeWindow)
+	return m.merge(out, w)
+}
+
+// MergeSortedInto merges sorted streams of whole 100-byte records into
+// out, which must be exactly their total size, holding one window per
+// run: the reduce side of a net sort, whose remote runs arrive in
+// chunks.
+func MergeSortedInto(out []byte, runs ...io.Reader) error {
+	m, _ := newStreamMerger(runs, 0)
+	n, err := m.merge(out, nil)
+	if err == nil && n != int64(len(out)) {
+		err = fmt.Errorf("kernels: sorted runs hold %d bytes, want %d", n, len(out))
+	}
+	return err
+}
+
+// newStreamMerger sets up a merger reading each stream through its own
+// mergeWindow of one slab, and returns the slab's extra bytes past the
+// windows.
+func newStreamMerger(runs []io.Reader, extra int) (*merger, []byte) {
+	slab := make([]byte, len(runs)*mergeWindow+extra)
 	m := &merger{runs: make([]mergeRun, len(runs))}
 	for i, r := range runs {
 		m.runs[i] = mergeRun{r: r, buf: slab[i*mergeWindow : (i+1)*mergeWindow]}
 	}
-	return m.merge(slab[len(runs)*mergeWindow:], w)
+	return m, slab[len(runs)*mergeWindow:]
 }
 
 // MergeSortedRuns merges sorted in-memory runs (the map outputs), read

@@ -149,9 +149,12 @@ func sortedRun(t testing.TB, run, n int, setKey func(i int, key []byte)) []byte 
 	return sorted
 }
 
-// checkMerge runs both entry points over runs, the streams read whole,
-// one byte at a time and half a buffer at a time, and holds each to
-// the scan-merge reference byte for byte.
+// checkMerge runs every entry point over runs and holds each to the
+// scan-merge reference byte for byte: MergeSortedRuns in place, and
+// MergeSortedStreams and MergeSortedInto with the streams read whole,
+// one byte at a time, half a buffer at a time, or each run its own way
+// (run i whole, one byte or half by i mod 3). A short read splits
+// records across reads, as the edge of a remote piece's chunk does.
 func checkMerge(t testing.TB, runs [][]byte) {
 	t.Helper()
 	want := scanMergeReference(runs)
@@ -162,24 +165,53 @@ func checkMerge(t testing.TB, runs [][]byte) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("MergeSortedRuns differs from the scan-merge reference")
 	}
-	wraps := map[string]func(io.Reader) io.Reader{
-		"whole":   func(r io.Reader) io.Reader { return r },
-		"onebyte": iotest.OneByteReader,
-		"half":    iotest.HalfReader,
+	ways := []func(io.Reader) io.Reader{func(r io.Reader) io.Reader { return r }, iotest.OneByteReader, iotest.HalfReader}
+	wraps := map[string]func(i int, r io.Reader) io.Reader{
+		"whole":   func(_ int, r io.Reader) io.Reader { return r },
+		"onebyte": func(_ int, r io.Reader) io.Reader { return iotest.OneByteReader(r) },
+		"half":    func(_ int, r io.Reader) io.Reader { return iotest.HalfReader(r) },
+		"mixed":   func(i int, r io.Reader) io.Reader { return ways[i%len(ways)](r) },
 	}
 	for name, wrap := range wraps {
-		readers := make([]io.Reader, len(runs))
-		for i, r := range runs {
-			readers[i] = wrap(bytes.NewReader(r))
+		streams := func() []io.Reader {
+			readers := make([]io.Reader, len(runs))
+			for i, r := range runs {
+				readers[i] = wrap(i, bytes.NewReader(r))
+			}
+			return readers
 		}
 		var out bytes.Buffer
-		n, err := MergeSortedStreams(&out, readers...)
+		n, err := MergeSortedStreams(&out, streams()...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if n != int64(len(want)) || !bytes.Equal(out.Bytes(), want) {
 			t.Fatalf("%s: MergeSortedStreams differs from the scan-merge reference (%d bytes, want %d)", name, n, len(want))
 		}
+		into := make([]byte, len(want))
+		if err := MergeSortedInto(into, streams()...); err != nil {
+			t.Fatalf("%s: MergeSortedInto: %v", name, err)
+		}
+		if !bytes.Equal(into, want) {
+			t.Fatalf("%s: MergeSortedInto differs from the scan-merge reference", name)
+		}
+	}
+}
+
+// TestMergeSortedIntoWantsTheExactSize: runs that hold more or fewer
+// bytes than the output are an error, never a short or overrun output.
+func TestMergeSortedIntoWantsTheExactSize(t *testing.T) {
+	run := GenerateSortRecords(5, 20)
+	if err := SortRecords(run); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{len(run) - SortRecordBytes, len(run) + SortRecordBytes, 0} {
+		if err := MergeSortedInto(make([]byte, size), bytes.NewReader(run)); err == nil {
+			t.Errorf("a %d-byte run merged into a %d-byte output", len(run), size)
+		}
+	}
+	if err := MergeSortedInto(nil); err != nil {
+		t.Errorf("no runs into no output: %v", err)
 	}
 }
 
@@ -298,7 +330,8 @@ func TestMergeSortedStreamsErrorsAcrossWindows(t *testing.T) {
 // FuzzMergeSorted carves the input into up to 16 runs: three bytes make
 // one record, the first picking its run and key bytes 8–9, the second
 // key bytes 0–7 from a two-letter alphabet (so ties in the packed
-// high word are common), the third the rest of bytes 8–9.
+// high word are common), the third the rest of bytes 8–9. checkMerge
+// reads the runs through every stream shape, short reads included.
 func FuzzMergeSorted(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("abcdefghijklmnopqrstuvwxyz0123456789"))

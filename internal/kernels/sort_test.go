@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,35 @@ func TestSortedRecordsMatchesStableReference(t *testing.T) {
 			k[3], k[9] = 0x42, byte(rng.next()%4)
 		}},
 		{"random", 2000, func(int, []byte) {}},
+		{"random-40000", 40_000, func(int, []byte) {}},
+		// One bucket, then the records around it, at the insertion
+		// sort's limit and one past it, with ties among the rest of
+		// the key. Records in one bucket share their top 12 key bits.
+		{"bucket-at-insertion-max", insertionMax + 40, func(i int, k []byte) {
+			if i < insertionMax {
+				k[0], k[1], k[2] = 0x5a, 0x30|byte(rng.next()%16), byte(rng.next()%8)
+			} else if k[0] == 0x5a {
+				k[0] = 0x5b
+			}
+		}},
+		{"bucket-past-insertion-max", insertionMax + 41, func(i int, k []byte) {
+			if i <= insertionMax {
+				k[0], k[1], k[2] = 0x5a, 0x30|byte(rng.next()%16), byte(rng.next()%8)
+			} else if k[0] == 0x5a {
+				k[0] = 0x5b
+			}
+		}},
+		{"all-in-one-bucket", 3000, func(i int, k []byte) {
+			k[0], k[1] = 0xc3, 0x70|byte(rng.next()%16)
+			for j := 2; j < SortKeyBytes; j++ {
+				k[j] = byte(rng.next() % 3) // shared prefixes of every length
+			}
+		}},
+		{"every-bucket", 3 << sortBucketBits, func(i int, k []byte) {
+			b := uint16(1<<sortBucketBits - 1 - i%(1<<sortBucketBits)) // descending, three rounds
+			binary.BigEndian.PutUint16(k, b<<(16-sortBucketBits)|uint16(rng.next()%16))
+			k[2] = byte(rng.next() % 2)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,7 +125,10 @@ func TestSortedRecordsMatchesStableReference(t *testing.T) {
 
 // FuzzSortedRecords turns the fuzz input into records whose key bytes
 // come from a four-letter alphabet, so ties and shared prefixes are the
-// norm, and checks the radix sort against the stable comparison sort.
+// norm, and checks the sort against the stable comparison sort. The
+// alphabet puts the keys in a few buckets, which takes the radix
+// passes; a second shape spreads the same keys' top 12 bits over 64
+// buckets of a few records each, which takes the insertion sort.
 func FuzzSortedRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -106,13 +139,41 @@ func FuzzSortedRecords(f *testing.F) {
 		if n > 512 {
 			n = 512
 		}
-		checkAgainstReference(t, recordsWithKeys(n, func(i int, k []byte) {
+		key := func(i int, k []byte) uint32 {
 			w := binary.LittleEndian.Uint32(data[4*i:])
 			for j := range k {
 				k[j] = alphabet[w>>(2*j)&3]
 			}
+			return w
+		}
+		checkAgainstReference(t, recordsWithKeys(n, func(i int, k []byte) { key(i, k) }))
+		checkAgainstReference(t, recordsWithKeys(n, func(i int, k []byte) {
+			w := key(i, k)
+			binary.BigEndian.PutUint16(k, uint16(w>>20&63)<<10|binary.BigEndian.Uint16(k)&0x0f)
 		}))
 	})
+}
+
+// TestSortedRecordsAllocatesOnlyItsOutput: on keys spread over the
+// leading bits, the sort's one allocation is the run it returns.
+func TestSortedRecordsAllocatesOnlyItsOutput(t *testing.T) {
+	src := GenerateSortRecords(41, 4<<20/SortRecordBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := SortedRecords(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if allocs != 1 {
+		t.Errorf("SortedRecords of a random 4 MB block made %v allocations, want 1", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides its five runs; a
+	// large object is rounded up to whole 8 KiB pages.
+	if per := (after.TotalAlloc - before.TotalAlloc) / 6; per > uint64(len(src))+8<<10 {
+		t.Errorf("SortedRecords of a %d-byte block allocated %d bytes a call", len(src), per)
+	}
 }
 
 func TestGenerateSortRecords(t *testing.T) {

@@ -2,6 +2,8 @@ package netmr
 
 import (
 	"fmt"
+	"io"
+	"slices"
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
@@ -32,8 +34,9 @@ import (
 //
 // Whatever a task returns is what is stored, fetched and handed to
 // Merge/Reduce, byte for byte. Merge and Reduce must treat their inputs
-// as read-only: a piece served from the reducing tracker's own store
-// aliases resident store memory.
+// as read-only, and no output may alias them: a piece served from the
+// reducing tracker's own store reads resident store memory, and a
+// remote piece's chunk buffer is overwritten by its next chunk.
 //
 // A map task's data is borrowed: the DFS block in rpcnet's pooled frame
 // buffer, valid only until Map or Partition (or an Accel variant)
@@ -51,17 +54,33 @@ type MapKernel struct {
 	// included).
 	Partition func(task Task, data []byte, parts int) ([][]byte, error)
 	// Merge runs on the reducing TaskTracker: fold one partition's
-	// per-mapper pieces into the partition's reduce output.
-	Merge func(pieces [][]byte) ([]byte, error)
+	// per-mapper pieces, in map task order, into the partition's reduce
+	// output. Every piece's size is known when Merge starts, so an
+	// output can be allocated once at its exact size; a remote piece's
+	// bytes arrive only as Merge reads them.
+	Merge func(pieces []Piece) ([]byte, error)
 	// AccelMap, when set, is Map's accelerated variant: it offloads
-	// the map work to the tracker's device and MUST produce bytes
-	// bit-identical to Map's. It runs only on accelerator-equipped
-	// trackers for tasks whose Mapper is MapperCell; returning
-	// errAccelFallback hands the task back to the host path.
+	// the map work to the tracker's device and MUST produce what Map
+	// does: the same bytes for a byte-stream kernel, and for a
+	// structured one partials equal once decoded (a wordcount partial
+	// is a gob-encoded map, written in Go's random map order, so even
+	// two host runs of one task differ in bytes). It runs only on
+	// accelerator-equipped trackers for tasks whose Mapper is
+	// MapperCell; returning errAccelFallback hands the task back to the
+	// host path.
 	AccelMap func(dev *AccelDevice, task Task, data []byte) ([]byte, error)
 	// AccelPartition is Partition's accelerated variant under the same
 	// contract.
 	AccelPartition func(dev *AccelDevice, task Task, data []byte, parts int) ([][]byte, error)
+}
+
+// Piece is one map task's share of the partition a reduce task merges:
+// Size bytes, read once from the front. A piece in the reducing
+// tracker's own store reads the store's memory in place; a remote one
+// streams in from its peer's store, a chunk at a time, as it is read.
+type Piece struct {
+	io.Reader
+	Size int64
 }
 
 // kernelRegistry holds the built-in kernels; RegisterKernel extends it
@@ -114,19 +133,16 @@ type PiResult struct {
 }
 
 func init() {
-	// mergeWordCounts folds wordCountPartial payloads into one table.
-	mergeWordCounts := func(pieces [][]byte) (map[string]int64, error) {
-		total := make(map[string]int64)
-		for _, p := range pieces {
-			var part wordCountPartial
-			if err := rpcnet.Unmarshal(p, &part); err != nil {
-				return nil, err
-			}
-			for w, n := range part.Counts {
-				total[w] += n
-			}
+	// addWordCounts folds one wordCountPartial payload into total.
+	addWordCounts := func(total map[string]int64, payload []byte) error {
+		var part wordCountPartial
+		if err := rpcnet.Unmarshal(payload, &part); err != nil {
+			return err
 		}
-		return total, nil
+		for w, n := range part.Counts {
+			total[w] += n
+		}
+		return nil
 	}
 
 	// splitWordCounts routes each distinct word of the block's table to
@@ -154,9 +170,11 @@ func init() {
 
 	RegisterKernel("wordcount", MapKernel{
 		Reduce: func(partials [][]byte) ([]byte, error) {
-			total, err := mergeWordCounts(partials)
-			if err != nil {
-				return nil, err
+			total := make(map[string]int64)
+			for _, p := range partials {
+				if err := addWordCounts(total, p); err != nil {
+					return nil, err
+				}
 			}
 			return rpcnet.Marshal(total)
 		},
@@ -165,17 +183,25 @@ func init() {
 			counts.Add(data)
 			return splitWordCounts(&counts, parts)
 		},
-		Merge: func(pieces [][]byte) ([]byte, error) {
-			total, err := mergeWordCounts(pieces)
-			if err != nil {
-				return nil, err
+		// Each piece is decoded from one buffer, reused piece to piece.
+		Merge: func(pieces []Piece) ([]byte, error) {
+			total := make(map[string]int64)
+			var buf []byte
+			for _, p := range pieces {
+				buf = slices.Grow(buf[:0], int(p.Size))[:p.Size]
+				if _, err := io.ReadFull(p.Reader, buf); err != nil {
+					return nil, err
+				}
+				if err := addWordCounts(total, buf); err != nil {
+					return nil, err
+				}
 			}
 			return rpcnet.Marshal(wordCountPartial{Counts: total})
 		},
 		// Accelerated variant: the block's table comes off the SPEs
 		// (separator-aligned sub-blocks, one table per SPE, merged once),
 		// then the same split and marshalling as the host path —
-		// bit-identical results.
+		// partials that decode to the host path's tables.
 		AccelPartition: func(dev *AccelDevice, _ Task, data []byte, parts int) ([][]byte, error) {
 			counts, err := dev.WordCount(data)
 			if err != nil {
@@ -271,6 +297,17 @@ func init() {
 			// lives until its last in-memory piece is deleted.
 			return rp.Cut(run), nil
 		},
-		Merge: kernels.MergeSortedRuns,
+		Merge: func(pieces []Piece) ([]byte, error) {
+			var size int64
+			runs := make([]io.Reader, len(pieces))
+			for i, p := range pieces {
+				runs[i], size = p.Reader, size+p.Size
+			}
+			out := make([]byte, size)
+			if err := kernels.MergeSortedInto(out, runs...); err != nil {
+				return nil, err
+			}
+			return out, nil
+		},
 	})
 }

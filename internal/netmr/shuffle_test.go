@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -231,4 +232,124 @@ func TestShuffleStoreGCAfterJobDone(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// killAfterFirstChunk kills the first tracker in tts that is asked for
+// a piece's second chunk, so it dies having sent the first: that call
+// and every later one it gets fail, and the other trackers serve as
+// usual. It returns a func reporting the killed tracker (nil while none
+// is).
+func killAfterFirstChunk(tts []*TaskTracker) func() *TaskTracker {
+	var (
+		mu     sync.Mutex
+		killed *TaskTracker
+	)
+	for _, tt := range tts {
+		handleTail(tt.srv, "FetchPartition", func(args FetchPartitionArgs, tail []byte) (FetchPartitionReply, []byte, error) {
+			mu.Lock()
+			if killed == nil && args.Offset > 0 {
+				killed = tt
+				go tt.Kill() // Kill waits for this handler to return
+			}
+			dead := killed == tt
+			mu.Unlock()
+			if dead {
+				return FetchPartitionReply{}, nil, fmt.Errorf("tracker %s died mid-stream", tt.ID)
+			}
+			return tt.handleFetchPartition(args, tail)
+		})
+	}
+	return func() *TaskTracker {
+		mu.Lock()
+		defer mu.Unlock()
+		return killed
+	}
+}
+
+// TestReduceFailsOverWhenAPeerDiesMidStream kills the tracker serving a
+// remote piece after it has sent the piece's first chunk, while the
+// reduce is merging it. The reduce attempt must fail naming that
+// tracker's store (BadAddr), and a whole job must still finish with the
+// reference output through the re-run of the dead tracker's map tasks.
+func TestReduceFailsOverWhenAPeerDiesMidStream(t *testing.T) {
+	t.Run("attempt", func(t *testing.T) {
+		var tts [2]*TaskTracker
+		for i := range tts {
+			tt, err := StartTaskTracker(fmt.Sprintf("tt%d", i), "127.0.0.1:1", "", 0, Config{Slots: 1, Heartbeat: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tt.Kill()
+			tts[i] = tt
+		}
+		const jobID = 1
+		task := Task{JobID: jobID, Kernel: "sort", Reduce: true}
+		for m := 0; m < 2; m++ {
+			run, err := kernels.SortedRecords(kernels.GenerateSortRecords(uint64(m)+1, 2000)) // 200 KB: four chunks
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tts[0].store.put(jobID, partKey{m, 0}, run); err != nil {
+				t.Fatal(err)
+			}
+			task.Inputs = append(task.Inputs, MapOutputRef{MapTask: m, Addr: tts[0].ShuffleAddr()})
+		}
+		killed := killAfterFirstChunk(tts[:1])
+		var res TaskResult
+		err := tts[1].runReduce(task, kernelRegistry["sort"], &res)
+		if err == nil {
+			t.Fatal("the reduce finished without the pieces of a tracker that died mid-stream")
+		}
+		if killed() != tts[0] {
+			t.Fatal("the serving tracker was not killed after a first chunk")
+		}
+		if res.BadAddr != tts[0].ShuffleAddr() {
+			t.Fatalf("the failed attempt blames %q, want the dead store %q (err: %v)", res.BadAddr, tts[0].ShuffleAddr(), err)
+		}
+		if _, ok := tts[1].store.get(jobID, streamedReduceKey(0)); ok {
+			t.Fatal("the failed attempt stored an output")
+		}
+	})
+
+	t.Run("job", func(t *testing.T) {
+		// One slot per tracker and a 40 ms task spread the three map
+		// tasks over the trackers, so every reduce has remote pieces.
+		delay := 40 * time.Millisecond
+		c, err := StartCluster(Config{Workers: 3, Slots: 1, BlockSize: 400_000, Heartbeat: 10 * time.Millisecond,
+			TaskLease: 400 * time.Millisecond, TaskDelays: []time.Duration{delay, delay, delay}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Shutdown()
+		data := sortableRecords(t, 12_000) // 1.2 MB in three blocks: 200 KB pieces
+		if err := c.Client.WriteFile("/records", data, ""); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), data...)
+		if err := kernels.SortRecords(want); err != nil {
+			t.Fatal(err)
+		}
+		killed := killAfterFirstChunk(c.TTs)
+		id, err := c.Client.Submit(JobSpec{
+			Name: "sort-midstream", Kernel: "sort", Input: "/records", NumReducers: 2,
+			SplitKeys: splitKeysFor(t, data, 2),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		st, err := c.Client.WaitOutput(id, 30*time.Second, &got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if killed() == nil {
+			t.Fatal("no tracker died mid-stream")
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("the job's output (%d bytes) differs from the in-process sort (%d bytes)", got.Len(), len(want))
+		}
+		if st.Attempts <= st.Total {
+			t.Fatalf("%d attempts for %d tasks: the dead tracker's work was not re-run", st.Attempts, st.Total)
+		}
+	})
 }

@@ -1,10 +1,13 @@
 package netmr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hetmr/internal/flow"
@@ -217,10 +220,13 @@ func (tt *TaskTracker) JobHeldBytes(jobID int64) int64 { return tt.store.jobByte
 // bytes when no positive spill watermark sizes the window.
 const defaultFetchWindow = 8 << 20
 
-// fetchChunkBytes is the preferred chunk size of the credit-window
-// fetch loop; the window may grant less when it is smaller than one
-// chunk.
-const fetchChunkBytes = 256 << 10
+// fetchChunkBytes is the largest chunk a pieceStream asks for, and so
+// the buffer it holds for the whole merge: a reduce task holds one per
+// remote piece (six 64 KiB buffers against the 3 MB of remote pieces of
+// a bench terasort reduce). rpcnet keeps a reply tail this size in its
+// small buffer class, apart from block-sized ones. The window may grant
+// less when it is smaller than one chunk.
+const fetchChunkBytes = 64 << 10
 
 // FetchWindowLimit reports the tracker's shuffle-fetch credit window
 // size in bytes.
@@ -483,7 +489,8 @@ func (tt *TaskTracker) noteAccel() {
 // mapTask runs one map task's kernel, trying the accelerated variant
 // first when the task, the node and the kernel all support it. A
 // declined offload (errAccelFallback) re-runs on the host path — the
-// variants are bit-identical, so the fallback is invisible to the job.
+// variants agree (see MapKernel.AccelMap), so the fallback is invisible
+// to the job.
 func (tt *TaskTracker) mapTask(task Task, kern MapKernel, data []byte) ([]byte, error) {
 	if tt.offloads(task) && kern.AccelMap != nil {
 		out, err := kern.AccelMap(tt.device, task, data)
@@ -513,111 +520,148 @@ func (tt *TaskTracker) partitionTask(task Task, kern MapKernel, data []byte) ([]
 	return kern.Partition(task, data, task.NumParts)
 }
 
-// fetchParallel caps a reduce task's concurrent remote partition
-// fetches; the credit window bounds the bytes, this bounds the
+// fetchParallel caps how many of a reduce task's remote pieces open
+// at once; the credit window bounds the bytes, this bounds the
 // connections.
 const fetchParallel = 4
 
-// runReduce does one reduce task's work: pull partition task.TaskID from
-// every mapper tracker's shuffle store (local reads short-circuit the
-// network) and merge the pieces with the kernel. Remote pieces arrive
-// over up to fetchParallel concurrent chunked fetch loops, every
-// in-flight chunk holding its byte credit in the tracker's fetch
-// window — outstanding shuffle bytes are bounded by the window, not by
-// partition sizes. A fetch failure names the unreachable store so the
-// JobTracker can re-run the map tasks that died with it.
+// runReduce does one reduce task's work: merge partition task.TaskID
+// from every mapper tracker's shuffle store with the kernel. A piece in
+// this tracker's own store is read in place; a remote one is a
+// pieceStream, opened up to fetchParallel at a time and then pulled
+// chunk by chunk as Merge reads it, so the task holds one chunk per
+// remote piece, not the piece. A fetch failure, on opening or mid-merge,
+// names the unreachable store so the JobTracker can re-run the map
+// tasks that died with it.
 func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res *TaskResult) error {
 	own := tt.srv.Addr()
-	pieces := make([][]byte, len(task.Inputs))
-	type remote struct {
-		i   int
-		ref MapOutputRef
-	}
-	var remotes []remote
+	pieces := make([]Piece, len(task.Inputs))
+	streams := make([]*pieceStream, len(task.Inputs))
 	for i, ref := range task.Inputs {
-		if ref.Addr == own {
-			data, ok := tt.store.get(task.JobID, partKey{ref.MapTask, task.TaskID})
-			if !ok {
-				res.BadAddr = own
-				return fmt.Errorf("netmr: local partition %d of job %d map %d missing",
-					task.TaskID, task.JobID, ref.MapTask)
-			}
-			pieces[i] = data
+		if ref.Addr != own {
+			streams[i] = &pieceStream{tt: tt, addr: ref.Addr,
+				args: FetchPartitionArgs{JobID: task.JobID, MapTask: ref.MapTask, Part: task.TaskID}}
 			continue
 		}
-		remotes = append(remotes, remote{i, ref})
+		data, ok := tt.store.get(task.JobID, partKey{ref.MapTask, task.TaskID})
+		if !ok {
+			res.BadAddr = own
+			return fmt.Errorf("netmr: local partition %d of job %d map %d missing",
+				task.TaskID, task.JobID, ref.MapTask)
+		}
+		pieces[i] = Piece{bytes.NewReader(data), int64(len(data))}
 	}
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		fetchErr error
-		badAddr  string
+		wg     sync.WaitGroup
+		failed atomic.Bool
 	)
 	sem := make(chan struct{}, fetchParallel)
-	for _, rm := range remotes {
+	for _, s := range streams {
+		if s == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(rm remote) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			mu.Lock()
-			abort := fetchErr != nil
-			mu.Unlock()
-			if abort {
-				return
+			if !failed.Load() && s.fill() != nil {
+				failed.Store(true)
 			}
-			data, err := tt.fetchPartition(rm.ref.Addr, FetchPartitionArgs{
-				JobID: task.JobID, MapTask: rm.ref.MapTask, Part: task.TaskID,
-			})
-			if err != nil {
-				mu.Lock()
-				if fetchErr == nil {
-					fetchErr, badAddr = err, rm.ref.Addr
-				}
-				mu.Unlock()
-				return
-			}
-			pieces[rm.i] = data
-		}(rm)
+		}()
 	}
 	wg.Wait()
-	if fetchErr != nil {
-		res.BadAddr = badAddr
-		return fetchErr
+	if bad := failedStream(streams); bad != nil {
+		res.BadAddr = bad.addr
+		return bad.err
+	}
+	for i, s := range streams {
+		if s != nil {
+			pieces[i] = Piece{s, s.size}
+		}
 	}
 	out, err := kern.Merge(pieces)
 	if err != nil {
+		if bad := failedStream(streams); bad != nil {
+			res.BadAddr = bad.addr
+		}
 		return err
 	}
 	return tt.deliver(task.JobID, kern, streamedReduceKey(task.TaskID), out, res)
 }
 
-// fetchPartition pulls one whole partition from a peer shuffle store
-// in fetchChunkBytes-sized pieces, holding each in-flight chunk's byte
-// count as credit in the tracker's fetch window — the credit-based
-// flow control of the shuffle plane. The window may grant less than a
-// full chunk (it never grants more than its limit), in which case the
-// loop simply takes more, smaller rounds. The piece is allocated once,
-// at the size the first reply names, and each lent chunk appended.
-func (tt *TaskTracker) fetchPartition(addr string, args FetchPartitionArgs) ([]byte, error) {
-	var out []byte
-	for {
-		credit := tt.fetchWin.Acquire(fetchChunkBytes)
-		args.Offset = int64(len(out))
-		args.MaxBytes = credit
-		var rep FetchPartitionReply
-		err := tt.wire.bulk(addr, "FetchPartition", args, nil, &rep, func(chunk []byte) error {
-			if out == nil {
-				out = make([]byte, 0, max(rep.Size, int64(len(chunk))))
-			}
-			out = append(out, chunk...)
-			return nil
-		})
-		tt.fetchWin.Release(credit)
-		if err != nil || int64(len(out)) >= rep.Size || int64(len(out)) == args.Offset {
-			return out, err
+// failedStream returns the first stream whose fetch failed, if any.
+func failedStream(streams []*pieceStream) *pieceStream {
+	for _, s := range streams {
+		if s != nil && s.err != nil {
+			return s
 		}
 	}
+	return nil
+}
+
+// pieceStream is one remote piece of a reduce task's partition, read
+// from its peer's shuffle store in chunked FetchPartition calls as the
+// merge asks for bytes. Each call holds its chunk's byte count as credit
+// in the tracker's fetch window only while it is in flight — the
+// credit-based flow control of the shuffle plane — and the lent chunk
+// is copied into the stream's one buffer, min(fetchChunkBytes, piece
+// size) long, allocated when the first reply names the piece's size.
+type pieceStream struct {
+	tt   *TaskTracker
+	addr string
+	args FetchPartitionArgs // Offset: bytes fetched so far
+	size int64              // the piece's size, named by the first reply
+	buf  []byte             // the last chunk fetched; nil before the first
+	pos  int                // bytes of buf already read
+	err  error              // the fetch error that ended the stream
+}
+
+// fill replaces the stream's buffer with its next chunk. The window may
+// grant less than a chunk (never more than its limit), and the stream
+// then simply takes more, smaller calls.
+func (s *pieceStream) fill() error {
+	want := int64(fetchChunkBytes)
+	if s.buf != nil {
+		want = min(want, s.size-s.args.Offset)
+	}
+	credit := s.tt.fetchWin.Acquire(want)
+	s.args.MaxBytes = credit
+	s.buf, s.pos = s.buf[:0], 0
+	var rep FetchPartitionReply
+	err := s.tt.wire.bulk(s.addr, "FetchPartition", s.args, nil, &rep, func(chunk []byte) error {
+		if s.buf == nil {
+			s.size = rep.Size
+			s.buf = make([]byte, 0, min(fetchChunkBytes, rep.Size))
+		}
+		s.buf = append(s.buf, chunk...)
+		return nil
+	})
+	s.tt.fetchWin.Release(credit)
+	if err == nil && len(s.buf) == 0 && s.args.Offset < s.size {
+		err = fmt.Errorf("netmr: %s sent no bytes of job %d map %d partition %d at offset %d of %d",
+			s.addr, s.args.JobID, s.args.MapTask, s.args.Part, s.args.Offset, s.size)
+	}
+	s.args.Offset += int64(len(s.buf))
+	s.err = err
+	return err
+}
+
+// Read hands out the buffered chunk, fetching the next one when it is
+// used up; a fetch error ends the stream with that error.
+func (s *pieceStream) Read(p []byte) (int, error) {
+	for s.pos == len(s.buf) {
+		switch {
+		case s.err != nil:
+			return 0, s.err
+		case s.args.Offset >= s.size:
+			return 0, io.EOF
+		}
+		s.fill()
+	}
+	n := copy(p, s.buf[s.pos:])
+	s.pos += n
+	return n, nil
 }
 
 // fetchBlock reads one DFS block through the shared read-failover

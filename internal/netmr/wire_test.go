@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
 	"hetmr/internal/testutil"
 )
@@ -122,6 +123,76 @@ func TestMapTaskReadsTheBlockInPlace(t *testing.T) {
 	t.Logf("a warm block read allocates %.4f B per block byte", perByte)
 	if perByte >= 0.1 {
 		t.Errorf("a warm 1 MiB block read allocates %.3f B per block byte, want < 0.1", perByte)
+	}
+}
+
+// TestReduceStreamsRemotePieces pins the reduce side's copy budget: a
+// warm sort reduce over six remote 512 KB pieces (the bench terasort's
+// shape: eight 4 MB blocks cut eight ways on four trackers) allocates
+// its exact-size output and, beyond it, only a chunk buffer per remote
+// piece and the merge's windows. Assembling each remote piece whole
+// before merging costs a whole byte per partition byte more.
+func TestReduceStreamsRemotePieces(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the ceiling holds only without it")
+	}
+	var tts [2]*TaskTracker
+	for i := range tts {
+		tt, err := StartTaskTracker(fmt.Sprintf("tt%d", i), "127.0.0.1:1", "", 0, Config{Slots: 1, Heartbeat: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tt.Kill()
+		tts[i] = tt
+	}
+	const (
+		jobID  = 1
+		pieces = 6
+		piece  = 5243 * kernels.SortRecordBytes // 524 300 B
+	)
+	task := Task{JobID: jobID, Kernel: "sort", Reduce: true}
+	var want [][]byte
+	for m := 0; m < pieces; m++ {
+		run, err := kernels.SortedRecords(kernels.GenerateSortRecords(uint64(m)+1, piece/kernels.SortRecordBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tts[0].store.put(jobID, partKey{m, 0}, run); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, run)
+		task.Inputs = append(task.Inputs, MapOutputRef{MapTask: m, Addr: tts[0].ShuffleAddr()})
+	}
+	merged, err := kernels.MergeSortedRuns(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduce := func() {
+		var res TaskResult
+		if err := tts[1].runReduce(task, kernelRegistry["sort"], &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		reduce() // warm the connection and the buffer pool
+	}
+	if out, ok := tts[1].store.get(jobID, streamedReduceKey(0)); !ok || !bytes.Equal(out, merged) {
+		t.Fatal("the reduce output is not the merge of its pieces")
+	}
+	const reduces = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reduces; i++ {
+		reduce()
+	}
+	runtime.ReadMemStats(&after)
+	perByte := (float64(after.TotalAlloc-before.TotalAlloc)/reduces - float64(len(merged))) / float64(len(merged))
+	t.Logf("a warm reduce allocates %.3f B per partition byte beyond its output", perByte)
+	if perByte > 0.3 {
+		t.Errorf("a warm reduce over %d remote pieces allocates %.3f B per partition byte beyond its output, want <= 0.3", pieces, perByte)
+	}
+	if peak, limit := tts[1].FetchWindowPeak(), tts[1].FetchWindowLimit(); peak > limit {
+		t.Errorf("fetch window peak %d exceeds its limit %d", peak, limit)
 	}
 }
 

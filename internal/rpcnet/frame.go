@@ -43,9 +43,13 @@ const (
 
 	// maxPooledBuf caps the capacity of buffers returned to the pool,
 	// so one jumbo frame doesn't pin megabytes forever; bulkBufMin is
-	// where the pool's bulk size class starts.
+	// where the pool's bulk size class starts. It sits at twice a
+	// shuffle fetch chunk (64 KiB), so a chunk's buffer, and one that
+	// doubled past 64 KiB for a piece's last, shorter chunk, stay in the
+	// small class: in the bulk class a block read would take them and
+	// grow them all over again.
 	maxPooledBuf = 4 << 20
-	bulkBufMin   = 64 << 10
+	bulkBufMin   = 128 << 10
 
 	// connReadBuf sizes each connection end's bufio.Reader. It only has
 	// to gather a frame's header, meta and a small body in one read: a
