@@ -36,9 +36,9 @@ func TestServeHonoursSchedulingAndAccelFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !clus.JT.Speculative || clus.JT.MaxAttempts != 2 {
-		t.Errorf("JobTracker booted with Speculative=%v MaxAttempts=%d, want true and 2",
-			clus.JT.Speculative, clus.JT.MaxAttempts)
+	if cfg := clus.Config(); !cfg.Speculative || cfg.MaxAttempts != 2 {
+		t.Errorf("cluster booted with Speculative=%v MaxAttempts=%d, want true and 2",
+			cfg.Speculative, cfg.MaxAttempts)
 	}
 	var kinds []string
 	for _, tt := range clus.TTs {

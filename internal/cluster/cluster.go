@@ -50,8 +50,6 @@ type Option func(*config)
 type config struct {
 	acceleratedNodes int
 	loopbackRate     float64
-	nicRate          float64
-	diskRate         float64
 }
 
 // WithAcceleratedNodes builds a heterogeneous cluster where only the
@@ -67,16 +65,6 @@ func WithLoopbackRate(r float64) Option {
 	return func(c *config) { c.loopbackRate = r }
 }
 
-// WithNICRate overrides the NIC rate in bytes/s.
-func WithNICRate(r float64) Option {
-	return func(c *config) { c.nicRate = r }
-}
-
-// WithDiskRate overrides the disk rate in bytes/s.
-func WithDiskRate(r float64) Option {
-	return func(c *config) { c.diskRate = r }
-}
-
 // New builds a cluster of nWorkers QS22-like worker nodes plus the
 // JS22-like master on the given engine.
 func New(eng *sim.Engine, nWorkers int, opts ...Option) (*Cluster, error) {
@@ -86,8 +74,6 @@ func New(eng *sim.Engine, nWorkers int, opts ...Option) (*Cluster, error) {
 	cfg := config{
 		acceleratedNodes: nWorkers,
 		loopbackRate:     perfmodel.LoopbackDeliveryBytesPerSec,
-		nicRate:          perfmodel.GbEBytesPerSecond,
-		diskRate:         perfmodel.DiskBytesPerSecond,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -98,18 +84,18 @@ func New(eng *sim.Engine, nWorkers int, opts ...Option) (*Cluster, error) {
 		n := &Node{
 			Name:        name,
 			Accelerated: i < cfg.acceleratedNodes,
-			NIC:         sim.NewLink(eng, name+"/nic", cfg.nicRate),
+			NIC:         sim.NewLink(eng, name+"/nic", perfmodel.GbEBytesPerSecond),
 			Loopback:    sim.NewLink(eng, name+"/lo", cfg.loopbackRate),
-			Disk:        sim.NewLink(eng, name+"/disk", cfg.diskRate),
+			Disk:        sim.NewLink(eng, name+"/disk", perfmodel.DiskBytesPerSecond),
 		}
 		c.Nodes = append(c.Nodes, n)
 		c.byName[name] = n
 	}
 	c.Master = &Node{
 		Name:     "master",
-		NIC:      sim.NewLink(eng, "master/nic", cfg.nicRate),
+		NIC:      sim.NewLink(eng, "master/nic", perfmodel.GbEBytesPerSecond),
 		Loopback: sim.NewLink(eng, "master/lo", cfg.loopbackRate),
-		Disk:     sim.NewLink(eng, "master/disk", cfg.diskRate),
+		Disk:     sim.NewLink(eng, "master/disk", perfmodel.DiskBytesPerSecond),
 	}
 	c.byName["master"] = c.Master
 	return c, nil

@@ -51,9 +51,7 @@ func TestClusterOptions(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c, err := New(eng, 8,
 		WithAcceleratedNodes(4),
-		WithLoopbackRate(99),
-		WithNICRate(88),
-		WithDiskRate(77))
+		WithLoopbackRate(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +66,8 @@ func TestClusterOptions(t *testing.T) {
 		}
 	}
 	n := c.Nodes[0]
-	if n.Loopback.Rate() != 99 || n.NIC.Rate() != 88 || n.Disk.Rate() != 77 {
-		t.Error("rate options not applied")
+	if n.Loopback.Rate() != 99 {
+		t.Error("loopback rate option not applied")
 	}
 }
 

@@ -22,6 +22,7 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
@@ -44,9 +45,8 @@ const (
 	Encrypt   Kind = "encrypt"
 )
 
-// DefaultSeed is the Pi seed used when Job.Seed is zero (the paper's
-// year, matching the netmr runtime's historical default).
-const DefaultSeed = 2009
+// DefaultSeed is the seed a job with Seed 0 runs with.
+const DefaultSeed = kernels.DefaultSeed
 
 // Job is a backend-agnostic MapReduce job. Data kinds (Wordcount,
 // Sort, Encrypt) consume Input; Pi consumes Samples split over Tasks
@@ -91,8 +91,9 @@ type Job struct {
 	// Tasks is the Pi map-task count (0: two per worker, the paper's
 	// slot count).
 	Tasks int
-	// Seed is the Pi base seed; task i draws from the domain
-	// MixSeed(Seed, i). 0 selects DefaultSeed.
+	// Seed is the Pi base seed — task i draws from the domain
+	// MixSeed(Seed, i) — and a net Sort's key-sampler seed. 0 selects
+	// DefaultSeed.
 	Seed uint64
 	// Tenant names the submitting tenant on the multi-tenant net
 	// backend ("" selects the default tenant): jobs compete for
@@ -238,15 +239,15 @@ type Runner interface {
 	Close() error
 }
 
-// piTasks expands a job's Pi parameters into the canonical task list
-// (kernels.SplitSamples — the single copy of the decomposition every
-// backend executes, which is what makes Pi results bit-identical
-// across runners).
-func piTasks(samples int64, n int, seed uint64) []kernels.SampleSplit {
-	if seed == 0 {
-		seed = DefaultSeed
-	}
-	return kernels.SplitSamples(samples, n, seed)
+// seed resolves the job's seed.
+func (j *Job) seed() uint64 { return cmp.Or(j.Seed, DefaultSeed) }
+
+// piTasks expands a Pi job on a cluster of workers into the canonical
+// task list (kernels.SplitSamples — the single copy of the
+// decomposition every backend executes, which is what makes Pi results
+// bit-identical across runners).
+func (j *Job) piTasks(workers int) []kernels.SampleSplit {
+	return kernels.SplitSamples(j.Samples, normalizeTasks(j.Tasks, workers), j.seed())
 }
 
 // normalizeTasks resolves a Pi job's task count against the worker

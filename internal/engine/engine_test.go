@@ -85,7 +85,7 @@ func TestJobValidate(t *testing.T) {
 }
 
 func TestPiTasksCanonicalDecomposition(t *testing.T) {
-	tasks := piTasks(10, 4, 0)
+	tasks := (&Job{Samples: 10, Tasks: 4}).piTasks(1)
 	if len(tasks) != 4 {
 		t.Fatalf("got %d tasks", len(tasks))
 	}

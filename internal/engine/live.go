@@ -135,7 +135,7 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 		}
 		finish(res)
 	case Pi:
-		tasks := piTasks(job.Samples, normalizeTasks(job.Tasks, r.cfg.Workers), job.Seed)
+		tasks := job.piTasks(r.cfg.Workers)
 		inside, total, err := r.clus.RunPiTasks(tasks)
 		if err != nil {
 			return nil, err

@@ -233,11 +233,7 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 			// reservoir sample of the keys. The sampling pass rides the
 			// staging stream: ingest is read exactly once, and the
 			// reservoir costs O(sample) memory.
-			seed := job.Seed
-			if seed == 0 {
-				seed = DefaultSeed
-			}
-			sampler = kernels.NewRecordKeySampler(src, rangeSampleCap(spec.NumReducers), uint64(seed))
+			sampler = kernels.NewRecordKeySampler(src, rangeSampleCap(spec.NumReducers), job.seed())
 			src = sampler
 		}
 		input, err := r.stageInput(job, src)
@@ -267,14 +263,10 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 		spec.Input = input
 		spec.Args = args
 	case Pi:
-		seed := job.Seed
-		if seed == 0 {
-			seed = DefaultSeed
-		}
 		spec.Kernel = "pi"
 		spec.Samples = job.Samples
 		spec.NumTasks = normalizeTasks(job.Tasks, r.workers)
-		spec.Seed = seed
+		spec.Seed = job.Seed
 	}
 	return spec, nil
 }
@@ -323,7 +315,8 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 // on the trackers, and their concatenation in task order is the result:
 // WaitOutput pulls it one bounded chunk at a time into the job's
 // output — the JobTracker never holds it. A structured kind's
-// (Wordcount, Pi) reduced gob struct rides the terminal Status reply.
+// (Wordcount, Pi) partials ride the terminal Status reply, and
+// WaitStatus folds them into one gob struct with the kernel's Reduce.
 // Either way the job is over once the wait returns — collected, failed
 // or abandoned at its deadline — and its staged input is deleted, so a
 // long-lived service's DataNodes hold only the datasets of jobs in

@@ -143,7 +143,7 @@ func (r *simRunner) functional(job *Job, data []byte, res *Result) error {
 			return nil // paper-scale sweep: timing-only run
 		}
 		var inside, total int64
-		for _, t := range piTasks(job.Samples, normalizeTasks(job.Tasks, r.cfg.Workers), job.Seed) {
+		for _, t := range job.piTasks(r.cfg.Workers) {
 			inside += kernels.CountInside(t.Seed, t.Samples)
 			total += t.Samples
 		}

@@ -71,6 +71,10 @@ func CountInsideFrom(seed uint64, skip, n int64) int64 {
 	return CountInside(seed+2*uint64(skip)*piGamma, n)
 }
 
+// DefaultSeed is the base seed of a job that names none (Seed 0): the
+// paper's year. Pi splits and the sort's key sampler draw from it.
+const DefaultSeed = 2009
+
 // SampleSplit is one canonical Monte Carlo map task: an independent
 // seed domain plus a sample count.
 type SampleSplit struct {

@@ -28,9 +28,8 @@ func (c *Counter) Reset() int64 { return c.v.Swap(0) }
 var (
 	// SpillBytes counts payload bytes written to disk-backed spill
 	// stores (DFS block stores, shuffle stores, sort-run stores) —
-	// the external-memory half of the bounded-memory data plane.
-	// Sizes are pre-compression, so the meter reflects logical
-	// traffic whether or not spill frames are compressed.
+	// the external-memory half of the bounded-memory data plane. A
+	// spilled payload is a raw file, so this is also the bytes on disk.
 	SpillBytes Counter
 
 	// DataPlaneBytes counts task output bytes that crossed a control

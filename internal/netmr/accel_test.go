@@ -276,7 +276,7 @@ func TestStatusReportsDeviceProfile(t *testing.T) {
 // tasks rather than idling.
 func TestDeviceAffinityPass(t *testing.T) {
 	// Compute jobs never touch the NameNode, so a dead address is fine.
-	jt, err := StartJobTracker("127.0.0.1:0", "127.0.0.1:1")
+	jt, err := StartJobTracker("127.0.0.1:0", "127.0.0.1:1", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

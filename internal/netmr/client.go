@@ -289,23 +289,24 @@ func (c *Client) ListJobs(tenant string) ([]JobInfo, error) {
 // waitCallTimeout caps a single Status round-trip inside WaitStatus, so a
 // hung JobTracker surfaces as call timeouts instead of blocking the
 // client past its deadline. A Status reply is small — a structured
-// kernel's reduced Result or a list of output locations, never bulk
-// bytes — so the cap only has to clear maxStatusHold with room; the
+// kernel's partials or a list of output locations, never bulk bytes —
+// so the cap only has to clear maxStatusHold with room; the
 // overall wait deadline (which always clamps the per-call timeout)
 // stays the real bound against a hang.
 const waitCallTimeout = dataCallTimeout
 
 // WaitStatus blocks until the job completes or timeout passes,
-// returning its terminal StatusReply: the reduced result bytes (or the
-// output locations) plus the scheduler's attempt and per-tracker
-// counts. It is a loop of held Status calls (StatusArgs.Hold): the
-// JobTracker parks each one and answers on the job's terminal
-// transition, so the wait ends one round-trip after the job does, with
-// no client-side timer in between.
+// returning its terminal StatusReply: for a structured kernel the
+// partials folded into Result by the kernel's Reduce, here on the
+// client (or, for a byte-stream kernel, the output locations), plus the
+// scheduler's attempt and per-tracker counts. It is a loop of held
+// Status calls (StatusArgs.Hold): the JobTracker parks each one and
+// answers on the job's terminal transition, so the wait ends one
+// round-trip after the job does, with no client-side timer in between.
 // A job that failed terminally (a task exhausted its attempt budget,
-// the final reduce errored, or it was killed) returns that error on the
-// same edge. Every call runs under a per-call timeout clamped to the
-// remaining deadline, and asks to be held for at most half of it
+// or it was killed) returns that error on the same edge, and so does a
+// Reduce that fails. Every call runs under a per-call timeout clamped
+// to the remaining deadline, and asks to be held for at most half of it
 // (never more than maxStatusHold): a parked call always answers well
 // inside its own timeout, so a JobTracker that hangs mid-call is told
 // apart and cannot block the wait beyond its deadline.
@@ -344,9 +345,23 @@ func (c *Client) WaitStatus(jobID int64, timeout time.Duration) (StatusReply, er
 			return status, errors.New(status.Err)
 		}
 		if status.Done {
-			return status, nil
+			return status, status.reduce(jobID)
 		}
 	}
+}
+
+// reduce folds a finished structured job's partials into Result with
+// its kernel's Reduce. A byte-stream kernel has none: its result is
+// the stored pieces Outputs lists.
+func (st *StatusReply) reduce(jobID int64) error {
+	kern, err := lookupKernel(st.Kernel)
+	if err != nil || kern.Reduce == nil {
+		return err
+	}
+	if st.Result, err = kern.Reduce(st.Partials); err != nil {
+		return fmt.Errorf("netmr: reduce job %d: %w", jobID, err)
+	}
+	return nil
 }
 
 // outputChunkBytes is WaitOutput's fetch granularity: one chunk is
@@ -477,6 +492,10 @@ type Cluster struct {
 	mu sync.Mutex // guards DNs/TTs/nextWorker against concurrent membership changes
 }
 
+// Config returns the configuration every daemon of the cluster was
+// built from.
+func (c *Cluster) Config() Config { return c.cfg }
+
 // StartCluster boots a full deployment of cfg.Workers worker pairs.
 // The cluster's client cuts files at cfg.BlockSize and ingests through
 // cfg's ingest window.
@@ -484,29 +503,14 @@ func StartCluster(cfg Config) (*Cluster, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("netmr: need at least one worker, got %d", cfg.Workers)
 	}
-	nn, err := StartNameNode("127.0.0.1:0")
+	nn, err := StartNameNode("127.0.0.1:0", cfg)
 	if err != nil {
 		return nil, err
 	}
-	nn.Replication = cfg.Replication
-	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr())
+	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr(), cfg)
 	if err != nil {
 		nn.Close()
 		return nil, err
-	}
-	// Scheduling knobs are applied before any tracker or client
-	// exists, so no job can have been submitted yet.
-	jt.Speculative = cfg.Speculative
-	jt.MaxAttempts = cfg.MaxAttempts
-	if cfg.TaskLease > 0 {
-		jt.TaskLease = cfg.TaskLease
-	}
-	for tenant, q := range cfg.Quotas {
-		jt.SetQuota(tenant, q)
-	}
-	if cfg.DeadAfter > 0 {
-		nn.DeadAfter = cfg.DeadAfter
-		jt.DeadAfter = cfg.DeadAfter
 	}
 	c := &Cluster{NN: nn, JT: jt, cfg: cfg}
 	for i := 0; i < cfg.Workers; i++ {

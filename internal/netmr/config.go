@@ -3,11 +3,12 @@ package netmr
 import "time"
 
 // Config is what a netmr deployment is built from. StartCluster reads
-// all of it and hands the same value to every DataNode and TaskTracker
-// it boots; each daemon reads its own fields, and per-worker values are
-// slices indexed by the worker number the daemon is started as. The
-// zero value of each field selects its default. Values the code derives
-// (the credit windows, the DataNode beat) are not fields.
+// all of it and hands the same value to every daemon it boots, masters
+// included; each daemon reads its own fields at construction, and
+// per-worker values are slices indexed by the worker number the daemon
+// is started as. The zero value of each field selects its default.
+// Values the code derives (the credit windows, the DataNode beat) are
+// not fields.
 type Config struct {
 	// Workers is the number of DataNode/TaskTracker pairs StartCluster
 	// boots (at least 1).
@@ -21,8 +22,9 @@ type Config struct {
 	// well under DeadAfter. 0 selects 100 ms.
 	Heartbeat time.Duration
 
-	// Replication is the NameNode's per-block replica count (0: the
-	// DefaultReplication; always capped by the DataNode count).
+	// Replication is the NameNode's per-block replica count (0: two,
+	// enough to survive one DataNode death; always capped by the
+	// DataNode count).
 	Replication int
 	// Speculative enables speculative duplicates of straggling
 	// in-flight tasks on the JobTracker.
@@ -30,7 +32,7 @@ type Config struct {
 	// MaxAttempts caps per-task attempts (0: the scheduler default).
 	MaxAttempts int
 	// TaskLease is how long an assigned task may stay silent before the
-	// JobTracker re-issues it (0: the JobTracker's default).
+	// JobTracker re-issues it (0: 10 s).
 	TaskLease time.Duration
 	// DeadAfter enables dead-node detection on both masters: a DataNode
 	// or TaskTracker silent for longer than this is declared dead — its
@@ -39,8 +41,9 @@ type Config struct {
 	// Heartbeats long. 0 keeps the lazy, fetch-failure-driven recovery
 	// only.
 	DeadAfter time.Duration
-	// Quotas installs per-tenant quotas and fair-share weights on the
-	// JobTracker before any tracker heartbeats (see JobTracker.SetQuota).
+	// Quotas are the JobTracker's per-tenant quotas and fair-share
+	// weights ("" names DefaultTenant; a tenant with no entry is
+	// unlimited at weight 1).
 	Quotas map[string]Quota
 
 	// Devices is each worker's device profile: DeviceCell equips the
@@ -67,9 +70,12 @@ type Config struct {
 	SpillDir string
 }
 
-// defaultHeartbeat is the worker beat interval when Config.Heartbeat
-// is zero.
-const defaultHeartbeat = 100 * time.Millisecond
+// The defaults of the zero Config fields that have one.
+const (
+	defaultHeartbeat   = 100 * time.Millisecond
+	defaultReplication = 2
+	defaultTaskLease   = 10 * time.Second
+)
 
 // heartbeat resolves the worker beat interval.
 func (c Config) heartbeat() time.Duration {
@@ -77,6 +83,22 @@ func (c Config) heartbeat() time.Duration {
 		return c.Heartbeat
 	}
 	return defaultHeartbeat
+}
+
+// replication resolves the NameNode's per-block replica target.
+func (c Config) replication() int {
+	if c.Replication > 0 {
+		return c.Replication
+	}
+	return defaultReplication
+}
+
+// taskLease resolves how long a granted task may stay silent.
+func (c Config) taskLease() time.Duration {
+	if c.TaskLease > 0 {
+		return c.TaskLease
+	}
+	return defaultTaskLease
 }
 
 // window is a credit window that defaults to def unless a positive

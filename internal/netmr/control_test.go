@@ -46,12 +46,12 @@ func init() {
 // startMasters boots a NameNode and a JobTracker with no workers.
 func startMasters(t *testing.T) (*NameNode, *JobTracker) {
 	t.Helper()
-	nn, err := StartNameNode("127.0.0.1:0")
+	nn, err := StartNameNode("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nn.Close() })
-	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr())
+	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestHeldStatusReturnsOnCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Done || st.Err != "" || len(st.Result) == 0 {
+	if !st.Done || st.Err != "" || len(st.Partials) != 1 {
 		t.Fatalf("held Status returned %+v, want the finished job", st)
 	}
 	if parked >= maxStatusHold {
@@ -370,8 +370,8 @@ func TestJobTrackerForgetsOldJobs(t *testing.T) {
 	if kept > retainJobs+1 {
 		t.Errorf("JobTracker holds %d records after %d jobs, want at most %d (+1 unreleased streamed)", kept, jobs, retainJobs)
 	}
-	if finished == nil || finished.partials != nil || finished.result == nil {
-		t.Errorf("latest finished record = %+v, want its result kept and its task outputs dropped", finished)
+	if finished == nil || len(finished.result()) != 2 {
+		t.Errorf("latest finished record = %+v, want its two partials kept for the client's fold", finished)
 	}
 	// The listing is the retained records in submission order — the
 	// unreleased streamed job first, then the newest finished ones — at a

@@ -62,10 +62,8 @@ func grantTasks(adm *admission, jobs map[int64]*jobRecord, device string, args H
 func grantOne(ts *tenantState, jobs map[int64]*jobRecord, device string, args HeartbeatArgs, now time.Time, speculative bool) (Task, bool) {
 	oldestWithWork := func(affinityOnly bool) (Task, bool) {
 		for _, id := range ts.jobs {
-			if rec := jobs[id]; !rec.finalizing {
-				if t, ok := rec.grant(device, args, now, speculative, affinityOnly); ok {
-					return t, true
-				}
+			if t, ok := jobs[id].grant(device, args, now, speculative, affinityOnly); ok {
+				return t, true
 			}
 		}
 		return Task{}, false

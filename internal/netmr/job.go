@@ -37,14 +37,14 @@ type jobRecord struct {
 	id     int64
 	tenant string
 	spec   JobSpec
-	kern   MapKernel
 	phases []phase
 	// streamOut: the kernel has no Reduce, so final-phase outputs stay
 	// in the worker trackers' stores; the final phase's loc records each
 	// piece's address, Status serves the refs, and the stores free them
 	// only after the client releases the job (Kill once it is done).
-	// Otherwise partials holds the final-phase outputs themselves, for
-	// the kernel's Reduce.
+	// Otherwise partials holds the final-phase outputs themselves, kept
+	// until the record is retired: the client folds them with the
+	// kernel's Reduce.
 	streamOut bool
 	partials  [][]byte
 	released  bool
@@ -63,10 +63,8 @@ type jobRecord struct {
 	// never discards finished map work.
 	fetchFails map[string]int
 
-	finalizing bool
-	done       bool
-	failed     string
-	result     []byte
+	done   bool
+	failed string
 	// terminal is closed by terminate — the one edge every finished,
 	// failed or killed job crosses — and is what a held Status call
 	// parks on.
@@ -124,7 +122,6 @@ func newJob(spec JobSpec) (*jobRecord, error) {
 	rec := &jobRecord{
 		tenant:    spec.Tenant,
 		spec:      spec,
-		kern:      kern,
 		phases:    make([]phase, 1, 2),
 		streamOut: streamOut,
 		terminal:  make(chan struct{}),
@@ -199,6 +196,15 @@ func (rec *jobRecord) progress() (completed, total int) {
 // the stores nor forgotten by the JobTracker.
 func (rec *jobRecord) guardsOutputs() bool {
 	return rec.streamOut && !rec.released && rec.failed == ""
+}
+
+// result is a finished structured job's final-phase partials in task
+// order, for the client's Reduce.
+func (rec *jobRecord) result() [][]byte {
+	if !rec.done || rec.failed != "" {
+		return nil
+	}
+	return rec.partials
 }
 
 // outputs lists a finished streamed job's stored pieces in task order —

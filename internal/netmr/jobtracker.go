@@ -22,41 +22,33 @@ import (
 // optional speculative duplication of the longest-running in-flight
 // task when a tracker has idle slots, first finished attempt winning.
 //
-// The JobTracker is a pure control plane: shuffle partitions and
-// byte-stream results stay in the trackers' stores and heartbeats carry
-// their locations, not data. Only the structured kernels' final-phase
-// partials (small gob structs) cross it; DataPlaneBytes meters exactly
-// that traffic.
+// The JobTracker is a pure control plane and runs no kernel code:
+// shuffle partitions and byte-stream results stay in the trackers'
+// stores and heartbeats carry their locations, not data. Only the
+// structured kernels' final-phase partials (small gob structs) cross
+// it: kept as they arrive, they ride the job's terminal Status reply to
+// the client, which folds them with the kernel's Reduce. DataPlaneBytes
+// meters exactly that traffic.
 //
-// Job records are retained, not kept forever: a job's task outputs are
-// dropped the moment it turns terminal (only its reduced result stays),
-// and once more than retainJobs terminal records exist the oldest are
-// forgotten — except a streamed job the client has not yet released
-// (Kill on a finished job), whose stored outputs the record still
-// guards. Status and Kill on a forgotten ID answer "unknown job",
-// exactly as for an ID that was never issued.
+// Job records are retained, not kept forever: once more than retainJobs
+// terminal records exist the oldest are forgotten — except a streamed
+// job the client has not yet released (Kill on a finished job), whose
+// stored outputs the record still guards. Status and Kill on a
+// forgotten ID answer "unknown job", exactly as for an ID that was
+// never issued.
 type JobTracker struct {
 	srv    *rpcnet.Server
 	nnAddr string
 	// wire caches the pooled NameNode connection expand looks blocks up
 	// on.
 	wire *connCache
-	// TaskLease is how long an assigned task may stay silent before it
-	// is handed to another tracker. Read at job submission; set it (and
-	// the scheduling knobs below) before submitting jobs.
-	TaskLease time.Duration
-	// Speculative enables speculative duplicates for subsequently
-	// submitted jobs; MaxAttempts caps per-task attempts (0: the
-	// scheduler default).
-	Speculative bool
-	MaxAttempts int
-	// DeadAfter is how long a tracker may stay silent before the
-	// liveness sweep declares it dead and proactively reopens the map
-	// outputs recorded at its shuffle store — the authoritative
-	// promotion of the read-side fetch-failure path. Zero disables the
-	// sweep (leases and fetch failures still recover, just lazily).
-	// Set before trackers heartbeat.
-	DeadAfter time.Duration
+	// lease and opts are every job's board settings; deadAfter is how
+	// long a tracker may stay silent before the liveness sweep declares
+	// it dead (zero: no sweep — leases and fetch failures still recover,
+	// just lazily).
+	lease     time.Duration
+	opts      sched.Options
+	deadAfter time.Duration
 
 	mu        sync.Mutex
 	nextJob   int64
@@ -76,8 +68,9 @@ type trackerState struct {
 	shuffleAddr string
 }
 
-// StartJobTracker launches the JobTracker on addr.
-func StartJobTracker(addr, nameNodeAddr string) (*JobTracker, error) {
+// StartJobTracker launches the JobTracker on addr. Of cfg it reads
+// TaskLease, Speculative, MaxAttempts, DeadAfter and Quotas.
+func StartJobTracker(addr, nameNodeAddr string, cfg Config) (*JobTracker, error) {
 	srv, err := rpcnet.NewServer(addr)
 	if err != nil {
 		return nil, err
@@ -86,10 +79,15 @@ func StartJobTracker(addr, nameNodeAddr string) (*JobTracker, error) {
 		srv:       srv,
 		nnAddr:    nameNodeAddr,
 		wire:      newConnCache(),
-		TaskLease: 10 * time.Second,
+		lease:     cfg.taskLease(),
+		opts:      sched.Options{Speculative: cfg.Speculative, MaxAttempts: cfg.MaxAttempts},
+		deadAfter: cfg.DeadAfter,
 		jobs:      make(map[int64]*jobRecord),
 		adm:       newAdmission(),
 		trackers:  newRoster[trackerState](),
+	}
+	for tenant, q := range cfg.Quotas {
+		jt.adm.setQuota(cmp.Or(tenant, DefaultTenant), q, jt.jobs)
 	}
 	jt.sweeper = every(sweepInterval, jt.sweep)
 	handle(srv, "Submit", jt.handleSubmit)
@@ -108,7 +106,7 @@ func StartJobTracker(addr, nameNodeAddr string) (*JobTracker, error) {
 	return jt, nil
 }
 
-// sweep is the tracker-liveness tick: when DeadAfter is set, trackers
+// sweep is the tracker-liveness tick: when deadAfter is set, trackers
 // that miss it are declared dead and the outputs their shuffle stores
 // held are reopened immediately — the lost-work recovery that otherwise
 // waits for a reducer's repeated fetch failures runs from the
@@ -117,25 +115,13 @@ func StartJobTracker(addr, nameNodeAddr string) (*JobTracker, error) {
 func (jt *JobTracker) sweep(now time.Time) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	for _, t := range jt.trackers.expire(now, jt.DeadAfter) {
+	for _, t := range jt.trackers.expire(now, jt.deadAfter) {
 		for _, rec := range jt.jobs {
-			if !rec.done && !rec.finalizing {
+			if !rec.done {
 				rec.reopenLost(t.info.shuffleAddr)
 			}
 		}
 	}
-}
-
-// SetQuota installs (or replaces) tenant's quota and fair-share
-// weight. Call any time; new limits apply to subsequent Submits and
-// grant passes. The zero Quota means unlimited at weight 1.
-func (jt *JobTracker) SetQuota(tenant string, q Quota) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	jt.adm.setQuota(tenant, q, jt.jobs)
 }
 
 // TenantStats reports every known tenant's scheduling and accounting
@@ -152,12 +138,10 @@ func (jt *JobTracker) TenantStats() map[string]TenantStat {
 const retainJobs = 64
 
 // terminate marks rec terminal — waking every Status call parked on it
-// and dropping the task outputs only the final fold needed — and
-// deregisters it from admission. rec.failed / rec.result must already
-// reflect the outcome. Callers hold jt.mu.
+// — and deregisters it from admission. rec.failed must already reflect
+// the outcome. Callers hold jt.mu.
 func (jt *JobTracker) terminate(rec *jobRecord) {
 	rec.done = true
-	rec.partials = nil
 	close(rec.terminal)
 	jt.finished = append(jt.finished, rec.id)
 	jt.retire()
@@ -250,8 +234,7 @@ func (jt *JobTracker) handleSubmit(args SubmitArgs) (SubmitReply, error) {
 func (jt *JobTracker) submit(rec *jobRecord, tasks []Task) (int64, error) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	opts := sched.Options{Speculative: jt.Speculative, MaxAttempts: jt.MaxAttempts}
-	if err := rec.open(jt.nextJob, tasks, jt.TaskLease, opts); err != nil {
+	if err := rec.open(jt.nextJob, tasks, jt.lease, jt.opts); err != nil {
 		return 0, err
 	}
 	if err := jt.adm.admit(rec.tenant, rec.id, jt.jobs); err != nil {
@@ -287,14 +270,10 @@ func (jt *JobTracker) expand(spec JobSpec) ([]Task, error) {
 	if spec.Samples <= 0 {
 		return nil, fmt.Errorf("netmr: job %q has neither input nor samples", spec.Name)
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 2009
-	}
 	// The canonical decomposition (kernels.SplitSamples) is shared
 	// with the engine layer so Pi results agree across backends.
 	var tasks []Task
-	for i, split := range kernels.SplitSamples(spec.Samples, spec.NumTasks, seed) {
+	for i, split := range kernels.SplitSamples(spec.Samples, spec.NumTasks, cmp.Or(spec.Seed, kernels.DefaultSeed)) {
 		tasks = append(tasks, Task{
 			TaskID:  i,
 			Kernel:  spec.Kernel,
@@ -323,31 +302,20 @@ func (jt *JobTracker) heartbeat(args HeartbeatArgs, now time.Time) HeartbeatRepl
 	jt.adm.report(args.TrackerID, args.HeldBytes, jt.jobs)
 	// Record completions and failures; a reported failure frees the
 	// task for immediate re-issue instead of waiting out the lease, and
-	// one that exhausts the task's attempt budget ends the job. A report
-	// that completes the job's last phase kicks off finalization: the
-	// kernel's Reduce runs outside jt.mu (it may be arbitrarily
-	// expensive), and its error becomes the job's terminal error in
-	// StatusReply instead of leaking to an arbitrary heartbeating
-	// tracker. Streamed-output jobs skip the fold entirely: their result
-	// is the set of stored pieces, already in place.
+	// one that exhausts the task's attempt budget ends the job. The
+	// report that completes the job's last phase ends it too: its result
+	// is in place, as stored pieces or as the partials the client folds.
 	for _, res := range args.Completed {
 		rec, ok := jt.jobs[res.JobID]
-		if !ok || rec.done || rec.finalizing {
+		if !ok || rec.done {
 			continue
 		}
 		carried, fatal := rec.record(args.TrackerID, res)
 		jt.dataBytes += carried
 		metrics.DataPlaneBytes.Add(carried)
-		switch {
-		case fatal != "":
-			rec.failed = fatal
+		rec.failed = fatal
+		if fatal != "" || rec.final().complete() {
 			jt.terminate(rec)
-		case !rec.final().complete():
-		case rec.streamOut:
-			jt.terminate(rec)
-		default:
-			rec.finalizing = true
-			go jt.finalize(rec, rec.partials)
 		}
 	}
 	// A draining tracker gets no new work — only the drain order, its
@@ -421,23 +389,6 @@ func (jt *JobTracker) handleListJobs(args ListJobsArgs) (ListJobsReply, error) {
 	return reply, nil
 }
 
-// finalize folds the job's last-phase outputs into its result with the
-// kernel's Reduce, outside jt.mu.
-func (jt *JobTracker) finalize(rec *jobRecord, outputs [][]byte) {
-	result, err := rec.kern.Reduce(outputs)
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	if rec.done {
-		return // killed while finalizing: keep the terminal state
-	}
-	if err != nil {
-		rec.failed = fmt.Sprintf("netmr: reduce job %d: %v", rec.id, err)
-	} else {
-		rec.result = result
-	}
-	jt.terminate(rec)
-}
-
 // handleStatus answers with the job's snapshot — at once for a zero
 // StatusArgs.Hold, otherwise after parking (jt.mu released) until the
 // job's terminal edge, the capped hold expiring or Close, whichever
@@ -462,11 +413,12 @@ func (jt *JobTracker) handleStatus(args StatusArgs) (StatusReply, error) {
 		jt.mu.Lock()
 	}
 	reply := StatusReply{
-		Done:    rec.done,
-		Result:  rec.result,
-		Err:     rec.failed,
-		Devices: make(map[string]string, len(jt.trackers.members)),
-		Outputs: rec.outputs(),
+		Done:     rec.done,
+		Err:      rec.failed,
+		Kernel:   rec.spec.Kernel,
+		Partials: rec.result(),
+		Devices:  make(map[string]string, len(jt.trackers.members)),
+		Outputs:  rec.outputs(),
 	}
 	reply.Completed, reply.Total = rec.progress()
 	for pi := range rec.phases {

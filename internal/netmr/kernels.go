@@ -23,7 +23,9 @@ import (
 //
 // A structured kernel (wordcount, pi) has a Reduce. Its task outputs are
 // small gob structs; the final-phase ones ride the completion heartbeat
-// and the JobTracker folds them into StatusReply.Result.
+// to the JobTracker, which keeps them and hands them to the client in
+// the job's terminal Status reply, and Client.WaitStatus folds them
+// into StatusReply.Result. The JobTracker runs no kernel code.
 //
 // A kernel with Partition and Merge always shuffles its data jobs:
 // Partition runs map-side and splits the task's output into R key-routed
@@ -45,9 +47,10 @@ import (
 type MapKernel struct {
 	// Map runs on the TaskTracker. data is nil for compute tasks.
 	Map func(task Task, data []byte) ([]byte, error)
-	// Reduce runs on the JobTracker when all tasks are done, over the
-	// final-phase outputs in task order: the map outputs of a Map kernel,
-	// the reduce-task outputs (ordered by partition) of a shuffle kernel.
+	// Reduce runs on the client (Client.WaitStatus) once the job is
+	// done, over the final-phase outputs in task order: the map outputs
+	// of a Map kernel, the reduce-task outputs (ordered by partition) of
+	// a shuffle kernel.
 	Reduce func(partials [][]byte) ([]byte, error)
 	// Partition runs on the TaskTracker in Map's place: it returns
 	// exactly parts payloads, one per partition (empty partitions

@@ -42,7 +42,7 @@ func TestLocalityPreferredAssignment(t *testing.T) {
 func TestLocalityStatsZeroWithoutLocalDN(t *testing.T) {
 	// A tracker without a co-located DataNode counts everything
 	// remote.
-	nn, err := StartNameNode("127.0.0.1:0")
+	nn, err := StartNameNode("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLocalityStatsZeroWithoutLocalDN(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dn.Close()
-	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr())
+	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

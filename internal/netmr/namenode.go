@@ -10,11 +10,6 @@ import (
 	"hetmr/internal/rpcnet"
 )
 
-// DefaultReplication is the block replica count when
-// NameNode.Replication is zero: enough to survive one DataNode death
-// without burning the small clusters the tests boot.
-const DefaultReplication = 2
-
 // dnState is the NameNode's own column of a DataNode's membership row.
 type dnState struct {
 	load int // block replicas placed here
@@ -27,23 +22,16 @@ type dnRow = member[dnState]
 // NameNode is the TCP metadata master: namespace, block placement, and
 // the authoritative DataNode membership view. DataNodes join over
 // their first Register heartbeat and stay alive by repeating it; a
-// node that misses DeadAfter is declared dead, its replicas are
+// node that misses Config.DeadAfter is declared dead, its replicas are
 // pruned, and its blocks are re-replicated onto the survivors. Replica
 // placement and repair put each copy of a block on a distinct node.
 type NameNode struct {
 	srv *rpcnet.Server
-
-	// Replication is the desired replica count per block, capped by
-	// the number of placeable DataNodes. Set it before the first
-	// write; the zero value selects DefaultReplication.
-	Replication int
-
-	// DeadAfter is how long a DataNode may stay silent before the
-	// liveness sweep declares it dead and re-replicates its blocks.
-	// Zero disables dead-node detection (the pre-membership
-	// behaviour: readers fail over, nothing repairs). Set before
-	// DataNodes register.
-	DeadAfter time.Duration
+	// replication is the replica target per block, capped by the
+	// number of placeable DataNodes; deadAfter is Config.DeadAfter
+	// (zero: no sweep — readers fail over, nothing repairs).
+	replication int
+	deadAfter   time.Duration
 
 	mu        sync.Mutex
 	nextBlock int64
@@ -59,17 +47,19 @@ type NameNode struct {
 }
 
 // StartNameNode launches the NameNode on addr ("127.0.0.1:0" for an
-// ephemeral port).
-func StartNameNode(addr string) (*NameNode, error) {
+// ephemeral port). Of cfg it reads Replication and DeadAfter.
+func StartNameNode(addr string, cfg Config) (*NameNode, error) {
 	srv, err := rpcnet.NewServer(addr)
 	if err != nil {
 		return nil, err
 	}
 	nn := &NameNode{
-		srv:   srv,
-		files: make(map[string][]BlockInfo),
-		nodes: newRoster[dnState](),
-		freed: make(map[string][]int64),
+		srv:         srv,
+		replication: cfg.replication(),
+		deadAfter:   cfg.DeadAfter,
+		files:       make(map[string][]BlockInfo),
+		nodes:       newRoster[dnState](),
+		freed:       make(map[string][]int64),
 	}
 	nn.sweeper = every(sweepInterval, nn.sweep)
 	handle(srv, "Register", func(args RegisterArgs) (RegisterReply, error) {
@@ -96,20 +86,12 @@ func (nn *NameNode) Close() error {
 	return nn.srv.Close()
 }
 
-// want is the effective replication target. Callers hold nn.mu.
-func (nn *NameNode) want() int {
-	if nn.Replication > 0 {
-		return nn.Replication
-	}
-	return DefaultReplication
-}
-
 // sweep is the liveness tick: it declares DataNodes that missed
-// DeadAfter dead, prunes their replicas, and re-replicates any block
+// deadAfter dead, prunes their replicas, and re-replicates any block
 // left under target. All RPC work happens outside nn.mu.
 func (nn *NameNode) sweep(now time.Time) {
 	nn.mu.Lock()
-	changed := len(nn.nodes.expire(now, nn.DeadAfter)) > 0
+	changed := len(nn.nodes.expire(now, nn.deadAfter)) > 0
 	if changed {
 		// A dead replica is never the only one pruned away: a block
 		// whose every home is dead keeps its list so a rejoin can
@@ -225,7 +207,7 @@ func (nn *NameNode) handleAllocate(args AllocateArgs) (AllocateReply, error) {
 	// Secondary replicas go to the least-loaded other nodes, so a dead
 	// node never takes the only copy of a block with it.
 	replicas := []string{primary.id}
-	for want := min(nn.want(), len(candidates)); len(replicas) < want; {
+	for want := min(nn.replication, len(candidates)); len(replicas) < want; {
 		d := pickTarget(candidates, replicas)
 		if d == nil {
 			break
@@ -343,7 +325,7 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 			if served == "" {
 				continue // no live source: nothing to copy from
 			}
-			for want := min(nn.want(), len(candidates)); healthy < want; {
+			for want := min(nn.replication, len(candidates)); healthy < want; {
 				d := pickTarget(candidates, have)
 				if d == nil {
 					break

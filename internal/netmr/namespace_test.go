@@ -157,7 +157,7 @@ func TestBlockFreesSurviveALostRegisterReply(t *testing.T) {
 }
 
 func TestAllocateWithoutDataNodes(t *testing.T) {
-	nn, err := StartNameNode("127.0.0.1:0")
+	nn, err := StartNameNode("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

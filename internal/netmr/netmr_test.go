@@ -168,8 +168,12 @@ func TestPiJobOverTCP(t *testing.T) {
 }
 
 func TestTrackerFailureReassignsOverTCP(t *testing.T) {
-	c := startTestCluster(t, 2, 1024)
-	c.JT.TaskLease = 300 * time.Millisecond
+	c, err := StartCluster(Config{Workers: 2, Slots: 2, BlockSize: 1024, Heartbeat: 30 * time.Millisecond,
+		TaskLease: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
 	// Kill one tracker immediately: its assigned tasks must migrate.
 	c.TTs[0].Kill()
 	result, err := submitAndWait(c.Client, JobSpec{
@@ -207,12 +211,12 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestWaitTimeout(t *testing.T) {
 	// A cluster with zero live trackers never finishes the job.
-	nn, err := StartNameNode("127.0.0.1:0")
+	nn, err := StartNameNode("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nn.Close()
-	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr())
+	jt, err := StartJobTracker("127.0.0.1:0", nn.Addr(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

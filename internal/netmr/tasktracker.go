@@ -457,7 +457,8 @@ func (tt *TaskTracker) runMap(task Task, kern MapKernel, data []byte, res *TaskR
 // it goes. A byte-stream kernel's (no Reduce) parks here, spilling past
 // the watermark, and only its location rides the heartbeat: the client
 // fetches it straight from this store. A structured kernel's partial
-// rides the heartbeat for the JobTracker's Reduce.
+// rides the heartbeat to the JobTracker, which keeps it for the
+// client's Reduce.
 func (tt *TaskTracker) deliver(jobID int64, kern MapKernel, slot partKey, out []byte, res *TaskResult) error {
 	if kern.Reduce != nil {
 		res.Output = out

@@ -288,8 +288,8 @@ type JobSpec struct {
 	// NumTasks for compute jobs (values < 1 run as a single task).
 	NumTasks int
 	// Seed is the base RNG seed for compute jobs; task i draws from
-	// the domain MixSeed(Seed, i). 0 selects the default seed (2009,
-	// the paper's year).
+	// the domain MixSeed(Seed, i). 0 selects kernels.DefaultSeed,
+	// resolved by the JobTracker when it expands the job.
 	Seed uint64
 	// NumReducers is the reduce-task count of a data job whose kernel
 	// has the shuffle pair (Partition+Merge): map outputs are partitioned
@@ -485,8 +485,8 @@ type StatusArgs struct {
 const maxStatusHold = time.Second
 
 // StatusReply reports completion. Once Done, a structured kernel's job
-// carries its reduced output in Result and a byte-stream kernel's job
-// lists its stored pieces in Outputs.
+// carries its final-phase partials in Partials and a byte-stream
+// kernel's job lists its stored pieces in Outputs.
 type StatusReply struct {
 	Done bool
 	// Completed counts finished tasks across both phases; Total is
@@ -494,9 +494,15 @@ type StatusReply struct {
 	// with the shuffle pair).
 	Completed int
 	Total     int
-	Result    []byte
+	// Kernel names the job's kernel. Partials are a finished structured
+	// job's final-phase task outputs in task order; Result is what the
+	// kernel's Reduce folds them into — filled by Client.WaitStatus, on
+	// the client, never by the JobTracker.
+	Kernel   string
+	Partials [][]byte
+	Result   []byte
 	// Err is the terminal job error: a task that exhausted its
-	// attempt budget or a failed final reduce. Done is true when set.
+	// attempt budget, or a kill. Done is true when set.
 	Err string
 	// Attempts counts every attempt launched, including re-issues
 	// after lease expiry and speculative duplicates; Counts holds
@@ -512,7 +518,7 @@ type StatusReply struct {
 	// Outputs lists a byte-stream job's stored result pieces in task
 	// order once Done: the client fetches each from its tracker's
 	// shuffle store and streams it to the sink (Client.WaitOutput).
-	// Empty for structured jobs, whose Result travels inline.
+	// Empty for structured jobs, whose Partials travel inline.
 	Outputs []MapOutputRef
 }
 
