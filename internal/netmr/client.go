@@ -240,7 +240,8 @@ func (c *Client) ListFiles() ([]string, error) {
 }
 
 // DeleteFile removes name from the namespace. Its block replicas are
-// freed as each DataNode next heartbeats the NameNode.
+// freed within a round trip: the NameNode answers each DataNode's held
+// beat with its frees.
 func (c *Client) DeleteFile(name string) error {
 	return c.nn("Delete", DeleteArgs{File: name}, nil)
 }

@@ -14,11 +14,11 @@ import (
 // the request's raw tail and returns the reply's, under
 // rpcnet.TailHandler's ownership rules: Put, Get and FetchPartition,
 // whose bulk bytes skip gob.
-func handleTail[A, R any](srv *rpcnet.Server, method string, fn func(A, []byte) (R, []byte, error)) {
-	srv.HandleTail(method, func(body, tail []byte) (any, []byte, error) {
+func handleTail[A, R any](srv *rpcnet.Server, method string, fn func(A, *rpcnet.Tail) (R, rpcnet.Reply, error)) {
+	srv.HandleTail(method, func(body []byte, tail *rpcnet.Tail) (any, rpcnet.Reply, error) {
 		var args A
 		if err := rpcnet.Unmarshal(body, &args); err != nil {
-			return nil, nil, err
+			return nil, rpcnet.Reply{}, err
 		}
 		return fn(args, tail)
 	})
@@ -26,9 +26,9 @@ func handleTail[A, R any](srv *rpcnet.Server, method string, fn func(A, []byte) 
 
 // handle is handleTail for the methods that move no bulk bytes.
 func handle[A, R any](srv *rpcnet.Server, method string, fn func(A) (R, error)) {
-	handleTail(srv, method, func(args A, _ []byte) (R, []byte, error) {
+	handleTail(srv, method, func(args A, _ *rpcnet.Tail) (R, rpcnet.Reply, error) {
 		reply, err := fn(args)
-		return reply, nil, err
+		return reply, rpcnet.Reply{}, err
 	})
 }
 

@@ -17,11 +17,13 @@ import (
 // RAM.
 //
 // Membership is dynamic: the node joins the NameNode over its first
-// Register heartbeat and repeats the beat on a timer, so the NameNode
-// holds an authoritative liveness view and can re-replicate the node's
-// blocks when it goes silent. The Replicate RPC is the repair path's
-// data mover: the NameNode plans a copy, this node pushes the block
-// straight to the target peer.
+// Register heartbeat and repeats the beat, which the NameNode holds
+// until it has blocks for the node to free or a beat interval passes,
+// so the NameNode keeps an authoritative liveness view, can
+// re-replicate the node's blocks when it goes silent, and hands it
+// frees at once. The Replicate RPC is the repair path's data mover:
+// the NameNode plans a copy, this node pushes the block straight to the
+// target peer.
 type DataNode struct {
 	srv   *rpcnet.Server
 	store *spill.Store[int64]
@@ -53,6 +55,10 @@ func StartDataNode(addr, nameNodeAddr string, cfg Config) (*DataNode, error) {
 		nnAddr: nameNodeAddr,
 		wire:   newConnCache(),
 	}
+	// A block's buffer is the Put's frame buffer, kept: the store hands
+	// it back to the pool once it spills it or, after every reply that
+	// lends it is written, drops it.
+	dn.store.OnRelease(rpcnet.Recycle)
 	// The beat is this cache's control-plane call: a NameNode that goes
 	// mute must cost a missed beat, not wedge the loop (and Close behind
 	// it). Block pushes to peers pass their own, longer timeout.
@@ -62,24 +68,31 @@ func StartDataNode(addr, nameNodeAddr string, cfg Config) (*DataNode, error) {
 	handle(srv, "Replicate", dn.handleReplicate)
 	// First beat synchronously: callers may allocate right after
 	// StartDataNode returns, so the node must already be a member.
-	if err := dn.beat(); err != nil {
+	if err := dn.beat(0); err != nil {
 		srv.Close()
 		dn.wire.close()
 		dn.store.Close()
 		return nil, err
 	}
-	// A missed beat (NameNode briefly unreachable) just retries next tick.
-	dn.beater = every(cfg.heartbeat(), func(time.Time) { dn.beat() })
+	// A held beat lasts about an interval, so the next tick is already
+	// due when it returns; a missed beat (NameNode briefly unreachable)
+	// just retries next tick.
+	hold := min(cfg.heartbeat(), heartbeatCallTimeout/2)
+	dn.beater = every(cfg.heartbeat(), func(time.Time) { dn.beat(hold) })
 	return dn, nil
 }
 
 // beat sends one Register heartbeat, acknowledging the frees of the
 // last answered one, and drops the blocks of deleted files its reply
-// names. A lost reply leaves the acknowledgement standing, and the
-// NameNode names the unacknowledged IDs again: deletes are idempotent.
-func (dn *DataNode) beat() error {
+// names. The NameNode may hold a beat with nothing to free for up to
+// hold, answering it as a delete queues a free, so a free lands within
+// a round trip. A lost reply leaves the acknowledgement standing, and
+// the NameNode names the unacknowledged IDs again: deletes are
+// idempotent.
+func (dn *DataNode) beat(hold time.Duration) error {
 	var reply RegisterReply
-	if err := dn.wire.call(dn.nnAddr, "Register", RegisterArgs{Addr: dn.srv.Addr(), Freed: dn.freed}, &reply); err != nil {
+	args := RegisterArgs{Addr: dn.srv.Addr(), Freed: dn.freed, Hold: hold}
+	if err := dn.wire.call(dn.nnAddr, "Register", args, &reply); err != nil {
 		return err
 	}
 	for _, id := range reply.Free {
@@ -93,11 +106,12 @@ func (dn *DataNode) beat() error {
 func (dn *DataNode) Addr() string { return dn.srv.Addr() }
 
 // Close stops the heartbeat loop and the server, and releases any
-// spill files. Idempotent.
+// spill files. Idempotent. The connections close first, failing a beat
+// the NameNode holds, so the loop stops without waiting out the hold.
 func (dn *DataNode) Close() error {
+	dn.wire.close()
 	dn.beater.halt()
 	err := dn.srv.Close()
-	dn.wire.close()
 	if serr := dn.store.Close(); err == nil {
 		err = serr
 	}
@@ -111,31 +125,42 @@ func (dn *DataNode) BlockCount() int { return dn.store.Len() }
 // disk.
 func (dn *DataNode) SpilledBytes() int64 { return dn.store.SpilledBytes() }
 
-// handlePut stores a copy of the request tail as block args.ID: the
-// tail is the wire layer's buffer, and the store keeps what it is
-// handed.
-func (dn *DataNode) handlePut(args PutArgs, block []byte) (PutReply, []byte, error) {
-	return PutReply{}, nil, dn.store.Put(args.ID, bytes.Clone(block))
+// handlePut stores block args.ID in the request tail's own buffer,
+// kept from the wire layer: the block is allocated once, by the frame
+// read. Only a buffer far larger than its block (a pooled 4 MB one
+// holding a short last block) is copied from, so a store never pins
+// much more than it holds.
+func (dn *DataNode) handlePut(args PutArgs, tail *rpcnet.Tail) (PutReply, rpcnet.Reply, error) {
+	block := tail.Bytes()
+	if cap(block) > 2*len(block) {
+		block = bytes.Clone(block)
+	} else {
+		block = tail.Keep()
+	}
+	return PutReply{}, rpcnet.Reply{}, dn.store.Put(args.ID, block)
 }
 
 // handleGet answers with the stored block as the reply tail: the
-// store's own bytes, which go to the socket uncopied.
-func (dn *DataNode) handleGet(args GetArgs, _ []byte) (GetReply, []byte, error) {
-	data, err := dn.store.Get(args.ID)
+// store's own bytes, which go to the socket uncopied and stay lent,
+// through a delete or a re-put of the ID, until the reply is written.
+func (dn *DataNode) handleGet(args GetArgs, _ *rpcnet.Tail) (GetReply, rpcnet.Reply, error) {
+	data, done, err := dn.store.Lend(args.ID)
 	if err != nil {
-		return GetReply{}, nil, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
+		return GetReply{}, rpcnet.Reply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
-	return GetReply{}, data, nil
+	return GetReply{}, rpcnet.Reply{Bytes: data, Release: done}, nil
 }
 
 // handleReplicate pushes one locally stored block to a peer DataNode —
 // the NameNode-planned re-replication transfer. The payload flows
-// DataNode→DataNode; the NameNode only ever sees the acknowledgement.
+// DataNode→DataNode, lent from the store until the push returns; the
+// NameNode only ever sees the acknowledgement.
 func (dn *DataNode) handleReplicate(args ReplicateArgs) (ReplicateReply, error) {
-	data, err := dn.store.Get(args.ID)
+	data, done, err := dn.store.Lend(args.ID)
 	if err != nil {
 		return ReplicateReply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
+	defer done()
 	if err := dn.wire.bulk(args.Target, "Put", PutArgs{ID: args.ID}, data, nil, nil); err != nil {
 		return ReplicateReply{}, fmt.Errorf("netmr: replicate block %d to %s: %w", args.ID, args.Target, err)
 	}

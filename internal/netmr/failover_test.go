@@ -42,8 +42,8 @@ func TestShortReplicaIsAFailedRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		handleTail(srv, "Get", func(GetArgs, []byte) (GetReply, []byte, error) {
-			return GetReply{}, answer, nil
+		handleTail(srv, "Get", func(GetArgs, *rpcnet.Tail) (GetReply, rpcnet.Reply, error) {
+			return GetReply{}, rpcnet.Reply{Bytes: answer}, nil
 		})
 		return srv.Addr()
 	}

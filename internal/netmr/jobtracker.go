@@ -402,15 +402,7 @@ func (jt *JobTracker) handleStatus(args StatusArgs) (StatusReply, error) {
 		return StatusReply{}, fmt.Errorf("netmr: unknown job %d", args.JobID)
 	}
 	if args.Hold > 0 && !rec.done {
-		jt.mu.Unlock()
-		hold := time.NewTimer(min(args.Hold, maxStatusHold))
-		select {
-		case <-rec.terminal:
-		case <-hold.C:
-		case <-jt.sweeper.stop:
-		}
-		hold.Stop()
-		jt.mu.Lock()
+		park(&jt.mu, args.Hold, rec.terminal, jt.sweeper.stop)
 	}
 	reply := StatusReply{
 		Done:     rec.done,

@@ -124,6 +124,20 @@ func (r *roster[T]) list() []*member[T] {
 	return out
 }
 
+// park is a master's held call: it releases mu until wake or stop
+// closes or hold (capped at maxStatusHold) passes, then retakes it.
+func park(mu *sync.Mutex, hold time.Duration, wake, stop <-chan struct{}) {
+	mu.Unlock()
+	defer mu.Lock()
+	timer := time.NewTimer(min(hold, maxStatusHold))
+	defer timer.Stop()
+	select {
+	case <-wake:
+	case <-timer.C:
+	case <-stop:
+	}
+}
+
 // sweepInterval paces the masters' liveness sweeps; fine-grained enough
 // for the millisecond heartbeats tests run, cheap enough to always tick.
 const sweepInterval = 20 * time.Millisecond

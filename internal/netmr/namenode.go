@@ -40,7 +40,10 @@ type NameNode struct {
 	// freed queues, per DataNode, the block replicas of deleted files
 	// it still stores. Every Register reply carries the node's queue,
 	// and an ID leaves it only when a later beat acknowledges it.
-	freed     map[string][]int64
+	freed map[string][]int64
+	// parked wakes, per DataNode, its held beat (RegisterArgs.Hold)
+	// when a free is queued for it.
+	parked    map[string]chan struct{}
 	repairing bool // one repair pass at a time
 
 	sweeper *background
@@ -60,6 +63,7 @@ func StartNameNode(addr string, cfg Config) (*NameNode, error) {
 		files:       make(map[string][]BlockInfo),
 		nodes:       newRoster[dnState](),
 		freed:       make(map[string][]int64),
+		parked:      make(map[string]chan struct{}),
 	}
 	nn.sweeper = every(sweepInterval, nn.sweep)
 	handle(srv, "Register", func(args RegisterArgs) (RegisterReply, error) {
@@ -80,7 +84,8 @@ func StartNameNode(addr string, cfg Config) (*NameNode, error) {
 // Addr returns the NameNode's RPC address.
 func (nn *NameNode) Addr() string { return nn.srv.Addr() }
 
-// Close stops the liveness sweep and the server.
+// Close stops the liveness sweep, which answers every held beat, and
+// the server.
 func (nn *NameNode) Close() error {
 	nn.sweeper.halt()
 	return nn.srv.Close()
@@ -140,10 +145,14 @@ func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnRow) bool) {
 // rejoins cleanly with its stored blocks counted again once
 // re-confirmed. The beat's Freed forgets what the node acknowledged
 // dropping, and the reply names every replica of a deleted file still
-// queued for it — again, if an earlier reply was lost.
+// queued for it — again, if an earlier reply was lost. A member's beat
+// with nothing queued and a Hold is parked (nn.mu released) until a
+// free is queued for the node, the capped hold expires or Close, and
+// refreshes the node's liveness again as it returns.
 func (nn *NameNode) register(args RegisterArgs, now time.Time) (RegisterReply, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
+	joining := nn.nodes.members[args.Addr] == nil
 	d := nn.nodes.beat(args.Addr, now)
 	if d == nil {
 		return RegisterReply{}, fmt.Errorf("netmr: datanode %s was decommissioned", args.Addr)
@@ -156,7 +165,29 @@ func (nn *NameNode) register(args RegisterArgs, now time.Time) (RegisterReply, e
 	} else {
 		nn.freed[args.Addr] = queue
 	}
+	if len(queue) == 0 && args.Hold > 0 && !joining {
+		wake := make(chan struct{})
+		nn.parked[args.Addr] = wake
+		park(&nn.mu, args.Hold, wake, nn.sweeper.stop)
+		if nn.parked[args.Addr] == wake {
+			delete(nn.parked, args.Addr)
+		}
+		if d = nn.nodes.beat(args.Addr, time.Now()); d == nil {
+			return RegisterReply{}, fmt.Errorf("netmr: datanode %s was decommissioned", args.Addr)
+		}
+		queue = nn.freed[args.Addr]
+	}
 	return RegisterReply{Draining: d.draining, Free: slices.Clone(queue)}, nil
+}
+
+// queueFreeLocked queues block id for addr to drop and answers the
+// node's held beat. Callers hold nn.mu.
+func (nn *NameNode) queueFreeLocked(addr string, id int64) {
+	nn.freed[addr] = append(nn.freed[addr], id)
+	if wake := nn.parked[addr]; wake != nil {
+		close(wake)
+		delete(nn.parked, addr)
+	}
 }
 
 // placeableNodes lists nodes new replicas may land on, in registration
@@ -370,7 +401,7 @@ func (nn *NameNode) replicate(op repairOp) bool {
 		}
 		return true
 	}
-	nn.freed[op.dst] = append(nn.freed[op.dst], op.id)
+	nn.queueFreeLocked(op.dst, op.id)
 	return false
 }
 
@@ -445,7 +476,7 @@ func (nn *NameNode) handleDelete(args DeleteArgs) (DeleteReply, error) {
 		for _, addr := range blk.Replicas {
 			if d := nn.nodes.members[addr]; d != nil {
 				d.info.load--
-				nn.freed[addr] = append(nn.freed[addr], blk.ID)
+				nn.queueFreeLocked(addr, blk.ID)
 			}
 		}
 	}

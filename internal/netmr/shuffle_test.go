@@ -245,7 +245,7 @@ func killAfterFirstChunk(tts []*TaskTracker) func() *TaskTracker {
 		killed *TaskTracker
 	)
 	for _, tt := range tts {
-		handleTail(tt.srv, "FetchPartition", func(args FetchPartitionArgs, tail []byte) (FetchPartitionReply, []byte, error) {
+		handleTail(tt.srv, "FetchPartition", func(args FetchPartitionArgs, tail *rpcnet.Tail) (FetchPartitionReply, rpcnet.Reply, error) {
 			mu.Lock()
 			if killed == nil && args.Offset > 0 {
 				killed = tt
@@ -254,7 +254,7 @@ func killAfterFirstChunk(tts []*TaskTracker) func() *TaskTracker {
 			dead := killed == tt
 			mu.Unlock()
 			if dead {
-				return FetchPartitionReply{}, nil, fmt.Errorf("tracker %s died mid-stream", tt.ID)
+				return FetchPartitionReply{}, rpcnet.Reply{}, fmt.Errorf("tracker %s died mid-stream", tt.ID)
 			}
 			return tt.handleFetchPartition(args, tail)
 		})

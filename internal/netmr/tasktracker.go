@@ -240,13 +240,13 @@ func (tt *TaskTracker) FetchWindowPeak() int64 { return tt.fetchWin.Peak() }
 // handleFetchPartition answers with the requested range of a stored
 // payload as the reply tail — the store's own bytes when the payload is
 // in memory, which go to the socket uncopied.
-func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs, _ []byte) (FetchPartitionReply, []byte, error) {
+func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs, _ *rpcnet.Tail) (FetchPartitionReply, rpcnet.Reply, error) {
 	data, size, ok := tt.store.getRange(args.JobID, partKey{args.MapTask, args.Part}, args.Offset, args.MaxBytes)
 	if !ok {
-		return FetchPartitionReply{}, nil, fmt.Errorf("netmr: tracker %s holds no partition %d of job %d map %d",
+		return FetchPartitionReply{}, rpcnet.Reply{}, fmt.Errorf("netmr: tracker %s holds no partition %d of job %d map %d",
 			tt.ID, args.Part, args.JobID, args.MapTask)
 	}
-	return FetchPartitionReply{Size: size}, data, nil
+	return FetchPartitionReply{Size: size}, rpcnet.Reply{Bytes: data}, nil
 }
 
 // heartbeatCallTimeout bounds one Heartbeat round-trip, so a hung

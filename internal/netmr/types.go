@@ -63,6 +63,13 @@ type RegisterArgs struct {
 	// Until a beat acknowledges an ID the NameNode keeps naming it, so
 	// a reply lost in transit costs a repeat, never a leaked replica.
 	Freed []int64
+	// Hold lets the NameNode park a beat that has nothing to free, as a
+	// held Status is parked: it answers when a delete queues a free for
+	// the node or after Hold (capped at maxStatusHold), so frees reach
+	// the node within a round trip, not on its next beat. A joining
+	// node's first beat is answered at once. Callers keep Hold below
+	// their call timeout.
+	Hold time.Duration
 }
 
 // RegisterReply acknowledges registration. Draining tells the node the
@@ -160,7 +167,7 @@ type ListReply struct {
 }
 
 // DeleteArgs names a file to remove: its metadata goes at once, its
-// block replicas as each DataNode's next heartbeat collects its
+// block replicas as each DataNode's held beat returns with its
 // RegisterReply.Free list.
 type DeleteArgs struct {
 	File string
@@ -478,10 +485,11 @@ type StatusArgs struct {
 	Hold  time.Duration
 }
 
-// maxStatusHold caps how long the JobTracker parks one Status call. It
-// is short against waitCallTimeout (a parked call stays distinguishable
-// from a hung JobTracker) and bounds how long a parked call can occupy
-// one of its connection's handler slots.
+// maxStatusHold caps how long the JobTracker parks one Status call, and
+// the NameNode one Register beat. It is short against waitCallTimeout
+// (a parked call stays distinguishable from a hung master) and bounds
+// how long a parked call can occupy one of its connection's handler
+// slots.
 const maxStatusHold = time.Second
 
 // StatusReply reports completion. Once Done, a structured kernel's job

@@ -271,7 +271,7 @@ func (c *Client) CallTimeout(method string, arg, result any, timeout time.Durati
 // a caller that has moved on. The timeout covers the send and the wait.
 func (c *Client) CallTail(method string, arg any, tail []byte, result any, timeout time.Duration, use func([]byte) error) error {
 	bodyBuf := getBuf(0)
-	defer putBuf(bodyBuf)
+	defer func() { putBuf(bodyBuf) }() // nil once given back after the send
 	if err := marshalTo(bodyBuf, arg); err != nil {
 		return err
 	}
@@ -307,7 +307,11 @@ func (c *Client) CallTail(method string, arg any, tail []byte, result any, timeo
 		defer timer.Stop()
 		timerCh = timer.C
 	}
-	if err := cc.w.send(deadline, id, 0, method, bodyBuf.Bytes(), tail); err != nil {
+	err = cc.w.send(deadline, id, 0, method, bodyBuf.Bytes(), tail)
+	// A held call may wait a while for its reply: it holds no buffer.
+	putBuf(bodyBuf)
+	bodyBuf = nil
+	if err != nil {
 		// Part of the frame may be on the wire and cannot be resumed: the
 		// connection is done, the next call redials.
 		cc.deregister(id)

@@ -96,8 +96,8 @@ func TestOversizeReplyIsAnErrorNotASilence(t *testing.T) {
 	})
 	// A tail that fits MaxFrame alone but not behind its frame's header
 	// and body: the bound is on the whole frame.
-	s.HandleTail("hugeTail", func(_, _ []byte) (any, []byte, error) {
-		return echoReply{Msg: "body"}, make([]byte, MaxFrame-frameFixedLen), nil
+	s.HandleTail("hugeTail", func([]byte, *Tail) (any, Reply, error) {
+		return echoReply{Msg: "body"}, Reply{Bytes: make([]byte, MaxFrame-frameFixedLen)}, nil
 	})
 	c, err := Dial(s.Addr())
 	if err != nil {

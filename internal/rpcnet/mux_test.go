@@ -130,12 +130,12 @@ func TestLateReplyDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.HandleTail("slow", func(_, _ []byte) (any, []byte, error) {
+	s.HandleTail("slow", func([]byte, *Tail) (any, Reply, error) {
 		time.Sleep(80 * time.Millisecond)
-		return "slow-result", []byte("slow-tail"), nil
+		return "slow-result", Reply{Bytes: []byte("slow-tail")}, nil
 	})
-	s.HandleTail("fast", func(_, _ []byte) (any, []byte, error) {
-		return "fast-result", []byte("fast-tail"), nil
+	s.HandleTail("fast", func([]byte, *Tail) (any, Reply, error) {
+		return "fast-result", Reply{Bytes: []byte("fast-tail")}, nil
 	})
 
 	c, err := Dial(s.Addr(), withPoolSize(1))

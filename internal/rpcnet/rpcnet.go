@@ -15,11 +15,13 @@
 // slice (Client.CallTail, Server.HandleTail) — and the receiver lends
 // them from its pooled frame buffer, to the handler or the caller's use
 // func, only until that returns (race builds poison a released buffer).
-// Control messages have no tail; Call, CallTimeout and Handle are the
-// tail-less forms. A
-// connection starts with a 4-byte magic each way and negotiates
-// nothing: no frame is compressed. See ARCHITECTURE.md ("The wire
-// layer") for the frame layout.
+// A handler may instead keep its request tail's buffer (Tail.Keep) and
+// give it back to the pool with Recycle once done with it, and may
+// answer with stored bytes whose Reply.Release runs once they are
+// written. Control messages have no tail; Call, CallTimeout and Handle
+// are the tail-less forms. A connection starts with a 4-byte magic each
+// way and negotiates nothing: no frame is compressed. See
+// ARCHITECTURE.md ("The wire layer") for the frame layout.
 //
 // Client is a connection pool over that protocol: calls fan out over
 // a few multiplexed connections, a call that times out leaves its
@@ -29,6 +31,7 @@
 package rpcnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -56,12 +59,53 @@ var errMalformedFrame = errors.New("rpcnet: malformed frame")
 type Handler func(body []byte) (any, error)
 
 // TailHandler is a Handler for a method that moves bulk bytes: tail is
-// the request's raw tail and replyTail becomes the reply's. Like body,
-// tail is only valid until the handler returns — a handler that keeps
-// the bytes, or answers with them, copies them. replyTail goes to the
-// socket as it is, so it must stay unmodified until the reply is
-// written; a slice of stored, immutable bytes needs no copy.
-type TailHandler func(body, tail []byte) (result any, replyTail []byte, err error)
+// the request's raw tail and reply the reply's. Like body, tail is lent
+// only until the handler returns, unless the handler keeps its buffer
+// (Tail.Keep).
+type TailHandler func(body []byte, tail *Tail) (result any, reply Reply, err error)
+
+// Tail is a request's raw tail in the pooled frame buffer the server
+// read it into.
+type Tail struct {
+	buf  *bytes.Buffer // nil when the request carried no tail
+	kept bool
+}
+
+// Bytes returns the tail, valid until the handler returns unless it
+// calls Keep; nil when the request carried none.
+func (t *Tail) Bytes() []byte {
+	if t.buf == nil {
+		return nil
+	}
+	return t.buf.Bytes()
+}
+
+// Keep takes the tail's buffer from the server, which then does not
+// return it to its pool: the bytes stay valid, and rpcnet never touches
+// them again, until the keeper hands them to Recycle or drops them.
+func (t *Tail) Keep() []byte {
+	t.kept = true
+	return t.Bytes()
+}
+
+// Reply is a handler's reply tail. Bytes go to the socket as they are,
+// so they must stay unmodified until the frame is written; a slice of
+// stored, immutable bytes needs no copy. Release, when set, runs once
+// the reply frame has been written or has failed to be, also when the
+// handler's error replaced it: after it, rpcnet holds no reference to
+// Bytes.
+type Reply struct {
+	Bytes   []byte
+	Release func()
+}
+
+// Recycle gives a buffer its caller owns — one Tail.Keep returned, say
+// — to the frame pool, in the size class its capacity puts it in (a
+// block's is the bulk class), poisoned over its whole capacity first in
+// race builds. Nothing may touch p afterwards.
+func Recycle(p []byte) {
+	putBuf(bytes.NewBuffer(p[:cap(p)]))
+}
 
 // RemoteError is an error reported by the remote handler.
 type RemoteError struct {

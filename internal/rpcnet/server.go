@@ -53,9 +53,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Handle registers a handler for a method that moves no bulk bytes: a
 // tail sent to it is ignored and its reply carries none.
 func (s *Server) Handle(method string, h Handler) {
-	s.HandleTail(method, func(body, _ []byte) (any, []byte, error) {
+	s.HandleTail(method, func(body []byte, _ *Tail) (any, Reply, error) {
 		result, err := h(body)
-		return result, nil, err
+		return result, Reply{}, err
 	})
 }
 
@@ -158,30 +158,44 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // dispatch runs one request through its handler and writes the tagged
-// response. Write errors are dropped — the read loop will notice the
-// broken connection — except ErrFrameTooLarge: that one is returned
-// before a byte is written, so the connection is healthy and the caller
-// would wait out its whole timeout for an ID nobody answers. It gets an
-// error frame instead.
+// response, then runs the reply's Release. Write errors are dropped —
+// the read loop will notice the broken connection — except
+// ErrFrameTooLarge: that one is returned before a byte is written, so
+// the connection is healthy and the caller would wait out its whole
+// timeout for an ID nobody answers. It gets an error frame instead.
 func (s *Server) dispatch(fw *frameWriter, fr frame) {
-	respBody := getBuf(0)
-	defer putBuf(respBody)
-	var respTail []byte
-	errMsg := ""
-	if h, ok := s.lookup(fr.meta); !ok {
-		errMsg = fmt.Sprintf("rpcnet: unknown method %q", fr.meta)
-	} else if result, tail, err := h(fr.body.Bytes(), fr.tailBytes()); err != nil {
-		errMsg = err.Error()
-	} else if err := marshalTo(respBody, result); err != nil {
-		respBody.Reset()
-		errMsg = err.Error()
+	var (
+		result any
+		reply  Reply
+		err    error
+	)
+	tail := Tail{buf: fr.tail}
+	if h, ok := s.lookup(fr.meta); ok {
+		result, reply, err = h(fr.body.Bytes(), &tail)
 	} else {
-		respTail = tail
+		err = fmt.Errorf("rpcnet: unknown method %q", fr.meta)
+	}
+	respBody := getBuf(0) // taken after the handler: a held call holds none
+	defer putBuf(respBody)
+	if err == nil {
+		if err = marshalTo(respBody, result); err != nil {
+			respBody.Reset()
+		}
+	}
+	respTail, errMsg := reply.Bytes, ""
+	if err != nil {
+		respTail, errMsg = nil, err.Error()
+	}
+	if tail.kept {
+		fr.tail = nil // the handler's now
 	}
 	fr.release()
 	if err := fw.send(time.Time{}, fr.id, frameFlagResponse, errMsg, respBody.Bytes(), respTail); errors.Is(err, ErrFrameTooLarge) {
 		fw.send(time.Time{}, fr.id, frameFlagResponse,
 			fmt.Sprintf("rpcnet: response to %s: frame too large", fr.meta), nil, nil)
+	}
+	if reply.Release != nil {
+		reply.Release()
 	}
 }
 

@@ -57,19 +57,19 @@ func xorSum(p []byte) (s byte) {
 func newTailServer(t testing.TB) *Server {
 	t.Helper()
 	s := newEchoServer(t)
-	s.HandleTail("tail", func(body, tail []byte) (any, []byte, error) {
+	s.HandleTail("tail", func(body []byte, tail *Tail) (any, Reply, error) {
 		var a tailArg
 		if err := Unmarshal(body, &a); err != nil {
-			return nil, nil, err
+			return nil, Reply{}, err
 		}
 		var out []byte
 		if a.Reply > 0 {
 			out = pattern(a.Reply)
 		}
-		return tailReply{Got: len(tail), Sum: xorSum(tail)}, out, nil
+		return tailReply{Got: len(tail.Bytes()), Sum: xorSum(tail.Bytes())}, Reply{Bytes: out}, nil
 	})
-	s.HandleTail("mirror", func(_, tail []byte) (any, []byte, error) {
-		return struct{}{}, bytes.Clone(tail), nil
+	s.HandleTail("mirror", func(_ []byte, tail *Tail) (any, Reply, error) {
+		return struct{}{}, Reply{Bytes: bytes.Clone(tail.Bytes())}, nil
 	})
 	return s
 }
@@ -212,6 +212,80 @@ func TestKeptTailReadsAsPoison(t *testing.T) {
 	for i, b := range kept {
 		if b != poisonByte {
 			t.Fatalf("kept tail byte %d reads %#x after CallTail returned, want poison %#x", i, b, poisonByte)
+		}
+	}
+}
+
+// TestKeptTailAndReleasedReply: a handler that keeps its request tail
+// owns the buffer — the server neither reuses nor, in race builds,
+// poisons it — until Recycle, which poisons it over its whole capacity
+// in race builds; and a reply's Release runs once its frame is written,
+// also when the handler's error replaced the reply.
+func TestKeptTailAndReleasedReply(t *testing.T) {
+	s := newTailServer(t)
+	kept := make(chan []byte, 1)
+	s.HandleTail("keep", func(_ []byte, tail *Tail) (any, Reply, error) {
+		kept <- tail.Keep()
+		return struct{}{}, Reply{}, nil
+	})
+	released := make(chan string, 2)
+	stored := pattern(200 << 10)
+	s.HandleTail("lend", func(body []byte, _ *Tail) (any, Reply, error) {
+		var fail bool
+		if err := Unmarshal(body, &fail); err != nil {
+			return nil, Reply{}, err
+		}
+		reply := Reply{Bytes: stored, Release: func() { released <- fmt.Sprint("fail=", fail) }}
+		if fail {
+			return nil, reply, errors.New("refused")
+		}
+		return struct{}{}, reply, nil
+	})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	sent := pattern(300 << 10)
+	if err := c.CallTail("keep", struct{}{}, sent, nil, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	p := <-kept
+	other := bytes.Repeat([]byte{0xEE}, len(sent))
+	for range 4 { // frame traffic that would take a pooled buffer back
+		if err := c.CallTail("tail", tailArg{}, other, nil, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(p, sent) {
+		t.Fatal("a kept tail changed after its handler returned")
+	}
+	Recycle(p)
+	if testutil.RaceEnabled {
+		for i, b := range p[:cap(p)] {
+			if b != poisonByte {
+				t.Fatalf("recycled buffer byte %d reads %#x, want poison %#x", i, b, poisonByte)
+			}
+		}
+	}
+
+	for _, fail := range []bool{false, true} {
+		var got []byte
+		err := c.CallTail("lend", fail, nil, nil, 0, func(tail []byte) error {
+			got = bytes.Clone(tail)
+			return nil
+		})
+		if fail != (err != nil) || !fail && !bytes.Equal(got, stored) {
+			t.Fatalf("lend(fail=%v): %d bytes back, err %v", fail, len(got), err)
+		}
+		select {
+		case who := <-released:
+			if who != fmt.Sprint("fail=", fail) {
+				t.Fatalf("released %s, want fail=%v", who, fail)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("lend(fail=%v): the reply's Release never ran", fail)
 		}
 	}
 }
@@ -547,8 +621,8 @@ func TestTailCallAllocatesNoPayloadCopies(t *testing.T) {
 	const size = 1 << 20
 	stored := pattern(size)
 	s := newTailServer(t)
-	s.HandleTail("swap", func(_, tail []byte) (any, []byte, error) {
-		return len(tail), stored, nil
+	s.HandleTail("swap", func(_ []byte, tail *Tail) (any, Reply, error) {
+		return len(tail.Bytes()), Reply{Bytes: stored}, nil
 	})
 	c, err := Dial(s.Addr())
 	if err != nil {

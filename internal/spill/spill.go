@@ -33,6 +33,13 @@ type entry struct {
 	mem  []byte
 	path string
 	size int64
+	loan *loan // the Lends of mem, once it has had one
+}
+
+// loan counts the Lends of one in-memory payload.
+type loan struct {
+	n       int  // lends not yet done
+	dropped bool // the store let go of it: the last done releases it
 }
 
 // Store is a payload store keyed by K with a memory watermark. It is
@@ -48,6 +55,7 @@ type Store[K comparable] struct {
 	spilled  int64
 	seq      int
 	closed   bool
+	release  func([]byte) // see OnRelease
 }
 
 // New builds a store spilling under a fresh directory inside baseDir
@@ -76,6 +84,16 @@ func NewStore(baseDir string, memLimit int64, _ ...Codec) *Store[string] {
 // frames are raw payload bytes, and no implementation exists.
 type Codec interface{ sealed() }
 
+// OnRelease hands f every in-memory payload the store lets go of: one
+// spilled to disk as Put writes it, one dropped by Delete or replaced
+// by a Put — the latter only once every Lend of it is done. f runs
+// outside the store's lock. Close hands nothing back.
+func (s *Store[K]) OnRelease(f func([]byte)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.release = f
+}
+
 // spillDir lazily creates the spill directory. Callers hold s.mu.
 func (s *Store[K]) spillDir() (string, error) {
 	if s.dir != "" {
@@ -95,15 +113,19 @@ func (s *Store[K]) spillDir() (string, error) {
 
 // Put stores data under key, replacing any previous payload. The
 // store takes ownership of data: an in-memory payload is data itself,
-// so the caller must not modify it afterwards. A caller holding
-// borrowed memory (a reused buffer, a wire tail) copies it first.
+// so the caller must not modify it afterwards, and a spilled one is
+// handed to the OnRelease func once written. A caller holding borrowed
+// memory (a reused buffer, a wire tail lent only until its handler
+// returns) copies it first; one that owns it (a kept wire tail) need
+// not.
 func (s *Store[K]) Put(key K, data []byte) error {
+	var freed [][]byte
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer func() { s.unlock(freed...) }()
 	if s.closed {
 		return fmt.Errorf("spill: put %v on closed store", key)
 	}
-	s.dropLocked(key)
+	freed = s.dropLocked(key)
 	size := int64(len(data))
 	if s.memLimit == 0 || s.memLimit > 0 && s.memUse+size <= s.memLimit {
 		s.entries[key] = entry{mem: data, size: size}
@@ -121,6 +143,7 @@ func (s *Store[K]) Put(key K, data []byte) error {
 		os.Remove(path)
 		return fmt.Errorf("spill: write frame: %w", err)
 	}
+	freed = append(freed, data)
 	s.entries[key] = entry{path: path, size: size}
 	s.spilled += size
 	metrics.SpillBytes.Add(size)
@@ -148,6 +171,39 @@ func (s *Store[K]) Get(key K) ([]byte, error) {
 		return e.mem, err
 	}
 	return readFrame(e.path, 0, e.size)
+}
+
+// Lend is Get for a caller that reads the payload after the store may
+// have dropped it (a reply still being written): an in-memory payload
+// goes to the OnRelease func only once done has run, once, for every
+// Lend of it. A spilled payload is read as Get reads it.
+func (s *Store[K]) Lend(key K) (data []byte, done func(), err error) {
+	s.mu.Lock()
+	e, ok := s.entries[key]
+	if !ok {
+		s.mu.Unlock()
+		return nil, nil, fmt.Errorf("spill: no payload under %v", key)
+	}
+	if e.path != "" {
+		s.mu.Unlock()
+		data, err := readFrame(e.path, 0, e.size)
+		return data, func() {}, err
+	}
+	if e.loan == nil {
+		e.loan = &loan{}
+		s.entries[key] = e
+	}
+	l := e.loan
+	l.n++
+	s.mu.Unlock()
+	return e.mem, func() {
+		s.mu.Lock()
+		if l.n--; l.n == 0 && l.dropped {
+			s.unlock(e.mem)
+			return
+		}
+		s.mu.Unlock()
+	}, nil
 }
 
 // Open returns a streaming reader over key's payload: a spilled
@@ -217,22 +273,41 @@ func (s *Store[K]) Size(key K) (int64, error) {
 // an absent key is a no-op.
 func (s *Store[K]) Delete(key K) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropLocked(key)
+	s.unlock(s.dropLocked(key)...)
 }
 
-// dropLocked removes one entry. Callers hold s.mu.
-func (s *Store[K]) dropLocked(key K) {
+// dropLocked removes one entry and returns the payload to hand to the
+// OnRelease func, if any. Callers hold s.mu.
+func (s *Store[K]) dropLocked(key K) [][]byte {
 	e, ok := s.entries[key]
 	if !ok {
-		return
-	}
-	if e.path == "" {
-		s.memUse -= e.size
-	} else {
-		os.Remove(e.path)
+		return nil
 	}
 	delete(s.entries, key)
+	switch {
+	case e.path != "":
+		os.Remove(e.path)
+		return nil
+	case e.loan != nil && e.loan.n > 0:
+		s.memUse -= e.size
+		e.loan.dropped = true // its last Lend's done releases it
+		return nil
+	}
+	s.memUse -= e.size
+	return [][]byte{e.mem}
+}
+
+// unlock releases s.mu, then hands freed to the OnRelease func, which
+// so never runs under the store's lock.
+func (s *Store[K]) unlock(freed ...[]byte) {
+	release := s.release
+	s.mu.Unlock()
+	if release == nil {
+		return
+	}
+	for _, p := range freed {
+		release(p)
+	}
 }
 
 // MemBytes reports the bytes currently held in memory.

@@ -378,3 +378,77 @@ func FuzzStore(f *testing.F) {
 		}
 	})
 }
+
+// TestReleaseHandsBackWhatTheStoreLetsGo: with an OnRelease func a
+// payload that spills is handed back as Put writes it, a resident one
+// as Delete or a replacing Put drops it — and a lent one only when its
+// last Lend is done, so a reply still writing it reads it intact.
+func TestReleaseHandsBackWhatTheStoreLetsGo(t *testing.T) {
+	s := New[string](t.TempDir(), 25_000)
+	defer s.Close()
+	var released [][]byte
+	s.OnRelease(func(p []byte) { released = append(released, p) })
+	gave := func(p []byte) bool {
+		for _, r := range released {
+			if &r[0] == &p[0] {
+				return true
+			}
+		}
+		return false
+	}
+	a, b, c := payload(10_000, 1), payload(10_000, 2), payload(10_000, 3)
+	for key, p := range map[string][]byte{"a": a, "b": b} {
+		if err := s.Put(key, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(released) != 0 {
+		t.Fatalf("%d resident payloads handed back while still stored", len(released))
+	}
+	if err := s.Put("c", c); err != nil { // over the watermark: to disk
+		t.Fatal(err)
+	}
+	if s.SpilledBytes() != 10_000 || !gave(c) {
+		t.Fatalf("spilled %d bytes, handed back the spilled payload: %v", s.SpilledBytes(), gave(c))
+	}
+
+	lent, done, err := s.Lend("a")
+	if err != nil || &lent[0] != &a[0] {
+		t.Fatalf("Lend lent another slice than the stored one, err %v", err)
+	}
+	again, doneAgain, _ := s.Lend("a")
+	s.Delete("a")
+	if gave(a) {
+		t.Fatal("a lent payload was handed back at its Delete")
+	}
+	done()
+	if gave(a) {
+		t.Fatal("a payload lent twice was handed back after one done")
+	}
+	if !bytes.Equal(again, payload(10_000, 1)) {
+		t.Fatal("a lent payload changed after its Delete")
+	}
+	doneAgain()
+	if !gave(a) {
+		t.Fatal("a deleted payload was not handed back after its last Lend was done")
+	}
+
+	_, done, _ = s.Lend("b")
+	if err := s.Put("b", payload(10_000, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if gave(b) {
+		t.Fatal("a lent payload was handed back when a Put replaced it")
+	}
+	done()
+	if !gave(b) {
+		t.Fatal("a replaced payload was not handed back after its Lend was done")
+	}
+
+	// A spilled payload is lent as a fresh read, which nothing pins.
+	spilled, done, err := s.Lend("c")
+	done()
+	if err != nil || !bytes.Equal(spilled, payload(10_000, 3)) {
+		t.Fatalf("Lend of a spilled payload read wrong bytes, err %v", err)
+	}
+}
