@@ -49,7 +49,9 @@ bench-compare:
 # stable comparison sort it replaced), the loser-tree merge (both entry
 # points checked against the scan merge it replaced), the word-count
 # table (checked against the map-based counter it replaced), the
-# SPE-offloaded word count (checked against the host kernel) and the
+# SPE-offloaded word count (checked against the host kernel), the
+# word-run shuffle (host and SPE partitions, merge and reduce checked
+# against a map count; malformed runs must fail the merge) and the
 # spill store (random Put/Delete/Get/Open/GetRange sequences checked
 # against a map, under each kind of watermark).
 fuzz-smoke:
@@ -61,6 +63,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzMergeSorted -fuzztime 10s
 	$(GO) test ./internal/kernels -run='^$$' -fuzz FuzzWordCount -fuzztime 10s
 	$(GO) test ./internal/netmr -run='^$$' -fuzz FuzzAccelWordCount -fuzztime 10s
+	$(GO) test ./internal/netmr -run='^$$' -fuzz FuzzWordRuns -fuzztime 10s
 	$(GO) test ./internal/spill -run='^$$' -fuzz FuzzStore -fuzztime 10s
 
 # examples-smoke runs what tier-1 only compiles: each program under
@@ -134,7 +137,7 @@ loc:
 # count is the same on every machine, so a PR that grows the tree must
 # raise LOC_MAX in its own diff, where review sees it; one that shrinks
 # it lowers LOC_MAX to the new `make loc`.
-LOC_MAX := 18856
+LOC_MAX := 18955
 loc-gate:
 	@n="$$($(MAKE) -s --no-print-directory loc)"; \
 	echo "non-test Go lines outside bench/: $$n (LOC_MAX $(LOC_MAX))"; \

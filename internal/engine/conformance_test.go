@@ -55,25 +55,44 @@ func tiedSortRecords() []byte {
 	return data
 }
 
+// longWordCorpus is a word count whose second block the accelerated
+// path hands back to the host mid-job: a 2 000-byte word, longer than
+// wordCountSlack lets an SPE sub-block stretch, crosses that block's
+// first sub-block boundary. Its eight distinct words, the pieces cut at
+// block boundaries included, leave three of eight reduce partitions
+// empty.
+func longWordCorpus() []byte {
+	text := bytes.Repeat([]byte("cell spe ppe "), 2_000)
+	copy(text[longWordBlock+3_500:], " "+strings.Repeat("w", 2_000)+" ")
+	return text
+}
+
+const longWordBlock = 8 << 10
+
 // conformanceCase is one job of the conformance table; name is its
-// subtest name.
+// subtest name. tune, when set, adjusts conformanceConfig for the case
+// in TestCrossBackendConformance.
 type conformanceCase struct {
 	name string
 	job  *Job
+	tune func(*Config)
 }
 
 func conformanceCases() []conformanceCase {
 	return []conformanceCase{
-		{"wordcount", &Job{Kind: Wordcount, Input: corpus()}},
-		{"sort", &Job{Kind: Sort, Input: kernels.GenerateSortRecords(2009, 1_000)}},
-		{"sort-ties", &Job{Kind: Sort, Input: tiedSortRecords()}},
-		{"pi", &Job{Kind: Pi, Samples: 300_000, Tasks: 8, Seed: 2009}},
+		{"wordcount", &Job{Kind: Wordcount, Input: corpus()}, nil},
+		{"wordcount-long-word", &Job{Kind: Wordcount, Input: longWordCorpus()}, func(cfg *Config) {
+			cfg.BlockSize, cfg.Reducers = longWordBlock, 8
+		}},
+		{"sort", &Job{Kind: Sort, Input: kernels.GenerateSortRecords(2009, 1_000)}, nil},
+		{"sort-ties", &Job{Kind: Sort, Input: tiedSortRecords()}, nil},
+		{"pi", &Job{Kind: Pi, Samples: 300_000, Tasks: 8, Seed: 2009}, nil},
 		{"encrypt", &Job{
 			Kind:  Encrypt,
 			Input: corpus()[:20_000],
 			Key:   []byte("conformance-key!"),
 			IV:    []byte("conformance-iv!!"),
-		}},
+		}, nil},
 	}
 }
 
@@ -99,11 +118,14 @@ func runOnConfig(t *testing.T, backend string, cfg Config, job *Job) *Result {
 func TestCrossBackendConformance(t *testing.T) {
 	backends := Backends()
 	for _, c := range conformanceCases() {
-		job := c.job
+		job, cfg := c.job, conformanceConfig()
+		if c.tune != nil {
+			c.tune(&cfg)
+		}
 		t.Run(c.name, func(t *testing.T) {
-			ref := runOn(t, backends[0], job)
+			ref := runOnConfig(t, backends[0], cfg, job)
 			for _, backend := range backends[1:] {
-				assertSameResult(t, job.Kind, backends[0], ref, backend, runOn(t, backend, job))
+				assertSameResult(t, job.Kind, backends[0], ref, backend, runOnConfig(t, backend, cfg, job))
 			}
 		})
 	}

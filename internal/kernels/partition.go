@@ -1,17 +1,17 @@
 package kernels
 
-// The shuffle partition hash — FNV-1a — lives here once, shared by the
-// live runner's in-process partitioned shuffle (internal/core) and the
-// distributed runtime's shuffle plane (internal/netmr), so the two
-// backends can never silently diverge on where a key routes.
+// The shuffle partition hash — FNV-1a — lives here once: it routes
+// each word of a word count to its run (WordTable.Runs), and with it
+// each word to the net reduce task that owns it.
 
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// PartitionIndexString maps a string key to one of parts partitions.
-func PartitionIndexString(key string, parts int) int {
+// PartitionIndexString maps a key, as a string or as bytes, to one of
+// parts partitions.
+func PartitionIndexString[K string | []byte](key K, parts int) int {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])

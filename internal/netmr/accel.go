@@ -3,6 +3,7 @@ package netmr
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"hetmr/internal/cellbe"
 	"hetmr/internal/kernels"
@@ -48,9 +49,12 @@ var errAccelFallback = errors.New("netmr: input unsuitable for the accelerator, 
 // Config.Devices entry is DeviceCell owns exactly one device; offload
 // sessions on one chip serialize (cellbe.Chip holds its SPE contexts
 // exclusively per session), exactly as concurrent map slots contended
-// on the real hardware.
+// on the real hardware. The device owns one word table per SPE, which
+// every word-count task reuses in turn.
 type AccelDevice struct {
-	rt *spurt.Runtime
+	rt      *spurt.Runtime
+	wordsMu sync.Mutex          // held for a whole WordCount, lend included
+	words   []kernels.WordTable // one per SPE
 }
 
 // NewCellDevice builds a per-node Cell accelerator: one chip, all
@@ -60,7 +64,7 @@ func NewCellDevice() (*AccelDevice, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netmr: accelerator runtime: %w", err)
 	}
-	return &AccelDevice{rt: rt}, nil
+	return &AccelDevice{rt: rt, words: make([]kernels.WordTable, rt.NSPEs())}, nil
 }
 
 // Kind reports the device kind for heartbeats and status.
@@ -134,11 +138,12 @@ const wordCountSlack = 1024
 // WordCount offloads one wordcount map task: the block is carved into
 // separator-aligned sub-blocks of roughly the SPE block size, and the
 // spurt scan hands each SPE the sub-blocks it claims, resident in its
-// local store, to add to its own kernels.WordTable. Words never
-// straddle a sub-block boundary and counting is a commutative fold, so
-// the SPE tables merged once at the end count exactly what one table
-// over the whole block does.
-func (d *AccelDevice) WordCount(data []byte) (*kernels.WordTable, error) {
+// local store, to add to its own table. Words never straddle a
+// sub-block boundary and counting is a commutative fold, so the SPE
+// tables merged into the first count exactly what one table over the
+// whole block does. That table is lent to use until use returns: the
+// next task resets the tables and counts in them again.
+func (d *AccelDevice) WordCount(data []byte, use func(*kernels.WordTable) error) error {
 	target := d.rt.BlockBytes()
 	bufBytes := target + wordCountSlack
 	// Carve at separators: extend each nominal boundary to the end of
@@ -151,7 +156,7 @@ func (d *AccelDevice) WordCount(data []byte) (*kernels.WordTable, error) {
 		} else {
 			for end < len(data) && kernels.IsWordByte(data[end]) {
 				if end-start >= bufBytes {
-					return nil, errAccelFallback
+					return errAccelFallback
 				}
 				end++
 			}
@@ -159,19 +164,21 @@ func (d *AccelDevice) WordCount(data []byte) (*kernels.WordTable, error) {
 		spans = append(spans, spurt.Span{Start: start, End: end})
 		start = end
 	}
-	if len(spans) == 0 {
-		return &kernels.WordTable{}, nil
+	d.wordsMu.Lock()
+	defer d.wordsMu.Unlock()
+	tables := d.words[:max(1, min(len(d.words), len(spans)))]
+	for i := range tables {
+		tables[i].Reset()
 	}
-	tables := make([]kernels.WordTable, min(d.rt.NSPEs(), len(spans)))
 	err := d.rt.Scan(data, spans, bufBytes, func(worker int, block []byte) error {
 		tables[worker].Add(block)
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("netmr: accel wordcount: %w", err)
+		return fmt.Errorf("netmr: accel wordcount: %w", err)
 	}
 	for i := 1; i < len(tables); i++ {
 		tables[0].Merge(&tables[i])
 	}
-	return &tables[0], nil
+	return use(&tables[0])
 }

@@ -81,26 +81,40 @@ func TestDeviceWordCountBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for name, data := range map[string][]byte{"zipf": zipfText(3, 1<<20), "straddling": straddlingText()} {
+		want := kernels.WordCount(data)
+		got, err := deviceCounts(dev, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: device counted %d distinct words, host %d", name, len(got), len(want))
+		}
+	}
+	if got, err := deviceCounts(dev, nil); err != nil || len(got) != 0 {
+		t.Errorf("empty input: %d words, err %v", len(got), err)
+	}
+}
+
+// deviceCounts drains the table dev.WordCount lends into a map.
+func deviceCounts(dev *AccelDevice, data []byte) (map[string]int64, error) {
+	got := make(map[string]int64)
+	err := dev.WordCount(data, func(table *kernels.WordTable) error {
+		table.Each(func(w string, n int64) { got[w] = n })
+		return nil
+	})
+	return got, err
+}
+
+// straddlingText is a text whose words straddle every 4 KB SPE block
+// boundary.
+func straddlingText() []byte {
 	var b bytes.Buffer
 	for i := 0; i < 2_000; i++ {
 		b.WriteString("lorem ipsum becerra cell spe mapreduce word")
 		b.WriteByte(byte("  \n\t."[i%5]))
 	}
-	for name, data := range map[string][]byte{"zipf": zipfText(3, 1<<20), "straddling": b.Bytes()} {
-		want := kernels.WordCount(data)
-		table, err := dev.WordCount(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make(map[string]int64)
-		table.Each(func(w string, n int64) { got[w] = n })
-		if !maps.Equal(got, want) {
-			t.Errorf("%s: device counted %d distinct words, host %d", name, len(got), len(want))
-		}
-	}
-	if _, err := dev.WordCount(nil); err != nil {
-		t.Errorf("empty input: %v", err)
-	}
+	return b.Bytes()
 }
 
 func TestDeviceWordCountDeclinesGiantWord(t *testing.T) {
@@ -111,7 +125,7 @@ func TestDeviceWordCountDeclinesGiantWord(t *testing.T) {
 	// One "word" larger than the sub-block buffer cannot be carved at
 	// a separator: the device must decline, not overrun or split.
 	giant := bytes.Repeat([]byte("x"), 8_000)
-	if _, err := dev.WordCount(giant); !errors.Is(err, errAccelFallback) {
+	if _, err := deviceCounts(dev, giant); !errors.Is(err, errAccelFallback) {
 		t.Fatalf("giant word: err = %v, want errAccelFallback", err)
 	}
 }
@@ -131,7 +145,7 @@ func FuzzAccelWordCount(f *testing.F) {
 	f.Add(append(bytes.Repeat([]byte("ab "), 1500), bytes.Repeat([]byte("z"), 3000)...))
 	f.Add(append(bytes.Repeat([]byte("w"), 4090), " tail"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		table, err := dev.WordCount(data)
+		got, err := deviceCounts(dev, data)
 		if errors.Is(err, errAccelFallback) {
 			if longest := longestWord(data); longest <= wordCountSlack {
 				t.Fatalf("declined with no word over the %d-byte slack (longest %d)", wordCountSlack, longest)
@@ -141,8 +155,6 @@ func FuzzAccelWordCount(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make(map[string]int64)
-		table.Each(func(w string, n int64) { got[w] = n })
 		if want := kernels.WordCount(data); !maps.Equal(got, want) {
 			t.Fatalf("device counted %d distinct words, host %d", len(got), len(want))
 		}

@@ -74,11 +74,14 @@ func StartDataNode(addr, nameNodeAddr string, cfg Config) (*DataNode, error) {
 		dn.store.Close()
 		return nil, err
 	}
-	// A held beat lasts about an interval, so the next tick is already
-	// due when it returns; a missed beat (NameNode briefly unreachable)
-	// just retries next tick.
+	// Held beats run back to back from here: one answered with frees is
+	// acknowledged by the next at once, a held one lasts about the tick,
+	// and a missed one (NameNode briefly unreachable) waits for it.
 	hold := min(cfg.heartbeat(), heartbeatCallTimeout/2)
-	dn.beater = every(cfg.heartbeat(), func(time.Time) { dn.beat(hold) })
+	dn.beater = every(cfg.heartbeat(), func(time.Time) {
+		for dn.beat(hold) == nil && len(dn.freed) > 0 {
+		}
+	})
 	return dn, nil
 }
 

@@ -243,41 +243,29 @@ func TestSpilledBlockGoesBackToThePool(t *testing.T) {
 	}
 }
 
-// TestFreesArriveWithinARoundTrip: with one-second beats a deleted
-// file's replicas still leave every DataNode at once, because the
-// NameNode answers each node's held beat the moment a free is queued
-// for it; and neither daemon's Close waits out a parked beat.
-func TestFreesArriveWithinARoundTrip(t *testing.T) {
-	const workers = 3
-	c, err := StartCluster(Config{Workers: workers, Slots: 1, BlockSize: 64 << 10, Heartbeat: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	allParked := func() {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			c.NN.mu.Lock()
-			parked := len(c.NN.parked)
-			c.NN.mu.Unlock()
-			if parked == workers {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%d of %d DataNode beats parked after 5s", parked, workers)
-			}
-			time.Sleep(time.Millisecond)
+// waitBeatsParked waits until every DataNode of c has a beat parked at
+// the NameNode.
+func waitBeatsParked(t *testing.T, c *Cluster) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.NN.mu.Lock()
+		parked := len(c.NN.parked)
+		c.NN.mu.Unlock()
+		if parked == len(c.DNs) {
+			return
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d DataNode beats parked after 5s", parked, len(c.DNs))
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if err := c.Client.WriteFile("/f", make([]byte, 1<<20), ""); err != nil {
-		t.Fatal(err)
-	}
-	allParked()
-	start := time.Now()
-	if err := c.Client.DeleteFile("/f"); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// waitBlocksFreed waits until no DataNode of c stores a block, failing
+// t if that takes longer than within after start.
+func waitBlocksFreed(t *testing.T, c *Cluster, start time.Time, within time.Duration) {
+	t.Helper()
 	for left := -1; left != 0; {
 		left = 0
 		for _, dn := range c.DNs {
@@ -288,11 +276,32 @@ func TestFreesArriveWithinARoundTrip(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if took := time.Since(start); took > 50*time.Millisecond {
-		t.Errorf("frees reached every DataNode %v after the delete, want within 50ms", took)
+	if took := time.Since(start); took > within {
+		t.Errorf("frees reached every DataNode %v after the delete, want within %v", took, within)
 	}
+}
 
-	allParked()
+// TestFreesArriveWithinARoundTrip: with one-second beats a deleted
+// file's replicas still leave every DataNode at once, because the
+// NameNode answers each node's held beat the moment a free is queued
+// for it; and neither daemon's Close waits out a parked beat.
+func TestFreesArriveWithinARoundTrip(t *testing.T) {
+	c, err := StartCluster(Config{Workers: 3, Slots: 1, BlockSize: 64 << 10, Heartbeat: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.Client.WriteFile("/f", make([]byte, 1<<20), ""); err != nil {
+		t.Fatal(err)
+	}
+	waitBeatsParked(t, c)
+	start := time.Now()
+	if err := c.Client.DeleteFile("/f"); err != nil {
+		t.Fatal(err)
+	}
+	waitBlocksFreed(t, c, start, 50*time.Millisecond)
+
+	waitBeatsParked(t, c)
 	for _, daemon := range []struct {
 		name  string
 		close func() error
@@ -303,4 +312,31 @@ func TestFreesArriveWithinARoundTrip(t *testing.T) {
 			t.Errorf("%s.Close took %v with a beat parked, want no wait for the 1s hold", daemon.name, took)
 		}
 	}
+}
+
+// TestBackToBackFreesArriveWithinARoundTrip deletes two files 10 ms
+// apart on one-second beats: a DataNode acknowledges the first free
+// with a beat of its own at once, which parks again in time for the
+// second delete to answer it.
+func TestBackToBackFreesArriveWithinARoundTrip(t *testing.T) {
+	c, err := StartCluster(Config{Workers: 2, Slots: 1, BlockSize: 64 << 10, Heartbeat: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	for _, name := range []string{"/a", "/b"} {
+		if err := c.Client.WriteFile(name, make([]byte, 256<<10), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitBeatsParked(t, c)
+	if err := c.Client.DeleteFile("/a"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	start := time.Now()
+	if err := c.Client.DeleteFile("/b"); err != nil {
+		t.Fatal(err)
+	}
+	waitBlocksFreed(t, c, start, 50*time.Millisecond)
 }

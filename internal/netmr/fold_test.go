@@ -2,6 +2,7 @@ package netmr
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"maps"
 	"slices"
@@ -129,16 +130,13 @@ func TestStatusServesPartialsForTheClientFold(t *testing.T) {
 			}},
 		{JobSpec{Name: "wc", Kernel: "wordcount", Input: "/text", NumReducers: reducers}, reducers,
 			func(i int, partial []byte) error {
-				var p wordCountPartial
-				if err := rpcnet.Unmarshal(partial, &p); err != nil {
-					return err
-				}
-				for w := range p.Counts {
+				var stray error
+				err := kernels.EachWordRun(partial, func(w []byte, _ int64) {
 					if kernels.PartitionIndexString(w, reducers) != i {
-						return errors.New("word " + w + " belongs to another partition")
+						stray = errors.New("word " + string(w) + " belongs to another partition")
 					}
-				}
-				return nil
+				})
+				return cmp.Or(err, stray)
 			}},
 	} {
 		id, err := c.Client.Submit(tc.spec)

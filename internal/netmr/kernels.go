@@ -3,7 +3,6 @@ package netmr
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
@@ -22,10 +21,11 @@ import (
 // WaitOutput. The JobTracker never holds them.
 //
 // A structured kernel (wordcount, pi) has a Reduce. Its task outputs are
-// small gob structs; the final-phase ones ride the completion heartbeat
-// to the JobTracker, which keeps them and hands them to the client in
-// the job's terminal Status reply, and Client.WaitStatus folds them
-// into StatusReply.Result. The JobTracker runs no kernel code.
+// small (word runs, a gob struct), and the final-phase ones ride the
+// completion heartbeat to the JobTracker, which keeps them and hands
+// them to the client in the job's terminal Status reply, and
+// Client.WaitStatus folds them into StatusReply.Result. The JobTracker
+// runs no kernel code.
 //
 // A kernel with Partition and Merge always shuffles its data jobs:
 // Partition runs map-side and splits the task's output into R key-routed
@@ -42,8 +42,8 @@ import (
 //
 // A map task's data is borrowed: the DFS block in rpcnet's pooled frame
 // buffer, valid only until Map or Partition (or an Accel variant)
-// returns. No output may alias it: the sort run, the word table's arena
-// and the CTR output are all copies.
+// returns. No output may alias it: the sort run, the word runs and the
+// CTR output are all copies.
 type MapKernel struct {
 	// Map runs on the TaskTracker. data is nil for compute tasks.
 	Map func(task Task, data []byte) ([]byte, error)
@@ -63,14 +63,10 @@ type MapKernel struct {
 	// bytes arrive only as Merge reads them.
 	Merge func(pieces []Piece) ([]byte, error)
 	// AccelMap, when set, is Map's accelerated variant: it offloads
-	// the map work to the tracker's device and MUST produce what Map
-	// does: the same bytes for a byte-stream kernel, and for a
-	// structured one partials equal once decoded (a wordcount partial
-	// is a gob-encoded map, written in Go's random map order, so even
-	// two host runs of one task differ in bytes). It runs only on
-	// accelerator-equipped trackers for tasks whose Mapper is
-	// MapperCell; returning errAccelFallback hands the task back to the
-	// host path.
+	// the map work to the tracker's device and MUST return the bytes
+	// Map does. It runs only on accelerator-equipped trackers for tasks
+	// whose Mapper is MapperCell; returning errAccelFallback hands the
+	// task back to the host path.
 	AccelMap func(dev *AccelDevice, task Task, data []byte) ([]byte, error)
 	// AccelPartition is Partition's accelerated variant under the same
 	// contract.
@@ -117,11 +113,6 @@ type AESArgs struct {
 	BlockBytes int64
 }
 
-// wordCountPartial is the wordcount kernel's map output.
-type wordCountPartial struct {
-	Counts map[string]int64
-}
-
 // piPartial is the pi kernel's map output.
 type piPartial struct {
 	Inside int64
@@ -136,46 +127,14 @@ type PiResult struct {
 }
 
 func init() {
-	// addWordCounts folds one wordCountPartial payload into total.
-	addWordCounts := func(total map[string]int64, payload []byte) error {
-		var part wordCountPartial
-		if err := rpcnet.Unmarshal(payload, &part); err != nil {
-			return err
-		}
-		for w, n := range part.Counts {
-			total[w] += n
-		}
-		return nil
-	}
-
-	// splitWordCounts routes each distinct word of the block's table to
-	// the partition its hash selects, so a reduce task owns a disjoint
-	// key range. Shared by the host and accelerated Partition variants —
-	// only how the table is filled differs.
-	splitWordCounts := func(counts *kernels.WordTable, parts int) ([][]byte, error) {
-		split := make([]map[string]int64, parts)
-		for p := range split {
-			split[p] = make(map[string]int64)
-		}
-		counts.Each(func(w string, n int64) {
-			split[kernels.PartitionIndexString(w, parts)][w] = n
-		})
-		out := make([][]byte, parts)
-		for p := range split {
-			payload, err := rpcnet.Marshal(wordCountPartial{Counts: split[p]})
-			if err != nil {
-				return nil, err
-			}
-			out[p] = payload
-		}
-		return out, nil
-	}
-
+	// A wordcount partial is a word run (kernels.WordTable.Runs): the
+	// partition's words in byte order with their counts, so the host and
+	// accelerated paths give the same bytes.
 	RegisterKernel("wordcount", MapKernel{
 		Reduce: func(partials [][]byte) ([]byte, error) {
 			total := make(map[string]int64)
 			for _, p := range partials {
-				if err := addWordCounts(total, p); err != nil {
+				if err := kernels.EachWordRun(p, func(w []byte, n int64) { total[string(w)] += n }); err != nil {
 					return nil, err
 				}
 			}
@@ -184,33 +143,23 @@ func init() {
 		Partition: func(_ Task, data []byte, parts int) ([][]byte, error) {
 			var counts kernels.WordTable
 			counts.Add(data)
-			return splitWordCounts(&counts, parts)
+			return counts.Runs(parts), nil
 		},
-		// Each piece is decoded from one buffer, reused piece to piece.
 		Merge: func(pieces []Piece) ([]byte, error) {
-			total := make(map[string]int64)
-			var buf []byte
-			for _, p := range pieces {
-				buf = slices.Grow(buf[:0], int(p.Size))[:p.Size]
-				if _, err := io.ReadFull(p.Reader, buf); err != nil {
-					return nil, err
-				}
-				if err := addWordCounts(total, buf); err != nil {
-					return nil, err
-				}
+			runs, sizes := make([]io.Reader, len(pieces)), make([]int64, len(pieces))
+			for i, p := range pieces {
+				runs[i], sizes[i] = p.Reader, p.Size
 			}
-			return rpcnet.Marshal(wordCountPartial{Counts: total})
+			return kernels.MergeWordRuns(runs, sizes)
 		},
-		// Accelerated variant: the block's table comes off the SPEs
-		// (separator-aligned sub-blocks, one table per SPE, merged once),
-		// then the same split and marshalling as the host path —
-		// partials that decode to the host path's tables.
-		AccelPartition: func(dev *AccelDevice, _ Task, data []byte, parts int) ([][]byte, error) {
-			counts, err := dev.WordCount(data)
-			if err != nil {
-				return nil, err
-			}
-			return splitWordCounts(counts, parts)
+		// Accelerated variant: the block's table comes off the SPEs, in
+		// the device's own tables, and is cut while it is lent.
+		AccelPartition: func(dev *AccelDevice, _ Task, data []byte, parts int) (runs [][]byte, err error) {
+			err = dev.WordCount(data, func(counts *kernels.WordTable) error {
+				runs = counts.Runs(parts)
+				return nil
+			})
+			return runs, err
 		},
 	})
 

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
 	"math/rand/v2"
 	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
@@ -184,8 +188,7 @@ func TestMapKernelsDoNotAliasTheirBlock(t *testing.T) {
 					}
 					continue
 				}
-				// The outputs as they read while the block was pristine: a
-				// structured kernel's gob map is not byte-stable across runs.
+				// The outputs as they read while the block was pristine.
 				want := make([][]byte, len(got))
 				for p := range got {
 					want[p] = bytes.Clone(got[p])
@@ -302,12 +305,12 @@ func zipfText(seed uint64, size int) []byte {
 }
 
 // TestWordCountPartitionAllocationCeiling holds the wordcount map
-// kernel, host and accelerated, under the bytes per input byte the
-// string-per-occurrence kernel allocated on a 64 KB block — the small
-// job's path — and on a 1 MiB one, cut four ways. The parent figures
-// below are the lowest that kernel read in this loop. The table
-// allocates per distinct word, so a per-occurrence string or a
-// whole-block map would cross them.
+// kernel, host and accelerated, on a 64 KB block — the small job's
+// path — and on a 1 MiB one, cut four ways. The kernel allocates its
+// runs and, on the host path, one table; the accelerated path counts
+// in the device's own tables. The ceilings sit well under the 1.07 to
+// 7.51 B per input byte that fresh SPE tables and gob-encoded maps
+// read, so a per-task table on the device or a map split crosses them.
 func TestWordCountPartitionAllocationCeiling(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates; the ceiling holds only without it")
@@ -321,14 +324,14 @@ func TestWordCountPartitionAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		size          int
-		accel         bool
-		parentPerByte float64
+		size    int
+		accel   bool
+		ceiling float64
 	}{
-		{64 << 10, false, 5.64},
-		{64 << 10, true, 10.6},
-		{1 << 20, false, 2.25},
-		{1 << 20, true, 6.4},
+		{64 << 10, false, 2.5},
+		{64 << 10, true, 1.5},
+		{1 << 20, false, 0.8},
+		{1 << 20, true, 0.6},
 	} {
 		block := zipfText(7, tc.size)
 		partition := func() {
@@ -351,18 +354,18 @@ func TestWordCountPartitionAllocationCeiling(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(calls*len(block))
-		t.Logf("%d-byte block, accel %v: %.2f B per input byte (parent %.2f)", tc.size, tc.accel, perByte, tc.parentPerByte)
-		if perByte >= tc.parentPerByte {
+		t.Logf("%d-byte block, accel %v: %.2f B per input byte (ceiling %.2f)", tc.size, tc.accel, perByte, tc.ceiling)
+		if perByte >= tc.ceiling {
 			t.Errorf("%d-byte block, accel %v: wordcount Partition allocates %.2f B per input byte, want < %.2f",
-				tc.size, tc.accel, perByte, tc.parentPerByte)
+				tc.size, tc.accel, perByte, tc.ceiling)
 		}
 	}
 }
 
 // TestWordCountAccelPartitionDecodesLikeHost holds the wordcount
 // kernel's two Partition variants to one result on a Zipf block: each
-// partition's partial decodes to the same table. Their bytes may differ
-// (gob writes a map in Go's random order), so the tables are compared.
+// partition's run decodes to the same counts, and together they hold
+// the block's words.
 func TestWordCountAccelPartitionDecodesLikeHost(t *testing.T) {
 	kern, err := lookupKernel("wordcount")
 	if err != nil {
@@ -387,21 +390,218 @@ func TestWordCountAccelPartitionDecodesLikeHost(t *testing.T) {
 	}
 	words := 0
 	for p := range host {
-		var h, a wordCountPartial
-		if err := rpcnet.Unmarshal(host[p], &h); err != nil {
-			t.Fatal(err)
+		h, a := runCounts(t, host[p]), runCounts(t, accel[p])
+		if !maps.Equal(h, a) {
+			t.Errorf("partition %d: host run of %d words, accel %d, not equal", p, len(h), len(a))
 		}
-		if err := rpcnet.Unmarshal(accel[p], &a); err != nil {
-			t.Fatal(err)
-		}
-		if !maps.Equal(h.Counts, a.Counts) {
-			t.Errorf("partition %d: host table of %d words, accel %d, not equal", p, len(h.Counts), len(a.Counts))
-		}
-		words += len(h.Counts)
+		words += len(h)
 	}
 	if want := len(kernels.WordCount(block)); words != want {
 		t.Errorf("partitions hold %d distinct words, the block %d", words, want)
 	}
+}
+
+// TestWordCountAccelPartitionBytesEqualHost holds the two Partition
+// variants to the same bytes, on a Zipf block and on one whose words
+// straddle every SPE block boundary.
+func TestWordCountAccelPartitionBytesEqualHost(t *testing.T) {
+	kern, err := lookupKernel("wordcount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewCellDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, block := range map[string][]byte{"zipf": zipfText(13, 256<<10), "straddling": straddlingText()} {
+		assertAccelPartitionIsHosts(t, kern, dev, name, block, 4)
+	}
+}
+
+// TestAccelDeviceReusesItsWordTables counts one block on a device,
+// then a block with none of its words: the second task's runs must
+// equal the host path's, so nothing of the first survives in the
+// tables the device keeps. Two goroutines then share the device, as a
+// tracker's map slots do.
+func TestAccelDeviceReusesItsWordTables(t *testing.T) {
+	kern, err := lookupKernel("wordcount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewCellDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := bytes.Repeat([]byte("alpha beta gamma "), 4_000)
+	b := zipfText(17, 64<<10)
+	if _, err := kern.AccelPartition(dev, Task{}, a, 3); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := kern.AccelPartition(dev, Task{}, b, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, run := range runs {
+		counts := runCounts(t, run)
+		for _, w := range []string{"alpha", "beta", "gamma"} {
+			if n, ok := counts[w]; ok {
+				t.Errorf("partition %d of block B counts %q %d times: block A's table was not reset", p, w, n)
+			}
+		}
+	}
+	assertAccelPartitionIsHosts(t, kern, dev, "block B", b, 3)
+
+	var wg sync.WaitGroup
+	for i, block := range [][]byte{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				assertAccelPartitionIsHosts(t, kern, dev, fmt.Sprintf("goroutine %d", i), block, 3)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// assertAccelPartitionIsHosts fails t unless the accelerated Partition
+// of block returns the host Partition's bytes.
+func assertAccelPartitionIsHosts(t *testing.T, kern MapKernel, dev *AccelDevice, name string, block []byte, parts int) {
+	t.Helper()
+	host, err := kern.Partition(Task{}, block, parts)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	accel, err := kern.AccelPartition(dev, Task{}, block, parts)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	for p := range host {
+		if !bytes.Equal(host[p], accel[p]) {
+			t.Errorf("%s, partition %d: accelerated run of %d bytes differs from the host's %d", name, p, len(accel[p]), len(host[p]))
+		}
+	}
+}
+
+// runCounts decodes a word run.
+func runCounts(t testing.TB, run []byte) map[string]int64 {
+	t.Helper()
+	counts := make(map[string]int64)
+	if err := kernels.EachWordRun(run, func(w []byte, n int64) { counts[string(w)] += n }); err != nil {
+		t.Fatalf("word run: %v", err)
+	}
+	return counts
+}
+
+// decodeWordRun is the run format spelled out over bytes: the counts,
+// and whether run is well formed (every word non-empty, whole and
+// after the one before it).
+func decodeWordRun(run []byte) (map[string]int64, bool) {
+	counts := make(map[string]int64)
+	var prev []byte
+	for len(run) > 0 {
+		l, k := binary.Uvarint(run)
+		if k <= 0 || l == 0 || l > uint64(len(run)-k) {
+			return nil, false
+		}
+		word, rest := run[k:k+int(l)], run[k+int(l):]
+		n, m := binary.Uvarint(rest)
+		if m <= 0 || prev != nil && bytes.Compare(prev, word) >= 0 {
+			return nil, false
+		}
+		counts[string(word)] += int64(n)
+		prev, run = word, rest[m:]
+	}
+	return counts, true
+}
+
+// FuzzWordRuns runs a word count through the run format end to end:
+// text cut into 1 to 8 blocks, each partitioned by both map variants
+// (which must agree byte for byte), each partition's pieces merged and
+// the merged runs reduced, against a map-based count of the blocks.
+// extra, when not empty, joins partition 0's merge as one more piece:
+// a well-formed run adds its counts, anything else fails the merge.
+func FuzzWordRuns(f *testing.F) {
+	dev, err := NewCellDevice()
+	if err != nil {
+		f.Fatal(err)
+	}
+	kern, err := lookupKernel("wordcount")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte("the Cell, the SPE; the cell!"), uint8(7<<3|2), []byte(nil))       // empty partitions
+	f.Add([]byte("a "+strings.Repeat("Long", 40)+" b"), uint8(3<<3|1), []byte(nil)) // a 160-byte word
+	f.Add([]byte("cell spe zz"), uint8(1<<3), binary.AppendUvarint([]byte("\x04cell"), 3<<31))
+	f.Add([]byte("spe"), uint8(0), []byte("\x03spe\x01\x03cel\x01")) // out of order
+	f.Add([]byte("spe"), uint8(0), []byte("\x05cell\x01"))           // truncated
+	f.Add(zipfText(5, 6_000), uint8(5<<3|7), []byte(nil))
+	f.Fuzz(func(t *testing.T, text []byte, shape uint8, extra []byte) {
+		blocks, parts := int(shape&7)+1, int(shape>>3&7)+1
+		want := make(map[string]int64)
+		shares := make([][][]byte, parts) // each partition's runs, in block order
+		for b := range blocks {
+			block := text[b*len(text)/blocks : (b+1)*len(text)/blocks]
+			for _, w := range bytes.FieldsFunc(block, func(r rune) bool { return r >= utf8.RuneSelf || !kernels.IsWordByte(byte(r)) }) {
+				want[strings.ToLower(string(w))]++
+			}
+			runs, err := kern.Partition(Task{}, block, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accel, err := kern.AccelPartition(dev, Task{}, block, parts)
+			if err != nil && !errors.Is(err, errAccelFallback) {
+				t.Fatal(err)
+			}
+			for p, run := range runs {
+				if err == nil && !bytes.Equal(accel[p], run) {
+					t.Fatalf("block %d, partition %d: accelerated run differs from the host's", b, p)
+				}
+				shares[p] = append(shares[p], run)
+			}
+		}
+		merge := func(runs [][]byte) ([]byte, error) {
+			var pieces []Piece
+			for _, run := range runs {
+				pieces = append(pieces, Piece{bytes.NewReader(run), int64(len(run))})
+			}
+			return kern.Merge(pieces)
+		}
+		if len(extra) > 0 {
+			merged, err := merge(append(slices.Clone(shares[0]), extra))
+			counts, ok := decodeWordRun(extra)
+			if ok != (err == nil) {
+				t.Fatalf("Merge with an extra piece well formed %v: err = %v", ok, err)
+			}
+			if ok {
+				shares[0] = [][]byte{merged}
+				for w, n := range counts {
+					want[w] += n
+				}
+			}
+		}
+		var partials [][]byte
+		for p := range shares {
+			merged, err := merge(shares[p])
+			if err != nil {
+				t.Fatalf("partition %d: %v", p, err)
+			}
+			partials = append(partials, merged)
+		}
+		raw, err := kern.Reduce(partials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int64)
+		if err := rpcnet.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("reduced %d distinct words, the oracle %d", len(got), len(want))
+		}
+	})
 }
 
 func TestAESMapOutputIsTheCiphertext(t *testing.T) {

@@ -162,13 +162,14 @@ func goBackground(body func(stop <-chan struct{})) *background {
 	return b
 }
 
-// every runs tick, handing it the wall clock, each interval until
-// halted: the liveness sweeps and the DataNode's beat.
+// every runs tick, handing it the wall clock, at once and then each
+// interval until halted: the masters' liveness sweeps and the
+// DataNode's beat.
 func every(interval time.Duration, tick func(now time.Time)) *background {
 	return goBackground(func(stop <-chan struct{}) {
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
-		for {
+		for tick(time.Now()); ; {
 			select {
 			case <-stop:
 				return

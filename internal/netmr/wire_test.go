@@ -202,8 +202,8 @@ func TestReduceStreamsRemotePieces(t *testing.T) {
 
 // wireSamples is one value of every message type the daemons exchange —
 // each Args/Reply of types.go — plus the gob bodies that ride inside
-// them: the word-count and pi kernels' map partials and results, and
-// AES job arguments.
+// them: the word-count result, the pi kernel's map partial and result,
+// and AES job arguments.
 func wireSamples() map[string]any {
 	return map[string]any{
 		"RegisterArgs": RegisterArgs{}, "RegisterReply": RegisterReply{},
@@ -225,8 +225,8 @@ func wireSamples() map[string]any {
 		"StatusArgs": StatusArgs{}, "StatusReply": StatusReply{},
 		"KillArgs": KillArgs{}, "KillReply": KillReply{},
 		"ListJobsArgs": ListJobsArgs{}, "ListJobsReply": ListJobsReply{},
-		"wordCountPartial": wordCountPartial{}, "map[string]int64": map[string]int64{},
-		"piPartial": piPartial{}, "PiResult": PiResult{}, "AESArgs": AESArgs{},
+		"map[string]int64": map[string]int64{}, "piPartial": piPartial{},
+		"PiResult": PiResult{}, "AESArgs": AESArgs{},
 	}
 }
 
