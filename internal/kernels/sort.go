@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // TeraSort-style record sorting (paper §IV-A discusses the Terasort
@@ -67,43 +68,84 @@ func (e sortEntry) digit(d int) byte {
 func (e sortEntry) less(o sortEntry) bool { return e.hi < o.hi || e.hi == o.hi && e.lo < o.lo }
 
 // SortedRecords returns src's records in stable key order in a new
-// buffer, leaving src untouched, and allocates nothing else for keys
-// spread over the leading bits. It parks each record's packed key in
-// the head of the output slot its bucket (the top sortBucketBits of the
-// key) reserves, sorts each bucket's keys, and then gathers the records
-// from src over the slots in order — a slot's key is read before the
-// slot is written. A bucket of at most insertionMax keys is sorted by
-// insertion in an array on the stack; a larger one (skewed keys) by
-// LSD radix passes in scratch sized to that bucket.
+// buffer, leaving src untouched: SortedRecordsInto a buffer of src's
+// size.
 func SortedRecords(src []byte) ([]byte, error) {
 	if len(src)%SortRecordBytes != 0 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordSize, len(src))
 	}
-	if n := len(src) / SortRecordBytes; uint64(n) > math.MaxUint32 {
-		return nil, fmt.Errorf("kernels: %d records overflow the 32-bit sort index", n)
-	}
 	out := make([]byte, len(src))
-	bucket := func(rec []byte) int { return int(binary.BigEndian.Uint16(rec) >> (16 - sortBucketBits)) }
-	// ends[b] is where bucket b starts in out until the scatter moves
+	return out, SortedRecordsInto(out, src)
+}
+
+// SortedRecordsInto writes src's records into dst, which must be as
+// long as src and not overlap it, in stable key order, and allocates
+// nothing else for keys spread over the bucket bits. It parks each
+// record's packed key in the head of the dst slot its bucket reserves,
+// sorts each bucket's keys, and then gathers the records from src over
+// the slots in order — a slot's key is read before the slot is
+// written. A bucket is the sortBucketBits of the key below the prefix
+// every key of src shares (the top bits, for random keys), so a block
+// whose keys agree on their leading bits still spreads over the
+// buckets; keys that are all equal leave src's order as it is. A bucket
+// of at most insertionMax keys is sorted by insertion in an array on
+// the stack; a larger one (skewed keys) by LSD radix passes in scratch
+// sized to that bucket.
+func SortedRecordsInto(dst, src []byte) error {
+	if len(src)%SortRecordBytes != 0 {
+		return fmt.Errorf("%w: %d bytes", ErrRecordSize, len(src))
+	}
+	if len(dst) != len(src) {
+		return fmt.Errorf("kernels: %d-byte output for %d bytes of records", len(dst), len(src))
+	}
+	if n := len(src) / SortRecordBytes; uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("kernels: %d records overflow the 32-bit sort index", n)
+	}
+	if len(src) == 0 {
+		return nil
+	}
+	// A bucket is sortBucketBits of the key's 64 bits past from (0 or
+	// 16), from shift on: the first bits below the prefix every key
+	// shares. The window is guessed from the first keys: a guess of the
+	// top bits is right whatever follows, and a guessed prefix is checked
+	// as the keys are counted, which they are again if it was wrong.
+	variesHi, variesLo := keyVaries(src[:min(len(src), sortGuessKeys*SortRecordBytes)], src)
+	from, shift := bucketWindow(variesHi, variesLo)
+	// ends[b] is where bucket b starts in dst until the scatter moves
 	// it past the bucket's last slot, to where bucket b+1 starts.
 	var ends [1 << sortBucketBits]int
-	for off := 0; off < len(src); off += SortRecordBytes {
-		ends[bucket(src[off:])]++
+	if from == 0 && shift == 0 {
+		countBuckets(&ends, src, from, shift)
+	} else {
+		for off := 0; off < len(src); off += SortRecordBytes {
+			hi, lo := binary.BigEndian.Uint64(src[off:]), binary.BigEndian.Uint16(src[off+8:])
+			variesHi, variesLo = variesHi|(hi^binary.BigEndian.Uint64(src)), variesLo|(lo^binary.BigEndian.Uint16(src[8:]))
+			ends[bucketOf(src[off:], from, shift)]++
+		}
+		if variesHi == 0 && variesLo == 0 {
+			copy(dst, src) // every key is the same: the stable order is src's
+			return nil
+		}
+		if f, sh := bucketWindow(variesHi, variesLo); f != from || sh != shift {
+			from, shift, ends = f, sh, [1 << sortBucketBits]int{}
+			countBuckets(&ends, src, from, shift)
+		}
 	}
 	sum := 0
 	for b, k := range &ends {
 		ends[b], sum = sum, sum+k*SortRecordBytes
 	}
 	for off := 0; off < len(src); off += SortRecordBytes {
-		to := &ends[bucket(src[off:])]
-		binary.NativeEndian.PutUint64(out[*to:], binary.BigEndian.Uint64(src[off:]))
-		binary.NativeEndian.PutUint64(out[*to+8:], uint64(src[off+8])<<40|uint64(src[off+9])<<32|uint64(off/SortRecordBytes))
+		hi, lo := binary.BigEndian.Uint64(src[off:]), binary.BigEndian.Uint16(src[off+8:])
+		to := &ends[bucketOf(src[off:], from, shift)]
+		binary.NativeEndian.PutUint64(dst[*to:], hi)
+		binary.NativeEndian.PutUint64(dst[*to+8:], uint64(lo)<<32|uint64(off/SortRecordBytes))
 		*to += SortRecordBytes
 	}
 	var small [insertionMax]sortEntry
 	start := 0
 	for _, end := range &ends {
-		slots := out[start:end]
+		slots := dst[start:end]
 		keys := small[:0]
 		if len(slots) > insertionMax*SortRecordBytes {
 			keys = make([]sortEntry, 0, len(slots)/SortRecordBytes)
@@ -122,7 +164,51 @@ func SortedRecords(src []byte) ([]byte, error) {
 		}
 		start = end
 	}
-	return out, nil
+	return nil
+}
+
+// sortGuessKeys is how many leading keys SortedRecordsInto guesses its
+// bucket bits from.
+const sortGuessKeys = 64
+
+// keyVaries returns the bits in which the keys of recs differ from the
+// first key of src — every key XOR that one, ORed — in key bytes 0-7
+// and 8-9.
+func keyVaries(recs, src []byte) (variesHi uint64, variesLo uint16) {
+	for off := 0; off < len(recs); off += SortRecordBytes {
+		variesHi |= binary.BigEndian.Uint64(recs[off:]) ^ binary.BigEndian.Uint64(src)
+		variesLo |= binary.BigEndian.Uint16(recs[off+8:]) ^ binary.BigEndian.Uint16(src[8:])
+	}
+	return variesHi, variesLo
+}
+
+// bucketWindow returns where the bucket bits start for keys whose bits
+// vary as keyVaries says: from 16 when the top 16 key bits never vary,
+// and shift past the bits that never vary after that.
+func bucketWindow(variesHi uint64, variesLo uint16) (from, shift uint) {
+	if variesHi>>48 == 0 {
+		from = 16
+	}
+	return from, uint(bits.LeadingZeros64(variesHi<<from | uint64(variesLo)>>(16-from)))
+}
+
+// bucketOf returns the bucket of rec's key, its bits counted from the
+// window bucketWindow returned.
+func bucketOf(rec []byte, from, shift uint) int {
+	hi := binary.BigEndian.Uint64(rec)
+	if from > 0 {
+		hi = hi<<16 | uint64(binary.BigEndian.Uint16(rec[8:]))
+	}
+	// The mask spares the shift its count-past-63 check: shift is at
+	// most 63 once a bit varies.
+	return int(hi << (shift & 63) >> (64 - sortBucketBits))
+}
+
+// countBuckets adds src's keys to the bucket counts in ends.
+func countBuckets(ends *[1 << sortBucketBits]int, src []byte, from, shift uint) {
+	for off := 0; off < len(src); off += SortRecordBytes {
+		ends[bucketOf(src[off:], from, shift)]++
+	}
 }
 
 // insertionSort sorts a few entries in place by key and input index.

@@ -106,6 +106,18 @@ func TestSortedRecordsMatchesStableReference(t *testing.T) {
 				k[j] = byte(rng.next() % 3) // shared prefixes of every length
 			}
 		}},
+		// Keys that agree on their top bits bucket on the bits below the
+		// prefix: 20 shared bits, then 70, then a handful of whole keys.
+		{"shared-prefix-20-bits", 5000, func(i int, k []byte) {
+			k[0], k[1], k[2] = 0x9e, 0x37, k[2]&0x0f|0x70
+		}},
+		{"shared-prefix-70-bits", 3000, func(i int, k []byte) {
+			copy(k, "prefix!!")
+			k[8] = 0x40 | k[8]&3
+		}},
+		{"few-distinct-keys", 3000, func(i int, k []byte) {
+			copy(k, [3]string{"0123456789", "0123456788", "9123456789"}[rng.next()%3])
+		}},
 		{"every-bucket", 3 << sortBucketBits, func(i int, k []byte) {
 			b := uint16(1<<sortBucketBits - 1 - i%(1<<sortBucketBits)) // descending, three rounds
 			binary.BigEndian.PutUint16(k, b<<(16-sortBucketBits)|uint16(rng.next()%16))
@@ -133,6 +145,16 @@ func FuzzSortedRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte("shared prefixes and duplicate keys, byte for byte"))
+	// Keys from bits 0-19 of each little-endian word: words that differ
+	// only in bits 16-19 share a 64-bit prefix, and three words are
+	// three distinct keys.
+	var shared, few []byte
+	for i := range 64 {
+		shared = binary.LittleEndian.AppendUint32(shared, uint32(i%16)<<16|0x5555)
+		few = binary.LittleEndian.AppendUint32(few, [3]uint32{0x12345, 0xfedcb, 0x12344}[i%3])
+	}
+	f.Add(shared)
+	f.Add(few)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		alphabet := [4]byte{0x00, 0x01, 0x80, 0xff}
 		n := len(data) / 4

@@ -18,10 +18,11 @@ var errWordRun = errors.New("kernels: malformed word run")
 // Runs cuts the table into parts word runs, the form a word count
 // travels in between tasks: run p holds the words PartitionIndexString
 // sends to p, in ascending byte order, each as uvarint(len) word
-// uvarint(count), so equal counts are equal bytes. The runs share one
-// allocation of exactly their size. Runs reorders the entries, so the
-// table counts again only after Reset.
-func (t *WordTable) Runs(parts int) [][]byte {
+// uvarint(count), so equal counts are equal bytes. The runs come back
+// to back, in partition order, in one allocation of exactly their
+// size, with each run's size. Runs reorders the entries, so the table
+// counts again only after Reset.
+func (t *WordTable) Runs(parts int) (runs []byte, sizes []int64) {
 	word := func(e wordEntry) []byte { return t.arena[e.off : e.off+e.n] }
 	size := 0
 	for i := range t.entries {
@@ -32,14 +33,13 @@ func (t *WordTable) Runs(parts int) [][]byte {
 	slices.SortFunc(t.entries, func(a, b wordEntry) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), bytes.Compare(word(a), word(b)))
 	})
-	buf, runs, start := make([]byte, 0, size), make([][]byte, parts), 0
-	for i, e := range t.entries {
-		buf = appendWordCount(buf, word(e), uint64(e.count))
-		if i+1 == len(t.entries) || t.entries[i+1].key != e.key {
-			runs[e.key], start = buf[start:len(buf):len(buf)], len(buf)
-		}
+	runs, sizes = make([]byte, 0, size), make([]int64, parts)
+	for _, e := range t.entries {
+		n := len(runs)
+		runs = appendWordCount(runs, word(e), uint64(e.count))
+		sizes[e.key] += int64(len(runs) - n)
 	}
-	return runs
+	return runs, sizes
 }
 
 // Reset empties the table and keeps its memory for the next count.

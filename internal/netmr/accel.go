@@ -8,6 +8,7 @@ import (
 	"hetmr/internal/cellbe"
 	"hetmr/internal/kernels"
 	"hetmr/internal/perfmodel"
+	"hetmr/internal/rpcnet"
 	"hetmr/internal/spurt"
 )
 
@@ -113,9 +114,10 @@ func (d *AccelDevice) CountInside(seed uint64, samples int64) (int64, error) {
 // runtime: 4 KB blocks double-buffered through the SPE local stores,
 // each encrypted position-aware at base+offset. CTR mode is seekable,
 // so the ciphertext is bit-identical to the host path whatever the
-// blocking.
+// blocking. The ciphertext is an rpcnet.Borrow buffer, as the host
+// path's is.
 func (d *AccelDevice) CTRStream(c *kernels.Cipher, iv []byte, base int64, data []byte) ([]byte, error) {
-	out := make([]byte, len(data))
+	out := rpcnet.Borrow(len(data))
 	ctr := kernels.CTRBlockFuncFast(c, iv)
 	kern := spurt.KernelFunc{
 		KernelName: "aes-ctr",

@@ -66,11 +66,24 @@ func (c *Client) WriteFile(name string, data []byte, preferred string) error {
 // in-flight bytes bounded by the client's ingest window — a dataset
 // far larger than RAM costs O(window) memory, and the window keeps the
 // network pipe full without the old one-block-per-round-trip stall.
-// It returns the bytes consumed from r; on error some trailing blocks
-// may not have been stored.
+// Its block buffers are borrowed from rpcnet's bulk class, reused from
+// block to block, and recycled when it returns. It returns the bytes
+// consumed from r; on error some trailing blocks may not have been
+// stored.
 func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, error) {
 	win := flow.NewWindow(c.ingestWindow)
 	free := make(chan []byte, c.ingestWindow/c.blockSize+1)
+	giveBack := func(buf []byte) {
+		select {
+		case free <- buf[:c.blockSize]:
+		default:
+		}
+	}
+	defer func() {
+		for len(free) > 0 {
+			recycleBulk(<-free)
+		}
+	}()
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -92,16 +105,17 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 	first := true
 	for {
 		// Earlier blocks may still be replicating from their buffers: take
-		// a returned one (free holds a window's worth) or a new one. The
-		// window stalls this loop before in-flight buffers exceed it.
+		// a returned one (free holds a window's worth) or a borrowed one.
+		// The window stalls this loop before in-flight buffers exceed it.
 		var buf []byte
 		select {
 		case buf = <-free:
 		default:
-			buf = make([]byte, c.blockSize)
+			buf = rpcnet.Borrow(int(c.blockSize))
 		}
 		n, rerr := io.ReadFull(r, buf)
 		if rerr == io.EOF && !first {
+			giveBack(buf)
 			break // clean end on a block boundary
 		}
 		if rerr != nil && rerr != io.ErrUnexpectedEOF && rerr != io.EOF {
@@ -133,10 +147,7 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 			}
 			// The DataNodes copied the block off the wire: the buffer is
 			// free once the puts return, and back before the credit is.
-			select {
-			case free <- chunk[:cap(chunk)]:
-			default:
-			}
+			giveBack(chunk)
 		}(alloc.Block, chunk, credit)
 		total += int64(n)
 		first = false
@@ -416,7 +427,7 @@ func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer) e
 		start := off
 		err := c.wire.bulk(ref.Addr, "FetchPartition", FetchPartitionArgs{
 			JobID: jobID, MapTask: ref.MapTask, Part: ref.Part,
-			Offset: off, MaxBytes: outputChunkBytes,
+			Offset: off, MaxBytes: outputChunkBytes, Collect: true,
 		}, nil, &rep, func(chunk []byte) error {
 			off += int64(len(chunk))
 			_, err := w.Write(chunk)

@@ -147,7 +147,7 @@ func (dn *DataNode) handlePut(args PutArgs, tail *rpcnet.Tail) (PutReply, rpcnet
 // store's own bytes, which go to the socket uncopied and stay lent,
 // through a delete or a re-put of the ID, until the reply is written.
 func (dn *DataNode) handleGet(args GetArgs, _ *rpcnet.Tail) (GetReply, rpcnet.Reply, error) {
-	data, done, err := dn.store.Lend(args.ID)
+	data, _, done, err := dn.store.LendRange(args.ID, 0, 0)
 	if err != nil {
 		return GetReply{}, rpcnet.Reply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}
@@ -159,7 +159,7 @@ func (dn *DataNode) handleGet(args GetArgs, _ *rpcnet.Tail) (GetReply, rpcnet.Re
 // DataNode→DataNode, lent from the store until the push returns; the
 // NameNode only ever sees the acknowledgement.
 func (dn *DataNode) handleReplicate(args ReplicateArgs) (ReplicateReply, error) {
-	data, done, err := dn.store.Lend(args.ID)
+	data, _, done, err := dn.store.LendRange(args.ID, 0, 0)
 	if err != nil {
 		return ReplicateReply{}, fmt.Errorf("netmr: block %d not on this datanode", args.ID)
 	}

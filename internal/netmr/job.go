@@ -213,7 +213,7 @@ func (rec *jobRecord) outputs() []MapOutputRef {
 	if !rec.streamOut || !rec.done || rec.failed != "" {
 		return nil
 	}
-	slot := streamedMapKey
+	slot := mapOutputKey
 	if len(rec.phases) > 1 {
 		slot = streamedReduceKey
 	}

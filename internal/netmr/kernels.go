@@ -28,17 +28,23 @@ import (
 // runs no kernel code.
 //
 // A kernel with Partition and Merge always shuffles its data jobs:
-// Partition runs map-side and splits the task's output into R key-routed
-// partitions held in the tracker's shuffle store; Merge runs as a reduce
-// task and folds the per-mapper pieces of one partition (ordered by map
-// task ID) into that partition's output — for a structured kernel a
-// valid Reduce partial. Map output bytes never cross the JobTracker.
+// Partition runs map-side and returns the task's output as one run of R
+// key-routed partitions, back to back, which the tracker's shuffle
+// store keeps as one payload and serves a partition at a time; Merge
+// runs as a reduce task and folds the per-mapper pieces of one
+// partition (ordered by map task ID) into that partition's output — for
+// a structured kernel a valid Reduce partial. Map output bytes never
+// cross the JobTracker.
 //
 // Whatever a task returns is what is stored, fetched and handed to
 // Merge/Reduce, byte for byte. Merge and Reduce must treat their inputs
 // as read-only, and no output may alias them: a piece served from the
-// reducing tracker's own store reads resident store memory, and a
-// remote piece's chunk buffer is overwritten by its next chunk.
+// reducing tracker's own store reads resident store memory, lent until
+// Merge returns, and a remote piece's chunk buffer is overwritten by its
+// next chunk. A stored output belongs to the store, which hands a
+// buffer of rpcnet's bulk class back to rpcnet.Recycle once no reader
+// holds it: so a byte-stream kernel builds its bulk outputs in
+// rpcnet.Borrow buffers, and nothing else may keep a reference to them.
 //
 // A map task's data is borrowed: the DFS block in rpcnet's pooled frame
 // buffer, valid only until Map or Partition (or an Accel variant)
@@ -52,10 +58,10 @@ type MapKernel struct {
 	// of a Map kernel, the reduce-task outputs (ordered by partition) of
 	// a shuffle kernel.
 	Reduce func(partials [][]byte) ([]byte, error)
-	// Partition runs on the TaskTracker in Map's place: it returns
-	// exactly parts payloads, one per partition (empty partitions
-	// included).
-	Partition func(task Task, data []byte, parts int) ([][]byte, error)
+	// Partition runs on the TaskTracker in Map's place: it returns the
+	// task's run, partitions 0 to parts-1 back to back, and exactly
+	// parts sizes, one per partition (empty partitions included).
+	Partition func(task Task, data []byte, parts int) (run []byte, sizes []int64, err error)
 	// Merge runs on the reducing TaskTracker: fold one partition's
 	// per-mapper pieces, in map task order, into the partition's reduce
 	// output. Every piece's size is known when Merge starts, so an
@@ -70,7 +76,7 @@ type MapKernel struct {
 	AccelMap func(dev *AccelDevice, task Task, data []byte) ([]byte, error)
 	// AccelPartition is Partition's accelerated variant under the same
 	// contract.
-	AccelPartition func(dev *AccelDevice, task Task, data []byte, parts int) ([][]byte, error)
+	AccelPartition func(dev *AccelDevice, task Task, data []byte, parts int) (run []byte, sizes []int64, err error)
 }
 
 // Piece is one map task's share of the partition a reduce task merges:
@@ -140,10 +146,11 @@ func init() {
 			}
 			return rpcnet.Marshal(total)
 		},
-		Partition: func(_ Task, data []byte, parts int) ([][]byte, error) {
+		Partition: func(_ Task, data []byte, parts int) ([]byte, []int64, error) {
 			var counts kernels.WordTable
 			counts.Add(data)
-			return counts.Runs(parts), nil
+			runs, sizes := counts.Runs(parts)
+			return runs, sizes, nil
 		},
 		Merge: func(pieces []Piece) ([]byte, error) {
 			runs, sizes := make([]io.Reader, len(pieces)), make([]int64, len(pieces))
@@ -154,12 +161,12 @@ func init() {
 		},
 		// Accelerated variant: the block's table comes off the SPEs, in
 		// the device's own tables, and is cut while it is lent.
-		AccelPartition: func(dev *AccelDevice, _ Task, data []byte, parts int) (runs [][]byte, err error) {
+		AccelPartition: func(dev *AccelDevice, _ Task, data []byte, parts int) (runs []byte, sizes []int64, err error) {
 			err = dev.WordCount(data, func(counts *kernels.WordTable) error {
-				runs = counts.Runs(parts)
+				runs, sizes = counts.Runs(parts)
 				return nil
 			})
-			return runs, err
+			return runs, sizes, err
 		},
 	})
 
@@ -173,7 +180,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			out := make([]byte, len(data))
+			out := rpcnet.Borrow(len(data))
 			offset := int64(task.TaskID) * args.BlockBytes
 			kernels.CTRStreamFast(c, args.IV, offset, out, data)
 			return out, nil
@@ -234,20 +241,20 @@ func init() {
 		// reduce outputs concatenate globally sorted with no final merge.
 		// The submitter must pick a DFS block size that is a multiple of
 		// the record size.
-		Partition: func(task Task, data []byte, parts int) ([][]byte, error) {
+		Partition: func(task Task, data []byte, parts int) ([]byte, []int64, error) {
 			rp := kernels.NewRangePartitioner(task.SplitKeys)
 			if rp.Parts() != parts {
-				return nil, fmt.Errorf("netmr: %d split keys for %d partitions", len(task.SplitKeys), parts)
+				return nil, nil, fmt.Errorf("netmr: %d split keys for %d partitions", len(task.SplitKeys), parts)
 			}
-			run, err := kernels.SortedRecords(data)
-			if err != nil {
-				return nil, err
+			run := rpcnet.Borrow(len(data))
+			if err := kernels.SortedRecordsInto(run, data); err != nil {
+				return nil, nil, err
 			}
-			// The pieces are capped slices of the one run, and the shuffle
-			// store keeps each as handed (spill.Store.Put takes
-			// ownership): nothing writes the run after the cut, and it
-			// lives until its last in-memory piece is deleted.
-			return rp.Cut(run), nil
+			sizes := make([]int64, parts)
+			for p, piece := range rp.Cut(run) {
+				sizes[p] = int64(len(piece))
+			}
+			return run, sizes, nil
 		},
 		Merge: func(pieces []Piece) ([]byte, error) {
 			var size int64
@@ -255,7 +262,7 @@ func init() {
 			for i, p := range pieces {
 				runs[i], size = p.Reader, size+p.Size
 			}
-			out := make([]byte, size)
+			out := rpcnet.Borrow(int(size))
 			if err := kernels.MergeSortedInto(out, runs...); err != nil {
 				return nil, err
 			}

@@ -25,6 +25,16 @@ import (
 // These tests pin the payload format of the byte-stream kernels: a
 // task output is the result bytes themselves, with no envelope.
 
+// cutRun splits a Partition result into its partitions, the pieces
+// FetchPartition serves.
+func cutRun(run []byte, sizes []int64, err error) ([][]byte, error) {
+	pieces := make([][]byte, len(sizes))
+	for p, n := range sizes {
+		pieces[p], run = run[:n:n], run[n:]
+	}
+	return pieces, err
+}
+
 func TestSortMapOutputIsTheSortedBlock(t *testing.T) {
 	kern, err := lookupKernel("sort")
 	if err != nil {
@@ -36,7 +46,7 @@ func TestSortMapOutputIsTheSortedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One partition, no split keys: the single piece is the map output.
-	pieces, err := kern.Partition(Task{}, block, 1)
+	pieces, err := cutRun(kern.Partition(Task{}, block, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +71,11 @@ func TestSortPartitionPiecesAreRecordSlices(t *testing.T) {
 	block := kernels.GenerateSortRecords(11, 40)
 	top := bytes.Repeat([]byte{0xff}, kernels.SortKeyBytes)
 	const parts = 3
-	pieces, err := kern.Partition(Task{SplitKeys: [][]byte{top, top}}, block, parts)
+	run, sizes, err := kern.Partition(Task{SplitKeys: [][]byte{top, top}}, block, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pieces, _ := cutRun(run, sizes, nil)
 	if len(pieces) != parts {
 		t.Fatalf("%d pieces for %d partitions", len(pieces), parts)
 	}
@@ -91,10 +102,8 @@ func TestSortPartitionPiecesAreRecordSlices(t *testing.T) {
 		tts[i] = tt
 	}
 	const jobID = 1
-	for p, piece := range pieces {
-		if err := tts[0].store.put(jobID, partKey{0, p}, piece); err != nil {
-			t.Fatal(err)
-		}
+	if err := tts[0].store.put(jobID, mapOutputKey(0), run, sizes); err != nil {
+		t.Fatal(err)
 	}
 	sorted := append([]byte(nil), block...)
 	if err := kernels.SortRecords(sorted); err != nil {
@@ -167,13 +176,13 @@ func TestMapKernelsDoNotAliasTheirBlock(t *testing.T) {
 			variants = append(variants, variant{"Map", func(d []byte) ([][]byte, error) { return one(k.Map(task, d)) }})
 		}
 		if k.Partition != nil {
-			variants = append(variants, variant{"Partition", func(d []byte) ([][]byte, error) { return k.Partition(task, d, parts) }})
+			variants = append(variants, variant{"Partition", func(d []byte) ([][]byte, error) { return cutRun(k.Partition(task, d, parts)) }})
 		}
 		if k.AccelMap != nil {
 			variants = append(variants, variant{"AccelMap", func(d []byte) ([][]byte, error) { return one(k.AccelMap(dev, task, d)) }})
 		}
 		if k.AccelPartition != nil {
-			variants = append(variants, variant{"AccelPartition", func(d []byte) ([][]byte, error) { return k.AccelPartition(dev, task, d, parts) }})
+			variants = append(variants, variant{"AccelPartition", func(d []byte) ([][]byte, error) { return cutRun(k.AccelPartition(dev, task, d, parts)) }})
 		}
 		for _, v := range variants {
 			for _, block := range [][]byte{text, text[:kernels.SortRecordBytes]} {
@@ -211,7 +220,7 @@ func TestMapKernelsDoNotAliasTheirBlock(t *testing.T) {
 		half := len(text) / 2 / kernels.SortRecordBytes * kernels.SortRecordBytes
 		var mapped [2][][]byte
 		for m, blk := range [][]byte{text[:half], text[half:]} {
-			if mapped[m], err = k.Partition(task, blk, parts); err != nil {
+			if mapped[m], err = cutRun(k.Partition(task, blk, parts)); err != nil {
 				t.Fatalf("%s Partition: %v", name, err)
 			}
 		}
@@ -262,7 +271,7 @@ func TestSortPartitionAllocationCeiling(t *testing.T) {
 	const parts = 8
 	task := Task{SplitKeys: kernels.SplitKeysFromSample(sample, parts)}
 	partition := func() {
-		if _, err := kern.Partition(task, block, parts); err != nil {
+		if _, err := cutRun(kern.Partition(task, block, parts)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,9 +346,9 @@ func TestWordCountPartitionAllocationCeiling(t *testing.T) {
 		partition := func() {
 			var err error
 			if tc.accel {
-				_, err = kern.AccelPartition(dev, Task{}, block, 4)
+				_, err = cutRun(kern.AccelPartition(dev, Task{}, block, 4))
 			} else {
-				_, err = kern.Partition(Task{}, block, 4)
+				_, err = cutRun(kern.Partition(Task{}, block, 4))
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -377,11 +386,11 @@ func TestWordCountAccelPartitionDecodesLikeHost(t *testing.T) {
 	}
 	block := zipfText(11, 256<<10)
 	const parts = 4
-	host, err := kern.Partition(Task{}, block, parts)
+	host, err := cutRun(kern.Partition(Task{}, block, parts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	accel, err := kern.AccelPartition(dev, Task{}, block, parts)
+	accel, err := cutRun(kern.AccelPartition(dev, Task{}, block, parts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,10 +443,10 @@ func TestAccelDeviceReusesItsWordTables(t *testing.T) {
 	}
 	a := bytes.Repeat([]byte("alpha beta gamma "), 4_000)
 	b := zipfText(17, 64<<10)
-	if _, err := kern.AccelPartition(dev, Task{}, a, 3); err != nil {
+	if _, err := cutRun(kern.AccelPartition(dev, Task{}, a, 3)); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := kern.AccelPartition(dev, Task{}, b, 3)
+	runs, err := cutRun(kern.AccelPartition(dev, Task{}, b, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,12 +477,12 @@ func TestAccelDeviceReusesItsWordTables(t *testing.T) {
 // of block returns the host Partition's bytes.
 func assertAccelPartitionIsHosts(t *testing.T, kern MapKernel, dev *AccelDevice, name string, block []byte, parts int) {
 	t.Helper()
-	host, err := kern.Partition(Task{}, block, parts)
+	host, err := cutRun(kern.Partition(Task{}, block, parts))
 	if err != nil {
 		t.Error(err)
 		return
 	}
-	accel, err := kern.AccelPartition(dev, Task{}, block, parts)
+	accel, err := cutRun(kern.AccelPartition(dev, Task{}, block, parts))
 	if err != nil {
 		t.Error(err)
 		return
@@ -547,11 +556,11 @@ func FuzzWordRuns(f *testing.F) {
 			for _, w := range bytes.FieldsFunc(block, func(r rune) bool { return r >= utf8.RuneSelf || !kernels.IsWordByte(byte(r)) }) {
 				want[strings.ToLower(string(w))]++
 			}
-			runs, err := kern.Partition(Task{}, block, parts)
+			runs, err := cutRun(kern.Partition(Task{}, block, parts))
 			if err != nil {
 				t.Fatal(err)
 			}
-			accel, err := kern.AccelPartition(dev, Task{}, block, parts)
+			accel, err := cutRun(kern.AccelPartition(dev, Task{}, block, parts))
 			if err != nil && !errors.Is(err, errAccelFallback) {
 				t.Fatal(err)
 			}

@@ -17,6 +17,17 @@ import (
 // and the JobTracker moves metadata — with results bit-identical to
 // the in-process reference, including under a tracker killed mid-job.
 
+// storedPiece copies the piece of a job's stored output that k names,
+// as FetchPartition would serve it.
+func storedPiece(st *shuffleStore, jobID int64, k partKey) ([]byte, bool) {
+	data, _, done, err := st.lend(jobID, k, 0, 0)
+	if err != nil {
+		return nil, false
+	}
+	defer done()
+	return bytes.Clone(data), true
+}
+
 // shuffleCorpus builds a word corpus whose 5-byte words never straddle
 // the given block size, with vocab distinct words repeating across
 // blocks — repetition is what keeps the merged reduce outputs bounded
@@ -289,7 +300,7 @@ func TestReduceFailsOverWhenAPeerDiesMidStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tts[0].store.put(jobID, partKey{m, 0}, run); err != nil {
+			if err := tts[0].store.put(jobID, mapOutputKey(m), run, []int64{int64(len(run))}); err != nil {
 				t.Fatal(err)
 			}
 			task.Inputs = append(task.Inputs, MapOutputRef{MapTask: m, Addr: tts[0].ShuffleAddr()})
@@ -306,7 +317,7 @@ func TestReduceFailsOverWhenAPeerDiesMidStream(t *testing.T) {
 		if res.BadAddr != tts[0].ShuffleAddr() {
 			t.Fatalf("the failed attempt blames %q, want the dead store %q (err: %v)", res.BadAddr, tts[0].ShuffleAddr(), err)
 		}
-		if _, ok := tts[1].store.get(jobID, streamedReduceKey(0)); ok {
+		if _, ok := storedPiece(tts[1].store, jobID, streamedReduceKey(0)); ok {
 			t.Fatal("the failed attempt stored an output")
 		}
 	})
@@ -352,4 +363,68 @@ func TestReduceFailsOverWhenAPeerDiesMidStream(t *testing.T) {
 			t.Fatalf("%d attempts for %d tasks: the dead tracker's work was not re-run", st.Attempts, st.Total)
 		}
 	})
+}
+
+// TestLoansOutlivePurgeAndClose: a FetchPartition reply is lent from a
+// map run, so when purgeJob or the store's Close drops the run while the
+// reply is still unwritten, the reply's bytes stay intact — race builds
+// poison what is recycled — and the run goes back to rpcnet's pool only
+// at the reply's Release.
+func TestLoansOutlivePurgeAndClose(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		drop func(*shuffleStore)
+	}{
+		{"purge", func(st *shuffleStore) { st.purgeJob(1) }},
+		{"close", func(st *shuffleStore) { st.close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tt, err := StartTaskTracker("tt", "127.0.0.1:1", "", 0, Config{Slots: 1, Heartbeat: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tt.Kill()
+			var mu sync.Mutex
+			var handedBack [][]byte
+			tt.store.s.OnRelease(func(p []byte) {
+				mu.Lock()
+				handedBack = append(handedBack, p)
+				mu.Unlock()
+				recycleBulk(p)
+			})
+			block := kernels.GenerateSortRecords(61, 4_000) // 400 KB: a bulk-class run
+			split := [][]byte{block[2_000*kernels.SortRecordBytes:][:kernels.SortKeyBytes]}
+			run, sizes, err := kernelRegistry["sort"].Partition(Task{SplitKeys: split}, block, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bytes.Clone(run[sizes[0]+100:][:64<<10])
+			if err := tt.store.put(1, mapOutputKey(0), run, sizes); err != nil {
+				t.Fatal(err)
+			}
+			_, reply, err := tt.handleFetchPartition(FetchPartitionArgs{JobID: 1, MapTask: 0, Part: 1, Offset: 100, MaxBytes: 64 << 10}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Release == nil {
+				t.Fatal("a reply lent from the store has no Release")
+			}
+			tc.drop(tt.store)
+			mu.Lock()
+			early := len(handedBack)
+			mu.Unlock()
+			if early != 0 {
+				t.Fatal("the run went back to the pool while a reply still lent it")
+			}
+			if !bytes.Equal(reply.Bytes, want) {
+				t.Fatal("a lent reply changed when its run was dropped")
+			}
+			reply.Release()
+			mu.Lock()
+			defer mu.Unlock()
+			if len(handedBack) != 1 || &handedBack[0][0] != &run[0] {
+				t.Fatalf("after the reply's Release %d payloads went back, want the run", len(handedBack))
+			}
+		})
+	}
 }

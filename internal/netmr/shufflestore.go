@@ -1,101 +1,160 @@
 package netmr
 
 import (
+	"fmt"
 	"sync"
 
+	"hetmr/internal/rpcnet"
 	"hetmr/internal/spill"
 )
 
-// shuffleStore is a TaskTracker's data-plane store: map-side
-// partitions and streamed task outputs, keyed by (job, map task,
-// partition), held in memory up to a configurable watermark and
-// spilled to raw files beyond it. FetchPartition serves from memory or
-// spill transparently — a reducer cannot tell where a partition lived.
-// Every key is job-id-prefixed, so concurrent tenants' jobs can never
-// collide in one store and a single job's state can be purged without
-// touching its neighbours.
+// shuffleStore is a TaskTracker's data-plane store: one payload per
+// task output — a map task's run of partitions, a byte-stream kernel's
+// parked map or reduce output — keyed by (job, slot), held in memory up
+// to a configurable watermark and spilled to raw files beyond it. A map
+// run is kept with its cut offsets, and FetchPartition serves partition
+// p as a range of it, from memory or spill transparently — a reducer
+// cannot tell where a partition lived. Every read is a loan, so a purge
+// or a Close never recycles bytes still on their way out. Every key is
+// job-id-prefixed, so concurrent tenants' jobs can never collide in one
+// store and a single job's state can be purged without touching its
+// neighbours.
 type shuffleStore struct {
 	mu    sync.Mutex
 	s     *spill.Store[shuffleKey]
-	byJob map[int64]*jobHold // per-job keys and bytes, for GC and quotas
+	byJob map[int64]*jobHold // per-job slots and bytes, for GC and quotas
 }
 
-// jobHold is one job's footprint in the store.
+// jobHold is one job's footprint in the store: its slots, each with
+// its cut offsets — where each partition starts, then the payload's
+// size; an output served whole has the one partition.
 type jobHold struct {
-	keys  []partKey
+	cuts  map[partKey][]int64
 	bytes int64
 }
 
 // newShuffleStore builds a store spilling under dir ("" selects the OS
-// temp dir) above the memLimit watermark (spill.New's convention).
+// temp dir) above the memLimit watermark (spill.New's convention). A
+// payload the store lets go of goes back to rpcnet's bulk class when
+// it is bulk-sized (map runs, reduce outputs, ciphertext: Borrow
+// buffers); a smaller one (a word run) stays with the GC, since pooled
+// in the small class it would only raise the idle heap.
 func newShuffleStore(dir string, memLimit int64) *shuffleStore {
-	return &shuffleStore{
+	st := &shuffleStore{
 		s:     spill.New[shuffleKey](dir, memLimit),
 		byJob: make(map[int64]*jobHold),
+	}
+	st.s.OnRelease(recycleBulk)
+	return st
+}
+
+// recycleBulk hands a bulk-sized buffer back to rpcnet's pool and
+// leaves a smaller one to the GC.
+func recycleBulk(p []byte) {
+	if cap(p) >= rpcnet.BulkMin {
+		rpcnet.Recycle(p)
 	}
 }
 
 // shuffleKey names one payload. The job ID is the multi-tenant
-// namespace: two jobs' identical (map, part) coordinates map to
-// distinct store keys.
+// namespace: two jobs' identical slots map to distinct store keys.
 type shuffleKey struct {
 	job int64
 	partKey
 }
 
-// put stores one payload. The key registration and the store write
-// happen under one lock so a concurrent purgeJob (a heartbeat GC
-// racing a speculative attempt of a finished job) can never interleave
-// between them and strand the payload outside the byJob index.
-func (st *shuffleStore) put(jobID int64, k partKey, payload []byte) error {
+// put stores one task output under slot: a map run whose partitions,
+// sizes long, lie back to back, or (sizes nil) an output served whole.
+// The key registration and the store write happen under one lock so a
+// concurrent purgeJob (a heartbeat GC racing a speculative attempt of a
+// finished job) can never interleave between them and strand the
+// payload outside the byJob index.
+func (st *shuffleStore) put(jobID int64, slot partKey, payload []byte, sizes []int64) error {
+	if sizes == nil {
+		sizes = []int64{int64(len(payload))}
+	}
+	cuts := make([]int64, len(sizes)+1)
+	for p, n := range sizes {
+		cuts[p+1] = cuts[p] + n
+	}
+	if cuts[len(sizes)] != int64(len(payload)) {
+		return fmt.Errorf("netmr: partitions of %d bytes in a %d-byte run", cuts[len(sizes)], len(payload))
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	key := shuffleKey{jobID, k}
-	// A re-issued attempt landing on the same tracker replaces its
-	// earlier payload: account the superseded size away instead of
-	// double-counting it against the tenant's budget.
-	replaced, sizeErr := st.s.Size(key)
-	if err := st.s.Put(key, payload); err != nil {
+	if err := st.s.Put(shuffleKey{jobID, slot}, payload); err != nil {
 		return err
 	}
 	hold := st.byJob[jobID]
 	if hold == nil {
-		hold = &jobHold{}
+		hold = &jobHold{cuts: make(map[partKey][]int64)}
 		st.byJob[jobID] = hold
 	}
-	if sizeErr == nil { // key already held (possibly zero-length)
-		hold.bytes -= replaced
-	} else {
-		hold.keys = append(hold.keys, k)
+	// A re-issued attempt landing on the same tracker replaces its
+	// earlier payload: account the superseded size away instead of
+	// double-counting it against the tenant's budget.
+	if old, ok := hold.cuts[slot]; ok {
+		hold.bytes -= old[len(old)-1]
 	}
+	hold.cuts[slot] = cuts
 	hold.bytes += int64(len(payload))
 	return nil
 }
 
-// get fetches one payload (from memory or spill).
-func (st *shuffleStore) get(jobID int64, k partKey) ([]byte, bool) {
-	data, err := st.s.Get(shuffleKey{jobID, k})
-	if err != nil {
-		return nil, false
+// slotOf returns the store slot holding the piece a FetchPartition
+// names, and which partition of it that is: partition part of map task
+// mapTask's output, or — mapTask -1 — all of a reduce task's.
+func slotOf(k partKey) (slot partKey, piece int) {
+	if k.mapTask >= 0 {
+		return mapOutputKey(k.mapTask), max(k.part, 0)
 	}
-	return data, true
+	return streamedReduceKey(k.part), 0
 }
 
-// getRange fetches up to max bytes of one payload starting at off,
-// plus the payload's total size — the chunked FetchPartition serving
-// path. A spilled partition's chunk is one read at its offset in the
-// partition's file.
-func (st *shuffleStore) getRange(jobID int64, k partKey, off, max int64) ([]byte, int64, bool) {
-	data, size, err := st.s.GetRange(shuffleKey{jobID, k}, off, max)
-	if err != nil {
-		return nil, 0, false
+// lend lends up to maxBytes (<= 0: the rest) from off of the piece k
+// names, plus the piece's size. done ends the loan; a spilled piece's
+// range is one read at its offset in the payload's file.
+func (st *shuffleStore) lend(jobID int64, k partKey, off, maxBytes int64) (data []byte, size int64, done func(), err error) {
+	slot, piece := slotOf(k)
+	st.mu.Lock()
+	var cuts []int64
+	if hold := st.byJob[jobID]; hold != nil {
+		cuts = hold.cuts[slot]
 	}
-	return data, size, true
+	st.mu.Unlock()
+	if piece+1 >= len(cuts) {
+		return nil, 0, nil, fmt.Errorf("no piece %d of job %d task output %v", piece, jobID, slot)
+	}
+	size = cuts[piece+1] - cuts[piece]
+	off = min(max(off, 0), size)
+	n := size - off
+	if maxBytes > 0 {
+		n = min(n, maxBytes)
+	}
+	if n == 0 {
+		return nil, size, func() {}, nil // LendRange would read 0 as "the rest"
+	}
+	data, _, done, err = st.s.LendRange(shuffleKey{jobID, slot}, cuts[piece]+off, n)
+	return data, size, done, err
+}
+
+// drop drops the whole stored output k names, ahead of its job's purge.
+func (st *shuffleStore) drop(jobID int64, k partKey) {
+	slot, _ := slotOf(k)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if hold := st.byJob[jobID]; hold != nil && len(hold.cuts[slot]) == 2 {
+		st.s.Delete(shuffleKey{jobID, slot})
+		hold.bytes -= hold.cuts[slot][1]
+		if delete(hold.cuts, slot); len(hold.cuts) == 0 {
+			delete(st.byJob, jobID)
+		}
+	}
 }
 
 // purgeJob drops every payload a finished job left behind. Held under
 // the same lock as put (see there); deletes are cheap (map removal or
-// file unlink).
+// file unlink), and a payload still lent goes back at its last done.
 func (st *shuffleStore) purgeJob(jobID int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -103,8 +162,8 @@ func (st *shuffleStore) purgeJob(jobID int64) {
 	if hold == nil {
 		return
 	}
-	for _, k := range hold.keys {
-		st.s.Delete(shuffleKey{jobID, k})
+	for slot := range hold.cuts {
+		st.s.Delete(shuffleKey{jobID, slot})
 	}
 	delete(st.byJob, jobID)
 }
@@ -143,5 +202,6 @@ func (st *shuffleStore) jobBytes(jobID int64) int64 {
 // disk.
 func (st *shuffleStore) spilledBytes() int64 { return st.s.SpilledBytes() }
 
-// close drops everything and removes the spill directory.
+// close drops everything, handing what it held back as purgeJob does,
+// and removes the spill directory.
 func (st *shuffleStore) close() error { return st.s.Close() }

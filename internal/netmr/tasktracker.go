@@ -14,15 +14,18 @@ import (
 	"hetmr/internal/rpcnet"
 )
 
-// partKey names one map task's partition in a tracker's shuffle store.
+// partKey names a piece of a task output in a tracker's shuffle store:
+// partition part of map task mapTask's output, or a whole output (its
+// store slot) when either is -1.
 type partKey struct {
 	mapTask int
 	part    int
 }
 
-// streamedMapKey is the store slot of a byte-stream map task's parked
-// output (part -1 can never collide with a real partition).
-func streamedMapKey(task int) partKey { return partKey{mapTask: task, part: -1} }
+// mapOutputKey is the store slot of a map task's output: its run of
+// partitions, or a byte-stream kernel's parked output (part -1 can
+// never collide with a real partition).
+func mapOutputKey(task int) partKey { return partKey{mapTask: task, part: -1} }
 
 // streamedReduceKey is the store slot of a byte-stream reduce task's
 // parked output (map task -1 can never collide with a real map task).
@@ -239,14 +242,18 @@ func (tt *TaskTracker) FetchWindowPeak() int64 { return tt.fetchWin.Peak() }
 
 // handleFetchPartition answers with the requested range of a stored
 // payload as the reply tail — the store's own bytes when the payload is
-// in memory, which go to the socket uncopied.
+// in memory, which go to the socket uncopied and stay lent, through a
+// purge of the job or the store's Close, until the reply is written.
 func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs, _ *rpcnet.Tail) (FetchPartitionReply, rpcnet.Reply, error) {
-	data, size, ok := tt.store.getRange(args.JobID, partKey{args.MapTask, args.Part}, args.Offset, args.MaxBytes)
-	if !ok {
+	data, size, done, err := tt.store.lend(args.JobID, partKey{args.MapTask, args.Part}, args.Offset, args.MaxBytes)
+	if err != nil {
 		return FetchPartitionReply{}, rpcnet.Reply{}, fmt.Errorf("netmr: tracker %s holds no partition %d of job %d map %d",
 			tt.ID, args.Part, args.JobID, args.MapTask)
 	}
-	return FetchPartitionReply{Size: size}, rpcnet.Reply{Bytes: data}, nil
+	if args.Collect && args.Offset+int64(len(data)) >= size {
+		tt.store.drop(args.JobID, partKey{args.MapTask, args.Part})
+	}
+	return FetchPartitionReply{Size: size}, rpcnet.Reply{Bytes: data, Release: done}, nil
 }
 
 // heartbeatCallTimeout bounds one Heartbeat round-trip, so a hung
@@ -428,29 +435,28 @@ func (tt *TaskTracker) execTask(task Task, res *TaskResult) error {
 // delivers what the kernel returns.
 func (tt *TaskTracker) runMap(task Task, kern MapKernel, data []byte, res *TaskResult) error {
 	if task.NumParts > 0 && kern.Partition != nil {
-		// Distributed shuffle: the partitions stay here, served over
-		// FetchPartition; only their location crosses the heartbeat.
-		parts, err := tt.partitionTask(task, kern, data)
+		// Distributed shuffle: the run stays here, its partitions served
+		// over FetchPartition; only its location crosses the heartbeat.
+		run, sizes, err := tt.partitionTask(task, kern, data)
 		if err != nil {
 			return err
 		}
-		res.PartBytes = make([]int64, len(parts))
-		for p, payload := range parts {
-			if err := tt.store.put(task.JobID, partKey{task.TaskID, p}, payload); err != nil {
-				return err
-			}
-			// Per-partition sizes ride the heartbeat so the JobTracker
-			// can grant the heaviest reduce ranges first (LPT).
-			res.PartBytes[p] = int64(len(payload))
+		if len(sizes) != task.NumParts {
+			return fmt.Errorf("netmr: kernel %s cut %d partitions of %d", task.Kernel, len(sizes), task.NumParts)
 		}
-		res.ShuffleAddr = tt.srv.Addr()
+		if err := tt.store.put(task.JobID, mapOutputKey(task.TaskID), run, sizes); err != nil {
+			return err
+		}
+		// Per-partition sizes ride the heartbeat so the JobTracker can
+		// grant the heaviest reduce ranges first (LPT).
+		res.PartBytes, res.ShuffleAddr = sizes, tt.srv.Addr()
 		return nil
 	}
 	out, err := tt.mapTask(task, kern, data)
 	if err != nil {
 		return err
 	}
-	return tt.deliver(task.JobID, kern, streamedMapKey(task.TaskID), out, res)
+	return tt.deliver(task.JobID, kern, mapOutputKey(task.TaskID), out, res)
 }
 
 // deliver leaves a final-phase task output where the kernel table says
@@ -464,7 +470,7 @@ func (tt *TaskTracker) deliver(jobID int64, kern MapKernel, slot partKey, out []
 		res.Output = out
 		return nil
 	}
-	if err := tt.store.put(jobID, slot, out); err != nil {
+	if err := tt.store.put(jobID, slot, out, nil); err != nil {
 		return err
 	}
 	res.ShuffleAddr = tt.srv.Addr()
@@ -507,15 +513,15 @@ func (tt *TaskTracker) mapTask(task Task, kern MapKernel, data []byte) ([]byte, 
 }
 
 // partitionTask is mapTask for the distributed-shuffle path.
-func (tt *TaskTracker) partitionTask(task Task, kern MapKernel, data []byte) ([][]byte, error) {
+func (tt *TaskTracker) partitionTask(task Task, kern MapKernel, data []byte) ([]byte, []int64, error) {
 	if tt.offloads(task) && kern.AccelPartition != nil {
-		parts, err := kern.AccelPartition(tt.device, task, data, task.NumParts)
+		run, sizes, err := kern.AccelPartition(tt.device, task, data, task.NumParts)
 		if err == nil {
 			tt.noteAccel()
-			return parts, nil
+			return run, sizes, nil
 		}
 		if !errors.Is(err, errAccelFallback) {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	return kern.Partition(task, data, task.NumParts)
@@ -528,7 +534,8 @@ const fetchParallel = 4
 
 // runReduce does one reduce task's work: merge partition task.TaskID
 // from every mapper tracker's shuffle store with the kernel. A piece in
-// this tracker's own store is read in place; a remote one is a
+// this tracker's own store is read in place, lent until Merge returns
+// (a purge of the job meanwhile frees nothing under it); a remote one is a
 // pieceStream, opened up to fetchParallel at a time and then pulled
 // chunk by chunk as Merge reads it, so the task holds one chunk per
 // remote piece, not the piece. A fetch failure, on opening or mid-merge,
@@ -544,12 +551,13 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res *TaskResult) err
 				args: FetchPartitionArgs{JobID: task.JobID, MapTask: ref.MapTask, Part: task.TaskID}}
 			continue
 		}
-		data, ok := tt.store.get(task.JobID, partKey{ref.MapTask, task.TaskID})
-		if !ok {
+		data, _, done, err := tt.store.lend(task.JobID, partKey{ref.MapTask, task.TaskID}, 0, 0)
+		if err != nil {
 			res.BadAddr = own
 			return fmt.Errorf("netmr: local partition %d of job %d map %d missing",
 				task.TaskID, task.JobID, ref.MapTask)
 		}
+		defer done()
 		pieces[i] = Piece{bytes.NewReader(data), int64(len(data))}
 	}
 	var (

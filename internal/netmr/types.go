@@ -215,6 +215,12 @@ type FetchPartitionArgs struct {
 	// Each in-flight fetch holds MaxBytes of credit in the reducer's
 	// flow window, so outstanding shuffle bytes stay provably bounded.
 	MaxBytes int64
+	// Collect marks WaitOutput's read of a job's stored output, which
+	// reads it once: the store drops the output once a reply has served
+	// its last byte, rather than at the job's purge a heartbeat later, so
+	// its buffer is back in rpcnet's pool before the next job stages its
+	// input.
+	Collect bool
 }
 
 // FetchPartitionReply rides ahead of the partition payload (or a chunk
@@ -363,7 +369,7 @@ type Task struct {
 // partition (reduce inputs) or a byte-stream job's final output piece
 // (StatusReply.Outputs). MapTask/Part are the FetchPartition
 // coordinates; streamed outputs use the sentinel conventions of
-// streamedMapKey/streamedReduceKey. The stored bytes are exactly what
+// mapOutputKey/streamedReduceKey. The stored bytes are exactly what
 // the task's kernel returned (see MapKernel).
 type MapOutputRef struct {
 	MapTask int

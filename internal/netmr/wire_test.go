@@ -161,7 +161,7 @@ func TestReduceStreamsRemotePieces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tts[0].store.put(jobID, partKey{m, 0}, run); err != nil {
+		if err := tts[0].store.put(jobID, mapOutputKey(m), run, []int64{int64(len(run))}); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, run)
@@ -180,7 +180,7 @@ func TestReduceStreamsRemotePieces(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		reduce() // warm the connection and the buffer pool
 	}
-	if out, ok := tts[1].store.get(jobID, streamedReduceKey(0)); !ok || !bytes.Equal(out, merged) {
+	if out, ok := storedPiece(tts[1].store, jobID, streamedReduceKey(0)); !ok || !bytes.Equal(out, merged) {
 		t.Fatal("the reduce output is not the merge of its pieces")
 	}
 	const reduces = 16

@@ -43,13 +43,13 @@ const (
 
 	// maxPooledBuf caps the capacity of buffers returned to the pool,
 	// so one jumbo frame doesn't pin megabytes forever; bulkBufMin is
-	// where the pool's bulk size class starts. It sits at twice a
+	// where the pool's bulk size class starts (BulkMin). It sits at twice a
 	// shuffle fetch chunk (64 KiB), so a chunk's buffer, and one that
 	// doubled past 64 KiB for a piece's last, shorter chunk, stay in the
 	// small class: in the bulk class a block read would take them and
 	// grow them all over again.
 	maxPooledBuf = 4 << 20
-	bulkBufMin   = 128 << 10
+	bulkBufMin   = BulkMin
 
 	// connReadBuf sizes each connection end's bufio.Reader. It only has
 	// to gather a frame's header, meta and a small body in one read: a
@@ -91,8 +91,13 @@ func getBuf(n int) *bytes.Buffer {
 	return bufPool.Get().(*bytes.Buffer)
 }
 
+// bulkCap rounds n up to the bulk class's step, so buffers for parts
+// of nearly equal size share a capacity.
+func bulkCap(n int) int { return (n + bulkBufMin - 1) / bulkBufMin * bulkBufMin }
+
 // putBuf returns b to the class its capacity puts it in, poisoned
-// first in race builds (poisonReleased).
+// first in race builds (poisonReleased). A bulk-sized buffer off the
+// bulkCap steps is dropped: the class holds only step sizes.
 func putBuf(b *bytes.Buffer) {
 	if b == nil {
 		return
@@ -102,7 +107,7 @@ func putBuf(b *bytes.Buffer) {
 			copy(p[n:], p[:n])
 		}
 	}
-	if b.Cap() > maxPooledBuf {
+	if b.Cap() > maxPooledBuf || b.Cap() >= bulkBufMin && b.Cap()%bulkBufMin != 0 {
 		return
 	}
 	b.Reset()
@@ -183,12 +188,19 @@ func readFrame(br *bufio.Reader) (frame, error) {
 // readPart reads the next n bytes of a frame into a pooled buffer,
 // filling the capacity it has and growing it in steps no larger than
 // the bytes already read (the first at most preGrowCap): a lying length
-// cannot force a huge allocation, and no buffer ends at twice its
-// part's size (bytes.Buffer.ReadFrom doubles, then reserves MinRead).
+// cannot force a huge allocation. The step that reaches n grows a bulk
+// part's buffer to exactly bulkCap(n), so no buffer ends at twice its
+// part's size (bytes.Buffer.Grow doubles) and a kept block's buffer is
+// one Borrow can hand out again.
 func readPart(br *bufio.Reader, n int64) (*bytes.Buffer, error) {
 	buf := getBuf(int(n))
 	for int64(buf.Len()) < n {
 		step := int(min(n-int64(buf.Len()), int64(max(buf.Len(), buf.Available(), preGrowCap))))
+		if int64(buf.Len()+step) == n && buf.Available() < step && n >= bulkBufMin {
+			grown := make([]byte, buf.Len(), bulkCap(int(n)))
+			copy(grown, buf.Bytes())
+			*buf = *bytes.NewBuffer(grown)
+		}
 		buf.Grow(step)
 		p := buf.AvailableBuffer()[:step]
 		if _, err := io.ReadFull(br, p); err != nil {

@@ -16,7 +16,8 @@
 // them from its pooled frame buffer, to the handler or the caller's use
 // func, only until that returns (race builds poison a released buffer).
 // A handler may instead keep its request tail's buffer (Tail.Keep) and
-// give it back to the pool with Recycle once done with it, and may
+// give it back to the pool with Recycle once done with it (Borrow hands
+// out the same buffers for bulk bytes a caller builds), and may
 // answer with stored bytes whose Reply.Release runs once they are
 // written. Control messages have no tail; Call, CallTimeout and Handle
 // are the tail-less forms. A connection starts with a 4-byte magic each
@@ -99,10 +100,56 @@ type Reply struct {
 	Release func()
 }
 
-// Recycle gives a buffer its caller owns — one Tail.Keep returned, say
-// — to the frame pool, in the size class its capacity puts it in (a
-// block's is the bulk class), poisoned over its whole capacity first in
-// race builds. Nothing may touch p afterwards.
+// BulkMin is where the frame pool's bulk size class starts, and its
+// step: every bulk buffer's capacity is a multiple of it.
+const BulkMin = 128 << 10
+
+// Borrow returns an n-byte buffer, contents garbage, for bulk bytes
+// its caller will own — a sorted run, a reduce output — from the frame
+// pool's bulk class, which Recycle fills. It takes the first of up to
+// borrowLooks pooled buffers that holds n and at most twice n, and
+// puts the others back; failing that, it allocates n rounded up to a
+// BulkMin step. Below BulkMin, Borrow is a plain make. The caller
+// gives the buffer back with Recycle, or drops it.
+func Borrow(n int) []byte {
+	if n < bulkBufMin {
+		return make([]byte, n)
+	}
+	var unfit [borrowLooks]*bytes.Buffer
+	var p []byte
+	for k := range unfit {
+		b := bulkPool.Get().(*bytes.Buffer)
+		if b.Cap() >= n && b.Cap() <= 2*n {
+			p = b.AvailableBuffer()[:n]
+			break
+		}
+		if b.Cap() == 0 {
+			break // the pool is empty
+		}
+		unfit[k] = b
+	}
+	for _, b := range unfit {
+		if b != nil {
+			bulkPool.Put(b)
+		}
+	}
+	if p == nil {
+		p = make([]byte, n, bulkCap(n))
+	}
+	return p
+}
+
+// borrowLooks is how many pooled buffers Borrow looks at: looking only
+// at the head, a terasort Borrow missed one time in five (reduce
+// outputs vary by a step or two), and each miss left one more idle
+// buffer in the live heap.
+const borrowLooks = 4
+
+// Recycle gives a buffer its caller owns — one Tail.Keep or Borrow
+// returned, say — to the frame pool, in the size class its capacity
+// puts it in (a block's is the bulk class), poisoned over its whole
+// capacity first in race builds. A bulk-sized buffer whose capacity is
+// not a BulkMin step is dropped. Nothing may touch p afterwards.
 func Recycle(p []byte) {
 	putBuf(bytes.NewBuffer(p[:cap(p)]))
 }

@@ -508,11 +508,12 @@ func TestReadFrameLyingLengths(t *testing.T) {
 }
 
 // TestReadPartGrowsToFit pins what a part costs when the bulk pool
-// misses: a 1 MiB part allocates at most 2 MiB and leaves a buffer
-// under 2 MiB, and a 4 000 000-byte part (a terasort block) leaves one
-// the pool takes back. bytes.Buffer.ReadFrom's doubling costs the first
-// 3.75 MiB and a 2 MiB buffer, and MinRead headroom on every step would
-// push the second past maxPooledBuf.
+// misses: a 1 MiB part allocates at most 2 MiB, and every bulk part
+// leaves a buffer of its size rounded up to a bulk step — a 4 000
+// 000-byte part (a terasort block) one of 31 steps, not the 4 MiB
+// Grow's doubling left. bytes.Buffer.ReadFrom's doubling costs the
+// first 3.75 MiB and a 2 MiB buffer, and MinRead headroom on every step
+// would push the second past maxPooledBuf.
 func TestReadPartGrowsToFit(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts hold only without the race detector")
@@ -541,9 +542,46 @@ func TestReadPartGrowsToFit(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; tc.maxAlloc > 0 && grew > tc.maxAlloc {
 			t.Errorf("%d-byte part: allocated %d B, want <= %d", tc.n, grew, tc.maxAlloc)
 		}
-		if buf.Cap() > tc.maxCap {
-			t.Errorf("%d-byte part: buffer capacity %d, want <= %d", tc.n, buf.Cap(), tc.maxCap)
+		if buf.Cap() > tc.maxCap || buf.Cap() != bulkCap(tc.n) {
+			t.Errorf("%d-byte part: buffer capacity %d, want %d", tc.n, buf.Cap(), bulkCap(tc.n))
 		}
+	}
+}
+
+// TestBorrowRecycle pins the bulk-buffer life cycle: Borrow below the
+// bulk class is a plain make; a Borrow the pool cannot serve allocates
+// its size rounded up to a bulk step, and leaves a pooled buffer too
+// small for it in the pool; a Recycled buffer is what the next Borrow
+// of a size it fits gets; and Recycle drops a bulk-sized buffer off the
+// steps.
+func TestBorrowRecycle(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	defer func(saved *sync.Pool) { bulkPool = saved }(bulkPool)
+	bulkPool = newBufPool()
+	if p := Borrow(1000); len(p) != 1000 || cap(p) != 1000 {
+		t.Fatalf("Borrow(1000) = len %d cap %d, want a plain 1000-byte make", len(p), cap(p))
+	}
+	small := Borrow(BulkMin)
+	if len(small) != BulkMin || cap(small) != BulkMin {
+		t.Fatalf("cold Borrow(BulkMin) = len %d cap %d", len(small), cap(small))
+	}
+	Recycle(small)
+	big := Borrow(4_000_000)
+	if len(big) != 4_000_000 || cap(big) != 31*BulkMin {
+		t.Fatalf("Borrow(4 000 000) past a small pooled buffer = len %d cap %d, want cap %d", len(big), cap(big), 31*BulkMin)
+	}
+	if again := Borrow(BulkMin); &again[0] != &small[0] {
+		t.Fatal("the pooled buffer too small for a block was not put back")
+	}
+	Recycle(big)
+	if again := Borrow(3_990_000); &again[0] != &big[0] || len(again) != 3_990_000 {
+		t.Fatal("a recycled block buffer was not what the next Borrow it fits got")
+	}
+	Recycle(make([]byte, 300_000)) // off the steps: dropped
+	if p := Borrow(200_000); cap(p) != 2*BulkMin {
+		t.Fatalf("Borrow(200 000) got a %d-byte buffer, want a fresh %d: an off-step buffer was pooled", cap(p), 2*BulkMin)
 	}
 }
 

@@ -33,10 +33,10 @@ type entry struct {
 	mem  []byte
 	path string
 	size int64
-	loan *loan // the Lends of mem, once it has had one
+	loan *loan // the LendRanges of mem, once it has had one
 }
 
-// loan counts the Lends of one in-memory payload.
+// loan counts the LendRanges of one in-memory payload.
 type loan struct {
 	n       int  // lends not yet done
 	dropped bool // the store let go of it: the last done releases it
@@ -85,9 +85,9 @@ func NewStore(baseDir string, memLimit int64, _ ...Codec) *Store[string] {
 type Codec interface{ sealed() }
 
 // OnRelease hands f every in-memory payload the store lets go of: one
-// spilled to disk as Put writes it, one dropped by Delete or replaced
-// by a Put — the latter only once every Lend of it is done. f runs
-// outside the store's lock. Close hands nothing back.
+// spilled to disk as Put writes it, one dropped by Delete, replaced by
+// a Put or dropped by Close — the latter three only once every
+// LendRange of it is done. f runs outside the store's lock.
 func (s *Store[K]) OnRelease(f func([]byte)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -173,39 +173,6 @@ func (s *Store[K]) Get(key K) ([]byte, error) {
 	return readFrame(e.path, 0, e.size)
 }
 
-// Lend is Get for a caller that reads the payload after the store may
-// have dropped it (a reply still being written): an in-memory payload
-// goes to the OnRelease func only once done has run, once, for every
-// Lend of it. A spilled payload is read as Get reads it.
-func (s *Store[K]) Lend(key K) (data []byte, done func(), err error) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if !ok {
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("spill: no payload under %v", key)
-	}
-	if e.path != "" {
-		s.mu.Unlock()
-		data, err := readFrame(e.path, 0, e.size)
-		return data, func() {}, err
-	}
-	if e.loan == nil {
-		e.loan = &loan{}
-		s.entries[key] = e
-	}
-	l := e.loan
-	l.n++
-	s.mu.Unlock()
-	return e.mem, func() {
-		s.mu.Lock()
-		if l.n--; l.n == 0 && l.dropped {
-			s.unlock(e.mem)
-			return
-		}
-		s.mu.Unlock()
-	}, nil
-}
-
 // Open returns a streaming reader over key's payload: a spilled
 // payload streams from its file without materializing.
 func (s *Store[K]) Open(key K) (io.ReadCloser, error) {
@@ -224,29 +191,61 @@ func (s *Store[K]) Open(key K) (io.ReadCloser, error) {
 }
 
 // GetRange returns up to max bytes of key's payload starting at off,
-// along with the payload's total size — the primitive behind chunked
-// FetchPartition serving. max <= 0 means "the rest". Reads past the
-// end return an empty slice, not an error, so callers can detect the
-// end by comparing off against the returned size. A spilled payload is
-// read at off straight from its file.
+// along with the payload's total size. max <= 0 means "the rest".
+// Reads past the end return an empty slice, not an error, so callers
+// can detect the end by comparing off against the returned size. A
+// spilled payload is read at off straight from its file. In-memory
+// bytes are the store's own: a reader that may outlive a Delete of the
+// key borrows them with LendRange instead.
 func (s *Store[K]) GetRange(key K, off, max int64) ([]byte, int64, error) {
-	if off < 0 {
-		return nil, 0, fmt.Errorf("spill: negative offset %d for %v", off, key)
+	data, size, done, err := s.LendRange(key, off, max)
+	if err == nil {
+		done()
 	}
-	e, err := s.lookup(key)
-	if err != nil {
-		return nil, 0, err
+	return data, size, err
+}
+
+// LendRange is GetRange for a caller that reads the bytes after the
+// store may have dropped them (a reply still being written, a merge
+// still reading): an in-memory payload goes to the OnRelease func only
+// once done has run, once, for every LendRange of it. A spilled
+// payload's range is read as GetRange reads it, and its done does
+// nothing.
+func (s *Store[K]) LendRange(key K, off, max int64) (data []byte, size int64, done func(), err error) {
+	if off < 0 {
+		return nil, 0, nil, fmt.Errorf("spill: negative offset %d for %v", off, key)
+	}
+	s.mu.Lock()
+	e, ok := s.entries[key]
+	if !ok {
+		s.mu.Unlock()
+		return nil, 0, nil, fmt.Errorf("spill: no payload under %v", key)
 	}
 	off = min(off, e.size)
 	n := e.size - off
 	if max > 0 {
 		n = min(n, max)
 	}
-	if e.path == "" {
-		return e.mem[off : off+n], e.size, nil
+	if e.path != "" {
+		s.mu.Unlock()
+		data, err := readFrame(e.path, off, n)
+		return data, e.size, func() {}, err
 	}
-	data, err := readFrame(e.path, off, n)
-	return data, e.size, err
+	if e.loan == nil {
+		e.loan = &loan{}
+		s.entries[key] = e
+	}
+	l := e.loan
+	l.n++
+	s.mu.Unlock()
+	return e.mem[off : off+n], e.size, func() {
+		s.mu.Lock()
+		if l.n--; l.n == 0 && l.dropped {
+			s.unlock(e.mem)
+			return
+		}
+		s.mu.Unlock()
+	}, nil
 }
 
 // readFrame reads n bytes at off from the spilled frame at path.
@@ -290,7 +289,7 @@ func (s *Store[K]) dropLocked(key K) [][]byte {
 		return nil
 	case e.loan != nil && e.loan.n > 0:
 		s.memUse -= e.size
-		e.loan.dropped = true // its last Lend's done releases it
+		e.loan.dropped = true // its last LendRange's done releases it
 		return nil
 	}
 	s.memUse -= e.size
@@ -331,19 +330,25 @@ func (s *Store[K]) Len() int {
 	return len(s.entries)
 }
 
-// Close drops every payload and removes the spill directory. The
-// store rejects further Puts; Close is idempotent.
+// Close drops every payload, as Delete does — so the OnRelease func
+// gets each in-memory one back, a lent one at its last done — and
+// removes the spill directory. The store rejects further Puts; Close
+// is idempotent.
 func (s *Store[K]) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.entries = make(map[K]entry)
-	s.memUse = 0
-	if s.dir != "" {
-		return os.RemoveAll(s.dir)
+	var freed [][]byte
+	for key := range s.entries {
+		freed = append(freed, s.dropLocked(key)...)
+	}
+	dir := s.dir
+	s.unlock(freed...)
+	if dir != "" {
+		return os.RemoveAll(dir)
 	}
 	return nil
 }

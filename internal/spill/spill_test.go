@@ -295,37 +295,94 @@ func TestFailedSpillWriteLeavesNoFrame(t *testing.T) {
 	}
 }
 
-// FuzzStore drives a store with random Put, Delete, Get, Open and
-// GetRange sequences under a watermark of 0, SpillAll or a small
-// positive value, and holds it to a map: every read returns the last
-// bytes put, MemBytes never exceeds a positive watermark, a read
-// leaves MemBytes as it was, and Close removes the spill directory.
-// Each op is three bytes: op, key, argument.
+// FuzzStore drives a store with random Put, Delete, Get, Open,
+// GetRange, LendRange, done and Close sequences under a watermark of 0,
+// SpillAll or a small positive value, and holds it to a map: every read
+// returns the last bytes put, MemBytes never exceeds a positive
+// watermark, a read leaves MemBytes as it was, and Close removes the
+// spill directory. The OnRelease func poisons what it gets, and the
+// store must hand back every payload put exactly once — by the end,
+// when every loan is done — and none while it is lent: a loan's bytes
+// still read as put at its done. Each op is three bytes: op, key,
+// argument.
 func FuzzStore(f *testing.F) {
 	f.Add(byte(0), []byte{0, 0, 40, 2, 0, 0, 4, 0, 7})
 	f.Add(byte(1), []byte{0, 0, 40, 0, 1, 0, 3, 1, 0, 1, 0, 0, 2, 0, 0})
 	f.Add(byte(2), []byte{0, 0, 60, 0, 1, 60, 0, 2, 30, 4, 1, 33, 1, 0, 0, 3, 1, 0, 0, 1, 96})
+	f.Add(byte(0), []byte{0, 0, 40, 5, 0, 9, 1, 0, 0, 6, 0, 0, 0, 1, 50, 5, 1, 0, 7, 0, 0, 0, 1, 8})
+	f.Add(byte(2), []byte{0, 0, 60, 5, 0, 0, 0, 0, 30, 0, 1, 30, 5, 1, 4, 7, 0, 0, 6, 0, 0})
 	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
 		limit := [...]int64{0, SpillAll, 100}[mode%3]
 		base := t.TempDir()
 		s := NewStore(base, limit)
 		want := map[string][]byte{}
+		type lent struct {
+			got, exp []byte
+			payload  *byte // the lent payload; nil for an empty one
+			done     func()
+		}
+		var (
+			loans    []lent
+			lentN    = map[*byte]int{} // outstanding loans per payload
+			given    = map[*byte]int{} // times each payload was handed back
+			cur      = map[string][]byte{}
+			put      [][]byte // every payload the store took
+			closed   bool
+			closeErr error
+		)
+		s.OnRelease(func(p []byte) {
+			if len(p) == 0 {
+				return
+			}
+			if lentN[&p[0]] > 0 {
+				t.Fatalf("a %d-byte payload was handed back while lent", len(p))
+			}
+			given[&p[0]]++
+			for i := range p {
+				p[i] = 0xDB
+			}
+		})
+		endLoan := func() {
+			l := loans[0]
+			loans = loans[1:]
+			if !bytes.Equal(l.got, l.exp) {
+				t.Fatalf("a %d-byte loan changed before its done", len(l.exp))
+			}
+			lentN[l.payload]--
+			l.done()
+		}
 		for i := 0; i+3 <= len(ops); i += 3 {
-			op, key, arg := ops[i]%5, string(rune('a'+ops[i+1]%4)), ops[i+2]
-			if op == 0 {
+			op, key, arg := ops[i]%8, string(rune('a'+ops[i+1]%4)), ops[i+2]
+			switch op {
+			case 0:
 				data := payload(int(arg)%97, byte(i))
-				want[key] = bytes.Clone(data)
-				if err := s.Put(key, data); err != nil {
-					t.Fatal(err)
+				exp := bytes.Clone(data) // a spilled payload comes back poisoned
+				err := s.Put(key, data)
+				if closed != (err != nil) {
+					t.Fatalf("Put on a closed store (%v): err %v", closed, err)
+				}
+				if err == nil {
+					want[key], cur[key] = exp, data
+					put = append(put, data)
 				}
 				if m := s.MemBytes(); limit > 0 && m > limit {
 					t.Fatalf("MemBytes %d over the %d watermark", m, limit)
 				}
 				continue
-			}
-			if op == 1 {
+			case 1:
 				s.Delete(key)
 				delete(want, key)
+				delete(cur, key)
+				continue
+			case 6:
+				if len(loans) > 0 {
+					endLoan()
+				}
+				continue
+			case 7:
+				closed, closeErr = true, s.Close()
+				clear(want)
+				clear(cur)
 				continue
 			}
 			exp, ok := want[key]
@@ -341,13 +398,18 @@ func FuzzStore(f *testing.F) {
 					got, err = io.ReadAll(r)
 					r.Close()
 				}
-			case 4:
+			case 4, 5:
 				off, max := int64(arg%128), int64(arg/32)*8
 				var size int64
-				got, size, err = s.GetRange(key, off, max)
+				var done func()
+				if op == 4 {
+					got, size, err = s.GetRange(key, off, max)
+				} else {
+					got, size, done, err = s.LendRange(key, off, max)
+				}
 				if ok {
 					if size != int64(len(exp)) {
-						t.Fatalf("GetRange(%q) size %d, want %d", key, size, len(exp))
+						t.Fatalf("op %d on %q: size %d, want %d", op, key, size, len(exp))
 					}
 					lo := min(off, size)
 					hi := size
@@ -355,6 +417,14 @@ func FuzzStore(f *testing.F) {
 						hi = min(hi, lo+max)
 					}
 					exp = exp[lo:hi]
+				}
+				if done != nil {
+					var p *byte
+					if len(cur[key]) > 0 {
+						p = &cur[key][0]
+					}
+					loans = append(loans, lent{got, bytes.Clone(exp), p, done})
+					lentN[p]++
 				}
 			}
 			if ok != (err == nil) {
@@ -370,8 +440,16 @@ func FuzzStore(f *testing.F) {
 		if s.Len() != len(want) {
 			t.Fatalf("store holds %d payloads, want %d", s.Len(), len(want))
 		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+		if err := s.Close(); err != nil || closeErr != nil {
+			t.Fatal(err, closeErr)
+		}
+		for len(loans) > 0 {
+			endLoan()
+		}
+		for _, p := range put {
+			if len(p) > 0 && given[&p[0]] != 1 {
+				t.Fatalf("a %d-byte payload was handed back %d times, want once", len(p), given[&p[0]])
+			}
 		}
 		if left, err := os.ReadDir(base); err != nil || len(left) != 0 {
 			t.Fatalf("Close left %d entries in the base dir (%v)", len(left), err)
@@ -381,8 +459,9 @@ func FuzzStore(f *testing.F) {
 
 // TestReleaseHandsBackWhatTheStoreLetsGo: with an OnRelease func a
 // payload that spills is handed back as Put writes it, a resident one
-// as Delete or a replacing Put drops it — and a lent one only when its
-// last Lend is done, so a reply still writing it reads it intact.
+// as Delete, a replacing Put or Close drops it — and a lent one only
+// when its last LendRange is done, so a reply still writing it reads
+// it intact.
 func TestReleaseHandsBackWhatTheStoreLetsGo(t *testing.T) {
 	s := New[string](t.TempDir(), 25_000)
 	defer s.Close()
@@ -412,11 +491,11 @@ func TestReleaseHandsBackWhatTheStoreLetsGo(t *testing.T) {
 		t.Fatalf("spilled %d bytes, handed back the spilled payload: %v", s.SpilledBytes(), gave(c))
 	}
 
-	lent, done, err := s.Lend("a")
+	lent, _, done, err := s.LendRange("a", 0, 0)
 	if err != nil || &lent[0] != &a[0] {
-		t.Fatalf("Lend lent another slice than the stored one, err %v", err)
+		t.Fatalf("LendRange lent another slice than the stored one, err %v", err)
 	}
-	again, doneAgain, _ := s.Lend("a")
+	again, _, doneAgain, _ := s.LendRange("a", 0, 0)
 	s.Delete("a")
 	if gave(a) {
 		t.Fatal("a lent payload was handed back at its Delete")
@@ -430,10 +509,10 @@ func TestReleaseHandsBackWhatTheStoreLetsGo(t *testing.T) {
 	}
 	doneAgain()
 	if !gave(a) {
-		t.Fatal("a deleted payload was not handed back after its last Lend was done")
+		t.Fatal("a deleted payload was not handed back after its last LendRange was done")
 	}
 
-	_, done, _ = s.Lend("b")
+	_, _, done, _ = s.LendRange("b", 0, 0)
 	if err := s.Put("b", payload(10_000, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -442,13 +521,36 @@ func TestReleaseHandsBackWhatTheStoreLetsGo(t *testing.T) {
 	}
 	done()
 	if !gave(b) {
-		t.Fatal("a replaced payload was not handed back after its Lend was done")
+		t.Fatal("a replaced payload was not handed back after its LendRange was done")
 	}
 
 	// A spilled payload is lent as a fresh read, which nothing pins.
-	spilled, done, err := s.Lend("c")
+	spilled, _, done, err := s.LendRange("c", 0, 0)
 	done()
 	if err != nil || !bytes.Equal(spilled, payload(10_000, 3)) {
-		t.Fatalf("Lend of a spilled payload read wrong bytes, err %v", err)
+		t.Fatalf("LendRange of a spilled payload read wrong bytes, err %v", err)
+	}
+
+	// Close hands back a free payload at once and a lent one at its last
+	// done, while the loan still reads it intact.
+	d, e := payload(5_000, 5), payload(5_000, 6)
+	s.Put("d", d)
+	s.Put("e", e)
+	tail, size, done, err := s.LendRange("e", 4_000, 500)
+	if err != nil || size != 5_000 || !bytes.Equal(tail, e[4_000:4_500]) {
+		t.Fatalf("LendRange(e, 4000, 500) = %d bytes of %d, err %v", len(tail), size, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !gave(d) || gave(e) {
+		t.Fatalf("after Close: free payload handed back %v, lent one %v", gave(d), gave(e))
+	}
+	if !bytes.Equal(tail, payload(5_000, 6)[4_000:4_500]) {
+		t.Fatal("a lent payload changed at Close")
+	}
+	done()
+	if !gave(e) {
+		t.Fatal("a payload lent through Close was not handed back at its done")
 	}
 }
