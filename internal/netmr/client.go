@@ -66,8 +66,8 @@ func (c *Client) WriteFile(name string, data []byte, preferred string) error {
 // in-flight bytes bounded by the client's ingest window — a dataset
 // far larger than RAM costs O(window) memory, and the window keeps the
 // network pipe full without the old one-block-per-round-trip stall.
-// Its block buffers are borrowed from rpcnet's bulk class, reused from
-// block to block, and recycled when it returns. It returns the bytes
+// Its block buffers are borrowed from rpcnet's bulk classes, reused
+// from block to block, and recycled when it returns. It returns the bytes
 // consumed from r; on error some trailing blocks may not have been
 // stored.
 func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, error) {
@@ -427,7 +427,7 @@ func (c *Client) streamOutputPiece(jobID int64, ref MapOutputRef, w io.Writer) e
 		start := off
 		err := c.wire.bulk(ref.Addr, "FetchPartition", FetchPartitionArgs{
 			JobID: jobID, MapTask: ref.MapTask, Part: ref.Part,
-			Offset: off, MaxBytes: outputChunkBytes, Collect: true,
+			Offset: off, MaxBytes: outputChunkBytes,
 		}, nil, &rep, func(chunk []byte) error {
 			off += int64(len(chunk))
 			_, err := w.Write(chunk)

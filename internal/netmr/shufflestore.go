@@ -138,20 +138,6 @@ func (st *shuffleStore) lend(jobID int64, k partKey, off, maxBytes int64) (data 
 	return data, size, done, err
 }
 
-// drop drops the whole stored output k names, ahead of its job's purge.
-func (st *shuffleStore) drop(jobID int64, k partKey) {
-	slot, _ := slotOf(k)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if hold := st.byJob[jobID]; hold != nil && len(hold.cuts[slot]) == 2 {
-		st.s.Delete(shuffleKey{jobID, slot})
-		hold.bytes -= hold.cuts[slot][1]
-		if delete(hold.cuts, slot); len(hold.cuts) == 0 {
-			delete(st.byJob, jobID)
-		}
-	}
-}
-
 // purgeJob drops every payload a finished job left behind. Held under
 // the same lock as put (see there); deletes are cheap (map removal or
 // file unlink), and a payload still lent goes back at its last done.

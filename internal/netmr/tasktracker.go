@@ -250,9 +250,6 @@ func (tt *TaskTracker) handleFetchPartition(args FetchPartitionArgs, _ *rpcnet.T
 		return FetchPartitionReply{}, rpcnet.Reply{}, fmt.Errorf("netmr: tracker %s holds no partition %d of job %d map %d",
 			tt.ID, args.Part, args.JobID, args.MapTask)
 	}
-	if args.Collect && args.Offset+int64(len(data)) >= size {
-		tt.store.drop(args.JobID, partKey{args.MapTask, args.Part})
-	}
 	return FetchPartitionReply{Size: size}, rpcnet.Reply{Bytes: data, Release: done}, nil
 }
 

@@ -215,12 +215,6 @@ type FetchPartitionArgs struct {
 	// Each in-flight fetch holds MaxBytes of credit in the reducer's
 	// flow window, so outstanding shuffle bytes stay provably bounded.
 	MaxBytes int64
-	// Collect marks WaitOutput's read of a job's stored output, which
-	// reads it once: the store drops the output once a reply has served
-	// its last byte, rather than at the job's purge a heartbeat later, so
-	// its buffer is back in rpcnet's pool before the next job stages its
-	// input.
-	Collect bool
 }
 
 // FetchPartitionReply rides ahead of the partition payload (or a chunk

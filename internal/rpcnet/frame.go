@@ -42,12 +42,11 @@ const (
 	frameMaxMeta = 1<<16 - 1
 
 	// maxPooledBuf caps the capacity of buffers returned to the pool,
-	// so one jumbo frame doesn't pin megabytes forever; bulkBufMin is
-	// where the pool's bulk size class starts (BulkMin). It sits at twice a
-	// shuffle fetch chunk (64 KiB), so a chunk's buffer, and one that
-	// doubled past 64 KiB for a piece's last, shorter chunk, stay in the
-	// small class: in the bulk class a block read would take them and
-	// grow them all over again.
+	// so one jumbo frame doesn't pin megabytes forever; bulkBufMin
+	// (BulkMin) is where the pool's bulk classes start, and their step.
+	// It sits at twice a shuffle fetch chunk (64 KiB), so a chunk's
+	// buffer, and one that doubled past 64 KiB for a piece's last,
+	// shorter chunk, stay in the small class.
 	maxPooledBuf = 4 << 20
 	bulkBufMin   = BulkMin
 
@@ -72,23 +71,43 @@ const (
 // so an "hmr3" peer fails the hello instead of misparsing.
 var helloMagic = [4]byte{'h', 'm', 'r', '4'}
 
-// bufPool and bulkPool recycle frame buffers across calls and
-// connections, in two size classes: a control message's gob body never
-// takes a buffer that grew to hold a block, which would leave the next
-// block read to grow a small one all over again.
-var bufPool, bulkPool = newBufPool(), newBufPool()
+// bufPool and bulkPools recycle frame buffers across calls and
+// connections: bufPool below bulkBufMin, bulkPools[k] the bulk buffers
+// of k+1 steps of bulkBufMin. A control message's gob body never takes
+// a buffer that grew to hold a block, and a bulk read or Borrow takes a
+// buffer of its own size, while one of a size nobody asks for anymore
+// ages out at the GC.
+var bufPool, bulkPools = newBufPool(), newBulkPools()
 
 func newBufPool() *sync.Pool {
 	return &sync.Pool{New: func() any { return new(bytes.Buffer) }}
+}
+
+func newBulkPools() (p [maxPooledBuf / bulkBufMin]*sync.Pool) {
+	for k := range p {
+		p[k] = new(sync.Pool)
+	}
+	return p
 }
 
 // getBuf returns a pooled buffer for about n bytes; 0 is a gob encode,
 // whose size nobody knows beforehand.
 func getBuf(n int) *bytes.Buffer {
 	if n >= bulkBufMin {
-		return bulkPool.Get().(*bytes.Buffer)
+		return bulkFit(n)
 	}
 	return bufPool.Get().(*bytes.Buffer)
+}
+
+// bulkFit returns a pooled bulk buffer that holds n bytes and at most
+// twice n, the smallest there is, or an empty buffer.
+func bulkFit(n int) *bytes.Buffer {
+	for k := bulkCap(n) / bulkBufMin; k <= min(2*n/bulkBufMin, len(bulkPools)); k++ {
+		if b, ok := bulkPools[k-1].Get().(*bytes.Buffer); ok {
+			return b
+		}
+	}
+	return new(bytes.Buffer)
 }
 
 // bulkCap rounds n up to the bulk class's step, so buffers for parts
@@ -97,7 +116,7 @@ func bulkCap(n int) int { return (n + bulkBufMin - 1) / bulkBufMin * bulkBufMin 
 
 // putBuf returns b to the class its capacity puts it in, poisoned
 // first in race builds (poisonReleased). A bulk-sized buffer off the
-// bulkCap steps is dropped: the class holds only step sizes.
+// bulkCap steps is dropped: the bulk classes hold only step sizes.
 func putBuf(b *bytes.Buffer) {
 	if b == nil {
 		return
@@ -112,7 +131,7 @@ func putBuf(b *bytes.Buffer) {
 	}
 	b.Reset()
 	if b.Cap() >= bulkBufMin {
-		bulkPool.Put(b)
+		bulkPools[b.Cap()/bulkBufMin-1].Put(b)
 	} else {
 		bufPool.Put(b)
 	}

@@ -100,54 +100,31 @@ type Reply struct {
 	Release func()
 }
 
-// BulkMin is where the frame pool's bulk size class starts, and its
-// step: every bulk buffer's capacity is a multiple of it.
+// BulkMin is where the frame pool's bulk size classes start, and
+// their step: every bulk buffer's capacity is a multiple of it, and
+// each multiple up to 4 MiB is a class of its own.
 const BulkMin = 128 << 10
 
 // Borrow returns an n-byte buffer, contents garbage, for bulk bytes
 // its caller will own — a sorted run, a reduce output — from the frame
-// pool's bulk class, which Recycle fills. It takes the first of up to
-// borrowLooks pooled buffers that holds n and at most twice n, and
-// puts the others back; failing that, it allocates n rounded up to a
-// BulkMin step. Below BulkMin, Borrow is a plain make. The caller
-// gives the buffer back with Recycle, or drops it.
+// pool's bulk classes, which Recycle fills. It takes the smallest
+// pooled buffer that holds n and at most twice n, as a frame read does;
+// failing that, it allocates n rounded up to a BulkMin step. Below
+// BulkMin, Borrow is a plain make. The caller gives the buffer back
+// with Recycle, or drops it.
 func Borrow(n int) []byte {
 	if n < bulkBufMin {
 		return make([]byte, n)
 	}
-	var unfit [borrowLooks]*bytes.Buffer
-	var p []byte
-	for k := range unfit {
-		b := bulkPool.Get().(*bytes.Buffer)
-		if b.Cap() >= n && b.Cap() <= 2*n {
-			p = b.AvailableBuffer()[:n]
-			break
-		}
-		if b.Cap() == 0 {
-			break // the pool is empty
-		}
-		unfit[k] = b
+	if b := bulkFit(n); b.Cap() > 0 {
+		return b.AvailableBuffer()[:n]
 	}
-	for _, b := range unfit {
-		if b != nil {
-			bulkPool.Put(b)
-		}
-	}
-	if p == nil {
-		p = make([]byte, n, bulkCap(n))
-	}
-	return p
+	return make([]byte, n, bulkCap(n))
 }
-
-// borrowLooks is how many pooled buffers Borrow looks at: looking only
-// at the head, a terasort Borrow missed one time in five (reduce
-// outputs vary by a step or two), and each miss left one more idle
-// buffer in the live heap.
-const borrowLooks = 4
 
 // Recycle gives a buffer its caller owns — one Tail.Keep or Borrow
 // returned, say — to the frame pool, in the size class its capacity
-// puts it in (a block's is the bulk class), poisoned over its whole
+// puts it in (a block's is a bulk class), poisoned over its whole
 // capacity first in race builds. A bulk-sized buffer whose capacity is
 // not a BulkMin step is dropped. Nothing may touch p afterwards.
 func Recycle(p []byte) {

@@ -518,7 +518,7 @@ func TestReadPartGrowsToFit(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts hold only without the race detector")
 	}
-	defer func(saved *sync.Pool) { bulkPool = saved }(bulkPool)
+	defer func(saved [maxPooledBuf / bulkBufMin]*sync.Pool) { bulkPools = saved }(bulkPools)
 	for _, tc := range []struct {
 		n        int
 		maxAlloc uint64 // 0: not pinned
@@ -527,7 +527,7 @@ func TestReadPartGrowsToFit(t *testing.T) {
 		{n: 1 << 20, maxAlloc: 2 << 20, maxCap: 2<<20 - 1},
 		{n: 4_000_000, maxCap: maxPooledBuf},
 	} {
-		bulkPool = newBufPool() // cold: the pool has nothing to hand out
+		bulkPools = newBulkPools() // cold: the pool has nothing to hand out
 		br := bufio.NewReaderSize(bytes.NewReader(make([]byte, tc.n)), connReadBuf)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -549,17 +549,18 @@ func TestReadPartGrowsToFit(t *testing.T) {
 }
 
 // TestBorrowRecycle pins the bulk-buffer life cycle: Borrow below the
-// bulk class is a plain make; a Borrow the pool cannot serve allocates
+// bulk classes is a plain make; a Borrow the pool cannot serve allocates
 // its size rounded up to a bulk step, and leaves a pooled buffer too
 // small for it in the pool; a Recycled buffer is what the next Borrow
-// of a size it fits gets; and Recycle drops a bulk-sized buffer off the
-// steps.
+// of a size it fits gets; Recycle drops a bulk-sized buffer off the
+// steps; and a frame read picks as Borrow does, so a 1 MiB part never
+// lands in a pooled 4 MB buffer.
 func TestBorrowRecycle(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	defer func(saved *sync.Pool) { bulkPool = saved }(bulkPool)
-	bulkPool = newBufPool()
+	defer func(saved [maxPooledBuf / bulkBufMin]*sync.Pool) { bulkPools = saved }(bulkPools)
+	bulkPools = newBulkPools()
 	if p := Borrow(1000); len(p) != 1000 || cap(p) != 1000 {
 		t.Fatalf("Borrow(1000) = len %d cap %d, want a plain 1000-byte make", len(p), cap(p))
 	}
@@ -582,6 +583,17 @@ func TestBorrowRecycle(t *testing.T) {
 	Recycle(make([]byte, 300_000)) // off the steps: dropped
 	if p := Borrow(200_000); cap(p) != 2*BulkMin {
 		t.Fatalf("Borrow(200 000) got a %d-byte buffer, want a fresh %d: an off-step buffer was pooled", cap(p), 2*BulkMin)
+	}
+	Recycle(big)
+	part, err := readPart(bufio.NewReaderSize(bytes.NewReader(make([]byte, 1<<20)), connReadBuf), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.Cap() != bulkCap(1<<20) {
+		t.Fatalf("a 1 MiB frame part read into a %d-byte buffer, want a fresh %d", part.Cap(), bulkCap(1<<20))
+	}
+	if again := Borrow(4_000_000); &again[0] != &big[0] {
+		t.Fatal("the block buffer a 1 MiB frame part skipped was not put back")
 	}
 }
 
