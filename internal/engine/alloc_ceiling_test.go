@@ -14,7 +14,9 @@ import (
 // TestNetJobAllocationCeilings holds a warm net cluster to the bulk
 // buffer life cycle, by runtime.MemStats over whole jobs: a bench-shaped
 // 32 MB terasort (4 workers, 4 MB blocks, 8 reducers) and a 32 MiB
-// encryption (1 MiB blocks). Every stored bulk buffer — a DFS block, a
+// encryption (1 MiB blocks), and a bench-shaped 32 MiB Zipf word count
+// (1 MiB blocks, 4 reducers, the cell mapper), whose SPE word tables
+// are the device's own and kept from job to job. Every stored bulk buffer — a DFS block, a
 // sorted map run, a reduce output, a ciphertext block, an ingest buffer
 // — is borrowed from rpcnet's pool and recycled when its store lets it
 // go, so a warm job allocates a fraction of its input: without the
@@ -34,14 +36,14 @@ func TestNetJobAllocationCeilings(t *testing.T) {
 		name    string
 		cfg     Config
 		job     func(input []byte) *Job
-		size    int
+		input   func() []byte
 		ceiling float64 // B allocated per input byte, median of the warm jobs
 	}{
 		{
 			name:    "sort",
 			cfg:     Config{Workers: 4, BlockSize: 4_000_000, Reducers: 8},
 			job:     func(in []byte) *Job { return &Job{Kind: Sort, Source: bytes.NewReader(in), Sink: io.Discard} },
-			size:    32_000_000,
+			input:   func() []byte { return kernels.GenerateSortRecords(51, 32_000_000/kernels.SortRecordBytes) },
 			ceiling: 1.0,
 		},
 		{
@@ -50,12 +52,19 @@ func TestNetJobAllocationCeilings(t *testing.T) {
 			job: func(in []byte) *Job {
 				return &Job{Kind: Encrypt, Source: bytes.NewReader(in), Sink: io.Discard, Key: []byte("alloc-ceiling-k!")}
 			},
-			size:    32 << 20,
+			input:   func() []byte { return kernels.GenerateSortRecords(51, 32<<20/kernels.SortRecordBytes) },
 			ceiling: 0.2,
+		},
+		{
+			name:    "wordcount",
+			cfg:     Config{Workers: 4, BlockSize: 1 << 20, Reducers: 4},
+			job:     func(in []byte) *Job { return &Job{Kind: Wordcount, Source: bytes.NewReader(in)} },
+			input:   func() []byte { return testutil.ZipfText(52, 32<<20) },
+			ceiling: 0.25,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			input := kernels.GenerateSortRecords(51, tc.size/kernels.SortRecordBytes)
+			input := tc.input()
 			r, err := New("net", tc.cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -2,11 +2,15 @@ package kernels
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"hetmr/internal/testutil"
 )
 
 // referenceWordCount is the map-based counter WordTable replaced: a
@@ -88,10 +92,11 @@ func TestWordTableMatchesReference(t *testing.T) {
 		fmt.Fprintf(&many, "w%d ", i%7_000)
 	}
 	high := []byte("caf\xe9 na\xefve \x80\xff word\x7fend")
-	for _, tc := range []struct {
+	type row struct {
 		name string
 		text []byte
-	}{
+	}
+	rows := []row{
 		{"empty", nil},
 		{"separators only", []byte(" \t\n.,;!?-\x00\x80\xff  ")},
 		{"mixed case", []byte("Hello HELLO hello hElLo World")},
@@ -101,7 +106,22 @@ func TestWordTableMatchesReference(t *testing.T) {
 		{"trailing word", []byte("no separator at the END")},
 		{"growth", []byte(many.String())},
 		{"4 KB pieces", bytes.Repeat([]byte("Lorem ipsum dolor sit amet, consectetur 2009.\n"), 400)},
-	} {
+		{"words across 64-byte chunk edges", []byte(strings.Repeat(".", 60) + "CrossesAnEdge " + strings.Repeat("x", 50) + "Y" + strings.Repeat("Z9", 70) + " tail")},
+		{"every byte between word bytes", everyByteText()},
+		{"same last eight bytes", []byte("a12345678 b12345678 A12345678 12345678 x12345678 aaaaaaaaa aaaaaaaaaa aaaaaaaa")},
+		{"same first and last eight bytes", []byte("abcdefgh1ijklmnop abcdefgh2ijklmnop ABCDEFGH1IJKLMNOP abcdefghijklmnop abcdefgh12ijklmnop")},
+		{"case and high bytes at each position of eight", caseWindowText()},
+	}
+	// Words of the lengths around the scan's 8-byte loads and 64-byte
+	// chunks, ending at every offset of the text's last 64 bytes.
+	for _, n := range []int{7, 8, 9, 15, 16, 17, 63, 64, 65} {
+		word := strings.Repeat("aB3", 22)[:n]
+		for k := 0; k < 64; k++ {
+			rows = append(rows, row{fmt.Sprintf("%d-byte word %d bytes from the end", n, k),
+				[]byte("lead " + strings.Repeat("q", k%9) + " " + word + strings.Repeat(" ", k))})
+		}
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			want := referenceWordCount(tc.text)
 			var whole WordTable
@@ -127,6 +147,33 @@ func TestWordTableMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// everyByteText puts each of the 256 byte values between two word
+// bytes, so each is read as a separator or as part of a word.
+func everyByteText() []byte {
+	var text []byte
+	for b := 0; b < 256; b++ {
+		text = append(text, 'w', byte(b), '7', ' ')
+	}
+	return text
+}
+
+// caseWindowText puts an upper-case byte, and a byte >= 0x80 whose low
+// seven bits are a letter or digit, at each position of words of eight
+// and more bytes.
+func caseWindowText() []byte {
+	var text []byte
+	for _, w := range []string{"abcdefgh", "abcdefghijkl", "abcdefghijklmnopq"} {
+		for i := range 8 {
+			for _, c := range []byte{w[i] - 'a' + 'A', w[i] | 0x80, '1' | 0x80} {
+				v := []byte(w)
+				v[i] = c
+				text = append(append(text, v...), ' ')
+			}
+		}
+	}
+	return text
 }
 
 // separatorPieces cuts text into pieces of about size bytes, each
@@ -174,6 +221,10 @@ func TestWordCountMatchesReferenceProperty(t *testing.T) {
 func FuzzWordCount(f *testing.F) {
 	f.Add([]byte("the cat and The DOG and the bird"), uint8(7))
 	f.Add([]byte("caf\xe9 A1b2!c3\x00"+strings.Repeat("z", 70)), uint8(1))
+	f.Add([]byte(strings.Repeat(".", 60)+"CrossesAnEdge a1234567 b12345678 c123456789 "+strings.Repeat("Q", 65)), uint8(63))
+	f.Add([]byte("a12345678 b12345678 abcdefgh1ijklmnop abcdefgh2ijklmnop aaaaaaaaa aaaaaaaaaa"), uint8(9))
+	f.Add(caseWindowText(), uint8(200))
+	f.Add(everyByteText(), uint8(31))
 	f.Fuzz(func(t *testing.T, text []byte, piece uint8) {
 		want := referenceWordCount(text)
 		if got := WordCount(text); !reflect.DeepEqual(got, want) {
@@ -187,4 +238,102 @@ func FuzzWordCount(f *testing.F) {
 			t.Fatalf("pieces of %d: %v, want %v", int(piece)+1, got, want)
 		}
 	})
+}
+
+// referenceRuns is Runs as a comparison sort of the table's words on
+// partition, then bytes: the oracle the radix sort is held to, byte
+// for byte.
+func referenceRuns(tab *WordTable, parts int) ([]byte, []int64) {
+	type wordCount struct {
+		part int
+		word string
+		n    int64
+	}
+	var all []wordCount
+	tab.Each(func(w string, n int64) { all = append(all, wordCount{PartitionIndexString(w, parts), w, n}) })
+	slices.SortFunc(all, func(a, b wordCount) int {
+		return cmp.Or(cmp.Compare(a.part, b.part), strings.Compare(a.word, b.word))
+	})
+	var runs []byte
+	sizes := make([]int64, parts)
+	for _, e := range all {
+		n := len(runs)
+		runs = appendWordCount(runs, []byte(e.word), uint64(e.n))
+		sizes[e.part] += int64(len(runs) - n)
+	}
+	return runs, sizes
+}
+
+// TestWordTableRunsMatchReference holds Runs to referenceRuns on Zipf
+// blocks, on texts whose words share their first eight bytes, on a
+// table grown several times and on one filled by Merge, each counted
+// afresh after a Reset and cut one, four and seven ways; Each reads
+// the same words and counts after Runs.
+func TestWordTableRunsMatchReference(t *testing.T) {
+	var many strings.Builder
+	for i := 0; i < 20_000; i++ {
+		fmt.Fprintf(&many, "w%d ", i%7_000)
+	}
+	ties := []byte("abcdefgh1ijklmnop abcdefgh2ijklmnop abcdefgh abcdefghi abcdefgh12 ABCDEFGHZ abcdefgh")
+	var tab WordTable
+	for _, tc := range []struct {
+		name string
+		fill func()
+	}{
+		{"zipf 1 MiB", func() { tab.Add(testutil.ZipfText(1, 1<<20)) }},
+		{"zipf 64 KiB", func() { tab.Add(testutil.ZipfText(2, 64<<10)) }},
+		{"shared first eight bytes", func() { tab.Add(ties); tab.Add(caseWindowText()) }},
+		{"growth", func() { tab.Add([]byte(many.String())) }},
+		{"merged", func() {
+			var a, b WordTable
+			a.Add(testutil.ZipfText(3, 256<<10))
+			b.Add(ties)
+			b.Add(testutil.ZipfText(4, 256<<10))
+			tab.Merge(&a)
+			tab.Merge(&b)
+		}},
+	} {
+		for _, parts := range []int{1, 4, 7} {
+			tab.Reset()
+			tc.fill()
+			want, wantSizes := referenceRuns(&tab, parts)
+			got, sizes := tab.Runs(parts)
+			if !bytes.Equal(got, want) || !slices.Equal(sizes, wantSizes) {
+				t.Fatalf("%s, %d parts: runs differ from the reference (sizes %v, want %v)", tc.name, parts, sizes, wantSizes)
+			}
+			if cap(got) != len(got) {
+				t.Errorf("%s: runs of %d bytes in a buffer of %d", tc.name, len(got), cap(got))
+			}
+			if again, _ := referenceRuns(&tab, parts); !bytes.Equal(again, want) {
+				t.Fatalf("%s, %d parts: Each reads other words or counts after Runs", tc.name, parts)
+			}
+		}
+	}
+}
+
+var benchRuns []byte
+
+// BenchmarkWordTable times the word-count map kernel on Zipf blocks:
+// Add counts a block into a warm (Reset) table, and Add+Runs also cuts
+// the counted table into four word runs, as a map task does.
+func BenchmarkWordTable(b *testing.B) {
+	for _, size := range []int{1 << 20, 64 << 10} {
+		block := testutil.ZipfText(7, size)
+		var tab WordTable
+		b.Run(fmt.Sprintf("%dKiB/Add", size>>10), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				tab.Reset()
+				tab.Add(block)
+			}
+		})
+		b.Run(fmt.Sprintf("%dKiB/Add+Runs", size>>10), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				tab.Reset()
+				tab.Add(block)
+				benchRuns, _ = tab.Runs(4)
+			}
+		})
+	}
 }

@@ -3,7 +3,6 @@ package kernels
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -20,26 +19,92 @@ var errWordRun = errors.New("kernels: malformed word run")
 // sends to p, in ascending byte order, each as uvarint(len) word
 // uvarint(count), so equal counts are equal bytes. The runs come back
 // to back, in partition order, in one allocation of exactly their
-// size, with each run's size. Runs reorders the entries, so the table
-// counts again only after Reset.
+// size, with each run's size. Each still reads the table afterwards;
+// Add, Merge and Runs need a Reset first.
+//
+// Runs sorts entry indices in the slots, which hold at least two per
+// word, with one LSD counting pass per byte of the words' first eight
+// that varies — big-endian, a short word's zero padding sorting before
+// any word byte — and a last pass on the partition. Only words that
+// share their first eight bytes compare the rest.
 func (t *WordTable) Runs(parts int) (runs []byte, sizes []int64) {
-	word := func(e wordEntry) []byte { return t.arena[e.off : e.off+e.n] }
+	n := len(t.entries)
+	order, scratch := t.slots[:n], t.slots[n:2*n]
+	// sizes counts each partition's words, then holds where the next
+	// one goes in the last pass, then each run's size.
+	sizes = make([]int64, parts)
+	var counts [8][256]int // per prefix byte, from the last
 	size := 0
 	for i := range t.entries {
 		e := &t.entries[i]
-		e.key = uint64(PartitionIndexString(word(*e), parts)) // the slot key is dead until Reset
-		size += uvarintLen(uint64(e.n)) + e.n + uvarintLen(uint64(e.count))
+		// The keys are dead until Reset: key takes the word's first
+		// eight bytes and head its partition.
+		e.key, e.head = e.prefix(), uint64(PartitionIndexString(t.word(*e), parts))
+		order[i] = uint32(i)
+		for d := range counts {
+			counts[d][byte(e.key>>(8*d))]++
+		}
+		sizes[e.head]++
+		size += uvarintLen(uint64(e.n)) + int(e.n) + uvarintLen(uint64(e.count))
 	}
-	slices.SortFunc(t.entries, func(a, b wordEntry) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), bytes.Compare(word(a), word(b)))
-	})
-	runs, sizes = make([]byte, 0, size), make([]int64, parts)
-	for _, e := range t.entries {
+	for d := range counts {
+		c := &counts[d]
+		if n == 0 || c[byte(t.entries[0].key>>(8*d))] == n {
+			continue // every word has this byte: the pass would move none
+		}
+		at := 0
+		for v, k := range c {
+			c[v], at = at, at+k
+		}
+		for _, i := range order {
+			v := byte(t.entries[i].key >> (8 * d))
+			scratch[c[v]] = i
+			c[v]++
+		}
+		order, scratch = scratch, order
+	}
+	at := int64(0)
+	for p, k := range sizes {
+		sizes[p], at = at, at+k
+	}
+	for _, i := range order {
+		p := t.entries[i].head
+		scratch[sizes[p]] = i
+		sizes[p]++
+	}
+	order = scratch
+	for i := 0; i < n; {
+		a, j := t.entries[order[i]], i+1
+		for j < n && t.entries[order[j]].key == a.key && t.entries[order[j]].head == a.head {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(order[i:j], func(x, y uint32) int {
+				return bytes.Compare(t.word(t.entries[x]), t.word(t.entries[y]))
+			})
+		}
+		i = j
+	}
+	runs = make([]byte, 0, size)
+	clear(sizes)
+	for _, i := range order {
+		e := t.entries[i]
 		n := len(runs)
-		runs = appendWordCount(runs, word(e), uint64(e.count))
-		sizes[e.key] += int64(len(runs) - n)
+		runs = appendWordCount(runs, t.word(e), uint64(e.count))
+		sizes[e.head] += int64(len(runs) - n)
 	}
 	return runs, sizes
+}
+
+func (t *WordTable) word(e wordEntry) []byte { return t.arena[e.off : e.off+e.n] }
+
+// prefix returns e's word's first eight bytes, big-endian, zero-padded:
+// its head past eight bytes, else its key moved to the top.
+func (e wordEntry) prefix() uint64 {
+	if e.n > 8 {
+		return e.head
+	}
+	return e.key << (8 * (8 - e.n))
 }
 
 // Reset empties the table and keeps its memory for the next count.

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand/v2"
 	"runtime"
 	"slices"
 	"strings"
@@ -290,28 +289,8 @@ func TestSortPartitionAllocationCeiling(t *testing.T) {
 	}
 }
 
-// zipfText returns size bytes of space-separated words drawn Zipf(1.2)
-// from a fixed 5 000-word vocabulary of 3 to 12 lowercase letters: the
-// shape of the benchmark's wordcount text, where a few words dominate
-// and the tail keeps the table at a realistic size.
-func zipfText(seed uint64, size int) []byte {
-	vr := rand.New(rand.NewPCG(2009, 0))
-	vocab := make([][]byte, 5000)
-	for i := range vocab {
-		w := []byte{byte('a' + i%26), byte('a' + i/26%26), byte('a' + i/676%26)}
-		for extra := vr.IntN(10); extra > 0; extra-- {
-			w = append(w, byte('a'+vr.IntN(26)))
-		}
-		vocab[i] = w
-	}
-	z := rand.NewZipf(rand.New(rand.NewPCG(seed, 0)), 1.2, 1, uint64(len(vocab)-1))
-	text := make([]byte, 0, size+16)
-	for len(text) < size {
-		text = append(text, vocab[z.Uint64()]...)
-		text = append(text, ' ')
-	}
-	return text[:size]
-}
+// zipfText is the benchmark-shaped wordcount text (testutil.ZipfText).
+func zipfText(seed uint64, size int) []byte { return testutil.ZipfText(seed, size) }
 
 // TestWordCountPartitionAllocationCeiling holds the wordcount map
 // kernel, host and accelerated, on a 64 KB block — the small job's
