@@ -113,8 +113,9 @@ func (c *LiveCluster) runBlocks(work []blockWork,
 // RunWordCount counts the words of a stored file. Each block is
 // counted into its own kernels.WordTable, and the commit hook merges
 // the winning table into the job's one table, so a speculative
-// duplicate never counts a block twice.
-func (c *LiveCluster) RunWordCount(input string) (map[string]int64, error) {
+// duplicate never counts a block twice. It returns that table's word
+// run (kernels.EachWordRun), the bytes a net word count's Reduce does.
+func (c *LiveCluster) RunWordCount(input string) ([]byte, error) {
 	work, err := c.planBlocks(input)
 	if err != nil {
 		return nil, err
@@ -133,9 +134,8 @@ func (c *LiveCluster) RunWordCount(input string) (map[string]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts := make(map[string]int64)
-	total.Each(func(w string, n int64) { counts[w] = n })
-	return counts, nil
+	run, _ := total.Runs(1)
+	return run, nil
 }
 
 // StreamJob transforms a stored file record-by-record (the encryption

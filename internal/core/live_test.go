@@ -36,7 +36,11 @@ func TestRunWordCount(t *testing.T) {
 		sb.WriteString(fmt.Sprintf("w%02d ", i%5)) // "w00 ".."w04 ", 4 bytes each
 	}
 	c := textCluster(t, sb.String())
-	counts, err := c.RunWordCount("/input.txt")
+	run, err := c.RunWordCount("/input.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := runCounts(run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +52,14 @@ func TestRunWordCount(t *testing.T) {
 			t.Errorf("count[%s] = %d, want 32", w, n)
 		}
 	}
+}
+
+// runCounts decodes a word run into a map, failing on a malformed or
+// unsorted run.
+func runCounts(run []byte) (map[string]int64, error) {
+	counts := make(map[string]int64)
+	err := kernels.EachWordRun(run, func(w []byte, n int64) { counts[string(w)] = n })
+	return counts, err
 }
 
 func TestRunWordCountValidation(t *testing.T) {
@@ -176,11 +188,12 @@ func TestRunWordCountMatchesDirectProperty(t *testing.T) {
 		if err := c.FS.WriteFile("/input.txt", []byte(text), ""); err != nil {
 			return false
 		}
-		got, err := c.RunWordCount("/input.txt")
+		run, err := c.RunWordCount("/input.txt")
 		if err != nil {
 			return false
 		}
-		return maps.Equal(got, kernels.WordCount([]byte(text)))
+		got, err := runCounts(run)
+		return err == nil && maps.Equal(got, kernels.WordCount([]byte(text)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

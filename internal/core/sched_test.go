@@ -1,8 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -131,9 +131,9 @@ func TestStragglerPiCountsBitIdentical(t *testing.T) {
 	}
 }
 
-func assertSameCounts(t *testing.T, label string, want, got map[string]int64) {
+func assertSameCounts(t *testing.T, label string, want, got []byte) {
 	t.Helper()
-	if !maps.Equal(want, got) {
-		t.Fatalf("%s: counts %v, want %v", label, got, want)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("%s: word run %q, want %q", label, got, want)
 	}
 }

@@ -24,7 +24,12 @@ import (
 // and the encryption 1.4. The cases share the pool, as a process
 // running one workload after another does: a frame read or a Borrow
 // takes only a buffer of about its own size, so the sort's 4 MB
-// buffers never hold the encryption's 1 MiB blocks.
+// buffers never hold the encryption's 1 MiB blocks. The small pair is
+// smalljobs-net's shape, where the fixed per-job work shows: a 64 000-byte
+// Zipf word count on the host mapper, then a 32-task Pi job, counted
+// against the word count's input. Its result is the merged word run
+// (Pairs built in one pass over it): with a gob map folded in Reduce,
+// decoded and sorted again, the pair read about 13.5 B per input byte.
 func TestNetJobAllocationCeilings(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; the ceilings hold only without it")
@@ -35,22 +40,22 @@ func TestNetJobAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
-		job     func(input []byte) *Job
+		jobs    func(input []byte) []*Job
 		input   func() []byte
 		ceiling float64 // B allocated per input byte, median of the warm jobs
 	}{
 		{
 			name:    "sort",
 			cfg:     Config{Workers: 4, BlockSize: 4_000_000, Reducers: 8},
-			job:     func(in []byte) *Job { return &Job{Kind: Sort, Source: bytes.NewReader(in), Sink: io.Discard} },
+			jobs:    func(in []byte) []*Job { return []*Job{{Kind: Sort, Source: bytes.NewReader(in), Sink: io.Discard}} },
 			input:   func() []byte { return kernels.GenerateSortRecords(51, 32_000_000/kernels.SortRecordBytes) },
 			ceiling: 1.0,
 		},
 		{
 			name: "encrypt",
 			cfg:  Config{Workers: 4, BlockSize: 1 << 20},
-			job: func(in []byte) *Job {
-				return &Job{Kind: Encrypt, Source: bytes.NewReader(in), Sink: io.Discard, Key: []byte("alloc-ceiling-k!")}
+			jobs: func(in []byte) []*Job {
+				return []*Job{{Kind: Encrypt, Source: bytes.NewReader(in), Sink: io.Discard, Key: []byte("alloc-ceiling-k!")}}
 			},
 			input:   func() []byte { return kernels.GenerateSortRecords(51, 32<<20/kernels.SortRecordBytes) },
 			ceiling: 0.2,
@@ -58,9 +63,18 @@ func TestNetJobAllocationCeilings(t *testing.T) {
 		{
 			name:    "wordcount",
 			cfg:     Config{Workers: 4, BlockSize: 1 << 20, Reducers: 4},
-			job:     func(in []byte) *Job { return &Job{Kind: Wordcount, Source: bytes.NewReader(in)} },
+			jobs:    func(in []byte) []*Job { return []*Job{{Kind: Wordcount, Source: bytes.NewReader(in)}} },
 			input:   func() []byte { return testutil.ZipfText(52, 32<<20) },
 			ceiling: 0.25,
+		},
+		{
+			name: "small-pair",
+			cfg:  Config{Workers: 4, Mapper: "java"},
+			jobs: func(in []byte) []*Job {
+				return []*Job{{Kind: Wordcount, Source: bytes.NewReader(in)}, {Kind: Pi, Samples: 1_000_000, Tasks: 32}}
+			},
+			input:   func() []byte { return testutil.ZipfText(53, 64_000) },
+			ceiling: 9.5,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,8 +89,10 @@ func TestNetJobAllocationCeilings(t *testing.T) {
 			for i := 0; i < warmups+jobs; i++ {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				if _, err := r.Run(tc.job(input)); err != nil {
-					t.Fatal(err)
+				for _, job := range tc.jobs(input) {
+					if _, err := r.Run(job); err != nil {
+						t.Fatal(err)
+					}
 				}
 				runtime.ReadMemStats(&after)
 				if i >= warmups {

@@ -25,7 +25,8 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"hetmr/internal/hadoop"
@@ -263,20 +264,27 @@ func normalizeTasks(tasks, workers int) int {
 	return n
 }
 
-// pairsFromCounts converts a word→count table to sorted KV pairs, the
-// canonical Wordcount result representation.
-func pairsFromCounts(counts map[string]int64) []KV {
-	pairs := make([]KV, 0, len(counts))
-	for w, n := range counts {
-		pairs = append(pairs, KV{Key: w, Value: fmt.Sprintf("%d", n)})
+// pairsFromRun turns a word run (kernels.EachWordRun), every backend's
+// word-count result, into Pairs in its order: one pass sizes them, the
+// next slices every key and decimal count from one backing string.
+func pairsFromRun(run []byte) ([]KV, error) {
+	var digits [20]byte
+	words, size := 0, 0
+	if err := kernels.EachWordRun(run, func(w []byte, n int64) {
+		words, size = words+1, size+len(w)+len(strconv.AppendInt(digits[:0], n, 10))
+	}); err != nil {
+		return nil, err
 	}
-	sortKVs(pairs)
-	return pairs
-}
-
-// sortKVs orders pairs by key.
-func sortKVs(pairs []KV) {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
+	pairs, b := make([]KV, 0, words), strings.Builder{}
+	b.Grow(size)
+	err := kernels.EachWordRun(run, func(w []byte, n int64) {
+		at := b.Len()
+		b.Write(w)
+		b.Write(strconv.AppendInt(digits[:0], n, 10))
+		s := b.String() // a Builder only appends: its earlier strings stay valid
+		pairs = append(pairs, KV{Key: s[at : at+len(w)], Value: s[at+len(w):]})
+	})
+	return pairs, err
 }
 
 // SyntheticReader streams the deterministic pattern dataset used when

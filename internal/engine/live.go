@@ -105,11 +105,13 @@ func (r *liveRunner) Run(job *Job) (*Result, error) {
 	}
 	switch job.Kind {
 	case Wordcount:
-		counts, err := r.clus.RunWordCount(input)
+		run, err := r.clus.RunWordCount(input)
 		if err != nil {
 			return nil, err
 		}
-		res.Pairs = pairsFromCounts(counts)
+		if res.Pairs, err = pairsFromRun(run); err != nil {
+			return nil, err
+		}
 	case Sort:
 		w, finish := job.output()
 		if err := r.clus.RunSort(input, w); err != nil {

@@ -347,11 +347,9 @@ func (nj *netJob) wait() (*Result, error) {
 	res.TaskCounts, res.Devices = st.Counts, st.Devices
 	switch job.Kind {
 	case Wordcount:
-		var counts map[string]int64
-		if err := rpcnet.Unmarshal(st.Result, &counts); err != nil {
+		if res.Pairs, err = pairsFromRun(st.Result); err != nil {
 			return nil, err
 		}
-		res.Pairs = pairsFromCounts(counts)
 	case Sort, Encrypt:
 		finish(res)
 	case Pi:

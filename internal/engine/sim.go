@@ -103,13 +103,15 @@ func (r *simRunner) functional(job *Job, data []byte, res *Result) error {
 		if len(data) == 0 {
 			return nil // modelled size: timing-only run
 		}
-		counts := make(map[string]int64)
+		// A word ends at a block's end, as it does in a map task's.
+		var counts kernels.WordTable
 		for _, blk := range r.blocks(data) {
-			for w, n := range kernels.WordCount(blk) {
-				counts[w] += n
-			}
+			counts.Add(blk)
 		}
-		res.Pairs = pairsFromCounts(counts)
+		run, _ := counts.Runs(1)
+		var err error
+		res.Pairs, err = pairsFromRun(run)
+		return err
 	case Sort:
 		if len(data) == 0 {
 			return nil

@@ -167,18 +167,18 @@ func EachWordRun(run []byte, fn func(word []byte, n int64)) error {
 }
 
 // MergeWordRuns merges word runs, run i being sizes[i] bytes read from
-// runs[i] through a 4 KB window, into one that sums equal words' counts.
-// The output is at least as long as the longest run and starts there.
-func MergeWordRuns(runs []io.Reader, sizes []int64) ([]byte, error) {
-	heads, longest := make([]wordRun, len(runs)), int64(0)
+// runs[i] through a window of at most 4 KB, into one that sums equal
+// words' counts, appended to dst: as long as all of them when no word is
+// in two, and never longer.
+func MergeWordRuns(dst []byte, runs []io.Reader, sizes []int64) ([]byte, error) {
+	heads := make([]wordRun, len(runs))
 	for i := range heads {
-		heads[i] = wordRun{r: bufio.NewReaderSize(runs[i], 4<<10), size: sizes[i]}
+		heads[i] = wordRun{r: bufio.NewReaderSize(runs[i], int(min(4<<10, sizes[i]))), size: sizes[i]}
 		if err := heads[i].next(); err != nil {
 			return nil, err
 		}
-		longest = max(longest, sizes[i])
 	}
-	out := make([]byte, 0, longest)
+	out := dst
 	for {
 		var least []byte
 		for i := range heads {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hetmr/internal/flow"
@@ -84,25 +85,12 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 			recycleBulk(<-free)
 		}
 	}()
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		putErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if putErr == nil {
-			putErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		return putErr
-	}
+	var wg sync.WaitGroup
+	defer wg.Wait()                  // before the buffers are recycled
+	var putErr atomic.Pointer[error] // the first failed put's
 	var total int64
-	first := true
+	var next [1]byte // the byte past a full block, the next one's first
+	carry := 0       // 1 once next holds it
 	for {
 		// Earlier blocks may still be replicating from their buffers: take
 		// a returned one (free holds a window's worth) or a borrowed one.
@@ -113,21 +101,16 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 		default:
 			buf = rpcnet.Borrow(int(c.blockSize))
 		}
-		n, rerr := io.ReadFull(r, buf)
-		if rerr == io.EOF && !first {
-			giveBack(buf)
-			break // clean end on a block boundary
-		}
+		copy(buf, next[:carry])
+		n, rerr := io.ReadFull(r, buf[carry:])
+		n += carry
 		if rerr != nil && rerr != io.ErrUnexpectedEOF && rerr != io.EOF {
-			wg.Wait()
 			return total, rerr
 		}
-		if err := failed(); err != nil {
-			// A background put failed: stop issuing new blocks.
-			wg.Wait()
-			return total, err
+		if err := putErr.Load(); err != nil {
+			return total, *err // stop issuing new blocks
 		}
-		chunk := buf[:n] // n == 0 only for an empty file's first block
+		chunk := buf[:n] // n == 0 only for an empty file's one block
 		credit := win.Acquire(int64(len(chunk)))
 		var alloc AllocateReply
 		err := c.nn("Allocate", AllocateArgs{
@@ -135,7 +118,6 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 		}, &alloc)
 		if err != nil {
 			win.Release(credit)
-			wg.Wait()
 			return total, err
 		}
 		wg.Add(1)
@@ -143,21 +125,28 @@ func (c *Client) WriteFrom(name string, r io.Reader, preferred string) (int64, e
 			defer wg.Done()
 			defer win.Release(credit)
 			if err := c.putBlock(name, blk, chunk); err != nil {
-				fail(err)
+				putErr.CompareAndSwap(nil, &err)
 			}
 			// The DataNodes copied the block off the wire: the buffer is
 			// free once the puts return, and back before the credit is.
 			giveBack(chunk)
 		}(alloc.Block, chunk, credit)
 		total += int64(n)
-		first = false
+		if rerr == nil {
+			// A full block: read the byte past it before taking another
+			// buffer, so an input ending on a block boundary takes none.
+			carry, rerr = io.ReadFull(r, next[:])
+		}
 		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 			break
 		}
+		if rerr != nil {
+			return total, rerr
+		}
 	}
 	wg.Wait()
-	if err := failed(); err != nil {
-		return total, err
+	if err := putErr.Load(); err != nil {
+		return total, *err
 	}
 	return total, nil
 }

@@ -159,10 +159,7 @@ func TestMapTasksSurviveDataNodeDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counts map[string]int64
-	if err := rpcnet.Unmarshal(result, &counts); err != nil {
-		t.Fatal(err)
-	}
+	counts := runCounts(t, result)
 	if counts["aaa"] != 100 || counts["ddd"] != 100 {
 		t.Errorf("counts = %v, want 100 each", counts)
 	}

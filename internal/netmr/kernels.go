@@ -1,6 +1,8 @@
 package netmr
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 
@@ -56,7 +58,8 @@ type MapKernel struct {
 	// Reduce runs on the client (Client.WaitStatus) once the job is
 	// done, over the final-phase outputs in task order: the map outputs
 	// of a Map kernel, the reduce-task outputs (ordered by partition) of
-	// a shuffle kernel.
+	// a shuffle kernel. Its output is StatusReply.Result: wordcount's one
+	// word run (kernels.EachWordRun) of every word, pi's gob PiResult.
 	Reduce func(partials [][]byte) ([]byte, error)
 	// Partition runs on the TaskTracker in Map's place: it returns the
 	// task's run, partitions 0 to parts-1 back to back, and exactly
@@ -137,27 +140,28 @@ func init() {
 	// partition's words in byte order with their counts, so the host and
 	// accelerated paths give the same bytes.
 	RegisterKernel("wordcount", MapKernel{
+		// Partitions hold disjoint words: their merge is exactly as long.
 		Reduce: func(partials [][]byte) ([]byte, error) {
-			total := make(map[string]int64)
-			for _, p := range partials {
-				if err := kernels.EachWordRun(p, func(w []byte, n int64) { total[string(w)] += n }); err != nil {
-					return nil, err
-				}
+			runs, sizes, total := make([]io.Reader, len(partials)), make([]int64, len(partials)), 0
+			for i, p := range partials {
+				runs[i], sizes[i], total = bytes.NewReader(p), int64(len(p)), total+len(p)
 			}
-			return rpcnet.Marshal(total)
+			return kernels.MergeWordRuns(make([]byte, 0, total), runs, sizes)
 		},
-		Partition: func(_ Task, data []byte, parts int) ([]byte, []int64, error) {
-			var counts kernels.WordTable
+		// The host variant counts in the table a tracker's slot lends.
+		Partition: func(task Task, data []byte, parts int) ([]byte, []int64, error) {
+			counts := cmp.Or(task.words, new(kernels.WordTable))
+			counts.Reset()
 			counts.Add(data)
 			runs, sizes := counts.Runs(parts)
 			return runs, sizes, nil
 		},
 		Merge: func(pieces []Piece) ([]byte, error) {
-			runs, sizes := make([]io.Reader, len(pieces)), make([]int64, len(pieces))
+			runs, sizes, longest := make([]io.Reader, len(pieces)), make([]int64, len(pieces)), int64(0)
 			for i, p := range pieces {
-				runs[i], sizes[i] = p.Reader, p.Size
+				runs[i], sizes[i], longest = p.Reader, p.Size, max(longest, p.Size)
 			}
-			return kernels.MergeWordRuns(runs, sizes)
+			return kernels.MergeWordRuns(make([]byte, 0, longest), runs, sizes)
 		},
 		// Accelerated variant: the block's table comes off the SPEs, in
 		// the device's own tables, and is cut while it is lent.

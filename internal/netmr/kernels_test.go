@@ -294,11 +294,14 @@ func zipfText(seed uint64, size int) []byte { return testutil.ZipfText(seed, siz
 
 // TestWordCountPartitionAllocationCeiling holds the wordcount map
 // kernel, host and accelerated, on a 64 KB block — the small job's
-// path — and on a 1 MiB one, cut four ways. The kernel allocates its
-// runs and, on the host path, one table; the accelerated path counts
-// in the device's own tables. The ceilings sit well under the 1.07 to
-// 7.51 B per input byte that fresh SPE tables and gob-encoded maps
-// read, so a per-task table on the device or a map split crosses them.
+// path — and on a 1 MiB one, cut four ways, by the median of warm
+// calls. The host path counts in the table a tracker's slot lends it
+// (Task.words), the accelerated one in the device's own tables, so
+// either allocates little beyond its runs: a fresh table per task reads
+// about 1.2 (64 KB) and 0.3 (1 MiB) B per input byte more. The device
+// carves spans onto whichever SPE claims them first, so its tables
+// keep growing for a few calls, and single calls spread: the median
+// of several does not.
 func TestWordCountPartitionAllocationCeiling(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates; the ceiling holds only without it")
@@ -316,33 +319,36 @@ func TestWordCountPartitionAllocationCeiling(t *testing.T) {
 		accel   bool
 		ceiling float64
 	}{
-		{64 << 10, false, 2.5},
-		{64 << 10, true, 1.5},
-		{1 << 20, false, 0.8},
-		{1 << 20, true, 0.6},
+		{64 << 10, false, 0.4},
+		{64 << 10, true, 0.5},
+		{1 << 20, false, 0.12},
+		{1 << 20, true, 0.15},
 	} {
 		block := zipfText(7, tc.size)
-		partition := func() {
+		task := Task{words: new(kernels.WordTable)}
+		const warmups, calls = 3, 7
+		var perCall []float64
+		for i := 0; i < warmups+calls; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			var err error
 			if tc.accel {
-				_, err = cutRun(kern.AccelPartition(dev, Task{}, block, 4))
+				_, _, err = kern.AccelPartition(dev, task, block, 4)
 			} else {
-				_, err = cutRun(kern.Partition(Task{}, block, 4))
+				_, _, err = kern.Partition(task, block, 4)
 			}
+			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if i >= warmups {
+				perCall = append(perCall, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(block)))
+			}
 		}
-		partition() // warm
-		const calls = 5
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < calls; i++ {
-			partition()
-		}
-		runtime.ReadMemStats(&after)
-		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(calls*len(block))
-		t.Logf("%d-byte block, accel %v: %.2f B per input byte (ceiling %.2f)", tc.size, tc.accel, perByte, tc.ceiling)
+		slices.Sort(perCall)
+		perByte := perCall[calls/2]
+		t.Logf("%d-byte block, accel %v: %.2f B per input byte (median; %.2f-%.2f; ceiling %.2f)",
+			tc.size, tc.accel, perByte, perCall[0], perCall[calls-1], tc.ceiling)
 		if perByte >= tc.ceiling {
 			t.Errorf("%d-byte block, accel %v: wordcount Partition allocates %.2f B per input byte, want < %.2f",
 				tc.size, tc.accel, perByte, tc.ceiling)
@@ -473,7 +479,9 @@ func assertAccelPartitionIsHosts(t *testing.T, kern MapKernel, dev *AccelDevice,
 	}
 }
 
-// runCounts decodes a word run.
+// runCounts decodes a word run — a partition's, or a word count's
+// result — failing t on a malformed one or one whose words are not in
+// strictly ascending byte order.
 func runCounts(t testing.TB, run []byte) map[string]int64 {
 	t.Helper()
 	counts := make(map[string]int64)
@@ -582,10 +590,7 @@ func FuzzWordRuns(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make(map[string]int64)
-		if err := rpcnet.Unmarshal(raw, &got); err != nil {
-			t.Fatal(err)
-		}
+		got := runCounts(t, raw) // fails unless raw is one strictly ascending run
 		if !maps.Equal(got, want) {
 			t.Fatalf("reduced %d distinct words, the oracle %d", len(got), len(want))
 		}

@@ -105,10 +105,7 @@ func TestWordCountJobOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counts map[string]int64
-	if err := rpcnet.Unmarshal(result, &counts); err != nil {
-		t.Fatal(err)
-	}
+	counts := runCounts(t, result)
 	want := kernels.WordCount([]byte(text))
 	if len(counts) != len(want) {
 		t.Fatalf("got %d words, want %d", len(counts), len(want))

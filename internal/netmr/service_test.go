@@ -294,10 +294,7 @@ func TestServiceKillMidFlightIsolatesTenants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("survivor after neighbour kill: %v", err)
 	}
-	var counts map[string]int64
-	if err := rpcnet.Unmarshal(raw, &counts); err != nil {
-		t.Fatal(err)
-	}
+	counts := runCounts(t, raw)
 	want := kernels.WordCount(corpus)
 	if len(counts) != len(want) {
 		t.Fatalf("survivor counted %d distinct words, want %d", len(counts), len(want))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hetmr/internal/core"
 	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
 )
@@ -59,11 +60,7 @@ func runWordCount(t *testing.T, reducers int, corpus []byte, blockSize int64) (m
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counts map[string]int64
-	if err := rpcnet.Unmarshal(raw, &counts); err != nil {
-		t.Fatal(err)
-	}
-	return counts, c.JT.DataPlaneBytes()
+	return runCounts(t, raw), c.JT.DataPlaneBytes()
 }
 
 func TestDistributedShuffleWordCountMatchesCentralized(t *testing.T) {
@@ -87,12 +84,69 @@ func TestDistributedShuffleWordCountMatchesCentralized(t *testing.T) {
 func TestDistributedShuffleHeartbeatStaysMetadataSized(t *testing.T) {
 	// The heartbeats of a shuffle job carry the R merged reduce outputs
 	// and nothing else: bounded by the vocabulary (97 words, ~1.2 KB of
-	// gob across 3 partials), whatever the input size.
+	// word runs across 3 partials), whatever the input size.
 	const bound = 4 << 10
 	for _, size := range []int{50_000, 200_000} {
 		if _, n := runWordCount(t, 3, shuffleCorpus(size, 97), 1000); n == 0 || n > bound {
 			t.Errorf("%d B input: heartbeats carried %d B of task output, want 1..%d", size, n, bound)
 		}
+	}
+}
+
+// TestWordCountResultIsOneSortedRun: a word count's StatusReply.Result
+// is the merged word run — every word once, in byte order — so one job
+// run twice gives the same bytes, and they are the bytes live's
+// core.RunWordCount returns over the same blocks. A gob-encoded map
+// followed Go's random map order. The host Partitions counted in the
+// trackers' slot tables, of which each tracker still holds Slots.
+func TestWordCountResultIsOneSortedRun(t *testing.T) {
+	const blockSize, slots = 4096, 2
+	corpus := zipfText(3, 40_000)
+	c, err := StartCluster(Config{Workers: 3, Slots: slots, BlockSize: blockSize, Heartbeat: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.Client.WriteFile("/corpus", corpus, ""); err != nil {
+		t.Fatal(err)
+	}
+	var results [2][]byte
+	for i := range results {
+		if results[i], err = submitAndWait(c.Client, JobSpec{Name: "wc", Kernel: "wordcount", Input: "/corpus", NumReducers: 3}, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("two runs of one word count returned different bytes (%d and %d)", len(results[0]), len(results[1]))
+	}
+	runCounts(t, results[0]) // fails unless it is one strictly ascending run
+	live, err := core.NewLiveCluster(core.Config{Nodes: 2, BlockSize: blockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.FS.WriteFile("/corpus", corpus, ""); err != nil {
+		t.Fatal(err)
+	}
+	want, err := live.RunWordCount("/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(results[0], want) {
+		t.Errorf("net result of %d bytes differs from live's run of %d", len(results[0]), len(want))
+	}
+	used := false
+	for _, tt := range c.TTs {
+		if len(tt.words) != slots {
+			t.Errorf("tracker %s holds %d word tables after its tasks, want %d", tt.ID, len(tt.words), slots)
+		}
+		for range len(tt.words) {
+			tab := <-tt.words
+			tab.Each(func(string, int64) { used = true })
+			tt.words <- tab
+		}
+	}
+	if !used {
+		t.Error("no slot table holds a word: the host Partitions counted elsewhere")
 	}
 }
 
@@ -187,10 +241,7 @@ func TestShuffleRerunAfterTrackerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counts map[string]int64
-	if err := rpcnet.Unmarshal(raw, &counts); err != nil {
-		t.Fatal(err)
-	}
+	counts := runCounts(t, raw)
 	want := kernels.WordCount(corpus)
 	if len(counts) != len(want) {
 		t.Fatalf("got %d words, want %d", len(counts), len(want))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hetmr/internal/flow"
+	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
 )
 
@@ -71,6 +72,10 @@ type TaskTracker struct {
 	// variant, and its kind travels on every heartbeat for the
 	// JobTracker's device-affinity pass.
 	device *AccelDevice
+
+	// words holds one host word table per slot, lent to each host word
+	// count's Partition (Task.words), so a table keeps its memory.
+	words chan *kernels.WordTable
 
 	// store is the tracker's shuffle/data-plane store: map-side
 	// partitions and streamed task outputs, spilled to disk above the
@@ -174,11 +179,15 @@ func StartTaskTracker(id, jtAddr, localDataNode string, worker int, cfg Config) 
 		srv:           srv,
 		delay:         at(cfg.TaskDelays, worker),
 		device:        device,
+		words:         make(chan *kernels.WordTable, cfg.Slots),
 		store:         newShuffleStore(cfg.SpillDir, cfg.SpillMem),
 		fetchWin:      flow.NewWindow(cfg.fetchWindow()),
 		wake:          make(chan struct{}, 1),
 		dead:          make(chan struct{}),
 		drained:       make(chan struct{}),
+	}
+	for range cfg.Slots {
+		tt.words <- new(kernels.WordTable)
 	}
 	tt.wire = newConnCache()
 	tt.wire.local = localDataNode
@@ -521,6 +530,9 @@ func (tt *TaskTracker) partitionTask(task Task, kern MapKernel, data []byte) ([]
 			return nil, nil, err
 		}
 	}
+	// A tracker runs at most one task per slot, so a table is free.
+	task.words = <-tt.words
+	defer func() { tt.words <- task.words }()
 	return kern.Partition(task, data, task.NumParts)
 }
 

@@ -36,7 +36,11 @@
 // in-process callers use too.
 package netmr
 
-import "time"
+import (
+	"time"
+
+	"hetmr/internal/kernels"
+)
 
 // BlockInfo describes one stored block: its cluster-wide ID, size and
 // every replica holding it.
@@ -357,6 +361,9 @@ type Task struct {
 	// SplitKeys carries the job's range-partition split keys to map
 	// tasks (see JobSpec.SplitKeys).
 	SplitKeys [][]byte
+	// words is the host word table a tracker's slot lends a map task
+	// for the length of its Partition; it never crosses the wire.
+	words *kernels.WordTable
 }
 
 // MapOutputRef locates one stored task output: a map task's shuffle
@@ -376,10 +383,10 @@ type TaskResult struct {
 	JobID  int64
 	TaskID int
 	Reduce bool
-	// Output is a structured kernel's final-phase partial (a small gob
-	// struct). Empty for every stored output — shuffle partitions and
-	// byte-stream results stay in the tracker's store and the heartbeat
-	// carries only ShuffleAddr.
+	// Output is a structured kernel's final-phase partial (a word run, a
+	// small gob struct). Empty for every stored output — shuffle
+	// partitions and byte-stream results stay in the tracker's store and
+	// the heartbeat carries only ShuffleAddr.
 	Output []byte
 	// ShuffleAddr is the store a stored output is served from.
 	ShuffleAddr string

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -202,8 +203,7 @@ func TestReduceStreamsRemotePieces(t *testing.T) {
 
 // wireSamples is one value of every message type the daemons exchange —
 // each Args/Reply of types.go — plus the gob bodies that ride inside
-// them: the word-count result, the pi kernel's map partial and result,
-// and AES job arguments.
+// them: the pi kernel's map partial and result, and AES job arguments.
 func wireSamples() map[string]any {
 	return map[string]any{
 		"RegisterArgs": RegisterArgs{}, "RegisterReply": RegisterReply{},
@@ -225,8 +225,7 @@ func wireSamples() map[string]any {
 		"StatusArgs": StatusArgs{}, "StatusReply": StatusReply{},
 		"KillArgs": KillArgs{}, "KillReply": KillReply{},
 		"ListJobsArgs": ListJobsArgs{}, "ListJobsReply": ListJobsReply{},
-		"map[string]int64": map[string]int64{}, "piPartial": piPartial{},
-		"PiResult": PiResult{}, "AESArgs": AESArgs{},
+		"piPartial": piPartial{}, "PiResult": PiResult{}, "AESArgs": AESArgs{},
 	}
 }
 
@@ -410,5 +409,60 @@ func TestWriteFromRecyclesBlockBuffers(t *testing.T) {
 	if limit := client.ingestWindow + 2*block; allocated > limit {
 		t.Errorf("WriteFrom of %d MiB in %d KiB blocks allocated %d B, want <= %d (ingest window + 2 blocks)",
 			size>>20, block>>10, allocated, limit)
+	}
+}
+
+// TestWriteFromTakesOneBufferPerBlock: WriteFrom reads the byte past a
+// full block before it takes another buffer, so an input of exactly k
+// blocks takes k buffers, not one more only to read its end. The blocks
+// are under rpcnet.BulkMin, so every buffer is a fresh allocation, and
+// the stub's Put holds each block long enough that none comes back to
+// be reused within one write.
+func TestWriteFromTakesOneBufferPerBlock(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the count holds only without it")
+	}
+	const block = 64_000
+	srv, err := rpcnet.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var next atomic.Int64
+	handle(srv, "Allocate", func(args AllocateArgs) (AllocateReply, error) {
+		return AllocateReply{Block: BlockInfo{ID: next.Add(1), Size: args.Size, Replicas: []string{srv.Addr()}}}, nil
+	})
+	handleTail(srv, "Put", func(PutArgs, *rpcnet.Tail) (PutReply, rpcnet.Reply, error) {
+		time.Sleep(20 * time.Millisecond)
+		return PutReply{}, rpcnet.Reply{}, nil
+	})
+	client, err := NewClient(srv.Addr(), "", block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, blocks := range []int{1, 3} {
+		data := make([]byte, blocks*block)
+		const warmups, writes = 2, 5
+		var perWrite []int64
+		for i := 0; i < warmups+writes; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if n, err := client.WriteFrom("/f", bytes.NewReader(data), ""); err != nil || n != int64(len(data)) {
+				t.Fatalf("wrote %d of %d bytes, err %v", n, len(data), err)
+			}
+			runtime.ReadMemStats(&after)
+			if i >= warmups {
+				perWrite = append(perWrite, int64(after.TotalAlloc-before.TotalAlloc))
+			}
+		}
+		slices.Sort(perWrite)
+		allocated := perWrite[writes/2]
+		t.Logf("%d blocks: WriteFrom allocated %d B (median)", blocks, allocated)
+		if allocated < int64(blocks*block) || allocated >= int64(blocks*block+block/2) {
+			t.Errorf("WriteFrom of %d blocks of %d B allocated %d B, want one buffer per block: %d B and under half a block more",
+				blocks, block, allocated, blocks*block)
+		}
 	}
 }
